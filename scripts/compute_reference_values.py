@@ -33,7 +33,7 @@ def main() -> int:
 
     print("# rho = -1, energy function h_4 at t = -1/2")
     bank = rho_bank(-1.0)
-    print(f"h_4(-1/2) = {oracle_h_partial(-0.5, bank, 4)!r}")
+    print(f"h_4(-1/2) = {float(oracle_h_partial(-0.5, bank, 4))!r}")
 
     print("# transform spot values by the recursion path")
     for t in (2.0, 0.5, -7.25):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, DomainError
 from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat
 
 MERGE_TOL = 1e-15
@@ -34,11 +34,11 @@ class Atom:
         xword = tuple(int(d) for d in self.xword)
         yword = tuple(int(b) for b in self.yword)
         if len(xword) != len(yword):
-            raise ValueError("xword and yword must have equal length")
+            raise ContractError("xword and yword must have equal length")
         if any(d not in (0, 2) for d in xword):
-            raise ValueError("x digits must lie in {0,2}")
+            raise DomainError("x digits must lie in {0,2}")
         if any(b not in (0, 1) for b in yword):
-            raise ValueError("y digits must lie in {0,1}")
+            raise DomainError("y digits must lie in {0,1}")
         object.__setattr__(self, "xword", xword)
         object.__setattr__(self, "yword", yword)
 
@@ -79,7 +79,7 @@ ONE = exponential(0)
 def normalize(F: FunctionSum, merge_tol: float = MERGE_TOL) -> FunctionSum:
     """Merge identical-key atoms, drop near-zero coefficients, sort keys."""
     if merge_tol < 0:
-        raise ValueError("merge_tol must be >= 0")
+        raise ContractError("merge_tol must be >= 0")
     merged: dict = {}
     for a in F.atoms:
         merged[a.key()] = merged.get(a.key(), 0.0) + a.coeff

@@ -10,6 +10,7 @@ whose --tol flag is not given.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -69,17 +70,34 @@ _DEFAULT_TOLS = {
 
 
 def _resolve_tol(args, command: str) -> float:
-    if getattr(args, "tol", None) is not None:
-        return float(args.tol)
-    env = os.environ.get("FRAME_LAB_TOL")
-    if env is not None:
-        return float(env)
-    return _DEFAULT_TOLS[command]
+    tol = getattr(args, "tol", None)
+    if tol is None:
+        env = os.environ.get("FRAME_LAB_TOL")
+        if env is None:
+            return _DEFAULT_TOLS[command]
+        try:
+            tol = float(env)
+        except ValueError:
+            raise DomainError(f"FRAME_LAB_TOL must be a number, got {env!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    return tol
 
 
 def _add_rho_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho-re", type=float, default=0.0, help="Re(rho), |rho| = 1")
+    p.add_argument(
+        "--rho-re", type=float, default=None,
+        help="Re(rho), |rho| = 1; defaults to the value >= 0 that puts rho on the unit circle",
+    )
     p.add_argument("--rho-im", type=float, default=0.0, help="Im(rho)")
+
+
+def _rho_from_args(args) -> complex:
+    """rho from the flags; with no --rho-re, rho = 1 or the unit-circle point above --rho-im."""
+    re = args.rho_re
+    if re is None:
+        re = math.sqrt(max(1.0 - args.rho_im**2, 0.0))
+    return complex(re, args.rho_im)
 
 
 def _add_alpha_flags(p: argparse.ArgumentParser) -> None:
@@ -104,7 +122,7 @@ def _bank_from_args(args, tol: float):
         bank = solve_alpha(*alphas, tol=tol)
         params = {f"alpha{i}": [z.real, z.imag] for i, z in zip(("10", "30", "11", "12", "21", "22"), alphas)}
         return bank, params
-    rho = complex(args.rho_re, args.rho_im)
+    rho = _rho_from_args(args)
     bank = filter_bank_from_A(hadamard_rho(rho), tol)
     return bank, {"rho_re": rho.real, "rho_im": rho.imag}
 
@@ -118,7 +136,7 @@ def _spec_from_args(args) -> tuple[WeightSpec, dict]:
         return WeightSpec.from_pq(p, q), {
             "p_re": p.real, "p_im": p.imag, "q_re": q.real, "q_im": q.imag,
         }
-    rho = complex(args.rho_re, args.rho_im)
+    rho = _rho_from_args(args)
     return WeightSpec.from_rho(rho), {"rho_re": rho.real, "rho_im": rho.imag}
 
 
@@ -260,6 +278,8 @@ def _run_verify_unitarity(args) -> tuple[bool, dict, dict, dict]:
         }
     else:
         samples = int(args.samples)
+        if samples < 1:
+            raise ContractError("--samples must be >= 1")
         max_dev = 0.0
         for m in range(samples):
             rho = np.exp(2j * np.pi * m / samples)
@@ -268,7 +288,8 @@ def _run_verify_unitarity(args) -> tuple[bool, dict, dict, dict]:
             if args.matrix_out and m == 0:
                 with open(args.matrix_out, "w", encoding="utf-8") as fh:
                     fh.write(matrix_to_json(bank.A) + "\n")
-        params = {"samples": samples, "rho_re": args.rho_re, "rho_im": args.rho_im}
+        rho = _rho_from_args(args)
+        params = {"samples": samples, "rho_re": rho.real, "rho_im": rho.imag}
         metrics = {"max_dev": max_dev}
         passed = max_dev <= tol
     return passed, params, metrics, {"unitarity": tol}
@@ -335,7 +356,7 @@ def _run_verify_parseval(args) -> tuple[bool, dict, dict, dict]:
 
 def _run_verify_ruelle(args) -> tuple[bool, dict, dict, dict]:
     tol = _resolve_tol(args, "ruelle")
-    rho = complex(args.rho_re, args.rho_im)
+    rho = _rho_from_args(args)
     bank = filter_bank_from_A(hadamard_rho(rho), 1e-12)
     rep = CuntzRep(bank)
     grid = _parse_grid(args.grid)

@@ -215,6 +215,8 @@ def verify_cuntz(
     """Check S_j* S_k = delta_jk I and sum_k S_k S_k* = I on random vectors."""
     if trials < 1:
         raise ContractError("trials must be >= 1")
+    if level < 0:
+        raise ContractError("level must be >= 0")
     if level > 4:
         raise CapacityError("level must be <= 4")
     rng = np.random.default_rng(seed)

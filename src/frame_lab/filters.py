@@ -93,7 +93,7 @@ def filter_bank_from_A(A: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> Fil
     print diagnostics; downstream operators require the admissible flag.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise DomainError("tol must be positive")
     A = np.array(A, dtype=complex)
     if A.shape != (4, 4):
         raise DomainError(f"A must be 4x4, got shape {A.shape}")

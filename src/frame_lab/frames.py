@@ -21,11 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .atoms import FunctionSum, refine
-from .cuntz import CuntzRep, GRAM_MAX_LEN, _dense_word_vector, dense_inner
+from .cuntz import CuntzRep
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
 from .filters import FilterBank, g_map, hadamard_rho, little_m, filter_bank_from_A, solve_alpha
-from .transform import DEFAULT_EVALUATOR, TransformEvaluator, mu4_hat
-from .words import c_of_word, digit_counts, enumerate_X4
+from .transform import DEFAULT_EVALUATOR, TransformEvaluator, mu4_hat, mu4_hat_array
+from .words import MAX_ENUM_LEN, digit_counts
 
 WEIGHT_TABLE_COLUMNS = ("n", "l1", "l2", "l3", "weight_re", "weight_im", "weight_abs2")
 TRACE_COLUMNS = ("N", "partial_sum", "target")
@@ -165,6 +165,45 @@ def _checkpoint_grid(n_max: int) -> list[int]:
     return grid
 
 
+def _support_weights(digit_weights: Sequence[complex], n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending n <= n_max whose base-4 digits all have nonzero weight, and d_n.
+
+    d_n, the product of digit_weights over the digits of n, is built one
+    place at a time as a Kronecker product; digit_weights[0] is 1 (the first
+    row of an admissible bank is 1/2), so leading zeros leave it unchanged.
+    """
+    d = np.asarray(digit_weights, dtype=complex)
+    digits = np.flatnonzero(d)
+    n, w = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
+    place = 1
+    while place <= n_max:
+        n = np.add.outer(place * digits, n).ravel()
+        w = np.multiply.outer(d[digits], w).ravel()
+        keep = n <= n_max
+        n, w = n[keep], w[keep]
+        place *= 4
+    return n, w
+
+
+def _weighted_terms(f, digit_weights, n_max: int, cfg: TransformEvaluator) -> np.ndarray:
+    """terms[n] = |d_n|^2 |sum_g c_g mu4_hat(g - n)|^2 for n = 0 .. n_max.
+
+    The one kernel behind traces, incompleteness and the energy function; it
+    evaluates only the support of the weights, every other term is 0.0.
+    """
+    if n_max > 4**MAX_ENUM_LEN:
+        raise CapacityError(f"n_max {n_max} exceeds cap 4^{MAX_ENUM_LEN}")
+    if any(abs(g) + n_max >= 2**53 for g, _ in f):
+        raise DomainError("frequencies must stay below 2^53 to be exact in float64")
+    n, d = _support_weights(digit_weights, n_max)
+    inner = np.zeros(len(n), dtype=complex)
+    for g, c in f:
+        inner += c * mu4_hat_array(g - n, cfg)
+    terms = np.zeros(n_max + 1)
+    terms[n] = np.abs(d) ** 2 * np.abs(inner) ** 2
+    return terms
+
+
 def parseval_trace(
     f: Sequence[tuple[int, complex]],
     spec: WeightSpec,
@@ -174,24 +213,18 @@ def parseval_trace(
     """Partial sums S_N = sum_{n<=N} |w_n|^2 |<f, e_n>|^2 at checkpoints 4^k.
 
     f is a finite combination [(frequency, coefficient), ..] of integer
-    exponential frequencies; <e_g, e_n> = mu4_hat(g - n) gives the exact
-    inner products, and the target is ||f||^2.
+    exponential frequencies; <e_g, e_n> = mu4_hat(g - n) gives the inner
+    products. The terms come from the weighted-transform kernel, the target
+    ||f||^2 from the memoized scalar mu4_hat.
     """
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
-    freqs = [int(g) for g, _ in f]
-    coeffs = [complex(c) for _, c in f]
+    f = [(int(g), complex(c)) for g, c in f]
     target = 0.0
-    for g1, c1 in zip(freqs, coeffs):
-        for g2, c2 in zip(freqs, coeffs):
+    for g1, c1 in f:
+        for g2, c2 in f:
             target += (c1 * c2.conjugate() * mu4_hat(g1 - g2, cfg)).real
-    terms = np.zeros(n_max + 1)
-    for n in range(n_max + 1):
-        w = frame_weight(spec, n)
-        if w == 0:
-            continue
-        ip = sum(c * mu4_hat(g - n, cfg) for g, c in zip(freqs, coeffs))
-        terms[n] = abs(w) ** 2 * abs(ip) ** 2
+    terms = _weighted_terms(f, (1.0, spec.p, 0.0, spec.q), n_max, cfg)
     running = np.cumsum(terms)
     checkpoints = tuple((N, float(running[N])) for N in _checkpoint_grid(n_max))
     return PartialSumTrace(checkpoints=checkpoints, target=target, terms=terms)
@@ -204,20 +237,15 @@ def h_partial(
 ) -> float:
     """Coefficient energy sum_{omega, |omega| <= max_len} |<e_t, S_omega 1>|^2.
 
-    Computed through the atom inner products of the closed-form word
-    vectors (dense kernel), not through the symbol recursion, so the
-    refinement-identity check stays a two-sided comparison.
+    By the projection formula P S_omega 1 = d_omega e_{c(omega)} this is the
+    Parseval partial sum over n < 4^max_len for e_t with the bank's digit
+    weights, computed by the weighted-transform kernel. The refinement
+    identity check stays two-sided: the symbols little_m are independent.
     """
-    if max_len > GRAM_MAX_LEN:
-        raise CapacityError(f"max_len {max_len} exceeds cap {GRAM_MAX_LEN}")
-    e_vec = np.ones(1, dtype=complex)
-    total = 0.0
-    for word in enumerate_X4(max_len):
-        val = dense_inner(
-            t, e_vec, 0, c_of_word(word), _dense_word_vector(rep.bank, word), len(word), rep.cfg
-        )
-        total += abs(val) ** 2
-    return total
+    if max_len < 1:
+        raise ContractError("max_len must be >= 1")
+    weights = [rep.bank.digit_weight(j) for j in range(4)]
+    return float(_weighted_terms([(float(t), 1.0)], weights, 4**max_len - 1, rep.cfg).sum())
 
 
 @dataclass(frozen=True)
@@ -247,6 +275,8 @@ def verify_ruelle(
     """
     if L > 4:
         raise CapacityError("L must be <= 4")
+    if len(t_grid) == 0:
+        raise ContractError("t_grid must not be empty")
     max_resid = 0.0
     max_gap = None if rho is None else 0.0
     for t in t_grid:
@@ -322,6 +352,8 @@ def incompleteness_report(
 
 def write_weight_table(path, spec: WeightSpec, n_max: int) -> None:
     """CSV columns n, l1, l2, l3, weight_re, weight_im, weight_abs2."""
+    if n_max < 0:
+        raise ContractError("n_max must be >= 0")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEIGHT_TABLE_COLUMNS)

@@ -20,9 +20,12 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import CapacityError, ContractError, DomainError
 
-Frequency = Real  # int, float or Fraction; Fractions stay exact end to end
+Frequency = Real  # int, float or Fraction; phases of Fractions stay exact in cis
+
+# e^{2 pi i m/4}, m = 0..3
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
 
 
 def cis(turns) -> complex:
@@ -50,52 +53,58 @@ class TransformEvaluator:
 
     def __post_init__(self):
         if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+            raise DomainError("tolerance must be positive")
         if self.max_factors < 1:
-            raise ValueError("max_factors must be >= 1")
+            raise ContractError("max_factors must be >= 1")
 
-    def factor_count(self, t_abs: float) -> int:
+    def factor_count(self, t_abs) -> np.ndarray:
         # Tail factors obey |factor - 1| <= pi*|t|*4^-k, so stopping at
         # max(2, ceil(log4(max(|t|,1)/eps)) + 2) with eps = tolerance/10
         # keeps the tail's total deviation below tolerance.
-        eps_tail = self.tolerance / 10.0
-        k_star = max(2, math.ceil(math.log(max(t_abs, 1.0) / eps_tail) / math.log(4.0)) + 2)
-        return min(k_star, self.max_factors)
+        log4 = (np.log(np.maximum(t_abs, 1.0)) - math.log(self.tolerance / 10.0)) / math.log(4.0)
+        counts = np.maximum(2, np.ceil(log4).astype(np.int64) + 2)
+        if np.any(counts > self.max_factors):
+            raise CapacityError(f"|t| = {np.max(t_abs):.3g} needs over {self.max_factors} factors")
+        return counts
 
 
 DEFAULT_EVALUATOR = TransformEvaluator()
 
 
-def _exactify(t: Frequency) -> Frequency:
-    if isinstance(t, bool):
-        raise DomainError("t must be a real number")
-    if isinstance(t, int):
-        return Fraction(t)
-    if isinstance(t, Fraction):
-        return t
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    return t
+def mu4_hat_array(t, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> np.ndarray:
+    """Truncated product at every element of a float64 array; the memo is not used.
+
+    Factor k is (1 + i^q)/2 with q = (8t/4^k) mod 4, computed exactly by a
+    power-of-two scaling and fmod; whole q take exact phases. Each element
+    gets its own certified factor count.
+    """
+    t = np.array(t, dtype=np.float64, ndmin=1)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("t must be finite")
+    counts = cfg.factor_count(np.abs(t))
+    acc = np.ones(t.shape, dtype=complex)
+    for k in range(1, int(np.max(counts, initial=0)) + 1):
+        q = np.fmod(t * 2.0 ** (3 - 2 * k), 4.0)
+        q[counts < k] = 0.0  # past this element's certified count: factor 1
+        phase = np.exp((0.5j * math.pi) * q)
+        whole = q == np.floor(q)
+        phase[whole] = _QUARTER_TURNS[q[whole].astype(np.int64) % 4]
+        acc *= (1.0 + phase) * 0.5
+    return acc
 
 
 def mu4_hat(t: Frequency, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> complex:
-    """Truncated product evaluation of the transform of mu4; |result| <= 1."""
-    t = _exactify(t)
-    key = t
-    cached = cfg._memo.get(key)
-    if cached is not None:
-        return cached
-    n_factors = cfg.factor_count(abs(float(t)))
-    acc = complex(1.0, 0.0)
-    for k in range(1, n_factors + 1):
-        factor = (1.0 + cis(2 * t / 4**k)) / 2.0
-        if factor == 0:
-            acc = complex(0.0, 0.0)
-            break
-        acc *= factor
-    cfg._memo[key] = acc
-    return acc
+    """mu4_hat_array at one real t, memoized per evaluator; |result| <= 1.
+
+    t is read as float64, exact for integers and dyadic rationals below 2^53.
+    """
+    key = float(t)
+    if isinstance(t, bool) or not math.isfinite(key):
+        raise DomainError(f"t must be a finite real number, got {t!r}")
+    value = cfg._memo.get(key)
+    if value is None:
+        value = cfg._memo[key] = complex(mu4_hat_array(key, cfg)[0])
+    return value
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,7 @@ class XCylinder:
     def __post_init__(self):
         digits = tuple(int(d) for d in self.digits)
         if any(d not in (0, 2) for d in digits):
-            raise ValueError(f"cylinder digits must lie in {{0,2}}, got {digits!r}")
+            raise DomainError(f"cylinder digits must lie in {{0,2}}, got {digits!r}")
         object.__setattr__(self, "digits", digits)
 
     def __len__(self) -> int:
@@ -128,7 +137,6 @@ def cylinder_exp_integral(
     Equals 2^-K * e^{2 pi i delta offset(u)} * mu4_hat(delta / 4^K) by
     self-similarity of mu4 restricted to a level-K cylinder.
     """
-    delta = _exactify(delta)
     K = len(u)
     return 2.0 ** (-K) * cis(delta * u.offset) * mu4_hat(delta / 4**K, cfg)
 

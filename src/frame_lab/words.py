@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CapacityError
+from .errors import CapacityError, ContractError, DomainError
 
 _ALPHABET = (0, 1, 2, 3)
 
 # enumerate_X4 materializes 4**max_len words; beyond this it is not desk-scale.
-_MAX_ENUM_LEN = 10
+MAX_ENUM_LEN = 10
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class Word4:
     def __post_init__(self):
         letters = tuple(int(j) for j in self.letters)
         if any(j not in _ALPHABET for j in letters):
-            raise ValueError(f"letters must lie in {{0,1,2,3}}, got {letters!r}")
+            raise DomainError(f"letters must lie in {{0,1,2,3}}, got {letters!r}")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
@@ -53,7 +53,7 @@ def c_of_word(word: Word4) -> int:
 def word_of_index(n: int) -> Word4:
     """The unique word in X4 with c_of_word(word) == n; (0,) for n == 0."""
     if n < 0:
-        raise ValueError("index must be nonnegative")
+        raise DomainError("index must be nonnegative")
     if n == 0:
         return Word4((0,))
     digits = []
@@ -66,7 +66,7 @@ def word_of_index(n: int) -> Word4:
 def digit_counts(n: int) -> tuple[int, int, int]:
     """Counts of the digits 1, 2, 3 in the base-4 expansion of n."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     counts = [0, 0, 0]
     while n:
         d = n % 4
@@ -90,7 +90,7 @@ def enumerate_X4(max_len: int) -> list[Word4]:
     word_of_index(n) for n = 0 .. 4**max_len - 1.
     """
     if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    if max_len > _MAX_ENUM_LEN:
-        raise CapacityError(f"max_len {max_len} exceeds enumeration cap {_MAX_ENUM_LEN}")
+        raise ContractError("max_len must be >= 1")
+    if max_len > MAX_ENUM_LEN:
+        raise CapacityError(f"max_len {max_len} exceeds enumeration cap {MAX_ENUM_LEN}")
     return [word_of_index(n) for n in range(4**max_len)]

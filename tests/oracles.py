@@ -3,13 +3,17 @@
 These deliberately avoid the library's evaluation paths: the transform is
 computed by descending t -> t/4 with a closed form below 1e-8 instead of
 the truncated ascending product, and the trace/energy oracles sum that
-second path directly.
+second path directly. The dense-atom energy oracle instead goes through the
+closed-form word vectors and the atom inner products.
 """
 
 import cmath
 import math
 
-from frame_lab.words import digit_counts, enumerate_X4
+import numpy as np
+
+from frame_lab.cuntz import _dense_word_vector, dense_inner
+from frame_lab.words import c_of_word, digit_counts, enumerate_X4
 
 
 def mu4_hat_recursive(t, _memo={}):
@@ -54,4 +58,15 @@ def oracle_h_partial(t: float, bank, max_len: int) -> float:
             value *= little_m(bank, j, cur)
             cur = (cur - j) / 4.0
         total += abs(value * mu4_hat_recursive(cur)) ** 2
+    return total
+
+
+def oracle_h_partial_dense(t: float, rep, max_len: int) -> float:
+    """Energy sum through the dense atom inner products <e_t, S_omega 1>."""
+    e_vec = np.ones(1, dtype=complex)
+    total = 0.0
+    for word in enumerate_X4(max_len):
+        vec = _dense_word_vector(rep.bank, word)
+        val = dense_inner(t, e_vec, 0, c_of_word(word), vec, len(word), rep.cfg)
+        total += abs(val) ** 2
     return total

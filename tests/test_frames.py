@@ -11,22 +11,25 @@ from frame_lab import (
     CuntzRep,
     DomainError,
     FunctionSum,
+    TransformEvaluator,
     UnsupportedShape,
     WeightSpec,
     bank_for_spec,
+    cis,
     frame_weight,
     h_partial,
     incompleteness_report,
     parseval_trace,
     project_V,
     projection_weight,
+    rho_bank,
     s_word_one,
     verify_ruelle,
 )
 from frame_lab.atoms import ONE
-from frame_lab.frames import write_trace_csv, write_weight_table
+from frame_lab.frames import _support_weights, write_trace_csv, write_weight_table
 from frame_lab.words import Word4, c_of_word, enumerate_X4
-from oracles import oracle_trace_checkpoints
+from oracles import oracle_h_partial, oracle_h_partial_dense, oracle_trace_checkpoints
 
 S2 = 2**-0.5
 
@@ -142,6 +145,32 @@ def test_weight_consistency_between_modes(cfg):
             assert abs(projection_weight(bank, w) - frame_weight(spec, c_of_word(w))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec", [WeightSpec.from_rho(1.0), WeightSpec.from_rho(1j), WeightSpec.from_pq(0.6, 0.8)]
+)
+def test_support_weights_match_frame_weight(spec):
+    n_max = 4**6
+    n, d = _support_weights((1.0, spec.p, 0.0, spec.q), n_max)
+    dense = np.zeros(n_max + 1, dtype=complex)
+    dense[n] = d
+    expected = np.array([frame_weight(spec, k) for k in range(n_max + 1)])
+    assert np.array_equal(dense == 0, expected == 0)
+    assert np.max(np.abs(dense - expected)) <= 1e-15
+
+
+def test_trace_leaves_only_target_entries_in_memo():
+    cfg = TransformEvaluator()
+    parseval_trace([(1, 1.0)], WeightSpec.from_rho(-1.0), 4**8, cfg)
+    assert set(cfg._memo) == {0.0}
+
+
+def test_kernel_input_guards(bank_one):
+    with pytest.raises(DomainError):
+        parseval_trace([(2**53, 1.0)], WeightSpec.from_rho(1.0), 4)
+    with pytest.raises(ContractError):
+        h_partial(0.0, CuntzRep(bank_one), 0)
+
+
 def test_trace_rho_one_at_basis_frequency(cfg):
     spec = WeightSpec.from_rho(1.0)
     trace = parseval_trace([(0, 1.0)], spec, 256, cfg)
@@ -202,6 +231,23 @@ def _base4(n):
         out.append(n % 4)
         n //= 4
     return out
+
+
+@pytest.mark.parametrize("bank_name", ["one", "i", "pi_over_3", "minus_one", "pq"])
+def test_h_partial_matches_both_oracles(bank_name, bank_one, bank_i, bank_minus_one, bank_pq):
+    bank = {
+        "one": bank_one,
+        "i": bank_i,
+        "pi_over_3": rho_bank(cis(Fraction(1, 6))),
+        "minus_one": bank_minus_one,
+        "pq": bank_pq,
+    }[bank_name]
+    rep = CuntzRep(bank)
+    for L in (1, 2, 3, 4):
+        for t in (-0.3, 0.7, 2.25, 3.0, -5.0):
+            got = h_partial(t, rep, L)
+            assert abs(got - oracle_h_partial(t, bank, L)) <= 1e-12
+            assert abs(got - oracle_h_partial_dense(t, rep, L)) <= 1e-12
 
 
 def test_h_partial_monotone_in_depth(bank_i):

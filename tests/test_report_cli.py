@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from frame_lab import RunReport
 from frame_lab.cli import main
@@ -196,6 +197,59 @@ def test_verify_capacity_exit_3(capsys):
     code, _, err = run_cli(capsys, "verify", "gram", "--rho-im", "1", "--max-word-len", "7")
     assert code == 3
     assert "capacity" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mu4hat", "--t", "1e300"],
+        ["mu4hat", "--t", "1e30"],
+        ["verify", "parseval", "--gamma", "1", "--n-max", str(4**10 + 1)],
+        ["verify", "incomplete", "--gamma", "1", "--n-max", str(4**10 + 1)],
+    ],
+)
+def test_uncertifiable_input_exits_3_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "capacity" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "gram", "--rho-im", "1", "--max-word-len", "0"],
+        ["verify", "projection", "--rho-im", "1", "--max-word-len", "0"],
+        ["verify", "cuntz", "--rho-re", "1", "--level", "-1"],
+        ["verify", "unitarity", "--samples", "0"],
+        ["verify", "ruelle", "--rho-im", "1", "--grid=0:1:0"],
+        ["weights", "--rho-re", "1", "--n-max", "-5", "--out", "w.csv"],
+        ["verify", "gram", "--rho-im", "1", "--tol", "inf"],
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_bad_env_tolerance_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("FRAME_LAB_TOL", "abc")
+    code, out, err = run_cli(capsys, "mu4hat", "--t", "2")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "FRAME_LAB_TOL" in err
+
+
+def test_default_rho_is_one(capsys):
+    code, out, _ = run_cli(capsys, "verify", "gram")
+    assert code == 0
+    data = last_json(out)
+    assert data["pass"] is True
+    assert (data["params"]["rho_re"], data["params"]["rho_im"]) == (1.0, 0.0)
 
 
 def test_verify_infeasible_alpha_exit_2(capsys):

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from frame_lab import (
+    CapacityError,
     ContractError,
     DomainError,
     TransformEvaluator,
@@ -15,6 +15,7 @@ from frame_lab import (
     ifs_monte_carlo_integral,
     mu4_hat,
 )
+from frame_lab.transform import mu4_hat_array
 from oracles import mu4_hat_recursive
 
 
@@ -35,9 +36,35 @@ def test_mu4_hat_at_one_is_exactly_zero():
     assert mu4_hat(1) == 0
 
 
-@given(st.integers(-500, 500).map(lambda k: 2 * k + 1))
-def test_mu4_hat_vanishes_on_odd_integers(t):
-    assert mu4_hat(t) == 0
+def test_mu4_hat_vanishes_on_odd_integers():
+    # exact 0.0 at every 4^m * odd in [-4^7, 4^7], nonzero at 2 * 4^m * odd and at 0
+    n = np.arange(-(4**7), 4**7 + 1)
+    low_bit = np.where(n == 0, 2, n & -n)  # 2^(2-adic valuation); 0 counts as "not 4^m * odd"
+    structural_zero = np.log2(low_bit).astype(int) % 2 == 0
+    assert np.array_equal(mu4_hat_array(n) == 0, structural_zero)
+    for t in (1, -3, 5, 4 * 7, -3 * 4**6, 1001):
+        assert mu4_hat(t) == 0
+
+
+def test_mu4_hat_array_matches_recursion_oracle(cfg):
+    rng = np.random.default_rng(20261017)
+    ts = np.concatenate(
+        [rng.uniform(-100, 100, 400), np.arange(-300, 301), rng.integers(-(4**8), 4**8, 200) / 64.0]
+    )
+    got = mu4_hat_array(ts, cfg)
+    want = np.array([mu4_hat_recursive(t) for t in ts])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    for t, value in zip(ts[::50], got[::50]):
+        assert abs(mu4_hat(float(t), TransformEvaluator()) - value) <= 1e-14
+
+
+def test_uncertifiable_factor_count_is_refused():
+    # t = 1e30 needs 74 factors at the default tolerance, above max_factors = 64
+    with pytest.raises(CapacityError):
+        mu4_hat(1e30)
+    with pytest.raises(CapacityError):
+        mu4_hat_array(np.array([0.5, 1e30]))
+    assert abs(mu4_hat(1e24)) <= 1.0
 
 
 def test_mu4_hat_at_two_matches_recursion_oracle(cfg):
