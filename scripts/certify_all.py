@@ -1,104 +1,72 @@
 #!/usr/bin/env python3
 """End-to-end certification run over a menu of weight families.
 
-For each family this runs the full verification ladder (unitarity, isometry
-relations, Gram orthonormality, projection weights, trace behavior, the
-refinement identity) and writes plot-ready CSVs. Exit 0 only if every
-check passes.
+Runs the CLI's verification ladder (Cuntz relations, Gram orthonormality,
+projection formula, refinement identity, Parseval trace) and weight table on
+every family of the menu, plus the scale-3 obstruction, each as one
+in-process `frame_lab.cli.main` call at the CLI's default tolerances. Each
+call prints its JSON report; trace and weight CSVs go to --out-dir. The last
+line is the verdict; exit 0 only if every call exits 0.
 """
 
 import argparse
-import time
+import os
 from pathlib import Path
 
-import numpy as np
+from frame_lab import cli
 
-from frame_lab import (
-    CuntzRep,
-    WeightSpec,
-    bank_for_spec,
-    gram_X4,
-    mu3_nogo_certificate,
-    parseval_trace,
-    projection_weight,
-    project_V,
-    s_word_one,
-    verify_cuntz,
-    verify_ruelle,
-)
-from frame_lab.frames import write_trace_csv, write_weight_table
-from frame_lab.words import enumerate_X4
+S2 = "0.7071067811865476"  # 1/sqrt(2)
 
-S2 = 2**-0.5
 
+def _solver_bank(p: str, q: str, a11: str) -> list[str]:
+    """The solver bank with a10 = p, a30 = q, a11 = sqrt(1 - |p|^2), a12 = a21 = 0, a22 = 1."""
+    return [
+        "--alpha-a10-re", p, "--alpha-a30-re", q, "--alpha-a11-re", a11,
+        "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1",
+    ]
+
+
+# name, weight-family flags, bank flags, parseval gamma (the p = 0 family has
+# no exact trace at gamma = 0, so it is traced at gamma = 1)
 MENU = [
-    ("rho_one", WeightSpec.from_rho(1.0)),
-    ("rho_i", WeightSpec.from_rho(1j)),
-    ("rho_minus_one", WeightSpec.from_rho(-1.0)),
-    ("pq_balanced", WeightSpec.from_pq(S2, S2)),
-    ("pq_lopsided", WeightSpec.from_pq(0.6, 0.8)),
+    ("rho_one", ["--rho-re", "1"], ["--rho-re", "1"], "0"),
+    ("rho_i", ["--rho-im", "1"], ["--rho-im", "1"], "0"),
+    ("rho_minus_one", ["--rho-re", "-1"], ["--rho-re", "-1"], "1"),
+    ("pq_balanced", ["--p-re", S2, "--q-re", S2], _solver_bank(S2, S2, "0.7071067811865475"), "0"),
+    ("pq_lopsided", ["--p-re", "0.6", "--q-re", "0.8"], _solver_bank("0.6", "0.8", "0.8"), "0"),
 ]
 
 
-def certify(name: str, spec: WeightSpec, out_dir: Path, word_len: int, n_max: int) -> bool:
-    t0 = time.perf_counter()
-    bank = bank_for_spec(spec)
-    rep = CuntzRep(bank)
-    ok = bank.admissible
-
-    cuntz = verify_cuntz(rep, level=2, trials=10, seed=99, tol=1e-10)
-    ok &= cuntz.passed
-
-    gram = gram_X4(rep, word_len)
-    ok &= gram.max_dev <= 1e-8
-
-    proj_dev = 0.0
-    for w in enumerate_X4(word_len):
-        got = project_V(s_word_one(rep, w))
-        proj_dev = max(proj_dev, abs(got[0].weight - projection_weight(bank, w)))
-    ok &= proj_dev <= 1e-10
-
-    gamma = 0 if spec.parseval_certified else 1
-    trace = parseval_trace([(gamma, 1.0)], spec, n_max)
-    values = [v for _, v in trace.checkpoints]
-    ok &= all(b >= a for a, b in zip(values, values[1:]))
-    ok &= all(v <= trace.target * (1 + 1e-8) for v in values)
-
-    ruelle = verify_ruelle(rep, np.linspace(-1, 0, 11), 2, 1e-9, rho=spec.rho)
-    ok &= ruelle.passed
-
-    write_weight_table(out_dir / f"weights_{name}.csv", spec, 64)
-    write_trace_csv(out_dir / f"trace_{name}.csv", trace)
-
-    dt = time.perf_counter() - t0
-    print(
-        f"[certify:{name}] admissible={int(bank.admissible)} "
-        f"cuntz={cuntz.max_orthogonality_residual:.1e} gram={gram.max_dev:.1e} "
-        f"proj={proj_dev:.1e} trace_final={values[-1]:.6f}/{trace.target:.6f} "
-        f"ruelle={ruelle.max_refinement_residual:.1e} "
-        f"parseval_certified={int(spec.parseval_certified)} {'OK' if ok else 'FAIL'} ({dt:.1f}s)"
-    )
-    return bool(ok)
+def ladder(out_dir: Path, word_len: int, n_max: int) -> list[list[str]]:
+    """CLI argv lists of every check the certification runs, in order."""
+    calls = []
+    for name, weights, bank, gamma in MENU:
+        calls += [
+            ["verify", "cuntz", *bank, "--level", "2", "--trials", "10", "--seed", "99"],
+            ["verify", "gram", *bank, "--max-word-len", str(word_len)],
+            ["verify", "projection", *bank, "--max-word-len", str(word_len)],
+            ["verify", "ruelle", *bank, "--grid=-1:0:11", "--level", "2"],
+            ["verify", "parseval", *weights, "--gamma", gamma, "--n-max", str(n_max),
+             "--trace-out", str(out_dir / f"trace_{name}.csv")],
+            ["weights", *weights, "--n-max", "64", "--out", str(out_dir / f"weights_{name}.csv")],
+        ]
+    return calls + [["verify", "nogo-mu3"]]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="certify the standard weight-family menu")
     ap.add_argument("--out-dir", default="out", help="directory for CSV artifacts")
     ap.add_argument("--word-len", type=int, default=3)
     ap.add_argument("--n-max", type=int, default=4**5)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The ladder certifies at the CLI's defaults; the environment may not loosen them.
+    os.environ.pop("FRAME_LAB_TOL", None)
 
-    all_ok = True
-    for name, spec in MENU:
-        all_ok &= certify(name, spec, out_dir, args.word_len, args.n_max)
-
-    cert = mu3_nogo_certificate()
-    print(f"[certify:nogo-mu3] norm_gap={cert.norm_gap:.6f} {'OK' if cert.passed else 'FAIL'}")
-    all_ok &= cert.passed
-
+    codes = [cli.main(call) for call in ladder(out_dir, args.word_len, args.n_max)]
+    all_ok = not any(codes)
     print(f"[certify] {'ALL OK' if all_ok else 'FAILURES PRESENT'}")
     return 0 if all_ok else 1
 

@@ -18,7 +18,6 @@ from .cuntz import (
     apply_S_star,
     apply_word,
     gram_X4,
-    s_word_one,
     verify_cuntz,
 )
 from .errors import (
@@ -53,15 +52,8 @@ from .frames import (
     verify_ruelle,
 )
 from .report import RunReport
-from .transform import (
-    TransformEvaluator,
-    XCylinder,
-    cis,
-    cylinder_exp_integral,
-    ifs_monte_carlo_integral,
-    mu4_hat,
-)
-from .words import Word4, c_of_word, digit_counts, enumerate_X4, in_X4, word_of_index
+from .transform import TransformEvaluator, cis, mu4_hat
+from .words import Word4, c_of_word, digit_counts, enumerate_X4, word_of_index
 
 __all__ = [
     "Atom",
@@ -80,14 +72,12 @@ __all__ = [
     "WeightSpec",
     "WeightedExponential",
     "Word4",
-    "XCylinder",
     "apply_S",
     "apply_S_star",
     "apply_word",
     "bank_for_spec",
     "c_of_word",
     "cis",
-    "cylinder_exp_integral",
     "digit_counts",
     "enumerate_X4",
     "exponential",
@@ -97,8 +87,6 @@ __all__ = [
     "gram_X4",
     "h_partial",
     "hadamard_rho",
-    "ifs_monte_carlo_integral",
-    "in_X4",
     "incompleteness_report",
     "inner_product",
     "little_m",
@@ -111,7 +99,6 @@ __all__ = [
     "projection_weight",
     "refine",
     "rho_bank",
-    "s_word_one",
     "solve_alpha",
     "verify_cuntz",
     "verify_ruelle",

@@ -171,18 +171,3 @@ def inner_product(
 
 def norm(F: FunctionSum, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> float:
     return float(np.sqrt(max(inner_product(F, F, cfg).real, 0.0)))
-
-
-def evaluate(F: FunctionSum, x, y) -> np.ndarray:
-    """Pointwise values of F on arrays of coordinates (for the MC oracle)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    out = np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
-    for a in F.atoms:
-        mask = np.ones_like(out, dtype=bool)
-        for i, d in enumerate(a.xword, start=1):
-            mask &= np.floor(x * 4.0**i) % 4 == d
-        for i, b in enumerate(a.yword, start=1):
-            mask &= np.floor(y * 2.0**i) % 2 == b
-        out += a.coeff * np.exp(2j * np.pi * float(a.freq) * x) * mask
-    return out

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
-from .atoms import Atom, FunctionSum, fs_add, fs_sub, norm, normalize
+from .atoms import ONE, Atom, FunctionSum, fs_add, fs_sub, norm, normalize
 from .errors import CapacityError, ContractError
 from .filters import FilterBank
 from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat
@@ -52,13 +53,14 @@ def apply_S(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
     A = rep.bank.A
     out = []
     for a in F.atoms:
+        freq = 4 * a.freq + j
+        phases = [cis(-a.freq * xd) for xd in (0, 2)]
         for k in range(4):
             xd, yd = pair_digits(k)
-            phase = cis(-a.freq * xd)
             out.append(
                 Atom(
-                    2.0 * A[j, k] * a.coeff * phase,
-                    4 * a.freq + j,
+                    2.0 * A[j, k] * a.coeff * phases[xd // 2],
+                    freq,
                     (xd,) + a.xword,
                     (yd,) + a.yword,
                 )
@@ -99,44 +101,28 @@ def apply_word(rep: CuntzRep, word: Word4, F: FunctionSum) -> FunctionSum:
     return F
 
 
-def s_word_one(rep: CuntzRep, word: Word4) -> FunctionSum:
-    """Closed form of the word action on the constant function.
+def generated_family(rep: CuntzRep, max_len: int) -> Iterator[tuple[Word4, FunctionSum]]:
+    """(omega, S_omega 1) for the words of X4 up to max_len, ascending in c(omega).
 
-    The result is a single exponential of frequency c_of_word(word) times a
-    level-K step function: the atom over the pair word (p_1 .. p_K) carries
-    coefficient prod_i 2 * a[letter applied (K-i+1)-th][p_i]. Agrees atom by
-    atom with apply_word(word, ONE).
+    Word n is word n // 4 with the letter n % 4 appended (words 0..3 extend
+    the empty word), so S_omega 1 is one apply_S on an earlier result: the
+    same apply_S sequence as apply_word(rep, omega, ONE), one call per word.
     """
-    K = len(word)
-    if K < 1:
-        raise ContractError("s_word_one requires a nonempty word")
-    freq = Fraction(c_of_word(word))
-    coeffs = _dense_word_vector(rep.bank, word)
-    atoms = []
-    for m in range(4**K):
-        pairs = _pair_word(m, K)
-        atoms.append(
-            Atom(
-                complex(coeffs[m]),
-                freq,
-                tuple(2 * (p & 1) for p in pairs),
-                tuple(p >> 1 for p in pairs),
-            )
-        )
-    return normalize(FunctionSum(tuple(atoms)))
-
-
-def _pair_word(m: int, K: int) -> tuple[int, ...]:
-    """Base-4 digits of m, most significant first (leading pair first)."""
-    pairs = []
-    for _ in range(K):
-        pairs.append(m % 4)
-        m //= 4
-    return tuple(reversed(pairs))
+    prefixes: list[FunctionSum] = []
+    for n, word in enumerate(enumerate_X4(max_len)):
+        F = apply_S(rep, n % 4, prefixes[n // 4] if n >= 4 else ONE)
+        if n < 4 ** (max_len - 1):
+            prefixes.append(F)
+        yield word, F
 
 
 def _dense_word_vector(bank: FilterBank, word: Word4) -> np.ndarray:
-    """Coefficients of s_word_one over pair words in leading-pair-major order."""
+    """Coefficients of S_word 1 over pair words in leading-pair-major order.
+
+    S_word 1 is the exponential at c_of_word(word) times this level-K step
+    function: pair word (p_1 .. p_K) carries prod_i 2 * a[letter applied
+    (K-i+1)-th][p_i].
+    """
     vec = np.ones(1, dtype=complex)
     for j in reversed(word.letters):  # leading pair couples to the last letter
         vec = np.kron(vec, 2.0 * bank.A[j, :])

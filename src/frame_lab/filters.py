@@ -11,7 +11,6 @@ is orthonormal and projects onto weighted exponentials.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -76,10 +75,6 @@ class FilterBank:
             arr = np.array(getattr(self, name), dtype=complex)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def b(self, j: int) -> complex:
-        """conj(a_j0) + conj(a_j2), the weight base attached to digit j."""
-        return complex(np.conj(self.A[j, 0]) + np.conj(self.A[j, 2]))
 
     def digit_weight(self, j: int) -> complex:
         """a_j0 + a_j2, the per-digit projection weight."""
@@ -171,7 +166,10 @@ def solve_alpha(
     )
     bank = filter_bank_from_A(h_to_a(H), tol)
     if not bank.admissible:
-        raise RuntimeError(f"solver produced a non-admissible bank: {bank.checks}")
+        # Each constraint above holds within tol, but their errors can add up.
+        raise InfeasibleParameters(
+            "unitarity", f"assembled bank off by {bank.checks['unitarity_max_dev']:.3g}"
+        )
     checks = dict(bank.checks)
     checks["lambda_coupling"] = lam
     checks["degenerate"] = degenerate
@@ -190,18 +188,6 @@ def little_m(bank: FilterBank, j: int, t) -> complex:
     odd_part = 0.5 * (A[j, 1].conjugate() + A[j, 3].conjugate())
     half_t = Fraction(t) / 2 if isinstance(t, (int, Fraction)) else 0.5 * float(t)
     return even_part + (-1.0) ** j * odd_part * cis(half_t)
-
-
-def little_m_reduced(bank: FilterBank, j: int, t) -> complex:
-    """Kernel-condition simplification of little_m (agrees within 1e-12)."""
-    if not bank.admissible:
-        raise ContractError("little_m_reduced requires an admissible bank")
-    b = bank.b(j)
-    half = float(t) / 2.0
-    phase = cmath.exp(1j * math.pi * half)
-    if j % 2 == 0:
-        return b * phase * math.cos(math.pi * half)
-    return -1j * b * phase * math.sin(math.pi * half)
 
 
 def g_map(j: int, t):

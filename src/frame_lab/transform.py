@@ -1,4 +1,4 @@
-"""Fourier transform of the Cantor-4 measure and cylinder integrals.
+"""Fourier transform of the Cantor-4 measure.
 
 The measure mu4 is the unique probability measure invariant under
 tau_0(x) = x/4, tau_2(x) = (x+2)/4. Applying the invariance identity to
@@ -105,60 +105,3 @@ def mu4_hat(t: Frequency, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> comple
     if value is None:
         value = cfg._memo[key] = complex(mu4_hat_array(key, cfg)[0])
     return value
-
-
-@dataclass(frozen=True)
-class XCylinder:
-    """A level-K cylinder of the Cantor-4 set, addressed by digits in {0,2}."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        digits = tuple(int(d) for d in self.digits)
-        if any(d not in (0, 2) for d in digits):
-            raise DomainError(f"cylinder digits must lie in {{0,2}}, got {digits!r}")
-        object.__setattr__(self, "digits", digits)
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    @property
-    def offset(self) -> Fraction:
-        """Left endpoint sum(digits[i-1] / 4^i) as an exact rational."""
-        K = len(self.digits)
-        return Fraction(sum(d * 4 ** (K - i) for i, d in enumerate(self.digits, start=1)), 4**K)
-
-
-def cylinder_exp_integral(
-    delta: Frequency, u: XCylinder, cfg: TransformEvaluator = DEFAULT_EVALUATOR
-) -> complex:
-    """integral of e^{2 pi i delta x} over the cylinder u, against mu4.
-
-    Equals 2^-K * e^{2 pi i delta offset(u)} * mu4_hat(delta / 4^K) by
-    self-similarity of mu4 restricted to a level-K cylinder.
-    """
-    K = len(u)
-    return 2.0 ** (-K) * cis(delta * u.offset) * mu4_hat(delta / 4**K, cfg)
-
-
-def ifs_monte_carlo_integral(f, depth: int, samples: int, seed: int) -> complex:
-    """Statistical integral of f against the product measure on C4 x [0,1].
-
-    Averages f over points obtained by composing `depth` uniformly random
-    contractions of the planar system applied to (0, 0); the point with
-    digit string (k_1, .., k_d) is (sum xdig(k_i)/4^i, sum ydig(k_i)/2^i).
-    Deterministic for a fixed seed. Test oracle only; never used in
-    certified computations.
-    """
-    if depth < 8:
-        raise ContractError("depth must be >= 8 for point-location error below 4^-8")
-    if samples < 1:
-        raise ContractError("samples must be positive")
-    rng = np.random.default_rng(seed)
-    ks = rng.integers(0, 4, size=(samples, depth), dtype=np.uint8)
-    xdig = (2.0 * (ks & 1)).astype(np.float64)
-    ydig = (ks >> 1).astype(np.float64)
-    xs = xdig @ (4.0 ** -np.arange(1, depth + 1))
-    ys = ydig @ (2.0 ** -np.arange(1, depth + 1))
-    vals = np.asarray(f(xs, ys), dtype=np.complex128)
-    return complex(np.mean(vals))

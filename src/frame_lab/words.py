@@ -76,13 +76,6 @@ def digit_counts(n: int) -> tuple[int, int, int]:
     return tuple(counts)
 
 
-def in_X4(word: Word4) -> bool:
-    """Membership in X4: every length-1 word, plus longer words not starting with 0."""
-    if len(word) == 1:
-        return True
-    return len(word) >= 2 and word.letters[0] != 0
-
-
 def enumerate_X4(max_len: int) -> list[Word4]:
     """All words of X4 with length <= max_len, ascending by c_of_word.
 

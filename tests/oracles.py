@@ -4,15 +4,23 @@ These deliberately avoid the library's evaluation paths: the transform is
 computed by descending t -> t/4 with a closed form below 1e-8 instead of
 the truncated ascending product, and the trace/energy oracles sum that
 second path directly. The dense-atom energy oracle instead goes through the
-closed-form word vectors and the atom inner products.
+closed-form word vectors and the atom inner products. The word vectors on
+the constant function, the cylinder integrals, the reduced symbols and the
+Monte-Carlo integral over the dilated fractal are second paths to what the
+library computes through its operators and atom calculus.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from frame_lab.atoms import Atom, FunctionSum, normalize
 from frame_lab.cuntz import _dense_word_vector, dense_inner
+from frame_lab.errors import ContractError, DomainError
+from frame_lab.transform import DEFAULT_EVALUATOR, cis, mu4_hat
 from frame_lab.words import c_of_word, digit_counts, enumerate_X4
 
 
@@ -70,3 +78,124 @@ def oracle_h_partial_dense(t: float, rep, max_len: int) -> float:
         val = dense_inner(t, e_vec, 0, c_of_word(word), vec, len(word), rep.cfg)
         total += abs(val) ** 2
     return total
+
+
+def s_word_one(rep, word) -> FunctionSum:
+    """Closed form of S_word 1: the exponential at c_of_word(word) times the
+    level-K step function of the dense word vector. Agrees atom by atom with
+    apply_word(rep, word, ONE).
+    """
+    K = len(word)
+    if K < 1:
+        raise ContractError("s_word_one requires a nonempty word")
+    freq = Fraction(c_of_word(word))
+    coeffs = _dense_word_vector(rep.bank, word)
+    atoms = []
+    for m in range(4**K):
+        pairs = _pair_word(m, K)
+        atoms.append(
+            Atom(
+                complex(coeffs[m]),
+                freq,
+                tuple(2 * (p & 1) for p in pairs),
+                tuple(p >> 1 for p in pairs),
+            )
+        )
+    return normalize(FunctionSum(tuple(atoms)))
+
+
+def _pair_word(m: int, K: int) -> tuple[int, ...]:
+    """Base-4 digits of m, most significant first (leading pair first)."""
+    pairs = []
+    for _ in range(K):
+        pairs.append(m % 4)
+        m //= 4
+    return tuple(reversed(pairs))
+
+
+def in_X4(word) -> bool:
+    """Membership in X4: every length-1 word, plus longer words not starting with 0."""
+    if len(word) == 1:
+        return True
+    return len(word) >= 2 and word.letters[0] != 0
+
+
+def little_m_reduced(bank, j: int, t) -> complex:
+    """Kernel-condition simplification of little_m (agrees within 1e-12)."""
+    if not bank.admissible:
+        raise ContractError("little_m_reduced requires an admissible bank")
+    b = complex(np.conj(bank.A[j, 0]) + np.conj(bank.A[j, 2]))
+    half = float(t) / 2.0
+    phase = cmath.exp(1j * math.pi * half)
+    if j % 2 == 0:
+        return b * phase * math.cos(math.pi * half)
+    return -1j * b * phase * math.sin(math.pi * half)
+
+
+@dataclass(frozen=True)
+class XCylinder:
+    """A level-K cylinder of the Cantor-4 set, addressed by digits in {0,2}."""
+
+    digits: tuple[int, ...]
+
+    def __post_init__(self):
+        digits = tuple(int(d) for d in self.digits)
+        if any(d not in (0, 2) for d in digits):
+            raise DomainError(f"cylinder digits must lie in {{0,2}}, got {digits!r}")
+        object.__setattr__(self, "digits", digits)
+
+    def __len__(self) -> int:
+        return len(self.digits)
+
+    @property
+    def offset(self) -> Fraction:
+        """Left endpoint sum(digits[i-1] / 4^i) as an exact rational."""
+        K = len(self.digits)
+        return Fraction(sum(d * 4 ** (K - i) for i, d in enumerate(self.digits, start=1)), 4**K)
+
+
+def cylinder_exp_integral(delta, u: XCylinder, cfg=DEFAULT_EVALUATOR) -> complex:
+    """integral of e^{2 pi i delta x} over the cylinder u, against mu4.
+
+    Equals 2^-K * e^{2 pi i delta offset(u)} * mu4_hat(delta / 4^K) by
+    self-similarity of mu4 restricted to a level-K cylinder.
+    """
+    K = len(u)
+    return 2.0 ** (-K) * cis(delta * u.offset) * mu4_hat(delta / 4**K, cfg)
+
+
+def ifs_monte_carlo_integral(f, depth: int, samples: int, seed: int) -> complex:
+    """Statistical integral of f against the product measure on C4 x [0,1].
+
+    Averages f over points obtained by composing `depth` uniformly random
+    contractions of the planar system applied to (0, 0); the point with
+    digit string (k_1, .., k_d) is (sum xdig(k_i)/4^i, sum ydig(k_i)/2^i).
+    Deterministic for a fixed seed.
+    """
+    if depth < 8:
+        raise ContractError("depth must be >= 8 for point-location error below 4^-8")
+    if samples < 1:
+        raise ContractError("samples must be positive")
+    rng = np.random.default_rng(seed)
+    ks = rng.integers(0, 4, size=(samples, depth), dtype=np.uint8)
+    xdig = (2.0 * (ks & 1)).astype(np.float64)
+    ydig = (ks >> 1).astype(np.float64)
+    xs = xdig @ (4.0 ** -np.arange(1, depth + 1))
+    ys = ydig @ (2.0 ** -np.arange(1, depth + 1))
+    vals = np.asarray(f(xs, ys), dtype=np.complex128)
+    return complex(np.mean(vals))
+
+
+def evaluate(F: FunctionSum, x, y) -> np.ndarray:
+    """Pointwise values of F on arrays of coordinates (for the Monte-Carlo oracle)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    out = np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
+    for a in F.atoms:
+        mask = np.ones_like(out, dtype=bool)
+        for i, d in enumerate(a.xword, start=1):
+            mask &= np.floor(x * 4.0**i) % 4 == d
+        for i, b in enumerate(a.yword, start=1):
+            mask &= np.floor(y * 2.0**i) % 2 == b
+        out += a.coeff * np.exp(2j * np.pi * float(a.freq) * x) * mask
+    return out

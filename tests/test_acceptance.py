@@ -19,7 +19,6 @@ from frame_lab import (
     cis,
     gram_X4,
     h_partial,
-    ifs_monte_carlo_integral,
     inner_product,
     mu3_nogo_certificate,
     parseval_trace,
@@ -29,9 +28,9 @@ from frame_lab import (
     verify_cuntz,
     verify_ruelle,
 )
-from frame_lab.atoms import ONE, evaluate
+from frame_lab.atoms import ONE
 from frame_lab.words import Word4, c_of_word
-from oracles import oracle_trace_checkpoints
+from oracles import evaluate, ifs_monte_carlo_integral, oracle_trace_checkpoints
 
 S2 = 2**-0.5
 GAMMA4_64 = [0, 1, 4, 5, 16, 17, 20, 21, 64]

@@ -9,14 +9,14 @@ from frame_lab import (
     ContractError,
     FunctionSum,
     exponential,
-    ifs_monte_carlo_integral,
     inner_product,
     mu4_hat,
     norm,
     normalize,
     refine,
 )
-from frame_lab.atoms import ONE, evaluate, fs_add, fs_scale, fs_sub
+from frame_lab.atoms import ONE, fs_add, fs_scale, fs_sub
+from oracles import evaluate, ifs_monte_carlo_integral
 
 
 def random_sum(rng, max_level=2, n_atoms=3, coeff_scale=0.5):

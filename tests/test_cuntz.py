@@ -21,12 +21,12 @@ from frame_lab import (
     little_m,
     norm,
     normalize,
-    s_word_one,
     verify_cuntz,
 )
 from frame_lab.atoms import ONE, fs_add, fs_sub, refine
-from frame_lab.cuntz import _dense_word_vector, dense_inner, random_function_sum
+from frame_lab.cuntz import _dense_word_vector, dense_inner, generated_family, random_function_sum
 from frame_lab.words import Word4, c_of_word, enumerate_X4
+from oracles import s_word_one
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,14 @@ def test_closed_form_agrees_with_chain(rep_i):
         for a, b in zip(closed.atoms, chained.atoms):
             assert a.key() == b.key()
             assert abs(a.coeff - b.coeff) < 1e-12
+
+
+def test_generated_family_matches_apply_word(rep_i, rep_pq):
+    for rep in (rep_i, rep_pq):
+        family = list(generated_family(rep, 3))
+        assert [w for w, _ in family] == enumerate_X4(3)
+        for w, vec in family:
+            assert vec == apply_word(rep, w, ONE)
 
 
 def test_s_word_one_zero_word_is_constant(rep_i):

@@ -17,7 +17,8 @@ from frame_lab import (
     rho_bank,
     solve_alpha,
 )
-from frame_lab.filters import a_to_h, little_m_reduced, matrix_from_json, matrix_to_json
+from frame_lab.filters import a_to_h, matrix_from_json, matrix_to_json
+from oracles import little_m_reduced
 
 S2 = 2**-0.5
 

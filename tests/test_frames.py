@@ -23,13 +23,12 @@ from frame_lab import (
     project_V,
     projection_weight,
     rho_bank,
-    s_word_one,
     verify_ruelle,
 )
 from frame_lab.atoms import ONE
 from frame_lab.frames import _support_weights, write_trace_csv, write_weight_table
 from frame_lab.words import Word4, c_of_word, enumerate_X4
-from oracles import oracle_h_partial, oracle_h_partial_dense, oracle_trace_checkpoints
+from oracles import oracle_h_partial, oracle_h_partial_dense, oracle_trace_checkpoints, s_word_one
 
 S2 = 2**-0.5
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,13 @@ import pytest
 from frame_lab import RunReport
 from frame_lab.cli import main
 from frame_lab.filters import matrix_to_json, hadamard_rho
+
+S2 = "0.7071067811865476"
+# The solver bank with p = q = 1/sqrt(2).
+PQ_ALPHA = (
+    "--alpha-a10-re", S2, "--alpha-a30-re", S2, "--alpha-a11-re", S2,
+    "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1",
+)
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +192,12 @@ def test_verify_incomplete_cli(capsys):
     data = last_json(out)
     assert data["metrics"]["flagged_1"] is True
     assert data["metrics"]["deficiency_3"] <= 1e-12
+    # no requested frequency is missing from the span: nothing shows incompleteness
+    code, out, _ = run_cli(
+        capsys, "verify", "incomplete", "--gamma", "0", "3", "--n-max", "256"
+    )
+    assert code == 1
+    assert last_json(out)["pass"] is False
 
 
 def test_verify_ruelle_cli(capsys):
@@ -191,6 +206,12 @@ def test_verify_ruelle_cli(capsys):
     )
     assert code == 0
     assert last_json(out)["metrics"]["max_refinement_residual"] <= 1e-9
+    # a solver bank has no reduced form to compare against
+    code, out, _ = run_cli(capsys, "verify", "ruelle", *PQ_ALPHA, "--grid=-1:0:5", "--level", "2")
+    assert code == 0
+    metrics = last_json(out)["metrics"]
+    assert metrics["max_refinement_residual"] <= 1e-9
+    assert metrics["max_specialization_gap"] is None
 
 
 def test_verify_capacity_exit_3(capsys):
@@ -225,6 +246,11 @@ def test_uncertifiable_input_exits_3_with_one_line(capsys, argv):
         ["verify", "ruelle", "--rho-im", "1", "--grid=0:1:0"],
         ["weights", "--rho-re", "1", "--n-max", "-5", "--out", "w.csv"],
         ["verify", "gram", "--rho-im", "1", "--tol", "inf"],
+        # each solver constraint holds within tol, the assembled bank does not
+        ["verify", "gram", "--max-word-len", "2",
+         "--alpha-a10-re", "0.7071067811868476", "--alpha-a30-re", "0.7071067811868476",
+         "--alpha-a11-re", "0.7071067811865476", "--alpha-a12-re", "0",
+         "--alpha-a21-re", "0", "--alpha-a22-re", "1"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
@@ -291,3 +317,45 @@ def test_env_tolerance_override(capsys, monkeypatch):
         capsys, "verify", "gram", "--rho-im", "1", "--max-word-len", "1", "--tol", "1e-9"
     )
     assert last_json(out)["tolerances"]["max_entry_dev"] == 1e-9
+
+
+def _certify_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "certify_all.py"
+    spec = importlib.util.spec_from_file_location("certify_all", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _certify(capsys, out_dir):
+    code = _certify_script().main(["--out-dir", str(out_dir), "--word-len", "2", "--n-max", "64"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_certify_runs_the_cli_ladder(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("FRAME_LAB_TOL", raising=False)
+    code, lines = _certify(capsys, tmp_path / "default")
+    assert code == 0
+    assert lines[-1] == "[certify] ALL OK"
+    reports = [json.loads(line) for line in lines[:-1]]
+    assert all(r["pass"] is True for r in reports)
+    assert len(list((tmp_path / "default").glob("*.csv"))) == 10
+    # the environment cannot loosen (or tighten) the certified tolerances
+    monkeypatch.setenv("FRAME_LAB_TOL", "1e-30")
+    code, lines = _certify(capsys, tmp_path / "env")
+    assert code == 0
+    assert lines[-1] == "[certify] ALL OK"
+    assert [json.loads(line)["tolerances"] for line in lines[:-1]] == [
+        r["tolerances"] for r in reports
+    ]
+
+
+def test_certify_reports_a_failed_call(capsys, monkeypatch, tmp_path):
+    script = _certify_script()
+    monkeypatch.setattr(
+        script, "ladder", lambda *_: [["verify", "nogo-mu3"], ["verify", "incomplete", "--gamma", "0"]]
+    )
+    code = script.main(["--out-dir", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[-1] == "[certify] FAILURES PRESENT"

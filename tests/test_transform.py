@@ -9,14 +9,11 @@ from frame_lab import (
     ContractError,
     DomainError,
     TransformEvaluator,
-    XCylinder,
     cis,
-    cylinder_exp_integral,
-    ifs_monte_carlo_integral,
     mu4_hat,
 )
 from frame_lab.transform import mu4_hat_array
-from oracles import mu4_hat_recursive
+from oracles import XCylinder, cylinder_exp_integral, ifs_monte_carlo_integral, mu4_hat_recursive
 
 
 def test_cis_quarter_turns_exact():
