@@ -42,7 +42,6 @@ from .frames import (
     PartialSumTrace,
     WeightSpec,
     WeightedExponential,
-    bank_for_spec,
     frame_weight,
     h_partial,
     incompleteness_report,
@@ -75,7 +74,6 @@ __all__ = [
     "apply_S",
     "apply_S_star",
     "apply_word",
-    "bank_for_spec",
     "c_of_word",
     "cis",
     "digit_counts",

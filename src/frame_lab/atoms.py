@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat
+from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat_array
 
 MERGE_TOL = 1e-15
 
@@ -144,9 +144,10 @@ def inner_product(
 
     A nested pair at deeper level K with intersection x-word u contributes
     cF * conj(cG) * 2^-K * 2^-K * e^{2 pi i D offset(u)} * mu4_hat(D / 4^K)
-    with D the frequency difference; disjoint pairs contribute nothing.
+    with D the frequency difference; disjoint pairs contribute nothing. The
+    transform values of all pairs come from one mu4_hat_array call.
     """
-    total = complex(0.0, 0.0)
+    terms, ts = [], []
     fa = sorted(F.atoms, key=lambda a: a.key())
     ga = sorted(G.atoms, key=lambda a: a.key())
     for a in fa:
@@ -159,13 +160,11 @@ def inner_product(
             offset = Fraction(
                 sum(d * 4 ** (K - i) for i, d in enumerate(u, start=1)), 4**K
             ) if K else Fraction(0)
-            total += (
-                a.coeff
-                * b.coeff.conjugate()
-                * 4.0 ** (-K)
-                * cis(delta * offset)
-                * mu4_hat(delta / 4**K, cfg)
-            )
+            terms.append(a.coeff * b.coeff.conjugate() * 4.0 ** (-K) * cis(delta * offset))
+            ts.append(float(delta / 4**K))
+    total = complex(0.0, 0.0)
+    for term, mu in zip(terms, mu4_hat_array(ts, cfg).tolist()):
+        total += term * mu
     return total
 
 

@@ -138,10 +138,21 @@ def _spec_from_args(args) -> tuple[WeightSpec, dict]:
     return WeightSpec.from_rho(rho), {"rho_re": rho.real, "rho_im": rho.imag}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors take main's one-line exit-2 path.
+
+    Subparsers are built with the parent's class, so they raise too; -h
+    still prints the help and exits 0.
+    """
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every main call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frame-lab",
         description="Construct and certify weighted Fourier frames for the Cantor-4 measure.",
     )
@@ -413,10 +424,9 @@ _VERIFY_RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "mu4hat":
             passed, params, metrics, tolerances = _run_mu4hat(args)
             command = "mu4hat"

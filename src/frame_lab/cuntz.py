@@ -9,7 +9,7 @@ order of the four planar contractions. All frequency arithmetic is exact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -18,10 +18,11 @@ import numpy as np
 from .atoms import ONE, Atom, FunctionSum, fs_add, fs_sub, norm, normalize
 from .errors import CapacityError, ContractError
 from .filters import FilterBank
-from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat
-from .words import Word4, c_of_word, enumerate_X4
+from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat_array
+from .words import Word4, enumerate_X4
 
 GRAM_MAX_LEN = 5
+_PAD = 4  # row index of the padding row in gram_X4's tables
 
 
 def pair_index(xdigit: int, ydigit: int) -> int:
@@ -35,7 +36,7 @@ def pair_digits(k: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class CuntzRep:
     bank: FilterBank
-    cfg: TransformEvaluator = field(default_factory=lambda: DEFAULT_EVALUATOR)
+    cfg: TransformEvaluator = DEFAULT_EVALUATOR
 
     def __post_init__(self):
         if not self.bank.admissible:
@@ -116,62 +117,6 @@ def generated_family(rep: CuntzRep, max_len: int) -> Iterator[tuple[Word4, Funct
         yield word, F
 
 
-def _dense_word_vector(bank: FilterBank, word: Word4) -> np.ndarray:
-    """Coefficients of S_word 1 over pair words in leading-pair-major order.
-
-    S_word 1 is the exponential at c_of_word(word) times this level-K step
-    function: pair word (p_1 .. p_K) carries prod_i 2 * a[letter applied
-    (K-i+1)-th][p_i].
-    """
-    vec = np.ones(1, dtype=complex)
-    for j in reversed(word.letters):  # leading pair couples to the last letter
-        vec = np.kron(vec, 2.0 * bank.A[j, :])
-    return vec
-
-
-_OFFSETS_CACHE: dict[int, np.ndarray] = {}
-
-
-def _x_offsets(K: int) -> np.ndarray:
-    """x-cylinder left endpoints per pair word, leading-pair-major order."""
-    offs = _OFFSETS_CACHE.get(K)
-    if offs is None:
-        offs = np.zeros(1)
-        for i in range(1, K + 1):
-            contrib = np.array([0.0, 2.0, 0.0, 2.0]) / 4.0**i
-            offs = np.add.outer(offs, contrib).ravel()
-        _OFFSETS_CACHE[K] = offs
-    return offs
-
-
-def dense_inner(
-    freq_f,
-    vec_f: np.ndarray,
-    level_f: int,
-    freq_g,
-    vec_g: np.ndarray,
-    level_g: int,
-    cfg: TransformEvaluator,
-) -> complex:
-    """<F, G> for two single-frequency step-function sums in dense form.
-
-    Same atom-pair sum as atoms.inner_product, vectorized: with F lifted to
-    the deeper level K, the value is
-    4^-K * mu4_hat((fF - fG)/4^K) * sum_m vF[m] conj(vG[m]) e^{2 pi i (fF - fG) off[m]}.
-    """
-    if level_f > level_g:
-        return complex(dense_inner(freq_g, vec_g, level_g, freq_f, vec_f, level_f, cfg)).conjugate()
-    K = level_g
-    if level_f < K:
-        vec_f = np.repeat(vec_f, 4 ** (K - level_f))
-    delta = freq_f - freq_g
-    if isinstance(delta, int):
-        delta = Fraction(delta)
-    phases = np.exp(2j * np.pi * float(delta) * _x_offsets(K))
-    mu = mu4_hat(delta / 4**K if isinstance(delta, Fraction) else delta / 4.0**K, cfg)
-    return complex(4.0 ** (-K) * mu * np.vdot(vec_g, vec_f * phases))
-
-
 @dataclass(frozen=True)
 class CuntzCheckReport:
     trials: int
@@ -239,36 +184,73 @@ class GramReport:
     size: int
     max_offdiag: float
     max_diag_dev: float
-    matrix: np.ndarray
 
     @property
     def max_dev(self) -> float:
         return max(self.max_offdiag, self.max_diag_dev)
 
 
+def _level_rows(max_len: int) -> np.ndarray:
+    """rows[i - 1, n]: the filter row word n carries at level i, or _PAD.
+
+    Word n has the base-4 digits of n as letters (word 0 is (0,)), and its
+    leading pair couples to its last letter, so level i carries digit i - 1
+    of n counted from the least significant; a word shorter than i is
+    padded there.
+    """
+    n = np.arange(4**max_len)
+    return np.array(
+        [np.where(np.maximum(n, 1) < 4**i, _PAD, (n >> 2 * i) & 3) for i in range(max_len)]
+    )
+
+
+def _gram_rows(rep: CuntzRep, max_len: int) -> Iterator[np.ndarray]:
+    """Row f of the Gram matrix of the words of length <= max_len, from the
+    diagonal on: G[f, f:] for f = 0 .. 4^max_len - 1.
+
+    S_omega 1 is e_{c(omega)} times the Kronecker product of the rows 2A[j]
+    of its letters, one per level. With every word lifted to level
+    L = max_len by rows of ones (a padded level's factor is the next factor
+    of mu4_hat), the entry for words f <= g with k = g - f is
+
+        mu4_hat(-k / 4^L) * prod_i (E[r, s] + O[r, s] e^{-4 pi i k / 4^i}),
+
+    r, s the rows of f and g at level i, and E, O the sums of the row
+    products over the even and odd pair indices, divided by 4. Everything
+    that depends on k alone is computed once.
+    """
+    R = np.vstack([rep.bank.A, np.full(4, 0.5)])  # row _PAD: the ones row, halved like 2A
+    E = R[:, 0::2] @ R[:, 0::2].conj().T
+    O = R[:, 1::2] @ R[:, 1::2].conj().T
+    rows = _level_rows(max_len)
+    n = rows.shape[1]
+    k = np.arange(n)
+    mu = mu4_hat_array(-k / 4.0**max_len, rep.cfg)
+    phases = [np.exp(-2j * np.pi * ((2 * k) % 4**i) / 4**i) for i in range(1, max_len + 1)]
+    for f in range(n):
+        entries = mu[: n - f].copy()
+        for i in range(max_len):
+            r, s = rows[i, f], rows[i, f:]
+            entries *= E[r, s] + O[r, s] * phases[i][: n - f]
+        yield entries
+
+
 def gram_X4(rep: CuntzRep, max_len: int) -> GramReport:
-    """Gram matrix of the generated family over words of length <= max_len."""
+    """Deviation from the identity of the Gram matrix of the generated family
+    over words of length <= max_len; the matrix is Hermitian, so only its
+    upper triangle is formed, one row at a time, and none is stored.
+    """
+    if max_len < 1:
+        raise ContractError("max_len must be >= 1")
     if max_len > GRAM_MAX_LEN:
         raise CapacityError(f"max_len {max_len} exceeds Gram cap {GRAM_MAX_LEN}")
-    words = enumerate_X4(max_len)
-    vecs = [
-        (c_of_word(w), _dense_word_vector(rep.bank, w), len(w))
-        for w in words
-    ]
-    n = len(vecs)
-    G = np.eye(n, dtype=complex)
-    for i in range(n):
-        fi, vi, li = vecs[i]
-        for j in range(i, n):
-            fj, vj, lj = vecs[j]
-            G[i, j] = dense_inner(fi, vi, li, fj, vj, lj, rep.cfg)
-            G[j, i] = G[i, j].conjugate()
-    dev = np.abs(G - np.eye(n))
-    off = dev - np.diag(np.diag(dev))
+    max_offdiag = max_diag_dev = 0.0
+    for entries in _gram_rows(rep, max_len):
+        max_diag_dev = max(max_diag_dev, float(abs(entries[0] - 1.0)))
+        max_offdiag = max(max_offdiag, float(np.max(np.abs(entries[1:]), initial=0.0)))
     return GramReport(
         max_len=max_len,
-        size=n,
-        max_offdiag=float(np.max(off)),
-        max_diag_dev=float(np.max(np.diag(dev))),
-        matrix=G,
+        size=4**max_len,
+        max_offdiag=max_offdiag,
+        max_diag_dev=max_diag_dev,
     )

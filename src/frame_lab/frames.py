@@ -23,7 +23,7 @@ import numpy as np
 from .atoms import FunctionSum, refine
 from .cuntz import CuntzRep
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
-from .filters import FilterBank, g_map, hadamard_rho, little_m, filter_bank_from_A, solve_alpha
+from .filters import FilterBank, g_map, little_m
 from .transform import DEFAULT_EVALUATOR, TransformEvaluator, mu4_hat, mu4_hat_array
 from .words import MAX_ENUM_LEN, digit_counts
 
@@ -80,17 +80,6 @@ def frame_weight(spec: WeightSpec, n: int) -> complex:
     if l2 > 0:
         return 0j
     return complex(spec.p**l1 * spec.q**l3)
-
-
-def bank_for_spec(spec: WeightSpec, tol: float = 1e-12) -> FilterBank:
-    """An admissible bank whose projection weights realize the given family."""
-    if spec.mode == "rho":
-        return filter_bank_from_A(hadamard_rho(spec.rho, tol), tol)
-    p, q = spec.p, spec.q
-    fill = np.sqrt(max(1.0 - abs(p) ** 2, 0.0))
-    if fill > tol:
-        return solve_alpha(p, q, fill, 0.0, 0.0, 1.0, tol)
-    return solve_alpha(p, q, 0.0, 0.0, 1.0, 0.0, tol)
 
 
 def project_V(
@@ -215,7 +204,7 @@ def parseval_trace(
     f is a finite combination [(frequency, coefficient), ..] of integer
     exponential frequencies; <e_g, e_n> = mu4_hat(g - n) gives the inner
     products. The terms come from the weighted-transform kernel, the target
-    ||f||^2 from the memoized scalar mu4_hat.
+    ||f||^2 from the scalar mu4_hat.
     """
     if n_max < 1:
         raise ContractError("n_max must be >= 1")

@@ -14,7 +14,7 @@ evaluated exactly at quarter turns so the structural zeros of mu4_hat at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
@@ -45,11 +45,10 @@ def cis(turns) -> complex:
 
 @dataclass(frozen=True)
 class TransformEvaluator:
-    """Truncation policy for the infinite product, plus a value memo."""
+    """Truncation policy for the infinite product."""
 
     tolerance: float = 1e-12
     max_factors: int = 64
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -72,7 +71,7 @@ DEFAULT_EVALUATOR = TransformEvaluator()
 
 
 def mu4_hat_array(t, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> np.ndarray:
-    """Truncated product at every element of a float64 array; the memo is not used.
+    """Truncated product at every element of a float64 array.
 
     Factor k is (1 + i^q)/2 with q = (8t/4^k) mod 4, computed exactly by a
     power-of-two scaling and fmod; whole q take exact phases. Each element
@@ -94,14 +93,11 @@ def mu4_hat_array(t, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> np.ndarray:
 
 
 def mu4_hat(t: Frequency, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> complex:
-    """mu4_hat_array at one real t, memoized per evaluator; |result| <= 1.
+    """mu4_hat_array at one real t; |result| <= 1.
 
     t is read as float64, exact for integers and dyadic rationals below 2^53.
     """
-    key = float(t)
-    if isinstance(t, bool) or not math.isfinite(key):
+    x = float(t)
+    if isinstance(t, bool) or not math.isfinite(x):
         raise DomainError(f"t must be a finite real number, got {t!r}")
-    value = cfg._memo.get(key)
-    if value is None:
-        value = cfg._memo[key] = complex(mu4_hat_array(key, cfg)[0])
-    return value
+    return complex(mu4_hat_array(x, cfg)[0])

@@ -3,11 +3,14 @@
 These deliberately avoid the library's evaluation paths: the transform is
 computed by descending t -> t/4 with a closed form below 1e-8 instead of
 the truncated ascending product, and the trace/energy oracles sum that
-second path directly. The dense-atom energy oracle instead goes through the
-closed-form word vectors and the atom inner products. The word vectors on
-the constant function, the cylinder integrals, the reduced symbols and the
-Monte-Carlo integral over the dilated fractal are second paths to what the
-library computes through its operators and atom calculus.
+second path directly. The dense inner product sums all 4^K pair words of
+two word vectors at once, where the library's Gram kernel factorizes them
+level by level; the dense-atom energy oracle goes through it. The word
+vectors on the constant function, the cylinder integrals, the reduced
+symbols and the Monte-Carlo integral over the dilated fractal (with
+pointwise evaluation located by the sampler's digits) are second paths to
+what the library computes through its operators and atom calculus;
+bank_for_spec builds a bank realizing a weight family.
 """
 
 import cmath
@@ -18,9 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from frame_lab.atoms import Atom, FunctionSum, normalize
-from frame_lab.cuntz import _dense_word_vector, dense_inner
 from frame_lab.errors import ContractError, DomainError
-from frame_lab.transform import DEFAULT_EVALUATOR, cis, mu4_hat
+from frame_lab.filters import filter_bank_from_A, hadamard_rho, little_m, solve_alpha
+from frame_lab.transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat
 from frame_lab.words import c_of_word, digit_counts, enumerate_X4
 
 
@@ -56,8 +59,6 @@ def oracle_trace_checkpoints(gamma: int, p: complex, q: complex, n_max: int) -> 
 
 def oracle_h_partial(t: float, bank, max_len: int) -> float:
     """Energy sum via the symbol recursion instead of atom inner products."""
-    from frame_lab.filters import little_m
-
     total = 0.0
     for word in enumerate_X4(max_len):
         value = 1.0 + 0j
@@ -67,6 +68,55 @@ def oracle_h_partial(t: float, bank, max_len: int) -> float:
             cur = (cur - j) / 4.0
         total += abs(value * mu4_hat_recursive(cur)) ** 2
     return total
+
+
+def _dense_word_vector(bank, word) -> np.ndarray:
+    """Coefficients of S_word 1 over pair words in leading-pair-major order.
+
+    S_word 1 is the exponential at c_of_word(word) times this level-K step
+    function: pair word (p_1 .. p_K) carries prod_i 2 * a[letter applied
+    (K-i+1)-th][p_i].
+    """
+    vec = np.ones(1, dtype=complex)
+    for j in reversed(word.letters):  # leading pair couples to the last letter
+        vec = np.kron(vec, 2.0 * bank.A[j, :])
+    return vec
+
+
+def _x_offsets(K: int) -> np.ndarray:
+    """x-cylinder left endpoints per pair word, leading-pair-major order."""
+    offs = np.zeros(1)
+    for i in range(1, K + 1):
+        offs = np.add.outer(offs, np.array([0.0, 2.0, 0.0, 2.0]) / 4.0**i).ravel()
+    return offs
+
+
+def dense_inner(
+    freq_f,
+    vec_f: np.ndarray,
+    level_f: int,
+    freq_g,
+    vec_g: np.ndarray,
+    level_g: int,
+    cfg: TransformEvaluator,
+) -> complex:
+    """<F, G> for two single-frequency step-function sums in dense form.
+
+    The atom-pair sum of atoms.inner_product over all 4^K pair words at
+    once: with F lifted to the deeper level K, the value is
+    4^-K * mu4_hat((fF - fG)/4^K) * sum_m vF[m] conj(vG[m]) e^{2 pi i (fF - fG) off[m]}.
+    """
+    if level_f > level_g:
+        return complex(dense_inner(freq_g, vec_g, level_g, freq_f, vec_f, level_f, cfg)).conjugate()
+    K = level_g
+    if level_f < K:
+        vec_f = np.repeat(vec_f, 4 ** (K - level_f))
+    delta = freq_f - freq_g
+    if isinstance(delta, int):
+        delta = Fraction(delta)
+    phases = np.exp(2j * np.pi * float(delta) * _x_offsets(K))
+    mu = mu4_hat(delta / 4**K if isinstance(delta, Fraction) else delta / 4.0**K, cfg)
+    return complex(4.0 ** (-K) * mu * np.vdot(vec_g, vec_f * phases))
 
 
 def oracle_h_partial_dense(t: float, rep, max_len: int) -> float:
@@ -111,6 +161,17 @@ def _pair_word(m: int, K: int) -> tuple[int, ...]:
         pairs.append(m % 4)
         m //= 4
     return tuple(reversed(pairs))
+
+
+def bank_for_spec(spec, tol: float = 1e-12):
+    """An admissible bank whose projection weights realize the given family."""
+    if spec.mode == "rho":
+        return filter_bank_from_A(hadamard_rho(spec.rho, tol), tol)
+    p, q = spec.p, spec.q
+    fill = np.sqrt(max(1.0 - abs(p) ** 2, 0.0))
+    if fill > tol:
+        return solve_alpha(p, q, fill, 0.0, 0.0, 1.0, tol)
+    return solve_alpha(p, q, 0.0, 0.0, 1.0, 0.0, tol)
 
 
 def in_X4(word) -> bool:
@@ -170,7 +231,9 @@ def ifs_monte_carlo_integral(f, depth: int, samples: int, seed: int) -> complex:
     Averages f over points obtained by composing `depth` uniformly random
     contractions of the planar system applied to (0, 0); the point with
     digit string (k_1, .., k_d) is (sum xdig(k_i)/4^i, sum ydig(k_i)/2^i).
-    Deterministic for a fixed seed.
+    f is called as f(x, y, digits) with the coordinate arrays and the
+    (samples, depth) digit matrix the points were built from. Deterministic
+    for a fixed seed.
     """
     if depth < 8:
         raise ContractError("depth must be >= 8 for point-location error below 4^-8")
@@ -178,24 +241,27 @@ def ifs_monte_carlo_integral(f, depth: int, samples: int, seed: int) -> complex:
         raise ContractError("samples must be positive")
     rng = np.random.default_rng(seed)
     ks = rng.integers(0, 4, size=(samples, depth), dtype=np.uint8)
-    xdig = (2.0 * (ks & 1)).astype(np.float64)
-    ydig = (ks >> 1).astype(np.float64)
-    xs = xdig @ (4.0 ** -np.arange(1, depth + 1))
-    ys = ydig @ (2.0 ** -np.arange(1, depth + 1))
-    vals = np.asarray(f(xs, ys), dtype=np.complex128)
+    # The digit strings, read as base-4 and base-2 integers, stay below 2^53
+    # for depth <= 26, so the coordinates are exact.
+    places = np.arange(depth - 1, -1, -1, dtype=np.int64)
+    xs = np.einsum("ij,j->i", ks & 1, 2 * 4**places) * 4.0**-depth
+    ys = np.einsum("ij,j->i", ks >> 1, 2**places) * 2.0**-depth
+    vals = np.asarray(f(xs, ys, ks), dtype=np.complex128)
     return complex(np.mean(vals))
 
 
-def evaluate(F: FunctionSum, x, y) -> np.ndarray:
-    """Pointwise values of F on arrays of coordinates (for the Monte-Carlo oracle)."""
+def evaluate(F: FunctionSum, x, digits) -> np.ndarray:
+    """Pointwise values of F at the Monte-Carlo points x with their digit rows.
+
+    A point lies in an atom's level-K cylinder exactly when its first K
+    digits are the atom's pair indices xd/2 + 2*yd, so the cylinder masks
+    come from the sampler's digits instead of from x and y.
+    """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    out = np.zeros(np.broadcast(x, y).shape, dtype=np.complex128)
+    out = np.zeros(x.shape, dtype=np.complex128)
     for a in F.atoms:
-        mask = np.ones_like(out, dtype=bool)
-        for i, d in enumerate(a.xword, start=1):
-            mask &= np.floor(x * 4.0**i) % 4 == d
-        for i, b in enumerate(a.yword, start=1):
-            mask &= np.floor(y * 2.0**i) % 2 == b
-        out += a.coeff * np.exp(2j * np.pi * float(a.freq) * x) * mask
+        mask = np.ones(x.shape, dtype=bool)
+        for i, (xd, yd) in enumerate(zip(a.xword, a.yword)):
+            mask &= digits[:, i] == xd // 2 + 2 * yd
+        out[mask] += a.coeff * np.exp(2j * np.pi * float(a.freq) * x[mask])
     return out

@@ -285,7 +285,7 @@ def test_c12_integration_paths_agree(cfg):
         F, G = random_sum(), random_sum()
         exact = inner_product(F, G, cfg)
         mc = ifs_monte_carlo_integral(
-            lambda x, y: evaluate(F, x, y) * np.conj(evaluate(G, x, y)),
+            lambda x, y, digits: evaluate(F, x, digits) * np.conj(evaluate(G, x, digits)),
             depth=24,
             samples=samples,
             seed=90000 + trial,

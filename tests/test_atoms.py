@@ -152,7 +152,7 @@ def test_inner_product_against_monte_carlo(cfg):
         F, G = random_sum(rng), random_sum(rng)
         exact = inner_product(F, G, cfg)
         mc = ifs_monte_carlo_integral(
-            lambda x, y: evaluate(F, x, y) * np.conj(evaluate(G, x, y)),
+            lambda x, y, digits: evaluate(F, x, digits) * np.conj(evaluate(G, x, digits)),
             depth=24,
             samples=samples,
             seed=int(rng.integers(0, 2**31)),

@@ -24,9 +24,9 @@ from frame_lab import (
     verify_cuntz,
 )
 from frame_lab.atoms import ONE, fs_add, fs_sub, refine
-from frame_lab.cuntz import _dense_word_vector, dense_inner, generated_family, random_function_sum
+from frame_lab.cuntz import _gram_rows, generated_family, random_function_sum
 from frame_lab.words import Word4, c_of_word, enumerate_X4
-from oracles import s_word_one
+from oracles import _dense_word_vector, dense_inner, s_word_one
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +193,26 @@ def test_gram_level_one_identity(rep_i, rep_pq):
 def test_gram_capacity_guard(rep_i):
     with pytest.raises(CapacityError):
         gram_X4(rep_i, 6)
+
+
+def test_gram_rows_match_dense_oracle(bank_one, rep_i, rep_pq):
+    # every word lifted to level 3 against the oracle at each pair's own depth
+    words = enumerate_X4(3)
+    for rep in (CuntzRep(bank_one), rep_i, rep_pq):
+        vecs = [(c_of_word(w), _dense_word_vector(rep.bank, w), len(w)) for w in words]
+        rows = list(_gram_rows(rep, 3))
+        assert len(rows) == len(words)
+        for f, row in enumerate(rows):
+            assert len(row) == len(words) - f
+            for g in range(f, len(words)):
+                assert abs(row[g - f] - dense_inner(*vecs[f], *vecs[g], rep.cfg)) <= 1e-12
+
+
+def test_gram_length_five(rep_i, rep_pq):
+    for rep in (rep_i, rep_pq):
+        report = gram_X4(rep, 5)
+        assert report.size == 1024
+        assert report.max_dev <= 1e-8
 
 
 def test_dense_inner_matches_generic(rep_i, cfg):

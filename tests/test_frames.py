@@ -11,10 +11,8 @@ from frame_lab import (
     CuntzRep,
     DomainError,
     FunctionSum,
-    TransformEvaluator,
     UnsupportedShape,
     WeightSpec,
-    bank_for_spec,
     cis,
     frame_weight,
     h_partial,
@@ -28,7 +26,13 @@ from frame_lab import (
 from frame_lab.atoms import ONE
 from frame_lab.frames import _support_weights, write_trace_csv, write_weight_table
 from frame_lab.words import Word4, c_of_word, enumerate_X4
-from oracles import oracle_h_partial, oracle_h_partial_dense, oracle_trace_checkpoints, s_word_one
+from oracles import (
+    bank_for_spec,
+    oracle_h_partial,
+    oracle_h_partial_dense,
+    oracle_trace_checkpoints,
+    s_word_one,
+)
 
 S2 = 2**-0.5
 
@@ -155,12 +159,6 @@ def test_support_weights_match_frame_weight(spec):
     expected = np.array([frame_weight(spec, k) for k in range(n_max + 1)])
     assert np.array_equal(dense == 0, expected == 0)
     assert np.max(np.abs(dense - expected)) <= 1e-15
-
-
-def test_trace_leaves_only_target_entries_in_memo():
-    cfg = TransformEvaluator()
-    parseval_trace([(1, 1.0)], WeightSpec.from_rho(-1.0), 4**8, cfg)
-    assert set(cfg._memo) == {0.0}
 
 
 def test_kernel_input_guards(bank_one):

@@ -251,6 +251,11 @@ def test_uncertifiable_input_exits_3_with_one_line(capsys, argv):
          "--alpha-a10-re", "0.7071067811868476", "--alpha-a30-re", "0.7071067811868476",
          "--alpha-a11-re", "0.7071067811865476", "--alpha-a12-re", "0",
          "--alpha-a21-re", "0", "--alpha-a22-re", "1"],
+        # rejected by the parser itself
+        ["weights", "--rho-re", "1", "--n-max", "3", "--tol", "1e-3", "--out", "w.csv"],
+        ["weights", "--rho-re", "1", "--n-max", "three", "--out", "w.csv"],
+        [],
+        ["verify"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
@@ -260,6 +265,13 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert not (tmp_path / "w.csv").exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "gram", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage:")
 
 
 def test_bad_env_tolerance_exits_2(capsys, monkeypatch):

@@ -129,14 +129,14 @@ def test_cylinder_digits_validated():
 
 
 def test_monte_carlo_constant_is_exact():
-    val = ifs_monte_carlo_integral(lambda x, y: np.ones_like(x), depth=8, samples=1000, seed=1)
+    val = ifs_monte_carlo_integral(lambda x, y, _: np.ones_like(x), depth=8, samples=1000, seed=1)
     assert val == 1
 
 
 def test_monte_carlo_oscillation_vanishes():
     n = 200_000
     val = ifs_monte_carlo_integral(
-        lambda x, y: np.exp(2j * np.pi * x), depth=24, samples=n, seed=11
+        lambda x, y, _: np.exp(2j * np.pi * x), depth=24, samples=n, seed=11
     )
     assert abs(val) <= 5 / math.sqrt(n)
 
@@ -144,17 +144,17 @@ def test_monte_carlo_oscillation_vanishes():
 def test_monte_carlo_matches_transform(cfg):
     n = 200_000
     val = ifs_monte_carlo_integral(
-        lambda x, y: np.exp(2j * np.pi * 2 * x), depth=24, samples=n, seed=12
+        lambda x, y, _: np.exp(2j * np.pi * 2 * x), depth=24, samples=n, seed=12
     )
     assert abs(val - mu4_hat(2, cfg)) <= 5 / math.sqrt(n)
 
 
 def test_monte_carlo_depth_guard():
     with pytest.raises(ContractError):
-        ifs_monte_carlo_integral(lambda x, y: x, depth=4, samples=10, seed=0)
+        ifs_monte_carlo_integral(lambda x, y, _: x, depth=4, samples=10, seed=0)
 
 
 def test_monte_carlo_deterministic():
-    a = ifs_monte_carlo_integral(lambda x, y: x + 1j * y, depth=12, samples=5000, seed=42)
-    b = ifs_monte_carlo_integral(lambda x, y: x + 1j * y, depth=12, samples=5000, seed=42)
+    a = ifs_monte_carlo_integral(lambda x, y, _: x + 1j * y, depth=12, samples=5000, seed=42)
+    b = ifs_monte_carlo_integral(lambda x, y, _: x + 1j * y, depth=12, samples=5000, seed=42)
     assert a == b
