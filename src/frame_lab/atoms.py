@@ -1,9 +1,10 @@
 """Exact calculus for cylinder-supported exponentials on C4 x [0,1].
 
-An Atom is c * e^{2 pi i t x} * indicator(cylinder), where the cylinder is
-addressed by an x digit word over {0,2} and a y bit word over {0,1} of equal
-length (every operator of the representation prepends or removes one digit
-in each coordinate simultaneously, so equal lengths are invariant).
+An Atom is c * e^{2 pi i t x} * indicator(cylinder), where the level-K
+cylinder is addressed by one word of K pair indices k in {0,1,2,3}: the
+index of the planar contraction (x, y) -> ((x + xd)/4, (y + yd)/2) with
+k = xd/2 + 2*yd, so the x digit of k is x_digit(k) = 2*(k & 1) and its y bit
+k >> 1. Each operator of the representation prepends or removes one pair.
 Frequencies are exact rationals; two atoms merge only on identical keys.
 """
 
@@ -20,34 +21,32 @@ from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat_array
 MERGE_TOL = 1e-15
 
 
+def x_digit(k: int) -> int:
+    """The x digit, 0 or 2, of pair index k = xd/2 + 2*yd."""
+    return 2 * (k & 1)
+
+
 @dataclass(frozen=True)
 class Atom:
     coeff: complex
     freq: Fraction
-    xword: tuple[int, ...]
-    yword: tuple[int, ...]
+    word: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "coeff", complex(self.coeff))
         if not isinstance(self.freq, Fraction):
             object.__setattr__(self, "freq", Fraction(self.freq))
-        xword = tuple(int(d) for d in self.xword)
-        yword = tuple(int(b) for b in self.yword)
-        if len(xword) != len(yword):
-            raise ContractError("xword and yword must have equal length")
-        if any(d not in (0, 2) for d in xword):
-            raise DomainError("x digits must lie in {0,2}")
-        if any(b not in (0, 1) for b in yword):
-            raise DomainError("y digits must lie in {0,1}")
-        object.__setattr__(self, "xword", xword)
-        object.__setattr__(self, "yword", yword)
+        word = tuple(int(k) for k in self.word)
+        if any(k not in (0, 1, 2, 3) for k in word):
+            raise DomainError(f"pair indices must lie in {{0,1,2,3}}, got {word!r}")
+        object.__setattr__(self, "word", word)
 
     @property
     def level(self) -> int:
-        return len(self.xword)
+        return len(self.word)
 
     def key(self):
-        return (self.freq, self.xword, self.yword)
+        return (self.freq, self.word)
 
 
 @dataclass(frozen=True)
@@ -70,23 +69,21 @@ ZERO = FunctionSum(())
 
 def exponential(t) -> FunctionSum:
     """The global exponential e^{2 pi i t x} as a single level-0 atom."""
-    return FunctionSum((Atom(1.0, Fraction(t), (), ()),))
+    return FunctionSum((Atom(1.0, Fraction(t), ()),))
 
 
 ONE = exponential(0)
 
 
-def normalize(F: FunctionSum, merge_tol: float = MERGE_TOL) -> FunctionSum:
-    """Merge identical-key atoms, drop near-zero coefficients, sort keys."""
-    if merge_tol < 0:
-        raise ContractError("merge_tol must be >= 0")
+def normalize(F: FunctionSum) -> FunctionSum:
+    """Merge identical-key atoms, drop coefficients of size <= MERGE_TOL, sort keys."""
     merged: dict = {}
     for a in F.atoms:
         merged[a.key()] = merged.get(a.key(), 0.0) + a.coeff
     kept = [
-        Atom(coeff, key[0], key[1], key[2])
-        for key, coeff in merged.items()
-        if abs(coeff) > merge_tol
+        Atom(coeff, freq, word)
+        for (freq, word), coeff in merged.items()
+        if abs(coeff) > MERGE_TOL
     ]
     kept.sort(key=lambda a: a.key())
     return FunctionSum(tuple(kept))
@@ -100,7 +97,7 @@ def fs_add(*sums: FunctionSum) -> FunctionSum:
 
 
 def fs_scale(F: FunctionSum, scalar: complex) -> FunctionSum:
-    return FunctionSum(tuple(Atom(scalar * a.coeff, a.freq, a.xword, a.yword) for a in F.atoms))
+    return FunctionSum(tuple(Atom(scalar * a.coeff, a.freq, a.word) for a in F.atoms))
 
 
 def fs_sub(F: FunctionSum, G: FunctionSum) -> FunctionSum:
@@ -117,23 +114,21 @@ def refine(F: FunctionSum, K: int) -> FunctionSum:
         while frontier and frontier[0].level < K:
             nxt = []
             for b in frontier:
-                for xd in (0, 2):
-                    for yd in (0, 1):
-                        nxt.append(Atom(b.coeff, b.freq, b.xword + (xd,), b.yword + (yd,)))
+                for k in range(4):
+                    nxt.append(Atom(b.coeff, b.freq, b.word + (k,)))
             frontier = nxt
         out.extend(frontier)
     return normalize(FunctionSum(tuple(out)))
 
 
 def _compatible(a: Atom, b: Atom):
-    """Deeper-cylinder words of the intersection, or None if disjoint."""
+    """Deeper-cylinder word of the intersection, or None if disjoint."""
     if a.level <= b.level:
         lo, hi = a, b
     else:
         lo, hi = b, a
-    k = lo.level
-    if hi.xword[:k] == lo.xword and hi.yword[:k] == lo.yword:
-        return hi.xword
+    if hi.word[: lo.level] == lo.word:
+        return hi.word
     return None
 
 
@@ -142,9 +137,10 @@ def inner_product(
 ) -> complex:
     """<F, G> in L^2 of the product measure, summed exactly over atom pairs.
 
-    A nested pair at deeper level K with intersection x-word u contributes
+    A nested pair at deeper level K with intersection word u contributes
     cF * conj(cG) * 2^-K * 2^-K * e^{2 pi i D offset(u)} * mu4_hat(D / 4^K)
-    with D the frequency difference; disjoint pairs contribute nothing. The
+    with D the frequency difference and offset(u) the left endpoint
+    sum_i x_digit(u_i) / 4^i; disjoint pairs contribute nothing. The
     transform values of all pairs come from one mu4_hat_array call.
     """
     terms, ts = [], []
@@ -158,7 +154,7 @@ def inner_product(
             K = max(a.level, b.level)
             delta = a.freq - b.freq
             offset = Fraction(
-                sum(d * 4 ** (K - i) for i, d in enumerate(u, start=1)), 4**K
+                sum(x_digit(k) * 4 ** (K - i) for i, k in enumerate(u, start=1)), 4**K
             ) if K else Fraction(0)
             terms.append(a.coeff * b.coeff.conjugate() * 4.0 ** (-K) * cis(delta * offset))
             ts.append(float(delta / 4**K))

@@ -94,7 +94,8 @@ def _rho_from_args(args) -> complex:
     """rho from the flags; with no --rho-re, rho = 1 or the unit-circle point above --rho-im."""
     re = args.rho_re
     if re is None:
-        re = math.sqrt(max(1.0 - args.rho_im**2, 0.0))
+        # |--rho-im| > 1 (or nan) has no such point; the rho it gives is refused later
+        re = math.sqrt(1.0 - args.rho_im**2) if abs(args.rho_im) <= 1.0 else 0.0
     return complex(re, args.rho_im)
 
 
@@ -180,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         return vp
 
     v_unit = _verify_parser("unitarity", "max |H*H - I| over sampled banks")
-    _add_rho_flags(v_unit)
     v_unit.add_argument("--samples", type=int, default=64, help="rho values on the unit circle")
     v_unit.add_argument("--matrix-json", default=None, help="check one matrix from a JSON file")
     v_unit.add_argument("--matrix-out", default=None, help="export the constructed matrix as JSON")
@@ -237,9 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         a, b, steps = text.split(":")
-        return np.linspace(float(a), float(b), int(steps))
+        a, b, steps = float(a), float(b), int(steps)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError
+        return np.linspace(a, b, steps)
     except ValueError as exc:
-        raise DomainError(f"--grid must be a:b:steps, got {text!r}") from exc
+        raise DomainError(f"--grid must be a:b:steps with finite a, b, got {text!r}") from exc
 
 
 def _emit(report: RunReport, out_path: str | None = None) -> None:
@@ -298,8 +301,7 @@ def _run_verify_unitarity(args) -> tuple[bool, dict, dict, dict]:
             if args.matrix_out and m == 0:
                 with open(args.matrix_out, "w", encoding="utf-8") as fh:
                     fh.write(matrix_to_json(bank.A) + "\n")
-        rho = _rho_from_args(args)
-        params = {"samples": samples, "rho_re": rho.real, "rho_im": rho.imag}
+        params = {"samples": samples}
         metrics = {"max_dev": max_dev}
         passed = max_dev <= tol
     return passed, params, metrics, {"unitarity": tol}

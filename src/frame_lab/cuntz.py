@@ -1,10 +1,9 @@
 """The four-isometry representation acting on cylinder exponentials.
 
 S_j scales by the filter and pulls back through the expanding map, which on
-an atom prepends one digit pair per first-level cylinder; S_j* removes the
-leading pair. Digit pairs are encoded k = xdigit/2 + 2*ydigit, matching the
-order of the four planar contractions. All frequency arithmetic is exact
-(t -> 4t + j and t -> (t - j)/4 on rationals).
+an atom prepends one pair index k per first-level cylinder (the contraction
+order of atoms.x_digit); S_j* removes the leading pair. All frequency
+arithmetic is exact (t -> 4t + j and t -> (t - j)/4 on rationals).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .atoms import ONE, Atom, FunctionSum, fs_add, fs_sub, norm, normalize
+from .atoms import ONE, Atom, FunctionSum, fs_add, fs_sub, norm, normalize, x_digit
 from .errors import CapacityError, ContractError
 from .filters import FilterBank
 from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat_array
@@ -23,14 +22,6 @@ from .words import Word4, enumerate_X4
 
 GRAM_MAX_LEN = 5
 _PAD = 4  # row index of the padding row in gram_X4's tables
-
-
-def pair_index(xdigit: int, ydigit: int) -> int:
-    return xdigit // 2 + 2 * ydigit
-
-
-def pair_digits(k: int) -> tuple[int, int]:
-    return 2 * (k & 1), k >> 1
 
 
 @dataclass(frozen=True)
@@ -44,10 +35,10 @@ class CuntzRep:
 
 
 def apply_S(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
-    """One generating isometry: atom (c,t,u,v) maps to its four children.
+    """One generating isometry: atom (c,t,u) maps to its four children.
 
-    Child k carries coefficient 2*a_jk*c*e^{-2 pi i t xd(k)}, frequency
-    4t + j, and the digit pair of k prepended to the words.
+    Child k carries coefficient 2*a_jk*c*e^{-2 pi i t x_digit(k)}, frequency
+    4t + j, and k prepended to the word.
     """
     if j not in (0, 1, 2, 3):
         raise ContractError(f"isometry index must be in 0..3, got {j}")
@@ -55,17 +46,9 @@ def apply_S(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
     out = []
     for a in F.atoms:
         freq = 4 * a.freq + j
-        phases = [cis(-a.freq * xd) for xd in (0, 2)]
+        phases = {xd: cis(-a.freq * xd) for xd in (0, 2)}
         for k in range(4):
-            xd, yd = pair_digits(k)
-            out.append(
-                Atom(
-                    2.0 * A[j, k] * a.coeff * phases[xd // 2],
-                    freq,
-                    (xd,) + a.xword,
-                    (yd,) + a.yword,
-                )
-            )
+            out.append(Atom(2.0 * A[j, k] * a.coeff * phases[x_digit(k)], freq, (k,) + a.word))
     return normalize(FunctionSum(tuple(out)))
 
 
@@ -84,14 +67,14 @@ def apply_S_star(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
         shifted = (a.freq - j) / 4
         if a.level == 0:
             coeff = 0.5 * sum(
-                A[j, k].conjugate() * cis((a.freq - j) * Fraction(pair_digits(k)[0], 4))
+                A[j, k].conjugate() * cis((a.freq - j) * Fraction(x_digit(k), 4))
                 for k in range(4)
             )
-            out.append(Atom(coeff * a.coeff, shifted, (), ()))
+            out.append(Atom(coeff * a.coeff, shifted, ()))
         else:
-            k0 = pair_index(a.xword[0], a.yword[0])
-            coeff = 0.5 * A[j, k0].conjugate() * cis((a.freq - j) * Fraction(a.xword[0], 4))
-            out.append(Atom(coeff * a.coeff, shifted, a.xword[1:], a.yword[1:]))
+            k = a.word[0]
+            coeff = 0.5 * A[j, k].conjugate() * cis((a.freq - j) * Fraction(x_digit(k), 4))
+            out.append(Atom(coeff * a.coeff, shifted, a.word[1:]))
     return normalize(FunctionSum(tuple(out)))
 
 
@@ -133,10 +116,10 @@ def random_function_sum(rng: np.random.Generator, level: int, n_atoms: int = 3) 
     atoms = []
     for _ in range(n_atoms):
         freq = Fraction(int(rng.integers(-8, 9)))
-        xword = tuple(int(d) for d in 2 * rng.integers(0, 2, size=level))
-        yword = tuple(int(b) for b in rng.integers(0, 2, size=level))
+        xbits = rng.integers(0, 2, size=level)
+        ybits = rng.integers(0, 2, size=level)
         coeff = complex(rng.standard_normal(), rng.standard_normal())
-        atoms.append(Atom(coeff, freq, xword, yword))
+        atoms.append(Atom(coeff, freq, xbits + 2 * ybits))
     return normalize(FunctionSum(tuple(atoms)))
 
 
@@ -148,6 +131,8 @@ def verify_cuntz(
         raise ContractError("trials must be >= 1")
     if level < 0:
         raise ContractError("level must be >= 0")
+    if seed < 0:
+        raise ContractError("seed must be >= 0")
     if level > 4:
         raise CapacityError("level must be <= 4")
     rng = np.random.default_rng(seed)

@@ -43,7 +43,7 @@ def hadamard_rho(rho: complex, tol: float = 1e-12) -> np.ndarray:
     the matching H is a complex Hadamard matrix.
     """
     rho = complex(rho)
-    if abs(abs(rho) - 1.0) > tol:
+    if not abs(abs(rho) - 1.0) <= tol:
         raise DomainError(f"|rho| must be 1 within {tol}, got |rho| = {abs(rho)}")
     return 0.5 * np.array(
         [
@@ -134,17 +134,20 @@ def solve_alpha(
     case |a10| = 1 row 3 is the orthogonal complement of row 2 instead.
     """
     a10, a30, a11, a12, a21, a22 = (complex(z) for z in (a10, a30, a11, a12, a21, a22))
-    dev = abs(abs(a10) ** 2 + abs(a30) ** 2 - 1.0)
-    if dev > tol:
+    # Each guard reads `not dev <= tol` so that a nan deviation fails it, and
+    # squares by multiplying, which gives inf where ** 2 raises OverflowError.
+    n10, n30, n11, n12, n21, n22 = (abs(z) * abs(z) for z in (a10, a30, a11, a12, a21, a22))
+    dev = abs(n10 + n30 - 1.0)
+    if not dev <= tol:
         raise InfeasibleParameters("duality", f"|a10|^2 + |a30|^2 = 1 off by {dev:.3g}")
-    dev = abs(abs(a10) ** 2 + abs(a11) ** 2 + abs(a12) ** 2 - 1.0)
-    if dev > tol:
+    dev = abs(n10 + n11 + n12 - 1.0)
+    if not dev <= tol:
         raise InfeasibleParameters("row1_norm", f"|a10|^2+|a11|^2+|a12|^2 = 1 off by {dev:.3g}")
-    dev = abs(abs(a21) ** 2 + abs(a22) ** 2 - 1.0)
-    if dev > tol:
+    dev = abs(n21 + n22 - 1.0)
+    if not dev <= tol:
         raise InfeasibleParameters("row2_norm", f"|a21|^2+|a22|^2 = 1 off by {dev:.3g}")
     dev = abs(a11 * a21.conjugate() + a12 * a22.conjugate())
-    if dev > tol:
+    if not dev <= tol:
         raise InfeasibleParameters(
             "row12_orthogonality", f"a11*conj(a21)+a12*conj(a22) = 0 off by {dev:.3g}"
         )

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .atoms import FunctionSum, refine
+from .atoms import FunctionSum, refine, x_digit
 from .cuntz import CuntzRep
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
 from .filters import FilterBank, g_map, little_m
@@ -29,6 +29,8 @@ from .words import MAX_ENUM_LEN, digit_counts
 
 WEIGHT_TABLE_COLUMNS = ("n", "l1", "l2", "l3", "weight_re", "weight_im", "weight_abs2")
 TRACE_COLUMNS = ("N", "partial_sum", "target")
+SHAPE_TOL = 1e-10  # largest spread of the y-integrals that project_V accepts
+INCOMPLETE_THRESHOLD = 1e-6  # deficiency above which a frequency is flagged
 
 
 @dataclass(frozen=True)
@@ -55,15 +57,15 @@ class WeightSpec:
     @classmethod
     def from_rho(cls, rho: complex, tol: float = 1e-12) -> "WeightSpec":
         rho = complex(rho)
-        if abs(abs(rho) - 1.0) > tol:
+        if not abs(abs(rho) - 1.0) <= tol:  # also rejects nan
             raise DomainError(f"|rho| must be 1 within {tol}, got {abs(rho)}")
         return cls(mode="rho", p=(1.0 + rho) / 2.0, q=(1.0 - rho) / 2.0, rho=rho)
 
     @classmethod
     def from_pq(cls, p: complex, q: complex, tol: float = 1e-12) -> "WeightSpec":
         p, q = complex(p), complex(q)
-        dev = abs(abs(p) ** 2 + abs(q) ** 2 - 1.0)
-        if dev > tol:
+        dev = abs(abs(p) * abs(p) + abs(q) * abs(q) - 1.0)  # inf, not OverflowError, when huge
+        if not dev <= tol:
             raise DomainError(f"|p|^2 + |q|^2 must be 1 within {tol}, off by {dev:.3g}")
         return cls(mode="pq", p=p, q=q, rho=None)
 
@@ -82,17 +84,14 @@ def frame_weight(spec: WeightSpec, n: int) -> complex:
     return complex(spec.p**l1 * spec.q**l3)
 
 
-def project_V(
-    F: FunctionSum,
-    cfg: TransformEvaluator = DEFAULT_EVALUATOR,
-    shape_tol: float = 1e-10,
-) -> list[WeightedExponential]:
+def project_V(F: FunctionSum, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> list[WeightedExponential]:
     """Integrate out the y coordinate; valid when the result is a pure
     weighted exponential per frequency.
 
     Each level-K y cylinder contributes 2^-K. The per-x-cylinder totals
-    must agree (that is what the kernel condition guarantees for word
-    vectors); otherwise the input is not of weighted-exponential shape.
+    must agree within SHAPE_TOL (that is what the kernel condition
+    guarantees for word vectors); otherwise the input is not of
+    weighted-exponential shape.
     """
     by_freq: dict[Fraction, list] = {}
     for a in F.atoms:
@@ -104,13 +103,14 @@ def project_V(
         flat = refine(group, K)
         totals: dict[tuple[int, ...], complex] = {}
         for a in flat.atoms:
-            totals[a.xword] = totals.get(a.xword, 0.0) + a.coeff * 2.0 ** (-K)
+            x_digits = tuple(map(x_digit, a.word))
+            totals[x_digits] = totals.get(x_digits, 0.0) + a.coeff * 2.0 ** (-K)
         values = list(totals.values())
         if len(totals) < 2**K:
             values.append(0.0)  # an absent x-cylinder means weight 0 there
         w = values[0]
         spread = max(abs(v - w) for v in values)
-        if spread > shape_tol:
+        if spread > SHAPE_TOL:
             raise UnsupportedShape(
                 f"y-integral is not constant in x at frequency {freq} (spread {spread:.3g})"
             )
@@ -315,13 +315,13 @@ def incompleteness_report(
     gammas: Sequence[int],
     n_max: int,
     cfg: TransformEvaluator = DEFAULT_EVALUATOR,
-    threshold: float = 1e-6,
 ) -> IncompletenessReport:
     """Deficiency 1 - S_{n_max}(e_gamma) for the p = 0 weight family.
 
     Weights are the indicator of integers with base-4 digits in {0,3}; the
-    report flags frequencies whose exponential has energy visibly missing
-    from the family's span. Reported, not asserted, per frequency.
+    report flags frequencies whose deficiency exceeds INCOMPLETE_THRESHOLD:
+    their exponential has energy visibly missing from the family's span.
+    Reported, not asserted, per frequency.
     """
     spec = WeightSpec.from_rho(-1.0)
     entries = []
@@ -333,10 +333,12 @@ def incompleteness_report(
                 gamma=int(gamma),
                 trace=trace,
                 deficiency=float(deficiency),
-                flagged=deficiency > threshold,
+                flagged=deficiency > INCOMPLETE_THRESHOLD,
             )
         )
-    return IncompletenessReport(n_max=n_max, entries=tuple(entries), threshold=threshold)
+    return IncompletenessReport(
+        n_max=n_max, entries=tuple(entries), threshold=INCOMPLETE_THRESHOLD
+    )
 
 
 def write_weight_table(path, spec: WeightSpec, n_max: int) -> None:

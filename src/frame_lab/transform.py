@@ -75,21 +75,26 @@ def mu4_hat_array(t, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> np.ndarray:
 
     Factor k is (1 + i^q)/2 with q = (8t/4^k) mod 4, computed exactly by a
     power-of-two scaling and fmod; whole q take exact phases. Each element
-    gets its own certified factor count.
+    gets its own certified factor count. The product is formed from real
+    multiplies and adds, one rounding each, so an element's bits do not
+    depend on the length of the array it is evaluated in.
     """
     t = np.array(t, dtype=np.float64, ndmin=1)
     if not np.all(np.isfinite(t)):
         raise DomainError("t must be finite")
     counts = cfg.factor_count(np.abs(t))
-    acc = np.ones(t.shape, dtype=complex)
+    re, im = np.ones(t.shape), np.zeros(t.shape)
     for k in range(1, int(np.max(counts, initial=0)) + 1):
         q = np.fmod(t * 2.0 ** (3 - 2 * k), 4.0)
         q[counts < k] = 0.0  # past this element's certified count: factor 1
         phase = np.exp((0.5j * math.pi) * q)
         whole = q == np.floor(q)
         phase[whole] = _QUARTER_TURNS[q[whole].astype(np.int64) % 4]
-        acc *= (1.0 + phase) * 0.5
-    return acc
+        f_re, f_im = (1.0 + phase.real) * 0.5, phase.imag * 0.5
+        re, im = re * f_re - im * f_im, re * f_im + im * f_re
+    out = np.empty(t.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def mu4_hat(t: Frequency, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> complex:

@@ -39,9 +39,6 @@ class Word4:
         return iter(self.letters)
 
 
-EMPTY_WORD = Word4(())
-
-
 def c_of_word(word: Word4) -> int:
     """Base-4 place value of a word: sum of letters[k] * 4**(K-1-k)."""
     n = 0

@@ -142,15 +142,7 @@ def s_word_one(rep, word) -> FunctionSum:
     coeffs = _dense_word_vector(rep.bank, word)
     atoms = []
     for m in range(4**K):
-        pairs = _pair_word(m, K)
-        atoms.append(
-            Atom(
-                complex(coeffs[m]),
-                freq,
-                tuple(2 * (p & 1) for p in pairs),
-                tuple(p >> 1 for p in pairs),
-            )
-        )
+        atoms.append(Atom(complex(coeffs[m]), freq, _pair_word(m, K)))
     return normalize(FunctionSum(tuple(atoms)))
 
 
@@ -254,14 +246,14 @@ def evaluate(F: FunctionSum, x, digits) -> np.ndarray:
     """Pointwise values of F at the Monte-Carlo points x with their digit rows.
 
     A point lies in an atom's level-K cylinder exactly when its first K
-    digits are the atom's pair indices xd/2 + 2*yd, so the cylinder masks
-    come from the sampler's digits instead of from x and y.
+    digits are the atom's pair indices, so the cylinder masks come from the
+    sampler's digits instead of from x and y.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros(x.shape, dtype=np.complex128)
     for a in F.atoms:
         mask = np.ones(x.shape, dtype=bool)
-        for i, (xd, yd) in enumerate(zip(a.xword, a.yword)):
-            mask &= digits[:, i] == xd // 2 + 2 * yd
+        for i, k in enumerate(a.word):
+            mask &= digits[:, i] == k
         out[mask] += a.coeff * np.exp(2j * np.pi * float(a.freq) * x[mask])
     return out

@@ -273,11 +273,11 @@ def test_c12_integration_paths_agree(cfg):
         atoms = []
         for _ in range(2):
             level = int(rng.integers(0, 3))
-            xword = tuple(2 * int(b) for b in rng.integers(0, 2, size=level))
-            yword = tuple(int(b) for b in rng.integers(0, 2, size=level))
+            xbits = rng.integers(0, 2, size=level)
+            ybits = rng.integers(0, 2, size=level)
             freq = Fraction(int(rng.integers(-6, 7)))
             coeff = 0.5 * complex(rng.standard_normal(), rng.standard_normal())
-            atoms.append(Atom(coeff, freq, xword, yword))
+            atoms.append(Atom(coeff, freq, xbits + 2 * ybits))
         return normalize(FunctionSum(tuple(atoms)))
 
     worst = 0.0

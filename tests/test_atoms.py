@@ -7,6 +7,7 @@ import pytest
 from frame_lab import (
     Atom,
     ContractError,
+    DomainError,
     FunctionSum,
     exponential,
     inner_product,
@@ -23,11 +24,11 @@ def random_sum(rng, max_level=2, n_atoms=3, coeff_scale=0.5):
     atoms = []
     for _ in range(n_atoms):
         level = int(rng.integers(0, max_level + 1))
-        xword = tuple(2 * int(b) for b in rng.integers(0, 2, size=level))
-        yword = tuple(int(b) for b in rng.integers(0, 2, size=level))
+        xbits = rng.integers(0, 2, size=level)
+        ybits = rng.integers(0, 2, size=level)
         freq = Fraction(int(rng.integers(-6, 7)))
         coeff = coeff_scale * complex(rng.standard_normal(), rng.standard_normal())
-        atoms.append(Atom(coeff, freq, xword, yword))
+        atoms.append(Atom(coeff, freq, xbits + 2 * ybits))
     return normalize(FunctionSum(tuple(atoms)))
 
 
@@ -53,17 +54,16 @@ def test_inner_product_of_exponentials_is_transform(cfg):
 
 
 def test_level_one_cylinder_mass():
-    corner = FunctionSum((Atom(1.0, 0, (0,), (0,)),))
+    corner = FunctionSum((Atom(1.0, 0, (0,)),))
     assert abs(inner_product(corner, ONE) - 0.25) < 1e-15
 
 
 def test_atom_word_validation():
-    with pytest.raises(ValueError):
-        Atom(1.0, 0, (1,), (0,))
-    with pytest.raises(ValueError):
-        Atom(1.0, 0, (0,), (2,))
-    with pytest.raises(ValueError):
-        Atom(1.0, 0, (0, 2), (0,))
+    with pytest.raises(DomainError):
+        Atom(1.0, 0, (4,))
+    with pytest.raises(DomainError):
+        Atom(1.0, 0, (0, -1))
+    assert Atom(1.0, 0, np.array([3, 0])).word == (3, 0)
 
 
 def test_refine_constant():
@@ -85,15 +85,15 @@ def test_refine_preserves_norm_and_composes():
 
 
 def test_refine_contract_error():
-    deep = FunctionSum((Atom(1.0, 0, (0, 2), (1, 0)),))
+    deep = FunctionSum((Atom(1.0, 0, (2, 1)),))
     with pytest.raises(ContractError):
         refine(deep, 1)
 
 
 def test_normalize_merges_and_drops():
-    a = Atom(0.5, 1, (0,), (1,))
-    b = Atom(0.5, 1, (0,), (1,))
-    z = Atom(0.0, 2, (), ())
+    a = Atom(0.5, 1, (2,))
+    b = Atom(0.5, 1, (2,))
+    z = Atom(0.0, 2, ())
     F = normalize(FunctionSum((a, b, z)))
     assert len(F) == 1
     assert F.atoms[0].coeff == 1.0
@@ -137,7 +137,7 @@ def test_norm_positive_definite(cfg):
 
 def test_atom_equals_sum_of_children(cfg):
     rng = np.random.default_rng(10)
-    parent = FunctionSum((Atom(1.0, 3, (2,), (1,)),))
+    parent = FunctionSum((Atom(1.0, 3, (3,)),))
     children = refine(parent, 3)
     diff = fs_sub(parent, children)
     for _ in range(10):

@@ -114,7 +114,7 @@ def test_adjoint_on_exponentials_is_symbol(rep_i):
         for j in range(4):
             lhs = apply_S_star(rep_i, j, exponential(t))
             m = little_m(rep_i.bank, j, t)
-            rhs = normalize(FunctionSum((Atom(m, g_map(j, t), (), ()),)))
+            rhs = normalize(FunctionSum((Atom(m, g_map(j, t), ()),)))
             assert norm(fs_sub(lhs, rhs)) < 1e-12
 
 
@@ -245,7 +245,7 @@ def test_dense_inner_matches_generic_for_exponentials(rep_i, cfg):
 def _canonical(F, level):
     flat = refine(F, level)
     return frozenset(
-        (a.freq, a.xword, a.yword, round(a.coeff.real, 9), round(a.coeff.imag, 9))
+        (a.freq, a.word, round(a.coeff.real, 9), round(a.coeff.imag, 9))
         for a in flat.atoms
     )
 

@@ -129,13 +129,13 @@ def test_projection_weight_vanishes_on_digit_two(bank_i):
 
 
 def test_project_rejects_unbalanced_shape():
-    lopsided = FunctionSum((Atom(1.0, 0, (0,), (0,)),))
+    lopsided = FunctionSum((Atom(1.0, 0, (0,)),))
     with pytest.raises(UnsupportedShape):
         project_V(lopsided)
 
 
 def test_project_rejects_fractional_frequency():
-    frac = FunctionSum((Atom(1.0, Fraction(1, 2), (), ()),))
+    frac = FunctionSum((Atom(1.0, Fraction(1, 2), ()),))
     with pytest.raises(UnsupportedShape):
         project_V(frac)
 

@@ -1,12 +1,18 @@
+import contextlib
 import importlib.util
+import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from frame_lab import RunReport
 from frame_lab.cli import main
+from frame_lab.cuntz import GRAM_MAX_LEN
+from frame_lab.words import MAX_ENUM_LEN
 from frame_lab.filters import matrix_to_json, hadamard_rho
 
 S2 = "0.7071067811865476"
@@ -243,6 +249,16 @@ def test_uncertifiable_input_exits_3_with_one_line(capsys, argv):
         ["verify", "projection", "--rho-im", "1", "--max-word-len", "0"],
         ["verify", "cuntz", "--rho-re", "1", "--level", "-1"],
         ["verify", "unitarity", "--samples", "0"],
+        ["verify", "unitarity", "--rho-im", "1"],
+        ["verify", "cuntz", "--rho-re", "1", "--level", "1", "--seed", "-1"],
+        # nan fails every `dev <= tol` guard; 1e300 squares to inf, not OverflowError
+        ["verify", "parseval", "--rho-re", "nan", "--n-max", "16"],
+        ["weights", "--rho-re", "nan", "--n-max", "3", "--out", "w.csv"],
+        ["weights", "--p-re", "nan", "--q-re", "1", "--n-max", "3", "--out", "w.csv"],
+        ["verify", "parseval", "--p-re", "1e300", "--q-re", "1", "--n-max", "4"],
+        ["verify", "gram", "--max-word-len", "1",
+         "--alpha-a10-re", "1e300", "--alpha-a30-re", "nan", "--alpha-a11-re", "0",
+         "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1"],
         ["verify", "ruelle", "--rho-im", "1", "--grid=0:1:0"],
         ["weights", "--rho-re", "1", "--n-max", "-5", "--out", "w.csv"],
         ["verify", "gram", "--rho-im", "1", "--tol", "inf"],
@@ -371,3 +387,129 @@ def test_certify_reports_a_failed_call(capsys, monkeypatch, tmp_path):
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
     assert lines[-1] == "[certify] FAILURES PRESENT"
+
+
+# The CLI argument space: every subcommand, with flag values that include 0,
+# negative, nan, inf and huge ones. Sizes that drive work stay cheap: a size
+# behind a capacity guard also takes values past the guard, which must be
+# refused before any work; the counts without one (--trials, --samples,
+# weights --n-max, the grid steps) take no huge value.
+_FLOAT = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", S2, "0.6", "0.8", "1e-300"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_TOL = st.one_of(st.sampled_from(["1e-8", "1e-12"]), _FLOAT)
+_HUGE = 10**30
+
+
+def _ints(*cheap, guarded=True):
+    bad = st.sampled_from([-_HUGE, -1, 0, *([_HUGE] if guarded else [])])
+    return st.one_of(st.sampled_from(cheap), bad)
+
+
+def _flag(name, values):
+    return values.map(lambda v: [f"--{name}={v}"])
+
+
+def _optional(name, values):
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+@st.composite
+def _bank(draw, solver=True):
+    kind = draw(st.sampled_from(["default", "rho", "solver"] if solver else ["default", "rho"]))
+    if kind == "rho":
+        unit = [["--rho-im=1"], ["--rho-re=-1"], ["--rho-re=0.5", "--rho-im=-0.8660254037844386"]]
+        if draw(st.booleans()):
+            return draw(st.sampled_from(unit))
+        return draw(_optional("rho-re", _FLOAT)) + draw(_optional("rho-im", _FLOAT))
+    if kind == "solver":
+        if draw(st.booleans()):
+            return list(PQ_ALPHA)
+        return [a for n in ("a10", "a30", "a11", "a12", "a21", "a22")
+                for a in draw(_flag(f"alpha-{n}-re", _FLOAT))]
+    return []
+
+
+@st.composite
+def _spec(draw):
+    if draw(st.booleans()):
+        return draw(_bank(solver=False))
+    parts = [draw(_optional(name, _FLOAT)) for name in ("p-re", "p-im", "q-re", "q-im")]
+    return [a for part in parts for a in part]
+
+
+@st.composite
+def _argv(draw):
+    tol = draw(_optional("tol", _TOL))
+    command = draw(st.sampled_from(
+        ["mu4hat", "weights", "unitarity", "cuntz", "gram", "projection",
+         "parseval", "ruelle", "nogo-mu3", "incomplete"]
+    ))
+    if command == "mu4hat":
+        return ["mu4hat", *draw(_flag("t", _FLOAT)), *tol]
+    if command == "weights":
+        return ["weights", *draw(_spec()), *draw(_flag("n-max", _ints(1, 21, guarded=False)))]
+    if command == "unitarity":
+        return ["verify", "unitarity", *draw(_optional("samples", _ints(1, 4, guarded=False))), *tol]
+    if command == "cuntz":
+        sizes = [
+            draw(_optional("level", _ints(1, 2, 5))),
+            draw(_flag("trials", _ints(1, guarded=False))),
+            draw(_optional("seed", _ints(7))),
+        ]
+        return ["verify", "cuntz", *draw(_bank()), *[a for s in sizes for a in s], *tol]
+    if command in ("gram", "projection"):
+        cap = GRAM_MAX_LEN if command == "gram" else MAX_ENUM_LEN
+        length = draw(_flag("max-word-len", _ints(1, 2, cap + 1)))
+        return ["verify", command, *draw(_bank()), *length, *tol]
+    if command == "parseval":
+        gamma = draw(_optional("gamma", _ints(3, 2**53)))
+        n_max = draw(_optional("n-max", _ints(16, 4**MAX_ENUM_LEN + 1)))
+        return ["verify", "parseval", *draw(_spec()), *gamma, *n_max, *tol]
+    if command == "ruelle":
+        a, b = (draw(st.one_of(st.sampled_from(["-1", "0", "0.5"]), _FLOAT)) for _ in "ab")
+        steps = draw(st.sampled_from(["-1", "0", "1", "3", "x"]))
+        level = draw(_optional("level", _ints(1, 2, 5)))
+        return ["verify", "ruelle", *draw(_bank()), f"--grid={a}:{b}:{steps}", *level, *tol]
+    if command == "incomplete":
+        gammas = draw(st.lists(_ints(1, 3), min_size=1, max_size=3))
+        n_max = draw(_optional("n-max", _ints(16, 4**MAX_ENUM_LEN + 1)))
+        return ["verify", "incomplete", "--gamma", *map(str, gammas), *n_max, *tol]
+    return ["verify", "nogo-mu3"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def weights_out(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cli_property") / "w.csv")
+
+
+@given(argv=_argv())
+@settings(
+    max_examples=150, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_every_argv_keeps_the_exit_contract(weights_out, argv):
+    # exit 0/1 with one JSON report line (mu4hat prints its value line first),
+    # or exit 2/3 with nothing on stdout and one line on stderr
+    if argv[0] == "weights":
+        argv = [*argv, "--out", weights_out]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    assert not caught, "a warning is one more stderr line"
+    lines = out.getvalue().splitlines()
+    if code in (0, 1):
+        assert len(lines) == (2 if argv[0] == "mu4hat" else 1)
+        assert isinstance(json.loads(lines[-1], parse_constant=_reject_constant), dict)
+    else:
+        assert code in (2, 3)
+        assert lines == []
+        assert len(err.getvalue().splitlines()) == 1

@@ -55,6 +55,16 @@ def test_mu4_hat_array_matches_recursion_oracle(cfg):
         assert abs(mu4_hat(float(t), TransformEvaluator()) - value) <= 1e-14
 
 
+def test_mu4_hat_bits_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(20261018)
+    ts = np.concatenate([rng.uniform(-1000, 1000, 300), rng.integers(-(4**8), 4**8, 300) / 4.0])
+    batch = mu4_hat_array(ts)
+    alone = np.array([mu4_hat(float(t)) for t in ts])
+    assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
+    part = np.ascontiguousarray(batch[::-7])
+    assert np.array_equal(mu4_hat_array(ts[::-7]).view(np.uint64), part.view(np.uint64))
+
+
 def test_uncertifiable_factor_count_is_refused():
     # t = 1e30 needs 74 factors at the default tolerance, above max_factors = 64
     with pytest.raises(CapacityError):
