@@ -11,7 +11,7 @@ the scale-3 obstruction.
 
 __version__ = "0.1.0"
 
-from .atoms import Atom, FunctionSum, exponential, inner_product, norm, normalize, refine
+from .atoms import FunctionSum, exponential, inner_product, norm, normalize, refine
 from .cuntz import (
     CuntzRep,
     apply_S,
@@ -55,7 +55,6 @@ from .transform import TransformEvaluator, cis, mu4_hat
 from .words import Word4, c_of_word, digit_counts, enumerate_X4, word_of_index
 
 __all__ = [
-    "Atom",
     "CapacityError",
     "ContractError",
     "CuntzRep",

@@ -1,103 +1,103 @@
-"""Exact calculus for cylinder-supported exponentials on C4 x [0,1].
+"""Cylinder-supported exponentials on C4 x [0,1], held as one record array.
 
-An Atom is c * e^{2 pi i t x} * indicator(cylinder), where the level-K
-cylinder is addressed by one word of K pair indices k in {0,1,2,3}: the
-index of the planar contraction (x, y) -> ((x + xd)/4, (y + yd)/2) with
-k = xd/2 + 2*yd, so the x digit of k is x_digit(k) = 2*(k & 1) and its y bit
-k >> 1. Each operator of the representation prepends or removes one pair.
-Frequencies are exact rationals; two atoms merge only on identical keys.
+A FunctionSum is a sum of atoms c * e^{2 pi i t x} * indicator(cylinder),
+one row of its record array `atoms` each: coeff (complex128), freq
+(float64), code and level (int64). The level-K cylinder is addressed by K
+pair indices k in {0,1,2,3}, the index of the planar contraction
+(x, y) -> ((x + xd)/4, (y + yd)/2) with k = xd/2 + 2*yd; code holds them as
+base-4 digits, the first pair most significant. The x digit of pair k is
+2 * (k & 1), so the x digits of a code are its bits under X_BITS. Every
+frequency the operators reach from integer input is a dyadic n/4^e, which
+float64 holds exactly; two atoms merge only on identical keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ContractError, DomainError
 from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat_array
 
+ATOM = np.dtype(
+    [("coeff", np.complex128), ("freq", np.float64), ("code", np.int64), ("level", np.int64)]
+)
+MAX_LEVEL = 31  # the 4^31 codes of a level still fit in int64
+X_BITS = 0x5555_5555_5555_5555  # the x bit (k & 1) of every pair k of a code
 MERGE_TOL = 1e-15
 
 
-def x_digit(k: int) -> int:
-    """The x digit, 0 or 2, of pair index k = xd/2 + 2*yd."""
-    return 2 * (k & 1)
-
-
-@dataclass(frozen=True)
-class Atom:
-    coeff: complex
-    freq: Fraction
-    word: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        if not isinstance(self.freq, Fraction):
-            object.__setattr__(self, "freq", Fraction(self.freq))
-        word = tuple(int(k) for k in self.word)
-        if any(k not in (0, 1, 2, 3) for k in word):
-            raise DomainError(f"pair indices must lie in {{0,1,2,3}}, got {word!r}")
-        object.__setattr__(self, "word", word)
-
-    @property
-    def level(self) -> int:
-        return len(self.word)
-
-    def key(self):
-        return (self.freq, self.word)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionSum:
-    atoms: tuple[Atom, ...]
+    """Atoms (coeff, freq, code, level), coerced to a read-only ATOM array."""
+
+    atoms: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+        try:
+            atoms = np.array(self.atoms, dtype=ATOM, ndmin=1)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"atoms must be (coeff, freq, code, level) rows: {exc}") from None
+        level, code = atoms["level"], atoms["code"]
+        if atoms.ndim != 1:
+            raise DomainError(f"atoms must form one row per atom, got shape {atoms.shape}")
+        if np.any((level < 0) | (level > MAX_LEVEL)):
+            raise DomainError(f"levels must lie in [0, {MAX_LEVEL}]")
+        if np.any((code < 0) | (code >= np.left_shift(1, 2 * level))):
+            raise DomainError("codes must lie in [0, 4^level)")
+        if not np.all(np.isfinite(atoms["freq"])):
+            raise DomainError("frequencies must be finite")
+        atoms.setflags(write=False)
+        object.__setattr__(self, "atoms", atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)
 
     @property
     def level(self) -> int:
-        return max((a.level for a in self.atoms), default=0)
-
-
-ZERO = FunctionSum(())
+        return int(np.max(self.atoms["level"], initial=0))
 
 
 def exponential(t) -> FunctionSum:
     """The global exponential e^{2 pi i t x} as a single level-0 atom."""
-    return FunctionSum((Atom(1.0, Fraction(t), ()),))
+    return FunctionSum([(1.0, t, 0, 0)])
 
 
 ONE = exponential(0)
 
 
+def _key_order(atoms: np.ndarray) -> np.ndarray:
+    """Stable sort by (freq, word), a word before its extensions: by freq, then
+    code shifted left to the deepest level, then level."""
+    level = atoms["level"]
+    deepest = np.max(level, initial=0)
+    return np.lexsort((level, atoms["code"] << 2 * (deepest - level), atoms["freq"]))
+
+
 def normalize(F: FunctionSum) -> FunctionSum:
-    """Merge identical-key atoms, drop coefficients of size <= MERGE_TOL, sort keys."""
-    merged: dict = {}
-    for a in F.atoms:
-        merged[a.key()] = merged.get(a.key(), 0.0) + a.coeff
-    kept = [
-        Atom(coeff, freq, word)
-        for (freq, word), coeff in merged.items()
-        if abs(coeff) > MERGE_TOL
-    ]
-    kept.sort(key=lambda a: a.key())
-    return FunctionSum(tuple(kept))
+    """Merge identical-key atoms, drop coefficients of size <= MERGE_TOL, sort keys.
+
+    Merged coefficients are added in input order.
+    """
+    a = F.atoms[_key_order(F.atoms)]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = np.any([a[f][1:] != a[f][:-1] for f in ("freq", "code", "level")], axis=0)
+    coeff = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(coeff, np.cumsum(first) - 1, a["coeff"])
+    out = a[first]
+    out["coeff"] = coeff
+    return FunctionSum(out[np.abs(coeff) > MERGE_TOL])
 
 
 def fs_add(*sums: FunctionSum) -> FunctionSum:
-    atoms: list[Atom] = []
-    for F in sums:
-        atoms.extend(F.atoms)
-    return normalize(FunctionSum(tuple(atoms)))
+    return normalize(FunctionSum(np.concatenate([F.atoms for F in sums])))
 
 
 def fs_scale(F: FunctionSum, scalar: complex) -> FunctionSum:
-    return FunctionSum(tuple(Atom(scalar * a.coeff, a.freq, a.word) for a in F.atoms))
+    atoms = F.atoms.copy()
+    atoms["coeff"] = scalar * atoms["coeff"]
+    return FunctionSum(atoms)
 
 
 def fs_sub(F: FunctionSum, G: FunctionSum) -> FunctionSum:
@@ -106,62 +106,44 @@ def fs_sub(F: FunctionSum, G: FunctionSum) -> FunctionSum:
 
 def refine(F: FunctionSum, K: int) -> FunctionSum:
     """Split every atom into its level-K descendants (equal as a function)."""
-    out: list[Atom] = []
-    for a in F.atoms:
-        if a.level > K:
-            raise ContractError(f"cannot refine level-{a.level} atom to level {K}")
-        frontier = [a]
-        while frontier and frontier[0].level < K:
-            nxt = []
-            for b in frontier:
-                for k in range(4):
-                    nxt.append(Atom(b.coeff, b.freq, b.word + (k,)))
-            frontier = nxt
-        out.extend(frontier)
-    return normalize(FunctionSum(tuple(out)))
-
-
-def _compatible(a: Atom, b: Atom):
-    """Deeper-cylinder word of the intersection, or None if disjoint."""
-    if a.level <= b.level:
-        lo, hi = a, b
-    else:
-        lo, hi = b, a
-    if hi.word[: lo.level] == lo.word:
-        return hi.word
-    return None
+    if F.level > K:
+        raise ContractError(f"cannot refine a level-{F.level} atom to level {K}")
+    if K > MAX_LEVEL:
+        raise DomainError(f"levels must lie in [0, {MAX_LEVEL}], got {K}")
+    copies = 4 ** (K - F.atoms["level"])
+    out = np.repeat(F.atoms, copies)
+    # descendant i of an atom appends the base-4 digits of i to its code
+    i = np.arange(len(out)) - np.repeat(np.cumsum(copies) - copies, copies)
+    out["code"] = out["code"] << 2 * (K - out["level"]) | i
+    out["level"] = K
+    return normalize(FunctionSum(out))
 
 
 def inner_product(
     F: FunctionSum, G: FunctionSum, cfg: TransformEvaluator = DEFAULT_EVALUATOR
 ) -> complex:
-    """<F, G> in L^2 of the product measure, summed exactly over atom pairs.
+    """<F, G> in L^2 of the product measure, summed over nested atom pairs.
 
-    A nested pair at deeper level K with intersection word u contributes
-    cF * conj(cG) * 2^-K * 2^-K * e^{2 pi i D offset(u)} * mu4_hat(D / 4^K)
-    with D the frequency difference and offset(u) the left endpoint
-    sum_i x_digit(u_i) / 4^i; disjoint pairs contribute nothing. The
-    transform values of all pairs come from one mu4_hat_array call.
+    A pair whose deeper atom has level K and code u contributes
+    cF * conj(cG) * 4^-K * e^{2 pi i D offset(u)} * mu4_hat(D / 4^K)
+    with D the frequency difference and offset(u) = 2 (u & X_BITS) / 4^K
+    the left endpoint of its x cylinder; disjoint pairs contribute nothing.
+    The pairs are taken in key order, their transform values come from one
+    mu4_hat_array call, and their terms are added one after another.
     """
-    terms, ts = [], []
-    fa = sorted(F.atoms, key=lambda a: a.key())
-    ga = sorted(G.atoms, key=lambda a: a.key())
-    for a in fa:
-        for b in ga:
-            u = _compatible(a, b)
-            if u is None:
-                continue
-            K = max(a.level, b.level)
-            delta = a.freq - b.freq
-            offset = Fraction(
-                sum(x_digit(k) * 4 ** (K - i) for i, k in enumerate(u, start=1)), 4**K
-            ) if K else Fraction(0)
-            terms.append(a.coeff * b.coeff.conjugate() * 4.0 ** (-K) * cis(delta * offset))
-            ts.append(float(delta / 4**K))
-    total = complex(0.0, 0.0)
-    for term, mu in zip(terms, mu4_hat_array(ts, cfg).tolist()):
-        total += term * mu
-    return total
+    a = F.atoms[_key_order(F.atoms)][:, None]
+    b = G.atoms[_key_order(G.atoms)][None, :]
+    common = np.minimum(a["level"], b["level"])
+    nested = a["code"] >> 2 * (a["level"] - common) == b["code"] >> 2 * (b["level"] - common)
+    i, j = np.nonzero(nested)
+    a, b = a[i, 0], b[0, j]
+    deeper = np.where(a["level"] >= b["level"], a, b)
+    scale = np.ldexp(1.0, -2 * deeper["level"])  # 4^-K
+    delta = a["freq"] - b["freq"]
+    offset = 2 * (deeper["code"] & X_BITS) * scale
+    terms = a["coeff"] * b["coeff"].conj() * scale * cis(delta * offset)
+    terms *= mu4_hat_array(delta * scale, cfg)
+    return complex(np.cumsum(terms)[-1]) if len(terms) else 0j
 
 
 def norm(F: FunctionSum, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> float:

@@ -55,6 +55,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAPACITY = 3
 
+# Caps on the sizes only the CLI loops over; each largest run takes seconds.
+MAX_SAMPLES = 100_000  # verify unitarity --samples
+MAX_GRID_POINTS = 1000  # verify ruelle --grid steps
+
 _DEFAULT_TOLS = {
     "mu4hat": 1e-12,
     "unitarity": 1e-12,
@@ -240,6 +244,8 @@ def _parse_grid(text: str) -> np.ndarray:
         a, b, steps = float(a), float(b), int(steps)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError
+        if steps > MAX_GRID_POINTS:
+            raise CapacityError(f"grid of {steps} points exceeds cap {MAX_GRID_POINTS}")
         return np.linspace(a, b, steps)
     except ValueError as exc:
         raise DomainError(f"--grid must be a:b:steps with finite a, b, got {text!r}") from exc
@@ -257,7 +263,6 @@ def _run_mu4hat(args) -> tuple[bool, dict, dict, dict]:
     tol = _resolve_tol(args, "mu4hat")
     cfg = TransformEvaluator(tolerance=tol)
     value = mu4_hat(args.t, cfg)
-    print(f"mu4hat re={value.real!r} im={value.imag!r}")
     metrics = {"re": value.real, "im": value.imag, "abs": abs(value)}
     return True, {"t": args.t}, metrics, {"tolerance": tol}
 
@@ -293,6 +298,8 @@ def _run_verify_unitarity(args) -> tuple[bool, dict, dict, dict]:
         samples = int(args.samples)
         if samples < 1:
             raise ContractError("--samples must be >= 1")
+        if samples > MAX_SAMPLES:
+            raise CapacityError(f"--samples {samples} exceeds cap {MAX_SAMPLES}")
         max_dev = 0.0
         for m in range(samples):
             rho = np.exp(2j * np.pi * m / samples)
@@ -340,7 +347,7 @@ def _run_verify_projection(args) -> tuple[bool, dict, dict, dict]:
     rep = CuntzRep(bank)
     max_dev = 0.0
     for word, vec in generated_family(rep, args.max_word_len):
-        got = project_V(vec, rep.cfg)
+        got = project_V(vec)
         expect_w = projection_weight(bank, word)
         expect_n = c_of_word(word)
         if len(got) != 1 or got[0].frequency != expect_n:

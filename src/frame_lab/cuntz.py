@@ -1,27 +1,30 @@
 """The four-isometry representation acting on cylinder exponentials.
 
 S_j scales by the filter and pulls back through the expanding map, which on
-an atom prepends one pair index k per first-level cylinder (the contraction
-order of atoms.x_digit); S_j* removes the leading pair. All frequency
-arithmetic is exact (t -> 4t + j and t -> (t - j)/4 on rationals).
+an atom prepends one pair index k per first-level cylinder (the pair
+encoding of atoms, x digit 2 (k & X_BITS)); S_j* removes the leading pair.
+The frequency maps t -> 4t + j and t -> (t - j)/4 are exact on the dyadic
+float64 frequencies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
 
-from .atoms import ONE, Atom, FunctionSum, fs_add, fs_sub, norm, normalize, x_digit
+from .atoms import ATOM, ONE, X_BITS, FunctionSum, fs_add, fs_sub, norm, normalize
 from .errors import CapacityError, ContractError
 from .filters import FilterBank
 from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat_array
 from .words import Word4, enumerate_X4
 
-GRAM_MAX_LEN = 5
+FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matrix
+MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes seconds
 _PAD = 4  # row index of the padding row in gram_X4's tables
+_PAIRS = np.arange(4)
+_X_DIGITS = 2 * (_PAIRS & X_BITS)  # x digit of each pair index: 0, 2, 0, 2
 
 
 @dataclass(frozen=True)
@@ -37,45 +40,41 @@ class CuntzRep:
 def apply_S(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
     """One generating isometry: atom (c,t,u) maps to its four children.
 
-    Child k carries coefficient 2*a_jk*c*e^{-2 pi i t x_digit(k)}, frequency
-    4t + j, and k prepended to the word.
+    Child k carries coefficient 2*a_jk*c*e^{-2 pi i t xd(k)}, frequency
+    4t + j, and k prepended to the word; xd(k) is the x digit of k.
     """
     if j not in (0, 1, 2, 3):
         raise ContractError(f"isometry index must be in 0..3, got {j}")
-    A = rep.bank.A
-    out = []
-    for a in F.atoms:
-        freq = 4 * a.freq + j
-        phases = {xd: cis(-a.freq * xd) for xd in (0, 2)}
-        for k in range(4):
-            out.append(Atom(2.0 * A[j, k] * a.coeff * phases[x_digit(k)], freq, (k,) + a.word))
-    return normalize(FunctionSum(tuple(out)))
+    a = F.atoms[:, None]
+    children = np.empty((len(F), 4), dtype=ATOM)
+    children["coeff"] = 2.0 * rep.bank.A[j] * a["coeff"] * cis(-a["freq"] * _X_DIGITS)
+    children["freq"] = 4 * a["freq"] + j
+    children["code"] = _PAIRS << 2 * a["level"] | a["code"]
+    children["level"] = a["level"] + 1
+    return normalize(FunctionSum(children.ravel()))
 
 
 def apply_S_star(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
     """Adjoint of apply_S: strips the leading digit pair.
 
-    On a level-0 atom all four cylinders contribute and the result is the
-    symbol value little_m(j, t) times the exponential at (t - j)/4; on a
-    deeper atom only the cylinder matching the leading pair survives.
+    Pair k of an atom (c,t,u) carries conj(a_jk) e^{2 pi i (t - j) xd(k)/4} / 2.
+    On a level-0 atom all four pairs contribute and the result is the symbol
+    value little_m(j, t) times the exponential at (t - j)/4; on a deeper atom
+    only its leading pair k = u >> 2(level - 1) survives.
     """
     if j not in (0, 1, 2, 3):
         raise ContractError(f"isometry index must be in 0..3, got {j}")
-    A = rep.bank.A
-    out = []
-    for a in F.atoms:
-        shifted = (a.freq - j) / 4
-        if a.level == 0:
-            coeff = 0.5 * sum(
-                A[j, k].conjugate() * cis((a.freq - j) * Fraction(x_digit(k), 4))
-                for k in range(4)
-            )
-            out.append(Atom(coeff * a.coeff, shifted, ()))
-        else:
-            k = a.word[0]
-            coeff = 0.5 * A[j, k].conjugate() * cis((a.freq - j) * Fraction(x_digit(k), 4))
-            out.append(Atom(coeff * a.coeff, shifted, a.word[1:]))
-    return normalize(FunctionSum(tuple(out)))
+    a = F.atoms
+    per_pair = rep.bank.A[j].conj() * cis((a["freq"][:, None] - j) * _X_DIGITS / 4)
+    shift = np.maximum(2 * (a["level"] - 1), 0)
+    lead = a["code"] >> shift
+    out = a.copy()
+    factor = np.where(a["level"] > 0, per_pair[np.arange(len(a)), lead], per_pair.sum(axis=1))
+    out["coeff"] = 0.5 * factor * a["coeff"]
+    out["freq"] = (a["freq"] - j) / 4
+    out["code"] = a["code"] - (lead << shift)
+    out["level"] = np.maximum(a["level"] - 1, 0)
+    return normalize(FunctionSum(out))
 
 
 def apply_word(rep: CuntzRep, word: Word4, F: FunctionSum) -> FunctionSum:
@@ -92,6 +91,8 @@ def generated_family(rep: CuntzRep, max_len: int) -> Iterator[tuple[Word4, Funct
     the empty word), so S_omega 1 is one apply_S on an earlier result: the
     same apply_S sequence as apply_word(rep, omega, ONE), one call per word.
     """
+    if max_len > FAMILY_MAX_LEN:
+        raise CapacityError(f"max_len {max_len} exceeds family cap {FAMILY_MAX_LEN}")
     prefixes: list[FunctionSum] = []
     for n, word in enumerate(enumerate_X4(max_len)):
         F = apply_S(rep, n % 4, prefixes[n // 4] if n >= 4 else ONE)
@@ -113,14 +114,14 @@ class CuntzCheckReport:
 
 def random_function_sum(rng: np.random.Generator, level: int, n_atoms: int = 3) -> FunctionSum:
     """Random test vector: integer frequencies in [-8, 8], random cylinders."""
+    places = 4 ** np.arange(level - 1, -1, -1)
     atoms = []
     for _ in range(n_atoms):
-        freq = Fraction(int(rng.integers(-8, 9)))
-        xbits = rng.integers(0, 2, size=level)
-        ybits = rng.integers(0, 2, size=level)
+        freq = rng.integers(-8, 9)
+        pairs = rng.integers(0, 2, size=level) + 2 * rng.integers(0, 2, size=level)
         coeff = complex(rng.standard_normal(), rng.standard_normal())
-        atoms.append(Atom(coeff, freq, xbits + 2 * ybits))
-    return normalize(FunctionSum(tuple(atoms)))
+        atoms.append((coeff, freq, pairs @ places, level))
+    return normalize(FunctionSum(atoms))
 
 
 def verify_cuntz(
@@ -129,6 +130,8 @@ def verify_cuntz(
     """Check S_j* S_k = delta_jk I and sum_k S_k S_k* = I on random vectors."""
     if trials < 1:
         raise ContractError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise CapacityError(f"trials {trials} exceeds cap {MAX_TRIALS}")
     if level < 0:
         raise ContractError("level must be >= 0")
     if seed < 0:
@@ -227,8 +230,8 @@ def gram_X4(rep: CuntzRep, max_len: int) -> GramReport:
     """
     if max_len < 1:
         raise ContractError("max_len must be >= 1")
-    if max_len > GRAM_MAX_LEN:
-        raise CapacityError(f"max_len {max_len} exceeds Gram cap {GRAM_MAX_LEN}")
+    if max_len > FAMILY_MAX_LEN:
+        raise CapacityError(f"max_len {max_len} exceeds family cap {FAMILY_MAX_LEN}")
     max_offdiag = max_diag_dev = 0.0
     for entries in _gram_rows(rep, max_len):
         max_diag_dev = max(max_diag_dev, float(abs(entries[0] - 1.0)))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -189,15 +188,12 @@ def little_m(bank: FilterBank, j: int, t) -> complex:
     A = bank.A
     even_part = 0.5 * (A[j, 0].conjugate() + A[j, 2].conjugate())
     odd_part = 0.5 * (A[j, 1].conjugate() + A[j, 3].conjugate())
-    half_t = Fraction(t) / 2 if isinstance(t, (int, Fraction)) else 0.5 * float(t)
-    return even_part + (-1.0) ** j * odd_part * cis(half_t)
+    return even_part + (-1.0) ** j * odd_part * complex(cis(0.5 * float(t)))
 
 
-def g_map(j: int, t):
-    """Frequency descent map (t - j) / 4; exact on Fraction inputs."""
-    if isinstance(t, (int, Fraction)):
-        return Fraction(t - j, 4)
-    return (t - j) / 4.0
+def g_map(j: int, t) -> float:
+    """Frequency descent map (t - j) / 4."""
+    return (float(t) - j) / 4.0
 
 
 @dataclass(frozen=True)
@@ -223,7 +219,7 @@ class Mu3NoGoCertificate:
 def mu3_nogo_certificate() -> Mu3NoGoCertificate:
     # 1 + e^{4 pi i j / 3} for rows j = 1, 2, 3; nonvanishing is what forces
     # the row sums a_j0 + a_j2 to zero.
-    factors = tuple(1.0 + cis(Fraction(2 * j, 3)) for j in (1, 2, 3))
+    factors = tuple(1.0 + complex(cis(2 * j % 3 / 3)) for j in (1, 2, 3))
     forced = (0, 0, 0)
     input_vector = (1, 0, 1, 0)
     # Row 0 sums to a_00 + a_02 = 1; the forced rows sum to 0.

@@ -15,12 +15,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .atoms import FunctionSum, refine, x_digit
+from .atoms import X_BITS, FunctionSum, refine
 from .cuntz import CuntzRep
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
 from .filters import FilterBank, g_map, little_m
@@ -84,37 +83,34 @@ def frame_weight(spec: WeightSpec, n: int) -> complex:
     return complex(spec.p**l1 * spec.q**l3)
 
 
-def project_V(F: FunctionSum, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> list[WeightedExponential]:
+def project_V(F: FunctionSum) -> list[WeightedExponential]:
     """Integrate out the y coordinate; valid when the result is a pure
     weighted exponential per frequency.
 
     Each level-K y cylinder contributes 2^-K. The per-x-cylinder totals
     must agree within SHAPE_TOL (that is what the kernel condition
     guarantees for word vectors); otherwise the input is not of
-    weighted-exponential shape.
+    weighted-exponential shape. The weight reported is the total of the
+    x cylinder met first in key order.
     """
-    by_freq: dict[Fraction, list] = {}
-    for a in F.atoms:
-        by_freq.setdefault(a.freq, []).append(a)
     out = []
-    for freq in sorted(by_freq):
-        group = FunctionSum(tuple(by_freq[freq]))
+    freqs, group_of = np.unique(F.atoms["freq"], return_inverse=True)
+    for g, freq in enumerate(freqs):
+        group = FunctionSum(F.atoms[group_of == g])
         K = group.level
-        flat = refine(group, K)
-        totals: dict[tuple[int, ...], complex] = {}
-        for a in flat.atoms:
-            x_digits = tuple(map(x_digit, a.word))
-            totals[x_digits] = totals.get(x_digits, 0.0) + a.coeff * 2.0 ** (-K)
-        values = list(totals.values())
-        if len(totals) < 2**K:
-            values.append(0.0)  # an absent x-cylinder means weight 0 there
-        w = values[0]
-        spread = max(abs(v - w) for v in values)
+        flat = refine(group, K).atoms
+        x_words, where = np.unique(flat["code"] & X_BITS, return_inverse=True)
+        totals = np.zeros(len(x_words), dtype=complex)
+        np.add.at(totals, where, flat["coeff"] * 2.0 ** (-K))
+        w = totals[where[0]] if len(flat) else 0j
+        # an absent x-cylinder means weight 0 there
+        values = totals if len(x_words) == 2**K else np.append(totals, 0.0)
+        spread = np.max(np.abs(values - w))
         if spread > SHAPE_TOL:
             raise UnsupportedShape(
                 f"y-integral is not constant in x at frequency {freq} (spread {spread:.3g})"
             )
-        if freq.denominator != 1:
+        if not freq.is_integer():
             raise UnsupportedShape(f"non-integer frequency {freq} has no frame index")
         out.append(WeightedExponential(weight=complex(w), frequency=int(freq)))
     return out
@@ -345,6 +341,8 @@ def write_weight_table(path, spec: WeightSpec, n_max: int) -> None:
     """CSV columns n, l1, l2, l3, weight_re, weight_im, weight_abs2."""
     if n_max < 0:
         raise ContractError("n_max must be >= 0")
+    if n_max > 4**MAX_ENUM_LEN:
+        raise CapacityError(f"n_max {n_max} exceeds cap 4^{MAX_ENUM_LEN}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEIGHT_TABLE_COLUMNS)

@@ -15,32 +15,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Real
 
 import numpy as np
 
 from .errors import CapacityError, ContractError, DomainError
 
-Frequency = Real  # int, float or Fraction; phases of Fractions stay exact in cis
-
-# e^{2 pi i m/4}, m = 0..3
+# e^{2 pi i m/4}, m = 0..3 (a negative m indexes from the end: m = -1 is -i)
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
+_BLOCK = 256  # elements per pass of mu4_hat_array; bounds its (factor x element) arrays
 
 
-def cis(turns) -> complex:
-    """e^{2 pi i * turns}, exact at quarter-turn arguments."""
-    frac = turns % 1
-    if frac == 0:
-        return complex(1.0, 0.0)
-    if frac == Fraction(1, 2):
-        return complex(-1.0, 0.0)
-    if frac == Fraction(1, 4):
-        return complex(0.0, 1.0)
-    if frac == Fraction(3, 4):
-        return complex(0.0, -1.0)
-    theta = 2.0 * math.pi * float(frac)
-    return complex(math.cos(theta), math.sin(theta))
+def cis(turns) -> np.ndarray:
+    """e^{2 pi i * turns} at every element of float64 turns, exact at quarter turns.
+
+    The turns are reduced by fmod, which is exact and keeps their sign. Where
+    four times the reduced value is whole the result is that exact quarter
+    turn; elsewhere it is e^{i theta} with theta = 2 pi times the reduced value.
+    """
+    frac = np.fmod(np.array(turns, dtype=np.float64, copy=None, ndmin=1), 1.0)
+    out = np.exp((2j * math.pi) * frac)
+    quarters = 4.0 * frac
+    whole = quarters == np.floor(quarters)
+    out[whole] = _QUARTER_TURNS[quarters[whole].astype(np.int64)]
+    return out.reshape(np.shape(turns))
 
 
 @dataclass(frozen=True)
@@ -73,31 +70,35 @@ DEFAULT_EVALUATOR = TransformEvaluator()
 def mu4_hat_array(t, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> np.ndarray:
     """Truncated product at every element of a float64 array.
 
-    Factor k is (1 + i^q)/2 with q = (8t/4^k) mod 4, computed exactly by a
-    power-of-two scaling and fmod; whole q take exact phases. Each element
-    gets its own certified factor count. The product is formed from real
-    multiplies and adds, one rounding each, so an element's bits do not
-    depend on the length of the array it is evaluated in.
+    Factor k is (1 + cis(2t/4^k))/2: the turns come from a power-of-two
+    scaling and cis reduces them by an exact fmod, so whole quarter turns
+    take exact phases. Each element gets its own certified factor count;
+    every element runs through the largest count, its factors past its own
+    being exactly 1. The elements are taken _BLOCK at a time, each block's
+    factors at once, and the product is formed from real multiplies and
+    adds, one rounding each, so an element's bits do not depend on the
+    array it is evaluated in.
     """
     t = np.array(t, dtype=np.float64, ndmin=1)
     if not np.all(np.isfinite(t)):
         raise DomainError("t must be finite")
-    counts = cfg.factor_count(np.abs(t))
-    re, im = np.ones(t.shape), np.zeros(t.shape)
-    for k in range(1, int(np.max(counts, initial=0)) + 1):
-        q = np.fmod(t * 2.0 ** (3 - 2 * k), 4.0)
-        q[counts < k] = 0.0  # past this element's certified count: factor 1
-        phase = np.exp((0.5j * math.pi) * q)
-        whole = q == np.floor(q)
-        phase[whole] = _QUARTER_TURNS[q[whole].astype(np.int64) % 4]
-        f_re, f_im = (1.0 + phase.real) * 0.5, phase.imag * 0.5
-        re, im = re * f_re - im * f_im, re * f_im + im * f_re
+    counts = cfg.factor_count(np.abs(t)).ravel()
+    k = np.arange(1, np.max(counts, initial=0) + 1)[:, None]
     out = np.empty(t.shape, dtype=complex)
-    out.real, out.imag = re, im
+    flat_t, flat_out = t.ravel(), out.reshape(-1)
+    for lo in range(0, t.size, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        turns = np.ldexp(flat_t[part], 1 - 2 * k)  # row k - 1: 2t/4^k
+        turns[counts[part] < k] = 0.0  # past this element's certified count: factor 1
+        phase = cis(turns)
+        re, im = np.ones(turns.shape[1]), np.zeros(turns.shape[1])
+        for f_re, f_im in zip((1.0 + phase.real) * 0.5, phase.imag * 0.5):
+            re, im = re * f_re - im * f_im, re * f_im + im * f_re
+        flat_out[part].real, flat_out[part].imag = re, im
     return out
 
 
-def mu4_hat(t: Frequency, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> complex:
+def mu4_hat(t: float, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> complex:
     """mu4_hat_array at one real t; |result| <= 1.
 
     t is read as float64, exact for integers and dyadic rationals below 2^53.

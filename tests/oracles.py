@@ -5,9 +5,12 @@ computed by descending t -> t/4 with a closed form below 1e-8 instead of
 the truncated ascending product, and the trace/energy oracles sum that
 second path directly. The dense inner product sums all 4^K pair words of
 two word vectors at once, where the library's Gram kernel factorizes them
-level by level; the dense-atom energy oracle goes through it. The word
-vectors on the constant function, the cylinder integrals, the reduced
-symbols and the Monte-Carlo integral over the dilated fractal (with
+level by level; the dense-atom energy oracle goes through it. The exact
+atom calculus (one Atom object per atom, Fraction frequencies, phases exact
+at quarter turns) is the reference the library's record-array operators are
+checked against; function_sum and atom_sum convert between the two forms.
+The word vectors on the constant function, the cylinder integrals, the
+reduced symbols and the Monte-Carlo integral over the dilated fractal (with
 pointwise evaluation located by the sampler's digits) are second paths to
 what the library computes through its operators and atom calculus;
 bank_for_spec builds a bank realizing a weight family.
@@ -20,10 +23,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from frame_lab.atoms import Atom, FunctionSum, normalize
+from frame_lab.atoms import MERGE_TOL, FunctionSum, normalize
 from frame_lab.errors import ContractError, DomainError
 from frame_lab.filters import filter_bank_from_A, hadamard_rho, little_m, solve_alpha
-from frame_lab.transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat
+from frame_lab.transform import DEFAULT_EVALUATOR, TransformEvaluator, mu4_hat, mu4_hat_array
 from frame_lab.words import c_of_word, digit_counts, enumerate_X4
 
 
@@ -132,27 +135,14 @@ def oracle_h_partial_dense(t: float, rep, max_len: int) -> float:
 
 def s_word_one(rep, word) -> FunctionSum:
     """Closed form of S_word 1: the exponential at c_of_word(word) times the
-    level-K step function of the dense word vector. Agrees atom by atom with
-    apply_word(rep, word, ONE).
+    level-K step function of the dense word vector, whose entry m sits on the
+    cylinder with code m. Agrees atom by atom with apply_word(rep, word, ONE).
     """
     K = len(word)
     if K < 1:
         raise ContractError("s_word_one requires a nonempty word")
-    freq = Fraction(c_of_word(word))
     coeffs = _dense_word_vector(rep.bank, word)
-    atoms = []
-    for m in range(4**K):
-        atoms.append(Atom(complex(coeffs[m]), freq, _pair_word(m, K)))
-    return normalize(FunctionSum(tuple(atoms)))
-
-
-def _pair_word(m: int, K: int) -> tuple[int, ...]:
-    """Base-4 digits of m, most significant first (leading pair first)."""
-    pairs = []
-    for _ in range(K):
-        pairs.append(m % 4)
-        m //= 4
-    return tuple(reversed(pairs))
+    return normalize(FunctionSum([(c, c_of_word(word), m, K) for m, c in enumerate(coeffs)]))
 
 
 def bank_for_spec(spec, tol: float = 1e-12):
@@ -214,7 +204,7 @@ def cylinder_exp_integral(delta, u: XCylinder, cfg=DEFAULT_EVALUATOR) -> complex
     self-similarity of mu4 restricted to a level-K cylinder.
     """
     K = len(u)
-    return 2.0 ** (-K) * cis(delta * u.offset) * mu4_hat(delta / 4**K, cfg)
+    return 2.0 ** (-K) * exact_cis(delta * u.offset) * mu4_hat(delta / 4**K, cfg)
 
 
 def ifs_monte_carlo_integral(f, depth: int, samples: int, seed: int) -> complex:
@@ -246,14 +236,206 @@ def evaluate(F: FunctionSum, x, digits) -> np.ndarray:
     """Pointwise values of F at the Monte-Carlo points x with their digit rows.
 
     A point lies in an atom's level-K cylinder exactly when its first K
-    digits are the atom's pair indices, so the cylinder masks come from the
-    sampler's digits instead of from x and y.
+    digits, read as a base-4 code, are the atom's code, so the cylinder
+    masks come from the sampler's digits instead of from x and y.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros(x.shape, dtype=np.complex128)
-    for a in F.atoms:
-        mask = np.ones(x.shape, dtype=bool)
-        for i, k in enumerate(a.word):
-            mask &= digits[:, i] == k
-        out[mask] += a.coeff * np.exp(2j * np.pi * float(a.freq) * x[mask])
+    prefixes = [np.zeros(x.shape, dtype=np.int64)]  # codes of each point's first K digits
+    for K in range(F.level):
+        prefixes.append(4 * prefixes[-1] + digits[:, K])
+    for coeff, freq, code, level in F.atoms.tolist():
+        mask = prefixes[level] == code
+        out[mask] += coeff * np.exp(2j * np.pi * freq * x[mask])
     return out
+
+
+# ---- The exact atom calculus. One Atom object per atom, frequencies as exact
+# rationals, unit exponentials exact at quarter turns; each operation is the
+# per-atom loop the library's record-array version replaced.
+
+
+def exact_cis(turns) -> complex:
+    """e^{2 pi i * turns}, exact at quarter-turn arguments."""
+    frac = turns % 1
+    if frac == 0:
+        return complex(1.0, 0.0)
+    if frac == Fraction(1, 2):
+        return complex(-1.0, 0.0)
+    if frac == Fraction(1, 4):
+        return complex(0.0, 1.0)
+    if frac == Fraction(3, 4):
+        return complex(0.0, -1.0)
+    theta = 2.0 * math.pi * float(frac)
+    return complex(math.cos(theta), math.sin(theta))
+
+
+def x_digit(k: int) -> int:
+    """The x digit, 0 or 2, of pair index k = xd/2 + 2*yd."""
+    return 2 * (k & 1)
+
+
+@dataclass(frozen=True)
+class Atom:
+    coeff: complex
+    freq: Fraction
+    word: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff", complex(self.coeff))
+        if not isinstance(self.freq, Fraction):
+            object.__setattr__(self, "freq", Fraction(self.freq))
+        word = tuple(int(k) for k in self.word)
+        if any(k not in (0, 1, 2, 3) for k in word):
+            raise DomainError(f"pair indices must lie in {{0,1,2,3}}, got {word!r}")
+        object.__setattr__(self, "word", word)
+
+    @property
+    def level(self) -> int:
+        return len(self.word)
+
+    def key(self):
+        return (self.freq, self.word)
+
+
+@dataclass(frozen=True)
+class AtomSum:
+    atoms: tuple[Atom, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "atoms", tuple(self.atoms))
+
+    def __len__(self) -> int:
+        return len(self.atoms)
+
+    @property
+    def level(self) -> int:
+        return max((a.level for a in self.atoms), default=0)
+
+
+def function_sum(atoms) -> FunctionSum:
+    """The library's record-array sum of oracle Atoms, in the same order."""
+    return FunctionSum(
+        [(a.coeff, float(a.freq), sum(k << 2 * (a.level - 1 - i) for i, k in enumerate(a.word)), a.level)
+         for a in atoms]
+    )
+
+
+def atom_sum(F: FunctionSum) -> AtomSum:
+    """The oracle form of a library sum, atom by atom."""
+    return AtomSum(
+        Atom(complex(coeff), Fraction(freq), tuple((code >> 2 * (level - 1 - i)) & 3 for i in range(level)))
+        for coeff, freq, code, level in F.atoms.tolist()
+    )
+
+
+def max_coeff_gap(F: FunctionSum, ref: AtomSum) -> float:
+    """Largest coefficient difference between a library sum and an oracle sum
+    with the same keys in the same order; inf if the keys differ."""
+    got = atom_sum(F).atoms
+    if [a.key() for a in got] != [a.key() for a in ref.atoms]:
+        return math.inf
+    return max((abs(a.coeff - b.coeff) for a, b in zip(got, ref.atoms)), default=0.0)
+
+
+def atom_normalize(F: AtomSum) -> AtomSum:
+    """Merge identical-key atoms, drop coefficients of size <= MERGE_TOL, sort keys."""
+    merged: dict = {}
+    for a in F.atoms:
+        merged[a.key()] = merged.get(a.key(), 0.0) + a.coeff
+    kept = [
+        Atom(coeff, freq, word)
+        for (freq, word), coeff in merged.items()
+        if abs(coeff) > MERGE_TOL
+    ]
+    kept.sort(key=lambda a: a.key())
+    return AtomSum(tuple(kept))
+
+
+def atom_refine(F: AtomSum, K: int) -> AtomSum:
+    """Split every atom into its level-K descendants (equal as a function)."""
+    out: list[Atom] = []
+    for a in F.atoms:
+        if a.level > K:
+            raise ContractError(f"cannot refine level-{a.level} atom to level {K}")
+        frontier = [a]
+        while frontier and frontier[0].level < K:
+            nxt = []
+            for b in frontier:
+                for k in range(4):
+                    nxt.append(Atom(b.coeff, b.freq, b.word + (k,)))
+            frontier = nxt
+        out.extend(frontier)
+    return atom_normalize(AtomSum(tuple(out)))
+
+
+def _compatible(a: Atom, b: Atom):
+    """Deeper-cylinder word of the intersection, or None if disjoint."""
+    if a.level <= b.level:
+        lo, hi = a, b
+    else:
+        lo, hi = b, a
+    if hi.word[: lo.level] == lo.word:
+        return hi.word
+    return None
+
+
+def atom_inner_product(F: AtomSum, G: AtomSum, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> complex:
+    """<F, G> in L^2 of the product measure, summed exactly over atom pairs.
+
+    A nested pair at deeper level K with intersection word u contributes
+    cF * conj(cG) * 2^-K * 2^-K * e^{2 pi i D offset(u)} * mu4_hat(D / 4^K)
+    with D the frequency difference and offset(u) the left endpoint
+    sum_i x_digit(u_i) / 4^i; disjoint pairs contribute nothing.
+    """
+    terms, ts = [], []
+    fa = sorted(F.atoms, key=lambda a: a.key())
+    ga = sorted(G.atoms, key=lambda a: a.key())
+    for a in fa:
+        for b in ga:
+            u = _compatible(a, b)
+            if u is None:
+                continue
+            K = max(a.level, b.level)
+            delta = a.freq - b.freq
+            offset = Fraction(
+                sum(x_digit(k) * 4 ** (K - i) for i, k in enumerate(u, start=1)), 4**K
+            ) if K else Fraction(0)
+            terms.append(a.coeff * b.coeff.conjugate() * 4.0 ** (-K) * exact_cis(delta * offset))
+            ts.append(float(delta / 4**K))
+    total = complex(0.0, 0.0)
+    for term, mu in zip(terms, mu4_hat_array(ts, cfg).tolist()):
+        total += term * mu
+    return total
+
+
+def atom_apply_S(rep, j: int, F: AtomSum) -> AtomSum:
+    """Child k of atom (c,t,u): coefficient 2*a_jk*c*e^{-2 pi i t x_digit(k)},
+    frequency 4t + j, word (k,) + u."""
+    A = rep.bank.A
+    out = []
+    for a in F.atoms:
+        freq = 4 * a.freq + j
+        phases = {xd: exact_cis(-a.freq * xd) for xd in (0, 2)}
+        for k in range(4):
+            out.append(Atom(2.0 * A[j, k] * a.coeff * phases[x_digit(k)], freq, (k,) + a.word))
+    return atom_normalize(AtomSum(tuple(out)))
+
+
+def atom_apply_S_star(rep, j: int, F: AtomSum) -> AtomSum:
+    """Adjoint of atom_apply_S: strips the leading pair (sums all four on a level-0 atom)."""
+    A = rep.bank.A
+    out = []
+    for a in F.atoms:
+        shifted = (a.freq - j) / 4
+        if a.level == 0:
+            coeff = 0.5 * sum(
+                A[j, k].conjugate() * exact_cis((a.freq - j) * Fraction(x_digit(k), 4))
+                for k in range(4)
+            )
+            out.append(Atom(coeff * a.coeff, shifted, ()))
+        else:
+            k = a.word[0]
+            coeff = 0.5 * A[j, k].conjugate() * exact_cis((a.freq - j) * Fraction(x_digit(k), 4))
+            out.append(Atom(coeff * a.coeff, shifted, a.word[1:]))
+    return atom_normalize(AtomSum(tuple(out)))

@@ -8,7 +8,6 @@ them.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,7 +29,13 @@ from frame_lab import (
 )
 from frame_lab.atoms import ONE
 from frame_lab.words import Word4, c_of_word
-from oracles import evaluate, ifs_monte_carlo_integral, oracle_trace_checkpoints
+from oracles import (
+    Atom,
+    evaluate,
+    function_sum,
+    ifs_monte_carlo_integral,
+    oracle_trace_checkpoints,
+)
 
 S2 = 2**-0.5
 GAMMA4_64 = [0, 1, 4, 5, 16, 17, 20, 21, 64]
@@ -54,7 +59,7 @@ def test_c01_unitarity_of_the_rho_family():
     started = time.perf_counter()
     max_dev = 0.0
     for m in range(64):
-        rho = cis(Fraction(m, 64))
+        rho = cis(m / 64)
         bank = rho_bank(rho)
         max_dev = max(max_dev, bank.checks["unitarity_max_dev"])
     assert max_dev <= 1e-12
@@ -64,7 +69,7 @@ def test_c01_unitarity_of_the_rho_family():
 
 def test_c02_cuntz_relations(bank_pq):
     started = time.perf_counter()
-    banks = [rho_bank(1.0), rho_bank(1j), rho_bank(cis(Fraction(1, 6))), bank_pq]
+    banks = [rho_bank(1.0), rho_bank(1j), rho_bank(cis(1 / 6)), bank_pq]
     worst_orth = worst_ident = 0.0
     for idx, bank in enumerate(banks):
         rep = CuntzRep(bank)
@@ -103,7 +108,7 @@ def test_c04_projection_formula(bank_i, bank_pq, cfg):
     for bank in (bank_i, bank_pq):
         rep = CuntzRep(bank, cfg)
         for word in _all_words_up_to(4):
-            got = project_V(apply_word(rep, word, ONE), cfg)
+            got = project_V(apply_word(rep, word, ONE))
             assert len(got) == 1
             assert got[0].frequency == c_of_word(word)
             max_dev = max(max_dev, abs(got[0].weight - projection_weight(bank, word)))
@@ -138,7 +143,7 @@ def test_c06_bessel_cap_and_monotonicity(cfg):
     started = time.perf_counter()
     specs = [
         WeightSpec.from_rho(1j),
-        WeightSpec.from_rho(cis(Fraction(1, 8))),
+        WeightSpec.from_rho(cis(1 / 8)),
         WeightSpec.from_pq(S2, S2),
     ]
     rng = np.random.default_rng(20250501)
@@ -200,7 +205,7 @@ def test_c08_refinement_identity(bank_i):
 
 def test_c09_energy_function_behavior(bank_one, bank_i, bank_minus_one, bank_pq):
     started = time.perf_counter()
-    banks = [bank_one, bank_i, rho_bank(cis(Fraction(1, 6))), bank_minus_one, bank_pq]
+    banks = [bank_one, bank_i, rho_bank(cis(1 / 6)), bank_minus_one, bank_pq]
     worst = 0.0
     for bank in banks:
         rep = CuntzRep(bank)
@@ -263,7 +268,7 @@ def test_c11_scale3_obstruction():
 
 def test_c12_integration_paths_agree(cfg):
     started = time.perf_counter()
-    from frame_lab.atoms import Atom, FunctionSum, normalize
+    from frame_lab.atoms import normalize
 
     rng = np.random.default_rng(424242)
     samples = 10**6
@@ -275,10 +280,10 @@ def test_c12_integration_paths_agree(cfg):
             level = int(rng.integers(0, 3))
             xbits = rng.integers(0, 2, size=level)
             ybits = rng.integers(0, 2, size=level)
-            freq = Fraction(int(rng.integers(-6, 7)))
+            freq = int(rng.integers(-6, 7))
             coeff = 0.5 * complex(rng.standard_normal(), rng.standard_normal())
             atoms.append(Atom(coeff, freq, xbits + 2 * ybits))
-        return normalize(FunctionSum(tuple(atoms)))
+        return normalize(function_sum(atoms))
 
     worst = 0.0
     for trial in range(20):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from frame_lab import (
-    Atom,
     ContractError,
     DomainError,
     FunctionSum,
@@ -17,7 +16,22 @@ from frame_lab import (
     refine,
 )
 from frame_lab.atoms import ONE, fs_add, fs_scale, fs_sub
-from oracles import evaluate, ifs_monte_carlo_integral
+from frame_lab.cuntz import CuntzRep, apply_S, apply_S_star
+from frame_lab.filters import rho_bank
+from oracles import (
+    Atom,
+    AtomSum,
+    atom_apply_S,
+    atom_apply_S_star,
+    atom_inner_product,
+    atom_normalize,
+    atom_refine,
+    atom_sum,
+    evaluate,
+    function_sum,
+    ifs_monte_carlo_integral,
+    max_coeff_gap,
+)
 
 
 def random_sum(rng, max_level=2, n_atoms=3, coeff_scale=0.5):
@@ -29,13 +43,13 @@ def random_sum(rng, max_level=2, n_atoms=3, coeff_scale=0.5):
         freq = Fraction(int(rng.integers(-6, 7)))
         coeff = coeff_scale * complex(rng.standard_normal(), rng.standard_normal())
         atoms.append(Atom(coeff, freq, xbits + 2 * ybits))
-    return normalize(FunctionSum(tuple(atoms)))
+    return normalize(function_sum(atoms))
 
 
 def test_exponential_at_zero_is_constant_one():
-    assert exponential(0) == ONE
+    assert np.array_equal(exponential(0).atoms, ONE.atoms)
     assert len(ONE) == 1
-    assert ONE.atoms[0].level == 0
+    assert ONE.level == 0
 
 
 def test_exponential_norm_is_one():
@@ -54,23 +68,43 @@ def test_inner_product_of_exponentials_is_transform(cfg):
 
 
 def test_level_one_cylinder_mass():
-    corner = FunctionSum((Atom(1.0, 0, (0,)),))
+    corner = function_sum([Atom(1.0, 0, (0,))])
     assert abs(inner_product(corner, ONE) - 0.25) < 1e-15
 
 
-def test_atom_word_validation():
+@pytest.mark.parametrize(
+    "row",
+    [
+        (1.0, 0.0, 4, 1),  # code outside [0, 4^level)
+        (1.0, 0.0, -1, 2),
+        (1.0, 0.0, 1, 0),
+        (1.0, 0.0, 0, -1),  # level outside [0, 31]
+        (1.0, 0.0, 0, 32),
+        (1.0, float("nan"), 0, 0),  # non-finite frequency
+        (1.0, float("inf"), 0, 1),
+        (1.0, 0.0, 2**70, 1),  # not an int64
+        ("x", 0.0, 0, 0),
+    ],
+)
+def test_function_sum_rejects_bad_atoms(row):
     with pytest.raises(DomainError):
-        Atom(1.0, 0, (4,))
-    with pytest.raises(DomainError):
-        Atom(1.0, 0, (0, -1))
-    assert Atom(1.0, 0, np.array([3, 0])).word == (3, 0)
+        FunctionSum([row])
+
+
+def test_function_sum_coerces_its_input():
+    F = FunctionSum([(1, 2, 3, 1), (0.5j, Fraction(-1, 4), 4**31 - 1, 31)])
+    assert F.atoms.dtype.names == ("coeff", "freq", "code", "level")
+    assert F.atoms["coeff"].dtype == complex and F.atoms["freq"].tolist() == [2.0, -0.25]
+    assert not F.atoms.flags.writeable
+    assert len(FunctionSum([])) == 0 and FunctionSum([]).level == 0
 
 
 def test_refine_constant():
     r = refine(ONE, 1)
     assert len(r) == 4
-    assert all(a.coeff == 1 for a in r.atoms)
-    assert all(a.level == 1 for a in r.atoms)
+    assert np.all(r.atoms["coeff"] == 1)
+    assert np.all(r.atoms["level"] == 1)
+    assert r.atoms["code"].tolist() == [0, 1, 2, 3]
 
 
 def test_refine_preserves_norm_and_composes():
@@ -81,22 +115,24 @@ def test_refine_preserves_norm_and_composes():
         assert abs(norm(refine(F, K + 2)) - norm(F)) < 1e-12
         twice = refine(refine(F, K + 1), K + 2)
         once = refine(F, K + 2)
-        assert normalize(twice).atoms == normalize(once).atoms
+        assert np.array_equal(normalize(twice).atoms, normalize(once).atoms)
 
 
 def test_refine_contract_error():
-    deep = FunctionSum((Atom(1.0, 0, (2, 1)),))
+    deep = function_sum([Atom(1.0, 0, (2, 1))])
     with pytest.raises(ContractError):
         refine(deep, 1)
+    with pytest.raises(DomainError):
+        refine(ONE, 40)  # 4^40 descendants: the count would wrap in int64
 
 
 def test_normalize_merges_and_drops():
     a = Atom(0.5, 1, (2,))
     b = Atom(0.5, 1, (2,))
     z = Atom(0.0, 2, ())
-    F = normalize(FunctionSum((a, b, z)))
+    F = normalize(function_sum([a, b, z]))
     assert len(F) == 1
-    assert F.atoms[0].coeff == 1.0
+    assert F.atoms["coeff"][0] == 1.0
 
 
 def test_normalize_keeps_inner_products(cfg):
@@ -104,7 +140,7 @@ def test_normalize_keeps_inner_products(cfg):
     for _ in range(10):
         F = random_sum(rng)
         G = random_sum(rng)
-        doubled = FunctionSum(tuple(fs_scale(F, 0.5).atoms) + tuple(fs_scale(F, 0.5).atoms))
+        doubled = FunctionSum(np.concatenate([fs_scale(F, 0.5).atoms] * 2))
         assert abs(inner_product(doubled, G, cfg) - inner_product(F, G, cfg)) < 1e-12
 
 
@@ -132,12 +168,12 @@ def test_norm_positive_definite(cfg):
         sq = inner_product(F, F, cfg)
         assert sq.real >= 0
         assert abs(sq.imag) < 1e-13
-    assert norm(FunctionSum(())) == 0
+    assert norm(FunctionSum([])) == 0
 
 
 def test_atom_equals_sum_of_children(cfg):
     rng = np.random.default_rng(10)
-    parent = FunctionSum((Atom(1.0, 3, (3,)),))
+    parent = function_sum([Atom(1.0, 3, (3,))])
     children = refine(parent, 3)
     diff = fs_sub(parent, children)
     for _ in range(10):
@@ -169,3 +205,34 @@ def test_mixed_level_inner_product_matches_refined(cfg):
         direct = inner_product(F, G, cfg)
         flat = inner_product(refine(F, K), refine(G, K), cfg)
         assert abs(direct - flat) < 1e-12
+
+
+def _oracle_sum(rng, n_atoms):
+    """Unnormalized oracle atoms on levels 0..3 with integer or quarter-integer
+    frequencies; some share a key, so normalize has merges to do."""
+    atoms = []
+    for _ in range(n_atoms):
+        level = int(rng.integers(0, 4))
+        word = rng.integers(0, 4, size=level)
+        freq = Fraction(int(rng.integers(-12, 13)), int(rng.choice([1, 4])))
+        coeff = 0.5 * complex(rng.standard_normal(), rng.standard_normal())
+        atoms.append(Atom(coeff, freq, word))
+    return atoms + atoms[: n_atoms // 3]
+
+
+def test_array_calculus_matches_atom_oracle(bank_i, bank_pq, cfg):
+    rng = np.random.default_rng(20261018)
+    reps = [CuntzRep(bank) for bank in (bank_i, rho_bank(complex(np.exp(1j * np.pi / 3))), bank_pq)]
+    for trial in range(30):
+        rep = reps[trial % 3]
+        raw = _oracle_sum(rng, 8)
+        F, ref = normalize(function_sum(raw)), atom_normalize(AtomSum(raw))
+        # merging adds in input order on both paths, so these agree bit for bit
+        assert max_coeff_gap(F, ref) == 0.0
+        assert max_coeff_gap(refine(F, 3), atom_refine(ref, 3)) == 0.0
+        for j in range(4):
+            assert max_coeff_gap(apply_S(rep, j, F), atom_apply_S(rep, j, ref)) <= 1e-15
+            assert max_coeff_gap(apply_S_star(rep, j, F), atom_apply_S_star(rep, j, ref)) <= 1e-15
+        G = normalize(function_sum(_oracle_sum(rng, 5)))
+        want = atom_inner_product(ref, atom_sum(G), cfg)
+        assert abs(inner_product(F, G, cfg) - want) <= 1e-15

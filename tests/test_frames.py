@@ -1,16 +1,13 @@
 import cmath
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frame_lab import (
-    Atom,
     ContractError,
     CuntzRep,
     DomainError,
-    FunctionSum,
     UnsupportedShape,
     WeightSpec,
     cis,
@@ -27,7 +24,9 @@ from frame_lab.atoms import ONE
 from frame_lab.frames import _support_weights, write_trace_csv, write_weight_table
 from frame_lab.words import Word4, c_of_word, enumerate_X4
 from oracles import (
+    Atom,
     bank_for_spec,
+    function_sum,
     oracle_h_partial,
     oracle_h_partial_dense,
     oracle_trace_checkpoints,
@@ -115,7 +114,7 @@ def test_project_constant():
 def test_projection_formula_word_vectors(bank_i, cfg):
     rep = CuntzRep(bank_i)
     for w in enumerate_X4(3):
-        got = project_V(s_word_one(rep, w), cfg)
+        got = project_V(s_word_one(rep, w))
         assert len(got) == 1
         assert got[0].frequency == c_of_word(w)
         assert abs(got[0].weight - projection_weight(bank_i, w)) < 1e-12
@@ -129,13 +128,13 @@ def test_projection_weight_vanishes_on_digit_two(bank_i):
 
 
 def test_project_rejects_unbalanced_shape():
-    lopsided = FunctionSum((Atom(1.0, 0, (0,)),))
+    lopsided = function_sum([Atom(1.0, 0, (0,))])
     with pytest.raises(UnsupportedShape):
         project_V(lopsided)
 
 
 def test_project_rejects_fractional_frequency():
-    frac = FunctionSum((Atom(1.0, Fraction(1, 2), ()),))
+    frac = function_sum([Atom(1.0, 0.5, ())])
     with pytest.raises(UnsupportedShape):
         project_V(frac)
 
@@ -235,7 +234,7 @@ def test_h_partial_matches_both_oracles(bank_name, bank_one, bank_i, bank_minus_
     bank = {
         "one": bank_one,
         "i": bank_i,
-        "pi_over_3": rho_bank(cis(Fraction(1, 6))),
+        "pi_over_3": rho_bank(cis(1 / 6)),
         "minus_one": bank_minus_one,
         "pq": bank_pq,
     }[bank_name]

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from frame_lab import RunReport
-from frame_lab.cli import main
-from frame_lab.cuntz import GRAM_MAX_LEN
+from frame_lab.cli import MAX_GRID_POINTS, MAX_SAMPLES, main
+from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_TRIALS
 from frame_lab.words import MAX_ENUM_LEN
 from frame_lab.filters import matrix_to_json, hadamard_rho
 
@@ -69,9 +69,9 @@ def test_report_sanitizes_numpy_scalars():
 def test_mu4hat_zero(capsys):
     code, out, _ = run_cli(capsys, "mu4hat", "--t", "0")
     assert code == 0
-    assert out.splitlines()[0] == "mu4hat re=1.0 im=0.0"
+    assert len(out.splitlines()) == 1
     data = last_json(out)
-    assert data["metrics"]["re"] == 1.0
+    assert (data["metrics"]["re"], data["metrics"]["im"]) == (1.0, 0.0)
 
 
 def test_mu4hat_one_vanishes(capsys):
@@ -233,13 +233,21 @@ def test_verify_capacity_exit_3(capsys):
         ["mu4hat", "--t", "1e30"],
         ["verify", "parseval", "--gamma", "1", "--n-max", str(4**10 + 1)],
         ["verify", "incomplete", "--gamma", "1", "--n-max", str(4**10 + 1)],
+        ["verify", "projection", "--max-word-len", str(FAMILY_MAX_LEN + 1)],
+        ["verify", "ruelle", "--grid=0:1:99999999999999999"],
+        ["verify", "ruelle", f"--grid=0:1:{MAX_GRID_POINTS + 1}"],
+        ["weights", "--n-max", str(4**MAX_ENUM_LEN + 1), "--out", "w.csv"],
+        ["verify", "cuntz", "--trials", str(MAX_TRIALS + 1)],
+        ["verify", "unitarity", "--samples", str(MAX_SAMPLES + 1)],
     ],
 )
-def test_uncertifiable_input_exits_3_with_one_line(capsys, argv):
+def test_uncertifiable_input_exits_3_with_one_line(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and "capacity" in err
+    assert not (tmp_path / "w.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -390,10 +398,9 @@ def test_certify_reports_a_failed_call(capsys, monkeypatch, tmp_path):
 
 
 # The CLI argument space: every subcommand, with flag values that include 0,
-# negative, nan, inf and huge ones. Sizes that drive work stay cheap: a size
-# behind a capacity guard also takes values past the guard, which must be
-# refused before any work; the counts without one (--trials, --samples,
-# weights --n-max, the grid steps) take no huge value.
+# negative, nan, inf and huge ones. Sizes that drive work stay cheap, and every
+# one of them also takes values past its capacity guard, which must be refused
+# before any work.
 _FLOAT = st.one_of(
     st.sampled_from(["0", "1", "-1", "0.5", S2, "0.6", "0.8", "1e-300"]),
     st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300"]),
@@ -403,9 +410,10 @@ _TOL = st.one_of(st.sampled_from(["1e-8", "1e-12"]), _FLOAT)
 _HUGE = 10**30
 
 
-def _ints(*cheap, guarded=True):
-    bad = st.sampled_from([-_HUGE, -1, 0, *([_HUGE] if guarded else [])])
-    return st.one_of(st.sampled_from(cheap), bad)
+def _ints(*cheap, cap=None):
+    """A cheap size, a bad one, or one past the cap (if given) or huge."""
+    past = [_HUGE] if cap is None else [cap + 1, _HUGE]
+    return st.one_of(st.sampled_from(cheap), st.sampled_from([-_HUGE, -1, 0, *past]))
 
 
 def _flag(name, values):
@@ -450,32 +458,33 @@ def _argv(draw):
     if command == "mu4hat":
         return ["mu4hat", *draw(_flag("t", _FLOAT)), *tol]
     if command == "weights":
-        return ["weights", *draw(_spec()), *draw(_flag("n-max", _ints(1, 21, guarded=False)))]
+        n_max = draw(_flag("n-max", _ints(1, 21, cap=4**MAX_ENUM_LEN)))
+        return ["weights", *draw(_spec()), *n_max]
     if command == "unitarity":
-        return ["verify", "unitarity", *draw(_optional("samples", _ints(1, 4, guarded=False))), *tol]
+        samples = draw(_optional("samples", _ints(1, 4, cap=MAX_SAMPLES)))
+        return ["verify", "unitarity", *samples, *tol]
     if command == "cuntz":
         sizes = [
-            draw(_optional("level", _ints(1, 2, 5))),
-            draw(_flag("trials", _ints(1, guarded=False))),
+            draw(_optional("level", _ints(1, 2, cap=4))),
+            draw(_flag("trials", _ints(1, cap=MAX_TRIALS))),
             draw(_optional("seed", _ints(7))),
         ]
         return ["verify", "cuntz", *draw(_bank()), *[a for s in sizes for a in s], *tol]
     if command in ("gram", "projection"):
-        cap = GRAM_MAX_LEN if command == "gram" else MAX_ENUM_LEN
-        length = draw(_flag("max-word-len", _ints(1, 2, cap + 1)))
+        length = draw(_flag("max-word-len", _ints(1, 2, cap=FAMILY_MAX_LEN)))
         return ["verify", command, *draw(_bank()), *length, *tol]
     if command == "parseval":
         gamma = draw(_optional("gamma", _ints(3, 2**53)))
-        n_max = draw(_optional("n-max", _ints(16, 4**MAX_ENUM_LEN + 1)))
+        n_max = draw(_optional("n-max", _ints(16, cap=4**MAX_ENUM_LEN)))
         return ["verify", "parseval", *draw(_spec()), *gamma, *n_max, *tol]
     if command == "ruelle":
         a, b = (draw(st.one_of(st.sampled_from(["-1", "0", "0.5"]), _FLOAT)) for _ in "ab")
-        steps = draw(st.sampled_from(["-1", "0", "1", "3", "x"]))
-        level = draw(_optional("level", _ints(1, 2, 5)))
+        steps = draw(st.one_of(st.sampled_from(["0", "1", "3", "x"]), _ints(3, cap=MAX_GRID_POINTS)))
+        level = draw(_optional("level", _ints(1, 2, cap=4)))
         return ["verify", "ruelle", *draw(_bank()), f"--grid={a}:{b}:{steps}", *level, *tol]
     if command == "incomplete":
         gammas = draw(st.lists(_ints(1, 3), min_size=1, max_size=3))
-        n_max = draw(_optional("n-max", _ints(16, 4**MAX_ENUM_LEN + 1)))
+        n_max = draw(_optional("n-max", _ints(16, cap=4**MAX_ENUM_LEN)))
         return ["verify", "incomplete", "--gamma", *map(str, gammas), *n_max, *tol]
     return ["verify", "nogo-mu3"]
 
@@ -495,8 +504,8 @@ def weights_out(tmp_path_factory):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_every_argv_keeps_the_exit_contract(weights_out, argv):
-    # exit 0/1 with one JSON report line (mu4hat prints its value line first),
-    # or exit 2/3 with nothing on stdout and one line on stderr
+    # exit 0/1 with one JSON report line, or exit 2/3 with nothing on stdout
+    # and one line on stderr
     if argv[0] == "weights":
         argv = [*argv, "--out", weights_out]
     out, err = io.StringIO(), io.StringIO()
@@ -507,8 +516,8 @@ def test_every_argv_keeps_the_exit_contract(weights_out, argv):
     assert not caught, "a warning is one more stderr line"
     lines = out.getvalue().splitlines()
     if code in (0, 1):
-        assert len(lines) == (2 if argv[0] == "mu4hat" else 1)
-        assert isinstance(json.loads(lines[-1], parse_constant=_reject_constant), dict)
+        assert len(lines) == 1
+        assert isinstance(json.loads(lines[0], parse_constant=_reject_constant), dict)
     else:
         assert code in (2, 3)
         assert lines == []

@@ -13,16 +13,27 @@ from frame_lab import (
     mu4_hat,
 )
 from frame_lab.transform import mu4_hat_array
-from oracles import XCylinder, cylinder_exp_integral, ifs_monte_carlo_integral, mu4_hat_recursive
+from oracles import (
+    XCylinder,
+    cylinder_exp_integral,
+    exact_cis,
+    ifs_monte_carlo_integral,
+    mu4_hat_recursive,
+)
 
 
 def test_cis_quarter_turns_exact():
-    assert cis(0) == 1
-    assert cis(Fraction(1, 2)) == -1
-    assert cis(Fraction(1, 4)) == 1j
-    assert cis(Fraction(3, 4)) == -1j
-    assert cis(Fraction(-1, 2)) == -1
-    assert cis(7) == 1
+    turns = [0.0, 0.5, 0.25, 0.75, -0.5, -0.25, -0.75, 7.0, -6.25, 2.0**40 + 0.5]
+    want = [1, -1, 1j, -1j, -1, -1j, 1j, 1, -1j, -1]
+    assert cis(turns).tolist() == want
+    assert cis(0.25) == 1j and cis(0.25).shape == ()
+
+
+def test_cis_matches_exact_oracle_off_quarter_turns():
+    rng = np.random.default_rng(20261019)
+    turns = np.concatenate([rng.uniform(-3, 3, 500), rng.integers(-4096, 4096, 500) / 64.0])
+    want = np.array([exact_cis(Fraction(t)) for t in turns])
+    assert np.max(np.abs(cis(turns) - want)) <= 1e-14
 
 
 def test_mu4_hat_at_zero():
