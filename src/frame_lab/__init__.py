@@ -16,7 +16,6 @@ from .cuntz import (
     CuntzRep,
     apply_S,
     apply_S_star,
-    apply_word,
     gram_X4,
     verify_cuntz,
 )
@@ -42,17 +41,15 @@ from .frames import (
     PartialSumTrace,
     WeightSpec,
     WeightedExponential,
-    frame_weight,
     h_partial,
     incompleteness_report,
     parseval_trace,
     project_V,
-    projection_weight,
     verify_ruelle,
+    weight_table,
 )
 from .report import RunReport
 from .transform import TransformEvaluator, cis, mu4_hat
-from .words import Word4, c_of_word, digit_counts, enumerate_X4, word_of_index
 
 __all__ = [
     "CapacityError",
@@ -69,17 +66,11 @@ __all__ = [
     "UnsupportedShape",
     "WeightSpec",
     "WeightedExponential",
-    "Word4",
     "apply_S",
     "apply_S_star",
-    "apply_word",
-    "c_of_word",
     "cis",
-    "digit_counts",
-    "enumerate_X4",
     "exponential",
     "filter_bank_from_A",
-    "frame_weight",
     "g_map",
     "gram_X4",
     "h_partial",
@@ -93,11 +84,10 @@ __all__ = [
     "normalize",
     "parseval_trace",
     "project_V",
-    "projection_weight",
     "refine",
     "rho_bank",
     "solve_alpha",
     "verify_cuntz",
     "verify_ruelle",
-    "word_of_index",
+    "weight_table",
 ]

@@ -37,18 +37,16 @@ from .filters import (
 from .cuntz import CuntzRep, generated_family, gram_X4, verify_cuntz
 from .frames import (
     WeightSpec,
-    frame_weight,
     incompleteness_report,
     parseval_trace,
-    projection_weight,
     project_V,
     verify_ruelle,
+    weight_table,
     write_trace_csv,
     write_weight_table,
 )
 from .report import RunReport
 from .transform import TransformEvaluator, mu4_hat
-from .words import c_of_word
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -58,6 +56,7 @@ EXIT_CAPACITY = 3
 # Caps on the sizes only the CLI loops over; each largest run takes seconds.
 MAX_SAMPLES = 100_000  # verify unitarity --samples
 MAX_GRID_POINTS = 1000  # verify ruelle --grid steps
+MAX_GAMMAS = 100  # verify incomplete --gamma frequencies, one trace each
 
 _DEFAULT_TOLS = {
     "mu4hat": 1e-12,
@@ -269,8 +268,7 @@ def _run_mu4hat(args) -> tuple[bool, dict, dict, dict]:
 
 def _run_weights(args) -> tuple[bool, dict, dict, dict]:
     spec, params = _spec_from_args(args)
-    write_weight_table(args.out, spec, args.n_max)
-    nonzero = sum(1 for n in range(args.n_max + 1) if abs(frame_weight(spec, n)) > 0)
+    nonzero = write_weight_table(args.out, spec, args.n_max)
     metrics = {
         "rows": args.n_max + 1,
         "nonzero_weights": nonzero,
@@ -345,15 +343,17 @@ def _run_verify_projection(args) -> tuple[bool, dict, dict, dict]:
     tol = _resolve_tol(args, "projection")
     bank, params = _bank_from_args(args, 1e-12)
     rep = CuntzRep(bank)
+    projected = [(n, project_V(vec)) for n, vec in generated_family(rep, args.max_word_len)]
+    # S_omega 1 projects to d_n e_n, n = c(omega), with the bank's digit weights
+    support, _, d = weight_table([bank.digit_weight(j) for j in range(4)], len(projected) - 1)
+    weights = np.zeros(len(projected), dtype=complex)
+    weights[support] = d
     max_dev = 0.0
-    for word, vec in generated_family(rep, args.max_word_len):
-        got = project_V(vec)
-        expect_w = projection_weight(bank, word)
-        expect_n = c_of_word(word)
-        if len(got) != 1 or got[0].frequency != expect_n:
+    for (n, got), expect in zip(projected, weights.tolist()):
+        if len(got) != 1 or got[0].frequency != n:
             max_dev = float("inf")
             continue
-        max_dev = max(max_dev, abs(got[0].weight - expect_w))
+        max_dev = max(max_dev, abs(got[0].weight - expect))
     params.update({"max_word_len": args.max_word_len})
     return max_dev <= tol, params, {"max_weight_dev": max_dev}, {"weight_dev": tol}
 
@@ -406,6 +406,10 @@ def _run_verify_nogo(args) -> tuple[bool, dict, dict, dict]:
 
 
 def _run_verify_incomplete(args) -> tuple[bool, dict, dict, dict]:
+    if len(args.gamma) > MAX_GAMMAS:
+        raise CapacityError(f"{len(args.gamma)} frequencies exceed cap {MAX_GAMMAS}")
+    if len(set(args.gamma)) < len(args.gamma):
+        raise DomainError(f"--gamma frequencies must be distinct, got {args.gamma}")
     tol = _resolve_tol(args, "incomplete")
     report = incompleteness_report(args.gamma, args.n_max)
     metrics = {}

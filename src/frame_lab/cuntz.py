@@ -18,7 +18,6 @@ from .atoms import ATOM, ONE, X_BITS, FunctionSum, fs_add, fs_sub, norm, normali
 from .errors import CapacityError, ContractError
 from .filters import FilterBank
 from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat_array
-from .words import Word4, enumerate_X4
 
 FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matrix
 MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes seconds
@@ -77,28 +76,24 @@ def apply_S_star(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
     return normalize(FunctionSum(out))
 
 
-def apply_word(rep: CuntzRep, word: Word4, F: FunctionSum) -> FunctionSum:
-    """Composition S_{j_K} ... S_{j_1} F; letters[0] acts first."""
-    for j in word.letters:
-        F = apply_S(rep, j, F)
-    return F
+def generated_family(rep: CuntzRep, max_len: int) -> Iterator[tuple[int, FunctionSum]]:
+    """(n, S_omega 1) for the words omega of X4 up to max_len, n = c(omega) ascending.
 
-
-def generated_family(rep: CuntzRep, max_len: int) -> Iterator[tuple[Word4, FunctionSum]]:
-    """(omega, S_omega 1) for the words of X4 up to max_len, ascending in c(omega).
-
-    Word n is word n // 4 with the letter n % 4 appended (words 0..3 extend
-    the empty word), so S_omega 1 is one apply_S on an earlier result: the
-    same apply_S sequence as apply_word(rep, omega, ONE), one call per word.
+    A word is its index: the base-4 digits of n, applied most significant
+    first (word 0 is (0,)). Word n is word n // 4 followed by S_{n % 4}
+    (words 0..3 extend the empty word), so S_omega 1 is one apply_S on an
+    earlier result, one call per word.
     """
+    if max_len < 1:
+        raise ContractError("max_len must be >= 1")
     if max_len > FAMILY_MAX_LEN:
         raise CapacityError(f"max_len {max_len} exceeds family cap {FAMILY_MAX_LEN}")
     prefixes: list[FunctionSum] = []
-    for n, word in enumerate(enumerate_X4(max_len)):
+    for n in range(4**max_len):
         F = apply_S(rep, n % 4, prefixes[n // 4] if n >= 4 else ONE)
         if n < 4 ** (max_len - 1):
             prefixes.append(F)
-        yield word, F
+        yield n, F
 
 
 @dataclass(frozen=True)

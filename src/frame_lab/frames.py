@@ -4,10 +4,11 @@ Projecting the generated orthonormal family onto functions of x alone turns
 the word vector for omega into the single weighted exponential
 (d_omega, c(omega)) with d_omega = prod_k (a_{j_k 0} + a_{j_k 2}). Indexed
 by integers, the weights take the closed multiplicative form
-p^{l1(n)} * 0^{l2(n)} * q^{l3(n)} over the base-4 digit counts of n. The
-trace machinery certifies the Bessel bound, monotone Parseval partial sums,
-the refinement identity of the coefficient-energy function h, and the
-incompleteness of the p = 0 family.
+p^{l1(n)} * 0^{l2(n)} * q^{l3(n)} over the base-4 digit counts of n;
+weight_table is the one function that computes them. The trace machinery
+certifies the Bessel bound, monotone Parseval partial sums, the refinement
+identity of the coefficient-energy function h, and the incompleteness of
+the p = 0 family.
 """
 
 from __future__ import annotations
@@ -22,14 +23,18 @@ import numpy as np
 from .atoms import X_BITS, FunctionSum, refine
 from .cuntz import CuntzRep
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
-from .filters import FilterBank, g_map, little_m
+from .filters import g_map, little_m
 from .transform import DEFAULT_EVALUATOR, TransformEvaluator, mu4_hat, mu4_hat_array
-from .words import MAX_ENUM_LEN, digit_counts
+
+MAX_ENUM_LEN = 10  # n_max <= 4**MAX_ENUM_LEN for the weight table and every trace
 
 WEIGHT_TABLE_COLUMNS = ("n", "l1", "l2", "l3", "weight_re", "weight_im", "weight_abs2")
 TRACE_COLUMNS = ("N", "partial_sum", "target")
 SHAPE_TOL = 1e-10  # largest spread of the y-integrals that project_V accepts
 INCOMPLETE_THRESHOLD = 1e-6  # deficiency above which a frequency is flagged
+_CSV_BLOCK = 4**8  # weight table rows turned into Python objects at a time
+# Digit j adds 1 to l_j; the counts (<= 11) are packed 4 bits each while a listing is built.
+_PACKED_COUNT = np.array([0, 1, 16, 256], dtype=np.int16)
 
 
 @dataclass(frozen=True)
@@ -72,15 +77,57 @@ class WeightSpec:
     def parseval_certified(self) -> bool:
         return abs(self.p) > 1e-15
 
+    @property
+    def digit_weights(self) -> tuple[complex, ...]:
+        return (1.0, self.p, 0.0, self.q)
 
-def frame_weight(spec: WeightSpec, n: int) -> complex:
-    """p^{l1(n)} * 0^{l2(n)} * q^{l3(n)}, with the convention 0^0 = 1."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ContractError(f"frequency index must be a nonnegative integer, got {n!r}")
-    l1, l2, l3 = digit_counts(int(n))
-    if l2 > 0:
-        return 0j
-    return complex(spec.p**l1 * spec.q**l3)
+
+def _listing(digits: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending n <= n_max whose base-4 digits all lie in digits (which
+    holds 0), built one place at a time as a Kronecker sum, and the counts
+    (l1, l2, l3) of the digits 1, 2, 3 of each.
+
+    Below the leading place every block fits under n_max; at it, blocks
+    start only at or below n_max and one filter trims the last.
+    """
+    n, packed = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16)
+    place = 1
+    while place <= n_max:
+        lead = digits if 4 * place <= n_max else digits[digits * place <= n_max]
+        n = np.add.outer(lead * place, n).ravel()
+        packed = np.add.outer(_PACKED_COUNT[lead], packed).ravel()
+        place *= 4
+    keep = n <= n_max
+    packed = packed[keep]
+    return n[keep], np.stack([packed & 15, packed >> 4 & 15, packed >> 8], axis=1)
+
+
+def weight_table(
+    digit_weights: Sequence[complex], n_max: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame weights on their support: (n, counts, d).
+
+    n lists the n <= n_max whose base-4 digits all have nonzero weight,
+    counts their digit counts (l1, l2, l3). digit_weights[0] is 1 (the first
+    row of an admissible bank is 1/2), and d_n = w1^l1 * w3^l3 is read from
+    a table of that closed form evaluated by Python's complex arithmetic,
+    one entry per (l1, l3): bit for bit p^l1 0^l2 q^l3. w2 is 0 for every
+    admissible bank (its row sums to 0 and meets the kernel condition); a
+    nonzero w2 multiplies in as w2^l2.
+    """
+    if n_max < 0:
+        raise ContractError("n_max must be >= 0")
+    if n_max > 4**MAX_ENUM_LEN:
+        raise CapacityError(f"n_max {n_max} exceeds cap 4^{MAX_ENUM_LEN}")
+    w1, w2, w3 = (complex(x) for x in digit_weights[1:])
+    n, counts = _listing(np.flatnonzero(digit_weights), n_max)
+    l1, l2, l3 = counts.T
+    top = range(int(counts.max(initial=0)) + 1)
+    p, q = [w1**k for k in top], [w3**k for k in top]
+    d = np.array([[a * b for b in q] for a in p])[l1, l3]
+    if w2:
+        d = d * np.array([w2**k for k in top])[l2]
+    return n, counts, d
 
 
 def project_V(F: FunctionSum) -> list[WeightedExponential]:
@@ -116,14 +163,6 @@ def project_V(F: FunctionSum) -> list[WeightedExponential]:
     return out
 
 
-def projection_weight(bank: FilterBank, word) -> complex:
-    """Closed-form d_omega = prod_k (a_{j_k 0} + a_{j_k 2})."""
-    w = complex(1.0)
-    for j in word:
-        w *= bank.digit_weight(j)
-    return w
-
-
 @dataclass(frozen=True)
 class PartialSumTrace:
     checkpoints: tuple[tuple[int, float], ...]
@@ -150,37 +189,15 @@ def _checkpoint_grid(n_max: int) -> list[int]:
     return grid
 
 
-def _support_weights(digit_weights: Sequence[complex], n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending n <= n_max whose base-4 digits all have nonzero weight, and d_n.
-
-    d_n, the product of digit_weights over the digits of n, is built one
-    place at a time as a Kronecker product; digit_weights[0] is 1 (the first
-    row of an admissible bank is 1/2), so leading zeros leave it unchanged.
-    """
-    d = np.asarray(digit_weights, dtype=complex)
-    digits = np.flatnonzero(d)
-    n, w = np.zeros(1, dtype=np.int64), np.ones(1, dtype=complex)
-    place = 1
-    while place <= n_max:
-        n = np.add.outer(place * digits, n).ravel()
-        w = np.multiply.outer(d[digits], w).ravel()
-        keep = n <= n_max
-        n, w = n[keep], w[keep]
-        place *= 4
-    return n, w
-
-
 def _weighted_terms(f, digit_weights, n_max: int, cfg: TransformEvaluator) -> np.ndarray:
     """terms[n] = |d_n|^2 |sum_g c_g mu4_hat(g - n)|^2 for n = 0 .. n_max.
 
     The one kernel behind traces, incompleteness and the energy function; it
     evaluates only the support of the weights, every other term is 0.0.
     """
-    if n_max > 4**MAX_ENUM_LEN:
-        raise CapacityError(f"n_max {n_max} exceeds cap 4^{MAX_ENUM_LEN}")
+    n, _, d = weight_table(digit_weights, n_max)
     if any(abs(g) + n_max >= 2**53 for g, _ in f):
         raise DomainError("frequencies must stay below 2^53 to be exact in float64")
-    n, d = _support_weights(digit_weights, n_max)
     inner = np.zeros(len(n), dtype=complex)
     for g, c in f:
         inner += c * mu4_hat_array(g - n, cfg)
@@ -209,7 +226,7 @@ def parseval_trace(
     for g1, c1 in f:
         for g2, c2 in f:
             target += (c1 * c2.conjugate() * mu4_hat(g1 - g2, cfg)).real
-    terms = _weighted_terms(f, (1.0, spec.p, 0.0, spec.q), n_max, cfg)
+    terms = _weighted_terms(f, spec.digit_weights, n_max, cfg)
     running = np.cumsum(terms)
     checkpoints = tuple((N, float(running[N])) for N in _checkpoint_grid(n_max))
     return PartialSumTrace(checkpoints=checkpoints, target=target, terms=terms)
@@ -337,19 +354,24 @@ def incompleteness_report(
     )
 
 
-def write_weight_table(path, spec: WeightSpec, n_max: int) -> None:
-    """CSV columns n, l1, l2, l3, weight_re, weight_im, weight_abs2."""
-    if n_max < 0:
-        raise ContractError("n_max must be >= 0")
-    if n_max > 4**MAX_ENUM_LEN:
-        raise CapacityError(f"n_max {n_max} exceeds cap 4^{MAX_ENUM_LEN}")
+def write_weight_table(path, spec: WeightSpec, n_max: int) -> int:
+    """CSV columns n, l1, l2, l3, weight_re, weight_im, weight_abs2 for
+    n = 0 .. n_max; returns the number of nonzero weights."""
+    support, _, d = weight_table(spec.digit_weights, n_max)
+    weights = np.zeros(n_max + 1, dtype=complex)
+    weights[support] = d
+    _, counts = _listing(np.arange(4), n_max)  # every n
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEIGHT_TABLE_COLUMNS)
-        for n in range(n_max + 1):
-            l1, l2, l3 = digit_counts(n)
-            w = frame_weight(spec, n)
-            writer.writerow([n, l1, l2, l3, repr(w.real), repr(w.imag), repr(abs(w) ** 2)])
+        for start in range(0, n_max + 1, _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            rows = zip(range(start, n_max + 1), counts[block].tolist(), weights[block].tolist())
+            writer.writerows(
+                [n, l1, l2, l3, repr(w.real), repr(w.imag), repr(abs(w) ** 2)]
+                for n, (l1, l2, l3), w in rows
+            )
+    return int(np.count_nonzero(d))
 
 
 def write_trace_csv(path, trace: PartialSumTrace) -> None:

@@ -13,21 +13,137 @@ The word vectors on the constant function, the cylinder integrals, the
 reduced symbols and the Monte-Carlo integral over the dilated fractal (with
 pointwise evaluation located by the sampler's digits) are second paths to
 what the library computes through its operators and atom calculus;
-bank_for_spec builds a bank realizing a weight family.
+bank_for_spec builds a bank realizing a weight family. Words are Word4
+tuples of letters here, with the index map c, its inverse and the digit
+counts; the library names a word by its index alone. frame_weight (per n,
+from the digit counts), projection_weight (per word, a product over its
+letters) and the CSV writer driven by them are the second paths to the
+library's one digit-weight table.
 """
 
 import cmath
+import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from frame_lab.atoms import MERGE_TOL, FunctionSum, normalize
-from frame_lab.errors import ContractError, DomainError
+from frame_lab.cuntz import apply_S
+from frame_lab.errors import CapacityError, ContractError, DomainError
 from frame_lab.filters import filter_bank_from_A, hadamard_rho, little_m, solve_alpha
+from frame_lab.frames import MAX_ENUM_LEN, WEIGHT_TABLE_COLUMNS
 from frame_lab.transform import DEFAULT_EVALUATOR, TransformEvaluator, mu4_hat, mu4_hat_array
-from frame_lab.words import c_of_word, digit_counts, enumerate_X4
+
+_ALPHABET = (0, 1, 2, 3)
+
+
+@dataclass(frozen=True)
+class Word4:
+    """A word over {0,1,2,3}; letters[k] is the (k+1)-th operator applied."""
+
+    letters: tuple[int, ...]
+
+    def __post_init__(self):
+        letters = tuple(int(j) for j in self.letters)
+        if any(j not in _ALPHABET for j in letters):
+            raise DomainError(f"letters must lie in {{0,1,2,3}}, got {letters!r}")
+        object.__setattr__(self, "letters", letters)
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.letters)
+
+
+def c_of_word(word: Word4) -> int:
+    """Base-4 place value of a word: sum of letters[k] * 4**(K-1-k)."""
+    n = 0
+    for j in word.letters:
+        n = 4 * n + j
+    return n
+
+
+def word_of_index(n: int) -> Word4:
+    """The unique word in X4 with c_of_word(word) == n; (0,) for n == 0."""
+    if n < 0:
+        raise DomainError("index must be nonnegative")
+    if n == 0:
+        return Word4((0,))
+    digits = []
+    while n:
+        digits.append(n % 4)
+        n //= 4
+    return Word4(tuple(reversed(digits)))
+
+
+def digit_counts(n: int) -> tuple[int, int, int]:
+    """Counts of the digits 1, 2, 3 in the base-4 expansion of n."""
+    if n < 0:
+        raise DomainError("n must be nonnegative")
+    counts = [0, 0, 0]
+    while n:
+        d = n % 4
+        if d:
+            counts[d - 1] += 1
+        n //= 4
+    return tuple(counts)
+
+
+def enumerate_X4(max_len: int) -> list[Word4]:
+    """All words of X4 with length <= max_len, ascending by c_of_word.
+
+    There are exactly 4**max_len of them: ascending c order is simply
+    word_of_index(n) for n = 0 .. 4**max_len - 1.
+    """
+    if max_len < 1:
+        raise ContractError("max_len must be >= 1")
+    if max_len > MAX_ENUM_LEN:
+        raise CapacityError(f"max_len {max_len} exceeds enumeration cap {MAX_ENUM_LEN}")
+    return [word_of_index(n) for n in range(4**max_len)]
+
+
+def apply_word(rep, word: Word4, F: FunctionSum) -> FunctionSum:
+    """Composition S_{j_K} ... S_{j_1} F; letters[0] acts first."""
+    for j in word.letters:
+        F = apply_S(rep, j, F)
+    return F
+
+
+def frame_weight(spec, n: int) -> complex:
+    """p^{l1(n)} * 0^{l2(n)} * q^{l3(n)}, with the convention 0^0 = 1."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ContractError(f"frequency index must be a nonnegative integer, got {n!r}")
+    l1, l2, l3 = digit_counts(int(n))
+    if l2 > 0:
+        return 0j
+    return complex(spec.p**l1 * spec.q**l3)
+
+
+def projection_weight(bank, word) -> complex:
+    """Closed-form d_omega = prod_k (a_{j_k 0} + a_{j_k 2})."""
+    w = complex(1.0)
+    for j in word:
+        w *= bank.digit_weight(j)
+    return w
+
+
+def oracle_write_weight_table(path, spec, n_max: int) -> int:
+    """The weight CSV one n at a time from frame_weight and digit_counts;
+    returns the number of nonzero weights."""
+    nonzero = 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(WEIGHT_TABLE_COLUMNS)
+        for n in range(n_max + 1):
+            l1, l2, l3 = digit_counts(n)
+            w = frame_weight(spec, n)
+            nonzero += abs(w) > 0
+            writer.writerow([n, l1, l2, l3, repr(w.real), repr(w.imag), repr(abs(w) ** 2)])
+    return nonzero
 
 
 def mu4_hat_recursive(t, _memo={}):

@@ -14,7 +14,6 @@ import numpy as np
 from frame_lab import (
     CuntzRep,
     WeightSpec,
-    apply_word,
     cis,
     gram_X4,
     h_partial,
@@ -22,19 +21,21 @@ from frame_lab import (
     mu3_nogo_certificate,
     parseval_trace,
     project_V,
-    projection_weight,
     rho_bank,
     verify_cuntz,
     verify_ruelle,
 )
 from frame_lab.atoms import ONE
-from frame_lab.words import Word4, c_of_word
 from oracles import (
     Atom,
+    Word4,
+    apply_word,
+    c_of_word,
     evaluate,
     function_sum,
     ifs_monte_carlo_integral,
     oracle_trace_checkpoints,
+    projection_weight,
 )
 
 S2 = 2**-0.5

@@ -7,7 +7,6 @@ from frame_lab import (
     CuntzRep,
     apply_S,
     apply_S_star,
-    apply_word,
     exponential,
     filter_bank_from_A,
     g_map,
@@ -27,8 +26,18 @@ from frame_lab.cuntz import (
     generated_family,
     random_function_sum,
 )
-from frame_lab.words import Word4, c_of_word, enumerate_X4
-from oracles import _dense_word_vector, atom_sum, dense_inner, max_coeff_gap, s_word_one
+from oracles import (
+    Word4,
+    _dense_word_vector,
+    apply_word,
+    atom_sum,
+    c_of_word,
+    dense_inner,
+    enumerate_X4,
+    max_coeff_gap,
+    s_word_one,
+    word_of_index,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,9 +151,9 @@ def test_closed_form_agrees_with_chain(rep_i):
 def test_generated_family_matches_apply_word(rep_i, rep_pq):
     for rep in (rep_i, rep_pq):
         family = list(generated_family(rep, 3))
-        assert [w for w, _ in family] == enumerate_X4(3)
-        for w, vec in family:
-            assert np.array_equal(vec.atoms, apply_word(rep, w, ONE).atoms)
+        assert [n for n, _ in family] == list(range(4**3))
+        for n, vec in family:
+            assert np.array_equal(vec.atoms, apply_word(rep, word_of_index(n), ONE).atoms)
 
 
 def test_s_word_one_zero_word_is_constant(rep_i):

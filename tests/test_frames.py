@@ -1,4 +1,5 @@
 import cmath
+import json
 
 import numpy as np
 import pytest
@@ -11,26 +12,33 @@ from frame_lab import (
     UnsupportedShape,
     WeightSpec,
     cis,
-    frame_weight,
     h_partial,
     incompleteness_report,
     parseval_trace,
     project_V,
-    projection_weight,
     rho_bank,
     verify_ruelle,
+    weight_table,
 )
 from frame_lab.atoms import ONE
-from frame_lab.frames import _support_weights, write_trace_csv, write_weight_table
-from frame_lab.words import Word4, c_of_word, enumerate_X4
+from frame_lab.cli import main
+from frame_lab.frames import write_trace_csv, write_weight_table
 from oracles import (
     Atom,
+    Word4,
     bank_for_spec,
+    c_of_word,
+    digit_counts,
+    enumerate_X4,
+    frame_weight,
     function_sum,
     oracle_h_partial,
     oracle_h_partial_dense,
     oracle_trace_checkpoints,
+    oracle_write_weight_table,
+    projection_weight,
     s_word_one,
+    word_of_index,
 )
 
 S2 = 2**-0.5
@@ -148,16 +156,41 @@ def test_weight_consistency_between_modes(cfg):
 
 
 @pytest.mark.parametrize(
-    "spec", [WeightSpec.from_rho(1.0), WeightSpec.from_rho(1j), WeightSpec.from_pq(0.6, 0.8)]
+    "flags,spec",
+    [
+        (["--rho-re", "1"], WeightSpec.from_rho(1.0)),
+        (["--rho-re", "-1"], WeightSpec.from_rho(-1.0)),
+        (["--rho-im", "1"], WeightSpec.from_rho(complex(0.0, 1.0))),
+        (["--rho-re", "0.5", "--rho-im", "0.8660254037844386"],
+         WeightSpec.from_rho(complex(0.5, 0.8660254037844386))),
+        (["--p-re", "0.6", "--q-re", "0.8"], WeightSpec.from_pq(0.6, 0.8)),
+        (["--p-re", "-0.6", "--q-re", "0.8"], WeightSpec.from_pq(-0.6, 0.8)),
+    ],
+    ids=["rho_one", "rho_minus_one", "rho_i", "rho_pi_over_3", "pq", "pq_negative_p"],
 )
-def test_support_weights_match_frame_weight(spec):
-    n_max = 4**6
-    n, d = _support_weights((1.0, spec.p, 0.0, spec.q), n_max)
-    dense = np.zeros(n_max + 1, dtype=complex)
-    dense[n] = d
-    expected = np.array([frame_weight(spec, k) for k in range(n_max + 1)])
-    assert np.array_equal(dense == 0, expected == 0)
-    assert np.max(np.abs(dense - expected)) <= 1e-15
+def test_weight_table_csv_matches_oracle_bytes(tmp_path, capsys, flags, spec):
+    # every row against the closed form p^l1 0^l2 q^l3 per n, bit for bit
+    n_max = 4**6 + 5
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    assert main(["weights", *flags, "--n-max", str(n_max), "--out", str(got)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    nonzero = oracle_write_weight_table(expected, spec, n_max)
+    assert got.read_bytes() == expected.read_bytes()
+    assert report["metrics"]["nonzero_weights"] == nonzero
+
+
+@pytest.mark.parametrize("n_max", [0, 3, 4, 63, 64, 65, 4**5 + 3])
+def test_weight_table_lists_the_support_with_its_counts(n_max):
+    # (1, 0.5, 0.25j, -0.5) has a nonzero digit-2 weight; (1, 0, 0, 1) is p = 0
+    specs = [(1.0, 0.5, 0.25j, -0.5), (1.0, 0.0, 0.0, 1.0), WeightSpec.from_pq(-0.6, 0.8).digit_weights]
+    for w in specs:
+        n, counts, d = weight_table(w, n_max)
+        words = [word_of_index(k) for k in range(n_max + 1)]
+        support = [k for k, word in enumerate(words) if all(w[j] != 0 for j in word)]
+        assert n.tolist() == support
+        assert [tuple(c) for c in counts.tolist()] == [digit_counts(k) for k in support]
+        expected = [np.prod([complex(w[j]) for j in words[k]]) for k in support]
+        assert np.max(np.abs(d - expected), initial=0.0) <= 1e-15
 
 
 def test_kernel_input_guards(bank_one):

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from frame_lab import RunReport
-from frame_lab.cli import MAX_GRID_POINTS, MAX_SAMPLES, main
+from frame_lab.cli import MAX_GAMMAS, MAX_GRID_POINTS, MAX_SAMPLES, main
 from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_TRIALS
-from frame_lab.words import MAX_ENUM_LEN
+from frame_lab.frames import MAX_ENUM_LEN
 from frame_lab.filters import matrix_to_json, hadamard_rho
 
 S2 = "0.7071067811865476"
@@ -233,6 +233,7 @@ def test_verify_capacity_exit_3(capsys):
         ["mu4hat", "--t", "1e30"],
         ["verify", "parseval", "--gamma", "1", "--n-max", str(4**10 + 1)],
         ["verify", "incomplete", "--gamma", "1", "--n-max", str(4**10 + 1)],
+        ["verify", "incomplete", "--gamma", *map(str, range(MAX_GAMMAS + 1))],
         ["verify", "projection", "--max-word-len", str(FAMILY_MAX_LEN + 1)],
         ["verify", "ruelle", "--grid=0:1:99999999999999999"],
         ["verify", "ruelle", f"--grid=0:1:{MAX_GRID_POINTS + 1}"],
@@ -268,6 +269,7 @@ def test_uncertifiable_input_exits_3_with_one_line(capsys, monkeypatch, tmp_path
          "--alpha-a10-re", "1e300", "--alpha-a30-re", "nan", "--alpha-a11-re", "0",
          "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1"],
         ["verify", "ruelle", "--rho-im", "1", "--grid=0:1:0"],
+        ["verify", "incomplete", "--gamma", "1", "1", "--n-max", "16"],
         ["weights", "--rho-re", "1", "--n-max", "-5", "--out", "w.csv"],
         ["verify", "gram", "--rho-im", "1", "--tol", "inf"],
         # each solver constraint holds within tol, the assembled bank does not
@@ -483,7 +485,10 @@ def _argv(draw):
         level = draw(_optional("level", _ints(1, 2, cap=4)))
         return ["verify", "ruelle", *draw(_bank()), f"--grid={a}:{b}:{steps}", *level, *tol]
     if command == "incomplete":
-        gammas = draw(st.lists(_ints(1, 3), min_size=1, max_size=3))
+        gammas = draw(st.one_of(
+            st.lists(_ints(1, 3), min_size=1, max_size=3),
+            st.integers(1, 3).map(lambda k: list(range(MAX_GAMMAS + k))),
+        ))
         n_max = draw(_optional("n-max", _ints(16, cap=4**MAX_ENUM_LEN)))
         return ["verify", "incomplete", "--gamma", *map(str, gammas), *n_max, *tol]
     return ["verify", "nogo-mu3"]
