@@ -49,7 +49,7 @@ from .frames import (
     weight_table,
 )
 from .report import RunReport
-from .transform import TransformEvaluator, cis, mu4_hat
+from .transform import cis, mu4_hat
 
 __all__ = [
     "CapacityError",
@@ -62,7 +62,6 @@ __all__ = [
     "InfeasibleParameters",
     "PartialSumTrace",
     "RunReport",
-    "TransformEvaluator",
     "UnsupportedShape",
     "WeightSpec",
     "WeightedExponential",

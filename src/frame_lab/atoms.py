@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat_array
+from .transform import cis, mu4_hat_array
 
 ATOM = np.dtype(
     [("coeff", np.complex128), ("freq", np.float64), ("code", np.int64), ("level", np.int64)]
@@ -119,9 +119,7 @@ def refine(F: FunctionSum, K: int) -> FunctionSum:
     return normalize(FunctionSum(out))
 
 
-def inner_product(
-    F: FunctionSum, G: FunctionSum, cfg: TransformEvaluator = DEFAULT_EVALUATOR
-) -> complex:
+def inner_product(F: FunctionSum, G: FunctionSum) -> complex:
     """<F, G> in L^2 of the product measure, summed over nested atom pairs.
 
     A pair whose deeper atom has level K and code u contributes
@@ -142,9 +140,9 @@ def inner_product(
     delta = a["freq"] - b["freq"]
     offset = 2 * (deeper["code"] & X_BITS) * scale
     terms = a["coeff"] * b["coeff"].conj() * scale * cis(delta * offset)
-    terms *= mu4_hat_array(delta * scale, cfg)
+    terms *= mu4_hat_array(delta * scale)
     return complex(np.cumsum(terms)[-1]) if len(terms) else 0j
 
 
-def norm(F: FunctionSum, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> float:
-    return float(np.sqrt(max(inner_product(F, F, cfg).real, 0.0)))
+def norm(F: FunctionSum) -> float:
+    return float(np.sqrt(max(inner_product(F, F).real, 0.0)))

@@ -27,6 +27,8 @@ from .errors import (
     UnsupportedShape,
 )
 from .filters import (
+    NOGO_MIN_NORM_GAP,
+    NOGO_MIN_PHASE_FACTOR,
     filter_bank_from_A,
     hadamard_rho,
     matrix_from_json,
@@ -36,6 +38,7 @@ from .filters import (
 )
 from .cuntz import CuntzRep, generated_family, gram_X4, verify_cuntz
 from .frames import (
+    SPECIALIZATION_TOL,
     WeightSpec,
     incompleteness_report,
     parseval_trace,
@@ -46,7 +49,7 @@ from .frames import (
     write_weight_table,
 )
 from .report import RunReport
-from .transform import TransformEvaluator, mu4_hat
+from .transform import mu4_hat
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -260,8 +263,7 @@ def _emit(report: RunReport, out_path: str | None = None) -> None:
 
 def _run_mu4hat(args) -> tuple[bool, dict, dict, dict]:
     tol = _resolve_tol(args, "mu4hat")
-    cfg = TransformEvaluator(tolerance=tol)
-    value = mu4_hat(args.t, cfg)
+    value = mu4_hat(args.t, tol)
     metrics = {"re": value.real, "im": value.imag, "abs": abs(value)}
     return True, {"t": args.t}, metrics, {"tolerance": tol}
 
@@ -390,7 +392,7 @@ def _run_verify_ruelle(args) -> tuple[bool, dict, dict, dict]:
         "max_refinement_residual": report.max_refinement_residual,
         "max_specialization_gap": report.max_specialization_gap,
     }
-    return report.passed, params, metrics, {"residual": tol, "specialization": 1e-12}
+    return report.passed, params, metrics, {"residual": tol, "specialization": SPECIALIZATION_TOL}
 
 
 def _run_verify_nogo(args) -> tuple[bool, dict, dict, dict]:
@@ -402,7 +404,8 @@ def _run_verify_nogo(args) -> tuple[bool, dict, dict, dict]:
         "output_vector": list(cert.output_vector),
         "min_phase_factor_abs": min(abs(f) for f in cert.row_phase_factors),
     }
-    return cert.passed, {}, metrics, {"norm": 1e-15}
+    tolerances = {"min_phase_factor_abs": NOGO_MIN_PHASE_FACTOR, "norm_gap": NOGO_MIN_NORM_GAP}
+    return cert.passed, {}, metrics, tolerances
 
 
 def _run_verify_incomplete(args) -> tuple[bool, dict, dict, dict]:

@@ -17,7 +17,7 @@ import numpy as np
 from .atoms import ATOM, ONE, X_BITS, FunctionSum, fs_add, fs_sub, norm, normalize
 from .errors import CapacityError, ContractError
 from .filters import FilterBank
-from .transform import DEFAULT_EVALUATOR, TransformEvaluator, cis, mu4_hat_array
+from .transform import cis, mu4_hat_array
 
 FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matrix
 MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes seconds
@@ -29,7 +29,6 @@ _X_DIGITS = 2 * (_PAIRS & X_BITS)  # x digit of each pair index: 0, 2, 0, 2
 @dataclass(frozen=True)
 class CuntzRep:
     bank: FilterBank
-    cfg: TransformEvaluator = DEFAULT_EVALUATOR
 
     def __post_init__(self):
         if not self.bank.admissible:
@@ -138,17 +137,17 @@ def verify_cuntz(
     max_ident = 0.0
     for _ in range(trials):
         F = random_function_sum(rng, level)
-        nf = norm(F, rep.cfg)
+        nf = norm(F)
         if nf == 0.0:
             continue
         for j in range(4):
             for k in range(4):
                 G = apply_S_star(rep, j, apply_S(rep, k, F))
                 D = fs_sub(G, F) if j == k else G
-                max_orth = max(max_orth, norm(D, rep.cfg) / nf)
+                max_orth = max(max_orth, norm(D) / nf)
         parts = [apply_S(rep, k, apply_S_star(rep, k, F)) for k in range(4)]
         total = fs_add(*parts)
-        max_ident = max(max_ident, norm(fs_sub(total, F), rep.cfg) / nf)
+        max_ident = max(max_ident, norm(fs_sub(total, F)) / nf)
     passed = max_orth <= tol and max_ident <= tol
     return CuntzCheckReport(
         trials=trials,
@@ -208,7 +207,7 @@ def _gram_rows(rep: CuntzRep, max_len: int) -> Iterator[np.ndarray]:
     rows = _level_rows(max_len)
     n = rows.shape[1]
     k = np.arange(n)
-    mu = mu4_hat_array(-k / 4.0**max_len, rep.cfg)
+    mu = mu4_hat_array(-k / 4.0**max_len)
     phases = [np.exp(-2j * np.pi * ((2 * k) % 4**i) / 4**i) for i in range(1, max_len + 1)]
     for f in range(n):
         entries = mu[: n - f].copy()

@@ -33,6 +33,10 @@ U2 = 0.5 * np.array([1, 1, -1, -1], dtype=complex)
 U3 = 0.5 * np.array([1, -1, -1, 1], dtype=complex)
 
 DEFAULT_UNITARITY_TOL = 1e-12
+# Pass thresholds of the scale-3 obstruction: every |1 + e^{4 pi i j/3}| must
+# exceed the first, and the norm gap sqrt(2) - 1 the second.
+NOGO_MIN_PHASE_FACTOR = 1e-9
+NOGO_MIN_NORM_GAP = 0.41
 
 
 def hadamard_rho(rho: complex, tol: float = 1e-12) -> np.ndarray:
@@ -180,7 +184,8 @@ def solve_alpha(
 
 
 def little_m(bank: FilterBank, j: int, t) -> complex:
-    """Symbol of the adjoint on exponentials: S_j* e_t = little_m(j,t) e_{(t-j)/4}."""
+    """Symbol of the adjoint on exponentials: S_j* e_t = little_m(j,t) e_{(t-j)/4},
+    at every element of t."""
     if not bank.admissible:
         raise ContractError("little_m requires an admissible bank")
     if j not in (0, 1, 2, 3):
@@ -188,12 +193,12 @@ def little_m(bank: FilterBank, j: int, t) -> complex:
     A = bank.A
     even_part = 0.5 * (A[j, 0].conjugate() + A[j, 2].conjugate())
     odd_part = 0.5 * (A[j, 1].conjugate() + A[j, 3].conjugate())
-    return even_part + (-1.0) ** j * odd_part * complex(cis(0.5 * float(t)))
+    return even_part + (-1.0) ** j * odd_part * cis(0.5 * np.asarray(t, dtype=np.float64))
 
 
 def g_map(j: int, t) -> float:
-    """Frequency descent map (t - j) / 4."""
-    return (float(t) - j) / 4.0
+    """Frequency descent map (t - j) / 4, at every element of t."""
+    return (np.asarray(t, dtype=np.float64) - j) / 4.0
 
 
 @dataclass(frozen=True)
@@ -227,7 +232,7 @@ def mu3_nogo_certificate() -> Mu3NoGoCertificate:
     input_norm = math.sqrt(2.0)
     output_norm = 1.0
     gap = input_norm - output_norm
-    passed = all(abs(f) > 1e-9 for f in factors) and gap > 0.41
+    passed = all(abs(f) > NOGO_MIN_PHASE_FACTOR for f in factors) and gap > NOGO_MIN_NORM_GAP
     return Mu3NoGoCertificate(
         row_phase_factors=factors,
         forced_row_sums=forced,

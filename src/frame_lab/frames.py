@@ -24,7 +24,7 @@ from .atoms import X_BITS, FunctionSum, refine
 from .cuntz import CuntzRep
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
 from .filters import g_map, little_m
-from .transform import DEFAULT_EVALUATOR, TransformEvaluator, mu4_hat, mu4_hat_array
+from .transform import mu4_hat, mu4_hat_array
 
 MAX_ENUM_LEN = 10  # n_max <= 4**MAX_ENUM_LEN for the weight table and every trace
 
@@ -32,6 +32,7 @@ WEIGHT_TABLE_COLUMNS = ("n", "l1", "l2", "l3", "weight_re", "weight_im", "weight
 TRACE_COLUMNS = ("N", "partial_sum", "target")
 SHAPE_TOL = 1e-10  # largest spread of the y-integrals that project_V accepts
 INCOMPLETE_THRESHOLD = 1e-6  # deficiency above which a frequency is flagged
+SPECIALIZATION_TOL = 1e-12  # largest gap verify_ruelle allows between reduced and general sums
 _CSV_BLOCK = 4**8  # weight table rows turned into Python objects at a time
 # Digit j adds 1 to l_j; the counts (<= 11) are packed 4 bits each while a listing is built.
 _PACKED_COUNT = np.array([0, 1, 16, 256], dtype=np.int16)
@@ -45,25 +46,22 @@ class WeightedExponential:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight family parameters, either via rho or directly via (p, q).
+    """Weight family parameters (p, q), given directly or via rho.
 
-    The two agree under p = (1+rho)/2, q = (1-rho)/2. The family is a
-    Parseval frame only for p != 0; the p = 0 member (rho = -1) still
-    generates weights (it is the incompleteness example) but is tagged
-    not Parseval-certified.
+    rho gives p = (1+rho)/2, q = (1-rho)/2. The family is a Parseval frame
+    only for p != 0; the p = 0 member (rho = -1) still generates weights
+    (it is the incompleteness example) but is tagged not Parseval-certified.
     """
 
-    mode: str
     p: complex
     q: complex
-    rho: complex | None = None
 
     @classmethod
     def from_rho(cls, rho: complex, tol: float = 1e-12) -> "WeightSpec":
         rho = complex(rho)
         if not abs(abs(rho) - 1.0) <= tol:  # also rejects nan
             raise DomainError(f"|rho| must be 1 within {tol}, got {abs(rho)}")
-        return cls(mode="rho", p=(1.0 + rho) / 2.0, q=(1.0 - rho) / 2.0, rho=rho)
+        return cls(p=(1.0 + rho) / 2.0, q=(1.0 - rho) / 2.0)
 
     @classmethod
     def from_pq(cls, p: complex, q: complex, tol: float = 1e-12) -> "WeightSpec":
@@ -71,7 +69,7 @@ class WeightSpec:
         dev = abs(abs(p) * abs(p) + abs(q) * abs(q) - 1.0)  # inf, not OverflowError, when huge
         if not dev <= tol:
             raise DomainError(f"|p|^2 + |q|^2 must be 1 within {tol}, off by {dev:.3g}")
-        return cls(mode="pq", p=p, q=q, rho=None)
+        return cls(p=p, q=q)
 
     @property
     def parseval_certified(self) -> bool:
@@ -189,20 +187,20 @@ def _checkpoint_grid(n_max: int) -> list[int]:
     return grid
 
 
-def _weighted_terms(f, digit_weights, n_max: int, cfg: TransformEvaluator) -> np.ndarray:
-    """terms[n] = |d_n|^2 |sum_g c_g mu4_hat(g - n)|^2 for n = 0 .. n_max.
+def _weighted_terms(f, digit_weights, n_max: int) -> np.ndarray:
+    """terms[..., n] = |d_n|^2 |sum_g c_g mu4_hat(g - n)|^2 for n = 0 .. n_max.
 
     The one kernel behind traces, incompleteness and the energy function; it
-    evaluates only the support of the weights, every other term is 0.0.
+    evaluates only the support of the weights, every other term is 0.0. A
+    frequency g may be an array ending in an axis of length 1: the terms
+    then get its leading axes.
     """
     n, _, d = weight_table(digit_weights, n_max)
-    if any(abs(g) + n_max >= 2**53 for g, _ in f):
+    if any(np.max(np.abs(g)) + n_max >= 2**53 for g, _ in f):
         raise DomainError("frequencies must stay below 2^53 to be exact in float64")
-    inner = np.zeros(len(n), dtype=complex)
-    for g, c in f:
-        inner += c * mu4_hat_array(g - n, cfg)
-    terms = np.zeros(n_max + 1)
-    terms[n] = np.abs(d) ** 2 * np.abs(inner) ** 2
+    inner = sum(c * mu4_hat_array(g - n) for g, c in f)
+    terms = np.zeros(inner.shape[:-1] + (n_max + 1,))
+    terms[..., n] = np.abs(d) ** 2 * np.abs(inner) ** 2
     return terms
 
 
@@ -210,7 +208,6 @@ def parseval_trace(
     f: Sequence[tuple[int, complex]],
     spec: WeightSpec,
     n_max: int,
-    cfg: TransformEvaluator = DEFAULT_EVALUATOR,
 ) -> PartialSumTrace:
     """Partial sums S_N = sum_{n<=N} |w_n|^2 |<f, e_n>|^2 at checkpoints 4^k.
 
@@ -225,29 +222,28 @@ def parseval_trace(
     target = 0.0
     for g1, c1 in f:
         for g2, c2 in f:
-            target += (c1 * c2.conjugate() * mu4_hat(g1 - g2, cfg)).real
-    terms = _weighted_terms(f, spec.digit_weights, n_max, cfg)
+            target += (c1 * c2.conjugate() * mu4_hat(g1 - g2)).real
+    terms = _weighted_terms(f, spec.digit_weights, n_max)
     running = np.cumsum(terms)
     checkpoints = tuple((N, float(running[N])) for N in _checkpoint_grid(n_max))
     return PartialSumTrace(checkpoints=checkpoints, target=target, terms=terms)
 
 
-def h_partial(
-    t,
-    rep: CuntzRep,
-    max_len: int,
-) -> float:
-    """Coefficient energy sum_{omega, |omega| <= max_len} |<e_t, S_omega 1>|^2.
+def h_partial(t, rep: CuntzRep, max_len: int):
+    """Coefficient energy sum_{omega, |omega| <= max_len} |<e_t, S_omega 1>|^2
+    at every element of t, in t's shape (a float64 scalar for a scalar t).
 
     By the projection formula P S_omega 1 = d_omega e_{c(omega)} this is the
     Parseval partial sum over n < 4^max_len for e_t with the bank's digit
-    weights, computed by the weighted-transform kernel. The refinement
-    identity check stays two-sided: the symbols little_m are independent.
+    weights, computed by the weighted-transform kernel: each t's terms are
+    one row, summed along it. The refinement identity check stays two-sided:
+    the symbols little_m are independent.
     """
     if max_len < 1:
         raise ContractError("max_len must be >= 1")
     weights = [rep.bank.digit_weight(j) for j in range(4)]
-    return float(_weighted_terms([(float(t), 1.0)], weights, 4**max_len - 1, rep.cfg).sum())
+    t = np.asarray(t, dtype=np.float64)
+    return _weighted_terms([(t[..., None], 1.0)], weights, 4**max_len - 1).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -273,35 +269,34 @@ def verify_ruelle(
     depth-(L+1) family is the disjoint union of the isometry images of the
     depth-L family. For the one-parameter banks the coefficients reduce to
     cos^2 and |1 +- conj(rho)|^2/4 * sin^2 (the j = 2 symbol vanishes), and
-    the reduced form must match the general one to 1e-12.
+    the reduced form must match the general one to SPECIALIZATION_TOL. The
+    grid is checked at once: one energy kernel call per level.
     """
     if L > 4:
         raise CapacityError("L must be <= 4")
-    if len(t_grid) == 0:
+    t = np.array(t_grid, dtype=np.float64, ndmin=1)
+    if t.size == 0:
         raise ContractError("t_grid must not be empty")
-    max_resid = 0.0
-    max_gap = None if rho is None else 0.0
-    for t in t_grid:
-        t = float(t)
-        lhs = h_partial(t, rep, L + 1)
-        h_vals = [h_partial(g_map(j, t), rep, L) for j in range(4)]
-        symbols = [abs(little_m(rep.bank, j, t)) ** 2 for j in range(4)]
-        rhs = sum(s * h for s, h in zip(symbols, h_vals))
-        max_resid = max(max_resid, abs(lhs - rhs))
-        if rho is not None:
-            c2 = math.cos(math.pi * t / 2.0) ** 2
-            s2 = math.sin(math.pi * t / 2.0) ** 2
-            rho_c = complex(rho).conjugate()
-            reduced = (
-                c2 * h_vals[0]
-                + s2 * abs(1.0 + rho_c) ** 2 / 4.0 * h_vals[1]
-                + s2 * abs(1.0 - rho_c) ** 2 / 4.0 * h_vals[3]
-            )
-            max_gap = max(max_gap, abs(rhs - reduced))
-    passed = max_resid <= tol and (max_gap is None or max_gap <= 1e-12)
+    lhs = h_partial(t, rep, L + 1)
+    h_vals = h_partial(np.array([g_map(j, t) for j in range(4)]), rep, L)
+    symbols = [np.abs(little_m(rep.bank, j, t)) ** 2 for j in range(4)]
+    rhs = sum(s * h for s, h in zip(symbols, h_vals))
+    max_resid = float(np.max(np.abs(lhs - rhs)))
+    max_gap = None
+    if rho is not None:
+        c2 = np.cos(math.pi * t / 2.0) ** 2
+        s2 = np.sin(math.pi * t / 2.0) ** 2
+        rho_c = complex(rho).conjugate()
+        reduced = (
+            c2 * h_vals[0]
+            + s2 * abs(1.0 + rho_c) ** 2 / 4.0 * h_vals[1]
+            + s2 * abs(1.0 - rho_c) ** 2 / 4.0 * h_vals[3]
+        )
+        max_gap = float(np.max(np.abs(rhs - reduced)))
+    passed = max_resid <= tol and (max_gap is None or max_gap <= SPECIALIZATION_TOL)
     return RuelleReport(
         level=L,
-        grid=tuple(float(t) for t in t_grid),
+        grid=tuple(t.tolist()),
         max_refinement_residual=max_resid,
         max_specialization_gap=max_gap,
         tol=tol,
@@ -327,7 +322,6 @@ class IncompletenessReport:
 def incompleteness_report(
     gammas: Sequence[int],
     n_max: int,
-    cfg: TransformEvaluator = DEFAULT_EVALUATOR,
 ) -> IncompletenessReport:
     """Deficiency 1 - S_{n_max}(e_gamma) for the p = 0 weight family.
 
@@ -339,7 +333,7 @@ def incompleteness_report(
     spec = WeightSpec.from_rho(-1.0)
     entries = []
     for gamma in gammas:
-        trace = parseval_trace([(int(gamma), 1.0)], spec, n_max, cfg)
+        trace = parseval_trace([(int(gamma), 1.0)], spec, n_max)
         deficiency = trace.target - trace.final_value
         entries.append(
             IncompletenessEntry(

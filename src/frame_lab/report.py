@@ -7,7 +7,7 @@ duration_ms is a pure function of the flags and the package version.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ class RunReport:
     tolerances: dict
     duration_ms: int
     version: str
-    schema_version: str = field(default="1")
 
     def to_dict(self) -> dict:
         return {
@@ -45,22 +44,8 @@ class RunReport:
             "tolerances": _jsonable(self.tolerances),
             "duration_ms": int(self.duration_ms),
             "version": self.version,
-            "schema_version": self.schema_version,
+            "schema_version": "1",
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        data = json.loads(text)
-        return cls(
-            command=data["command"],
-            params=data["params"],
-            metrics=data["metrics"],
-            passed=data["pass"],
-            tolerances=data["tolerances"],
-            duration_ms=data["duration_ms"],
-            version=data["version"],
-            schema_version=data.get("schema_version", "1"),
-        )

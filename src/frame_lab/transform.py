@@ -14,15 +14,16 @@ evaluated exactly at quarter turns so the structural zeros of mu4_hat at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, DomainError
+from .errors import CapacityError, DomainError
 
 # e^{2 pi i m/4}, m = 0..3 (a negative m indexes from the end: m = -1 is -i)
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
 _BLOCK = 256  # elements per pass of mu4_hat_array; bounds its (factor x element) arrays
+TOL = 1e-12  # default bound on the deviation of the truncated product from the infinite one
+MAX_FACTORS = 64  # largest factor count a certified evaluation may use
 
 
 def cis(turns) -> np.ndarray:
@@ -40,34 +41,23 @@ def cis(turns) -> np.ndarray:
     return out.reshape(np.shape(turns))
 
 
-@dataclass(frozen=True)
-class TransformEvaluator:
-    """Truncation policy for the infinite product."""
+def factor_count(t_abs, tol: float) -> np.ndarray:
+    """Certified factor count at every element of |t|.
 
-    tolerance: float = 1e-12
-    max_factors: int = 64
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise DomainError("tolerance must be positive")
-        if self.max_factors < 1:
-            raise ContractError("max_factors must be >= 1")
-
-    def factor_count(self, t_abs) -> np.ndarray:
-        # Tail factors obey |factor - 1| <= pi*|t|*4^-k, so stopping at
-        # max(2, ceil(log4(max(|t|,1)/eps)) + 2) with eps = tolerance/10
-        # keeps the tail's total deviation below tolerance.
-        log4 = (np.log(np.maximum(t_abs, 1.0)) - math.log(self.tolerance / 10.0)) / math.log(4.0)
-        counts = np.maximum(2, np.ceil(log4).astype(np.int64) + 2)
-        if np.any(counts > self.max_factors):
-            raise CapacityError(f"|t| = {np.max(t_abs):.3g} needs over {self.max_factors} factors")
-        return counts
+    Tail factors obey |factor - 1| <= pi*|t|*4^-k, so stopping at
+    max(2, ceil(log4(max(|t|,1)/eps)) + 2) with eps = tol/10 keeps the
+    tail's total deviation below tol.
+    """
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    log4 = (np.log(np.maximum(t_abs, 1.0)) - math.log(tol / 10.0)) / math.log(4.0)
+    counts = np.maximum(2, np.ceil(log4).astype(np.int64) + 2)
+    if np.any(counts > MAX_FACTORS):
+        raise CapacityError(f"|t| = {np.max(t_abs):.3g} needs over {MAX_FACTORS} factors")
+    return counts
 
 
-DEFAULT_EVALUATOR = TransformEvaluator()
-
-
-def mu4_hat_array(t, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> np.ndarray:
+def mu4_hat_array(t, tol: float = TOL) -> np.ndarray:
     """Truncated product at every element of a float64 array.
 
     Factor k is (1 + cis(2t/4^k))/2: the turns come from a power-of-two
@@ -82,7 +72,7 @@ def mu4_hat_array(t, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> np.ndarray:
     t = np.array(t, dtype=np.float64, ndmin=1)
     if not np.all(np.isfinite(t)):
         raise DomainError("t must be finite")
-    counts = cfg.factor_count(np.abs(t)).ravel()
+    counts = factor_count(np.abs(t), tol).ravel()
     k = np.arange(1, np.max(counts, initial=0) + 1)[:, None]
     out = np.empty(t.shape, dtype=complex)
     flat_t, flat_out = t.ravel(), out.reshape(-1)
@@ -98,7 +88,7 @@ def mu4_hat_array(t, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> np.ndarray:
     return out
 
 
-def mu4_hat(t: float, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> complex:
+def mu4_hat(t: float, tol: float = TOL) -> complex:
     """mu4_hat_array at one real t; |result| <= 1.
 
     t is read as float64, exact for integers and dyadic rationals below 2^53.
@@ -106,4 +96,4 @@ def mu4_hat(t: float, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> complex:
     x = float(t)
     if isinstance(t, bool) or not math.isfinite(x):
         raise DomainError(f"t must be a finite real number, got {t!r}")
-    return complex(mu4_hat_array(x, cfg)[0])
+    return complex(mu4_hat_array(x, tol)[0])

@@ -1,13 +1,8 @@
 import pytest
 
-from frame_lab import TransformEvaluator, rho_bank, solve_alpha
+from frame_lab import rho_bank, solve_alpha
 
 S2 = 2**-0.5
-
-
-@pytest.fixture(scope="session")
-def cfg():
-    return TransformEvaluator(tolerance=1e-12)
 
 
 @pytest.fixture(scope="session")

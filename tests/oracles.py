@@ -35,7 +35,7 @@ from frame_lab.cuntz import apply_S
 from frame_lab.errors import CapacityError, ContractError, DomainError
 from frame_lab.filters import filter_bank_from_A, hadamard_rho, little_m, solve_alpha
 from frame_lab.frames import MAX_ENUM_LEN, WEIGHT_TABLE_COLUMNS
-from frame_lab.transform import DEFAULT_EVALUATOR, TransformEvaluator, mu4_hat, mu4_hat_array
+from frame_lab.transform import mu4_hat, mu4_hat_array
 
 _ALPHABET = (0, 1, 2, 3)
 
@@ -217,7 +217,6 @@ def dense_inner(
     freq_g,
     vec_g: np.ndarray,
     level_g: int,
-    cfg: TransformEvaluator,
 ) -> complex:
     """<F, G> for two single-frequency step-function sums in dense form.
 
@@ -226,7 +225,7 @@ def dense_inner(
     4^-K * mu4_hat((fF - fG)/4^K) * sum_m vF[m] conj(vG[m]) e^{2 pi i (fF - fG) off[m]}.
     """
     if level_f > level_g:
-        return complex(dense_inner(freq_g, vec_g, level_g, freq_f, vec_f, level_f, cfg)).conjugate()
+        return complex(dense_inner(freq_g, vec_g, level_g, freq_f, vec_f, level_f)).conjugate()
     K = level_g
     if level_f < K:
         vec_f = np.repeat(vec_f, 4 ** (K - level_f))
@@ -234,7 +233,7 @@ def dense_inner(
     if isinstance(delta, int):
         delta = Fraction(delta)
     phases = np.exp(2j * np.pi * float(delta) * _x_offsets(K))
-    mu = mu4_hat(delta / 4**K if isinstance(delta, Fraction) else delta / 4.0**K, cfg)
+    mu = mu4_hat(delta / 4**K if isinstance(delta, Fraction) else delta / 4.0**K)
     return complex(4.0 ** (-K) * mu * np.vdot(vec_g, vec_f * phases))
 
 
@@ -244,7 +243,7 @@ def oracle_h_partial_dense(t: float, rep, max_len: int) -> float:
     total = 0.0
     for word in enumerate_X4(max_len):
         vec = _dense_word_vector(rep.bank, word)
-        val = dense_inner(t, e_vec, 0, c_of_word(word), vec, len(word), rep.cfg)
+        val = dense_inner(t, e_vec, 0, c_of_word(word), vec, len(word))
         total += abs(val) ** 2
     return total
 
@@ -261,10 +260,11 @@ def s_word_one(rep, word) -> FunctionSum:
     return normalize(FunctionSum([(c, c_of_word(word), m, K) for m, c in enumerate(coeffs)]))
 
 
-def bank_for_spec(spec, tol: float = 1e-12):
-    """An admissible bank whose projection weights realize the given family."""
-    if spec.mode == "rho":
-        return filter_bank_from_A(hadamard_rho(spec.rho, tol), tol)
+def bank_for_spec(spec, rho=None, tol: float = 1e-12):
+    """An admissible bank whose projection weights realize the given family:
+    the one-parameter bank when the family's rho is given, else a solver bank."""
+    if rho is not None:
+        return filter_bank_from_A(hadamard_rho(rho, tol), tol)
     p, q = spec.p, spec.q
     fill = np.sqrt(max(1.0 - abs(p) ** 2, 0.0))
     if fill > tol:
@@ -313,14 +313,14 @@ class XCylinder:
         return Fraction(sum(d * 4 ** (K - i) for i, d in enumerate(self.digits, start=1)), 4**K)
 
 
-def cylinder_exp_integral(delta, u: XCylinder, cfg=DEFAULT_EVALUATOR) -> complex:
+def cylinder_exp_integral(delta, u: XCylinder) -> complex:
     """integral of e^{2 pi i delta x} over the cylinder u, against mu4.
 
     Equals 2^-K * e^{2 pi i delta offset(u)} * mu4_hat(delta / 4^K) by
     self-similarity of mu4 restricted to a level-K cylinder.
     """
     K = len(u)
-    return 2.0 ** (-K) * exact_cis(delta * u.offset) * mu4_hat(delta / 4**K, cfg)
+    return 2.0 ** (-K) * exact_cis(delta * u.offset) * mu4_hat(delta / 4**K)
 
 
 def ifs_monte_carlo_integral(f, depth: int, samples: int, seed: int) -> complex:
@@ -496,7 +496,7 @@ def _compatible(a: Atom, b: Atom):
     return None
 
 
-def atom_inner_product(F: AtomSum, G: AtomSum, cfg: TransformEvaluator = DEFAULT_EVALUATOR) -> complex:
+def atom_inner_product(F: AtomSum, G: AtomSum) -> complex:
     """<F, G> in L^2 of the product measure, summed exactly over atom pairs.
 
     A nested pair at deeper level K with intersection word u contributes
@@ -520,7 +520,7 @@ def atom_inner_product(F: AtomSum, G: AtomSum, cfg: TransformEvaluator = DEFAULT
             terms.append(a.coeff * b.coeff.conjugate() * 4.0 ** (-K) * exact_cis(delta * offset))
             ts.append(float(delta / 4**K))
     total = complex(0.0, 0.0)
-    for term, mu in zip(terms, mu4_hat_array(ts, cfg).tolist()):
+    for term, mu in zip(terms, mu4_hat_array(ts).tolist()):
         total += term * mu
     return total
 

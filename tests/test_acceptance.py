@@ -103,11 +103,11 @@ def _all_words_up_to(max_len: int):
             yield Word4(letters)
 
 
-def test_c04_projection_formula(bank_i, bank_pq, cfg):
+def test_c04_projection_formula(bank_i, bank_pq):
     started = time.perf_counter()
     max_dev = 0.0
     for bank in (bank_i, bank_pq):
-        rep = CuntzRep(bank, cfg)
+        rep = CuntzRep(bank)
         for word in _all_words_up_to(4):
             got = project_V(apply_word(rep, word, ONE))
             assert len(got) == 1
@@ -118,13 +118,13 @@ def test_c04_projection_formula(bank_i, bank_pq, cfg):
     _report(4, "projection formula", f"682 words, max weight dev = {max_dev:.2e}, {elapsed:.1f}s")
 
 
-def test_c05_exact_parseval_in_the_basis_limit(cfg):
+def test_c05_exact_parseval_in_the_basis_limit():
     started = time.perf_counter()
     spec = WeightSpec.from_rho(1.0)
     worst_gap = 0.0
     worst_term = 0.0
     for gamma in [0, 1, 4, 5, 16, 17, 20, 21]:
-        trace = parseval_trace([(gamma, 1.0)], spec, 4**6, cfg)
+        trace = parseval_trace([(gamma, 1.0)], spec, 4**6)
         for N, value in trace.checkpoints:
             if N >= gamma:
                 worst_gap = max(worst_gap, abs(value - 1.0))
@@ -140,7 +140,7 @@ def test_c05_exact_parseval_in_the_basis_limit(cfg):
     )
 
 
-def test_c06_bessel_cap_and_monotonicity(cfg):
+def test_c06_bessel_cap_and_monotonicity():
     started = time.perf_counter()
     specs = [
         WeightSpec.from_rho(1j),
@@ -157,7 +157,7 @@ def test_c06_bessel_cap_and_monotonicity(cfg):
     worst_excess = -1.0
     for spec in specs:
         for f in fs:
-            trace = parseval_trace(f, spec, 4**6, cfg)
+            trace = parseval_trace(f, spec, 4**6)
             values = [v for _, v in trace.checkpoints]
             assert all(b >= a for a, b in zip(values, values[1:])), "trace not monotone"
             cap = trace.target * (1.0 + 1e-8)
@@ -167,10 +167,10 @@ def test_c06_bessel_cap_and_monotonicity(cfg):
     _report(6, "Bessel cap", f"30 traces monotone, max S - ||f||^2 = {worst_excess:.2e}, {elapsed:.1f}s")
 
 
-def test_c07_parseval_convergence_regression(cfg):
+def test_c07_parseval_convergence_regression():
     started = time.perf_counter()
     spec = WeightSpec.from_pq(S2, S2)
-    trace = parseval_trace([(0, 1.0)], spec, 4**8, cfg)
+    trace = parseval_trace([(0, 1.0)], spec, 4**8)
     oracle = oracle_trace_checkpoints(0, S2, S2, 4**8)
     values = [v for _, v in trace.checkpoints]
     max_gap = 0.0
@@ -233,10 +233,10 @@ def test_c09_energy_function_behavior(bank_one, bank_i, bank_minus_one, bank_pq)
     )
 
 
-def test_c10_incompleteness_of_the_degenerate_family(cfg):
+def test_c10_incompleteness_of_the_degenerate_family():
     started = time.perf_counter()
     spec = WeightSpec.from_rho(-1.0)
-    trace = parseval_trace([(1, 1.0)], spec, 4**8, cfg)
+    trace = parseval_trace([(1, 1.0)], spec, 4**8)
     ns = np.arange(4**8 + 1)
     stray = trace.terms[ns % 4 != 3]
     assert float(stray.max()) <= 1e-20
@@ -267,7 +267,7 @@ def test_c11_scale3_obstruction():
     _report(11, "scale-3 obstruction", f"norm gap = {cert.norm_gap:.10f}, {elapsed:.2f}s")
 
 
-def test_c12_integration_paths_agree(cfg):
+def test_c12_integration_paths_agree():
     started = time.perf_counter()
     from frame_lab.atoms import normalize
 
@@ -289,7 +289,7 @@ def test_c12_integration_paths_agree(cfg):
     worst = 0.0
     for trial in range(20):
         F, G = random_sum(), random_sum()
-        exact = inner_product(F, G, cfg)
+        exact = inner_product(F, G)
         mc = ifs_monte_carlo_integral(
             lambda x, y, digits: evaluate(F, x, digits) * np.conj(evaluate(G, x, digits)),
             depth=24,

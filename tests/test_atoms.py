@@ -61,10 +61,10 @@ def test_inner_product_constants():
     assert inner_product(ONE, ONE) == 1
 
 
-def test_inner_product_of_exponentials_is_transform(cfg):
-    assert inner_product(exponential(1), exponential(0), cfg) == mu4_hat(1, cfg)
-    got = inner_product(exponential(5), exponential(2), cfg)
-    assert abs(got - mu4_hat(3, cfg)) < 1e-15
+def test_inner_product_of_exponentials_is_transform():
+    assert inner_product(exponential(1), exponential(0)) == mu4_hat(1)
+    got = inner_product(exponential(5), exponential(2))
+    assert abs(got - mu4_hat(3)) < 1e-15
 
 
 def test_level_one_cylinder_mass():
@@ -135,58 +135,58 @@ def test_normalize_merges_and_drops():
     assert F.atoms["coeff"][0] == 1.0
 
 
-def test_normalize_keeps_inner_products(cfg):
+def test_normalize_keeps_inner_products():
     rng = np.random.default_rng(6)
     for _ in range(10):
         F = random_sum(rng)
         G = random_sum(rng)
         doubled = FunctionSum(np.concatenate([fs_scale(F, 0.5).atoms] * 2))
-        assert abs(inner_product(doubled, G, cfg) - inner_product(F, G, cfg)) < 1e-12
+        assert abs(inner_product(doubled, G) - inner_product(F, G)) < 1e-12
 
 
-def test_sesquilinearity(cfg):
+def test_sesquilinearity():
     rng = np.random.default_rng(7)
     for _ in range(10):
         F, G, H = (random_sum(rng) for _ in range(3))
         a = complex(rng.standard_normal(), rng.standard_normal())
-        lhs = inner_product(fs_add(fs_scale(F, a), G), H, cfg)
-        rhs = a * inner_product(F, H, cfg) + inner_product(G, H, cfg)
+        lhs = inner_product(fs_add(fs_scale(F, a), G), H)
+        rhs = a * inner_product(F, H) + inner_product(G, H)
         assert abs(lhs - rhs) < 1e-12
 
 
-def test_hermitian_symmetry(cfg):
+def test_hermitian_symmetry():
     rng = np.random.default_rng(8)
     for _ in range(10):
         F, G = random_sum(rng), random_sum(rng)
-        assert abs(inner_product(F, G, cfg) - inner_product(G, F, cfg).conjugate()) < 1e-12
+        assert abs(inner_product(F, G) - inner_product(G, F).conjugate()) < 1e-12
 
 
-def test_norm_positive_definite(cfg):
+def test_norm_positive_definite():
     rng = np.random.default_rng(9)
     for _ in range(10):
         F = random_sum(rng)
-        sq = inner_product(F, F, cfg)
+        sq = inner_product(F, F)
         assert sq.real >= 0
         assert abs(sq.imag) < 1e-13
     assert norm(FunctionSum([])) == 0
 
 
-def test_atom_equals_sum_of_children(cfg):
+def test_atom_equals_sum_of_children():
     rng = np.random.default_rng(10)
     parent = function_sum([Atom(1.0, 3, (3,))])
     children = refine(parent, 3)
     diff = fs_sub(parent, children)
     for _ in range(10):
         T = random_sum(rng)
-        assert abs(inner_product(diff, T, cfg)) < 1e-12
+        assert abs(inner_product(diff, T)) < 1e-12
 
 
-def test_inner_product_against_monte_carlo(cfg):
+def test_inner_product_against_monte_carlo():
     rng = np.random.default_rng(11)
     samples = 100_000
     for _ in range(4):
         F, G = random_sum(rng), random_sum(rng)
-        exact = inner_product(F, G, cfg)
+        exact = inner_product(F, G)
         mc = ifs_monte_carlo_integral(
             lambda x, y, digits: evaluate(F, x, digits) * np.conj(evaluate(G, x, digits)),
             depth=24,
@@ -196,14 +196,14 @@ def test_inner_product_against_monte_carlo(cfg):
         assert abs(mc - exact) <= 5 / math.sqrt(samples)
 
 
-def test_mixed_level_inner_product_matches_refined(cfg):
+def test_mixed_level_inner_product_matches_refined():
     rng = np.random.default_rng(12)
     for _ in range(10):
         F = random_sum(rng, max_level=1)
         G = random_sum(rng, max_level=2)
         K = max(F.level, G.level)
-        direct = inner_product(F, G, cfg)
-        flat = inner_product(refine(F, K), refine(G, K), cfg)
+        direct = inner_product(F, G)
+        flat = inner_product(refine(F, K), refine(G, K))
         assert abs(direct - flat) < 1e-12
 
 
@@ -220,7 +220,7 @@ def _oracle_sum(rng, n_atoms):
     return atoms + atoms[: n_atoms // 3]
 
 
-def test_array_calculus_matches_atom_oracle(bank_i, bank_pq, cfg):
+def test_array_calculus_matches_atom_oracle(bank_i, bank_pq):
     rng = np.random.default_rng(20261018)
     reps = [CuntzRep(bank) for bank in (bank_i, rho_bank(complex(np.exp(1j * np.pi / 3))), bank_pq)]
     for trial in range(30):
@@ -234,5 +234,5 @@ def test_array_calculus_matches_atom_oracle(bank_i, bank_pq, cfg):
             assert max_coeff_gap(apply_S(rep, j, F), atom_apply_S(rep, j, ref)) <= 1e-15
             assert max_coeff_gap(apply_S_star(rep, j, F), atom_apply_S_star(rep, j, ref)) <= 1e-15
         G = normalize(function_sum(_oracle_sum(rng, 5)))
-        want = atom_inner_product(ref, atom_sum(G), cfg)
-        assert abs(inner_product(F, G, cfg) - want) <= 1e-15
+        want = atom_inner_product(ref, atom_sum(G))
+        assert abs(inner_product(F, G) - want) <= 1e-15

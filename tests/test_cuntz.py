@@ -108,14 +108,14 @@ def test_adjoint_fixes_constant(rep_i):
     assert norm(fs_sub(out, ONE)) < 1e-15
 
 
-def test_adjoint_correctness(rep_i, cfg):
+def test_adjoint_correctness(rep_i):
     rng = np.random.default_rng(23)
     for _ in range(5):
         F = random_function_sum(rng, 2)
         G = random_function_sum(rng, 3)
         for j in range(4):
-            lhs = inner_product(apply_S(rep_i, j, F), G, cfg)
-            rhs = inner_product(F, apply_S_star(rep_i, j, G), cfg)
+            lhs = inner_product(apply_S(rep_i, j, F), G)
+            rhs = inner_product(F, apply_S_star(rep_i, j, G))
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -220,7 +220,7 @@ def test_gram_rows_match_dense_oracle(bank_one, rep_i, rep_pq):
         for f, row in enumerate(rows):
             assert len(row) == len(words) - f
             for g in range(f, len(words)):
-                assert abs(row[g - f] - dense_inner(*vecs[f], *vecs[g], rep.cfg)) <= 1e-12
+                assert abs(row[g - f] - dense_inner(*vecs[f], *vecs[g])) <= 1e-12
 
 
 def test_gram_length_five(rep_i, rep_pq):
@@ -230,29 +230,27 @@ def test_gram_length_five(rep_i, rep_pq):
         assert report.max_dev <= 1e-8
 
 
-def test_dense_inner_matches_generic(rep_i, cfg):
+def test_dense_inner_matches_generic(rep_i):
     words = [Word4((1,)), Word4((2, 1)), Word4((1, 3, 2)), Word4((3, 0))]
     for wa in words:
         for wb in words:
             va, vb = s_word_one(rep_i, wa), s_word_one(rep_i, wb)
-            generic = inner_product(va, vb, cfg)
+            generic = inner_product(va, vb)
             dense = dense_inner(
                 c_of_word(wa), _dense_word_vector(rep_i.bank, wa), len(wa),
                 c_of_word(wb), _dense_word_vector(rep_i.bank, wb), len(wb),
-                cfg,
             )
             assert abs(generic - dense) < 1e-12
 
 
-def test_dense_inner_matches_generic_for_exponentials(rep_i, cfg):
+def test_dense_inner_matches_generic_for_exponentials(rep_i):
     for t in (0.0, -0.37, 2.5):
         for letters in [(1,), (2, 1), (1, 3, 2)]:
             w = Word4(letters)
-            generic = inner_product(exponential(t), s_word_one(rep_i, w), cfg)
+            generic = inner_product(exponential(t), s_word_one(rep_i, w))
             dense = dense_inner(
                 t, np.ones(1, dtype=complex), 0,
                 c_of_word(w), _dense_word_vector(rep_i.bank, w), len(w),
-                cfg,
             )
             assert abs(generic - dense) < 1e-12
 

@@ -119,7 +119,7 @@ def test_project_constant():
     assert got[0].weight == 1
 
 
-def test_projection_formula_word_vectors(bank_i, cfg):
+def test_projection_formula_word_vectors(bank_i):
     rep = CuntzRep(bank_i)
     for w in enumerate_X4(3):
         got = project_V(s_word_one(rep, w))
@@ -147,10 +147,14 @@ def test_project_rejects_fractional_frequency():
         project_V(frac)
 
 
-def test_weight_consistency_between_modes(cfg):
-    specs = [WeightSpec.from_rho(1.0), WeightSpec.from_rho(1j), WeightSpec.from_pq(0.6, 0.8)]
-    for spec in specs:
-        bank = bank_for_spec(spec)
+def test_weight_consistency_between_modes():
+    families = [
+        (WeightSpec.from_rho(1.0), 1.0),
+        (WeightSpec.from_rho(1j), 1j),
+        (WeightSpec.from_pq(0.6, 0.8), None),
+    ]
+    for spec, rho in families:
+        bank = bank_for_spec(spec, rho)
         for w in enumerate_X4(3):
             assert abs(projection_weight(bank, w) - frame_weight(spec, c_of_word(w))) < 1e-12
 
@@ -200,40 +204,40 @@ def test_kernel_input_guards(bank_one):
         h_partial(0.0, CuntzRep(bank_one), 0)
 
 
-def test_trace_rho_one_at_basis_frequency(cfg):
+def test_trace_rho_one_at_basis_frequency():
     spec = WeightSpec.from_rho(1.0)
-    trace = parseval_trace([(0, 1.0)], spec, 256, cfg)
+    trace = parseval_trace([(0, 1.0)], spec, 256)
     assert all(abs(v - 1.0) <= 1e-12 for _, v in trace.checkpoints)
     # gamma = 21 needs N >= 21 before the single surviving term arrives
-    trace21 = parseval_trace([(21, 1.0)], spec, 256, cfg)
+    trace21 = parseval_trace([(21, 1.0)], spec, 256)
     values = dict(trace21.checkpoints)
     assert values[4] == 0 and values[16] == 0
     assert abs(values[64] - 1.0) <= 1e-12 and abs(values[256] - 1.0) <= 1e-12
 
 
-def test_trace_monotone_and_bessel(cfg):
+def test_trace_monotone_and_bessel():
     spec = WeightSpec.from_pq(S2, S2)
     f = [(0, 0.5 + 0.1j), (5, -0.25), (17, 0.3j)]
-    trace = parseval_trace(f, spec, 1024, cfg)
+    trace = parseval_trace(f, spec, 1024)
     values = [v for _, v in trace.checkpoints]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert all(v <= trace.target * (1 + 1e-8) for v in values)
     assert np.all(trace.terms >= 0)
 
 
-def test_trace_regression_nonterminating(cfg):
+def test_trace_regression_nonterminating():
     # e_2 lies outside the digit-{0,1,3} weight support, so the trace climbs
     spec = WeightSpec.from_pq(S2, S2)
-    trace = parseval_trace([(2, 1.0)], spec, 4096, cfg)
+    trace = parseval_trace([(2, 1.0)], spec, 4096)
     values = dict(trace.checkpoints)
     for N, frozen in PQ_E2_CHECKPOINTS.items():
         assert abs(values[N] - frozen) <= 1e-9
     assert all(b > a for a, b in zip(sorted(values), sorted(values)[1:]))
 
 
-def test_trace_matches_oracle_path(cfg):
+def test_trace_matches_oracle_path():
     spec = WeightSpec.from_rho(-1.0)
-    trace = parseval_trace([(1, 1.0)], spec, 256, cfg)
+    trace = parseval_trace([(1, 1.0)], spec, 256)
     oracle = oracle_trace_checkpoints(1, 0.0, 1.0, 256)
     for N, value in trace.checkpoints:
         assert abs(value - oracle[N]) <= 1e-9
@@ -272,9 +276,12 @@ def test_h_partial_matches_both_oracles(bank_name, bank_one, bank_i, bank_minus_
         "pq": bank_pq,
     }[bank_name]
     rep = CuntzRep(bank)
+    ts = np.array([[-0.3, 0.7, 2.25], [3.0, -5.0, 0.5]])
     for L in (1, 2, 3, 4):
-        for t in (-0.3, 0.7, 2.25, 3.0, -5.0):
-            got = h_partial(t, rep, L)
+        at_once = h_partial(ts, rep, L)
+        assert at_once.shape == ts.shape
+        for t, got in zip(ts.ravel().tolist(), at_once.ravel().tolist()):
+            assert got == h_partial(t, rep, L)  # one row of the array call, bit for bit
             assert abs(got - oracle_h_partial(t, bank, L)) <= 1e-12
             assert abs(got - oracle_h_partial_dense(t, rep, L)) <= 1e-12
 
@@ -308,8 +315,8 @@ def test_ruelle_identity_pq_bank(bank_pq):
     assert report.max_specialization_gap is None
 
 
-def test_incompleteness_report(cfg):
-    report = incompleteness_report([0, 1, 3], 256, cfg)
+def test_incompleteness_report():
+    report = incompleteness_report([0, 1, 3], 256)
     by_gamma = {e.gamma: e for e in report.entries}
     assert by_gamma[0].deficiency <= 1e-12
     assert not by_gamma[0].flagged
@@ -333,8 +340,8 @@ def test_weight_table_csv(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_trace_csv(tmp_path, cfg):
-    trace = parseval_trace([(2, 1.0)], WeightSpec.from_pq(S2, S2), 64, cfg)
+def test_trace_csv(tmp_path):
+    trace = parseval_trace([(2, 1.0)], WeightSpec.from_pq(S2, S2), 64)
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     lines = path.read_text().strip().splitlines()

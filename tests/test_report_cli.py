@@ -12,8 +12,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from frame_lab import RunReport
 from frame_lab.cli import MAX_GAMMAS, MAX_GRID_POINTS, MAX_SAMPLES, main
 from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_TRIALS
-from frame_lab.frames import MAX_ENUM_LEN
-from frame_lab.filters import matrix_to_json, hadamard_rho
+from frame_lab.frames import MAX_ENUM_LEN, SPECIALIZATION_TOL
+from frame_lab.filters import (
+    NOGO_MIN_NORM_GAP,
+    NOGO_MIN_PHASE_FACTOR,
+    hadamard_rho,
+    matrix_to_json,
+)
 
 S2 = "0.7071067811865476"
 # The solver bank with p = q = 1/sqrt(2).
@@ -44,9 +49,16 @@ def test_report_round_trip():
         version="0.1.0",
     )
     text = report.to_json()
-    again = RunReport.from_json(text)
-    assert again == report
-    assert json.loads(text)["pass"] is True
+    assert json.loads(text) == {
+        "command": "verify gram",
+        "params": {"rho_re": 0.0, "rho_im": 1.0},
+        "metrics": {"max_offdiag": 1.2e-15},
+        "pass": True,
+        "tolerances": {"max_entry_dev": 1e-8},
+        "duration_ms": 12,
+        "version": "0.1.0",
+        "schema_version": "1",
+    }
     # keys sorted lexicographically
     keys = list(json.loads(text).keys())
     assert keys == sorted(keys)
@@ -82,13 +94,25 @@ def test_mu4hat_one_vanishes(capsys):
     assert abs(data["metrics"]["im"]) <= 1e-12
 
 
-def test_mu4hat_matches_recursion(capsys, cfg):
+def test_mu4hat_matches_recursion(capsys):
     from oracles import mu4_hat_recursive
 
     code, out, _ = run_cli(capsys, "mu4hat", "--t", "2", "--tol", "1e-12")
     data = last_json(out)
     want = mu4_hat_recursive(2.0)
     assert abs(complex(data["metrics"]["re"], data["metrics"]["im"]) - want) < 1e-12
+
+
+def test_mu4hat_tolerance_reaches_the_factor_count(capsys, monkeypatch):
+    # t = 1e30 needs more factors than allowed at the default tolerance, not at 1e-3
+    monkeypatch.delenv("FRAME_LAB_TOL", raising=False)
+    code, out, _ = run_cli(capsys, "mu4hat", "--t", "1e30")
+    assert (code, out) == (3, "")
+    code, out, _ = run_cli(capsys, "mu4hat", "--t", "1e30", "--tol", "1e-3")
+    assert code == 0 and last_json(out)["tolerances"] == {"tolerance": 1e-3}
+    monkeypatch.setenv("FRAME_LAB_TOL", "1e-3")
+    code, out, _ = run_cli(capsys, "mu4hat", "--t", "1e30")
+    assert code == 0 and last_json(out)["tolerances"] == {"tolerance": 1e-3}
 
 
 def test_weights_gamma4(tmp_path, capsys):
@@ -142,6 +166,11 @@ def test_verify_nogo(capsys):
     assert data["pass"] is True
     assert abs(data["metrics"]["norm_gap"] - 0.4142) < 1e-3
     assert data["metrics"]["output_vector"] == [1, 0, 0, 0]
+    # the report names the thresholds the pass condition compares against
+    assert data["tolerances"] == {
+        "min_phase_factor_abs": NOGO_MIN_PHASE_FACTOR,
+        "norm_gap": NOGO_MIN_NORM_GAP,
+    }
 
 
 def test_verify_unitarity_and_matrix_json(tmp_path, capsys):
@@ -211,7 +240,9 @@ def test_verify_ruelle_cli(capsys):
         capsys, "verify", "ruelle", "--rho-im", "1", "--grid=-1:0:5", "--level", "2"
     )
     assert code == 0
-    assert last_json(out)["metrics"]["max_refinement_residual"] <= 1e-9
+    data = last_json(out)
+    assert data["metrics"]["max_refinement_residual"] <= 1e-9
+    assert data["tolerances"]["specialization"] == SPECIALIZATION_TOL
     # a solver bank has no reduced form to compare against
     code, out, _ = run_cli(capsys, "verify", "ruelle", *PQ_ALPHA, "--grid=-1:0:5", "--level", "2")
     assert code == 0

@@ -8,11 +8,10 @@ from frame_lab import (
     CapacityError,
     ContractError,
     DomainError,
-    TransformEvaluator,
     cis,
     mu4_hat,
 )
-from frame_lab.transform import mu4_hat_array
+from frame_lab.transform import TOL, mu4_hat_array
 from oracles import (
     XCylinder,
     cylinder_exp_integral,
@@ -54,16 +53,16 @@ def test_mu4_hat_vanishes_on_odd_integers():
         assert mu4_hat(t) == 0
 
 
-def test_mu4_hat_array_matches_recursion_oracle(cfg):
+def test_mu4_hat_array_matches_recursion_oracle():
     rng = np.random.default_rng(20261017)
     ts = np.concatenate(
         [rng.uniform(-100, 100, 400), np.arange(-300, 301), rng.integers(-(4**8), 4**8, 200) / 64.0]
     )
-    got = mu4_hat_array(ts, cfg)
+    got = mu4_hat_array(ts)
     want = np.array([mu4_hat_recursive(t) for t in ts])
     assert np.max(np.abs(got - want)) <= 1e-12
     for t, value in zip(ts[::50], got[::50]):
-        assert abs(mu4_hat(float(t), TransformEvaluator()) - value) <= 1e-14
+        assert abs(mu4_hat(float(t)) - value) <= 1e-14
 
 
 def test_mu4_hat_bits_do_not_depend_on_the_batch():
@@ -77,7 +76,7 @@ def test_mu4_hat_bits_do_not_depend_on_the_batch():
 
 
 def test_uncertifiable_factor_count_is_refused():
-    # t = 1e30 needs 74 factors at the default tolerance, above max_factors = 64
+    # t = 1e30 needs 74 factors at the default tolerance, above MAX_FACTORS = 64
     with pytest.raises(CapacityError):
         mu4_hat(1e30)
     with pytest.raises(CapacityError):
@@ -85,26 +84,26 @@ def test_uncertifiable_factor_count_is_refused():
     assert abs(mu4_hat(1e24)) <= 1.0
 
 
-def test_mu4_hat_at_two_matches_recursion_oracle(cfg):
-    assert abs(mu4_hat(2, cfg) - mu4_hat_recursive(2.0)) < 1e-12
-    assert abs(mu4_hat(2, cfg)) > 0.1
+def test_mu4_hat_at_two_matches_recursion_oracle():
+    assert abs(mu4_hat(2) - mu4_hat_recursive(2.0)) < 1e-12
+    assert abs(mu4_hat(2)) > 0.1
 
 
-def test_recursion_invariant_on_random_grid(cfg):
+def test_recursion_invariant_on_random_grid():
     rng = np.random.default_rng(20240817)
     ts = rng.uniform(-100, 100, size=1000)
     for t in ts:
-        lhs = mu4_hat(float(t), cfg)
-        rhs = (1.0 + np.exp(1j * np.pi * t)) / 2.0 * mu4_hat(float(t) / 4.0, cfg)
-        assert abs(lhs - rhs) <= 2 * cfg.tolerance
-        assert abs(lhs) <= 1.0 + cfg.tolerance
+        lhs = mu4_hat(float(t))
+        rhs = (1.0 + np.exp(1j * np.pi * t)) / 2.0 * mu4_hat(float(t) / 4.0)
+        assert abs(lhs - rhs) <= 2 * TOL
+        assert abs(lhs) <= 1.0 + TOL
 
 
-def test_conjugate_symmetry(cfg):
+def test_conjugate_symmetry():
     rng = np.random.default_rng(7)
     for t in rng.uniform(-50, 50, size=200):
         t = float(t)
-        assert abs(mu4_hat(-t, cfg) - mu4_hat(t, cfg).conjugate()) <= 2 * cfg.tolerance
+        assert abs(mu4_hat(-t) - mu4_hat(t).conjugate()) <= 2 * TOL
 
 
 def test_non_finite_rejected():
@@ -114,11 +113,12 @@ def test_non_finite_rejected():
         mu4_hat(float("inf"))
 
 
-def test_evaluator_validation():
-    with pytest.raises(ValueError):
-        TransformEvaluator(tolerance=0.0)
-    with pytest.raises(ValueError):
-        TransformEvaluator(max_factors=0)
+def test_tolerance_validation():
+    for tol in (0.0, -1e-12, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            mu4_hat(2, tol)
+        with pytest.raises(DomainError):
+            mu4_hat_array([0.5, 2.0], tol)
 
 
 def test_cylinder_measure():
@@ -132,16 +132,16 @@ def test_cylinder_integral_zero_cases():
     assert cylinder_exp_integral(4, XCylinder((2,))) == 0
 
 
-def test_cylinder_additivity(cfg):
+def test_cylinder_additivity():
     rng = np.random.default_rng(3)
     for _ in range(50):
         delta = float(rng.uniform(-20, 20))
         digits = tuple(2 * int(b) for b in rng.integers(0, 2, size=int(rng.integers(0, 4))))
         u = XCylinder(digits)
         children = sum(
-            cylinder_exp_integral(delta, XCylinder(digits + (a,)), cfg) for a in (0, 2)
+            cylinder_exp_integral(delta, XCylinder(digits + (a,))) for a in (0, 2)
         )
-        assert abs(children - cylinder_exp_integral(delta, u, cfg)) <= 4 * cfg.tolerance
+        assert abs(children - cylinder_exp_integral(delta, u)) <= 4 * TOL
 
 
 def test_cylinder_digits_validated():
@@ -162,12 +162,12 @@ def test_monte_carlo_oscillation_vanishes():
     assert abs(val) <= 5 / math.sqrt(n)
 
 
-def test_monte_carlo_matches_transform(cfg):
+def test_monte_carlo_matches_transform():
     n = 200_000
     val = ifs_monte_carlo_integral(
         lambda x, y, _: np.exp(2j * np.pi * 2 * x), depth=24, samples=n, seed=12
     )
-    assert abs(val - mu4_hat(2, cfg)) <= 5 / math.sqrt(n)
+    assert abs(val - mu4_hat(2)) <= 5 / math.sqrt(n)
 
 
 def test_monte_carlo_depth_guard():
