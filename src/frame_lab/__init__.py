@@ -16,8 +16,8 @@ from .cuntz import (
     CuntzRep,
     apply_S,
     apply_S_star,
-    gram_X4,
     verify_cuntz,
+    verify_gram,
 )
 from .errors import (
     CapacityError,
@@ -33,26 +33,30 @@ from .filters import (
     g_map,
     hadamard_rho,
     little_m,
-    mu3_nogo_certificate,
     rho_bank,
     solve_alpha,
+    verify_nogo_mu3,
+    verify_unitarity,
 )
 from .frames import (
     PartialSumTrace,
     WeightSpec,
     WeightedExponential,
     h_partial,
-    incompleteness_report,
     parseval_trace,
     project_V,
+    verify_incomplete,
+    verify_parseval,
+    verify_projection,
     verify_ruelle,
     weight_table,
 )
-from .report import RunReport
+from .report import Check, RunReport
 from .transform import cis, mu4_hat
 
 __all__ = [
     "CapacityError",
+    "Check",
     "ContractError",
     "CuntzRep",
     "DomainError",
@@ -71,13 +75,10 @@ __all__ = [
     "exponential",
     "filter_bank_from_A",
     "g_map",
-    "gram_X4",
     "h_partial",
     "hadamard_rho",
-    "incompleteness_report",
     "inner_product",
     "little_m",
-    "mu3_nogo_certificate",
     "mu4_hat",
     "norm",
     "normalize",
@@ -87,6 +88,12 @@ __all__ = [
     "rho_bank",
     "solve_alpha",
     "verify_cuntz",
+    "verify_gram",
+    "verify_incomplete",
+    "verify_nogo_mu3",
+    "verify_parseval",
+    "verify_projection",
     "verify_ruelle",
+    "verify_unitarity",
     "weight_table",
 ]

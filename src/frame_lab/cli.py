@@ -1,10 +1,12 @@
 """Command-line front end: construction plus verification suites.
 
-Exit codes: 0 pass, 1 check failed, 2 bad input or infeasible parameters,
-3 capacity guard. Reports go to stdout as JSON with sorted keys; complex
-flags are passed as separate --*-re/--*-im real pairs. The environment
-variable FRAME_LAB_TOL overrides the default tolerance of any subcommand
-whose --tol flag is not given.
+Each verify subcommand is one library function that returns a report.Check;
+this module parses the flags, resolves the tolerance, names the params,
+and turns the check into a report and an exit code: 0 pass, 1 check
+failed, 2 bad input or infeasible parameters, 3 capacity guard. Reports go
+to stdout as JSON with sorted keys; complex flags are passed as separate
+--*-re/--*-im real pairs. The environment variable FRAME_LAB_TOL overrides
+the default tolerance of any subcommand whose --tol flag is not given.
 """
 
 from __future__ import annotations
@@ -27,43 +29,39 @@ from .errors import (
     UnsupportedShape,
 )
 from .filters import (
-    NOGO_MIN_NORM_GAP,
-    NOGO_MIN_PHASE_FACTOR,
+    DEFAULT_UNITARITY_TOL,
     filter_bank_from_A,
     hadamard_rho,
     matrix_from_json,
     matrix_to_json,
-    mu3_nogo_certificate,
     solve_alpha,
+    verify_nogo_mu3,
+    verify_unitarity,
 )
-from .cuntz import CuntzRep, generated_family, gram_X4, verify_cuntz
+from .cuntz import CuntzRep, verify_cuntz, verify_gram
 from .frames import (
-    SPECIALIZATION_TOL,
     WeightSpec,
-    incompleteness_report,
     parseval_trace,
-    project_V,
+    verify_incomplete,
+    verify_parseval,
+    verify_projection,
     verify_ruelle,
-    weight_table,
     write_trace_csv,
     write_weight_table,
 )
-from .report import RunReport
-from .transform import mu4_hat
+from .report import Check, RunReport
+from .transform import TOL, mu4_hat
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_CAPACITY = 3
 
-# Caps on the sizes only the CLI loops over; each largest run takes seconds.
-MAX_SAMPLES = 100_000  # verify unitarity --samples
-MAX_GRID_POINTS = 1000  # verify ruelle --grid steps
-MAX_GAMMAS = 100  # verify incomplete --gamma frequencies, one trace each
+MAX_GRID_POINTS = 1000  # verify ruelle --grid steps; the largest run takes seconds
 
 _DEFAULT_TOLS = {
-    "mu4hat": 1e-12,
-    "unitarity": 1e-12,
+    "mu4hat": TOL,
+    "unitarity": DEFAULT_UNITARITY_TOL,
     "cuntz": 1e-10,
     "gram": 1e-8,
     "projection": 1e-10,
@@ -121,15 +119,18 @@ def _alpha_values(args):
     return [complex(getattr(args, f"alpha_{n}_re"), getattr(args, f"alpha_{n}_im")) for n in names]
 
 
-def _bank_from_args(args, tol: float):
-    alphas = _alpha_values(args) if hasattr(args, "alpha_a10_re") else None
+def _rep_from_args(args) -> tuple[CuntzRep, dict, complex | None]:
+    """The representation of the bank the flags name, its params, and its
+    rho: None for a solver bank, for which the refinement identity has no
+    reduced form."""
+    alphas = _alpha_values(args)
     if alphas is not None:
-        bank = solve_alpha(*alphas, tol=tol)
+        bank = solve_alpha(*alphas)
         params = {f"alpha{i}": [z.real, z.imag] for i, z in zip(("10", "30", "11", "12", "21", "22"), alphas)}
-        return bank, params
+        return CuntzRep(bank), params, None
     rho = _rho_from_args(args)
-    bank = filter_bank_from_A(hadamard_rho(rho), tol)
-    return bank, {"rho_re": rho.real, "rho_im": rho.imag}
+    bank = filter_bank_from_A(hadamard_rho(rho), DEFAULT_UNITARITY_TOL)
+    return CuntzRep(bank), {"rho_re": rho.real, "rho_im": rho.imag}, rho
 
 
 def _spec_from_args(args) -> tuple[WeightSpec, dict]:
@@ -253,22 +254,14 @@ def _parse_grid(text: str) -> np.ndarray:
         raise DomainError(f"--grid must be a:b:steps with finite a, b, got {text!r}") from exc
 
 
-def _emit(report: RunReport, out_path: str | None = None) -> None:
-    text = report.to_json()
-    print(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
-def _run_mu4hat(args) -> tuple[bool, dict, dict, dict]:
+def _run_mu4hat(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "mu4hat")
     value = mu4_hat(args.t, tol)
     metrics = {"re": value.real, "im": value.imag, "abs": abs(value)}
-    return True, {"t": args.t}, metrics, {"tolerance": tol}
+    return {"t": args.t}, Check(True, metrics, {"tolerance": tol})
 
 
-def _run_weights(args) -> tuple[bool, dict, dict, dict]:
+def _run_weights(args) -> tuple[dict, Check]:
     spec, params = _spec_from_args(args)
     nonzero = write_weight_table(args.out, spec, args.n_max)
     metrics = {
@@ -277,157 +270,74 @@ def _run_weights(args) -> tuple[bool, dict, dict, dict]:
         "parseval_certified": spec.parseval_certified,
     }
     params.update({"n_max": args.n_max, "out": args.out})
-    return True, params, metrics, {}
+    return params, Check(True, metrics, {})
 
 
-def _run_verify_unitarity(args) -> tuple[bool, dict, dict, dict]:
+def _run_verify_unitarity(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "unitarity")
     if args.matrix_json:
-        with open(args.matrix_json, encoding="utf-8") as fh:
+        with open(args.matrix_json, "rb") as fh:
             A = matrix_from_json(fh.read())
-        bank = filter_bank_from_A(A, tol)
-        dev = bank.checks["unitarity_max_dev"]
-        params = {"matrix_json": args.matrix_json}
-        passed = bank.admissible
-        metrics = {
-            "max_dev": dev,
-            "first_row_max_dev": bank.checks["first_row_max_dev"],
-            "kernel_max_dev": bank.checks["kernel_max_dev"],
-        }
-    else:
-        samples = int(args.samples)
-        if samples < 1:
-            raise ContractError("--samples must be >= 1")
-        if samples > MAX_SAMPLES:
-            raise CapacityError(f"--samples {samples} exceeds cap {MAX_SAMPLES}")
-        max_dev = 0.0
-        for m in range(samples):
-            rho = np.exp(2j * np.pi * m / samples)
-            bank = filter_bank_from_A(hadamard_rho(complex(rho)), tol)
-            max_dev = max(max_dev, bank.checks["unitarity_max_dev"])
-            if args.matrix_out and m == 0:
-                with open(args.matrix_out, "w", encoding="utf-8") as fh:
-                    fh.write(matrix_to_json(bank.A) + "\n")
-        params = {"samples": samples}
-        metrics = {"max_dev": max_dev}
-        passed = max_dev <= tol
-    return passed, params, metrics, {"unitarity": tol}
+        return {"matrix_json": args.matrix_json}, verify_unitarity(args.samples, tol, A)
+    check = verify_unitarity(args.samples, tol)
+    if args.matrix_out:
+        with open(args.matrix_out, "w", encoding="utf-8") as fh:
+            fh.write(matrix_to_json(hadamard_rho(1.0)) + "\n")
+    return {"samples": args.samples}, check
 
 
-def _run_verify_cuntz(args) -> tuple[bool, dict, dict, dict]:
+def _run_verify_cuntz(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "cuntz")
-    bank, params = _bank_from_args(args, 1e-12)
-    rep = CuntzRep(bank)
-    report = verify_cuntz(rep, args.level, args.trials, args.seed, tol)
+    rep, params, _ = _rep_from_args(args)
     params.update({"level": args.level, "trials": args.trials, "seed": args.seed})
-    metrics = {
-        "max_orthogonality_residual": report.max_orthogonality_residual,
-        "max_identity_residual": report.max_identity_residual,
-    }
-    return report.passed, params, metrics, {"relative_residual": tol}
+    return params, verify_cuntz(rep, args.level, args.trials, args.seed, tol)
 
 
-def _run_verify_gram(args) -> tuple[bool, dict, dict, dict]:
+def _run_verify_gram(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "gram")
-    bank, params = _bank_from_args(args, 1e-12)
-    rep = CuntzRep(bank)
-    report = gram_X4(rep, args.max_word_len)
+    rep, params, _ = _rep_from_args(args)
     params.update({"max_word_len": args.max_word_len})
-    metrics = {
-        "size": report.size,
-        "max_offdiag": report.max_offdiag,
-        "max_diag_dev": report.max_diag_dev,
-    }
-    return report.max_dev <= tol, params, metrics, {"max_entry_dev": tol}
+    return params, verify_gram(rep, args.max_word_len, tol)
 
 
-def _run_verify_projection(args) -> tuple[bool, dict, dict, dict]:
+def _run_verify_projection(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "projection")
-    bank, params = _bank_from_args(args, 1e-12)
-    rep = CuntzRep(bank)
-    projected = [(n, project_V(vec)) for n, vec in generated_family(rep, args.max_word_len)]
-    # S_omega 1 projects to d_n e_n, n = c(omega), with the bank's digit weights
-    support, _, d = weight_table([bank.digit_weight(j) for j in range(4)], len(projected) - 1)
-    weights = np.zeros(len(projected), dtype=complex)
-    weights[support] = d
-    max_dev = 0.0
-    for (n, got), expect in zip(projected, weights.tolist()):
-        if len(got) != 1 or got[0].frequency != n:
-            max_dev = float("inf")
-            continue
-        max_dev = max(max_dev, abs(got[0].weight - expect))
+    rep, params, _ = _rep_from_args(args)
     params.update({"max_word_len": args.max_word_len})
-    return max_dev <= tol, params, {"max_weight_dev": max_dev}, {"weight_dev": tol}
+    return params, verify_projection(rep, args.max_word_len, tol)
 
 
-def _bessel_monotone(trace, tol: float) -> bool:
-    """Partial sums never decrease and stay below the Bessel cap target * (1 + tol)."""
-    values = [v for _, v in trace.checkpoints]
-    monotone = all(b >= a for a, b in zip(values, values[1:]))
-    return monotone and all(v <= trace.target * (1.0 + tol) for v in values)
-
-
-def _run_verify_parseval(args) -> tuple[bool, dict, dict, dict]:
+def _run_verify_parseval(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "parseval")
     spec, params = _spec_from_args(args)
     trace = parseval_trace([(args.gamma, 1.0)], spec, args.n_max)
     if args.trace_out:
         write_trace_csv(args.trace_out, trace)
     params.update({"gamma": args.gamma, "n_max": args.n_max})
-    metrics = {f"s_{N}": v for N, v in trace.checkpoints}
-    metrics.update({"target": trace.target, "deficiency": trace.deficiency})
-    return _bessel_monotone(trace, tol), params, metrics, {"bessel_slack": tol}
+    return params, verify_parseval(trace, tol)
 
 
-def _run_verify_ruelle(args) -> tuple[bool, dict, dict, dict]:
+def _run_verify_ruelle(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "ruelle")
-    bank, params = _bank_from_args(args, 1e-12)
-    rep = CuntzRep(bank)
+    rep, params, rho = _rep_from_args(args)
     grid = _parse_grid(args.grid)
-    # The reduced form of the refinement identity holds for rho banks only.
-    rho = _rho_from_args(args) if "rho_re" in params else None
-    report = verify_ruelle(rep, grid, args.level, tol, rho=rho)
     params.update({"grid": args.grid, "level": args.level})
-    metrics = {
-        "max_refinement_residual": report.max_refinement_residual,
-        "max_specialization_gap": report.max_specialization_gap,
-    }
-    return report.passed, params, metrics, {"residual": tol, "specialization": SPECIALIZATION_TOL}
+    return params, verify_ruelle(rep, grid, args.level, tol, rho=rho)
 
 
-def _run_verify_nogo(args) -> tuple[bool, dict, dict, dict]:
-    cert = mu3_nogo_certificate()
-    metrics = {
-        "norm_gap": cert.norm_gap,
-        "input_norm": cert.input_norm,
-        "output_norm": cert.output_norm,
-        "output_vector": list(cert.output_vector),
-        "min_phase_factor_abs": min(abs(f) for f in cert.row_phase_factors),
-    }
-    tolerances = {"min_phase_factor_abs": NOGO_MIN_PHASE_FACTOR, "norm_gap": NOGO_MIN_NORM_GAP}
-    return cert.passed, {}, metrics, tolerances
+def _run_verify_nogo(args) -> tuple[dict, Check]:
+    return {}, verify_nogo_mu3()
 
 
-def _run_verify_incomplete(args) -> tuple[bool, dict, dict, dict]:
-    if len(args.gamma) > MAX_GAMMAS:
-        raise CapacityError(f"{len(args.gamma)} frequencies exceed cap {MAX_GAMMAS}")
-    if len(set(args.gamma)) < len(args.gamma):
-        raise DomainError(f"--gamma frequencies must be distinct, got {args.gamma}")
+def _run_verify_incomplete(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "incomplete")
-    report = incompleteness_report(args.gamma, args.n_max)
-    metrics = {}
-    for entry in report.entries:
-        metrics[f"deficiency_{entry.gamma}"] = entry.deficiency
-        metrics[f"flagged_{entry.gamma}"] = entry.flagged
-    # Every trace obeys the Bessel cap, and the family misses some requested gamma.
-    passed = all(_bessel_monotone(e.trace, tol) for e in report.entries) and any(
-        e.flagged for e in report.entries
-    )
     params = {"gamma": list(args.gamma), "n_max": args.n_max}
-    return passed, params, metrics, {"report_threshold": report.threshold, "bessel_slack": tol}
+    return params, verify_incomplete(args.gamma, args.n_max, tol)
 
 
-_VERIFY_RUNNERS = {
+_RUNNERS = {
+    "mu4hat": _run_mu4hat,
+    "weights": _run_weights,
     "unitarity": _run_verify_unitarity,
     "cuntz": _run_verify_cuntz,
     "gram": _run_verify_gram,
@@ -443,34 +353,30 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "mu4hat":
-            passed, params, metrics, tolerances = _run_mu4hat(args)
-            command = "mu4hat"
-        elif args.command == "weights":
-            passed, params, metrics, tolerances = _run_weights(args)
-            command = "weights"
-        else:
-            command = f"verify {args.check}"
-            passed, params, metrics, tolerances = _VERIFY_RUNNERS[args.check](args)
+        verify = args.command == "verify"
+        command = f"verify {args.check}" if verify else args.command
+        params, check = _RUNNERS[args.check if verify else args.command](args)
+        report = RunReport(
+            command=command,
+            params=params,
+            metrics=check.metrics,
+            passed=check.passed,
+            tolerances=check.tolerances,
+            duration_ms=int((time.monotonic() - started) * 1000),
+            version=__version__,
+        )
+        text = report.to_json()
+        if verify and args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
     except CapacityError as exc:
         print(f"capacity guard: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (InfeasibleParameters, DomainError, ContractError, UnsupportedShape, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    duration_ms = int((time.monotonic() - started) * 1000)
-    report = RunReport(
-        command=command,
-        params=params,
-        metrics=metrics,
-        passed=passed,
-        tolerances=tolerances,
-        duration_ms=duration_ms,
-        version=__version__,
-    )
-    out_path = getattr(args, "out", None) if args.command == "verify" else None
-    _emit(report, out_path)
-    return EXIT_PASS if passed else EXIT_CHECK_FAILED
+    print(text)
+    return EXIT_PASS if check.passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

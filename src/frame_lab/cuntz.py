@@ -17,11 +17,12 @@ import numpy as np
 from .atoms import ATOM, ONE, X_BITS, FunctionSum, fs_add, fs_sub, norm, normalize
 from .errors import CapacityError, ContractError
 from .filters import FilterBank
+from .report import Check
 from .transform import cis, mu4_hat_array
 
 FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matrix
 MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes seconds
-_PAD = 4  # row index of the padding row in gram_X4's tables
+_PAD = 4  # row index of the padding row in the Gram kernel's tables
 _PAIRS = np.arange(4)
 _X_DIGITS = 2 * (_PAIRS & X_BITS)  # x digit of each pair index: 0, 2, 0, 2
 
@@ -95,17 +96,6 @@ def generated_family(rep: CuntzRep, max_len: int) -> Iterator[tuple[int, Functio
         yield n, F
 
 
-@dataclass(frozen=True)
-class CuntzCheckReport:
-    trials: int
-    level: int
-    seed: int
-    tol: float
-    max_orthogonality_residual: float
-    max_identity_residual: float
-    passed: bool
-
-
 def random_function_sum(rng: np.random.Generator, level: int, n_atoms: int = 3) -> FunctionSum:
     """Random test vector: integer frequencies in [-8, 8], random cylinders."""
     places = 4 ** np.arange(level - 1, -1, -1)
@@ -118,10 +108,9 @@ def random_function_sum(rng: np.random.Generator, level: int, n_atoms: int = 3) 
     return normalize(FunctionSum(atoms))
 
 
-def verify_cuntz(
-    rep: CuntzRep, level: int, trials: int, seed: int, tol: float
-) -> CuntzCheckReport:
-    """Check S_j* S_k = delta_jk I and sum_k S_k S_k* = I on random vectors."""
+def verify_cuntz(rep: CuntzRep, level: int, trials: int, seed: int, tol: float) -> Check:
+    """Check S_j* S_k = delta_jk I and sum_k S_k S_k* = I on random vectors:
+    every residual, relative to the vector's norm, is at most tol."""
     if trials < 1:
         raise ContractError("trials must be >= 1")
     if trials > MAX_TRIALS:
@@ -148,28 +137,8 @@ def verify_cuntz(
         parts = [apply_S(rep, k, apply_S_star(rep, k, F)) for k in range(4)]
         total = fs_add(*parts)
         max_ident = max(max_ident, norm(fs_sub(total, F)) / nf)
-    passed = max_orth <= tol and max_ident <= tol
-    return CuntzCheckReport(
-        trials=trials,
-        level=level,
-        seed=seed,
-        tol=tol,
-        max_orthogonality_residual=max_orth,
-        max_identity_residual=max_ident,
-        passed=passed,
-    )
-
-
-@dataclass(frozen=True)
-class GramReport:
-    max_len: int
-    size: int
-    max_offdiag: float
-    max_diag_dev: float
-
-    @property
-    def max_dev(self) -> float:
-        return max(self.max_offdiag, self.max_diag_dev)
+    metrics = {"max_orthogonality_residual": max_orth, "max_identity_residual": max_ident}
+    return Check(max_orth <= tol and max_ident <= tol, metrics, {"relative_residual": tol})
 
 
 def _level_rows(max_len: int) -> np.ndarray:
@@ -217,10 +186,11 @@ def _gram_rows(rep: CuntzRep, max_len: int) -> Iterator[np.ndarray]:
         yield entries
 
 
-def gram_X4(rep: CuntzRep, max_len: int) -> GramReport:
-    """Deviation from the identity of the Gram matrix of the generated family
-    over words of length <= max_len; the matrix is Hermitian, so only its
-    upper triangle is formed, one row at a time, and none is stored.
+def verify_gram(rep: CuntzRep, max_len: int, tol: float) -> Check:
+    """The Gram matrix of the generated family over words of length <=
+    max_len is the identity: every entry is within tol of it. The matrix is
+    Hermitian, so only its upper triangle is formed, one row at a time, and
+    none is stored.
     """
     if max_len < 1:
         raise ContractError("max_len must be >= 1")
@@ -230,9 +200,5 @@ def gram_X4(rep: CuntzRep, max_len: int) -> GramReport:
     for entries in _gram_rows(rep, max_len):
         max_diag_dev = max(max_diag_dev, float(abs(entries[0] - 1.0)))
         max_offdiag = max(max_offdiag, float(np.max(np.abs(entries[1:]), initial=0.0)))
-    return GramReport(
-        max_len=max_len,
-        size=4**max_len,
-        max_offdiag=max_offdiag,
-        max_diag_dev=max_diag_dev,
-    )
+    metrics = {"size": 4**max_len, "max_offdiag": max_offdiag, "max_diag_dev": max_diag_dev}
+    return Check(max(max_offdiag, max_diag_dev) <= tol, metrics, {"max_entry_dev": tol})

@@ -18,7 +18,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ContractError, DomainError, InfeasibleParameters
+from .errors import CapacityError, ContractError, DomainError, InfeasibleParameters
+from .report import Check
 from .transform import cis
 
 # s(j,k) = -1 iff j in {1,3} and k in {1,3}
@@ -33,6 +34,7 @@ U2 = 0.5 * np.array([1, 1, -1, -1], dtype=complex)
 U3 = 0.5 * np.array([1, -1, -1, 1], dtype=complex)
 
 DEFAULT_UNITARITY_TOL = 1e-12
+MAX_SAMPLES = 100_000  # banks per verify_unitarity sweep; the largest run takes seconds
 # Pass thresholds of the scale-3 obstruction: every |1 + e^{4 pi i j/3}| must
 # exceed the first, and the norm gap sqrt(2) - 1 the second.
 NOGO_MIN_PHASE_FACTOR = 1e-9
@@ -201,48 +203,56 @@ def g_map(j: int, t) -> float:
     return (np.asarray(t, dtype=np.float64) - j) / 4.0
 
 
-@dataclass(frozen=True)
-class Mu3NoGoCertificate:
+def verify_nogo_mu3() -> Check:
     """Replay of the obstruction for the middle-third analogue.
 
     With scale 3 the cylinder phases at the odd columns become
     e^{4 pi i j / 3}; orthogonality of row 0 against the other rows then
     forces a_j0 + a_j2 = 0 for j = 1,2,3, so the matrix maps (1,0,1,0) to
-    (1,0,0,0) and cannot be unitary (norm sqrt(2) in, norm 1 out).
+    (1,0,0,0) and cannot be unitary (norm sqrt(2) in, norm 1 out). Passes
+    when every phase factor 1 + e^{4 pi i j / 3} is nonvanishing (that is
+    what forces the row sums to zero) and the norm gap is visible.
     """
-
-    row_phase_factors: tuple[complex, complex, complex]
-    forced_row_sums: tuple[int, int, int]
-    input_vector: tuple[int, int, int, int]
-    output_vector: tuple[int, int, int, int]
-    input_norm: float
-    output_norm: float
-    norm_gap: float
-    passed: bool
-
-
-def mu3_nogo_certificate() -> Mu3NoGoCertificate:
-    # 1 + e^{4 pi i j / 3} for rows j = 1, 2, 3; nonvanishing is what forces
-    # the row sums a_j0 + a_j2 to zero.
-    factors = tuple(1.0 + complex(cis(2 * j % 3 / 3)) for j in (1, 2, 3))
-    forced = (0, 0, 0)
-    input_vector = (1, 0, 1, 0)
+    factors = [1.0 + complex(cis(2 * j % 3 / 3)) for j in (1, 2, 3)]
     # Row 0 sums to a_00 + a_02 = 1; the forced rows sum to 0.
-    output_vector = (1, 0, 0, 0)
-    input_norm = math.sqrt(2.0)
+    output_vector = [1, 0, 0, 0]
+    input_norm = math.sqrt(2.0)  # of (1, 0, 1, 0)
     output_norm = 1.0
     gap = input_norm - output_norm
-    passed = all(abs(f) > NOGO_MIN_PHASE_FACTOR for f in factors) and gap > NOGO_MIN_NORM_GAP
-    return Mu3NoGoCertificate(
-        row_phase_factors=factors,
-        forced_row_sums=forced,
-        input_vector=input_vector,
-        output_vector=output_vector,
-        input_norm=input_norm,
-        output_norm=output_norm,
-        norm_gap=gap,
-        passed=passed,
-    )
+    min_factor = min(abs(f) for f in factors)
+    metrics = {
+        "norm_gap": gap,
+        "input_norm": input_norm,
+        "output_norm": output_norm,
+        "output_vector": output_vector,
+        "min_phase_factor_abs": min_factor,
+    }
+    passed = min_factor > NOGO_MIN_PHASE_FACTOR and gap > NOGO_MIN_NORM_GAP
+    tolerances = {"min_phase_factor_abs": NOGO_MIN_PHASE_FACTOR, "norm_gap": NOGO_MIN_NORM_GAP}
+    return Check(passed, metrics, tolerances)
+
+
+def verify_unitarity(samples: int, tol: float, A=None) -> Check:
+    """max |H*H - I| <= tol over the banks at the samples points
+    rho = e^{2 pi i m / samples} of the unit circle; given a matrix A, its
+    three admissibility checks instead."""
+    if A is not None:
+        bank = filter_bank_from_A(A, tol)
+        metrics = {
+            "max_dev": bank.checks["unitarity_max_dev"],
+            "first_row_max_dev": bank.checks["first_row_max_dev"],
+            "kernel_max_dev": bank.checks["kernel_max_dev"],
+        }
+        return Check(bank.admissible, metrics, {"unitarity": tol})
+    if samples < 1:
+        raise ContractError("samples must be >= 1")
+    if samples > MAX_SAMPLES:
+        raise CapacityError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
+    max_dev = 0.0
+    for m in range(samples):
+        bank = filter_bank_from_A(hadamard_rho(complex(np.exp(2j * np.pi * m / samples))), tol)
+        max_dev = max(max_dev, bank.checks["unitarity_max_dev"])
+    return Check(max_dev <= tol, {"max_dev": max_dev}, {"unitarity": tol})
 
 
 def matrix_to_json(A: np.ndarray) -> str:
@@ -252,9 +262,13 @@ def matrix_to_json(A: np.ndarray) -> str:
     return json.dumps({"rows": rows}, sort_keys=True)
 
 
-def matrix_from_json(text: str) -> np.ndarray:
-    data = json.loads(text)
-    rows = data["rows"]
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
+def matrix_from_json(text: str | bytes) -> np.ndarray:
+    """Parse the matrix_to_json schema; any other document raises DomainError."""
+    try:
+        rows = json.loads(text)["rows"]
+        entries = [[complex(e["re"], e["im"]) for e in row] for row in rows]
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError, RecursionError) as exc:
+        raise DomainError(f"matrix JSON is not in the rows/re/im schema ({exc})") from None
+    if len(entries) != 4 or any(len(row) != 4 for row in entries):
         raise DomainError("matrix JSON must contain 4 rows of 4 entries")
-    return np.array([[complex(e["re"], e["im"]) for e in row] for row in rows])
+    return np.array(entries)

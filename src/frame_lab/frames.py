@@ -21,12 +21,14 @@ from typing import Sequence
 import numpy as np
 
 from .atoms import X_BITS, FunctionSum, refine
-from .cuntz import CuntzRep
+from .cuntz import CuntzRep, generated_family
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
 from .filters import g_map, little_m
+from .report import Check
 from .transform import mu4_hat, mu4_hat_array
 
 MAX_ENUM_LEN = 10  # n_max <= 4**MAX_ENUM_LEN for the weight table and every trace
+MAX_GAMMAS = 100  # frequencies per verify_incomplete call, one trace each
 
 WEIGHT_TABLE_COLUMNS = ("n", "l1", "l2", "l3", "weight_re", "weight_im", "weight_abs2")
 TRACE_COLUMNS = ("N", "partial_sum", "target")
@@ -161,6 +163,23 @@ def project_V(F: FunctionSum) -> list[WeightedExponential]:
     return out
 
 
+def verify_projection(rep: CuntzRep, max_len: int, tol: float) -> Check:
+    """P S_omega 1 = d_n e_n, n = c(omega), for every word of length <= max_len:
+    each projection is one exponential at frequency n whose weight is within
+    tol of the bank's digit weight d_n."""
+    projected = [(n, project_V(vec)) for n, vec in generated_family(rep, max_len)]
+    support, _, d = weight_table([rep.bank.digit_weight(j) for j in range(4)], len(projected) - 1)
+    weights = np.zeros(len(projected), dtype=complex)
+    weights[support] = d
+    max_dev = 0.0
+    for (n, got), expect in zip(projected, weights.tolist()):
+        if len(got) != 1 or got[0].frequency != n:
+            max_dev = float("inf")
+            continue
+        max_dev = max(max_dev, abs(got[0].weight - expect))
+    return Check(max_dev <= tol, {"max_weight_dev": max_dev}, {"weight_dev": tol})
+
+
 @dataclass(frozen=True)
 class PartialSumTrace:
     checkpoints: tuple[tuple[int, float], ...]
@@ -229,6 +248,17 @@ def parseval_trace(
     return PartialSumTrace(checkpoints=checkpoints, target=target, terms=terms)
 
 
+def verify_parseval(trace: PartialSumTrace, tol: float) -> Check:
+    """The partial sums never decrease and stay below the Bessel cap
+    target * (1 + tol)."""
+    values = [v for _, v in trace.checkpoints]
+    monotone = all(b >= a for a, b in zip(values, values[1:]))
+    passed = monotone and all(v <= trace.target * (1.0 + tol) for v in values)
+    metrics = {f"s_{N}": v for N, v in trace.checkpoints}
+    metrics.update({"target": trace.target, "deficiency": trace.deficiency})
+    return Check(passed, metrics, {"bessel_slack": tol})
+
+
 def h_partial(t, rep: CuntzRep, max_len: int):
     """Coefficient energy sum_{omega, |omega| <= max_len} |<e_t, S_omega 1>|^2
     at every element of t, in t's shape (a float64 scalar for a scalar t).
@@ -246,24 +276,14 @@ def h_partial(t, rep: CuntzRep, max_len: int):
     return _weighted_terms([(t[..., None], 1.0)], weights, 4**max_len - 1).sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class RuelleReport:
-    level: int
-    grid: tuple[float, ...]
-    max_refinement_residual: float
-    max_specialization_gap: float | None
-    tol: float
-    passed: bool
-
-
 def verify_ruelle(
     rep: CuntzRep,
     t_grid: Sequence[float],
     L: int,
     tol: float,
     rho: complex | None = None,
-) -> RuelleReport:
-    """Check h_{L+1}(t) = sum_j |m_j(t)|^2 h_L((t-j)/4) on a grid.
+) -> Check:
+    """Check h_{L+1}(t) = sum_j |m_j(t)|^2 h_L((t-j)/4) on a grid, to tol.
 
     The identity is exact at every finite truncation depth because the
     depth-(L+1) family is the disjoint union of the isometry images of the
@@ -294,58 +314,34 @@ def verify_ruelle(
         )
         max_gap = float(np.max(np.abs(rhs - reduced)))
     passed = max_resid <= tol and (max_gap is None or max_gap <= SPECIALIZATION_TOL)
-    return RuelleReport(
-        level=L,
-        grid=tuple(t.tolist()),
-        max_refinement_residual=max_resid,
-        max_specialization_gap=max_gap,
-        tol=tol,
-        passed=passed,
-    )
+    metrics = {"max_refinement_residual": max_resid, "max_specialization_gap": max_gap}
+    return Check(passed, metrics, {"residual": tol, "specialization": SPECIALIZATION_TOL})
 
 
-@dataclass(frozen=True)
-class IncompletenessEntry:
-    gamma: int
-    trace: PartialSumTrace
-    deficiency: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class IncompletenessReport:
-    n_max: int
-    entries: tuple[IncompletenessEntry, ...]
-    threshold: float
-
-
-def incompleteness_report(
-    gammas: Sequence[int],
-    n_max: int,
-) -> IncompletenessReport:
+def verify_incomplete(gammas: Sequence[int], n_max: int, tol: float) -> Check:
     """Deficiency 1 - S_{n_max}(e_gamma) for the p = 0 weight family.
 
-    Weights are the indicator of integers with base-4 digits in {0,3}; the
-    report flags frequencies whose deficiency exceeds INCOMPLETE_THRESHOLD:
-    their exponential has energy visibly missing from the family's span.
-    Reported, not asserted, per frequency.
+    Weights are the indicator of integers with base-4 digits in {0,3}. A
+    frequency is flagged when its deficiency exceeds INCOMPLETE_THRESHOLD:
+    its exponential has energy visibly missing from the family's span. The
+    check passes when every trace passes verify_parseval at tol and at
+    least one frequency is flagged.
     """
+    if len(gammas) > MAX_GAMMAS:
+        raise CapacityError(f"{len(gammas)} frequencies exceed cap {MAX_GAMMAS}")
+    if len(set(gammas)) < len(gammas):
+        raise DomainError(f"frequencies must be distinct, got {list(gammas)}")
     spec = WeightSpec.from_rho(-1.0)
-    entries = []
-    for gamma in gammas:
-        trace = parseval_trace([(int(gamma), 1.0)], spec, n_max)
-        deficiency = trace.target - trace.final_value
-        entries.append(
-            IncompletenessEntry(
-                gamma=int(gamma),
-                trace=trace,
-                deficiency=float(deficiency),
-                flagged=deficiency > INCOMPLETE_THRESHOLD,
-            )
-        )
-    return IncompletenessReport(
-        n_max=n_max, entries=tuple(entries), threshold=INCOMPLETE_THRESHOLD
-    )
+    metrics = {}
+    bessel, flagged = True, False
+    for gamma in map(int, gammas):
+        trace = parseval_trace([(gamma, 1.0)], spec, n_max)
+        metrics[f"deficiency_{gamma}"] = trace.deficiency
+        metrics[f"flagged_{gamma}"] = trace.deficiency > INCOMPLETE_THRESHOLD
+        bessel = bessel and verify_parseval(trace, tol).passed
+        flagged = flagged or metrics[f"flagged_{gamma}"]
+    tolerances = {"report_threshold": INCOMPLETE_THRESHOLD, "bessel_slack": tol}
+    return Check(bessel and flagged, metrics, tolerances)
 
 
 def write_weight_table(path, spec: WeightSpec, n_max: int) -> int:

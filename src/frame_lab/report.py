@@ -1,6 +1,7 @@
-"""Machine-readable run reports for the CLI.
+"""Check results and the machine-readable run reports of the CLI.
 
-Serialized as JSON with lexicographically sorted keys. Every field except
+Every verification returns a Check; the CLI copies it into a RunReport,
+serialized as JSON with lexicographically sorted keys. Every field except
 duration_ms is a pure function of the flags and the package version.
 """
 
@@ -8,8 +9,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+
+class Check(NamedTuple):
+    """A verdict, the measurements it rests on, and the tolerances: for a
+    verification, every threshold its verdict compares a measurement
+    against."""
+
+    passed: bool
+    metrics: dict
+    tolerances: dict
 
 
 def _jsonable(value):

@@ -15,14 +15,14 @@ from frame_lab import (
     CuntzRep,
     WeightSpec,
     cis,
-    gram_X4,
     h_partial,
     inner_product,
-    mu3_nogo_certificate,
     parseval_trace,
     project_V,
     rho_bank,
     verify_cuntz,
+    verify_gram,
+    verify_nogo_mu3,
     verify_ruelle,
 )
 from frame_lab.atoms import ONE
@@ -74,10 +74,10 @@ def test_c02_cuntz_relations(bank_pq):
     worst_orth = worst_ident = 0.0
     for idx, bank in enumerate(banks):
         rep = CuntzRep(bank)
-        report = verify_cuntz(rep, level=2, trials=20, seed=1000 + idx, tol=1e-10)
-        assert report.passed, f"bank {idx}: {report}"
-        worst_orth = max(worst_orth, report.max_orthogonality_residual)
-        worst_ident = max(worst_ident, report.max_identity_residual)
+        check = verify_cuntz(rep, level=2, trials=20, seed=1000 + idx, tol=1e-10)
+        assert check.passed, f"bank {idx}: {check}"
+        worst_orth = max(worst_orth, check.metrics["max_orthogonality_residual"])
+        worst_ident = max(worst_ident, check.metrics["max_identity_residual"])
     elapsed = _elapsed_guard(2, "cuntz relations", started, 10.0)
     _report(
         2,
@@ -88,11 +88,13 @@ def test_c02_cuntz_relations(bank_pq):
 
 def test_c03_orthonormality_gram(bank_i):
     started = time.perf_counter()
-    report = gram_X4(CuntzRep(bank_i), 4)
-    assert report.size == 256
-    assert report.max_dev <= 1e-8
+    check = verify_gram(CuntzRep(bank_i), 4, 1e-8)
+    max_dev = max(check.metrics["max_offdiag"], check.metrics["max_diag_dev"])
+    assert check.metrics["size"] == 256
+    assert max_dev <= 1e-8
+    assert check.passed
     elapsed = _elapsed_guard(3, "orthonormality", started, 60.0)
-    _report(3, "orthonormality", f"256x256 Gram, max |G - I| = {report.max_dev:.2e}, {elapsed:.1f}s")
+    _report(3, "orthonormality", f"256x256 Gram, max |G - I| = {max_dev:.2e}, {elapsed:.1f}s")
 
 
 def _all_words_up_to(max_len: int):
@@ -192,15 +194,15 @@ def test_c07_parseval_convergence_regression():
 def test_c08_refinement_identity(bank_i):
     started = time.perf_counter()
     rep = CuntzRep(bank_i)
-    report = verify_ruelle(rep, np.linspace(-1.0, 0.0, 21), 3, 1e-9, rho=1j)
-    assert report.max_refinement_residual <= 1e-9
-    assert report.max_specialization_gap <= 1e-12
+    m = verify_ruelle(rep, np.linspace(-1.0, 0.0, 21), 3, 1e-9, rho=1j).metrics
+    assert m["max_refinement_residual"] <= 1e-9
+    assert m["max_specialization_gap"] <= 1e-12
     elapsed = _elapsed_guard(8, "refinement identity", started, 120.0)
     _report(
         8,
         "refinement identity",
-        f"residual = {report.max_refinement_residual:.2e}, "
-        f"reduced-form gap = {report.max_specialization_gap:.2e}, {elapsed:.1f}s",
+        f"residual = {m['max_refinement_residual']:.2e}, "
+        f"reduced-form gap = {m['max_specialization_gap']:.2e}, {elapsed:.1f}s",
     )
 
 
@@ -255,16 +257,18 @@ def test_c10_incompleteness_of_the_degenerate_family():
 
 def test_c11_scale3_obstruction():
     started = time.perf_counter()
-    cert = mu3_nogo_certificate()
-    assert cert.input_vector == (1, 0, 1, 0)
-    assert cert.output_vector == (1, 0, 0, 0)
-    assert cert.forced_row_sums == (0, 0, 0)
-    assert abs(cert.input_norm - math.sqrt(2.0)) <= 1e-15
-    assert abs(cert.output_norm - 1.0) <= 1e-15
-    assert abs(cert.norm_gap - (math.sqrt(2.0) - 1.0)) <= 1e-15
-    assert cert.passed
+    check = verify_nogo_mu3()
+    m = check.metrics
+    # (1, 0, 1, 0) maps to row 0's sum 1 followed by the three forced row sums
+    assert m["input_norm"] == math.hypot(1, 0, 1, 0)
+    assert m["output_vector"] == [1, 0, 0, 0]
+    assert m["output_vector"][1:] == [0, 0, 0]  # the forced row sums
+    assert abs(m["input_norm"] - math.sqrt(2.0)) <= 1e-15
+    assert abs(m["output_norm"] - 1.0) <= 1e-15
+    assert abs(m["norm_gap"] - (math.sqrt(2.0) - 1.0)) <= 1e-15
+    assert check.passed
     elapsed = _elapsed_guard(11, "scale-3 obstruction", started, 1.0)
-    _report(11, "scale-3 obstruction", f"norm gap = {cert.norm_gap:.10f}, {elapsed:.2f}s")
+    _report(11, "scale-3 obstruction", f"norm gap = {m['norm_gap']:.10f}, {elapsed:.2f}s")
 
 
 def test_c12_integration_paths_agree():

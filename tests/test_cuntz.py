@@ -10,13 +10,13 @@ from frame_lab import (
     exponential,
     filter_bank_from_A,
     g_map,
-    gram_X4,
     hadamard_rho,
     inner_product,
     little_m,
     norm,
     normalize,
     verify_cuntz,
+    verify_gram,
 )
 from frame_lab.atoms import ONE, fs_add, fs_scale, fs_sub, refine
 from frame_lab.cuntz import (
@@ -179,10 +179,11 @@ def test_s_word_one_rejects_empty(rep_i):
 
 def test_verify_cuntz_report(bank_one):
     rep = CuntzRep(bank_one)
-    report = verify_cuntz(rep, level=2, trials=5, seed=3, tol=1e-10)
-    assert report.passed
-    assert report.max_orthogonality_residual <= 1e-10
-    assert report.max_identity_residual <= 1e-10
+    check = verify_cuntz(rep, level=2, trials=5, seed=3, tol=1e-10)
+    assert check.passed
+    assert check.metrics["max_orthogonality_residual"] <= 1e-10
+    assert check.metrics["max_identity_residual"] <= 1e-10
+    assert check.tolerances == {"relative_residual": 1e-10}
 
 
 def test_identity_relation_on_constant(rep_i):
@@ -192,15 +193,16 @@ def test_identity_relation_on_constant(rep_i):
 
 def test_gram_level_one_identity(rep_i, rep_pq):
     for rep in (rep_i, rep_pq):
-        report = gram_X4(rep, 1)
-        assert report.size == 4
-        assert report.max_offdiag <= 1e-10
-        assert report.max_diag_dev <= 1e-10
+        check = verify_gram(rep, 1, 1e-10)
+        assert check.passed
+        assert check.metrics["size"] == 4
+        assert check.metrics["max_offdiag"] <= 1e-10
+        assert check.metrics["max_diag_dev"] <= 1e-10
 
 
 def test_gram_capacity_guard(rep_i):
     with pytest.raises(CapacityError):
-        gram_X4(rep_i, FAMILY_MAX_LEN + 1)
+        verify_gram(rep_i, FAMILY_MAX_LEN + 1, 1e-8)
 
 
 def test_family_and_trial_capacity_guards(rep_i):
@@ -225,9 +227,10 @@ def test_gram_rows_match_dense_oracle(bank_one, rep_i, rep_pq):
 
 def test_gram_length_five(rep_i, rep_pq):
     for rep in (rep_i, rep_pq):
-        report = gram_X4(rep, 5)
-        assert report.size == 1024
-        assert report.max_dev <= 1e-8
+        check = verify_gram(rep, 5, 1e-8)
+        assert check.metrics["size"] == 1024
+        assert max(check.metrics["max_offdiag"], check.metrics["max_diag_dev"]) <= 1e-8
+        assert check.passed
 
 
 def test_dense_inner_matches_generic(rep_i):

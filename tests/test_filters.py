@@ -9,13 +9,14 @@ from frame_lab import (
     ContractError,
     DomainError,
     InfeasibleParameters,
+    cis,
     filter_bank_from_A,
     g_map,
     hadamard_rho,
     little_m,
-    mu3_nogo_certificate,
     rho_bank,
     solve_alpha,
+    verify_nogo_mu3,
 )
 from frame_lab.filters import a_to_h, matrix_from_json, matrix_to_json
 from oracles import little_m_reduced
@@ -164,16 +165,19 @@ def test_g_map_values():
     assert g_map(1, 0) == -0.25
 
 
-def test_mu3_nogo_certificate():
-    cert = mu3_nogo_certificate()
-    assert cert.output_vector == (1, 0, 0, 0)
-    assert abs(cert.input_norm - math.sqrt(2.0)) < 1e-15
-    assert abs(cert.output_norm - 1.0) < 1e-15
-    assert cert.norm_gap > 0.41
-    assert cert.passed
-    # the third row phase factor is exactly 2; the others are nonzero
-    assert cert.row_phase_factors[2] == 2.0
-    assert all(abs(f) > 0.9 for f in cert.row_phase_factors)
+def test_verify_nogo_mu3():
+    check = verify_nogo_mu3()
+    m = check.metrics
+    assert m["output_vector"] == [1, 0, 0, 0]
+    assert abs(m["input_norm"] - math.sqrt(2.0)) < 1e-15
+    assert abs(m["output_norm"] - 1.0) < 1e-15
+    assert m["norm_gap"] > 0.41
+    assert check.passed
+    # the row phase factors 1 + e^{4 pi i j/3}: the third is exactly 2, none is small
+    factors = [1.0 + complex(cis(2 * j % 3 / 3)) for j in (1, 2, 3)]
+    assert factors[2] == 2.0
+    assert all(abs(f) > 0.9 for f in factors)
+    assert m["min_phase_factor_abs"] == min(abs(f) for f in factors) > 0.9
 
 
 def test_matrix_json_round_trip(bank_i):

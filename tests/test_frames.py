@@ -13,10 +13,10 @@ from frame_lab import (
     WeightSpec,
     cis,
     h_partial,
-    incompleteness_report,
     parseval_trace,
     project_V,
     rho_bank,
+    verify_incomplete,
     verify_ruelle,
     weight_table,
 )
@@ -296,35 +296,38 @@ def test_h_partial_monotone_in_depth(bank_i):
 
 def test_ruelle_identity_small_grid(bank_i):
     rep = CuntzRep(bank_i)
-    report = verify_ruelle(rep, np.linspace(-1, 0, 9), 2, 1e-9, rho=1j)
-    assert report.passed
-    assert report.max_refinement_residual <= 1e-9
-    assert report.max_specialization_gap <= 1e-12
+    check = verify_ruelle(rep, np.linspace(-1, 0, 9), 2, 1e-9, rho=1j)
+    assert check.passed
+    assert check.metrics["max_refinement_residual"] <= 1e-9
+    assert check.metrics["max_specialization_gap"] <= 1e-12
 
 
 def test_ruelle_at_zero(bank_pq):
     rep = CuntzRep(bank_pq)
-    report = verify_ruelle(rep, [0.0], 1, 1e-10)
-    assert report.passed
+    check = verify_ruelle(rep, [0.0], 1, 1e-10)
+    assert check.passed
 
 
 def test_ruelle_identity_pq_bank(bank_pq):
     rep = CuntzRep(bank_pq)
-    report = verify_ruelle(rep, np.linspace(-1, 0, 9), 3, 1e-9)
-    assert report.passed
-    assert report.max_specialization_gap is None
+    check = verify_ruelle(rep, np.linspace(-1, 0, 9), 3, 1e-9)
+    assert check.passed
+    assert check.metrics["max_specialization_gap"] is None
 
 
-def test_incompleteness_report():
-    report = incompleteness_report([0, 1, 3], 256)
-    by_gamma = {e.gamma: e for e in report.entries}
-    assert by_gamma[0].deficiency <= 1e-12
-    assert not by_gamma[0].flagged
-    assert by_gamma[1].deficiency > 0.4
-    assert by_gamma[1].flagged
-    assert by_gamma[3].deficiency <= 1e-12
+def test_verify_incomplete():
+    check = verify_incomplete([0, 1, 3], 256, 1e-8)
+    assert check.passed
+    m = check.metrics
+    assert m["deficiency_0"] <= 1e-12
+    assert not m["flagged_0"]
+    assert m["deficiency_1"] > 0.4
+    assert m["flagged_1"]
+    assert m["deficiency_3"] <= 1e-12
     # positivity at every checkpoint for the flagged frequency
-    assert all(v < 1.0 for _, v in by_gamma[1].trace.checkpoints)
+    trace = parseval_trace([(1, 1.0)], WeightSpec.from_rho(-1.0), 256)
+    assert trace.deficiency == m["deficiency_1"]
+    assert all(v < 1.0 for _, v in trace.checkpoints)
 
 
 def test_weight_table_csv(tmp_path):

@@ -9,11 +9,27 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from frame_lab import RunReport
-from frame_lab.cli import MAX_GAMMAS, MAX_GRID_POINTS, MAX_SAMPLES, main
+from frame_lab import (
+    CuntzRep,
+    RunReport,
+    WeightSpec,
+    parseval_trace,
+    rho_bank,
+    solve_alpha,
+    verify_cuntz,
+    verify_gram,
+    verify_incomplete,
+    verify_nogo_mu3,
+    verify_parseval,
+    verify_projection,
+    verify_ruelle,
+    verify_unitarity,
+)
+from frame_lab.cli import MAX_GRID_POINTS, main
 from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_TRIALS
-from frame_lab.frames import MAX_ENUM_LEN, SPECIALIZATION_TOL
+from frame_lab.frames import MAX_ENUM_LEN, MAX_GAMMAS, SPECIALIZATION_TOL
 from frame_lab.filters import (
+    MAX_SAMPLES,
     NOGO_MIN_NORM_GAP,
     NOGO_MIN_PHASE_FACTOR,
     hadamard_rho,
@@ -26,6 +42,16 @@ PQ_ALPHA = (
     "--alpha-a10-re", S2, "--alpha-a30-re", S2, "--alpha-a11-re", S2,
     "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1",
 )
+_ENTRY = {"re": 0.5, "im": 0}
+# Documents that are not a 4x4 matrix in the matrix_to_json schema.
+BAD_MATRIX_FILES = {
+    "not_json.json": b"not json",
+    "no_rows.json": b'{"foo": 1}',
+    "list.json": b"[1,2]",
+    "bare_numbers.json": json.dumps({"rows": [[0.5] * 4] * 4}).encode(),
+    "string_entry.json": json.dumps({"rows": [[{"re": "x", "im": 0}] + [_ENTRY] * 3] * 4}).encode(),
+    "bad_bytes.json": b"\xff\xfe",
+}
 
 
 def run_cli(capsys, *argv):
@@ -313,15 +339,70 @@ def test_uncertifiable_input_exits_3_with_one_line(capsys, monkeypatch, tmp_path
         ["weights", "--rho-re", "1", "--n-max", "three", "--out", "w.csv"],
         [],
         ["verify"],
+        # malformed files, and a report copy that cannot be written
+        *[["verify", "unitarity", "--matrix-json", name] for name in BAD_MATRIX_FILES],
+        ["verify", "nogo-mu3", "--out", "missing_dir/report.json"],
+        ["verify", "nogo-mu3", "--out", "."],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
+    for name, data in BAD_MATRIX_FILES.items():
+        (tmp_path / name).write_bytes(data)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert not (tmp_path / "w.csv").exists()
+
+
+_REP_I = ("--rho-im", "1")
+# Each verify subcommand with flags, and its library check on the same inputs.
+_VERIFY_CASES = {
+    "unitarity": (
+        ["--samples", "16", "--tol", "1e-11"],
+        lambda: verify_unitarity(16, 1e-11),
+    ),
+    "cuntz": (
+        [*PQ_ALPHA, "--level", "2", "--trials", "5", "--seed", "3", "--tol", "1e-9"],
+        lambda: verify_cuntz(CuntzRep(solve_alpha(*[float(S2)] * 3, 0, 0, 1)), 2, 5, 3, 1e-9),
+    ),
+    "gram": (
+        [*_REP_I, "--max-word-len", "2", "--tol", "1e-30"],
+        lambda: verify_gram(CuntzRep(rho_bank(1j)), 2, 1e-30),
+    ),
+    "projection": (
+        [*_REP_I, "--max-word-len", "2", "--tol", "1e-9"],
+        lambda: verify_projection(CuntzRep(rho_bank(1j)), 2, 1e-9),
+    ),
+    "parseval": (
+        ["--p-re", "0.6", "--q-re", "0.8", "--gamma", "5", "--n-max", "64", "--tol", "1e-7"],
+        lambda: verify_parseval(parseval_trace([(5, 1.0)], WeightSpec.from_pq(0.6, 0.8), 64), 1e-7),
+    ),
+    "ruelle": (
+        [*_REP_I, "--grid=-1:0:5", "--level", "2", "--tol", "1e-8"],
+        lambda: verify_ruelle(CuntzRep(rho_bank(1j)), np.linspace(-1, 0, 5), 2, 1e-8, rho=1j),
+    ),
+    "nogo-mu3": ([], verify_nogo_mu3),
+    "incomplete": (
+        ["--gamma", "1", "3", "--n-max", "256", "--tol", "1e-7"],
+        lambda: verify_incomplete([1, 3], 256, 1e-7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERIFY_CASES))
+def test_verify_report_is_the_library_check(capsys, name):
+    # the CLI decides nothing: its verdict, metrics and tolerances are the check's
+    flags, library_check = _VERIFY_CASES[name]
+    code, out, _ = run_cli(capsys, "verify", name, *flags)
+    report = last_json(out)
+    check = library_check()
+    want = json.loads(RunReport("", {}, check.metrics, check.passed, check.tolerances, 0, "").to_json())
+    assert {k: report[k] for k in ("pass", "metrics", "tolerances")} == {
+        k: want[k] for k in ("pass", "metrics", "tolerances")
+    }
+    assert code == (0 if check.passed else 1)
 
 
 def test_help_exits_0(capsys):
