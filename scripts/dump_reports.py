@@ -59,7 +59,8 @@ def _ladder_argvs() -> list[list[str]]:
 
 
 def _cap_argvs() -> list[list[str]]:
-    """The largest run each cap in the README allows, and one step past it."""
+    """The largest run each cap in the README allows, one step past it, and
+    the smallest verify cuntz level."""
     gammas = [str(g) for g in range(100)]
     out = []
     for past in (0, 1):
@@ -73,6 +74,10 @@ def _cap_argvs() -> list[list[str]]:
             ["verify", "parseval", *RHO_I, "--gamma", "3", "--n-max", str(4**10 + past)],
             ["verify", "incomplete", "--gamma", *gammas, *[str(-1)] * past, "--n-max", "4096"],
         ]
+    out.append(["verify", "cuntz", *RHO_I, "--level", "4", "--trials", "500"])  # both cuntz caps at once
+    # level 0, where the identity sum is one level deeper than the trial vector
+    out += [["verify", "cuntz", "--rho-re", "1", "--level", "0", "--trials", "3", "--seed", str(s)]
+            for s in SEEDS]
     return out + [["mu4hat", "--t", t] for t in ("0", "2", "-7.25", "1e6", "1e24", "1e30")]
 
 

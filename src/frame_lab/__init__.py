@@ -41,7 +41,6 @@ from .filters import (
 from .frames import (
     PartialSumTrace,
     WeightSpec,
-    WeightedExponential,
     h_partial,
     parseval_trace,
     project_V,
@@ -68,7 +67,6 @@ __all__ = [
     "RunReport",
     "UnsupportedShape",
     "WeightSpec",
-    "WeightedExponential",
     "apply_S",
     "apply_S_star",
     "cis",

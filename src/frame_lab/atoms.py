@@ -2,13 +2,18 @@
 
 A FunctionSum is a sum of atoms c * e^{2 pi i t x} * indicator(cylinder),
 one row of its record array `atoms` each: coeff (complex128), freq
-(float64), code and level (int64). The level-K cylinder is addressed by K
-pair indices k in {0,1,2,3}, the index of the planar contraction
+(float64), code, level and vec (int64). The level-K cylinder is addressed by
+K pair indices k in {0,1,2,3}, the index of the planar contraction
 (x, y) -> ((x + xd)/4, (y + yd)/2) with k = xd/2 + 2*yd; code holds them as
 base-4 digits, the first pair most significant. The x digit of pair k is
 2 * (k & 1), so the x digits of a code are its bits under X_BITS. Every
 frequency the operators reach from integer input is a dyadic n/4^e, which
 float64 holds exactly; two atoms merge only on identical keys.
+
+vec numbers the vector an atom belongs to, so one record array can hold a
+batch of sums that every operation treats separately: atoms of different
+vectors never merge or pair. A single sum has vec 0 everywhere, and each
+vector of a batch gets the bits its single sum would get.
 """
 
 from __future__ import annotations
@@ -21,8 +26,19 @@ from .errors import ContractError, DomainError
 from .transform import cis, mu4_hat_array
 
 ATOM = np.dtype(
-    [("coeff", np.complex128), ("freq", np.float64), ("code", np.int64), ("level", np.int64)]
+    [
+        ("coeff", np.complex128),
+        ("freq", np.float64),
+        ("code", np.int64),
+        ("level", np.int64),
+        ("vec", np.int64),
+    ]
 )
+_ROW = np.dtype(ATOM.descr[:4])  # a row of a single sum: (coeff, freq, code, level), vec 0
+# numpy copies and concatenates a record array field by field; viewed as raw
+# rows of bytes it moves each row at once, several times faster (np.take and
+# np.compress already do)
+_RAW = np.dtype((np.void, ATOM.itemsize))
 MAX_LEVEL = 31  # the 4^31 codes of a level still fit in int64
 X_BITS = 0x5555_5555_5555_5555  # the x bit (k & 1) of every pair k of a code
 MERGE_TOL = 1e-15
@@ -30,24 +46,34 @@ MERGE_TOL = 1e-15
 
 @dataclass(frozen=True, eq=False)
 class FunctionSum:
-    """Atoms (coeff, freq, code, level), coerced to a read-only ATOM array."""
+    """Atoms as a read-only ATOM array: an ATOM array is copied, any other
+    input is read as rows (coeff, freq, code, level) of one sum, vec 0."""
 
     atoms: np.ndarray
 
     def __post_init__(self):
-        try:
-            atoms = np.array(self.atoms, dtype=ATOM, ndmin=1)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"atoms must be (coeff, freq, code, level) rows: {exc}") from None
+        rows = self.atoms
+        if not (isinstance(rows, np.ndarray) and rows.dtype == ATOM):
+            try:
+                single = np.array(rows, dtype=_ROW, ndmin=1)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DomainError(f"atoms must be (coeff, freq, code, level) rows: {exc}") from None
+            rows = np.zeros(single.shape, dtype=ATOM)
+            for name in _ROW.names:
+                rows[name] = single[name]
+        atoms = _copy(rows)
         level, code = atoms["level"], atoms["code"]
         if atoms.ndim != 1:
             raise DomainError(f"atoms must form one row per atom, got shape {atoms.shape}")
-        if np.any((level < 0) | (level > MAX_LEVEL)):
-            raise DomainError(f"levels must lie in [0, {MAX_LEVEL}]")
-        if np.any((code < 0) | (code >= np.left_shift(1, 2 * level))):
-            raise DomainError("codes must lie in [0, 4^level)")
-        if not np.all(np.isfinite(atoms["freq"])):
-            raise DomainError("frequencies must be finite")
+        if len(atoms):  # reductions, not elementwise masks: construction is on every hot path
+            if level.min() < 0 or level.max() > MAX_LEVEL:
+                raise DomainError(f"levels must lie in [0, {MAX_LEVEL}]")
+            if code.min() < 0 or (code >> 2 * level).any():
+                raise DomainError("codes must lie in [0, 4^level)")
+            if not np.isfinite(atoms["freq"]).all():
+                raise DomainError("frequencies must be finite")
+            if atoms["vec"].min() < 0:
+                raise DomainError("vector indices must be >= 0")
         atoms.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
 
@@ -59,6 +85,10 @@ class FunctionSum:
         return int(np.max(self.atoms["level"], initial=0))
 
 
+def _copy(atoms: np.ndarray) -> np.ndarray:
+    return np.array(atoms.view(_RAW), ndmin=1).view(ATOM)
+
+
 def exponential(t) -> FunctionSum:
     """The global exponential e^{2 pi i t x} as a single level-0 atom."""
     return FunctionSum([(1.0, t, 0, 0)])
@@ -68,11 +98,11 @@ ONE = exponential(0)
 
 
 def _key_order(atoms: np.ndarray) -> np.ndarray:
-    """Stable sort by (freq, word), a word before its extensions: by freq, then
-    code shifted left to the deepest level, then level."""
+    """Stable sort by (vec, freq, word), a word before its extensions: by vec,
+    then freq, then code shifted left to the deepest level, then level."""
     level = atoms["level"]
     deepest = np.max(level, initial=0)
-    return np.lexsort((level, atoms["code"] << 2 * (deepest - level), atoms["freq"]))
+    return np.lexsort((level, atoms["code"] << 2 * (deepest - level), atoms["freq"], atoms["vec"]))
 
 
 def normalize(F: FunctionSum) -> FunctionSum:
@@ -80,28 +110,48 @@ def normalize(F: FunctionSum) -> FunctionSum:
 
     Merged coefficients are added in input order.
     """
-    a = F.atoms[_key_order(F.atoms)]
+    a = np.take(F.atoms, _key_order(F.atoms))
     first = np.ones(len(a), dtype=bool)
-    first[1:] = np.any([a[f][1:] != a[f][:-1] for f in ("freq", "code", "level")], axis=0)
+    first[1:] = a["vec"][1:] != a["vec"][:-1]
+    for f in ("freq", "code", "level"):
+        first[1:] |= a[f][1:] != a[f][:-1]
     coeff = np.zeros(np.count_nonzero(first), dtype=complex)
     np.add.at(coeff, np.cumsum(first) - 1, a["coeff"])
-    out = a[first]
+    out = np.compress(first, a)
     out["coeff"] = coeff
-    return FunctionSum(out[np.abs(coeff) > MERGE_TOL])
+    return FunctionSum(np.compress(np.abs(coeff) > MERGE_TOL, out))
+
+
+def concat(*sums: FunctionSum) -> FunctionSum:
+    """The atoms of every sum, in order, each keeping its vector index."""
+    return FunctionSum(np.concatenate([F.atoms.view(_RAW) for F in sums]).view(ATOM))
 
 
 def fs_add(*sums: FunctionSum) -> FunctionSum:
-    return normalize(FunctionSum(np.concatenate([F.atoms for F in sums])))
+    return normalize(concat(*sums))
 
 
 def fs_scale(F: FunctionSum, scalar: complex) -> FunctionSum:
-    atoms = F.atoms.copy()
+    atoms = _copy(F.atoms)
     atoms["coeff"] = scalar * atoms["coeff"]
     return FunctionSum(atoms)
 
 
 def fs_sub(F: FunctionSum, G: FunctionSum) -> FunctionSum:
     return fs_add(F, fs_scale(G, -1.0))
+
+
+def select(F: FunctionSum, lo: int, hi: int) -> FunctionSum:
+    """The vectors lo <= vec < hi of a batch, indices and atom order kept."""
+    vec = F.atoms["vec"]
+    return FunctionSum(np.compress((lo <= vec) & (vec < hi), F.atoms))
+
+
+def renumber(F: FunctionSum, scale: int, offset: int) -> FunctionSum:
+    """The same batch with vector v renamed scale * v + offset."""
+    atoms = _copy(F.atoms)
+    atoms["vec"] = scale * atoms["vec"] + offset
+    return FunctionSum(atoms)
 
 
 def refine(F: FunctionSum, K: int) -> FunctionSum:
@@ -111,7 +161,7 @@ def refine(F: FunctionSum, K: int) -> FunctionSum:
     if K > MAX_LEVEL:
         raise DomainError(f"levels must lie in [0, {MAX_LEVEL}], got {K}")
     copies = 4 ** (K - F.atoms["level"])
-    out = np.repeat(F.atoms, copies)
+    out = np.repeat(F.atoms.view(_RAW), copies).view(ATOM)
     # descendant i of an atom appends the base-4 digits of i to its code
     i = np.arange(len(out)) - np.repeat(np.cumsum(copies) - copies, copies)
     out["code"] = out["code"] << 2 * (K - out["level"]) | i
@@ -119,30 +169,53 @@ def refine(F: FunctionSum, K: int) -> FunctionSum:
     return normalize(FunctionSum(out))
 
 
-def inner_product(F: FunctionSum, G: FunctionSum) -> complex:
-    """<F, G> in L^2 of the product measure, summed over nested atom pairs.
+def inner_products(F: FunctionSum, G: FunctionSum, count: int) -> np.ndarray:
+    """<F_v, G_v> for v = 0 .. count - 1, in L^2 of the product measure,
+    each summed over the nested atom pairs of vector v.
 
     A pair whose deeper atom has level K and code u contributes
     cF * conj(cG) * 4^-K * e^{2 pi i D offset(u)} * mu4_hat(D / 4^K)
     with D the frequency difference and offset(u) = 2 (u & X_BITS) / 4^K
     the left endpoint of its x cylinder; disjoint pairs contribute nothing.
-    The pairs are taken in key order, their transform values come from one
-    mu4_hat_array call, and their terms are added one after another.
+    Each vector's pairs are taken in key order, F's atom major, and its
+    terms are added one after another; the transform values of every pair
+    come from one mu4_hat_array call.
     """
-    a = F.atoms[_key_order(F.atoms)][:, None]
-    b = G.atoms[_key_order(G.atoms)][None, :]
+    a = np.take(F.atoms, _key_order(F.atoms))
+    b = np.take(G.atoms, _key_order(G.atoms))
+    na = np.bincount(a["vec"], minlength=count)
+    nb = np.bincount(b["vec"], minlength=count)
+    if len(na) > count or len(nb) > count:
+        raise ContractError(f"vector indices must lie in [0, {count})")
+    # pair p of vector v is its (p // nb[v])-th atom of F with its (p % nb[v])-th of G
+    pairs = na * nb
+    v = np.repeat(np.arange(count), pairs)
+    p = np.arange(len(v)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    a = np.take(a, np.cumsum(na)[v] - na[v] + p // nb[v])
+    b = np.take(b, np.cumsum(nb)[v] - nb[v] + p % nb[v])
     common = np.minimum(a["level"], b["level"])
     nested = a["code"] >> 2 * (a["level"] - common) == b["code"] >> 2 * (b["level"] - common)
-    i, j = np.nonzero(nested)
-    a, b = a[i, 0], b[0, j]
-    deeper = np.where(a["level"] >= b["level"], a, b)
-    scale = np.ldexp(1.0, -2 * deeper["level"])  # 4^-K
+    a, b, v = np.compress(nested, a), np.compress(nested, b), v[nested]
+    a_deeper = a["level"] >= b["level"]
+    scale = np.ldexp(1.0, -2 * np.where(a_deeper, a["level"], b["level"]))  # 4^-K
     delta = a["freq"] - b["freq"]
-    offset = 2 * (deeper["code"] & X_BITS) * scale
+    offset = 2 * (np.where(a_deeper, a["code"], b["code"]) & X_BITS) * scale
     terms = a["coeff"] * b["coeff"].conj() * scale * cis(delta * offset)
     terms *= mu4_hat_array(delta * scale)
-    return complex(np.cumsum(terms)[-1]) if len(terms) else 0j
+    out = np.zeros(count, dtype=complex)
+    np.add.at(out, v, terms)
+    return out
+
+
+def inner_product(F: FunctionSum, G: FunctionSum) -> complex:
+    """<F, G> of two single sums."""
+    return complex(inner_products(F, G, 1)[0])
+
+
+def norms(F: FunctionSum, count: int) -> np.ndarray:
+    """||F_v|| for v = 0 .. count - 1."""
+    return np.sqrt(np.maximum(inner_products(F, F, count).real, 0.0))
 
 
 def norm(F: FunctionSum) -> float:
-    return float(np.sqrt(max(inner_product(F, F).real, 0.0)))
+    return float(norms(F, 1)[0])

@@ -14,14 +14,28 @@ from typing import Iterator
 
 import numpy as np
 
-from .atoms import ATOM, ONE, X_BITS, FunctionSum, fs_add, fs_sub, norm, normalize
+from .atoms import (
+    ATOM,
+    ONE,
+    X_BITS,
+    FunctionSum,
+    concat,
+    fs_add,
+    fs_sub,
+    normalize,
+    norms,
+    refine,
+    renumber,
+    select,
+)
 from .errors import CapacityError, ContractError
 from .filters import FilterBank
 from .report import Check
 from .transform import cis, mu4_hat_array
 
 FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matrix
-MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes seconds
+MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes well under a second
+FAMILY_BATCH_ATOMS = 4**6  # most atoms in one batch of generated_family (while FAMILY_MAX_LEN <= 6)
 _PAD = 4  # row index of the padding row in the Gram kernel's tables
 _PAIRS = np.arange(4)
 _X_DIGITS = 2 * (_PAIRS & X_BITS)  # x digit of each pair index: 0, 2, 0, 2
@@ -50,6 +64,7 @@ def apply_S(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
     children["freq"] = 4 * a["freq"] + j
     children["code"] = _PAIRS << 2 * a["level"] | a["code"]
     children["level"] = a["level"] + 1
+    children["vec"] = a["vec"]
     return normalize(FunctionSum(children.ravel()))
 
 
@@ -67,50 +82,74 @@ def apply_S_star(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
     per_pair = rep.bank.A[j].conj() * cis((a["freq"][:, None] - j) * _X_DIGITS / 4)
     shift = np.maximum(2 * (a["level"] - 1), 0)
     lead = a["code"] >> shift
-    out = a.copy()
+    out = np.empty(len(a), dtype=ATOM)
     factor = np.where(a["level"] > 0, per_pair[np.arange(len(a)), lead], per_pair.sum(axis=1))
     out["coeff"] = 0.5 * factor * a["coeff"]
     out["freq"] = (a["freq"] - j) / 4
     out["code"] = a["code"] - (lead << shift)
     out["level"] = np.maximum(a["level"] - 1, 0)
+    out["vec"] = a["vec"]
     return normalize(FunctionSum(out))
 
 
-def generated_family(rep: CuntzRep, max_len: int) -> Iterator[tuple[int, FunctionSum]]:
-    """(n, S_omega 1) for the words omega of X4 up to max_len, n = c(omega) ascending.
-
-    A word is its index: the base-4 digits of n, applied most significant
-    first (word 0 is (0,)). Word n is word n // 4 followed by S_{n % 4}
-    (words 0..3 extend the empty word), so S_omega 1 is one apply_S on an
-    earlier result, one call per word.
-    """
+def family_size(max_len: int) -> int:
+    """4^max_len, the number of words of length <= max_len, for a length the
+    generated family allows."""
     if max_len < 1:
         raise ContractError("max_len must be >= 1")
     if max_len > FAMILY_MAX_LEN:
         raise CapacityError(f"max_len {max_len} exceeds family cap {FAMILY_MAX_LEN}")
-    prefixes: list[FunctionSum] = []
-    for n in range(4**max_len):
-        F = apply_S(rep, n % 4, prefixes[n // 4] if n >= 4 else ONE)
-        if n < 4 ** (max_len - 1):
-            prefixes.append(F)
-        yield n, F
+    return 4**max_len
 
 
-def random_function_sum(rng: np.random.Generator, level: int, n_atoms: int = 3) -> FunctionSum:
-    """Random test vector: integer frequencies in [-8, 8], random cylinders."""
+def generated_family(rep: CuntzRep, max_len: int) -> Iterator[FunctionSum]:
+    """S_omega 1 for the words omega of X4 up to max_len, in batches: vector
+    n of a batch is S_omega 1 for n = c(omega), and every n < 4^max_len is in
+    exactly one batch, the lengths in ascending order.
+
+    A word is its index: the base-4 digits of n, applied most significant
+    first (word 0 is (0,)). Word n is word n // 4 followed by S_{n % 4}
+    (words 0..3 extend the empty word), so each length is built from the
+    previous one: a batch is one apply_S on a run of prefixes, and holds at
+    most FAMILY_BATCH_ATOMS atoms. Only the previous length is kept.
+    """
+    family_size(max_len)
+    prefixes = ONE  # the words of the previous length; ONE is the empty word, vector 0
+    for K in range(1, max_len + 1):
+        lo, hi = (4 ** (K - 2), 4 ** (K - 1)) if K > 1 else (0, 1)  # prefix indices
+        step = max(1, FAMILY_BATCH_ATOMS // 4**K)  # prefixes per batch, each one word of 4^K atoms
+        batches = []
+        for start in range(lo, hi, step):
+            part = select(prefixes, start, start + step)
+            for j in range(4):
+                batch = apply_S(rep, j, renumber(part, 4, j))
+                if K < max_len:
+                    batches.append(batch)
+                yield batch
+        if batches:
+            prefixes = concat(*batches)
+
+
+def random_function_sum(
+    rng: np.random.Generator, level: int, vectors: int = 1, n_atoms: int = 3
+) -> FunctionSum:
+    """Random test vectors 0 .. vectors - 1 of one batch: integer frequencies
+    in [-8, 8], random cylinders, drawn one vector after another."""
     places = 4 ** np.arange(level - 1, -1, -1)
     atoms = []
-    for _ in range(n_atoms):
-        freq = rng.integers(-8, 9)
-        pairs = rng.integers(0, 2, size=level) + 2 * rng.integers(0, 2, size=level)
-        coeff = complex(rng.standard_normal(), rng.standard_normal())
-        atoms.append((coeff, freq, pairs @ places, level))
-    return normalize(FunctionSum(atoms))
+    for v in range(vectors):
+        for _ in range(n_atoms):
+            freq = rng.integers(-8, 9)
+            pairs = rng.integers(0, 2, size=level) + 2 * rng.integers(0, 2, size=level)
+            coeff = complex(rng.standard_normal(), rng.standard_normal())
+            atoms.append((coeff, freq, pairs @ places, level, v))
+    return normalize(FunctionSum(np.array(atoms, dtype=ATOM)))
 
 
 def verify_cuntz(rep: CuntzRep, level: int, trials: int, seed: int, tol: float) -> Check:
     """Check S_j* S_k = delta_jk I and sum_k S_k S_k* = I on random vectors:
-    every residual, relative to the vector's norm, is at most tol."""
+    every residual, relative to the vector's norm, is at most tol. The trials
+    are one batch, and each relation is applied to all of them at once."""
     if trials < 1:
         raise ContractError("trials must be >= 1")
     if trials > MAX_TRIALS:
@@ -121,22 +160,22 @@ def verify_cuntz(rep: CuntzRep, level: int, trials: int, seed: int, tol: float) 
         raise ContractError("seed must be >= 0")
     if level > 4:
         raise CapacityError("level must be <= 4")
-    rng = np.random.default_rng(seed)
+    F = random_function_sum(np.random.default_rng(seed), level, trials)
+    nf = norms(F, trials)
+    kept = nf != 0.0
+
+    def max_relative(D: FunctionSum) -> float:
+        return float(np.max(norms(D, trials)[kept] / nf[kept], initial=0.0))
+
     max_orth = 0.0
-    max_ident = 0.0
-    for _ in range(trials):
-        F = random_function_sum(rng, level)
-        nf = norm(F)
-        if nf == 0.0:
-            continue
-        for j in range(4):
-            for k in range(4):
-                G = apply_S_star(rep, j, apply_S(rep, k, F))
-                D = fs_sub(G, F) if j == k else G
-                max_orth = max(max_orth, norm(D) / nf)
-        parts = [apply_S(rep, k, apply_S_star(rep, k, F)) for k in range(4)]
-        total = fs_add(*parts)
-        max_ident = max(max_ident, norm(fs_sub(total, F)) / nf)
+    for j in range(4):
+        for k in range(4):
+            G = apply_S_star(rep, j, apply_S(rep, k, F))
+            max_orth = max(max_orth, max_relative(fs_sub(G, F) if j == k else G))
+    total = fs_add(*[apply_S(rep, k, apply_S_star(rep, k, F)) for k in range(4)])
+    # At level 0 the sum is one level deeper than F; refined to it, F cancels
+    # atom by atom instead of leaving a difference of ~1e-16 per atom pair.
+    max_ident = max_relative(fs_sub(total, refine(F, total.level)))
     metrics = {"max_orthogonality_residual": max_orth, "max_identity_residual": max_ident}
     return Check(max_orth <= tol and max_ident <= tol, metrics, {"relative_residual": tol})
 
@@ -192,13 +231,10 @@ def verify_gram(rep: CuntzRep, max_len: int, tol: float) -> Check:
     Hermitian, so only its upper triangle is formed, one row at a time, and
     none is stored.
     """
-    if max_len < 1:
-        raise ContractError("max_len must be >= 1")
-    if max_len > FAMILY_MAX_LEN:
-        raise CapacityError(f"max_len {max_len} exceeds family cap {FAMILY_MAX_LEN}")
+    size = family_size(max_len)
     max_offdiag = max_diag_dev = 0.0
     for entries in _gram_rows(rep, max_len):
         max_diag_dev = max(max_diag_dev, float(abs(entries[0] - 1.0)))
         max_offdiag = max(max_offdiag, float(np.max(np.abs(entries[1:]), initial=0.0)))
-    metrics = {"size": 4**max_len, "max_offdiag": max_offdiag, "max_diag_dev": max_diag_dev}
+    metrics = {"size": size, "max_offdiag": max_offdiag, "max_diag_dev": max_diag_dev}
     return Check(max(max_offdiag, max_diag_dev) <= tol, metrics, {"max_entry_dev": tol})

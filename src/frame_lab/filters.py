@@ -65,9 +65,6 @@ def a_to_h(A: np.ndarray) -> np.ndarray:
     return np.asarray(A, dtype=complex) * SIGN_PATTERN
 
 
-h_to_a = a_to_h  # the sign flip is an involution
-
-
 @dataclass(frozen=True, eq=False)
 class FilterBank:
     A: np.ndarray
@@ -172,7 +169,7 @@ def solve_alpha(
             row3,
         ]
     )
-    bank = filter_bank_from_A(h_to_a(H), tol)
+    bank = filter_bank_from_A(a_to_h(H), tol)  # the sign flip is its own inverse
     if not bank.admissible:
         # Each constraint above holds within tol, but their errors can add up.
         raise InfeasibleParameters(

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .atoms import X_BITS, FunctionSum, refine
-from .cuntz import CuntzRep, generated_family
+from .cuntz import CuntzRep, family_size, generated_family
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
 from .filters import g_map, little_m
 from .report import Check
@@ -38,12 +38,6 @@ SPECIALIZATION_TOL = 1e-12  # largest gap verify_ruelle allows between reduced a
 _CSV_BLOCK = 4**8  # weight table rows turned into Python objects at a time
 # Digit j adds 1 to l_j; the counts (<= 11) are packed 4 bits each while a listing is built.
 _PACKED_COUNT = np.array([0, 1, 16, 256], dtype=np.int16)
-
-
-@dataclass(frozen=True)
-class WeightedExponential:
-    weight: complex
-    frequency: int
 
 
 @dataclass(frozen=True)
@@ -130,53 +124,70 @@ def weight_table(
     return n, counts, d
 
 
-def project_V(F: FunctionSum) -> list[WeightedExponential]:
-    """Integrate out the y coordinate; valid when the result is a pure
-    weighted exponential per frequency.
+def project_V(F: FunctionSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate out the y coordinate of every vector of a batch: arrays
+    (vec, freq, weight), one row per vector and frequency in ascending order;
+    valid when each row is a pure weighted exponential.
 
-    Each level-K y cylinder contributes 2^-K. The per-x-cylinder totals
-    must agree within SHAPE_TOL (that is what the kernel condition
+    The atoms are taken at the deepest level K (word vectors already sit
+    there), where each y cylinder contributes 2^-K. Per vector and
+    frequency, the totals over the x cylinders must agree within SHAPE_TOL,
+    an absent x cylinder counting as 0 (that is what the kernel condition
     guarantees for word vectors); otherwise the input is not of
-    weighted-exponential shape. The weight reported is the total of the
-    x cylinder met first in key order.
+    weighted-exponential shape. The weight reported is the total of the x
+    cylinder met first in atom order, and every frequency must be an integer.
     """
-    out = []
-    freqs, group_of = np.unique(F.atoms["freq"], return_inverse=True)
-    for g, freq in enumerate(freqs):
-        group = FunctionSum(F.atoms[group_of == g])
-        K = group.level
-        flat = refine(group, K).atoms
-        x_words, where = np.unique(flat["code"] & X_BITS, return_inverse=True)
-        totals = np.zeros(len(x_words), dtype=complex)
-        np.add.at(totals, where, flat["coeff"] * 2.0 ** (-K))
-        w = totals[where[0]] if len(flat) else 0j
-        # an absent x-cylinder means weight 0 there
-        values = totals if len(x_words) == 2**K else np.append(totals, 0.0)
-        spread = np.max(np.abs(values - w))
-        if spread > SHAPE_TOL:
+    K = F.level
+    a = F.atoms if np.all(F.atoms["level"] == K) else refine(F, K).atoms
+    x = a["code"] & X_BITS
+    order = np.lexsort((x, a["freq"], a["vec"]))  # stable: atom order within a cylinder
+    vec, freq, x = a["vec"][order], a["freq"][order], x[order]
+    new_group = np.ones(len(a), dtype=bool)
+    new_group[1:] = (vec[1:] != vec[:-1]) | (freq[1:] != freq[:-1])
+    new_cyl = new_group.copy()
+    new_cyl[1:] |= x[1:] != x[:-1]
+    cyl = np.cumsum(new_cyl) - 1  # x cylinder of each sorted atom
+    totals = np.zeros(np.count_nonzero(new_cyl), dtype=complex)
+    np.add.at(totals, cyl, a["coeff"][order] * 2.0 ** (-K))
+    group = (np.cumsum(new_group) - 1)[new_cyl]  # group of each cylinder
+    starts = np.flatnonzero(new_group)
+    cyl_of_atom = np.empty(len(a), dtype=np.int64)
+    cyl_of_atom[order] = cyl
+    w = totals[cyl_of_atom[np.minimum.reduceat(order, starts)]]
+    spread = np.zeros(len(starts))
+    np.maximum.at(spread, group, np.abs(totals - w[group]))
+    absent = np.bincount(group, minlength=len(starts)) < 2**K
+    spread[absent] = np.maximum(spread[absent], np.abs(w[absent]))
+    freq = freq[starts]
+    bad = np.flatnonzero((spread > SHAPE_TOL) | (freq != np.floor(freq)))
+    if len(bad):
+        g = bad[0]
+        if spread[g] > SHAPE_TOL:
             raise UnsupportedShape(
-                f"y-integral is not constant in x at frequency {freq} (spread {spread:.3g})"
+                f"y-integral is not constant in x at frequency {freq[g]} (spread {spread[g]:.3g})"
             )
-        if not freq.is_integer():
-            raise UnsupportedShape(f"non-integer frequency {freq} has no frame index")
-        out.append(WeightedExponential(weight=complex(w), frequency=int(freq)))
-    return out
+        raise UnsupportedShape(f"non-integer frequency {freq[g]} has no frame index")
+    return vec[starts], freq, w
 
 
 def verify_projection(rep: CuntzRep, max_len: int, tol: float) -> Check:
     """P S_omega 1 = d_n e_n, n = c(omega), for every word of length <= max_len:
     each projection is one exponential at frequency n whose weight is within
-    tol of the bank's digit weight d_n."""
-    projected = [(n, project_V(vec)) for n, vec in generated_family(rep, max_len)]
-    support, _, d = weight_table([rep.bank.digit_weight(j) for j in range(4)], len(projected) - 1)
-    weights = np.zeros(len(projected), dtype=complex)
+    tol of the bank's digit weight d_n. The words are projected one batch
+    of generated_family at a time."""
+    weights = np.zeros(family_size(max_len), dtype=complex)
+    support, _, d = weight_table([rep.bank.digit_weight(j) for j in range(4)], len(weights) - 1)
     weights[support] = d
-    max_dev = 0.0
-    for (n, got), expect in zip(projected, weights.tolist()):
-        if len(got) != 1 or got[0].frequency != n:
-            max_dev = float("inf")
-            continue
-        max_dev = max(max_dev, abs(got[0].weight - expect))
+    rows = np.zeros(len(weights), dtype=np.int64)  # projected exponentials per word
+    dev = np.full(len(weights), np.inf)
+    for batch in generated_family(rep, max_len):
+        vec, freq, weight = project_V(batch)
+        np.add.at(rows, vec, 1)
+        own = freq == vec
+        gap = weight[own] - weights[vec[own]]
+        dev[vec[own]] = np.hypot(gap.real, gap.imag)  # bit for bit Python's abs, unlike np.abs
+    dev[rows != 1] = np.inf  # a word must project to one exponential, at its own index
+    max_dev = float(np.max(dev))
     return Check(max_dev <= tol, {"max_weight_dev": max_dev}, {"weight_dev": tol})
 
 

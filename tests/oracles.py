@@ -18,7 +18,9 @@ tuples of letters here, with the index map c, its inverse and the digit
 counts; the library names a word by its index alone. frame_weight (per n,
 from the digit counts), projection_weight (per word, a product over its
 letters) and the CSV writer driven by them are the second paths to the
-library's one digit-weight table.
+library's one digit-weight table. The per-vector checks (one random trial
+vector, one word, one frequency group at a time) are the reference for the
+library's batched verify_cuntz, generated_family and project_V.
 """
 
 import cmath
@@ -30,11 +32,22 @@ from typing import Iterator
 
 import numpy as np
 
-from frame_lab.atoms import MERGE_TOL, FunctionSum, normalize
-from frame_lab.cuntz import apply_S
-from frame_lab.errors import CapacityError, ContractError, DomainError
+from frame_lab.atoms import (
+    MERGE_TOL,
+    ONE,
+    X_BITS,
+    FunctionSum,
+    fs_add,
+    fs_sub,
+    norm,
+    normalize,
+    refine,
+)
+from frame_lab.cuntz import apply_S, apply_S_star, random_function_sum
+from frame_lab.errors import CapacityError, ContractError, DomainError, UnsupportedShape
 from frame_lab.filters import filter_bank_from_A, hadamard_rho, little_m, solve_alpha
-from frame_lab.frames import MAX_ENUM_LEN, WEIGHT_TABLE_COLUMNS
+from frame_lab.frames import MAX_ENUM_LEN, SHAPE_TOL, WEIGHT_TABLE_COLUMNS, weight_table
+from frame_lab.report import Check
 from frame_lab.transform import mu4_hat, mu4_hat_array
 
 _ALPHABET = (0, 1, 2, 3)
@@ -260,6 +273,91 @@ def s_word_one(rep, word) -> FunctionSum:
     return normalize(FunctionSum([(c, c_of_word(word), m, K) for m, c in enumerate(coeffs)]))
 
 
+# ---- Per-vector checks: the loops the library's batched checks replaced.
+
+
+def unstack(F: FunctionSum, v: int) -> FunctionSum:
+    """Vector v of a batch as a single sum (vec 0), atom order kept."""
+    atoms = F.atoms[F.atoms["vec"] == v].copy()
+    atoms["vec"] = 0
+    return FunctionSum(atoms)
+
+
+def oracle_verify_cuntz(rep, level: int, trials: int, seed: int, tol: float) -> Check:
+    """verify_cuntz one trial vector at a time, drawn in the same order; the
+    identity residual is formed at the deeper level, as the library forms it."""
+    rng = np.random.default_rng(seed)
+    max_orth = 0.0
+    max_ident = 0.0
+    for _ in range(trials):
+        F = random_function_sum(rng, level)
+        nf = norm(F)
+        if nf == 0.0:
+            continue
+        for j in range(4):
+            for k in range(4):
+                G = apply_S_star(rep, j, apply_S(rep, k, F))
+                D = fs_sub(G, F) if j == k else G
+                max_orth = max(max_orth, norm(D) / nf)
+        total = fs_add(*[apply_S(rep, k, apply_S_star(rep, k, F)) for k in range(4)])
+        max_ident = max(max_ident, norm(fs_sub(total, refine(F, total.level))) / nf)
+    metrics = {"max_orthogonality_residual": max_orth, "max_identity_residual": max_ident}
+    return Check(max_orth <= tol and max_ident <= tol, metrics, {"relative_residual": tol})
+
+
+def oracle_generated_family(rep, max_len: int) -> Iterator[tuple[int, FunctionSum]]:
+    """(n, S_omega 1) one word at a time, n ascending: word n is one apply_S
+    on word n // 4 (words 0..3 extend the empty word)."""
+    prefixes: list[FunctionSum] = []
+    for n in range(4**max_len):
+        F = apply_S(rep, n % 4, prefixes[n // 4] if n >= 4 else ONE)
+        if n < 4 ** (max_len - 1):
+            prefixes.append(F)
+        yield n, F
+
+
+def oracle_project_V(F: FunctionSum) -> list[tuple[complex, int]]:
+    """(weight, frequency) per frequency of one sum, each frequency's atoms
+    refined to their own deepest level; the weight is the y-integral over
+    the x cylinder met first in key order, all others within SHAPE_TOL of it
+    (an absent one counting as 0)."""
+    out = []
+    freqs, group_of = np.unique(F.atoms["freq"], return_inverse=True)
+    for g, freq in enumerate(freqs):
+        group = FunctionSum(F.atoms[group_of == g])
+        K = group.level
+        flat = refine(group, K).atoms
+        x_words, where = np.unique(flat["code"] & X_BITS, return_inverse=True)
+        totals = np.zeros(len(x_words), dtype=complex)
+        np.add.at(totals, where, flat["coeff"] * 2.0 ** (-K))
+        w = totals[where[0]] if len(flat) else 0j
+        values = totals if len(x_words) == 2**K else np.append(totals, 0.0)
+        spread = np.max(np.abs(values - w))
+        if spread > SHAPE_TOL:
+            raise UnsupportedShape(
+                f"y-integral is not constant in x at frequency {freq} (spread {spread:.3g})"
+            )
+        if not freq.is_integer():
+            raise UnsupportedShape(f"non-integer frequency {freq} has no frame index")
+        out.append((complex(w), int(freq)))
+    return out
+
+
+def oracle_verify_projection(rep, max_len: int, tol: float) -> Check:
+    """verify_projection one word at a time, against the same weight table."""
+    projected = [(n, oracle_project_V(vec)) for n, vec in oracle_generated_family(rep, max_len)]
+    support, _, d = weight_table([rep.bank.digit_weight(j) for j in range(4)], len(projected) - 1)
+    weights = np.zeros(len(projected), dtype=complex)
+    weights[support] = d
+    max_dev = 0.0
+    for (n, got), expect in zip(projected, weights.tolist()):
+        if len(got) != 1 or got[0][1] != n:
+            max_dev = float("inf")
+            continue
+        max_dev = max(max_dev, abs(got[0][0] - expect))
+    return Check(max_dev <= tol, {"max_weight_dev": max_dev}, {"weight_dev": tol})
+
+
 def bank_for_spec(spec, rho=None, tol: float = 1e-12):
     """An admissible bank whose projection weights realize the given family:
     the one-parameter bank when the family's rho is given, else a solver bank."""
@@ -360,7 +458,7 @@ def evaluate(F: FunctionSum, x, digits) -> np.ndarray:
     prefixes = [np.zeros(x.shape, dtype=np.int64)]  # codes of each point's first K digits
     for K in range(F.level):
         prefixes.append(4 * prefixes[-1] + digits[:, K])
-    for coeff, freq, code, level in F.atoms.tolist():
+    for coeff, freq, code, level, _ in F.atoms.tolist():
         mask = prefixes[level] == code
         out[mask] += coeff * np.exp(2j * np.pi * freq * x[mask])
     return out
@@ -441,7 +539,7 @@ def atom_sum(F: FunctionSum) -> AtomSum:
     """The oracle form of a library sum, atom by atom."""
     return AtomSum(
         Atom(complex(coeff), Fraction(freq), tuple((code >> 2 * (level - 1 - i)) & 3 for i in range(level)))
-        for coeff, freq, code, level in F.atoms.tolist()
+        for coeff, freq, code, level, _ in F.atoms.tolist()
     )
 
 

@@ -111,10 +111,10 @@ def test_c04_projection_formula(bank_i, bank_pq):
     for bank in (bank_i, bank_pq):
         rep = CuntzRep(bank)
         for word in _all_words_up_to(4):
-            got = project_V(apply_word(rep, word, ONE))
-            assert len(got) == 1
-            assert got[0].frequency == c_of_word(word)
-            max_dev = max(max_dev, abs(got[0].weight - projection_weight(bank, word)))
+            _, freq, weight = project_V(apply_word(rep, word, ONE))
+            assert len(freq) == 1
+            assert freq[0] == c_of_word(word)
+            max_dev = max(max_dev, abs(weight[0] - projection_weight(bank, word)))
     assert max_dev <= 1e-10
     elapsed = _elapsed_guard(4, "projection formula", started, 30.0)
     _report(4, "projection formula", f"682 words, max weight dev = {max_dev:.2e}, {elapsed:.1f}s")

@@ -15,7 +15,7 @@ from frame_lab import (
     normalize,
     refine,
 )
-from frame_lab.atoms import ONE, fs_add, fs_scale, fs_sub
+from frame_lab.atoms import ONE, concat, fs_add, fs_scale, fs_sub, inner_products, renumber
 from frame_lab.cuntz import CuntzRep, apply_S, apply_S_star
 from frame_lab.filters import rho_bank
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     function_sum,
     ifs_monte_carlo_integral,
     max_coeff_gap,
+    unstack,
 )
 
 
@@ -93,7 +94,8 @@ def test_function_sum_rejects_bad_atoms(row):
 
 def test_function_sum_coerces_its_input():
     F = FunctionSum([(1, 2, 3, 1), (0.5j, Fraction(-1, 4), 4**31 - 1, 31)])
-    assert F.atoms.dtype.names == ("coeff", "freq", "code", "level")
+    assert F.atoms.dtype.names == ("coeff", "freq", "code", "level", "vec")
+    assert F.atoms["vec"].tolist() == [0, 0]
     assert F.atoms["coeff"].dtype == complex and F.atoms["freq"].tolist() == [2.0, -0.25]
     assert not F.atoms.flags.writeable
     assert len(FunctionSum([])) == 0 and FunctionSum([]).level == 0
@@ -236,3 +238,21 @@ def test_array_calculus_matches_atom_oracle(bank_i, bank_pq):
         G = normalize(function_sum(_oracle_sum(rng, 5)))
         want = atom_inner_product(ref, atom_sum(G))
         assert abs(inner_product(F, G) - want) <= 1e-15
+
+
+def test_batch_vectors_get_the_bits_of_their_single_sums():
+    rng = np.random.default_rng(31)
+    F = [normalize(function_sum(_oracle_sum(rng, 6))) for _ in range(4)]
+    G = [normalize(function_sum(_oracle_sum(rng, 4))) for _ in range(4)]
+    batch_F = concat(*(renumber(f, 1, v) for v, f in enumerate(F)))
+    batch_G = concat(*(renumber(g, 1, v) for v, g in enumerate(G)))
+    normalized, refined = normalize(batch_F), refine(batch_F, 3)
+    got = inner_products(batch_F, batch_G, 4)
+    for v in range(4):
+        assert np.array_equal(unstack(normalized, v).atoms, F[v].atoms)
+        assert np.array_equal(unstack(refined, v).atoms, refine(F[v], 3).atoms)
+        assert repr(complex(got[v])) == repr(inner_product(F[v], G[v]))
+    with pytest.raises(ContractError):
+        inner_products(batch_F, batch_G, 3)  # vector 3 has no slot
+    with pytest.raises(DomainError):
+        renumber(ONE, 1, -1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from frame_lab import (
     CapacityError,
     ContractError,
     CuntzRep,
+    WeightSpec,
     apply_S,
     apply_S_star,
+    cis,
     exponential,
     filter_bank_from_A,
     g_map,
@@ -15,8 +19,11 @@ from frame_lab import (
     little_m,
     norm,
     normalize,
+    rho_bank,
+    solve_alpha,
     verify_cuntz,
     verify_gram,
+    verify_projection,
 )
 from frame_lab.atoms import ONE, fs_add, fs_scale, fs_sub, refine
 from frame_lab.cuntz import (
@@ -31,13 +38,27 @@ from oracles import (
     _dense_word_vector,
     apply_word,
     atom_sum,
+    bank_for_spec,
     c_of_word,
     dense_inner,
     enumerate_X4,
     max_coeff_gap,
+    oracle_verify_cuntz,
+    oracle_verify_projection,
     s_word_one,
+    unstack,
     word_of_index,
 )
+
+# Banks of the batched-vs-per-vector parity cases. Only the balanced solver
+# bank leaves nonzero Cuntz residuals on these seeds, so its cases compare
+# rounding, not only zeros.
+PARITY_BANKS = {
+    "pi_over_3": rho_bank(complex(cis(1 / 6))),
+    "pq": solve_alpha(2**-0.5, 2**-0.5, 2**-0.5, 0.0, 0.0, 1.0),  # the bank_pq fixture
+    "lopsided": bank_for_spec(WeightSpec.from_pq(0.6, 0.8)),
+    "lopsided_i": bank_for_spec(WeightSpec.from_pq(0.6j, 0.8)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -150,10 +171,12 @@ def test_closed_form_agrees_with_chain(rep_i):
 
 def test_generated_family_matches_apply_word(rep_i, rep_pq):
     for rep in (rep_i, rep_pq):
-        family = list(generated_family(rep, 3))
-        assert [n for n, _ in family] == list(range(4**3))
-        for n, vec in family:
-            assert np.array_equal(vec.atoms, apply_word(rep, word_of_index(n), ONE).atoms)
+        family = [(np.unique(batch.atoms["vec"]).tolist(), batch) for batch in generated_family(rep, 3)]
+        assert sorted(n for words, _ in family for n in words) == list(range(4**3))
+        for words, batch in family:
+            for n in words:
+                want = apply_word(rep, word_of_index(n), ONE).atoms
+                assert np.array_equal(unstack(batch, n).atoms, want)
 
 
 def test_s_word_one_zero_word_is_constant(rep_i):
@@ -175,6 +198,49 @@ def test_s_word_one_unit_norm(rep_i):
 def test_s_word_one_rejects_empty(rep_i):
     with pytest.raises(ContractError):
         s_word_one(rep_i, Word4(()))
+
+
+@pytest.mark.parametrize("level", range(5))
+@pytest.mark.parametrize("bank", PARITY_BANKS)
+def test_verify_cuntz_matches_per_trial_oracle(bank, level):
+    # the batched check adds each vector's terms in the per-trial order, so
+    # the metrics agree bit for bit
+    rep = CuntzRep(PARITY_BANKS[bank])
+    seed = 2 if level == 2 else 3  # seeds on which the pq bank leaves a nonzero residual
+    got = verify_cuntz(rep, level, trials=2, seed=seed, tol=1e-10)
+    assert repr(got) == repr(oracle_verify_cuntz(rep, level, 2, seed, 1e-10))
+    assert got.passed
+    if bank == "pq":
+        assert got.metrics["max_orthogonality_residual"] > 0
+
+
+@pytest.mark.parametrize("max_len", range(1, 5))
+@pytest.mark.parametrize("bank", ["pi_over_3", "pq"])
+def test_verify_projection_matches_per_word_oracle(bank, max_len):
+    rep = CuntzRep(PARITY_BANKS[bank])
+    got = verify_projection(rep, max_len, 1e-10)
+    assert repr(got) == repr(oracle_verify_projection(rep, max_len, 1e-10))
+    assert got.passed
+    if bank == "pq":
+        assert got.metrics["max_weight_dev"] > 0
+
+
+def test_checks_at_their_caps_stay_in_bounded_memory(rep_i):
+    # generated_family keeps one length and batches of FAMILY_BATCH_ATOMS
+    # atoms; all words of length 5 at once would take ~38 MB
+    limit = 16 * 2**20
+    tracemalloc.start()
+    try:
+        projection = verify_projection(rep_i, FAMILY_MAX_LEN, 1e-10)
+        _, projection_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cuntz = verify_cuntz(rep_i, level=4, trials=MAX_TRIALS, seed=0, tol=1e-10)
+        _, cuntz_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert projection_peak <= limit
+    assert cuntz_peak <= limit
+    assert projection.passed and cuntz.passed
 
 
 def test_verify_cuntz_report(bank_one):
@@ -262,7 +328,7 @@ def _canonical(F, level):
     flat = refine(F, level)
     return frozenset(
         (freq, code, round(coeff.real, 9), round(coeff.imag, 9))
-        for coeff, freq, code, _ in flat.atoms.tolist()
+        for coeff, freq, code, _, _ in flat.atoms.tolist()
     )
 
 

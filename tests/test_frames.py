@@ -20,12 +20,13 @@ from frame_lab import (
     verify_ruelle,
     weight_table,
 )
-from frame_lab.atoms import ONE
+from frame_lab.atoms import ONE, concat, renumber
 from frame_lab.cli import main
 from frame_lab.frames import write_trace_csv, write_weight_table
 from oracles import (
     Atom,
     Word4,
+    apply_word,
     bank_for_spec,
     c_of_word,
     digit_counts,
@@ -113,25 +114,38 @@ def test_weight_modulus_bounded(angle, n):
 
 
 def test_project_constant():
-    got = project_V(ONE)
-    assert len(got) == 1
-    assert got[0].frequency == 0
-    assert got[0].weight == 1
+    vec, freq, weight = project_V(ONE)
+    assert len(freq) == 1
+    assert vec[0] == 0
+    assert freq[0] == 0
+    assert weight[0] == 1
 
 
 def test_projection_formula_word_vectors(bank_i):
     rep = CuntzRep(bank_i)
     for w in enumerate_X4(3):
-        got = project_V(s_word_one(rep, w))
-        assert len(got) == 1
-        assert got[0].frequency == c_of_word(w)
-        assert abs(got[0].weight - projection_weight(bank_i, w)) < 1e-12
+        _, freq, weight = project_V(s_word_one(rep, w))
+        assert len(freq) == 1
+        assert freq[0] == c_of_word(w)
+        assert abs(weight[0] - projection_weight(bank_i, w)) < 1e-12
+
+
+def test_project_batch_of_mixed_levels(bank_i):
+    # words of lengths 0..3 in one batch: every vector is refined to level 3
+    rep = CuntzRep(bank_i)
+    words = [Word4(()), Word4((2,)), Word4((1, 3)), Word4((3, 0, 1))]
+    batch = concat(*(renumber(apply_word(rep, w, ONE), 1, v) for v, w in enumerate(words)))
+    vec, freq, weight = project_V(batch)
+    assert vec.tolist() == [0, 1, 2, 3]
+    assert freq.tolist() == [c_of_word(w) for w in words]
+    for w, got in zip(words, weight):
+        assert abs(got - projection_weight(bank_i, w)) < 1e-12
 
 
 def test_projection_weight_vanishes_on_digit_two(bank_i):
     rep = CuntzRep(bank_i)
-    got = project_V(s_word_one(rep, Word4((2,))))
-    assert got[0].weight == 0
+    _, _, weight = project_V(s_word_one(rep, Word4((2,))))
+    assert weight[0] == 0
     assert abs(bank_i.digit_weight(2)) == 0
 
 

@@ -2,6 +2,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -500,6 +501,17 @@ def test_certify_runs_the_cli_ladder(capsys, monkeypatch, tmp_path):
     ]
 
 
+def test_verify_cuntz_level_zero_passes_on_every_certified_bank(capsys):
+    # at level 0 the identity sum is one level deeper than the trial vector;
+    # the residual must still cancel atom by atom
+    for name, _, bank, _ in _certify_script().MENU:
+        for seed in range(3):
+            argv = ["verify", "cuntz", *bank, "--level", "0", "--trials", "3", "--seed", str(seed)]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, (name, seed, last_json(out)["metrics"])
+            assert last_json(out)["metrics"]["max_identity_residual"] <= 1e-15
+
+
 def test_certify_reports_a_failed_call(capsys, monkeypatch, tmp_path):
     script = _certify_script()
     monkeypatch.setattr(
@@ -579,7 +591,7 @@ def _argv(draw):
         return ["verify", "unitarity", *samples, *tol]
     if command == "cuntz":
         sizes = [
-            draw(_optional("level", _ints(1, 2, cap=4))),
+            draw(_optional("level", _ints(0, 1, 2, cap=4))),
             draw(_flag("trials", _ints(1, cap=MAX_TRIALS))),
             draw(_optional("seed", _ints(7))),
         ]
@@ -632,6 +644,9 @@ def test_every_argv_keeps_the_exit_contract(weights_out, argv):
             code = main(argv)
     assert not caught, "a warning is one more stderr line"
     lines = out.getvalue().splitlines()
+    default_tol = not any(a.startswith("--tol") for a in argv) and "FRAME_LAB_TOL" not in os.environ
+    if argv[:2] == ["verify", "cuntz"] and default_tol:
+        assert code != 1, "the Cuntz relations hold on every admissible bank at the default tol"
     if code in (0, 1):
         assert len(lines) == 1
         assert isinstance(json.loads(lines[0], parse_constant=_reject_constant), dict)
