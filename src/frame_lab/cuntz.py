@@ -9,6 +9,8 @@ float64 frequencies.
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -35,6 +37,7 @@ from .transform import cis, mu4_hat_array
 
 FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matrix
 MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes well under a second
+TRIALS_PER_PASS = 64  # trial vectors verify_cuntz stacks at once; bounds its working memory
 FAMILY_BATCH_ATOMS = 4**6  # most atoms in one batch of generated_family (while FAMILY_MAX_LEN <= 6)
 _PAD = 4  # row index of the padding row in the Gram kernel's tables
 _PAIRS = np.arange(4)
@@ -131,25 +134,49 @@ def generated_family(rep: CuntzRep, max_len: int) -> Iterator[FunctionSum]:
 
 
 def random_function_sum(
-    rng: np.random.Generator, level: int, vectors: int = 1, n_atoms: int = 3
+    rng: random.Random, level: int, vectors: int = 1, n_atoms: int = 3
 ) -> FunctionSum:
-    """Random test vectors 0 .. vectors - 1 of one batch: integer frequencies
-    in [-8, 8], random cylinders, drawn one vector after another."""
-    places = 4 ** np.arange(level - 1, -1, -1)
+    """Random test vectors 0 .. vectors - 1 of one batch, drawn one vector
+    after another, so one draw of T vectors equals T single draws.
+
+    Each atom takes, in this order: a frequency uniform in [-8, 8]
+    (getrandbits(5), redrawn while above 16), a code uniform in
+    [0, 4^level) (getrandbits(2 level): independent uniform pairs), and a
+    coefficient whose real and imaginary parts are independent standard
+    normals (Box-Muller on two random() draws).
+    """
     atoms = []
     for v in range(vectors):
         for _ in range(n_atoms):
-            freq = rng.integers(-8, 9)
-            pairs = rng.integers(0, 2, size=level) + 2 * rng.integers(0, 2, size=level)
-            coeff = complex(rng.standard_normal(), rng.standard_normal())
-            atoms.append((coeff, freq, pairs @ places, level, v))
+            freq = rng.getrandbits(5)
+            while freq > 16:
+                freq = rng.getrandbits(5)
+            code = rng.getrandbits(2 * level)
+            radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+            angle = 2.0 * math.pi * rng.random()
+            coeff = complex(radius * math.cos(angle), radius * math.sin(angle))
+            atoms.append((coeff, freq - 8, code, level, v))
     return normalize(FunctionSum(np.array(atoms, dtype=ATOM)))
 
 
+def _max_relative(D: FunctionSum, nf: np.ndarray, blocks: int) -> float:
+    """The largest ||D_{i T + v}|| / nf[v] over blocks i < blocks and the
+    vectors v < T = len(nf) with nf[v] != 0."""
+    kept = nf != 0.0
+    residuals = norms(D, blocks * len(nf)).reshape(blocks, len(nf))
+    return float(np.max(residuals[:, kept] / nf[kept], initial=0.0))
+
+
 def verify_cuntz(rep: CuntzRep, level: int, trials: int, seed: int, tol: float) -> Check:
-    """Check S_j* S_k = delta_jk I and sum_k S_k S_k* = I on random vectors:
-    every residual, relative to the vector's norm, is at most tol. The trials
-    are one batch, and each relation is applied to all of them at once."""
+    """Check S_j* S_k = delta_jk I and sum_k S_k S_k* = I on random vectors
+    drawn by random.Random(seed): every residual, relative to the vector's
+    norm, is at most tol.
+
+    The trials run in passes of TRIALS_PER_PASS vectors. In a pass of T
+    vectors, S_j* S_k F_v is vector (4j + k) T + v of one stack, so the 16
+    compositions take 4 apply_S and 4 apply_S_star calls, one subtraction and
+    one norms call; the identity sum is applied to the pass as it stands.
+    """
     if trials < 1:
         raise ContractError("trials must be >= 1")
     if trials > MAX_TRIALS:
@@ -160,22 +187,20 @@ def verify_cuntz(rep: CuntzRep, level: int, trials: int, seed: int, tol: float) 
         raise ContractError("seed must be >= 0")
     if level > 4:
         raise CapacityError("level must be <= 4")
-    F = random_function_sum(np.random.default_rng(seed), level, trials)
-    nf = norms(F, trials)
-    kept = nf != 0.0
-
-    def max_relative(D: FunctionSum) -> float:
-        return float(np.max(norms(D, trials)[kept] / nf[kept], initial=0.0))
-
-    max_orth = 0.0
-    for j in range(4):
-        for k in range(4):
-            G = apply_S_star(rep, j, apply_S(rep, k, F))
-            max_orth = max(max_orth, max_relative(fs_sub(G, F) if j == k else G))
-    total = fs_add(*[apply_S(rep, k, apply_S_star(rep, k, F)) for k in range(4)])
-    # At level 0 the sum is one level deeper than F; refined to it, F cancels
-    # atom by atom instead of leaving a difference of ~1e-16 per atom pair.
-    max_ident = max_relative(fs_sub(total, refine(F, total.level)))
+    rng = random.Random(seed)
+    max_orth = max_ident = 0.0
+    for done in range(0, trials, TRIALS_PER_PASS):
+        T = min(TRIALS_PER_PASS, trials - done)
+        F = random_function_sum(rng, level, T)
+        nf = norms(F, T)
+        SF = concat(*[apply_S(rep, k, renumber(F, 1, k * T)) for k in range(4)])
+        G = concat(*[apply_S_star(rep, j, renumber(SF, 1, 4 * j * T)) for j in range(4)])
+        diagonal = concat(*[renumber(F, 1, 5 * j * T) for j in range(4)])
+        max_orth = max(max_orth, _max_relative(fs_sub(G, diagonal), nf, 16))
+        total = fs_add(*[apply_S(rep, k, apply_S_star(rep, k, F)) for k in range(4)])
+        # At level 0 the sum is one level deeper than F; refined to it, F cancels
+        # atom by atom instead of leaving a difference of ~1e-16 per atom pair.
+        max_ident = max(max_ident, _max_relative(fs_sub(total, refine(F, total.level)), nf, 1))
     metrics = {"max_orthogonality_residual": max_orth, "max_identity_residual": max_ident}
     return Check(max_orth <= tol and max_ident <= tol, metrics, {"relative_residual": tol})
 

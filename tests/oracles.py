@@ -26,6 +26,7 @@ library's batched verify_cuntz, generated_family and project_V.
 import cmath
 import csv
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -286,7 +287,7 @@ def unstack(F: FunctionSum, v: int) -> FunctionSum:
 def oracle_verify_cuntz(rep, level: int, trials: int, seed: int, tol: float) -> Check:
     """verify_cuntz one trial vector at a time, drawn in the same order; the
     identity residual is formed at the deeper level, as the library forms it."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     max_orth = 0.0
     max_ident = 0.0
     for _ in range(trials):
@@ -427,9 +428,9 @@ def ifs_monte_carlo_integral(f, depth: int, samples: int, seed: int) -> complex:
     Averages f over points obtained by composing `depth` uniformly random
     contractions of the planar system applied to (0, 0); the point with
     digit string (k_1, .., k_d) is (sum xdig(k_i)/4^i, sum ydig(k_i)/2^i).
-    f is called as f(x, y, digits) with the coordinate arrays and the
-    (samples, depth) digit matrix the points were built from. Deterministic
-    for a fixed seed.
+    f is called as f(x, y, codes) with the coordinate arrays and each
+    point's digit string read as a base-4 integer, k_1 most significant.
+    Deterministic for a fixed seed.
     """
     if depth < 8:
         raise ContractError("depth must be >= 8 for point-location error below 4^-8")
@@ -437,30 +438,42 @@ def ifs_monte_carlo_integral(f, depth: int, samples: int, seed: int) -> complex:
         raise ContractError("samples must be positive")
     rng = np.random.default_rng(seed)
     ks = rng.integers(0, 4, size=(samples, depth), dtype=np.uint8)
-    # The digit strings, read as base-4 and base-2 integers, stay below 2^53
-    # for depth <= 26, so the coordinates are exact.
-    places = np.arange(depth - 1, -1, -1, dtype=np.int64)
-    xs = np.einsum("ij,j->i", ks & 1, 2 * 4**places) * 4.0**-depth
-    ys = np.einsum("ij,j->i", ks >> 1, 2**places) * 2.0**-depth
-    vals = np.asarray(f(xs, ys, ks), dtype=np.complex128)
+    # The codes and the coordinates read as integers stay below 2^53 for
+    # depth <= 26, so the coordinates are exact.
+    codes = np.einsum("ij,j->i", ks, 4 ** np.arange(depth - 1, -1, -1, dtype=np.int64))
+    xs = 2 * (codes & X_BITS) * 4.0**-depth
+    ys = _even_bits(codes >> 1) * 2.0**-depth
+    vals = np.asarray(f(xs, ys, codes), dtype=np.complex128)
     return complex(np.mean(vals))
 
 
-def evaluate(F: FunctionSum, x, digits) -> np.ndarray:
-    """Pointwise values of F at the Monte-Carlo points x with their digit rows.
+def _even_bits(v: np.ndarray) -> np.ndarray:
+    """Bits 0, 2, 4, .. of each non-negative int64, packed to bits 0, 1, 2, .."""
+    v = v & X_BITS
+    for shift, keep in [
+        (1, 0x3333_3333_3333_3333),
+        (2, 0x0F0F_0F0F_0F0F_0F0F),
+        (4, 0x00FF_00FF_00FF_00FF),
+        (8, 0x0000_FFFF_0000_FFFF),
+        (16, 0x0000_0000_FFFF_FFFF),
+    ]:
+        v = (v | v >> shift) & keep
+    return v
+
+
+def evaluate(F: FunctionSum, x, codes, depth: int) -> np.ndarray:
+    """Pointwise values of F at the Monte-Carlo points x with their digit
+    strings `codes` of `depth` base-4 digits.
 
     A point lies in an atom's level-K cylinder exactly when its first K
-    digits, read as a base-4 code, are the atom's code, so the cylinder
-    masks come from the sampler's digits instead of from x and y.
+    digits, read as a base-4 code, are the atom's code, so the cylinders
+    are located from the sampler's digits instead of from x and y.
     """
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros(x.shape, dtype=np.complex128)
-    prefixes = [np.zeros(x.shape, dtype=np.int64)]  # codes of each point's first K digits
-    for K in range(F.level):
-        prefixes.append(4 * prefixes[-1] + digits[:, K])
     for coeff, freq, code, level, _ in F.atoms.tolist():
-        mask = prefixes[level] == code
-        out[mask] += coeff * np.exp(2j * np.pi * freq * x[mask])
+        at = np.flatnonzero(codes >> 2 * (depth - level) == code)
+        np.add.at(out, at, coeff * np.exp(2j * np.pi * freq * np.take(x, at)))
     return out
 
 

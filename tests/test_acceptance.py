@@ -295,7 +295,7 @@ def test_c12_integration_paths_agree():
         F, G = random_sum(), random_sum()
         exact = inner_product(F, G)
         mc = ifs_monte_carlo_integral(
-            lambda x, y, digits: evaluate(F, x, digits) * np.conj(evaluate(G, x, digits)),
+            lambda x, y, codes: evaluate(F, x, codes, 24) * np.conj(evaluate(G, x, codes, 24)),
             depth=24,
             samples=samples,
             seed=90000 + trial,

@@ -190,7 +190,7 @@ def test_inner_product_against_monte_carlo():
         F, G = random_sum(rng), random_sum(rng)
         exact = inner_product(F, G)
         mc = ifs_monte_carlo_integral(
-            lambda x, y, digits: evaluate(F, x, digits) * np.conj(evaluate(G, x, digits)),
+            lambda x, y, codes: evaluate(F, x, codes, 24) * np.conj(evaluate(G, x, codes, 24)),
             depth=24,
             samples=samples,
             seed=int(rng.integers(0, 2**31)),

@@ -3,6 +3,8 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import frame_lab
 from frame_lab import (
     CuntzRep,
     RunReport,
@@ -470,9 +473,11 @@ def test_env_tolerance_override(capsys, monkeypatch):
     assert last_json(out)["tolerances"]["max_entry_dev"] == 1e-9
 
 
+CERTIFY_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify_all.py"
+
+
 def _certify_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "certify_all.py"
-    spec = importlib.util.spec_from_file_location("certify_all", path)
+    spec = importlib.util.spec_from_file_location("certify_all", CERTIFY_SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -510,6 +515,29 @@ def test_verify_cuntz_level_zero_passes_on_every_certified_bank(capsys):
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0, (name, seed, last_json(out)["metrics"])
             assert last_json(out)["metrics"]["max_identity_residual"] <= 1e-15
+
+
+def test_cuntz_and_the_certify_ladder_leave_numpy_random_unimported(tmp_path):
+    # verify cuntz draws with the stdlib generator; importing numpy.random
+    # would cost every such process ~15 ms and ~5 MB
+    program = "\n".join([
+        "import runpy, sys",
+        "from frame_lab import cli",
+        "codes = [cli.main(['verify', 'cuntz', '--rho-im', '1', '--level', '4', '--trials', '20'])]",
+        f"sys.argv = ['certify_all.py', '--out-dir', {str(tmp_path)!r}]",
+        "try:",
+        f"    runpy.run_path({str(CERTIFY_SCRIPT)!r}, run_name='__main__')",
+        "except SystemExit as exit:",
+        "    codes.append(exit.code)",
+        "print(codes, 'numpy.random' in sys.modules)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(frame_lab.__file__).resolve().parents[1])}
+    env.pop("FRAME_LAB_TOL", None)
+    result = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_certify_reports_a_failed_call(capsys, monkeypatch, tmp_path):
