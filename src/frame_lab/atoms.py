@@ -141,12 +141,6 @@ def fs_sub(F: FunctionSum, G: FunctionSum) -> FunctionSum:
     return fs_add(F, fs_scale(G, -1.0))
 
 
-def select(F: FunctionSum, lo: int, hi: int) -> FunctionSum:
-    """The vectors lo <= vec < hi of a batch, indices and atom order kept."""
-    vec = F.atoms["vec"]
-    return FunctionSum(np.compress((lo <= vec) & (vec < hi), F.atoms))
-
-
 def renumber(F: FunctionSum, scale: int, offset: int) -> FunctionSum:
     """The same batch with vector v renamed scale * v + offset."""
     atoms = _copy(F.atoms)

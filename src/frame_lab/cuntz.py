@@ -22,13 +22,11 @@ from .atoms import (
     X_BITS,
     FunctionSum,
     concat,
-    fs_add,
     fs_sub,
     normalize,
     norms,
     refine,
     renumber,
-    select,
 )
 from .errors import CapacityError, ContractError
 from .filters import FilterBank
@@ -38,7 +36,7 @@ from .transform import cis, mu4_hat_array
 FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matrix
 MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes well under a second
 TRIALS_PER_PASS = 64  # trial vectors verify_cuntz stacks at once; bounds its working memory
-FAMILY_BATCH_ATOMS = 4**6  # most atoms in one batch of generated_family (while FAMILY_MAX_LEN <= 6)
+FAMILY_BATCH_ATOMS = 4**6  # most atoms in one batch of generated_family (while FAMILY_MAX_LEN <= 5)
 _PAD = 4  # row index of the padding row in the Gram kernel's tables
 _PAIRS = np.arange(4)
 _X_DIGITS = 2 * (_PAIRS & X_BITS)  # x digit of each pair index: 0, 2, 0, 2
@@ -53,46 +51,49 @@ class CuntzRep:
             raise ContractError("CuntzRep requires an admissible filter bank")
 
 
-def apply_S(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
-    """One generating isometry: atom (c,t,u) maps to its four children.
+def apply_S(rep: CuntzRep, F: FunctionSum) -> FunctionSum:
+    """All four generating isometries at once: vector v of F becomes the
+    vectors 4v + j, each holding S_j F_v.
 
-    Child k carries coefficient 2*a_jk*c*e^{-2 pi i t xd(k)}, frequency
-    4t + j, and k prepended to the word; xd(k) is the x digit of k.
+    Under S_j an atom (c,t,u) maps to its four children; child k carries
+    coefficient 2*a_jk*c*e^{-2 pi i t xd(k)}, frequency 4t + j, and k
+    prepended to the word, xd(k) being the x digit of k. The children of
+    every atom are one (atoms, 4 j, 4 k) broadcast.
     """
-    if j not in (0, 1, 2, 3):
-        raise ContractError(f"isometry index must be in 0..3, got {j}")
-    a = F.atoms[:, None]
-    children = np.empty((len(F), 4), dtype=ATOM)
-    children["coeff"] = 2.0 * rep.bank.A[j] * a["coeff"] * cis(-a["freq"] * _X_DIGITS)
-    children["freq"] = 4 * a["freq"] + j
+    a = F.atoms[:, None, None]
+    children = np.empty((len(F), 4, 4), dtype=ATOM)
+    children["coeff"] = 2.0 * rep.bank.A * a["coeff"] * cis(-a["freq"] * _X_DIGITS)
+    children["freq"] = 4 * a["freq"] + _PAIRS[:, None]
     children["code"] = _PAIRS << 2 * a["level"] | a["code"]
     children["level"] = a["level"] + 1
-    children["vec"] = a["vec"]
+    children["vec"] = 4 * a["vec"] + _PAIRS[:, None]
     return normalize(FunctionSum(children.ravel()))
 
 
-def apply_S_star(rep: CuntzRep, j: int, F: FunctionSum) -> FunctionSum:
-    """Adjoint of apply_S: strips the leading digit pair.
+def apply_S_star(rep: CuntzRep, F: FunctionSum) -> FunctionSum:
+    """The adjoints, all four at once: vector v of F becomes the vectors
+    4v + j, each holding S_j* F_v. S_j* strips the leading digit pair.
 
     Pair k of an atom (c,t,u) carries conj(a_jk) e^{2 pi i (t - j) xd(k)/4} / 2.
     On a level-0 atom all four pairs contribute and the result is the symbol
     value little_m(j, t) times the exponential at (t - j)/4; on a deeper atom
-    only its leading pair k = u >> 2(level - 1) survives.
+    only its leading pair k = u >> 2(level - 1) survives. The images of every
+    atom are one (atoms, 4 j) broadcast.
     """
-    if j not in (0, 1, 2, 3):
-        raise ContractError(f"isometry index must be in 0..3, got {j}")
     a = F.atoms
-    per_pair = rep.bank.A[j].conj() * cis((a["freq"][:, None] - j) * _X_DIGITS / 4)
+    t = a["freq"][:, None]
+    per_pair = rep.bank.A.conj() * cis((t[:, :, None] - _PAIRS[:, None]) * _X_DIGITS / 4)
     shift = np.maximum(2 * (a["level"] - 1), 0)
     lead = a["code"] >> shift
-    out = np.empty(len(a), dtype=ATOM)
-    factor = np.where(a["level"] > 0, per_pair[np.arange(len(a)), lead], per_pair.sum(axis=1))
-    out["coeff"] = 0.5 * factor * a["coeff"]
-    out["freq"] = (a["freq"] - j) / 4
-    out["code"] = a["code"] - (lead << shift)
-    out["level"] = np.maximum(a["level"] - 1, 0)
-    out["vec"] = a["vec"]
-    return normalize(FunctionSum(out))
+    leading = per_pair[np.arange(len(a))[:, None], _PAIRS, lead[:, None]]
+    factor = np.where(a["level"][:, None] > 0, leading, per_pair.sum(axis=2))
+    out = np.empty((len(a), 4), dtype=ATOM)
+    out["coeff"] = 0.5 * factor * a["coeff"][:, None]
+    out["freq"] = (t - _PAIRS) / 4
+    out["code"] = (a["code"] - (lead << shift))[:, None]
+    out["level"] = np.maximum(a["level"] - 1, 0)[:, None]
+    out["vec"] = 4 * a["vec"][:, None] + _PAIRS
+    return normalize(FunctionSum(out.ravel()))
 
 
 def family_size(max_len: int) -> int:
@@ -113,22 +114,24 @@ def generated_family(rep: CuntzRep, max_len: int) -> Iterator[FunctionSum]:
     A word is its index: the base-4 digits of n, applied most significant
     first (word 0 is (0,)). Word n is word n // 4 followed by S_{n % 4}
     (words 0..3 extend the empty word), so each length is built from the
-    previous one: a batch is one apply_S on a run of prefixes, and holds at
-    most FAMILY_BATCH_ATOMS atoms. Only the previous length is kept.
+    previous one: a batch is one apply_S on a run of prefixes, which puts
+    S_j of prefix m at vector 4m + j, and holds at most FAMILY_BATCH_ATOMS
+    atoms. Only the previous length is kept.
     """
     family_size(max_len)
     prefixes = ONE  # the words of the previous length; ONE is the empty word, vector 0
     for K in range(1, max_len + 1):
         lo, hi = (4 ** (K - 2), 4 ** (K - 1)) if K > 1 else (0, 1)  # prefix indices
-        step = max(1, FAMILY_BATCH_ATOMS // 4**K)  # prefixes per batch, each one word of 4^K atoms
+        # prefixes per batch, each giving 4 words of 4^K atoms
+        step = max(1, FAMILY_BATCH_ATOMS // 4 ** (K + 1))
+        # each run's atom range: the batches are sorted by vec and come in vec order
+        cuts = np.searchsorted(prefixes.atoms["vec"], [*range(lo, hi, step), hi])
         batches = []
-        for start in range(lo, hi, step):
-            part = select(prefixes, start, start + step)
-            for j in range(4):
-                batch = apply_S(rep, j, renumber(part, 4, j))
-                if K < max_len:
-                    batches.append(batch)
-                yield batch
+        for i, k in zip(cuts[:-1], cuts[1:]):
+            batch = apply_S(rep, FunctionSum(prefixes.atoms[i:k]))
+            if K < max_len:
+                batches.append(batch)
+            yield batch
         if batches:
             prefixes = concat(*batches)
 
@@ -159,23 +162,17 @@ def random_function_sum(
     return normalize(FunctionSum(np.array(atoms, dtype=ATOM)))
 
 
-def _max_relative(D: FunctionSum, nf: np.ndarray, blocks: int) -> float:
-    """The largest ||D_{i T + v}|| / nf[v] over blocks i < blocks and the
-    vectors v < T = len(nf) with nf[v] != 0."""
-    kept = nf != 0.0
-    residuals = norms(D, blocks * len(nf)).reshape(blocks, len(nf))
-    return float(np.max(residuals[:, kept] / nf[kept], initial=0.0))
-
-
 def verify_cuntz(rep: CuntzRep, level: int, trials: int, seed: int, tol: float) -> Check:
     """Check S_j* S_k = delta_jk I and sum_k S_k S_k* = I on random vectors
     drawn by random.Random(seed): every residual, relative to the vector's
     norm, is at most tol.
 
     The trials run in passes of TRIALS_PER_PASS vectors. In a pass of T
-    vectors, S_j* S_k F_v is vector (4j + k) T + v of one stack, so the 16
-    compositions take 4 apply_S and 4 apply_S_star calls, one subtraction and
-    one norms call; the identity sum is applied to the pass as it stands.
+    vectors, apply_S_star(apply_S(F)) holds S_j* S_k F_v at vector
+    16v + 4k + j, and apply_S(apply_S_star(F)) holds S_j S_k* F_v there, of
+    which the terms j = k of the identity sum are kept. One subtraction
+    forms the 16 T orthogonality residuals and the T identity residuals,
+    and one norms call measures them with F: 4 operator calls per pass.
     """
     if trials < 1:
         raise ContractError("trials must be >= 1")
@@ -192,15 +189,22 @@ def verify_cuntz(rep: CuntzRep, level: int, trials: int, seed: int, tol: float) 
     for done in range(0, trials, TRIALS_PER_PASS):
         T = min(TRIALS_PER_PASS, trials - done)
         F = random_function_sum(rng, level, T)
-        nf = norms(F, T)
-        SF = concat(*[apply_S(rep, k, renumber(F, 1, k * T)) for k in range(4)])
-        G = concat(*[apply_S_star(rep, j, renumber(SF, 1, 4 * j * T)) for j in range(4)])
-        diagonal = concat(*[renumber(F, 1, 5 * j * T) for j in range(4)])
-        max_orth = max(max_orth, _max_relative(fs_sub(G, diagonal), nf, 16))
-        total = fs_add(*[apply_S(rep, k, apply_S_star(rep, k, F)) for k in range(4)])
+        G = apply_S_star(rep, apply_S(rep, F))
+        diagonal = concat(*[renumber(F, 16, 5 * k) for k in range(4)])  # F_v at the j = k slots
+        terms = apply_S(rep, apply_S_star(rep, F)).atoms
+        vec = terms["vec"]
+        terms = np.compress((vec >> 2 & 3) == (vec & 3), terms)
+        terms["vec"] = 16 * T + (terms["vec"] >> 4)
+        total = normalize(FunctionSum(terms))  # sum_k S_k S_k* F_v at vector 16 T + v
         # At level 0 the sum is one level deeper than F; refined to it, F cancels
         # atom by atom instead of leaving a difference of ~1e-16 per atom pair.
-        max_ident = max(max_ident, _max_relative(fs_sub(total, refine(F, total.level)), nf, 1))
+        refined = renumber(refine(F, total.level), 1, 16 * T)
+        residuals = fs_sub(concat(G, total), concat(diagonal, refined))
+        r = norms(concat(residuals, renumber(F, 1, 17 * T)), 18 * T)
+        orth, ident, nf = r[: 16 * T].reshape(T, 16), r[16 * T : 17 * T], r[17 * T :]
+        kept = nf != 0.0
+        max_orth = max(max_orth, float(np.max(orth[kept] / nf[kept, None], initial=0.0)))
+        max_ident = max(max_ident, float(np.max(ident[kept] / nf[kept], initial=0.0)))
     metrics = {"max_orthogonality_residual": max_orth, "max_identity_residual": max_ident}
     return Check(max_orth <= tol and max_ident <= tol, metrics, {"relative_residual": tol})
 
@@ -242,11 +246,11 @@ def _gram_rows(rep: CuntzRep, max_len: int) -> Iterator[np.ndarray]:
     k = np.arange(n)
     mu = mu4_hat_array(-k / 4.0**max_len)
     phases = [np.exp(-2j * np.pi * ((2 * k) % 4**i) / 4**i) for i in range(1, max_len + 1)]
+    tables = [(E[:, level], O[:, level]) for level in rows]  # E[r, s] of every word at level i
     for f in range(n):
         entries = mu[: n - f].copy()
-        for i in range(max_len):
-            r, s = rows[i, f], rows[i, f:]
-            entries *= E[r, s] + O[r, s] * phases[i][: n - f]
+        for (E_i, O_i), r, phase in zip(tables, rows[:, f], phases):
+            entries *= E_i[r, f:] + O_i[r, f:] * phase[: n - f]
         yield entries
 
 

@@ -25,7 +25,7 @@ from .cuntz import CuntzRep, family_size, generated_family
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
 from .filters import g_map, little_m
 from .report import Check
-from .transform import mu4_hat, mu4_hat_array
+from .transform import mu4_hat_array
 
 MAX_ENUM_LEN = 10  # n_max <= 4**MAX_ENUM_LEN for the weight table and every trace
 MAX_GAMMAS = 100  # frequencies per verify_incomplete call, one trace each
@@ -244,15 +244,16 @@ def parseval_trace(
     f is a finite combination [(frequency, coefficient), ..] of integer
     exponential frequencies; <e_g, e_n> = mu4_hat(g - n) gives the inner
     products. The terms come from the weighted-transform kernel, the target
-    ||f||^2 from the scalar mu4_hat.
+    ||f||^2 from one mu4_hat_array call over every difference g1 - g2, its
+    terms added pair after pair.
     """
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
     f = [(int(g), complex(c)) for g, c in f]
+    pairs = [(g1 - g2, c1 * c2.conjugate()) for g1, c1 in f for g2, c2 in f]
     target = 0.0
-    for g1, c1 in f:
-        for g2, c2 in f:
-            target += (c1 * c2.conjugate() * mu4_hat(g1 - g2)).real
+    for (_, c), mu in zip(pairs, mu4_hat_array([d for d, _ in pairs]).tolist()):
+        target += (c * mu).real
     terms = _weighted_terms(f, spec.digit_weights, n_max)
     running = np.cumsum(terms)
     checkpoints = tuple((N, float(running[N])) for N in _checkpoint_grid(n_max))

@@ -20,7 +20,9 @@ from the digit counts), projection_weight (per word, a product over its
 letters) and the CSV writer driven by them are the second paths to the
 library's one digit-weight table. The per-vector checks (one random trial
 vector, one word, one frequency group at a time) are the reference for the
-library's batched verify_cuntz, generated_family and project_V.
+library's batched verify_cuntz, generated_family and project_V; they apply
+one isometry S_j or S_j* to one sum with S_j and S_j_star, where the
+library applies all four at once and numbers S_j F_v as vector 4v + j.
 """
 
 import cmath
@@ -120,10 +122,20 @@ def enumerate_X4(max_len: int) -> list[Word4]:
     return [word_of_index(n) for n in range(4**max_len)]
 
 
+def S_j(rep, j: int, F: FunctionSum) -> FunctionSum:
+    """S_j F of a single sum: vector j of the four isometries applied to it."""
+    return unstack(apply_S(rep, F), j)
+
+
+def S_j_star(rep, j: int, F: FunctionSum) -> FunctionSum:
+    """S_j* F of a single sum: vector j of the four adjoints applied to it."""
+    return unstack(apply_S_star(rep, F), j)
+
+
 def apply_word(rep, word: Word4, F: FunctionSum) -> FunctionSum:
     """Composition S_{j_K} ... S_{j_1} F; letters[0] acts first."""
     for j in word.letters:
-        F = apply_S(rep, j, F)
+        F = S_j(rep, j, F)
     return F
 
 
@@ -297,10 +309,10 @@ def oracle_verify_cuntz(rep, level: int, trials: int, seed: int, tol: float) -> 
             continue
         for j in range(4):
             for k in range(4):
-                G = apply_S_star(rep, j, apply_S(rep, k, F))
+                G = S_j_star(rep, j, S_j(rep, k, F))
                 D = fs_sub(G, F) if j == k else G
                 max_orth = max(max_orth, norm(D) / nf)
-        total = fs_add(*[apply_S(rep, k, apply_S_star(rep, k, F)) for k in range(4)])
+        total = fs_add(*[S_j(rep, k, S_j_star(rep, k, F)) for k in range(4)])
         max_ident = max(max_ident, norm(fs_sub(total, refine(F, total.level))) / nf)
     metrics = {"max_orthogonality_residual": max_orth, "max_identity_residual": max_ident}
     return Check(max_orth <= tol and max_ident <= tol, metrics, {"relative_residual": tol})
@@ -311,7 +323,7 @@ def oracle_generated_family(rep, max_len: int) -> Iterator[tuple[int, FunctionSu
     on word n // 4 (words 0..3 extend the empty word)."""
     prefixes: list[FunctionSum] = []
     for n in range(4**max_len):
-        F = apply_S(rep, n % 4, prefixes[n // 4] if n >= 4 else ONE)
+        F = S_j(rep, n % 4, prefixes[n // 4] if n >= 4 else ONE)
         if n < 4 ** (max_len - 1):
             prefixes.append(F)
         yield n, F

@@ -21,6 +21,8 @@ from frame_lab.filters import rho_bank
 from oracles import (
     Atom,
     AtomSum,
+    S_j,
+    S_j_star,
     atom_apply_S,
     atom_apply_S_star,
     atom_inner_product,
@@ -209,12 +211,13 @@ def test_mixed_level_inner_product_matches_refined():
         assert abs(direct - flat) < 1e-12
 
 
-def _oracle_sum(rng, n_atoms):
-    """Unnormalized oracle atoms on levels 0..3 with integer or quarter-integer
-    frequencies; some share a key, so normalize has merges to do."""
+def _oracle_sum(rng, n_atoms, max_level=3):
+    """Unnormalized oracle atoms on levels 0..max_level with integer or
+    quarter-integer frequencies; some share a key, so normalize has merges
+    to do."""
     atoms = []
     for _ in range(n_atoms):
-        level = int(rng.integers(0, 4))
+        level = int(rng.integers(0, max_level + 1))
         word = rng.integers(0, 4, size=level)
         freq = Fraction(int(rng.integers(-12, 13)), int(rng.choice([1, 4])))
         coeff = 0.5 * complex(rng.standard_normal(), rng.standard_normal())
@@ -233,11 +236,30 @@ def test_array_calculus_matches_atom_oracle(bank_i, bank_pq):
         assert max_coeff_gap(F, ref) == 0.0
         assert max_coeff_gap(refine(F, 3), atom_refine(ref, 3)) == 0.0
         for j in range(4):
-            assert max_coeff_gap(apply_S(rep, j, F), atom_apply_S(rep, j, ref)) <= 1e-15
-            assert max_coeff_gap(apply_S_star(rep, j, F), atom_apply_S_star(rep, j, ref)) <= 1e-15
+            assert max_coeff_gap(S_j(rep, j, F), atom_apply_S(rep, j, ref)) <= 1e-15
+            assert max_coeff_gap(S_j_star(rep, j, F), atom_apply_S_star(rep, j, ref)) <= 1e-15
         G = normalize(function_sum(_oracle_sum(rng, 5)))
         want = atom_inner_product(ref, atom_sum(G))
         assert abs(inner_product(F, G) - want) <= 1e-15
+
+
+@pytest.mark.parametrize("max_level", range(5))
+def test_isometries_on_a_batch_match_atom_oracle(bank_pq, max_level):
+    # vector v of the input becomes vectors 4v + j, holding S_j F_v and S_j* F_v;
+    # vector 2 has no atoms, so vectors 8..11 stay empty
+    rng = np.random.default_rng(40 + max_level)
+    rep = CuntzRep(bank_pq)
+    raw = {v: _oracle_sum(rng, 6, max_level) for v in (0, 1, 3)}
+    batch = concat(*(renumber(function_sum(atoms), 1, v) for v, atoms in raw.items()))
+    S, S_star = apply_S(rep, batch), apply_S_star(rep, batch)
+    assert np.all(np.diff(S.atoms["vec"]) >= 0) and np.all(np.diff(S_star.atoms["vec"]) >= 0)
+    for v in range(4):
+        ref = AtomSum(raw.get(v, ()))
+        for j in range(4):
+            assert max_coeff_gap(unstack(S, 4 * v + j), atom_apply_S(rep, j, ref)) <= 1e-15
+            want = atom_apply_S_star(rep, j, ref)
+            assert max_coeff_gap(unstack(S_star, 4 * v + j), want) <= 1e-15
+    assert S.atoms["vec"].max() == S_star.atoms["vec"].max() == 15
 
 
 def test_batch_vectors_get_the_bits_of_their_single_sums():

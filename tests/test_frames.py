@@ -13,6 +13,7 @@ from frame_lab import (
     WeightSpec,
     cis,
     h_partial,
+    mu4_hat,
     parseval_trace,
     project_V,
     rho_bank,
@@ -237,6 +238,21 @@ def test_trace_monotone_and_bessel():
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert all(v <= trace.target * (1 + 1e-8) for v in values)
     assert np.all(trace.terms >= 0)
+
+
+def test_parseval_target_adds_the_scalar_terms_in_order():
+    # one transform call over every difference g1 - g2 gives the bits of the
+    # loop that calls the scalar mu4_hat pair after pair; on this f, adding
+    # the same terms in reverse order changes the last bit
+    f = [(0, 0.5 + 0.1j), (5, -0.25), (17, 0.3j), (-6, 1 - 2j), (1, 1 / 3), (3, 0.1 - 1e3j)]
+    f.append((2**40 + 1, -0.4j))
+    want = 0.0
+    for g1, c1 in f:
+        for g2, c2 in f:
+            want += (complex(c1) * complex(c2).conjugate() * mu4_hat(g1 - g2)).real
+    got = parseval_trace(f, WeightSpec.from_pq(S2, S2), 64).target
+    assert repr(got) == repr(want)
+    assert got > 0
 
 
 def test_trace_regression_nonterminating():
