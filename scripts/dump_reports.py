@@ -4,13 +4,15 @@
     PYTHONPATH=src python scripts/dump_reports.py > reports.jsonl
 
 The calls are every CLI command of the benchmark's workloads for seeds 0-2,
-every value-gated command, the `verify` calls of the certification ladder,
-the runs at and just past each capacity cap, runs at a tolerance no check
-can meet, and runs on malformed input files. Each call runs in process in
-one temporary working directory, so file arguments are the same relative
-paths on every run. The report is printed without `duration_ms`, the one
-field that is not a pure function of the flags; two runs of this script on
-code that computes the same things print the same lines.
+every value-gated command, the calls of the certification ladder (its
+`weights` calls and trace exports write their CSVs into the temporary
+directory), the runs at and just past each capacity cap, runs at a
+tolerance no check can meet, and runs on malformed input files. Each call
+runs in process in one temporary working directory, so file arguments are
+the same relative paths on every run. The report is printed without
+`duration_ms`, the one field that is not a pure function of the flags; two
+runs of this script on code that computes the same things print the same
+lines.
 """
 
 import contextlib
@@ -55,7 +57,7 @@ def _workload_argvs() -> list[list[str]]:
 
 
 def _ladder_argvs() -> list[list[str]]:
-    return [call for call in certify_all.ladder(Path("out"), 3, 4**5) if call[0] == "verify"]
+    return certify_all.ladder(Path("out"), 3, 4**5)
 
 
 def _cap_argvs() -> list[list[str]]:

@@ -33,6 +33,7 @@ from .filters import (
     g_map,
     hadamard_rho,
     little_m,
+    pq_bank,
     rho_bank,
     solve_alpha,
     verify_nogo_mu3,
@@ -40,7 +41,6 @@ from .filters import (
 )
 from .frames import (
     PartialSumTrace,
-    WeightSpec,
     h_partial,
     parseval_trace,
     project_V,
@@ -66,7 +66,6 @@ __all__ = [
     "PartialSumTrace",
     "RunReport",
     "UnsupportedShape",
-    "WeightSpec",
     "apply_S",
     "apply_S_star",
     "cis",
@@ -81,6 +80,7 @@ __all__ = [
     "norm",
     "normalize",
     "parseval_trace",
+    "pq_bank",
     "project_V",
     "refine",
     "rho_bank",

@@ -30,17 +30,18 @@ from .errors import (
 )
 from .filters import (
     DEFAULT_UNITARITY_TOL,
-    filter_bank_from_A,
+    FilterBank,
     hadamard_rho,
     matrix_from_json,
     matrix_to_json,
+    pq_bank,
+    rho_bank,
     solve_alpha,
     verify_nogo_mu3,
     verify_unitarity,
 )
 from .cuntz import CuntzRep, verify_cuntz, verify_gram
 from .frames import (
-    WeightSpec,
     parseval_trace,
     verify_incomplete,
     verify_parseval,
@@ -86,64 +87,56 @@ def _resolve_tol(args, command: str) -> float:
     return tol
 
 
-def _add_rho_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--rho-re", type=float, default=None,
-        help="Re(rho), |rho| = 1; defaults to the value >= 0 that puts rho on the unit circle",
-    )
-    p.add_argument("--rho-im", type=float, default=0.0, help="Im(rho)")
+# The complex parameters of each kind of bank, each given as a pair of flags
+# --NAME-re/--NAME-im; a kind is named when any of its flags is given.
+_BANK_PARAMS = {
+    "rho": ("rho",),
+    "p/q": ("p", "q"),
+    "alpha": ("alpha_a10", "alpha_a30", "alpha_a11", "alpha_a12", "alpha_a21", "alpha_a22"),
+}
+_RHO_HELP = {
+    "re": "Re(rho), |rho| = 1; defaults to the value >= 0 that puts rho on the unit circle",
+    "im": "Im(rho), default 0",
+}
 
 
-def _rho_from_args(args) -> complex:
-    """rho from the flags; with no --rho-re, rho = 1 or the unit-circle point above --rho-im."""
-    re = args.rho_re
-    if re is None:
-        # |--rho-im| > 1 (or nan) has no such point; the rho it gives is refused later
-        re = math.sqrt(1.0 - args.rho_im**2) if abs(args.rho_im) <= 1.0 else 0.0
-    return complex(re, args.rho_im)
+def _add_bank_flags(p: argparse.ArgumentParser, *kinds: str) -> None:
+    for kind in kinds:
+        for name in _BANK_PARAMS[kind]:
+            for part in ("re", "im"):
+                help_text = _RHO_HELP[part] if kind == "rho" else None
+                p.add_argument(f"--{name.replace('_', '-')}-{part}", type=float, help=help_text)
 
 
-def _add_alpha_flags(p: argparse.ArgumentParser) -> None:
-    for name in ("a10", "a30", "a11", "a12", "a21", "a22"):
-        p.add_argument(f"--alpha-{name}-re", type=float, default=None)
-        p.add_argument(f"--alpha-{name}-im", type=float, default=0.0)
-
-
-def _alpha_values(args):
-    names = ("a10", "a30", "a11", "a12", "a21", "a22")
-    res = [getattr(args, f"alpha_{n}_re") for n in names]
-    if all(v is None for v in res):
-        return None
-    if any(v is None for v in res):
-        raise DomainError("all six --alpha-*-re flags are required together")
-    return [complex(getattr(args, f"alpha_{n}_re"), getattr(args, f"alpha_{n}_im")) for n in names]
-
-
-def _rep_from_args(args) -> tuple[CuntzRep, dict, complex | None]:
-    """The representation of the bank the flags name, its params, and its
-    rho: None for a solver bank, for which the refinement identity has no
-    reduced form."""
-    alphas = _alpha_values(args)
-    if alphas is not None:
-        bank = solve_alpha(*alphas)
-        params = {f"alpha{i}": [z.real, z.imag] for i, z in zip(("10", "30", "11", "12", "21", "22"), alphas)}
-        return CuntzRep(bank), params, None
-    rho = _rho_from_args(args)
-    bank = filter_bank_from_A(hadamard_rho(rho), DEFAULT_UNITARITY_TOL)
-    return CuntzRep(bank), {"rho_re": rho.real, "rho_im": rho.imag}, rho
-
-
-def _spec_from_args(args) -> tuple[WeightSpec, dict]:
-    if args.p_re is not None or args.q_re is not None:
-        if args.p_re is None or args.q_re is None:
-            raise DomainError("--p-re and --q-re must be given together")
-        p = complex(args.p_re, args.p_im)
-        q = complex(args.q_re, args.q_im)
-        return WeightSpec.from_pq(p, q), {
-            "p_re": p.real, "p_im": p.imag, "q_re": q.real, "q_im": q.imag,
-        }
-    rho = _rho_from_args(args)
-    return WeightSpec.from_rho(rho), {"rho_re": rho.real, "rho_im": rho.imag}
+def _bank_from_args(args) -> tuple[FilterBank, dict]:
+    """The bank the flags name and its params: a rho bank, the solver bank
+    of --p-re/--q-re (filters.pq_bank) or of the six --alpha-* parameters;
+    rho = 1 when none is named. A flag the subcommand does not define
+    counts as not given, and naming two kinds of bank is bad input."""
+    given = {}  # kind -> {name: (re, im)} for each kind with a flag given
+    for kind, names in _BANK_PARAMS.items():
+        pairs = {n: (getattr(args, f"{n}_re", None), getattr(args, f"{n}_im", None)) for n in names}
+        if any(v is not None for pair in pairs.values() for v in pair):
+            given[kind] = pairs
+    if len(given) > 1:
+        raise DomainError(f"the flags name two banks, {' and '.join(given)}; give one")
+    kind, pairs = next(iter(given.items()), ("rho", {"rho": (None, None)}))
+    missing = [f"--{n.replace('_', '-')}-re" for n, (re, _) in pairs.items() if re is None]
+    if missing and kind != "rho":
+        raise DomainError(f"the {kind} bank needs every -re flag; missing {', '.join(missing)}")
+    z = {n: complex(*(0.0 if v is None else v for v in pair)) for n, pair in pairs.items()}
+    if missing:
+        # a rho bank without --rho-re: rho = 1 or the unit-circle point above
+        # --rho-im; |--rho-im| > 1 (or nan) has no such point, and the rho it
+        # gives is refused by rho_bank
+        im = z["rho"].imag
+        z["rho"] = complex(math.sqrt(1.0 - im**2) if abs(im) <= 1.0 else 0.0, im)
+    if kind == "alpha":
+        return solve_alpha(*z.values()), {f"alpha{n[-2:]}": [v.real, v.imag] for n, v in z.items()}
+    params = {}
+    for n, v in z.items():
+        params.update({f"{n}_re": v.real, f"{n}_im": v.imag})
+    return (rho_bank(z["rho"]) if kind == "rho" else pq_bank(z["p"], z["q"])), params
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,11 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu.add_argument("--tol", type=float, default=None)
 
     p_w = sub.add_parser("weights", help="write the weight table CSV for n = 0..n-max")
-    _add_rho_flags(p_w)
-    p_w.add_argument("--p-re", type=float, default=None)
-    p_w.add_argument("--p-im", type=float, default=0.0)
-    p_w.add_argument("--q-re", type=float, default=None)
-    p_w.add_argument("--q-im", type=float, default=0.0)
+    _add_bank_flags(p_w, "rho", "p/q")
     p_w.add_argument("--n-max", type=int, required=True)
     p_w.add_argument("--out", default="weights.csv")
 
@@ -194,39 +183,31 @@ def build_parser() -> argparse.ArgumentParser:
     v_unit.add_argument("--tol", type=float, default=None)
 
     v_cuntz = _verify_parser("cuntz", "isometry relations on random vectors")
-    _add_rho_flags(v_cuntz)
-    _add_alpha_flags(v_cuntz)
+    _add_bank_flags(v_cuntz, "rho", "alpha")
     v_cuntz.add_argument("--level", type=int, default=2)
     v_cuntz.add_argument("--trials", type=int, default=20)
     v_cuntz.add_argument("--seed", type=int, default=7)
     v_cuntz.add_argument("--tol", type=float, default=None)
 
     v_gram = _verify_parser("gram", "Gram matrix of the generated family")
-    _add_rho_flags(v_gram)
-    _add_alpha_flags(v_gram)
+    _add_bank_flags(v_gram, "rho", "alpha")
     v_gram.add_argument("--max-word-len", type=int, default=3)
     v_gram.add_argument("--tol", type=float, default=None)
 
     v_proj = _verify_parser("projection", "projection weights vs closed form")
-    _add_rho_flags(v_proj)
-    _add_alpha_flags(v_proj)
+    _add_bank_flags(v_proj, "rho", "alpha")
     v_proj.add_argument("--max-word-len", type=int, default=3)
     v_proj.add_argument("--tol", type=float, default=None)
 
     v_par = _verify_parser("parseval", "partial-sum trace for one exponential")
-    _add_rho_flags(v_par)
-    v_par.add_argument("--p-re", type=float, default=None)
-    v_par.add_argument("--p-im", type=float, default=0.0)
-    v_par.add_argument("--q-re", type=float, default=None)
-    v_par.add_argument("--q-im", type=float, default=0.0)
+    _add_bank_flags(v_par, "rho", "p/q")
     v_par.add_argument("--gamma", type=int, default=0)
     v_par.add_argument("--n-max", type=int, default=256)
     v_par.add_argument("--trace-out", default=None, help="write the trace CSV here")
     v_par.add_argument("--tol", type=float, default=None)
 
     v_ru = _verify_parser("ruelle", "refinement identity of the energy function")
-    _add_rho_flags(v_ru)
-    _add_alpha_flags(v_ru)
+    _add_bank_flags(v_ru, "rho", "alpha")
     v_ru.add_argument("--grid", default="-1:0:21", help="a:b:steps")
     v_ru.add_argument("--level", type=int, default=2)
     v_ru.add_argument("--tol", type=float, default=None)
@@ -262,12 +243,12 @@ def _run_mu4hat(args) -> tuple[dict, Check]:
 
 
 def _run_weights(args) -> tuple[dict, Check]:
-    spec, params = _spec_from_args(args)
-    nonzero = write_weight_table(args.out, spec, args.n_max)
+    bank, params = _bank_from_args(args)
+    nonzero = write_weight_table(args.out, bank, args.n_max)
     metrics = {
         "rows": args.n_max + 1,
         "nonzero_weights": nonzero,
-        "parseval_certified": spec.parseval_certified,
+        "parseval_certified": abs(bank.digit_weights[1]) > 1e-15,  # the family is Parseval iff p != 0
     }
     params.update({"n_max": args.n_max, "out": args.out})
     return params, Check(True, metrics, {})
@@ -288,29 +269,29 @@ def _run_verify_unitarity(args) -> tuple[dict, Check]:
 
 def _run_verify_cuntz(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "cuntz")
-    rep, params, _ = _rep_from_args(args)
+    bank, params = _bank_from_args(args)
     params.update({"level": args.level, "trials": args.trials, "seed": args.seed})
-    return params, verify_cuntz(rep, args.level, args.trials, args.seed, tol)
+    return params, verify_cuntz(CuntzRep(bank), args.level, args.trials, args.seed, tol)
 
 
 def _run_verify_gram(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "gram")
-    rep, params, _ = _rep_from_args(args)
+    bank, params = _bank_from_args(args)
     params.update({"max_word_len": args.max_word_len})
-    return params, verify_gram(rep, args.max_word_len, tol)
+    return params, verify_gram(CuntzRep(bank), args.max_word_len, tol)
 
 
 def _run_verify_projection(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "projection")
-    rep, params, _ = _rep_from_args(args)
+    bank, params = _bank_from_args(args)
     params.update({"max_word_len": args.max_word_len})
-    return params, verify_projection(rep, args.max_word_len, tol)
+    return params, verify_projection(CuntzRep(bank), args.max_word_len, tol)
 
 
 def _run_verify_parseval(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "parseval")
-    spec, params = _spec_from_args(args)
-    trace = parseval_trace([(args.gamma, 1.0)], spec, args.n_max)
+    bank, params = _bank_from_args(args)
+    trace = parseval_trace([(args.gamma, 1.0)], bank, args.n_max)
     if args.trace_out:
         write_trace_csv(args.trace_out, trace)
     params.update({"gamma": args.gamma, "n_max": args.n_max})
@@ -319,10 +300,10 @@ def _run_verify_parseval(args) -> tuple[dict, Check]:
 
 def _run_verify_ruelle(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "ruelle")
-    rep, params, rho = _rep_from_args(args)
+    bank, params = _bank_from_args(args)
     grid = _parse_grid(args.grid)
     params.update({"grid": args.grid, "level": args.level})
-    return params, verify_ruelle(rep, grid, args.level, tol, rho=rho)
+    return params, verify_ruelle(CuntzRep(bank), grid, args.level, tol)
 
 
 def _run_verify_nogo(args) -> tuple[dict, Check]:

@@ -78,9 +78,11 @@ class FilterBank:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def digit_weight(self, j: int) -> complex:
-        """a_j0 + a_j2, the per-digit projection weight."""
-        return complex(self.A[j, 0] + self.A[j, 2])
+    @property
+    def digit_weights(self) -> tuple[complex, ...]:
+        """(d_0, d_1, d_2, d_3), d_j = a_j0 + a_j2: the per-digit projection
+        weights, which every frame weight is a product of."""
+        return tuple(complex(d) for d in self.A[:, 0] + self.A[:, 2])
 
 
 def filter_bank_from_A(A: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> FilterBank:
@@ -180,6 +182,15 @@ def solve_alpha(
     checks["degenerate"] = degenerate
     checks["alpha"] = {"a10": a10, "a30": a30, "a11": a11, "a12": a12, "a21": a21, "a22": a22}
     return FilterBank(A=bank.A, H=bank.H, admissible=True, checks=checks)
+
+
+def pq_bank(p: complex, q: complex, tol: float = DEFAULT_UNITARITY_TOL) -> FilterBank:
+    """The solver bank of the weight family (p, q): a10 = p, a30 = q,
+    a11 = sqrt(1 - |p|^2), a12 = a21 = 0, a22 = 1. Its digit weights are
+    (1, p, 0, q) up to the rounding of assembling A."""
+    p = complex(p)
+    fill = math.sqrt(max(0.0, 1.0 - abs(p) * abs(p)))  # 0 for |p| >= 1 and for nan
+    return solve_alpha(p, q, fill, 0.0, 0.0, 1.0, tol)
 
 
 def little_m(bank: FilterBank, j: int, t) -> complex:

@@ -23,7 +23,7 @@ import numpy as np
 from .atoms import X_BITS, FunctionSum, refine
 from .cuntz import CuntzRep, family_size, generated_family
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
-from .filters import g_map, little_m
+from .filters import FilterBank, g_map, little_m, rho_bank
 from .report import Check
 from .transform import mu4_hat_array
 
@@ -38,42 +38,6 @@ SPECIALIZATION_TOL = 1e-12  # largest gap verify_ruelle allows between reduced a
 _CSV_BLOCK = 4**8  # weight table rows turned into Python objects at a time
 # Digit j adds 1 to l_j; the counts (<= 11) are packed 4 bits each while a listing is built.
 _PACKED_COUNT = np.array([0, 1, 16, 256], dtype=np.int16)
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Weight family parameters (p, q), given directly or via rho.
-
-    rho gives p = (1+rho)/2, q = (1-rho)/2. The family is a Parseval frame
-    only for p != 0; the p = 0 member (rho = -1) still generates weights
-    (it is the incompleteness example) but is tagged not Parseval-certified.
-    """
-
-    p: complex
-    q: complex
-
-    @classmethod
-    def from_rho(cls, rho: complex, tol: float = 1e-12) -> "WeightSpec":
-        rho = complex(rho)
-        if not abs(abs(rho) - 1.0) <= tol:  # also rejects nan
-            raise DomainError(f"|rho| must be 1 within {tol}, got {abs(rho)}")
-        return cls(p=(1.0 + rho) / 2.0, q=(1.0 - rho) / 2.0)
-
-    @classmethod
-    def from_pq(cls, p: complex, q: complex, tol: float = 1e-12) -> "WeightSpec":
-        p, q = complex(p), complex(q)
-        dev = abs(abs(p) * abs(p) + abs(q) * abs(q) - 1.0)  # inf, not OverflowError, when huge
-        if not dev <= tol:
-            raise DomainError(f"|p|^2 + |q|^2 must be 1 within {tol}, off by {dev:.3g}")
-        return cls(p=p, q=q)
-
-    @property
-    def parseval_certified(self) -> bool:
-        return abs(self.p) > 1e-15
-
-    @property
-    def digit_weights(self) -> tuple[complex, ...]:
-        return (1.0, self.p, 0.0, self.q)
 
 
 def _listing(digits: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +140,7 @@ def verify_projection(rep: CuntzRep, max_len: int, tol: float) -> Check:
     tol of the bank's digit weight d_n. The words are projected one batch
     of generated_family at a time."""
     weights = np.zeros(family_size(max_len), dtype=complex)
-    support, _, d = weight_table([rep.bank.digit_weight(j) for j in range(4)], len(weights) - 1)
+    support, _, d = weight_table(rep.bank.digit_weights, len(weights) - 1)
     weights[support] = d
     rows = np.zeros(len(weights), dtype=np.int64)  # projected exponentials per word
     dev = np.full(len(weights), np.inf)
@@ -217,15 +181,18 @@ def _checkpoint_grid(n_max: int) -> list[int]:
     return grid
 
 
-def _weighted_terms(f, digit_weights, n_max: int) -> np.ndarray:
-    """terms[..., n] = |d_n|^2 |sum_g c_g mu4_hat(g - n)|^2 for n = 0 .. n_max.
+def _weighted_terms(f, bank: FilterBank, n_max: int) -> np.ndarray:
+    """terms[..., n] = |d_n|^2 |sum_g c_g mu4_hat(g - n)|^2 for n = 0 .. n_max,
+    d_n the frame weights of the bank.
 
     The one kernel behind traces, incompleteness and the energy function; it
     evaluates only the support of the weights, every other term is 0.0. A
     frequency g may be an array ending in an axis of length 1: the terms
     then get its leading axes.
     """
-    n, _, d = weight_table(digit_weights, n_max)
+    if not bank.admissible:
+        raise ContractError("frame weights require an admissible bank")
+    n, _, d = weight_table(bank.digit_weights, n_max)
     if any(np.max(np.abs(g)) + n_max >= 2**53 for g, _ in f):
         raise DomainError("frequencies must stay below 2^53 to be exact in float64")
     inner = sum(c * mu4_hat_array(g - n) for g, c in f)
@@ -236,10 +203,11 @@ def _weighted_terms(f, digit_weights, n_max: int) -> np.ndarray:
 
 def parseval_trace(
     f: Sequence[tuple[int, complex]],
-    spec: WeightSpec,
+    bank: FilterBank,
     n_max: int,
 ) -> PartialSumTrace:
-    """Partial sums S_N = sum_{n<=N} |w_n|^2 |<f, e_n>|^2 at checkpoints 4^k.
+    """Partial sums S_N = sum_{n<=N} |d_n|^2 |<f, e_n>|^2 at checkpoints 4^k,
+    d_n the frame weights of the bank.
 
     f is a finite combination [(frequency, coefficient), ..] of integer
     exponential frequencies; <e_g, e_n> = mu4_hat(g - n) gives the inner
@@ -254,7 +222,7 @@ def parseval_trace(
     target = 0.0
     for (_, c), mu in zip(pairs, mu4_hat_array([d for d, _ in pairs]).tolist()):
         target += (c * mu).real
-    terms = _weighted_terms(f, spec.digit_weights, n_max)
+    terms = _weighted_terms(f, bank, n_max)
     running = np.cumsum(terms)
     checkpoints = tuple((N, float(running[N])) for N in _checkpoint_grid(n_max))
     return PartialSumTrace(checkpoints=checkpoints, target=target, terms=terms)
@@ -271,7 +239,7 @@ def verify_parseval(trace: PartialSumTrace, tol: float) -> Check:
     return Check(passed, metrics, {"bessel_slack": tol})
 
 
-def h_partial(t, rep: CuntzRep, max_len: int):
+def h_partial(t, bank: FilterBank, max_len: int):
     """Coefficient energy sum_{omega, |omega| <= max_len} |<e_t, S_omega 1>|^2
     at every element of t, in t's shape (a float64 scalar for a scalar t).
 
@@ -283,55 +251,45 @@ def h_partial(t, rep: CuntzRep, max_len: int):
     """
     if max_len < 1:
         raise ContractError("max_len must be >= 1")
-    weights = [rep.bank.digit_weight(j) for j in range(4)]
     t = np.asarray(t, dtype=np.float64)
-    return _weighted_terms([(t[..., None], 1.0)], weights, 4**max_len - 1).sum(axis=-1)
+    return _weighted_terms([(t[..., None], 1.0)], bank, 4**max_len - 1).sum(axis=-1)
 
 
-def verify_ruelle(
-    rep: CuntzRep,
-    t_grid: Sequence[float],
-    L: int,
-    tol: float,
-    rho: complex | None = None,
-) -> Check:
+def verify_ruelle(rep: CuntzRep, t_grid: Sequence[float], L: int, tol: float) -> Check:
     """Check h_{L+1}(t) = sum_j |m_j(t)|^2 h_L((t-j)/4) on a grid, to tol.
 
     The identity is exact at every finite truncation depth because the
     depth-(L+1) family is the disjoint union of the isometry images of the
-    depth-L family. For the one-parameter banks the coefficients reduce to
-    cos^2 and |1 +- conj(rho)|^2/4 * sin^2 (the j = 2 symbol vanishes), and
-    the reduced form must match the general one to SPECIALIZATION_TOL. The
-    grid is checked at once: one energy kernel call per level.
+    depth-L family. By the kernel condition the coefficients reduce to
+    |m_j(t)|^2 = |d_j|^2 cos^2(pi t/2) for even j and |d_j|^2 sin^2(pi t/2)
+    for odd j, d_j the digit weights (d_0 = 1, d_2 = 0), and the reduced form
+    must match the general one to SPECIALIZATION_TOL. The grid is checked at
+    once: one energy kernel call per level.
     """
     if L > 4:
         raise CapacityError("L must be <= 4")
     t = np.array(t_grid, dtype=np.float64, ndmin=1)
     if t.size == 0:
         raise ContractError("t_grid must not be empty")
-    lhs = h_partial(t, rep, L + 1)
-    h_vals = h_partial(np.array([g_map(j, t) for j in range(4)]), rep, L)
-    symbols = [np.abs(little_m(rep.bank, j, t)) ** 2 for j in range(4)]
+    bank = rep.bank
+    lhs = h_partial(t, bank, L + 1)
+    h_vals = h_partial(np.array([g_map(j, t) for j in range(4)]), bank, L)
+    symbols = [np.abs(little_m(bank, j, t)) ** 2 for j in range(4)]
     rhs = sum(s * h for s, h in zip(symbols, h_vals))
     max_resid = float(np.max(np.abs(lhs - rhs)))
-    max_gap = None
-    if rho is not None:
-        c2 = np.cos(math.pi * t / 2.0) ** 2
-        s2 = np.sin(math.pi * t / 2.0) ** 2
-        rho_c = complex(rho).conjugate()
-        reduced = (
-            c2 * h_vals[0]
-            + s2 * abs(1.0 + rho_c) ** 2 / 4.0 * h_vals[1]
-            + s2 * abs(1.0 - rho_c) ** 2 / 4.0 * h_vals[3]
-        )
-        max_gap = float(np.max(np.abs(rhs - reduced)))
-    passed = max_resid <= tol and (max_gap is None or max_gap <= SPECIALIZATION_TOL)
+    c2 = np.cos(math.pi * t / 2.0) ** 2
+    s2 = np.sin(math.pi * t / 2.0) ** 2
+    _, d1, _, d3 = bank.digit_weights
+    reduced = c2 * h_vals[0] + s2 * abs(d1) ** 2 * h_vals[1] + s2 * abs(d3) ** 2 * h_vals[3]
+    max_gap = float(np.max(np.abs(rhs - reduced)))
+    passed = max_resid <= tol and max_gap <= SPECIALIZATION_TOL
     metrics = {"max_refinement_residual": max_resid, "max_specialization_gap": max_gap}
     return Check(passed, metrics, {"residual": tol, "specialization": SPECIALIZATION_TOL})
 
 
 def verify_incomplete(gammas: Sequence[int], n_max: int, tol: float) -> Check:
-    """Deficiency 1 - S_{n_max}(e_gamma) for the p = 0 weight family.
+    """Deficiency 1 - S_{n_max}(e_gamma) for the p = 0 weight family, the
+    bank rho = -1.
 
     Weights are the indicator of integers with base-4 digits in {0,3}. A
     frequency is flagged when its deficiency exceeds INCOMPLETE_THRESHOLD:
@@ -343,11 +301,11 @@ def verify_incomplete(gammas: Sequence[int], n_max: int, tol: float) -> Check:
         raise CapacityError(f"{len(gammas)} frequencies exceed cap {MAX_GAMMAS}")
     if len(set(gammas)) < len(gammas):
         raise DomainError(f"frequencies must be distinct, got {list(gammas)}")
-    spec = WeightSpec.from_rho(-1.0)
+    bank = rho_bank(-1.0)
     metrics = {}
     bessel, flagged = True, False
     for gamma in map(int, gammas):
-        trace = parseval_trace([(gamma, 1.0)], spec, n_max)
+        trace = parseval_trace([(gamma, 1.0)], bank, n_max)
         metrics[f"deficiency_{gamma}"] = trace.deficiency
         metrics[f"flagged_{gamma}"] = trace.deficiency > INCOMPLETE_THRESHOLD
         bessel = bessel and verify_parseval(trace, tol).passed
@@ -356,10 +314,11 @@ def verify_incomplete(gammas: Sequence[int], n_max: int, tol: float) -> Check:
     return Check(bessel and flagged, metrics, tolerances)
 
 
-def write_weight_table(path, spec: WeightSpec, n_max: int) -> int:
-    """CSV columns n, l1, l2, l3, weight_re, weight_im, weight_abs2 for
-    n = 0 .. n_max; returns the number of nonzero weights."""
-    support, _, d = weight_table(spec.digit_weights, n_max)
+def write_weight_table(path, bank: FilterBank, n_max: int) -> int:
+    """CSV columns n, l1, l2, l3, weight_re, weight_im, weight_abs2 of the
+    bank's frame weights for n = 0 .. n_max; returns the number of nonzero
+    weights."""
+    support, _, d = weight_table(bank.digit_weights, n_max)
     weights = np.zeros(n_max + 1, dtype=complex)
     weights[support] = d
     _, counts = _listing(np.arange(4), n_max)  # every n

@@ -12,13 +12,12 @@ checked against; function_sum and atom_sum convert between the two forms.
 The word vectors on the constant function, the cylinder integrals, the
 reduced symbols and the Monte-Carlo integral over the dilated fractal (with
 pointwise evaluation located by the sampler's digits) are second paths to
-what the library computes through its operators and atom calculus;
-bank_for_spec builds a bank realizing a weight family. Words are Word4
-tuples of letters here, with the index map c, its inverse and the digit
-counts; the library names a word by its index alone. frame_weight (per n,
-from the digit counts), projection_weight (per word, a product over its
-letters) and the CSV writer driven by them are the second paths to the
-library's one digit-weight table. The per-vector checks (one random trial
+what the library computes through its operators and atom calculus. Words
+are Word4 tuples of letters here, with the index map c, its inverse and the
+digit counts; the library names a word by its index alone. frame_weight
+(per n, from the digit counts and a pair (p, q)), projection_weight (per
+word, a product over its letters) and the CSV writer driven by them are
+the second paths to the library's one digit-weight table. The per-vector checks (one random trial
 vector, one word, one frequency group at a time) are the reference for the
 library's batched verify_cuntz, generated_family and project_V; they apply
 one isometry S_j or S_j* to one sum with S_j and S_j_star, where the
@@ -48,7 +47,7 @@ from frame_lab.atoms import (
 )
 from frame_lab.cuntz import apply_S, apply_S_star, random_function_sum
 from frame_lab.errors import CapacityError, ContractError, DomainError, UnsupportedShape
-from frame_lab.filters import filter_bank_from_A, hadamard_rho, little_m, solve_alpha
+from frame_lab.filters import little_m
 from frame_lab.frames import MAX_ENUM_LEN, SHAPE_TOL, WEIGHT_TABLE_COLUMNS, weight_table
 from frame_lab.report import Check
 from frame_lab.transform import mu4_hat, mu4_hat_array
@@ -139,34 +138,34 @@ def apply_word(rep, word: Word4, F: FunctionSum) -> FunctionSum:
     return F
 
 
-def frame_weight(spec, n: int) -> complex:
+def frame_weight(p: complex, q: complex, n: int) -> complex:
     """p^{l1(n)} * 0^{l2(n)} * q^{l3(n)}, with the convention 0^0 = 1."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ContractError(f"frequency index must be a nonnegative integer, got {n!r}")
     l1, l2, l3 = digit_counts(int(n))
     if l2 > 0:
         return 0j
-    return complex(spec.p**l1 * spec.q**l3)
+    return complex(p**l1 * q**l3)
 
 
 def projection_weight(bank, word) -> complex:
     """Closed-form d_omega = prod_k (a_{j_k 0} + a_{j_k 2})."""
     w = complex(1.0)
     for j in word:
-        w *= bank.digit_weight(j)
+        w *= bank.digit_weights[j]
     return w
 
 
-def oracle_write_weight_table(path, spec, n_max: int) -> int:
-    """The weight CSV one n at a time from frame_weight and digit_counts;
-    returns the number of nonzero weights."""
+def oracle_write_weight_table(path, p: complex, q: complex, n_max: int) -> int:
+    """The weight CSV of the family (p, q) one n at a time from frame_weight
+    and digit_counts; returns the number of nonzero weights."""
     nonzero = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEIGHT_TABLE_COLUMNS)
         for n in range(n_max + 1):
             l1, l2, l3 = digit_counts(n)
-            w = frame_weight(spec, n)
+            w = frame_weight(p, q, n)
             nonzero += abs(w) > 0
             writer.writerow([n, l1, l2, l3, repr(w.real), repr(w.imag), repr(abs(w) ** 2)])
     return nonzero
@@ -359,7 +358,7 @@ def oracle_project_V(F: FunctionSum) -> list[tuple[complex, int]]:
 def oracle_verify_projection(rep, max_len: int, tol: float) -> Check:
     """verify_projection one word at a time, against the same weight table."""
     projected = [(n, oracle_project_V(vec)) for n, vec in oracle_generated_family(rep, max_len)]
-    support, _, d = weight_table([rep.bank.digit_weight(j) for j in range(4)], len(projected) - 1)
+    support, _, d = weight_table(rep.bank.digit_weights, len(projected) - 1)
     weights = np.zeros(len(projected), dtype=complex)
     weights[support] = d
     max_dev = 0.0
@@ -369,18 +368,6 @@ def oracle_verify_projection(rep, max_len: int, tol: float) -> Check:
             continue
         max_dev = max(max_dev, abs(got[0][0] - expect))
     return Check(max_dev <= tol, {"max_weight_dev": max_dev}, {"weight_dev": tol})
-
-
-def bank_for_spec(spec, rho=None, tol: float = 1e-12):
-    """An admissible bank whose projection weights realize the given family:
-    the one-parameter bank when the family's rho is given, else a solver bank."""
-    if rho is not None:
-        return filter_bank_from_A(hadamard_rho(rho, tol), tol)
-    p, q = spec.p, spec.q
-    fill = np.sqrt(max(1.0 - abs(p) ** 2, 0.0))
-    if fill > tol:
-        return solve_alpha(p, q, fill, 0.0, 0.0, 1.0, tol)
-    return solve_alpha(p, q, 0.0, 0.0, 1.0, 0.0, tol)
 
 
 def in_X4(word) -> bool:

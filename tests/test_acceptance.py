@@ -13,11 +13,11 @@ import numpy as np
 
 from frame_lab import (
     CuntzRep,
-    WeightSpec,
     cis,
     h_partial,
     inner_product,
     parseval_trace,
+    pq_bank,
     project_V,
     rho_bank,
     verify_cuntz,
@@ -122,11 +122,11 @@ def test_c04_projection_formula(bank_i, bank_pq):
 
 def test_c05_exact_parseval_in_the_basis_limit():
     started = time.perf_counter()
-    spec = WeightSpec.from_rho(1.0)
+    bank = rho_bank(1.0)
     worst_gap = 0.0
     worst_term = 0.0
     for gamma in [0, 1, 4, 5, 16, 17, 20, 21]:
-        trace = parseval_trace([(gamma, 1.0)], spec, 4**6)
+        trace = parseval_trace([(gamma, 1.0)], bank, 4**6)
         for N, value in trace.checkpoints:
             if N >= gamma:
                 worst_gap = max(worst_gap, abs(value - 1.0))
@@ -144,11 +144,7 @@ def test_c05_exact_parseval_in_the_basis_limit():
 
 def test_c06_bessel_cap_and_monotonicity():
     started = time.perf_counter()
-    specs = [
-        WeightSpec.from_rho(1j),
-        WeightSpec.from_rho(cis(1 / 8)),
-        WeightSpec.from_pq(S2, S2),
-    ]
+    banks = [rho_bank(1j), rho_bank(cis(1 / 8)), pq_bank(S2, S2)]
     rng = np.random.default_rng(20250501)
     fs = []
     for _ in range(10):
@@ -157,9 +153,9 @@ def test_c06_bessel_cap_and_monotonicity():
         coeffs = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         fs.append([(int(g), complex(c)) for g, c in zip(freqs, coeffs)])
     worst_excess = -1.0
-    for spec in specs:
+    for bank in banks:
         for f in fs:
-            trace = parseval_trace(f, spec, 4**6)
+            trace = parseval_trace(f, bank, 4**6)
             values = [v for _, v in trace.checkpoints]
             assert all(b >= a for a, b in zip(values, values[1:])), "trace not monotone"
             cap = trace.target * (1.0 + 1e-8)
@@ -171,8 +167,7 @@ def test_c06_bessel_cap_and_monotonicity():
 
 def test_c07_parseval_convergence_regression():
     started = time.perf_counter()
-    spec = WeightSpec.from_pq(S2, S2)
-    trace = parseval_trace([(0, 1.0)], spec, 4**8)
+    trace = parseval_trace([(0, 1.0)], pq_bank(S2, S2), 4**8)
     oracle = oracle_trace_checkpoints(0, S2, S2, 4**8)
     values = [v for _, v in trace.checkpoints]
     max_gap = 0.0
@@ -194,7 +189,7 @@ def test_c07_parseval_convergence_regression():
 def test_c08_refinement_identity(bank_i):
     started = time.perf_counter()
     rep = CuntzRep(bank_i)
-    m = verify_ruelle(rep, np.linspace(-1.0, 0.0, 21), 3, 1e-9, rho=1j).metrics
+    m = verify_ruelle(rep, np.linspace(-1.0, 0.0, 21), 3, 1e-9).metrics
     assert m["max_refinement_residual"] <= 1e-9
     assert m["max_specialization_gap"] <= 1e-12
     elapsed = _elapsed_guard(8, "refinement identity", started, 120.0)
@@ -211,19 +206,16 @@ def test_c09_energy_function_behavior(bank_one, bank_i, bank_minus_one, bank_pq)
     banks = [bank_one, bank_i, rho_bank(cis(1 / 6)), bank_minus_one, bank_pq]
     worst = 0.0
     for bank in banks:
-        rep = CuntzRep(bank)
         for L in (1, 2, 3, 4):
-            worst = max(worst, abs(h_partial(0.0, rep, L) - 1.0))
+            worst = max(worst, abs(h_partial(0.0, bank, L) - 1.0))
     assert worst <= 1e-10
 
-    rep_i = CuntzRep(bank_i)
     grid = np.linspace(-1.0, 0.0, 21)
-    min_h2 = min(h_partial(float(t), rep_i, 2) for t in grid)
-    min_h4 = min(h_partial(float(t), rep_i, 4) for t in grid)
+    min_h2 = min(h_partial(float(t), bank_i, 2) for t in grid)
+    min_h4 = min(h_partial(float(t), bank_i, 4) for t in grid)
     assert min_h4 > min_h2
 
-    rep_m1 = CuntzRep(bank_minus_one)
-    h4_half = h_partial(-0.5, rep_m1, 4)
+    h4_half = h_partial(-0.5, bank_minus_one, 4)
     assert H4_AT_MINUS_HALF_RHO_M1 < 1.0
     assert abs(h4_half - H4_AT_MINUS_HALF_RHO_M1) <= 1e-9
     elapsed = _elapsed_guard(9, "energy function", started, 120.0)
@@ -237,8 +229,7 @@ def test_c09_energy_function_behavior(bank_one, bank_i, bank_minus_one, bank_pq)
 
 def test_c10_incompleteness_of_the_degenerate_family():
     started = time.perf_counter()
-    spec = WeightSpec.from_rho(-1.0)
-    trace = parseval_trace([(1, 1.0)], spec, 4**8)
+    trace = parseval_trace([(1, 1.0)], rho_bank(-1.0), 4**8)
     ns = np.arange(4**8 + 1)
     stray = trace.terms[ns % 4 != 3]
     assert float(stray.max()) <= 1e-20

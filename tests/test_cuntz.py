@@ -8,7 +8,6 @@ from frame_lab import (
     CapacityError,
     ContractError,
     CuntzRep,
-    WeightSpec,
     cis,
     exponential,
     filter_bank_from_A,
@@ -18,6 +17,7 @@ from frame_lab import (
     little_m,
     norm,
     normalize,
+    pq_bank,
     rho_bank,
     solve_alpha,
     verify_cuntz,
@@ -40,7 +40,6 @@ from oracles import (
     _dense_word_vector,
     apply_word,
     atom_sum,
-    bank_for_spec,
     c_of_word,
     dense_inner,
     enumerate_X4,
@@ -58,8 +57,8 @@ from oracles import (
 PARITY_BANKS = {
     "pi_over_3": rho_bank(complex(cis(1 / 6))),
     "pq": solve_alpha(2**-0.5, 2**-0.5, 2**-0.5, 0.0, 0.0, 1.0),  # the bank_pq fixture
-    "lopsided": bank_for_spec(WeightSpec.from_pq(0.6, 0.8)),
-    "lopsided_i": bank_for_spec(WeightSpec.from_pq(0.6j, 0.8)),
+    "lopsided": pq_bank(0.6, 0.8),
+    "lopsided_i": pq_bank(0.6j, 0.8),
 }
 
 

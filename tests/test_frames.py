@@ -9,12 +9,15 @@ from frame_lab import (
     ContractError,
     CuntzRep,
     DomainError,
+    InfeasibleParameters,
     UnsupportedShape,
-    WeightSpec,
     cis,
+    filter_bank_from_A,
     h_partial,
+    hadamard_rho,
     mu4_hat,
     parseval_trace,
+    pq_bank,
     project_V,
     rho_bank,
     verify_incomplete,
@@ -23,12 +26,11 @@ from frame_lab import (
 )
 from frame_lab.atoms import ONE, concat, renumber
 from frame_lab.cli import main
-from frame_lab.frames import write_trace_csv, write_weight_table
+from frame_lab.frames import SPECIALIZATION_TOL, write_trace_csv, write_weight_table
 from oracles import (
     Atom,
     Word4,
     apply_word,
-    bank_for_spec,
     c_of_word,
     digit_counts,
     enumerate_X4,
@@ -60,58 +62,63 @@ PQ_E2_CHECKPOINTS = {
 RHO_M1_E1_AT_256 = 0.49990188583068634
 
 
-def test_weight_spec_validation():
+def test_family_banks_refuse_infeasible_parameters():
     with pytest.raises(DomainError):
-        WeightSpec.from_rho(0.5)
-    with pytest.raises(DomainError):
-        WeightSpec.from_pq(1.0, 1.0)
-    assert WeightSpec.from_pq(S2, S2).parseval_certified
-    assert not WeightSpec.from_rho(-1.0).parseval_certified
+        rho_bank(0.5)
+    with pytest.raises(InfeasibleParameters):
+        pq_bank(1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "p,q", [(S2, S2), (0.6, 0.8), (-0.6, 0.8), (0.6j, 0.8), (1.0, 0.0), (0.0, 1.0)]
+)
+def test_pq_bank_digit_weights_are_the_family(p, q):
+    # assembling A rounds: d_1 is 0.7071067811865475 for p = S2 and
+    # 0.5999999999999999 for p = 0.6
+    got = pq_bank(p, q).digit_weights
+    assert max(abs(g - w) for g, w in zip(got, (1.0, p, 0.0, q))) <= 2.3e-16
 
 
 def test_frame_weight_at_zero():
-    for spec in (WeightSpec.from_rho(1j), WeightSpec.from_pq(0.6, 0.8)):
-        assert frame_weight(spec, 0) == 1
+    for p, q in (((1 + 1j) / 2, (1 - 1j) / 2), (0.6, 0.8)):
+        assert frame_weight(p, q, 0) == 1
 
 
 def test_frame_weight_rho_one_is_digit01_indicator():
-    spec = WeightSpec.from_rho(1.0)
-    support = [n for n in range(22) if abs(frame_weight(spec, n)) > 0]
+    support = [n for n in range(22) if abs(frame_weight(1.0, 0.0, n)) > 0]
     assert support == GAMMA4_UP_TO_21
-    assert all(frame_weight(spec, n) == 1 for n in support)
+    assert all(frame_weight(1.0, 0.0, n) == 1 for n in support)
 
 
 def test_frame_weight_rho_minus_one_is_digit03_indicator():
-    spec = WeightSpec.from_rho(-1.0)
-    support = [n for n in range(16) if abs(frame_weight(spec, n)) > 0]
+    support = [n for n in range(16) if abs(frame_weight(0.0, 1.0, n)) > 0]
     assert support == GAMMA3_UP_TO_15
-    assert all(frame_weight(spec, n) == 1 for n in support)
+    assert all(frame_weight(0.0, 1.0, n) == 1 for n in support)
 
 
 def test_frame_weight_pq_value():
-    spec = WeightSpec.from_pq(S2, S2)
-    assert abs(frame_weight(spec, 5) - 0.5) < 1e-15
+    assert abs(frame_weight(S2, S2, 5) - 0.5) < 1e-15
 
 
 def test_frame_weight_rejects_negative():
     with pytest.raises(ContractError):
-        frame_weight(WeightSpec.from_rho(1.0), -1)
+        frame_weight(1.0, 0.0, -1)
 
 
 @given(st.floats(0, 1, exclude_max=True), st.integers(0, 4**6))
 @settings(max_examples=200)
-def test_rho_pq_weight_consistency(angle, n):
+def test_rho_bank_weights_are_the_rho_family(angle, n):
+    # the rho bank's digit weights give p = (1 + rho)/2, q = (1 - rho)/2
     rho = cmath.exp(2j * cmath.pi * angle)
-    via_rho = frame_weight(WeightSpec.from_rho(rho), n)
-    via_pq = frame_weight(WeightSpec.from_pq((1 + rho) / 2, (1 - rho) / 2), n)
-    assert abs(via_rho - via_pq) < 1e-12
+    _, p, _, q = rho_bank(rho).digit_weights
+    assert abs(frame_weight(p, q, n) - frame_weight((1 + rho) / 2, (1 - rho) / 2, n)) < 1e-12
 
 
 @given(st.floats(0, 1, exclude_max=True), st.integers(0, 4**6))
 @settings(max_examples=200)
 def test_weight_modulus_bounded(angle, n):
     rho = cmath.exp(2j * cmath.pi * angle)
-    assert abs(frame_weight(WeightSpec.from_rho(rho), n)) <= 1 + 1e-12
+    assert abs(frame_weight((1 + rho) / 2, (1 - rho) / 2, n)) <= 1 + 1e-12
 
 
 def test_project_constant():
@@ -147,7 +154,7 @@ def test_projection_weight_vanishes_on_digit_two(bank_i):
     rep = CuntzRep(bank_i)
     _, _, weight = project_V(s_word_one(rep, Word4((2,))))
     assert weight[0] == 0
-    assert abs(bank_i.digit_weight(2)) == 0
+    assert abs(bank_i.digit_weights[2]) == 0
 
 
 def test_project_rejects_unbalanced_shape():
@@ -164,36 +171,36 @@ def test_project_rejects_fractional_frequency():
 
 def test_weight_consistency_between_modes():
     families = [
-        (WeightSpec.from_rho(1.0), 1.0),
-        (WeightSpec.from_rho(1j), 1j),
-        (WeightSpec.from_pq(0.6, 0.8), None),
+        (rho_bank(1.0), 1.0, 0.0),
+        (rho_bank(1j), (1 + 1j) / 2, (1 - 1j) / 2),
+        (pq_bank(0.6, 0.8), 0.6, 0.8),
     ]
-    for spec, rho in families:
-        bank = bank_for_spec(spec, rho)
+    for bank, p, q in families:
         for w in enumerate_X4(3):
-            assert abs(projection_weight(bank, w) - frame_weight(spec, c_of_word(w))) < 1e-12
+            assert abs(projection_weight(bank, w) - frame_weight(p, q, c_of_word(w))) < 1e-12
 
 
 @pytest.mark.parametrize(
-    "flags,spec",
+    "flags,bank",
     [
-        (["--rho-re", "1"], WeightSpec.from_rho(1.0)),
-        (["--rho-re", "-1"], WeightSpec.from_rho(-1.0)),
-        (["--rho-im", "1"], WeightSpec.from_rho(complex(0.0, 1.0))),
+        (["--rho-re", "1"], rho_bank(1.0)),
+        (["--rho-re", "-1"], rho_bank(-1.0)),
+        (["--rho-im", "1"], rho_bank(complex(0.0, 1.0))),
         (["--rho-re", "0.5", "--rho-im", "0.8660254037844386"],
-         WeightSpec.from_rho(complex(0.5, 0.8660254037844386))),
-        (["--p-re", "0.6", "--q-re", "0.8"], WeightSpec.from_pq(0.6, 0.8)),
-        (["--p-re", "-0.6", "--q-re", "0.8"], WeightSpec.from_pq(-0.6, 0.8)),
+         rho_bank(complex(0.5, 0.8660254037844386))),
+        (["--p-re", "0.6", "--q-re", "0.8"], pq_bank(0.6, 0.8)),
+        (["--p-re", "-0.6", "--q-re", "0.8"], pq_bank(-0.6, 0.8)),
     ],
     ids=["rho_one", "rho_minus_one", "rho_i", "rho_pi_over_3", "pq", "pq_negative_p"],
 )
-def test_weight_table_csv_matches_oracle_bytes(tmp_path, capsys, flags, spec):
-    # every row against the closed form p^l1 0^l2 q^l3 per n, bit for bit
+def test_weight_table_csv_matches_oracle_bytes(tmp_path, capsys, flags, bank):
+    # every row against the closed form p^l1 0^l2 q^l3 per n, bit for bit,
+    # (p, q) = (d_1, d_3) the bank's digit weights
     n_max = 4**6 + 5
     got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
     assert main(["weights", *flags, "--n-max", str(n_max), "--out", str(got)]) == 0
     report = json.loads(capsys.readouterr().out)
-    nonzero = oracle_write_weight_table(expected, spec, n_max)
+    nonzero = oracle_write_weight_table(expected, *bank.digit_weights[1::2], n_max)
     assert got.read_bytes() == expected.read_bytes()
     assert report["metrics"]["nonzero_weights"] == nonzero
 
@@ -201,7 +208,7 @@ def test_weight_table_csv_matches_oracle_bytes(tmp_path, capsys, flags, spec):
 @pytest.mark.parametrize("n_max", [0, 3, 4, 63, 64, 65, 4**5 + 3])
 def test_weight_table_lists_the_support_with_its_counts(n_max):
     # (1, 0.5, 0.25j, -0.5) has a nonzero digit-2 weight; (1, 0, 0, 1) is p = 0
-    specs = [(1.0, 0.5, 0.25j, -0.5), (1.0, 0.0, 0.0, 1.0), WeightSpec.from_pq(-0.6, 0.8).digit_weights]
+    specs = [(1.0, 0.5, 0.25j, -0.5), (1.0, 0.0, 0.0, 1.0), pq_bank(-0.6, 0.8).digit_weights]
     for w in specs:
         n, counts, d = weight_table(w, n_max)
         words = [word_of_index(k) for k in range(n_max + 1)]
@@ -214,26 +221,28 @@ def test_weight_table_lists_the_support_with_its_counts(n_max):
 
 def test_kernel_input_guards(bank_one):
     with pytest.raises(DomainError):
-        parseval_trace([(2**53, 1.0)], WeightSpec.from_rho(1.0), 4)
+        parseval_trace([(2**53, 1.0)], bank_one, 4)
     with pytest.raises(ContractError):
-        h_partial(0.0, CuntzRep(bank_one), 0)
+        h_partial(0.0, bank_one, 0)
+    A = hadamard_rho(1.0).copy()
+    A[1, 0] = 3.0
+    with pytest.raises(ContractError):
+        parseval_trace([(0, 1.0)], filter_bank_from_A(A), 4)
 
 
-def test_trace_rho_one_at_basis_frequency():
-    spec = WeightSpec.from_rho(1.0)
-    trace = parseval_trace([(0, 1.0)], spec, 256)
+def test_trace_rho_one_at_basis_frequency(bank_one):
+    trace = parseval_trace([(0, 1.0)], bank_one, 256)
     assert all(abs(v - 1.0) <= 1e-12 for _, v in trace.checkpoints)
     # gamma = 21 needs N >= 21 before the single surviving term arrives
-    trace21 = parseval_trace([(21, 1.0)], spec, 256)
+    trace21 = parseval_trace([(21, 1.0)], bank_one, 256)
     values = dict(trace21.checkpoints)
     assert values[4] == 0 and values[16] == 0
     assert abs(values[64] - 1.0) <= 1e-12 and abs(values[256] - 1.0) <= 1e-12
 
 
 def test_trace_monotone_and_bessel():
-    spec = WeightSpec.from_pq(S2, S2)
     f = [(0, 0.5 + 0.1j), (5, -0.25), (17, 0.3j)]
-    trace = parseval_trace(f, spec, 1024)
+    trace = parseval_trace(f, pq_bank(S2, S2), 1024)
     values = [v for _, v in trace.checkpoints]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert all(v <= trace.target * (1 + 1e-8) for v in values)
@@ -250,24 +259,22 @@ def test_parseval_target_adds_the_scalar_terms_in_order():
     for g1, c1 in f:
         for g2, c2 in f:
             want += (complex(c1) * complex(c2).conjugate() * mu4_hat(g1 - g2)).real
-    got = parseval_trace(f, WeightSpec.from_pq(S2, S2), 64).target
+    got = parseval_trace(f, pq_bank(S2, S2), 64).target
     assert repr(got) == repr(want)
     assert got > 0
 
 
 def test_trace_regression_nonterminating():
     # e_2 lies outside the digit-{0,1,3} weight support, so the trace climbs
-    spec = WeightSpec.from_pq(S2, S2)
-    trace = parseval_trace([(2, 1.0)], spec, 4096)
+    trace = parseval_trace([(2, 1.0)], pq_bank(S2, S2), 4096)
     values = dict(trace.checkpoints)
     for N, frozen in PQ_E2_CHECKPOINTS.items():
         assert abs(values[N] - frozen) <= 1e-9
     assert all(b > a for a, b in zip(sorted(values), sorted(values)[1:]))
 
 
-def test_trace_matches_oracle_path():
-    spec = WeightSpec.from_rho(-1.0)
-    trace = parseval_trace([(1, 1.0)], spec, 256)
+def test_trace_matches_oracle_path(bank_minus_one):
+    trace = parseval_trace([(1, 1.0)], bank_minus_one, 256)
     oracle = oracle_trace_checkpoints(1, 0.0, 1.0, 256)
     for N, value in trace.checkpoints:
         assert abs(value - oracle[N]) <= 1e-9
@@ -276,16 +283,14 @@ def test_trace_matches_oracle_path():
 
 def test_h_partial_at_zero_is_one(bank_one, bank_i, bank_pq):
     for bank in (bank_one, bank_i, bank_pq):
-        rep = CuntzRep(bank)
         for L in (1, 2, 3):
-            assert abs(h_partial(0.0, rep, L) - 1.0) <= 1e-10
+            assert abs(h_partial(0.0, bank, L) - 1.0) <= 1e-10
 
 
 def test_h_partial_basis_case(bank_one):
-    rep = CuntzRep(bank_one)
     for gamma in (1, 5, 21):
         digits = len(_base4(gamma))
-        assert abs(h_partial(float(gamma), rep, max(digits, 1)) - 1.0) <= 1e-10
+        assert abs(h_partial(float(gamma), bank_one, max(digits, 1)) - 1.0) <= 1e-10
 
 
 def _base4(n):
@@ -308,25 +313,24 @@ def test_h_partial_matches_both_oracles(bank_name, bank_one, bank_i, bank_minus_
     rep = CuntzRep(bank)
     ts = np.array([[-0.3, 0.7, 2.25], [3.0, -5.0, 0.5]])
     for L in (1, 2, 3, 4):
-        at_once = h_partial(ts, rep, L)
+        at_once = h_partial(ts, bank, L)
         assert at_once.shape == ts.shape
         for t, got in zip(ts.ravel().tolist(), at_once.ravel().tolist()):
-            assert got == h_partial(t, rep, L)  # one row of the array call, bit for bit
+            assert got == h_partial(t, bank, L)  # one row of the array call, bit for bit
             assert abs(got - oracle_h_partial(t, bank, L)) <= 1e-12
             assert abs(got - oracle_h_partial_dense(t, rep, L)) <= 1e-12
 
 
 def test_h_partial_monotone_in_depth(bank_i):
-    rep = CuntzRep(bank_i)
     for t in np.linspace(-1, 0, 9):
-        values = [h_partial(float(t), rep, L) for L in (1, 2, 3)]
+        values = [h_partial(float(t), bank_i, L) for L in (1, 2, 3)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] <= 1 + 1e-8
 
 
 def test_ruelle_identity_small_grid(bank_i):
     rep = CuntzRep(bank_i)
-    check = verify_ruelle(rep, np.linspace(-1, 0, 9), 2, 1e-9, rho=1j)
+    check = verify_ruelle(rep, np.linspace(-1, 0, 9), 2, 1e-9)
     assert check.passed
     assert check.metrics["max_refinement_residual"] <= 1e-9
     assert check.metrics["max_specialization_gap"] <= 1e-12
@@ -339,13 +343,15 @@ def test_ruelle_at_zero(bank_pq):
 
 
 def test_ruelle_identity_pq_bank(bank_pq):
-    rep = CuntzRep(bank_pq)
-    check = verify_ruelle(rep, np.linspace(-1, 0, 9), 3, 1e-9)
-    assert check.passed
-    assert check.metrics["max_specialization_gap"] is None
+    # the reduced form holds on every admissible bank, the solver banks
+    # included; on the lopsided ones |d_1| != |d_3|
+    for bank in (bank_pq, pq_bank(0.6, 0.8), pq_bank(0.6j, 0.8)):
+        check = verify_ruelle(CuntzRep(bank), np.linspace(-1, 0, 9), 3, 1e-9)
+        assert check.passed
+        assert check.metrics["max_specialization_gap"] <= SPECIALIZATION_TOL
 
 
-def test_verify_incomplete():
+def test_verify_incomplete(bank_minus_one):
     check = verify_incomplete([0, 1, 3], 256, 1e-8)
     assert check.passed
     m = check.metrics
@@ -355,26 +361,26 @@ def test_verify_incomplete():
     assert m["flagged_1"]
     assert m["deficiency_3"] <= 1e-12
     # positivity at every checkpoint for the flagged frequency
-    trace = parseval_trace([(1, 1.0)], WeightSpec.from_rho(-1.0), 256)
+    trace = parseval_trace([(1, 1.0)], bank_minus_one, 256)
     assert trace.deficiency == m["deficiency_1"]
     assert all(v < 1.0 for _, v in trace.checkpoints)
 
 
-def test_weight_table_csv(tmp_path):
+def test_weight_table_csv(tmp_path, bank_one):
     path = tmp_path / "weights.csv"
-    write_weight_table(path, WeightSpec.from_rho(1.0), 21)
+    write_weight_table(path, bank_one, 21)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,l1,l2,l3,weight_re,weight_im,weight_abs2"
     ones = [int(line.split(",")[0]) for line in lines[1:] if line.split(",")[6] == "1.0"]
     assert ones == GAMMA4_UP_TO_21
     # bit-reproducible
     path2 = tmp_path / "weights2.csv"
-    write_weight_table(path2, WeightSpec.from_rho(1.0), 21)
+    write_weight_table(path2, bank_one, 21)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_trace_csv(tmp_path):
-    trace = parseval_trace([(2, 1.0)], WeightSpec.from_pq(S2, S2), 64)
+    trace = parseval_trace([(2, 1.0)], pq_bank(S2, S2), 64)
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)
     lines = path.read_text().strip().splitlines()

@@ -16,8 +16,8 @@ import frame_lab
 from frame_lab import (
     CuntzRep,
     RunReport,
-    WeightSpec,
     parseval_trace,
+    pq_bank,
     rho_bank,
     solve_alpha,
     verify_cuntz,
@@ -29,7 +29,7 @@ from frame_lab import (
     verify_ruelle,
     verify_unitarity,
 )
-from frame_lab.cli import MAX_GRID_POINTS, main
+from frame_lab.cli import MAX_GRID_POINTS, _bank_from_args, build_parser, main
 from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_TRIALS
 from frame_lab.frames import MAX_ENUM_LEN, MAX_GAMMAS, SPECIALIZATION_TOL
 from frame_lab.filters import (
@@ -39,6 +39,7 @@ from frame_lab.filters import (
     hadamard_rho,
     matrix_to_json,
 )
+from oracles import oracle_trace_checkpoints
 
 S2 = "0.7071067811865476"
 # The solver bank with p = q = 1/sqrt(2).
@@ -179,6 +180,7 @@ def test_weights_pq_value(tmp_path, capsys):
     assert code == 0
     row5 = out_csv.read_text().strip().splitlines()[-1].split(",")
     assert abs(float(row5[4]) - 0.5) < 1e-12  # weight p^2 at n = 5 (two digits equal to 1)
+    assert last_json(out)["metrics"]["parseval_certified"] is True
 
 
 def test_weights_invalid_spec_exits_2(tmp_path, capsys):
@@ -273,12 +275,67 @@ def test_verify_ruelle_cli(capsys):
     data = last_json(out)
     assert data["metrics"]["max_refinement_residual"] <= 1e-9
     assert data["tolerances"]["specialization"] == SPECIALIZATION_TOL
-    # a solver bank has no reduced form to compare against
+    # a solver bank meets the reduced form too
     code, out, _ = run_cli(capsys, "verify", "ruelle", *PQ_ALPHA, "--grid=-1:0:5", "--level", "2")
     assert code == 0
     metrics = last_json(out)["metrics"]
     assert metrics["max_refinement_residual"] <= 1e-9
-    assert metrics["max_specialization_gap"] is None
+    assert metrics["max_specialization_gap"] <= SPECIALIZATION_TOL
+
+
+@pytest.mark.parametrize("gamma", [5, 7])
+def test_pq_parseval_reports_match_the_independent_oracle(capsys, gamma):
+    # the recursion-path oracle on the digit weights of the --p-re/--q-re bank
+    argv = ["verify", "parseval", "--p-re", "0.6", "--q-re", "0.8", "--gamma", str(gamma),
+            "--n-max", "4096"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    metrics = last_json(out)["metrics"]
+    _, d1, _, d3 = _bank_from_args(build_parser().parse_args(argv))[0].digit_weights
+    oracle = oracle_trace_checkpoints(gamma, d1, d3, 4096)
+    assert sorted(oracle) == [4, 16, 64, 256, 1024, 4096]
+    for n, value in oracle.items():
+        assert abs(metrics[f"s_{n}"] - value) <= 1e-12, n
+
+
+def test_pq_flags_name_the_certify_solver_bank():
+    # --p-re/--q-re is shorthand for the solver bank the certify menu spells out
+    parser = build_parser()
+    rows = [(weights, bank) for _, weights, bank, _ in _certify_script().MENU if weights[0] == "--p-re"]
+    assert len(rows) == 2
+    for weights, bank in rows:
+        via_pq, _ = _bank_from_args(parser.parse_args(["weights", *weights, "--n-max", "1"]))
+        via_alpha, _ = _bank_from_args(parser.parse_args(["verify", "cuntz", *bank]))
+        assert via_pq.A.tobytes() == via_alpha.A.tobytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weights", "--rho-re", "-1", "--p-re", "0.6", "--q-re", "0.8", "--n-max", "3",
+         "--out", "w.csv"],
+        ["verify", "parseval", "--rho-im", "1", "--q-im", "0"],
+        ["verify", "cuntz", "--rho-re", "-1", *PQ_ALPHA],
+        ["verify", "ruelle", "--alpha-a22-im", "0", "--rho-im", "1"],
+    ],
+    ids=["rho_and_pq", "rho_and_pq_by_im_flags", "rho_and_alpha", "rho_and_alpha_by_im_flag"],
+)
+def test_naming_two_banks_exits_2(capsys, monkeypatch, tmp_path, argv):
+    # a kind of bank is named when any of its flags is given, and one bank is used
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "two banks" in err
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_pq_and_alpha_flags_together_name_two_banks():
+    # no subcommand defines both; the parse of the flags still refuses the pair
+    args = build_parser().parse_args(["verify", "cuntz", *PQ_ALPHA])
+    args.p_re, args.q_re = 0.6, 0.8
+    with pytest.raises(frame_lab.DomainError, match="two banks"):
+        _bank_from_args(args)
 
 
 def test_verify_capacity_exit_3(capsys):
@@ -381,11 +438,11 @@ _VERIFY_CASES = {
     ),
     "parseval": (
         ["--p-re", "0.6", "--q-re", "0.8", "--gamma", "5", "--n-max", "64", "--tol", "1e-7"],
-        lambda: verify_parseval(parseval_trace([(5, 1.0)], WeightSpec.from_pq(0.6, 0.8), 64), 1e-7),
+        lambda: verify_parseval(parseval_trace([(5, 1.0)], pq_bank(0.6, 0.8), 64), 1e-7),
     ),
     "ruelle": (
         [*_REP_I, "--grid=-1:0:5", "--level", "2", "--tol", "1e-8"],
-        lambda: verify_ruelle(CuntzRep(rho_bank(1j)), np.linspace(-1, 0, 5), 2, 1e-8, rho=1j),
+        lambda: verify_ruelle(CuntzRep(rho_bank(1j)), np.linspace(-1, 0, 5), 2, 1e-8),
     ),
     "nogo-mu3": ([], verify_nogo_mu3),
     "incomplete": (
