@@ -7,7 +7,9 @@ The calls are every CLI command of the benchmark's workloads for seeds 0-2,
 every value-gated command, the calls of the certification ladder (its
 `weights` calls and trace exports write their CSVs into the temporary
 directory), the runs at and just past each capacity cap, runs at a
-tolerance no check can meet, and runs on malformed input files. Each call
+tolerance no check can meet, runs on malformed input files, on
+well-formed matrices and banks that are not admissible, and with both
+matrix options of `verify unitarity` at once. Each call
 runs in process in one temporary working directory, so file arguments are
 the same relative paths on every run. The report is printed without
 `duration_ms`, the one field that is not a pure function of the flags; two
@@ -30,6 +32,7 @@ import certify_all  # noqa: E402  (this script's directory is on sys.path)
 from perfbench import workloads  # noqa: E402
 
 from frame_lab import cli  # noqa: E402
+from frame_lab.filters import hadamard_rho, matrix_to_json  # noqa: E402
 
 SEEDS = (0, 1, 2)
 RHO_I = ("--rho-im", "1")
@@ -45,6 +48,28 @@ BAD_MATRICES = {
     "ragged.json": json.dumps({"rows": [[ENTRY] * 4] * 3 + [[ENTRY]]}).encode(),
     "bad_bytes.json": b"\xff\xfe",
 }
+
+
+def _inadmissible_matrices() -> dict[str, bytes]:
+    """Well-formed matrix documents that fail one admissibility condition:
+    row 0, the kernel condition, and the rho = 1 matrix scaled off unitarity
+    (which moves row 0 too)."""
+    row0, kernel = hadamard_rho(1.0), hadamard_rho(1.0)
+    row0[0] = [1, 0, 0, 0]
+    kernel[1, 0] = 3.0
+    matrices = {"row0.json": row0, "kernel.json": kernel, "scaled.json": 1.001 * hadamard_rho(1.0)}
+    return {name: matrix_to_json(A).encode() for name, A in matrices.items()}
+
+
+INADMISSIBLE_MATRICES = _inadmissible_matrices()
+
+# A solver bank whose constraints each hold within tol while its assembled
+# matrix is not unitary.
+OFF_UNITARY_ALPHA = (
+    "--alpha-a10-re", "0.7071067811868476", "--alpha-a30-re", "0.7071067811868476",
+    "--alpha-a11-re", "0.7071067811865476", "--alpha-a12-re", "0",
+    "--alpha-a21-re", "0", "--alpha-a22-re", "1",
+)
 
 
 def _workload_argvs() -> list[list[str]]:
@@ -84,7 +109,8 @@ def _cap_argvs() -> list[list[str]]:
 
 
 def _other_argvs() -> list[list[str]]:
-    """Failing verdicts, the file options and malformed files."""
+    """Failing verdicts, the file options, malformed files, inadmissible
+    matrices and banks."""
     strict = ("--tol", "1e-30")
     out = [
         ["verify", "gram", *RHO_I, "--max-word-len", "3", *strict],
@@ -100,8 +126,12 @@ def _other_argvs() -> list[list[str]]:
         ["verify", "nogo-mu3", "--out", "nogo.json"],
         ["verify", "nogo-mu3", "--out", "missing_dir/nogo.json"],
         ["verify", "nogo-mu3", "--out", "."],
+        ["verify", "gram", "--max-word-len", "2", *OFF_UNITARY_ALPHA],
+        ["verify", "cuntz", "--rho-re", "0.5"],
+        ["verify", "unitarity", "--matrix-json", "m.json", "--matrix-out", "m_out.json"],
     ]
-    return out + [["verify", "unitarity", "--matrix-json", name] for name in BAD_MATRICES]
+    files = [*BAD_MATRICES, *INADMISSIBLE_MATRICES]
+    return out + [["verify", "unitarity", "--matrix-json", name] for name in files]
 
 
 def run(argv: list[str]) -> dict:
@@ -127,7 +157,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         Path("out").mkdir()
-        for name, data in BAD_MATRICES.items():
+        for name, data in {**BAD_MATRICES, **INADMISSIBLE_MATRICES}.items():
             Path(name).write_bytes(data)
         for argv in argvs:
             print(json.dumps(run(argv), sort_keys=True), flush=True)

@@ -12,13 +12,7 @@ the scale-3 obstruction.
 __version__ = "0.1.0"
 
 from .atoms import FunctionSum, exponential, inner_product, norm, normalize, refine
-from .cuntz import (
-    CuntzRep,
-    apply_S,
-    apply_S_star,
-    verify_cuntz,
-    verify_gram,
-)
+from .cuntz import apply_S, apply_S_star, verify_cuntz, verify_gram
 from .errors import (
     CapacityError,
     ContractError,
@@ -29,7 +23,6 @@ from .errors import (
 )
 from .filters import (
     FilterBank,
-    filter_bank_from_A,
     g_map,
     hadamard_rho,
     little_m,
@@ -57,7 +50,6 @@ __all__ = [
     "CapacityError",
     "Check",
     "ContractError",
-    "CuntzRep",
     "DomainError",
     "FilterBank",
     "FrameLabError",
@@ -70,7 +62,6 @@ __all__ = [
     "apply_S_star",
     "cis",
     "exponential",
-    "filter_bank_from_A",
     "g_map",
     "h_partial",
     "hadamard_rho",

@@ -40,7 +40,7 @@ from .filters import (
     verify_nogo_mu3,
     verify_unitarity,
 )
-from .cuntz import CuntzRep, verify_cuntz, verify_gram
+from .cuntz import verify_cuntz, verify_gram
 from .frames import (
     parseval_trace,
     verify_incomplete,
@@ -178,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v_unit = _verify_parser("unitarity", "max |H*H - I| over sampled banks")
     v_unit.add_argument("--samples", type=int, default=64, help="rho values on the unit circle")
-    v_unit.add_argument("--matrix-json", default=None, help="check one matrix from a JSON file")
-    v_unit.add_argument("--matrix-out", default=None, help="export the constructed matrix as JSON")
+    matrix = v_unit.add_mutually_exclusive_group()  # read one matrix, or export rho = 1
+    matrix.add_argument("--matrix-json", default=None, help="check one matrix from a JSON file")
+    matrix.add_argument("--matrix-out", default=None, help="export the constructed matrix as JSON")
     v_unit.add_argument("--tol", type=float, default=None)
 
     v_cuntz = _verify_parser("cuntz", "isometry relations on random vectors")
@@ -271,21 +272,21 @@ def _run_verify_cuntz(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "cuntz")
     bank, params = _bank_from_args(args)
     params.update({"level": args.level, "trials": args.trials, "seed": args.seed})
-    return params, verify_cuntz(CuntzRep(bank), args.level, args.trials, args.seed, tol)
+    return params, verify_cuntz(bank, args.level, args.trials, args.seed, tol)
 
 
 def _run_verify_gram(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "gram")
     bank, params = _bank_from_args(args)
     params.update({"max_word_len": args.max_word_len})
-    return params, verify_gram(CuntzRep(bank), args.max_word_len, tol)
+    return params, verify_gram(bank, args.max_word_len, tol)
 
 
 def _run_verify_projection(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "projection")
     bank, params = _bank_from_args(args)
     params.update({"max_word_len": args.max_word_len})
-    return params, verify_projection(CuntzRep(bank), args.max_word_len, tol)
+    return params, verify_projection(bank, args.max_word_len, tol)
 
 
 def _run_verify_parseval(args) -> tuple[dict, Check]:
@@ -303,7 +304,7 @@ def _run_verify_ruelle(args) -> tuple[dict, Check]:
     bank, params = _bank_from_args(args)
     grid = _parse_grid(args.grid)
     params.update({"grid": args.grid, "level": args.level})
-    return params, verify_ruelle(CuntzRep(bank), grid, args.level, tol)
+    return params, verify_ruelle(bank, grid, args.level, tol)
 
 
 def _run_verify_nogo(args) -> tuple[dict, Check]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -42,16 +41,7 @@ _PAIRS = np.arange(4)
 _X_DIGITS = 2 * (_PAIRS & X_BITS)  # x digit of each pair index: 0, 2, 0, 2
 
 
-@dataclass(frozen=True)
-class CuntzRep:
-    bank: FilterBank
-
-    def __post_init__(self):
-        if not self.bank.admissible:
-            raise ContractError("CuntzRep requires an admissible filter bank")
-
-
-def apply_S(rep: CuntzRep, F: FunctionSum) -> FunctionSum:
+def apply_S(bank: FilterBank, F: FunctionSum) -> FunctionSum:
     """All four generating isometries at once: vector v of F becomes the
     vectors 4v + j, each holding S_j F_v.
 
@@ -62,7 +52,7 @@ def apply_S(rep: CuntzRep, F: FunctionSum) -> FunctionSum:
     """
     a = F.atoms[:, None, None]
     children = np.empty((len(F), 4, 4), dtype=ATOM)
-    children["coeff"] = 2.0 * rep.bank.A * a["coeff"] * cis(-a["freq"] * _X_DIGITS)
+    children["coeff"] = 2.0 * bank.A * a["coeff"] * cis(-a["freq"] * _X_DIGITS)
     children["freq"] = 4 * a["freq"] + _PAIRS[:, None]
     children["code"] = _PAIRS << 2 * a["level"] | a["code"]
     children["level"] = a["level"] + 1
@@ -70,7 +60,7 @@ def apply_S(rep: CuntzRep, F: FunctionSum) -> FunctionSum:
     return normalize(FunctionSum(children.ravel()))
 
 
-def apply_S_star(rep: CuntzRep, F: FunctionSum) -> FunctionSum:
+def apply_S_star(bank: FilterBank, F: FunctionSum) -> FunctionSum:
     """The adjoints, all four at once: vector v of F becomes the vectors
     4v + j, each holding S_j* F_v. S_j* strips the leading digit pair.
 
@@ -82,7 +72,7 @@ def apply_S_star(rep: CuntzRep, F: FunctionSum) -> FunctionSum:
     """
     a = F.atoms
     t = a["freq"][:, None]
-    per_pair = rep.bank.A.conj() * cis((t[:, :, None] - _PAIRS[:, None]) * _X_DIGITS / 4)
+    per_pair = bank.A.conj() * cis((t[:, :, None] - _PAIRS[:, None]) * _X_DIGITS / 4)
     shift = np.maximum(2 * (a["level"] - 1), 0)
     lead = a["code"] >> shift
     leading = per_pair[np.arange(len(a))[:, None], _PAIRS, lead[:, None]]
@@ -106,7 +96,7 @@ def family_size(max_len: int) -> int:
     return 4**max_len
 
 
-def generated_family(rep: CuntzRep, max_len: int) -> Iterator[FunctionSum]:
+def generated_family(bank: FilterBank, max_len: int) -> Iterator[FunctionSum]:
     """S_omega 1 for the words omega of X4 up to max_len, in batches: vector
     n of a batch is S_omega 1 for n = c(omega), and every n < 4^max_len is in
     exactly one batch, the lengths in ascending order.
@@ -128,7 +118,7 @@ def generated_family(rep: CuntzRep, max_len: int) -> Iterator[FunctionSum]:
         cuts = np.searchsorted(prefixes.atoms["vec"], [*range(lo, hi, step), hi])
         batches = []
         for i, k in zip(cuts[:-1], cuts[1:]):
-            batch = apply_S(rep, FunctionSum(prefixes.atoms[i:k]))
+            batch = apply_S(bank, FunctionSum(prefixes.atoms[i:k]))
             if K < max_len:
                 batches.append(batch)
             yield batch
@@ -162,7 +152,7 @@ def random_function_sum(
     return normalize(FunctionSum(np.array(atoms, dtype=ATOM)))
 
 
-def verify_cuntz(rep: CuntzRep, level: int, trials: int, seed: int, tol: float) -> Check:
+def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: float) -> Check:
     """Check S_j* S_k = delta_jk I and sum_k S_k S_k* = I on random vectors
     drawn by random.Random(seed): every residual, relative to the vector's
     norm, is at most tol.
@@ -189,9 +179,9 @@ def verify_cuntz(rep: CuntzRep, level: int, trials: int, seed: int, tol: float) 
     for done in range(0, trials, TRIALS_PER_PASS):
         T = min(TRIALS_PER_PASS, trials - done)
         F = random_function_sum(rng, level, T)
-        G = apply_S_star(rep, apply_S(rep, F))
+        G = apply_S_star(bank, apply_S(bank, F))
         diagonal = concat(*[renumber(F, 16, 5 * k) for k in range(4)])  # F_v at the j = k slots
-        terms = apply_S(rep, apply_S_star(rep, F)).atoms
+        terms = apply_S(bank, apply_S_star(bank, F)).atoms
         vec = terms["vec"]
         terms = np.compress((vec >> 2 & 3) == (vec & 3), terms)
         terms["vec"] = 16 * T + (terms["vec"] >> 4)
@@ -223,7 +213,7 @@ def _level_rows(max_len: int) -> np.ndarray:
     )
 
 
-def _gram_rows(rep: CuntzRep, max_len: int) -> Iterator[np.ndarray]:
+def _gram_rows(bank: FilterBank, max_len: int) -> Iterator[np.ndarray]:
     """Row f of the Gram matrix of the words of length <= max_len, from the
     diagonal on: G[f, f:] for f = 0 .. 4^max_len - 1.
 
@@ -238,7 +228,7 @@ def _gram_rows(rep: CuntzRep, max_len: int) -> Iterator[np.ndarray]:
     products over the even and odd pair indices, divided by 4. Everything
     that depends on k alone is computed once.
     """
-    R = np.vstack([rep.bank.A, np.full(4, 0.5)])  # row _PAD: the ones row, halved like 2A
+    R = np.vstack([bank.A, np.full(4, 0.5)])  # row _PAD: the ones row, halved like 2A
     E = R[:, 0::2] @ R[:, 0::2].conj().T
     O = R[:, 1::2] @ R[:, 1::2].conj().T
     rows = _level_rows(max_len)
@@ -254,7 +244,7 @@ def _gram_rows(rep: CuntzRep, max_len: int) -> Iterator[np.ndarray]:
         yield entries
 
 
-def verify_gram(rep: CuntzRep, max_len: int, tol: float) -> Check:
+def verify_gram(bank: FilterBank, max_len: int, tol: float) -> Check:
     """The Gram matrix of the generated family over words of length <=
     max_len is the identity: every entry is within tol of it. The matrix is
     Hermitian, so only its upper triangle is formed, one row at a time, and
@@ -262,7 +252,7 @@ def verify_gram(rep: CuntzRep, max_len: int, tol: float) -> Check:
     """
     size = family_size(max_len)
     max_offdiag = max_diag_dev = 0.0
-    for entries in _gram_rows(rep, max_len):
+    for entries in _gram_rows(bank, max_len):
         max_diag_dev = max(max_diag_dev, float(abs(entries[0] - 1.0)))
         max_offdiag = max(max_offdiag, float(np.max(np.abs(entries[1:]), initial=0.0)))
     metrics = {"size": size, "max_offdiag": max_offdiag, "max_diag_dev": max_diag_dev}

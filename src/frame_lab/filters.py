@@ -1,12 +1,15 @@
 """Filter coefficient matrices and their admissibility certificates.
 
 A bank is a 4x4 coefficient matrix A (rows = filter index j, columns =
-first-level cylinder index k) together with the sign-flipped matrix H,
+first-level cylinder index k); H is its sign-flipped matrix,
 H[j][k] = A[j][k] * s(j,k) with s = -1 exactly when j and k are both odd.
-The bank is admissible when (i) row 0 of A is (1/2,1/2,1/2,1/2),
+A is admissible when (i) row 0 of A is (1/2,1/2,1/2,1/2),
 (ii) a_j0 + a_j2 = a_j1 + a_j3 for every j, and (iii) H is unitary.
 Those are exactly the hypotheses under which the generated vector family
-is orthonormal and projects onto weighted exponentials.
+is orthonormal and projects onto weighted exponentials. A FilterBank is
+admissible by construction: building one from any other matrix raises
+InfeasibleParameters, so the operators that take a bank check nothing.
+verify_unitarity measures the same deviations on any matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -65,18 +67,41 @@ def a_to_h(A: np.ndarray) -> np.ndarray:
     return np.asarray(A, dtype=complex) * SIGN_PATTERN
 
 
+def deviations(A) -> dict[str, float]:
+    """How far A is from each admissibility condition: max |a_0k - 1/2|
+    (first_row), max |a_j0 + a_j2 - a_j1 - a_j3| (kernel) and max |H*H - I|
+    (unitarity). A must be a 4x4 matrix with finite entries."""
+    A = np.asarray(A, dtype=complex)
+    if A.shape != (4, 4):
+        raise DomainError(f"A must be 4x4, got shape {A.shape}")
+    if not np.all(np.isfinite(A.view(np.float64))):
+        raise DomainError("A must have finite entries")
+    H = a_to_h(A)
+    return {
+        "first_row": float(np.max(np.abs(A[0] - 0.5))),
+        "kernel": float(np.max(np.abs((A[:, 0] + A[:, 2]) - (A[:, 1] + A[:, 3])))),
+        "unitarity": float(np.max(np.abs(H.conj().T @ H - np.eye(4)))),
+    }
+
+
 @dataclass(frozen=True, eq=False)
 class FilterBank:
+    """An admissible coefficient matrix A, held read-only.
+
+    Building one checks every admissibility condition at
+    DEFAULT_UNITARITY_TOL and raises InfeasibleParameters naming the first
+    that fails, so every bank in existence defines a representation.
+    """
+
     A: np.ndarray
-    H: np.ndarray
-    admissible: bool
-    checks: Mapping[str, object]
 
     def __post_init__(self):
-        for name in ("A", "H"):
-            arr = np.array(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        A = np.array(self.A, dtype=complex)
+        for condition, dev in deviations(A).items():
+            if not dev <= DEFAULT_UNITARITY_TOL:
+                raise InfeasibleParameters(condition, f"off by {dev:.3g}")
+        A.setflags(write=False)
+        object.__setattr__(self, "A", A)
 
     @property
     def digit_weights(self) -> tuple[complex, ...]:
@@ -85,39 +110,9 @@ class FilterBank:
         return tuple(complex(d) for d in self.A[:, 0] + self.A[:, 2])
 
 
-def filter_bank_from_A(A: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> FilterBank:
-    """Build H from A, run the three admissibility checks, record a report.
-
-    Failures are recorded in the report rather than raised, so callers can
-    print diagnostics; downstream operators require the admissible flag.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    A = np.array(A, dtype=complex)
-    if A.shape != (4, 4):
-        raise DomainError(f"A must be 4x4, got shape {A.shape}")
-    if not np.all(np.isfinite(A.view(np.float64))):
-        raise DomainError("A must have finite entries")
-    H = a_to_h(A)
-    first_row_dev = float(np.max(np.abs(A[0] - 0.5)))
-    kernel_dev = float(np.max(np.abs((A[:, 0] + A[:, 2]) - (A[:, 1] + A[:, 3]))))
-    unitarity_dev = float(np.max(np.abs(H.conj().T @ H - np.eye(4))))
-    checks = {
-        "tolerance": tol,
-        "first_row_max_dev": first_row_dev,
-        "kernel_max_dev": kernel_dev,
-        "unitarity_max_dev": unitarity_dev,
-        "first_row_ok": first_row_dev <= tol,
-        "kernel_ok": kernel_dev <= tol,
-        "unitarity_ok": unitarity_dev <= tol,
-    }
-    admissible = bool(checks["first_row_ok"] and checks["kernel_ok"] and checks["unitarity_ok"])
-    return FilterBank(A=A, H=H, admissible=admissible, checks=checks)
-
-
-def rho_bank(rho: complex, tol: float = DEFAULT_UNITARITY_TOL) -> FilterBank:
+def rho_bank(rho: complex) -> FilterBank:
     """Convenience: admissible bank for the one-parameter family."""
-    return filter_bank_from_A(hadamard_rho(rho), tol)
+    return FilterBank(hadamard_rho(rho))
 
 
 def solve_alpha(
@@ -156,9 +151,7 @@ def solve_alpha(
             "row12_orthogonality", f"a11*conj(a21)+a12*conj(a22) = 0 off by {dev:.3g}"
         )
 
-    degenerate = 1.0 - abs(a10) ** 2 <= tol
-    if degenerate:
-        lam = None
+    if 1.0 - abs(a10) ** 2 <= tol:  # the degenerate case |a10| = 1
         row3 = -a22.conjugate() * U2 + a21.conjugate() * U3
     else:
         lam = -a10.conjugate() * a30 / (1.0 - abs(a10) ** 2)
@@ -171,33 +164,23 @@ def solve_alpha(
             row3,
         ]
     )
-    bank = filter_bank_from_A(a_to_h(H), tol)  # the sign flip is its own inverse
-    if not bank.admissible:
-        # Each constraint above holds within tol, but their errors can add up.
-        raise InfeasibleParameters(
-            "unitarity", f"assembled bank off by {bank.checks['unitarity_max_dev']:.3g}"
-        )
-    checks = dict(bank.checks)
-    checks["lambda_coupling"] = lam
-    checks["degenerate"] = degenerate
-    checks["alpha"] = {"a10": a10, "a30": a30, "a11": a11, "a12": a12, "a21": a21, "a22": a22}
-    return FilterBank(A=bank.A, H=bank.H, admissible=True, checks=checks)
+    # Each constraint above holds within tol, but their errors can add up:
+    # the bank's own unitarity check refuses what they let through.
+    return FilterBank(a_to_h(H))  # the sign flip is its own inverse
 
 
-def pq_bank(p: complex, q: complex, tol: float = DEFAULT_UNITARITY_TOL) -> FilterBank:
+def pq_bank(p: complex, q: complex) -> FilterBank:
     """The solver bank of the weight family (p, q): a10 = p, a30 = q,
     a11 = sqrt(1 - |p|^2), a12 = a21 = 0, a22 = 1. Its digit weights are
     (1, p, 0, q) up to the rounding of assembling A."""
     p = complex(p)
     fill = math.sqrt(max(0.0, 1.0 - abs(p) * abs(p)))  # 0 for |p| >= 1 and for nan
-    return solve_alpha(p, q, fill, 0.0, 0.0, 1.0, tol)
+    return solve_alpha(p, q, fill, 0.0, 0.0, 1.0)
 
 
 def little_m(bank: FilterBank, j: int, t) -> complex:
     """Symbol of the adjoint on exponentials: S_j* e_t = little_m(j,t) e_{(t-j)/4},
     at every element of t."""
-    if not bank.admissible:
-        raise ContractError("little_m requires an admissible bank")
     if j not in (0, 1, 2, 3):
         raise ContractError(f"filter index must be in 0..3, got {j}")
     A = bank.A
@@ -243,23 +226,25 @@ def verify_nogo_mu3() -> Check:
 def verify_unitarity(samples: int, tol: float, A=None) -> Check:
     """max |H*H - I| <= tol over the banks at the samples points
     rho = e^{2 pi i m / samples} of the unit circle; given a matrix A, its
-    three admissibility checks instead."""
+    three admissibility conditions instead, each within tol."""
+    if tol <= 0:
+        raise DomainError("tol must be positive")
     if A is not None:
-        bank = filter_bank_from_A(A, tol)
+        dev = deviations(A)
         metrics = {
-            "max_dev": bank.checks["unitarity_max_dev"],
-            "first_row_max_dev": bank.checks["first_row_max_dev"],
-            "kernel_max_dev": bank.checks["kernel_max_dev"],
+            "max_dev": dev["unitarity"],
+            "first_row_max_dev": dev["first_row"],
+            "kernel_max_dev": dev["kernel"],
         }
-        return Check(bank.admissible, metrics, {"unitarity": tol})
+        return Check(all(d <= tol for d in dev.values()), metrics, {"unitarity": tol})
     if samples < 1:
         raise ContractError("samples must be >= 1")
     if samples > MAX_SAMPLES:
         raise CapacityError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
     max_dev = 0.0
     for m in range(samples):
-        bank = filter_bank_from_A(hadamard_rho(complex(np.exp(2j * np.pi * m / samples))), tol)
-        max_dev = max(max_dev, bank.checks["unitarity_max_dev"])
+        rho = complex(np.exp(2j * np.pi * m / samples))
+        max_dev = max(max_dev, deviations(hadamard_rho(rho))["unitarity"])
     return Check(max_dev <= tol, {"max_dev": max_dev}, {"unitarity": tol})
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .atoms import X_BITS, FunctionSum, refine
-from .cuntz import CuntzRep, family_size, generated_family
+from .cuntz import family_size, generated_family
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
 from .filters import FilterBank, g_map, little_m, rho_bank
 from .report import Check
@@ -134,17 +134,17 @@ def project_V(F: FunctionSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return vec[starts], freq, w
 
 
-def verify_projection(rep: CuntzRep, max_len: int, tol: float) -> Check:
+def verify_projection(bank: FilterBank, max_len: int, tol: float) -> Check:
     """P S_omega 1 = d_n e_n, n = c(omega), for every word of length <= max_len:
     each projection is one exponential at frequency n whose weight is within
     tol of the bank's digit weight d_n. The words are projected one batch
     of generated_family at a time."""
     weights = np.zeros(family_size(max_len), dtype=complex)
-    support, _, d = weight_table(rep.bank.digit_weights, len(weights) - 1)
+    support, _, d = weight_table(bank.digit_weights, len(weights) - 1)
     weights[support] = d
     rows = np.zeros(len(weights), dtype=np.int64)  # projected exponentials per word
     dev = np.full(len(weights), np.inf)
-    for batch in generated_family(rep, max_len):
+    for batch in generated_family(bank, max_len):
         vec, freq, weight = project_V(batch)
         np.add.at(rows, vec, 1)
         own = freq == vec
@@ -190,8 +190,6 @@ def _weighted_terms(f, bank: FilterBank, n_max: int) -> np.ndarray:
     frequency g may be an array ending in an axis of length 1: the terms
     then get its leading axes.
     """
-    if not bank.admissible:
-        raise ContractError("frame weights require an admissible bank")
     n, _, d = weight_table(bank.digit_weights, n_max)
     if any(np.max(np.abs(g)) + n_max >= 2**53 for g, _ in f):
         raise DomainError("frequencies must stay below 2^53 to be exact in float64")
@@ -255,7 +253,7 @@ def h_partial(t, bank: FilterBank, max_len: int):
     return _weighted_terms([(t[..., None], 1.0)], bank, 4**max_len - 1).sum(axis=-1)
 
 
-def verify_ruelle(rep: CuntzRep, t_grid: Sequence[float], L: int, tol: float) -> Check:
+def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], L: int, tol: float) -> Check:
     """Check h_{L+1}(t) = sum_j |m_j(t)|^2 h_L((t-j)/4) on a grid, to tol.
 
     The identity is exact at every finite truncation depth because the
@@ -271,7 +269,6 @@ def verify_ruelle(rep: CuntzRep, t_grid: Sequence[float], L: int, tol: float) ->
     t = np.array(t_grid, dtype=np.float64, ndmin=1)
     if t.size == 0:
         raise ContractError("t_grid must not be empty")
-    bank = rep.bank
     lhs = h_partial(t, bank, L + 1)
     h_vals = h_partial(np.array([g_map(j, t) for j in range(4)]), bank, L)
     symbols = [np.abs(little_m(bank, j, t)) ** 2 for j in range(4)]

@@ -121,20 +121,20 @@ def enumerate_X4(max_len: int) -> list[Word4]:
     return [word_of_index(n) for n in range(4**max_len)]
 
 
-def S_j(rep, j: int, F: FunctionSum) -> FunctionSum:
+def S_j(bank, j: int, F: FunctionSum) -> FunctionSum:
     """S_j F of a single sum: vector j of the four isometries applied to it."""
-    return unstack(apply_S(rep, F), j)
+    return unstack(apply_S(bank, F), j)
 
 
-def S_j_star(rep, j: int, F: FunctionSum) -> FunctionSum:
+def S_j_star(bank, j: int, F: FunctionSum) -> FunctionSum:
     """S_j* F of a single sum: vector j of the four adjoints applied to it."""
-    return unstack(apply_S_star(rep, F), j)
+    return unstack(apply_S_star(bank, F), j)
 
 
-def apply_word(rep, word: Word4, F: FunctionSum) -> FunctionSum:
+def apply_word(bank, word: Word4, F: FunctionSum) -> FunctionSum:
     """Composition S_{j_K} ... S_{j_1} F; letters[0] acts first."""
     for j in word.letters:
-        F = S_j(rep, j, F)
+        F = S_j(bank, j, F)
     return F
 
 
@@ -262,26 +262,26 @@ def dense_inner(
     return complex(4.0 ** (-K) * mu * np.vdot(vec_g, vec_f * phases))
 
 
-def oracle_h_partial_dense(t: float, rep, max_len: int) -> float:
+def oracle_h_partial_dense(t: float, bank, max_len: int) -> float:
     """Energy sum through the dense atom inner products <e_t, S_omega 1>."""
     e_vec = np.ones(1, dtype=complex)
     total = 0.0
     for word in enumerate_X4(max_len):
-        vec = _dense_word_vector(rep.bank, word)
+        vec = _dense_word_vector(bank, word)
         val = dense_inner(t, e_vec, 0, c_of_word(word), vec, len(word))
         total += abs(val) ** 2
     return total
 
 
-def s_word_one(rep, word) -> FunctionSum:
+def s_word_one(bank, word) -> FunctionSum:
     """Closed form of S_word 1: the exponential at c_of_word(word) times the
     level-K step function of the dense word vector, whose entry m sits on the
-    cylinder with code m. Agrees atom by atom with apply_word(rep, word, ONE).
+    cylinder with code m. Agrees atom by atom with apply_word(bank, word, ONE).
     """
     K = len(word)
     if K < 1:
         raise ContractError("s_word_one requires a nonempty word")
-    coeffs = _dense_word_vector(rep.bank, word)
+    coeffs = _dense_word_vector(bank, word)
     return normalize(FunctionSum([(c, c_of_word(word), m, K) for m, c in enumerate(coeffs)]))
 
 
@@ -295,7 +295,7 @@ def unstack(F: FunctionSum, v: int) -> FunctionSum:
     return FunctionSum(atoms)
 
 
-def oracle_verify_cuntz(rep, level: int, trials: int, seed: int, tol: float) -> Check:
+def oracle_verify_cuntz(bank, level: int, trials: int, seed: int, tol: float) -> Check:
     """verify_cuntz one trial vector at a time, drawn in the same order; the
     identity residual is formed at the deeper level, as the library forms it."""
     rng = random.Random(seed)
@@ -308,21 +308,21 @@ def oracle_verify_cuntz(rep, level: int, trials: int, seed: int, tol: float) -> 
             continue
         for j in range(4):
             for k in range(4):
-                G = S_j_star(rep, j, S_j(rep, k, F))
+                G = S_j_star(bank, j, S_j(bank, k, F))
                 D = fs_sub(G, F) if j == k else G
                 max_orth = max(max_orth, norm(D) / nf)
-        total = fs_add(*[S_j(rep, k, S_j_star(rep, k, F)) for k in range(4)])
+        total = fs_add(*[S_j(bank, k, S_j_star(bank, k, F)) for k in range(4)])
         max_ident = max(max_ident, norm(fs_sub(total, refine(F, total.level))) / nf)
     metrics = {"max_orthogonality_residual": max_orth, "max_identity_residual": max_ident}
     return Check(max_orth <= tol and max_ident <= tol, metrics, {"relative_residual": tol})
 
 
-def oracle_generated_family(rep, max_len: int) -> Iterator[tuple[int, FunctionSum]]:
+def oracle_generated_family(bank, max_len: int) -> Iterator[tuple[int, FunctionSum]]:
     """(n, S_omega 1) one word at a time, n ascending: word n is one apply_S
     on word n // 4 (words 0..3 extend the empty word)."""
     prefixes: list[FunctionSum] = []
     for n in range(4**max_len):
-        F = S_j(rep, n % 4, prefixes[n // 4] if n >= 4 else ONE)
+        F = S_j(bank, n % 4, prefixes[n // 4] if n >= 4 else ONE)
         if n < 4 ** (max_len - 1):
             prefixes.append(F)
         yield n, F
@@ -355,10 +355,10 @@ def oracle_project_V(F: FunctionSum) -> list[tuple[complex, int]]:
     return out
 
 
-def oracle_verify_projection(rep, max_len: int, tol: float) -> Check:
+def oracle_verify_projection(bank, max_len: int, tol: float) -> Check:
     """verify_projection one word at a time, against the same weight table."""
-    projected = [(n, oracle_project_V(vec)) for n, vec in oracle_generated_family(rep, max_len)]
-    support, _, d = weight_table(rep.bank.digit_weights, len(projected) - 1)
+    projected = [(n, oracle_project_V(vec)) for n, vec in oracle_generated_family(bank, max_len)]
+    support, _, d = weight_table(bank.digit_weights, len(projected) - 1)
     weights = np.zeros(len(projected), dtype=complex)
     weights[support] = d
     max_dev = 0.0
@@ -379,8 +379,6 @@ def in_X4(word) -> bool:
 
 def little_m_reduced(bank, j: int, t) -> complex:
     """Kernel-condition simplification of little_m (agrees within 1e-12)."""
-    if not bank.admissible:
-        raise ContractError("little_m_reduced requires an admissible bank")
     b = complex(np.conj(bank.A[j, 0]) + np.conj(bank.A[j, 2]))
     half = float(t) / 2.0
     phase = cmath.exp(1j * math.pi * half)
@@ -635,10 +633,10 @@ def atom_inner_product(F: AtomSum, G: AtomSum) -> complex:
     return total
 
 
-def atom_apply_S(rep, j: int, F: AtomSum) -> AtomSum:
+def atom_apply_S(bank, j: int, F: AtomSum) -> AtomSum:
     """Child k of atom (c,t,u): coefficient 2*a_jk*c*e^{-2 pi i t x_digit(k)},
     frequency 4t + j, word (k,) + u."""
-    A = rep.bank.A
+    A = bank.A
     out = []
     for a in F.atoms:
         freq = 4 * a.freq + j
@@ -648,9 +646,9 @@ def atom_apply_S(rep, j: int, F: AtomSum) -> AtomSum:
     return atom_normalize(AtomSum(tuple(out)))
 
 
-def atom_apply_S_star(rep, j: int, F: AtomSum) -> AtomSum:
+def atom_apply_S_star(bank, j: int, F: AtomSum) -> AtomSum:
     """Adjoint of atom_apply_S: strips the leading pair (sums all four on a level-0 atom)."""
-    A = rep.bank.A
+    A = bank.A
     out = []
     for a in F.atoms:
         shifted = (a.freq - j) / 4

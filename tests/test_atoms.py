@@ -16,7 +16,7 @@ from frame_lab import (
     refine,
 )
 from frame_lab.atoms import ONE, concat, fs_add, fs_scale, fs_sub, inner_products, renumber
-from frame_lab.cuntz import CuntzRep, apply_S, apply_S_star
+from frame_lab.cuntz import apply_S, apply_S_star
 from frame_lab.filters import rho_bank
 from oracles import (
     Atom,
@@ -227,17 +227,17 @@ def _oracle_sum(rng, n_atoms, max_level=3):
 
 def test_array_calculus_matches_atom_oracle(bank_i, bank_pq):
     rng = np.random.default_rng(20261018)
-    reps = [CuntzRep(bank) for bank in (bank_i, rho_bank(complex(np.exp(1j * np.pi / 3))), bank_pq)]
+    banks = [bank_i, rho_bank(complex(np.exp(1j * np.pi / 3))), bank_pq]
     for trial in range(30):
-        rep = reps[trial % 3]
+        bank = banks[trial % 3]
         raw = _oracle_sum(rng, 8)
         F, ref = normalize(function_sum(raw)), atom_normalize(AtomSum(raw))
         # merging adds in input order on both paths, so these agree bit for bit
         assert max_coeff_gap(F, ref) == 0.0
         assert max_coeff_gap(refine(F, 3), atom_refine(ref, 3)) == 0.0
         for j in range(4):
-            assert max_coeff_gap(S_j(rep, j, F), atom_apply_S(rep, j, ref)) <= 1e-15
-            assert max_coeff_gap(S_j_star(rep, j, F), atom_apply_S_star(rep, j, ref)) <= 1e-15
+            assert max_coeff_gap(S_j(bank, j, F), atom_apply_S(bank, j, ref)) <= 1e-15
+            assert max_coeff_gap(S_j_star(bank, j, F), atom_apply_S_star(bank, j, ref)) <= 1e-15
         G = normalize(function_sum(_oracle_sum(rng, 5)))
         want = atom_inner_product(ref, atom_sum(G))
         assert abs(inner_product(F, G) - want) <= 1e-15
@@ -248,16 +248,15 @@ def test_isometries_on_a_batch_match_atom_oracle(bank_pq, max_level):
     # vector v of the input becomes vectors 4v + j, holding S_j F_v and S_j* F_v;
     # vector 2 has no atoms, so vectors 8..11 stay empty
     rng = np.random.default_rng(40 + max_level)
-    rep = CuntzRep(bank_pq)
     raw = {v: _oracle_sum(rng, 6, max_level) for v in (0, 1, 3)}
     batch = concat(*(renumber(function_sum(atoms), 1, v) for v, atoms in raw.items()))
-    S, S_star = apply_S(rep, batch), apply_S_star(rep, batch)
+    S, S_star = apply_S(bank_pq, batch), apply_S_star(bank_pq, batch)
     assert np.all(np.diff(S.atoms["vec"]) >= 0) and np.all(np.diff(S_star.atoms["vec"]) >= 0)
     for v in range(4):
         ref = AtomSum(raw.get(v, ()))
         for j in range(4):
-            assert max_coeff_gap(unstack(S, 4 * v + j), atom_apply_S(rep, j, ref)) <= 1e-15
-            want = atom_apply_S_star(rep, j, ref)
+            assert max_coeff_gap(unstack(S, 4 * v + j), atom_apply_S(bank_pq, j, ref)) <= 1e-15
+            want = atom_apply_S_star(bank_pq, j, ref)
             assert max_coeff_gap(unstack(S_star, 4 * v + j), want) <= 1e-15
     assert S.atoms["vec"].max() == S_star.atoms["vec"].max() == 15
 

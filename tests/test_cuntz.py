@@ -7,12 +7,9 @@ import pytest
 from frame_lab import (
     CapacityError,
     ContractError,
-    CuntzRep,
     cis,
     exponential,
-    filter_bank_from_A,
     g_map,
-    hadamard_rho,
     inner_product,
     little_m,
     norm,
@@ -62,149 +59,132 @@ PARITY_BANKS = {
 }
 
 
-@pytest.fixture(scope="module")
-def rep_i(bank_i):
-    return CuntzRep(bank_i)
-
-
-@pytest.fixture(scope="module")
-def rep_pq(bank_pq):
-    return CuntzRep(bank_pq)
-
-
-def test_rep_requires_admissible():
-    A = hadamard_rho(1.0).copy()
-    A[1, 0] = 3.0
-    with pytest.raises(ContractError):
-        CuntzRep(filter_bank_from_A(A))
-
-
-def test_S0_fixes_constant(rep_i):
-    s0 = S_j(rep_i, 0, ONE)
+def test_S0_fixes_constant(bank_i):
+    s0 = S_j(bank_i, 0, ONE)
     assert len(s0) == 4
     assert np.all(s0.atoms["coeff"] == 1)
     assert norm(fs_sub(s0, ONE)) < 1e-15
 
 
-def test_apply_S_frequency_shift(rep_i):
+def test_apply_S_frequency_shift(bank_i):
     for j in range(4):
-        out = S_j(rep_i, j, ONE)
+        out = S_j(bank_i, j, ONE)
         assert np.all(out.atoms["freq"] == j)
 
 
-def test_apply_S_is_isometry(rep_i, rep_pq):
+def test_apply_S_is_isometry(bank_i, bank_pq):
     rng = random.Random(21)
-    for rep in (rep_i, rep_pq):
+    for bank in (bank_i, bank_pq):
         for _ in range(5):
             F = random_function_sum(rng, 2)
             for j in range(4):
-                assert abs(norm(S_j(rep, j, F)) - norm(F)) < 1e-10
+                assert abs(norm(S_j(bank, j, F)) - norm(F)) < 1e-10
 
 
-def test_cuntz_orthogonality_on_random_vectors(rep_i):
+def test_cuntz_orthogonality_on_random_vectors(bank_i):
     rng = random.Random(22)
     for _ in range(5):
         F = random_function_sum(rng, 2)
         nf = norm(F)
         for j in range(4):
             for k in range(4):
-                G = S_j_star(rep_i, j, S_j(rep_i, k, F))
+                G = S_j_star(bank_i, j, S_j(bank_i, k, F))
                 D = fs_sub(G, F) if j == k else G
                 assert norm(D) <= 1e-10 * nf
 
 
-def test_adjoint_kills_orthogonal_exponential(rep_i):
-    out = S_j_star(rep_i, 1, exponential(0))
+def test_adjoint_kills_orthogonal_exponential(bank_i):
+    out = S_j_star(bank_i, 1, exponential(0))
     assert norm(out) < 1e-15
 
 
-def test_adjoint_fixes_constant(rep_i):
-    out = S_j_star(rep_i, 0, ONE)
+def test_adjoint_fixes_constant(bank_i):
+    out = S_j_star(bank_i, 0, ONE)
     assert norm(fs_sub(out, ONE)) < 1e-15
 
 
-def test_adjoint_correctness(rep_i):
+def test_adjoint_correctness(bank_i):
     rng = random.Random(23)
     for _ in range(5):
         F = random_function_sum(rng, 2)
         G = random_function_sum(rng, 3)
         for j in range(4):
-            lhs = inner_product(S_j(rep_i, j, F), G)
-            rhs = inner_product(F, S_j_star(rep_i, j, G))
+            lhs = inner_product(S_j(bank_i, j, F), G)
+            rhs = inner_product(F, S_j_star(bank_i, j, G))
             assert abs(lhs - rhs) < 1e-10
 
 
-def test_adjoint_on_exponentials_is_symbol(rep_i):
+def test_adjoint_on_exponentials_is_symbol(bank_i):
     for t_num in range(-8, 9, 2):
         t = t_num / 4
         for j in range(4):
-            lhs = S_j_star(rep_i, j, exponential(t))
-            m = little_m(rep_i.bank, j, t)
+            lhs = S_j_star(bank_i, j, exponential(t))
+            m = little_m(bank_i, j, t)
             rhs = normalize(fs_scale(exponential(g_map(j, t)), m))
             assert norm(fs_sub(lhs, rhs)) < 1e-12
 
 
-def test_empty_word_is_identity(rep_i):
+def test_empty_word_is_identity(bank_i):
     rng = random.Random(24)
     F = random_function_sum(rng, 1)
-    assert apply_word(rep_i, Word4(()), F) is F
+    assert apply_word(bank_i, Word4(()), F) is F
 
 
-def test_word_zero_on_constant(rep_i):
-    out = apply_word(rep_i, Word4((0,)), ONE)
+def test_word_zero_on_constant(bank_i):
+    out = apply_word(bank_i, Word4((0,)), ONE)
     assert norm(fs_sub(out, ONE)) < 1e-15
 
 
-def test_closed_form_agrees_with_chain(rep_i):
+def test_closed_form_agrees_with_chain(bank_i):
     for letters in [(0,), (2,), (1, 3), (3, 0), (2, 1, 0), (1, 2, 3), (3, 1, 0, 2)]:
         w = Word4(letters)
-        closed = s_word_one(rep_i, w)
-        chained = normalize(apply_word(rep_i, w, ONE))
+        closed = s_word_one(bank_i, w)
+        chained = normalize(apply_word(bank_i, w, ONE))
         assert max_coeff_gap(chained, atom_sum(closed)) < 1e-12
 
 
-def test_generated_family_matches_apply_word(rep_i, rep_pq):
-    for rep in (rep_i, rep_pq):
-        family = [(np.unique(batch.atoms["vec"]).tolist(), batch) for batch in generated_family(rep, 3)]
+def test_generated_family_matches_apply_word(bank_i, bank_pq):
+    for bank in (bank_i, bank_pq):
+        family = [(np.unique(batch.atoms["vec"]).tolist(), batch) for batch in generated_family(bank, 3)]
         assert sorted(n for words, _ in family for n in words) == list(range(4**3))
         for words, batch in family:
             for n in words:
-                want = apply_word(rep, word_of_index(n), ONE).atoms
+                want = apply_word(bank, word_of_index(n), ONE).atoms
                 assert np.array_equal(unstack(batch, n).atoms, want)
 
 
-def test_s_word_one_zero_word_is_constant(rep_i):
-    out = s_word_one(rep_i, Word4((0,)))
+def test_s_word_one_zero_word_is_constant(bank_i):
+    out = s_word_one(bank_i, Word4((0,)))
     assert np.all(out.atoms["coeff"] == 1)
     assert norm(fs_sub(out, ONE)) < 1e-15
 
 
-def test_s_word_one_frequency(rep_i):
-    assert np.all(s_word_one(rep_i, Word4((1,))).atoms["freq"] == 1)
-    assert np.all(s_word_one(rep_i, Word4((2, 1))).atoms["freq"] == 9)
+def test_s_word_one_frequency(bank_i):
+    assert np.all(s_word_one(bank_i, Word4((1,))).atoms["freq"] == 1)
+    assert np.all(s_word_one(bank_i, Word4((2, 1))).atoms["freq"] == 9)
 
 
-def test_s_word_one_unit_norm(rep_i):
+def test_s_word_one_unit_norm(bank_i):
     for w in enumerate_X4(3):
-        assert abs(norm(s_word_one(rep_i, w)) - 1.0) < 1e-10
+        assert abs(norm(s_word_one(bank_i, w)) - 1.0) < 1e-10
 
 
-def test_s_word_one_rejects_empty(rep_i):
+def test_s_word_one_rejects_empty(bank_i):
     with pytest.raises(ContractError):
-        s_word_one(rep_i, Word4(()))
+        s_word_one(bank_i, Word4(()))
 
 
 @pytest.mark.parametrize("level", range(5))
-@pytest.mark.parametrize("bank", PARITY_BANKS)
-def test_verify_cuntz_matches_per_trial_oracle(bank, level):
+@pytest.mark.parametrize("name", PARITY_BANKS)
+def test_verify_cuntz_matches_per_trial_oracle(name, level):
     # the batched check adds each vector's terms in the per-trial order, so
     # the metrics agree bit for bit
-    rep = CuntzRep(PARITY_BANKS[bank])
+    bank = PARITY_BANKS[name]
     seed = 2  # the pq bank leaves a nonzero residual at every level on this seed
-    got = verify_cuntz(rep, level, trials=2, seed=seed, tol=1e-10)
-    assert repr(got) == repr(oracle_verify_cuntz(rep, level, 2, seed, 1e-10))
+    got = verify_cuntz(bank, level, trials=2, seed=seed, tol=1e-10)
+    assert repr(got) == repr(oracle_verify_cuntz(bank, level, 2, seed, 1e-10))
     assert got.passed
-    if bank == "pq":
+    if name == "pq":
         assert got.metrics["max_orthogonality_residual"] > 0
 
 
@@ -214,11 +194,11 @@ def test_verify_cuntz_passes_match_the_per_trial_oracle(monkeypatch):
     # seed every residual of the first pass is 0, so a pass that drew the
     # first pass's vectors again would read 0
     monkeypatch.setattr(cuntz, "TRIALS_PER_PASS", 3)
-    rep = CuntzRep(PARITY_BANKS["pq"])
-    got = verify_cuntz(rep, 1, trials=8, seed=1, tol=1e-10)
-    assert repr(got) == repr(oracle_verify_cuntz(rep, 1, 8, 1, 1e-10))
+    bank = PARITY_BANKS["pq"]
+    got = verify_cuntz(bank, 1, trials=8, seed=1, tol=1e-10)
+    assert repr(got) == repr(oracle_verify_cuntz(bank, 1, 8, 1, 1e-10))
     assert got.metrics["max_orthogonality_residual"] > 0
-    assert oracle_verify_cuntz(rep, 1, 3, 1, 1e-10).metrics["max_orthogonality_residual"] == 0
+    assert oracle_verify_cuntz(bank, 1, 3, 1, 1e-10).metrics["max_orthogonality_residual"] == 0
 
 
 @pytest.mark.parametrize("level", [0, 2, 4])
@@ -250,37 +230,37 @@ def test_random_function_sum_covers_its_ranges(level):
 
 
 @pytest.mark.parametrize("max_len", range(1, 5))
-@pytest.mark.parametrize("bank", ["pi_over_3", "pq"])
-def test_verify_projection_matches_per_word_oracle(bank, max_len):
-    rep = CuntzRep(PARITY_BANKS[bank])
-    got = verify_projection(rep, max_len, 1e-10)
-    assert repr(got) == repr(oracle_verify_projection(rep, max_len, 1e-10))
+@pytest.mark.parametrize("name", ["pi_over_3", "pq"])
+def test_verify_projection_matches_per_word_oracle(name, max_len):
+    bank = PARITY_BANKS[name]
+    got = verify_projection(bank, max_len, 1e-10)
+    assert repr(got) == repr(oracle_verify_projection(bank, max_len, 1e-10))
     assert got.passed
-    if bank == "pq":
+    if name == "pq":
         assert got.metrics["max_weight_dev"] > 0
 
 
 @pytest.mark.parametrize("max_len", range(1, FAMILY_MAX_LEN + 1))
-def test_generated_family_batches_hold_at_most_the_atom_bound(rep_pq, max_len):
+def test_generated_family_batches_hold_at_most_the_atom_bound(bank_pq, max_len):
     # each prefix of a batch gives four words, so the prefixes per batch are
     # FAMILY_BATCH_ATOMS / 4^(K + 1) at length K; every word is in one batch
     batches = np.zeros(4**max_len, dtype=np.int64)
-    for batch in generated_family(rep_pq, max_len):
+    for batch in generated_family(bank_pq, max_len):
         assert len(batch) <= cuntz.FAMILY_BATCH_ATOMS
         np.add.at(batches, np.unique(batch.atoms["vec"]), 1)
     assert np.all(batches == 1)
 
 
-def test_checks_at_their_caps_stay_in_bounded_memory(rep_i):
+def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
     # generated_family keeps one length and batches of FAMILY_BATCH_ATOMS
     # atoms; all words of length 5 at once would take ~38 MB
     limit = 16 * 2**20
     tracemalloc.start()
     try:
-        projection = verify_projection(rep_i, FAMILY_MAX_LEN, 1e-10)
+        projection = verify_projection(bank_i, FAMILY_MAX_LEN, 1e-10)
         _, projection_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        cuntz = verify_cuntz(rep_i, level=4, trials=MAX_TRIALS, seed=0, tol=1e-10)
+        cuntz = verify_cuntz(bank_i, level=4, trials=MAX_TRIALS, seed=0, tol=1e-10)
         _, cuntz_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -290,46 +270,45 @@ def test_checks_at_their_caps_stay_in_bounded_memory(rep_i):
 
 
 def test_verify_cuntz_report(bank_one):
-    rep = CuntzRep(bank_one)
-    check = verify_cuntz(rep, level=2, trials=5, seed=3, tol=1e-10)
+    check = verify_cuntz(bank_one, level=2, trials=5, seed=3, tol=1e-10)
     assert check.passed
     assert check.metrics["max_orthogonality_residual"] <= 1e-10
     assert check.metrics["max_identity_residual"] <= 1e-10
     assert check.tolerances == {"relative_residual": 1e-10}
 
 
-def test_identity_relation_on_constant(rep_i):
-    total = fs_add(*[S_j(rep_i, k, S_j_star(rep_i, k, ONE)) for k in range(4)])
+def test_identity_relation_on_constant(bank_i):
+    total = fs_add(*[S_j(bank_i, k, S_j_star(bank_i, k, ONE)) for k in range(4)])
     assert norm(fs_sub(total, ONE)) <= 1e-12
 
 
-def test_gram_level_one_identity(rep_i, rep_pq):
-    for rep in (rep_i, rep_pq):
-        check = verify_gram(rep, 1, 1e-10)
+def test_gram_level_one_identity(bank_i, bank_pq):
+    for bank in (bank_i, bank_pq):
+        check = verify_gram(bank, 1, 1e-10)
         assert check.passed
         assert check.metrics["size"] == 4
         assert check.metrics["max_offdiag"] <= 1e-10
         assert check.metrics["max_diag_dev"] <= 1e-10
 
 
-def test_gram_capacity_guard(rep_i):
+def test_gram_capacity_guard(bank_i):
     with pytest.raises(CapacityError):
-        verify_gram(rep_i, FAMILY_MAX_LEN + 1, 1e-8)
+        verify_gram(bank_i, FAMILY_MAX_LEN + 1, 1e-8)
 
 
-def test_family_and_trial_capacity_guards(rep_i):
+def test_family_and_trial_capacity_guards(bank_i):
     with pytest.raises(CapacityError):
-        next(generated_family(rep_i, FAMILY_MAX_LEN + 1))
+        next(generated_family(bank_i, FAMILY_MAX_LEN + 1))
     with pytest.raises(CapacityError):
-        verify_cuntz(rep_i, level=1, trials=MAX_TRIALS + 1, seed=0, tol=1e-10)
+        verify_cuntz(bank_i, level=1, trials=MAX_TRIALS + 1, seed=0, tol=1e-10)
 
 
-def test_gram_rows_match_dense_oracle(bank_one, rep_i, rep_pq):
+def test_gram_rows_match_dense_oracle(bank_one, bank_i, bank_pq):
     # every word lifted to level 3 against the oracle at each pair's own depth
     words = enumerate_X4(3)
-    for rep in (CuntzRep(bank_one), rep_i, rep_pq):
-        vecs = [(c_of_word(w), _dense_word_vector(rep.bank, w), len(w)) for w in words]
-        rows = list(_gram_rows(rep, 3))
+    for bank in (bank_one, bank_i, bank_pq):
+        vecs = [(c_of_word(w), _dense_word_vector(bank, w), len(w)) for w in words]
+        rows = list(_gram_rows(bank, 3))
         assert len(rows) == len(words)
         for f, row in enumerate(rows):
             assert len(row) == len(words) - f
@@ -337,35 +316,35 @@ def test_gram_rows_match_dense_oracle(bank_one, rep_i, rep_pq):
                 assert abs(row[g - f] - dense_inner(*vecs[f], *vecs[g])) <= 1e-12
 
 
-def test_gram_length_five(rep_i, rep_pq):
-    for rep in (rep_i, rep_pq):
-        check = verify_gram(rep, 5, 1e-8)
+def test_gram_length_five(bank_i, bank_pq):
+    for bank in (bank_i, bank_pq):
+        check = verify_gram(bank, 5, 1e-8)
         assert check.metrics["size"] == 1024
         assert max(check.metrics["max_offdiag"], check.metrics["max_diag_dev"]) <= 1e-8
         assert check.passed
 
 
-def test_dense_inner_matches_generic(rep_i):
+def test_dense_inner_matches_generic(bank_i):
     words = [Word4((1,)), Word4((2, 1)), Word4((1, 3, 2)), Word4((3, 0))]
     for wa in words:
         for wb in words:
-            va, vb = s_word_one(rep_i, wa), s_word_one(rep_i, wb)
+            va, vb = s_word_one(bank_i, wa), s_word_one(bank_i, wb)
             generic = inner_product(va, vb)
             dense = dense_inner(
-                c_of_word(wa), _dense_word_vector(rep_i.bank, wa), len(wa),
-                c_of_word(wb), _dense_word_vector(rep_i.bank, wb), len(wb),
+                c_of_word(wa), _dense_word_vector(bank_i, wa), len(wa),
+                c_of_word(wb), _dense_word_vector(bank_i, wb), len(wb),
             )
             assert abs(generic - dense) < 1e-12
 
 
-def test_dense_inner_matches_generic_for_exponentials(rep_i):
+def test_dense_inner_matches_generic_for_exponentials(bank_i):
     for t in (0.0, -0.37, 2.5):
         for letters in [(1,), (2, 1), (1, 3, 2)]:
             w = Word4(letters)
-            generic = inner_product(exponential(t), s_word_one(rep_i, w))
+            generic = inner_product(exponential(t), s_word_one(bank_i, w))
             dense = dense_inner(
                 t, np.ones(1, dtype=complex), 0,
-                c_of_word(w), _dense_word_vector(rep_i.bank, w), len(w),
+                c_of_word(w), _dense_word_vector(bank_i, w), len(w),
             )
             assert abs(generic - dense) < 1e-12
 
@@ -379,12 +358,12 @@ def _canonical(F, level):
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])
-def test_disjoint_union_property(rep_i, L):
+def test_disjoint_union_property(bank_i, L):
     # the depth-(L+1) family equals the union of the isometry images of the
     # depth-L family, as sets of vectors
-    lhs = {_canonical(s_word_one(rep_i, w), L + 1) for w in enumerate_X4(L + 1)}
+    lhs = {_canonical(s_word_one(bank_i, w), L + 1) for w in enumerate_X4(L + 1)}
     rhs = {
-        _canonical(S_j(rep_i, j, s_word_one(rep_i, w)), L + 1)
+        _canonical(S_j(bank_i, j, s_word_one(bank_i, w)), L + 1)
         for j in range(4)
         for w in enumerate_X4(L)
     }

@@ -6,22 +6,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frame_lab import (
-    ContractError,
     DomainError,
+    FilterBank,
     InfeasibleParameters,
     cis,
-    filter_bank_from_A,
     g_map,
     hadamard_rho,
     little_m,
     rho_bank,
     solve_alpha,
     verify_nogo_mu3,
+    verify_unitarity,
 )
-from frame_lab.filters import a_to_h, matrix_from_json, matrix_to_json
+from frame_lab.filters import U1, U2, U3, a_to_h, matrix_from_json, matrix_to_json
 from oracles import little_m_reduced
 
 S2 = 2**-0.5
+
+
+def _unitarity_dev(bank):
+    """The oracle: the full unitarity product of the bank's H."""
+    H = a_to_h(bank.A)
+    return np.max(np.abs(H.conj().T @ H - np.eye(4)))
+
 
 unit_st = st.floats(0, 1, exclude_max=True).map(lambda x: cmath.exp(2j * cmath.pi * x))
 
@@ -43,17 +50,48 @@ def test_hadamard_rho_rejects_non_unit():
 @given(unit_st)
 @settings(max_examples=80)
 def test_rho_family_admissible(rho):
-    bank = rho_bank(rho)
-    assert bank.admissible
-    assert bank.checks["unitarity_max_dev"] <= 1e-12
+    assert _unitarity_dev(rho_bank(rho)) <= 1e-12
+
+
+def _inadmissible(condition):
+    """hadamard_rho(1) with one admissibility condition broken, and none of
+    those the constructor checks before it; and that condition's deviation."""
+    A = hadamard_rho(1.0).copy()
+    if condition == "first_row":
+        A[0] = [1, 0, 0, 0]
+        return A, 0.5
+    if condition == "kernel":
+        A[1, 0] = 3.0
+        return A, 2.5
+    A[1] *= 1.001  # row 1 is off unit norm; its kernel sums stay equal
+    return A, (1.001**2 - 1) / 4
+
+
+@pytest.mark.parametrize("condition", ["first_row", "kernel", "unitarity"])
+def test_inadmissible_matrix_is_refused_but_measured(condition):
+    # no bank can be built from it, so no operator ever sees it; the
+    # unitarity check still measures it and fails
+    A, dev = _inadmissible(condition)
+    with pytest.raises(InfeasibleParameters) as err:
+        FilterBank(A)
+    assert err.value.constraint == condition
+    assert len(str(err.value).splitlines()) == 1
+    check = verify_unitarity(16, 1e-12, A)
+    assert not check.passed
+    metric = {"first_row": "first_row_max_dev", "kernel": "kernel_max_dev"}.get(
+        condition, "max_dev"
+    )
+    assert check.metrics[metric] == pytest.approx(dev)
 
 
 def test_first_row_violation_reported_not_raised():
+    # no bank can be built from this matrix, but the unitarity check
+    # measures it and reports the broken first row as a failed Check
     A = hadamard_rho(1.0).copy()
     A[0] = [1, 0, 0, 0]
-    bank = filter_bank_from_A(A)
-    assert not bank.admissible
-    assert not bank.checks["first_row_ok"]
+    check = verify_unitarity(16, 1e-12, A)
+    assert not check.passed
+    assert check.metrics["first_row_max_dev"] == 0.5
 
 
 def test_sign_pattern_positions():
@@ -72,20 +110,20 @@ def test_sign_round_trip(seed):
 
 
 def test_solve_alpha_degenerate_concrete():
-    bank = solve_alpha(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-    assert bank.admissible
-    assert bank.checks["degenerate"]
-    assert bank.checks["lambda_coupling"] is None
+    # |a10| = 1: row 3 of H is -conj(a22) U2 + conj(a21) U3
+    a21, a22 = 1.0, 0.0
+    bank = solve_alpha(1.0, 0.0, 0.0, 0.0, a21, a22)
+    want = -np.conj(a22) * U2 + np.conj(a21) * U3
+    assert np.max(np.abs(a_to_h(bank.A)[3] - want)) < 1e-15
+    assert _unitarity_dev(bank) < 1e-12
 
 
 def test_solve_alpha_example_bank():
-    bank = solve_alpha(S2, S2, S2, 0.0, 0.0, 1.0)
-    assert bank.admissible
-    lam = bank.checks["lambda_coupling"]
-    assert abs(lam - (-1.0)) < 1e-12
-    # oracle: the full unitarity product
-    H = bank.H
-    assert np.max(np.abs(H.conj().T @ H - np.eye(4))) < 1e-12
+    # row 3 of H is a30 U1 + lambda a11 U2 (a12 = 0) with lambda = -1
+    a30, a11, lam = S2, S2, -1.0
+    bank = solve_alpha(S2, a30, a11, 0.0, 0.0, 1.0)
+    assert np.max(np.abs(a_to_h(bank.A)[3] - (a30 * U1 + lam * a11 * U2))) < 1e-12
+    assert _unitarity_dev(bank) < 1e-12
 
 
 def test_solve_alpha_duality_violation():
@@ -127,8 +165,7 @@ def test_solve_alpha_randomized_feasible_parameters():
     rng = np.random.default_rng(20250810)
     for _ in range(100):
         bank = solve_alpha(*_random_feasible_alpha(rng), tol=1e-9)
-        assert bank.admissible
-        assert bank.checks["unitarity_max_dev"] <= 1e-12
+        assert _unitarity_dev(bank) <= 1e-12
 
 
 def test_little_m_basics(bank_one, bank_i):
@@ -151,12 +188,18 @@ def test_little_m_partition_of_unity(bank_one, bank_i, bank_minus_one, bank_pq):
             assert abs(total - 1.0) < 1e-12
 
 
-def test_little_m_requires_admissible():
+def test_little_m_requires_admissible(bank_one):
+    # little_m has no guard of its own: an inadmissible matrix never becomes
+    # a bank, and a bank's matrix cannot be broken after it is built
     A = hadamard_rho(1.0).copy()
     A[0] = [1, 0, 0, 0]
-    bank = filter_bank_from_A(A)
-    with pytest.raises(ContractError):
-        little_m(bank, 0, 0.0)
+    with pytest.raises(InfeasibleParameters):
+        FilterBank(A)
+    with pytest.raises(ValueError):
+        bank_one.A[0] = [1, 0, 0, 0]
+    with pytest.raises(AttributeError):
+        bank_one.A = A
+    assert little_m(bank_one, 0, 0.0) == 1
 
 
 def test_g_map_values():

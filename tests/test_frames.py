@@ -7,14 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from frame_lab import (
     ContractError,
-    CuntzRep,
     DomainError,
     InfeasibleParameters,
     UnsupportedShape,
     cis,
-    filter_bank_from_A,
     h_partial,
-    hadamard_rho,
     mu4_hat,
     parseval_trace,
     pq_bank,
@@ -130,9 +127,8 @@ def test_project_constant():
 
 
 def test_projection_formula_word_vectors(bank_i):
-    rep = CuntzRep(bank_i)
     for w in enumerate_X4(3):
-        _, freq, weight = project_V(s_word_one(rep, w))
+        _, freq, weight = project_V(s_word_one(bank_i, w))
         assert len(freq) == 1
         assert freq[0] == c_of_word(w)
         assert abs(weight[0] - projection_weight(bank_i, w)) < 1e-12
@@ -140,9 +136,8 @@ def test_projection_formula_word_vectors(bank_i):
 
 def test_project_batch_of_mixed_levels(bank_i):
     # words of lengths 0..3 in one batch: every vector is refined to level 3
-    rep = CuntzRep(bank_i)
     words = [Word4(()), Word4((2,)), Word4((1, 3)), Word4((3, 0, 1))]
-    batch = concat(*(renumber(apply_word(rep, w, ONE), 1, v) for v, w in enumerate(words)))
+    batch = concat(*(renumber(apply_word(bank_i, w, ONE), 1, v) for v, w in enumerate(words)))
     vec, freq, weight = project_V(batch)
     assert vec.tolist() == [0, 1, 2, 3]
     assert freq.tolist() == [c_of_word(w) for w in words]
@@ -151,8 +146,7 @@ def test_project_batch_of_mixed_levels(bank_i):
 
 
 def test_projection_weight_vanishes_on_digit_two(bank_i):
-    rep = CuntzRep(bank_i)
-    _, _, weight = project_V(s_word_one(rep, Word4((2,))))
+    _, _, weight = project_V(s_word_one(bank_i, Word4((2,))))
     assert weight[0] == 0
     assert abs(bank_i.digit_weights[2]) == 0
 
@@ -224,10 +218,6 @@ def test_kernel_input_guards(bank_one):
         parseval_trace([(2**53, 1.0)], bank_one, 4)
     with pytest.raises(ContractError):
         h_partial(0.0, bank_one, 0)
-    A = hadamard_rho(1.0).copy()
-    A[1, 0] = 3.0
-    with pytest.raises(ContractError):
-        parseval_trace([(0, 1.0)], filter_bank_from_A(A), 4)
 
 
 def test_trace_rho_one_at_basis_frequency(bank_one):
@@ -310,7 +300,6 @@ def test_h_partial_matches_both_oracles(bank_name, bank_one, bank_i, bank_minus_
         "minus_one": bank_minus_one,
         "pq": bank_pq,
     }[bank_name]
-    rep = CuntzRep(bank)
     ts = np.array([[-0.3, 0.7, 2.25], [3.0, -5.0, 0.5]])
     for L in (1, 2, 3, 4):
         at_once = h_partial(ts, bank, L)
@@ -318,7 +307,7 @@ def test_h_partial_matches_both_oracles(bank_name, bank_one, bank_i, bank_minus_
         for t, got in zip(ts.ravel().tolist(), at_once.ravel().tolist()):
             assert got == h_partial(t, bank, L)  # one row of the array call, bit for bit
             assert abs(got - oracle_h_partial(t, bank, L)) <= 1e-12
-            assert abs(got - oracle_h_partial_dense(t, rep, L)) <= 1e-12
+            assert abs(got - oracle_h_partial_dense(t, bank, L)) <= 1e-12
 
 
 def test_h_partial_monotone_in_depth(bank_i):
@@ -329,16 +318,14 @@ def test_h_partial_monotone_in_depth(bank_i):
 
 
 def test_ruelle_identity_small_grid(bank_i):
-    rep = CuntzRep(bank_i)
-    check = verify_ruelle(rep, np.linspace(-1, 0, 9), 2, 1e-9)
+    check = verify_ruelle(bank_i, np.linspace(-1, 0, 9), 2, 1e-9)
     assert check.passed
     assert check.metrics["max_refinement_residual"] <= 1e-9
     assert check.metrics["max_specialization_gap"] <= 1e-12
 
 
 def test_ruelle_at_zero(bank_pq):
-    rep = CuntzRep(bank_pq)
-    check = verify_ruelle(rep, [0.0], 1, 1e-10)
+    check = verify_ruelle(bank_pq, [0.0], 1, 1e-10)
     assert check.passed
 
 
@@ -346,7 +333,7 @@ def test_ruelle_identity_pq_bank(bank_pq):
     # the reduced form holds on every admissible bank, the solver banks
     # included; on the lopsided ones |d_1| != |d_3|
     for bank in (bank_pq, pq_bank(0.6, 0.8), pq_bank(0.6j, 0.8)):
-        check = verify_ruelle(CuntzRep(bank), np.linspace(-1, 0, 9), 3, 1e-9)
+        check = verify_ruelle(bank, np.linspace(-1, 0, 9), 3, 1e-9)
         assert check.passed
         assert check.metrics["max_specialization_gap"] <= SPECIALIZATION_TOL
 

@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import frame_lab
 from frame_lab import (
-    CuntzRep,
     RunReport,
     parseval_trace,
     pq_bank,
@@ -404,12 +403,15 @@ def test_uncertifiable_input_exits_3_with_one_line(capsys, monkeypatch, tmp_path
         *[["verify", "unitarity", "--matrix-json", name] for name in BAD_MATRIX_FILES],
         ["verify", "nogo-mu3", "--out", "missing_dir/report.json"],
         ["verify", "nogo-mu3", "--out", "."],
+        # a matrix to read and one to write: the export is not dropped in silence
+        ["verify", "unitarity", "--matrix-json", "ok.json", "--matrix-out", "m.json"],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     for name, data in BAD_MATRIX_FILES.items():
         (tmp_path / name).write_bytes(data)
+    (tmp_path / "ok.json").write_text(matrix_to_json(hadamard_rho(1.0)))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -426,15 +428,15 @@ _VERIFY_CASES = {
     ),
     "cuntz": (
         [*PQ_ALPHA, "--level", "2", "--trials", "5", "--seed", "3", "--tol", "1e-9"],
-        lambda: verify_cuntz(CuntzRep(solve_alpha(*[float(S2)] * 3, 0, 0, 1)), 2, 5, 3, 1e-9),
+        lambda: verify_cuntz(solve_alpha(*[float(S2)] * 3, 0, 0, 1), 2, 5, 3, 1e-9),
     ),
     "gram": (
         [*_REP_I, "--max-word-len", "2", "--tol", "1e-30"],
-        lambda: verify_gram(CuntzRep(rho_bank(1j)), 2, 1e-30),
+        lambda: verify_gram(rho_bank(1j), 2, 1e-30),
     ),
     "projection": (
         [*_REP_I, "--max-word-len", "2", "--tol", "1e-9"],
-        lambda: verify_projection(CuntzRep(rho_bank(1j)), 2, 1e-9),
+        lambda: verify_projection(rho_bank(1j), 2, 1e-9),
     ),
     "parseval": (
         ["--p-re", "0.6", "--q-re", "0.8", "--gamma", "5", "--n-max", "64", "--tol", "1e-7"],
@@ -442,7 +444,7 @@ _VERIFY_CASES = {
     ),
     "ruelle": (
         [*_REP_I, "--grid=-1:0:5", "--level", "2", "--tol", "1e-8"],
-        lambda: verify_ruelle(CuntzRep(rho_bank(1j)), np.linspace(-1, 0, 5), 2, 1e-8),
+        lambda: verify_ruelle(rho_bank(1j), np.linspace(-1, 0, 5), 2, 1e-8),
     ),
     "nogo-mu3": ([], verify_nogo_mu3),
     "incomplete": (
