@@ -17,38 +17,30 @@ from frame_lab import cli
 
 S2 = "0.7071067811865476"  # 1/sqrt(2)
 
-
-def _solver_bank(p: str, q: str, a11: str) -> list[str]:
-    """The solver bank with a10 = p, a30 = q, a11 = sqrt(1 - |p|^2), a12 = a21 = 0, a22 = 1."""
-    return [
-        "--alpha-a10-re", p, "--alpha-a30-re", q, "--alpha-a11-re", a11,
-        "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1",
-    ]
-
-
-# name, weight-family flags, bank flags, parseval gamma (the p = 0 family has
-# no exact trace at gamma = 0, so it is traced at gamma = 1)
+# name, bank flags (every subcommand of the ladder takes the same ones),
+# parseval gamma (the p = 0 family has no exact trace at gamma = 0, so it is
+# traced at gamma = 1)
 MENU = [
-    ("rho_one", ["--rho-re", "1"], ["--rho-re", "1"], "0"),
-    ("rho_i", ["--rho-im", "1"], ["--rho-im", "1"], "0"),
-    ("rho_minus_one", ["--rho-re", "-1"], ["--rho-re", "-1"], "1"),
-    ("pq_balanced", ["--p-re", S2, "--q-re", S2], _solver_bank(S2, S2, "0.7071067811865475"), "0"),
-    ("pq_lopsided", ["--p-re", "0.6", "--q-re", "0.8"], _solver_bank("0.6", "0.8", "0.8"), "0"),
+    ("rho_one", ["--rho-re", "1"], "0"),
+    ("rho_i", ["--rho-im", "1"], "0"),
+    ("rho_minus_one", ["--rho-re", "-1"], "1"),
+    ("pq_balanced", ["--p-re", S2, "--q-re", S2], "0"),
+    ("pq_lopsided", ["--p-re", "0.6", "--q-re", "0.8"], "0"),
 ]
 
 
 def ladder(out_dir: Path, word_len: int, n_max: int) -> list[list[str]]:
     """CLI argv lists of every check the certification runs, in order."""
     calls = []
-    for name, weights, bank, gamma in MENU:
+    for name, bank, gamma in MENU:
         calls += [
             ["verify", "cuntz", *bank, "--level", "2", "--trials", "10", "--seed", "99"],
             ["verify", "gram", *bank, "--max-word-len", str(word_len)],
             ["verify", "projection", *bank, "--max-word-len", str(word_len)],
             ["verify", "ruelle", *bank, "--grid=-1:0:11", "--level", "2"],
-            ["verify", "parseval", *weights, "--gamma", gamma, "--n-max", str(n_max),
+            ["verify", "parseval", *bank, "--gamma", gamma, "--n-max", str(n_max),
              "--trace-out", str(out_dir / f"trace_{name}.csv")],
-            ["weights", *weights, "--n-max", "64", "--out", str(out_dir / f"weights_{name}.csv")],
+            ["weights", *bank, "--n-max", "64", "--out", str(out_dir / f"weights_{name}.csv")],
         ]
     return calls + [["verify", "nogo-mu3"]]
 

@@ -8,8 +8,10 @@ every value-gated command, the calls of the certification ladder (its
 `weights` calls and trace exports write their CSVs into the temporary
 directory), the runs at and just past each capacity cap, runs at a
 tolerance no check can meet, runs on malformed input files, on
-well-formed matrices and banks that are not admissible, and with both
-matrix options of `verify unitarity` at once. Each call
+well-formed matrices and banks that are not admissible, with both
+matrix options of `verify unitarity` at once, and bank flags of each kind
+on subcommands that took only some kinds before (among them a p != 0 bank
+for `verify incomplete`, which it refuses). Each call
 runs in process in one temporary working directory, so file arguments are
 the same relative paths on every run. The report is printed without
 `duration_ms`, the one field that is not a pure function of the flags; two
@@ -36,6 +38,7 @@ from frame_lab.filters import hadamard_rho, matrix_to_json  # noqa: E402
 
 SEEDS = (0, 1, 2)
 RHO_I = ("--rho-im", "1")
+S2 = "0.7071067811865476"  # 1/sqrt(2)
 ENTRY = {"re": 0.5, "im": 0}
 
 # Malformed matrix documents for `verify unitarity --matrix-json`.
@@ -62,6 +65,12 @@ def _inadmissible_matrices() -> dict[str, bytes]:
 
 
 INADMISSIBLE_MATRICES = _inadmissible_matrices()
+
+# The solver bank with p = q = 1/sqrt(2), by its six parameters.
+PQ_ALPHA = (
+    "--alpha-a10-re", S2, "--alpha-a30-re", S2, "--alpha-a11-re", "0.7071067811865475",
+    "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1",
+)
 
 # A solver bank whose constraints each hold within tol while its assembled
 # matrix is not unitary.
@@ -110,7 +119,7 @@ def _cap_argvs() -> list[list[str]]:
 
 def _other_argvs() -> list[list[str]]:
     """Failing verdicts, the file options, malformed files, inadmissible
-    matrices and banks."""
+    matrices and banks, and each kind of bank flag on more subcommands."""
     strict = ("--tol", "1e-30")
     out = [
         ["verify", "gram", *RHO_I, "--max-word-len", "3", *strict],
@@ -129,6 +138,12 @@ def _other_argvs() -> list[list[str]]:
         ["verify", "gram", "--max-word-len", "2", *OFF_UNITARY_ALPHA],
         ["verify", "cuntz", "--rho-re", "0.5"],
         ["verify", "unitarity", "--matrix-json", "m.json", "--matrix-out", "m_out.json"],
+        # one bank grammar: every bank subcommand takes rho, p/q and alpha flags
+        ["verify", "incomplete", *RHO_I, "--gamma", "1", "--n-max", "256"],
+        ["verify", "incomplete", "--p-re", "0", "--q-re", "1", "--gamma", "1", "3", "--n-max", "256"],
+        ["weights", *PQ_ALPHA, "--n-max", "64", "--out", "out/weights_alpha.csv"],
+        ["verify", "parseval", *PQ_ALPHA, "--gamma", "5", "--n-max", "256"],
+        ["verify", "cuntz", "--p-re", "0.6", "--q-re", "0.8", "--level", "2", "--trials", "5"],
     ]
     files = [*BAD_MATRICES, *INADMISSIBLE_MATRICES]
     return out + [["verify", "unitarity", "--matrix-json", name] for name in files]

@@ -5,8 +5,11 @@ this module parses the flags, resolves the tolerance, names the params,
 and turns the check into a report and an exit code: 0 pass, 1 check
 failed, 2 bad input or infeasible parameters, 3 capacity guard. Reports go
 to stdout as JSON with sorted keys; complex flags are passed as separate
---*-re/--*-im real pairs. The environment variable FRAME_LAB_TOL overrides
-the default tolerance of any subcommand whose --tol flag is not given.
+--*-re/--*-im real pairs. Every subcommand that takes a filter bank takes
+the same bank flags: a rho bank, the solver bank of (p, q), or the solver
+bank of the six alpha parameters. The environment variable FRAME_LAB_TOL
+overrides the default tolerance of any subcommand whose --tol flag is not
+given.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .filters import (
 )
 from .cuntz import verify_cuntz, verify_gram
 from .frames import (
+    is_parseval,
     parseval_trace,
     verify_incomplete,
     verify_parseval,
@@ -87,56 +91,55 @@ def _resolve_tol(args, command: str) -> float:
     return tol
 
 
-# The complex parameters of each kind of bank, each given as a pair of flags
-# --NAME-re/--NAME-im; a kind is named when any of its flags is given.
+# Each kind of bank: its builder and its complex parameters in the builder's
+# order, each given as a pair of flags --NAME-re/--NAME-im; a kind is named
+# when any of its flags is given.
 _BANK_PARAMS = {
-    "rho": ("rho",),
-    "p/q": ("p", "q"),
-    "alpha": ("alpha_a10", "alpha_a30", "alpha_a11", "alpha_a12", "alpha_a21", "alpha_a22"),
+    "rho": (rho_bank, ("rho",)),
+    "p/q": (pq_bank, ("p", "q")),
+    "alpha": (solve_alpha, tuple(f"alpha_a{jk}" for jk in ("10", "30", "11", "12", "21", "22"))),
 }
 _RHO_HELP = {
-    "re": "Re(rho), |rho| = 1; defaults to the value >= 0 that puts rho on the unit circle",
+    "re": "Re(rho), |rho| = 1; given only --rho-im, the value >= 0 that puts rho on the circle",
     "im": "Im(rho), default 0",
 }
 
 
-def _add_bank_flags(p: argparse.ArgumentParser, *kinds: str) -> None:
-    for kind in kinds:
-        for name in _BANK_PARAMS[kind]:
+def _add_bank_flags(p: argparse.ArgumentParser) -> None:
+    for kind, (_, names) in _BANK_PARAMS.items():
+        for name in names:
             for part in ("re", "im"):
                 help_text = _RHO_HELP[part] if kind == "rho" else None
                 p.add_argument(f"--{name.replace('_', '-')}-{part}", type=float, help=help_text)
 
 
-def _bank_from_args(args) -> tuple[FilterBank, dict]:
-    """The bank the flags name and its params: a rho bank, the solver bank
-    of --p-re/--q-re (filters.pq_bank) or of the six --alpha-* parameters;
-    rho = 1 when none is named. A flag the subcommand does not define
-    counts as not given, and naming two kinds of bank is bad input."""
+def _bank_from_args(args, rho: float = 1.0) -> tuple[FilterBank, dict]:
+    """The bank the flags name and its params <name>_re/<name>_im: a rho
+    bank, the solver bank of --p-re/--q-re (filters.pq_bank) or of the six
+    --alpha-* parameters (filters.solve_alpha); the rho bank at rho when
+    none is named. Naming two kinds of bank is bad input."""
     given = {}  # kind -> {name: (re, im)} for each kind with a flag given
-    for kind, names in _BANK_PARAMS.items():
-        pairs = {n: (getattr(args, f"{n}_re", None), getattr(args, f"{n}_im", None)) for n in names}
+    for kind, (_, names) in _BANK_PARAMS.items():
+        pairs = {n: (getattr(args, f"{n}_re"), getattr(args, f"{n}_im")) for n in names}
         if any(v is not None for pair in pairs.values() for v in pair):
             given[kind] = pairs
     if len(given) > 1:
         raise DomainError(f"the flags name two banks, {' and '.join(given)}; give one")
-    kind, pairs = next(iter(given.items()), ("rho", {"rho": (None, None)}))
+    kind, pairs = next(iter(given.items()), ("rho", {"rho": (rho, 0.0)}))
     missing = [f"--{n.replace('_', '-')}-re" for n, (re, _) in pairs.items() if re is None]
     if missing and kind != "rho":
         raise DomainError(f"the {kind} bank needs every -re flag; missing {', '.join(missing)}")
     z = {n: complex(*(0.0 if v is None else v for v in pair)) for n, pair in pairs.items()}
     if missing:
-        # a rho bank without --rho-re: rho = 1 or the unit-circle point above
-        # --rho-im; |--rho-im| > 1 (or nan) has no such point, and the rho it
-        # gives is refused by rho_bank
+        # --rho-im without --rho-re: the unit-circle point above it with
+        # Re(rho) >= 0; |--rho-im| > 1 (or nan) has no such point, and the
+        # rho it gives is refused by rho_bank
         im = z["rho"].imag
         z["rho"] = complex(math.sqrt(1.0 - im**2) if abs(im) <= 1.0 else 0.0, im)
-    if kind == "alpha":
-        return solve_alpha(*z.values()), {f"alpha{n[-2:]}": [v.real, v.imag] for n, v in z.items()}
     params = {}
     for n, v in z.items():
         params.update({f"{n}_re": v.real, f"{n}_im": v.imag})
-    return (rho_bank(z["rho"]) if kind == "rho" else pq_bank(z["p"], z["q"])), params
+    return _BANK_PARAMS[kind][0](*z.values()), params
 
 
 class _Parser(argparse.ArgumentParser):
@@ -164,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu.add_argument("--tol", type=float, default=None)
 
     p_w = sub.add_parser("weights", help="write the weight table CSV for n = 0..n-max")
-    _add_bank_flags(p_w, "rho", "p/q")
+    _add_bank_flags(p_w)
     p_w.add_argument("--n-max", type=int, required=True)
     p_w.add_argument("--out", default="weights.csv")
 
@@ -184,38 +187,39 @@ def build_parser() -> argparse.ArgumentParser:
     v_unit.add_argument("--tol", type=float, default=None)
 
     v_cuntz = _verify_parser("cuntz", "isometry relations on random vectors")
-    _add_bank_flags(v_cuntz, "rho", "alpha")
+    _add_bank_flags(v_cuntz)
     v_cuntz.add_argument("--level", type=int, default=2)
     v_cuntz.add_argument("--trials", type=int, default=20)
     v_cuntz.add_argument("--seed", type=int, default=7)
     v_cuntz.add_argument("--tol", type=float, default=None)
 
     v_gram = _verify_parser("gram", "Gram matrix of the generated family")
-    _add_bank_flags(v_gram, "rho", "alpha")
+    _add_bank_flags(v_gram)
     v_gram.add_argument("--max-word-len", type=int, default=3)
     v_gram.add_argument("--tol", type=float, default=None)
 
     v_proj = _verify_parser("projection", "projection weights vs closed form")
-    _add_bank_flags(v_proj, "rho", "alpha")
+    _add_bank_flags(v_proj)
     v_proj.add_argument("--max-word-len", type=int, default=3)
     v_proj.add_argument("--tol", type=float, default=None)
 
     v_par = _verify_parser("parseval", "partial-sum trace for one exponential")
-    _add_bank_flags(v_par, "rho", "p/q")
+    _add_bank_flags(v_par)
     v_par.add_argument("--gamma", type=int, default=0)
     v_par.add_argument("--n-max", type=int, default=256)
     v_par.add_argument("--trace-out", default=None, help="write the trace CSV here")
     v_par.add_argument("--tol", type=float, default=None)
 
     v_ru = _verify_parser("ruelle", "refinement identity of the energy function")
-    _add_bank_flags(v_ru, "rho", "alpha")
+    _add_bank_flags(v_ru)
     v_ru.add_argument("--grid", default="-1:0:21", help="a:b:steps")
     v_ru.add_argument("--level", type=int, default=2)
     v_ru.add_argument("--tol", type=float, default=None)
 
     _verify_parser("nogo-mu3", "scale-3 obstruction certificate")
 
-    v_inc = _verify_parser("incomplete", "deficiency of the p = 0 family")
+    v_inc = _verify_parser("incomplete", "deficiency of a p = 0 family (default rho = -1)")
+    _add_bank_flags(v_inc)
     v_inc.add_argument("--gamma", type=int, nargs="+", default=[1])
     v_inc.add_argument("--n-max", type=int, default=4096)
     v_inc.add_argument("--tol", type=float, default=None)
@@ -249,7 +253,7 @@ def _run_weights(args) -> tuple[dict, Check]:
     metrics = {
         "rows": args.n_max + 1,
         "nonzero_weights": nonzero,
-        "parseval_certified": abs(bank.digit_weights[1]) > 1e-15,  # the family is Parseval iff p != 0
+        "parseval_certified": is_parseval(bank),
     }
     params.update({"n_max": args.n_max, "out": args.out})
     return params, Check(True, metrics, {})
@@ -313,8 +317,9 @@ def _run_verify_nogo(args) -> tuple[dict, Check]:
 
 def _run_verify_incomplete(args) -> tuple[dict, Check]:
     tol = _resolve_tol(args, "incomplete")
-    params = {"gamma": list(args.gamma), "n_max": args.n_max}
-    return params, verify_incomplete(args.gamma, args.n_max, tol)
+    bank, params = _bank_from_args(args, rho=-1.0)
+    params.update({"gamma": list(args.gamma), "n_max": args.n_max})
+    return params, verify_incomplete(bank, args.gamma, args.n_max, tol)
 
 
 _RUNNERS = {

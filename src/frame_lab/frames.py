@@ -23,7 +23,7 @@ import numpy as np
 from .atoms import X_BITS, FunctionSum, refine
 from .cuntz import family_size, generated_family
 from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
-from .filters import FilterBank, g_map, little_m, rho_bank
+from .filters import FilterBank, g_map, little_m
 from .report import Check
 from .transform import mu4_hat_array
 
@@ -284,21 +284,29 @@ def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], L: int, tol: float)
     return Check(passed, metrics, {"residual": tol, "specialization": SPECIALIZATION_TOL})
 
 
-def verify_incomplete(gammas: Sequence[int], n_max: int, tol: float) -> Check:
-    """Deficiency 1 - S_{n_max}(e_gamma) for the p = 0 weight family, the
-    bank rho = -1.
+def is_parseval(bank: FilterBank) -> bool:
+    """Whether the bank's frame is Parseval, which holds exactly when its
+    digit weight p = d_1 is nonzero (|d_1| > 1e-15)."""
+    return abs(bank.digit_weights[1]) > 1e-15
 
-    Weights are the indicator of integers with base-4 digits in {0,3}. A
+
+def verify_incomplete(bank: FilterBank, gammas: Sequence[int], n_max: int, tol: float) -> Check:
+    """Deficiency 1 - S_{n_max}(e_gamma) for the frame of a p = 0 bank.
+
+    Its weights vanish off the integers whose base-4 digits lie in {0, 3}.
+    A bank with p != 0 is refused: its frame is Parseval, and a deficiency
+    that its truncated trace still shows is not incompleteness. A
     frequency is flagged when its deficiency exceeds INCOMPLETE_THRESHOLD:
     its exponential has energy visibly missing from the family's span. The
     check passes when every trace passes verify_parseval at tol and at
     least one frequency is flagged.
     """
+    if is_parseval(bank):
+        raise DomainError(f"incompleteness needs a p = 0 bank, got p = {bank.digit_weights[1]:.6g}")
     if len(gammas) > MAX_GAMMAS:
         raise CapacityError(f"{len(gammas)} frequencies exceed cap {MAX_GAMMAS}")
     if len(set(gammas)) < len(gammas):
         raise DomainError(f"frequencies must be distinct, got {list(gammas)}")
-    bank = rho_bank(-1.0)
     metrics = {}
     bessel, flagged = True, False
     for gamma in map(int, gammas):

@@ -339,7 +339,7 @@ def test_ruelle_identity_pq_bank(bank_pq):
 
 
 def test_verify_incomplete(bank_minus_one):
-    check = verify_incomplete([0, 1, 3], 256, 1e-8)
+    check = verify_incomplete(bank_minus_one, [0, 1, 3], 256, 1e-8)
     assert check.passed
     m = check.metrics
     assert m["deficiency_0"] <= 1e-12

@@ -28,9 +28,9 @@ from frame_lab import (
     verify_ruelle,
     verify_unitarity,
 )
-from frame_lab.cli import MAX_GRID_POINTS, _bank_from_args, build_parser, main
+from frame_lab.cli import _BANK_PARAMS, MAX_GRID_POINTS, _bank_from_args, build_parser, main
 from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_TRIALS
-from frame_lab.frames import MAX_ENUM_LEN, MAX_GAMMAS, SPECIALIZATION_TOL
+from frame_lab.frames import MAX_ENUM_LEN, MAX_GAMMAS, SPECIALIZATION_TOL, is_parseval
 from frame_lab.filters import (
     MAX_SAMPLES,
     NOGO_MIN_NORM_GAP,
@@ -298,13 +298,18 @@ def test_pq_parseval_reports_match_the_independent_oracle(capsys, gamma):
 
 
 def test_pq_flags_name_the_certify_solver_bank():
-    # --p-re/--q-re is shorthand for the solver bank the certify menu spells out
+    # --p-re P --q-re Q is shorthand for the solver bank a10 = P, a30 = Q,
+    # a11 = sqrt(1 - P^2), a12 = a21 = 0, a22 = 1
+    a11 = {S2: "0.7071067811865475", "0.6": "0.8"}
     parser = build_parser()
-    rows = [(weights, bank) for _, weights, bank, _ in _certify_script().MENU if weights[0] == "--p-re"]
-    assert len(rows) == 2
-    for weights, bank in rows:
-        via_pq, _ = _bank_from_args(parser.parse_args(["weights", *weights, "--n-max", "1"]))
-        via_alpha, _ = _bank_from_args(parser.parse_args(["verify", "cuntz", *bank]))
+    banks = [bank for _, bank, _ in _certify_script().MENU if bank[0] == "--p-re"]
+    assert [bank[1] for bank in banks] == [S2, "0.6"]
+    for bank in banks:
+        p, q = bank[1], bank[3]
+        alpha = ["--alpha-a10-re", p, "--alpha-a30-re", q, "--alpha-a11-re", a11[p],
+                 "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1"]
+        via_pq, _ = _bank_from_args(parser.parse_args(["weights", *bank, "--n-max", "1"]))
+        via_alpha, _ = _bank_from_args(parser.parse_args(["weights", *alpha, "--n-max", "1"]))
         assert via_pq.A.tobytes() == via_alpha.A.tobytes()
 
 
@@ -316,8 +321,11 @@ def test_pq_flags_name_the_certify_solver_bank():
         ["verify", "parseval", "--rho-im", "1", "--q-im", "0"],
         ["verify", "cuntz", "--rho-re", "-1", *PQ_ALPHA],
         ["verify", "ruelle", "--alpha-a22-im", "0", "--rho-im", "1"],
+        ["verify", "gram", "--p-re", "0.6", "--q-re", "0.8", *PQ_ALPHA],
+        ["verify", "incomplete", "--rho-re", "-1", "--p-im", "0"],
     ],
-    ids=["rho_and_pq", "rho_and_pq_by_im_flags", "rho_and_alpha", "rho_and_alpha_by_im_flag"],
+    ids=["rho_and_pq", "rho_and_pq_by_im_flags", "rho_and_alpha", "rho_and_alpha_by_im_flag",
+         "pq_and_alpha", "rho_and_pq_on_incomplete"],
 )
 def test_naming_two_banks_exits_2(capsys, monkeypatch, tmp_path, argv):
     # a kind of bank is named when any of its flags is given, and one bank is used
@@ -329,12 +337,81 @@ def test_naming_two_banks_exits_2(capsys, monkeypatch, tmp_path, argv):
     assert not (tmp_path / "w.csv").exists()
 
 
-def test_pq_and_alpha_flags_together_name_two_banks():
-    # no subcommand defines both; the parse of the flags still refuses the pair
-    args = build_parser().parse_args(["verify", "cuntz", *PQ_ALPHA])
-    args.p_re, args.q_re = 0.6, 0.8
-    with pytest.raises(frame_lab.DomainError, match="two banks"):
-        _bank_from_args(args)
+_BANK_FLAGS = {
+    f"--{name.replace('_', '-')}-{part}"
+    for _, names in _BANK_PARAMS.values() for name in names for part in ("re", "im")
+}
+# The rho = -1 bank spelled as a solver bank, and the (0.6, 0.8) solver bank.
+_MINUS_ONE_ALPHA = (
+    "--alpha-a10-re", "0", "--alpha-a30-re", "1", "--alpha-a11-re", "0",
+    "--alpha-a12-re", "1", "--alpha-a21-re", "1", "--alpha-a22-re", "0",
+)
+_PQ_LOPSIDED_ALPHA = (
+    "--alpha-a10-re", "0.6", "--alpha-a30-re", "0.8", "--alpha-a11-re", "0.8",
+    "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1",
+)
+
+
+def _subparser(command):
+    parser = build_parser()
+    for name in command:
+        parser = next(a for a in parser._actions if a.dest in ("command", "check")).choices[name]
+    return parser
+
+
+_COMMANDS = [("mu4hat",), ("weights",)] + [
+    ("verify", name)
+    for name in ("unitarity", "cuntz", "gram", "projection", "parseval", "ruelle", "nogo-mu3",
+                 "incomplete")
+]
+
+
+@pytest.mark.parametrize("command", _COMMANDS, ids=" ".join)
+def test_every_bank_subcommand_takes_one_bank_grammar(command):
+    # each bank subcommand defines exactly the bank flags, and each spelling
+    # of a bank names the same matrix on every one of them
+    flags = {
+        s for a in _subparser(command)._actions for s in a.option_strings
+        if s.endswith(("-re", "-im"))
+    }
+    if command[-1] in ("mu4hat", "unitarity", "nogo-mu3"):
+        assert flags == set()
+        return
+    assert flags == _BANK_FLAGS
+    extra = ["--n-max", "1"] if command == ("weights",) else []
+    spellings = [
+        (rho_bank(-1.0), ["--rho-re", "-1"], _MINUS_ONE_ALPHA),
+        (pq_bank(0.6, 0.8), ["--p-re", "0.6", "--q-re", "0.8"], _PQ_LOPSIDED_ALPHA),
+    ]
+    for bank, *argvs in spellings:
+        for flags in argvs:
+            got, _ = _bank_from_args(build_parser().parse_args([*command, *flags, *extra]))
+            assert np.array_equal(got.A, bank.A), flags  # the signs of zero parts may differ
+
+
+def test_verify_incomplete_refuses_a_parseval_bank(capsys):
+    # p != 0: the frame is Parseval, and a truncated trace's deficiency is
+    # no evidence of incompleteness
+    code, out, err = run_cli(capsys, "verify", "incomplete", "--rho-im", "1")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "p = 0" in err
+
+
+def test_verify_incomplete_takes_any_p_zero_bank(capsys):
+    # the solver bank (p, q) = (0, 1) has the digit weights of rho = -1
+    code, out, _ = run_cli(capsys, "verify", "incomplete", "--gamma", "1", "3", "--n-max", "256")
+    default = last_json(out)
+    assert code == 0
+    assert (default["params"]["rho_re"], default["params"]["rho_im"]) == (-1.0, 0.0)
+    code, out, _ = run_cli(capsys, "verify", "incomplete", "--p-re", "0", "--q-re", "1",
+                           "--gamma", "1", "3", "--n-max", "256")
+    pq = last_json(out)
+    assert code == 0
+    assert {k: pq[k] for k in ("pass", "metrics", "tolerances")} == {
+        k: default[k] for k in ("pass", "metrics", "tolerances")
+    }
+    assert pq["params"]["p_re"] == 0.0 and pq["params"]["q_re"] == 1.0
 
 
 def test_verify_capacity_exit_3(capsys):
@@ -449,7 +526,7 @@ _VERIFY_CASES = {
     "nogo-mu3": ([], verify_nogo_mu3),
     "incomplete": (
         ["--gamma", "1", "3", "--n-max", "256", "--tol", "1e-7"],
-        lambda: verify_incomplete([1, 3], 256, 1e-7),
+        lambda: verify_incomplete(rho_bank(-1.0), [1, 3], 256, 1e-7),
     ),
 }
 
@@ -568,7 +645,7 @@ def test_certify_runs_the_cli_ladder(capsys, monkeypatch, tmp_path):
 def test_verify_cuntz_level_zero_passes_on_every_certified_bank(capsys):
     # at level 0 the identity sum is one level deeper than the trial vector;
     # the residual must still cancel atom by atom
-    for name, _, bank, _ in _certify_script().MENU:
+    for name, bank, _ in _certify_script().MENU:
         for seed in range(3):
             argv = ["verify", "cuntz", *bank, "--level", "0", "--trials", "3", "--seed", str(seed)]
             code, out, _ = run_cli(capsys, *argv)
@@ -638,27 +715,27 @@ def _optional(name, values):
 
 
 @st.composite
-def _bank(draw, solver=True):
-    kind = draw(st.sampled_from(["default", "rho", "solver"] if solver else ["default", "rho"]))
+def _bank(draw):
+    """Flags of one bank in the CLI's one grammar: none (the default), rho,
+    p/q or the six alpha parameters, each a known bank or drawn values."""
+    kind = draw(st.sampled_from(["default", "rho", "p/q", "alpha"]))
+    known = draw(st.booleans())
     if kind == "rho":
         unit = [["--rho-im=1"], ["--rho-re=-1"], ["--rho-re=0.5", "--rho-im=-0.8660254037844386"]]
-        if draw(st.booleans()):
+        if known:
             return draw(st.sampled_from(unit))
         return draw(_optional("rho-re", _FLOAT)) + draw(_optional("rho-im", _FLOAT))
-    if kind == "solver":
-        if draw(st.booleans()):
+    if kind == "p/q":
+        if known:
+            return draw(st.sampled_from([["--p-re=0.6", "--q-re=0.8"], ["--p-re=0", "--q-re=1"]]))
+        parts = [draw(_optional(name, _FLOAT)) for name in ("p-re", "p-im", "q-re", "q-im")]
+        return [a for part in parts for a in part]
+    if kind == "alpha":
+        if known:
             return list(PQ_ALPHA)
         return [a for n in ("a10", "a30", "a11", "a12", "a21", "a22")
                 for a in draw(_flag(f"alpha-{n}-re", _FLOAT))]
     return []
-
-
-@st.composite
-def _spec(draw):
-    if draw(st.booleans()):
-        return draw(_bank(solver=False))
-    parts = [draw(_optional(name, _FLOAT)) for name in ("p-re", "p-im", "q-re", "q-im")]
-    return [a for part in parts for a in part]
 
 
 @st.composite
@@ -672,7 +749,7 @@ def _argv(draw):
         return ["mu4hat", *draw(_flag("t", _FLOAT)), *tol]
     if command == "weights":
         n_max = draw(_flag("n-max", _ints(1, 21, cap=4**MAX_ENUM_LEN)))
-        return ["weights", *draw(_spec()), *n_max]
+        return ["weights", *draw(_bank()), *n_max]
     if command == "unitarity":
         samples = draw(_optional("samples", _ints(1, 4, cap=MAX_SAMPLES)))
         return ["verify", "unitarity", *samples, *tol]
@@ -689,7 +766,7 @@ def _argv(draw):
     if command == "parseval":
         gamma = draw(_optional("gamma", _ints(3, 2**53)))
         n_max = draw(_optional("n-max", _ints(16, cap=4**MAX_ENUM_LEN)))
-        return ["verify", "parseval", *draw(_spec()), *gamma, *n_max, *tol]
+        return ["verify", "parseval", *draw(_bank()), *gamma, *n_max, *tol]
     if command == "ruelle":
         a, b = (draw(st.one_of(st.sampled_from(["-1", "0", "0.5"]), _FLOAT)) for _ in "ab")
         steps = draw(st.one_of(st.sampled_from(["0", "1", "3", "x"]), _ints(3, cap=MAX_GRID_POINTS)))
@@ -701,8 +778,17 @@ def _argv(draw):
             st.integers(1, 3).map(lambda k: list(range(MAX_GAMMAS + k))),
         ))
         n_max = draw(_optional("n-max", _ints(16, cap=4**MAX_ENUM_LEN)))
-        return ["verify", "incomplete", "--gamma", *map(str, gammas), *n_max, *tol]
+        return ["verify", "incomplete", *draw(_bank()), "--gamma", *map(str, gammas), *n_max, *tol]
     return ["verify", "nogo-mu3"]
+
+
+def _names_a_parseval_bank(argv) -> bool:
+    """Whether argv parses to a bank whose frame is Parseval (p != 0)."""
+    try:
+        bank, _ = _bank_from_args(build_parser().parse_args(argv), rho=-1.0)
+    except (frame_lab.DomainError, frame_lab.InfeasibleParameters):
+        return False
+    return is_parseval(bank)
 
 
 def _reject_constant(name):
@@ -734,6 +820,8 @@ def test_every_argv_keeps_the_exit_contract(weights_out, argv):
     default_tol = not any(a.startswith("--tol") for a in argv) and "FRAME_LAB_TOL" not in os.environ
     if argv[:2] == ["verify", "cuntz"] and default_tol:
         assert code != 1, "the Cuntz relations hold on every admissible bank at the default tol"
+    if argv[:2] == ["verify", "incomplete"] and _names_a_parseval_bank(argv):
+        assert code == 2, "a bank with p != 0 has no incompleteness to certify"
     if code in (0, 1):
         assert len(lines) == 1
         assert isinstance(json.loads(lines[0], parse_constant=_reject_constant), dict)
