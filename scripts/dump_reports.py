@@ -1,25 +1,29 @@
 #!/usr/bin/env python3
-"""Print one JSON line per CLI call: argv, exit code, report and stderr.
+"""Print one JSON line per CLI call: argv, exit code, report, stderr and
+the sha256 of every CSV file the call writes.
 
     PYTHONPATH=src python scripts/dump_reports.py > reports.jsonl
 
 The calls are every CLI command of the benchmark's workloads for seeds 0-2,
 every value-gated command, the calls of the certification ladder (its
 `weights` calls and trace exports write their CSVs into the temporary
-directory), the runs at and just past each capacity cap, runs at a
-tolerance no check can meet, runs on malformed input files, on
-well-formed matrices and banks that are not admissible, with both
-matrix options of `verify unitarity` at once, and bank flags of each kind
-on subcommands that took only some kinds before (among them a p != 0 bank
-for `verify incomplete`, which it refuses). Each call
-runs in process in one temporary working directory, so file arguments are
-the same relative paths on every run. The report is printed without
-`duration_ms`, the one field that is not a pure function of the flags; two
-runs of this script on code that computes the same things print the same
-lines.
+directory), weight tables whose length straddles the 4^6-row blocks the
+CSV is written in, a trace whose last checkpoint is no power of 4, the
+runs at and just past each capacity cap, runs at a tolerance no check can
+meet, runs on malformed input files, on well-formed matrices and banks
+that are not admissible, with both matrix options of `verify unitarity` at
+once, and bank flags of each kind on subcommands that took only some kinds
+before (among them a p != 0 bank for `verify incomplete`, which it
+refuses). Each call runs in process in one temporary working directory, so
+file arguments are the same relative paths on every run. A CSV named in
+the argv is removed before the call, so a hash is printed only for a file
+the call wrote. The report is printed without `duration_ms`, the one field
+that is not a pure function of the flags; two runs of this script on code
+that computes the same things print the same lines.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -109,6 +113,8 @@ def _cap_argvs() -> list[list[str]]:
             ["verify", "unitarity", "--samples", str(100_000 + past)],
             ["verify", "parseval", *RHO_I, "--gamma", "3", "--n-max", str(4**10 + past)],
             ["verify", "incomplete", "--gamma", *gammas, *[str(-1)] * past, "--n-max", "4096"],
+            ["weights", *RHO_I, "--n-max", str(4**10 + past),
+             "--out", f"out/weights_cap_{past}.csv"],
         ]
     out.append(["verify", "cuntz", *RHO_I, "--level", "4", "--trials", "500"])  # both cuntz caps at once
     # level 0, where the identity sum is one level deeper than the trial vector
@@ -144,7 +150,16 @@ def _other_argvs() -> list[list[str]]:
         ["weights", *PQ_ALPHA, "--n-max", "64", "--out", "out/weights_alpha.csv"],
         ["verify", "parseval", *PQ_ALPHA, "--gamma", "5", "--n-max", "256"],
         ["verify", "cuntz", "--p-re", "0.6", "--q-re", "0.8", "--level", "2", "--trials", "5"],
+        # a trace whose last checkpoint is no power of 4
+        ["verify", "parseval", "--p-re", "0.6", "--q-re", "0.8", "--gamma", "3", "--n-max", "1000",
+         "--trace-out", "out/trace_1000.csv"],
     ]
+    # weight tables one row short of a block, one block, three blocks and a part
+    banks = {"rho_i": RHO_I, "rho_minus_one": ("--rho-re", "-1"),
+             "pq": ("--p-re", "0.6", "--q-re", "0.8")}
+    for n_max in (4**6 - 1, 4**6, 3 * 4**6 + 5):
+        out += [["weights", *flags, "--n-max", str(n_max),
+                 "--out", f"out/weights_{name}_{n_max}.csv"] for name, flags in banks.items()]
     files = [*BAD_MATRICES, *INADMISSIBLE_MATRICES]
     return out + [["verify", "unitarity", "--matrix-json", name] for name in files]
 
@@ -152,6 +167,9 @@ def _other_argvs() -> list[list[str]]:
 def run(argv: list[str]) -> dict:
     """One in-process call; an uncaught exception is recorded as the exit 1
     and last traceback line a separate process would give."""
+    csvs = [Path(a) for a in argv if a.endswith(".csv")]
+    for path in csvs:
+        path.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -163,7 +181,11 @@ def run(argv: list[str]) -> dict:
     report = json.loads(lines[-1]) if lines else None
     if report is not None:
         report.pop("duration_ms")
-    return {"argv": argv, "exit": code, "report": report, "stderr": err.getvalue()}
+    hashes = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in csvs if p.is_file()}
+    return {
+        "argv": argv, "exit": code, "report": report, "stderr": err.getvalue(),
+        "csv_sha256": hashes,
+    }
 
 
 def main() -> int:

@@ -213,6 +213,14 @@ def _level_rows(max_len: int) -> np.ndarray:
     )
 
 
+def _pair_sums(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[r, s] and O[r, s]: the sums of R[r, k] conj(R[s, k]) over the even
+    and over the odd pair indices k, formed as products and sums rather than
+    a matrix product, which would start BLAS."""
+    products = R[:, None, :] * R[None, :, :].conj()
+    return products[..., 0::2].sum(axis=-1), products[..., 1::2].sum(axis=-1)
+
+
 def _gram_rows(bank: FilterBank, max_len: int) -> Iterator[np.ndarray]:
     """Row f of the Gram matrix of the words of length <= max_len, from the
     diagonal on: G[f, f:] for f = 0 .. 4^max_len - 1.
@@ -229,8 +237,7 @@ def _gram_rows(bank: FilterBank, max_len: int) -> Iterator[np.ndarray]:
     that depends on k alone is computed once.
     """
     R = np.vstack([bank.A, np.full(4, 0.5)])  # row _PAD: the ones row, halved like 2A
-    E = R[:, 0::2] @ R[:, 0::2].conj().T
-    O = R[:, 1::2] @ R[:, 1::2].conj().T
+    E, O = _pair_sums(R)
     rows = _level_rows(max_len)
     n = rows.shape[1]
     k = np.arange(n)

@@ -36,51 +36,61 @@ U2 = 0.5 * np.array([1, 1, -1, -1], dtype=complex)
 U3 = 0.5 * np.array([1, -1, -1, 1], dtype=complex)
 
 DEFAULT_UNITARITY_TOL = 1e-12
-MAX_SAMPLES = 100_000  # banks per verify_unitarity sweep; the largest run takes seconds
+MAX_SAMPLES = 100_000  # banks per verify_unitarity sweep; the largest run takes under a second
+_SWEEP_PASS = 2048  # banks per deviations call of the sweep; bounds its working memory
 # Pass thresholds of the scale-3 obstruction: every |1 + e^{4 pi i j/3}| must
 # exceed the first, and the norm gap sqrt(2) - 1 the second.
 NOGO_MIN_PHASE_FACTOR = 1e-9
 NOGO_MIN_NORM_GAP = 0.41
 
 
-def hadamard_rho(rho: complex, tol: float = 1e-12) -> np.ndarray:
-    """The one-parameter coefficient matrix family, |rho| = 1.
+def hadamard_rho(rho, tol: float = 1e-12) -> np.ndarray:
+    """The one-parameter coefficient matrix family, |rho| = 1: one 4x4
+    matrix per element of rho, stacked in rho's shape.
 
     A = 1/2 [[1,1,1,1], [1,1,rho,rho], [1,1,-1,-1], [1,1,-rho,-rho]];
     the matching H is a complex Hadamard matrix.
     """
-    rho = complex(rho)
-    if not abs(abs(rho) - 1.0) <= tol:
-        raise DomainError(f"|rho| must be 1 within {tol}, got |rho| = {abs(rho)}")
-    return 0.5 * np.array(
-        [
-            [1, 1, 1, 1],
-            [1, 1, rho, rho],
-            [1, 1, -1, -1],
-            [1, 1, -rho, -rho],
-        ],
-        dtype=complex,
-    )
+    rho = np.asarray(rho, dtype=complex)
+    size = np.abs(rho)
+    off = ~(np.abs(size - 1.0) <= tol)
+    if np.any(off):
+        raise DomainError(f"|rho| must be 1 within {tol}, got |rho| = {float(size[off][0])}")
+    A = np.empty(rho.shape + (4, 4), dtype=complex)
+    A[...] = [[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, -1, -1], [1, 1, 0, 0]]
+    A[..., 1, 2:] = rho[..., None]
+    A[..., 3, 2:] = -rho[..., None]
+    return 0.5 * A
 
 
 def a_to_h(A: np.ndarray) -> np.ndarray:
     return np.asarray(A, dtype=complex) * SIGN_PATTERN
 
 
-def deviations(A) -> dict[str, float]:
-    """How far A is from each admissibility condition: max |a_0k - 1/2|
-    (first_row), max |a_j0 + a_j2 - a_j1 - a_j3| (kernel) and max |H*H - I|
-    (unitarity). A must be a 4x4 matrix with finite entries."""
+def deviations(A) -> dict[str, np.ndarray]:
+    """How far each matrix of a stack A (..., 4, 4) is from each
+    admissibility condition: max |a_0k - 1/2| (first_row), max |a_j0 + a_j2
+    - a_j1 - a_j3| (kernel) and max |H*H - I| (unitarity), each an array of
+    A's leading shape. The entries must be finite.
+
+    H*H is formed as products summed over the row axis, not by a matrix
+    product: the first complex matrix product in a process starts BLAS, and
+    every process that builds a bank comes here. The sum over the four rows
+    runs in order, so a matrix gets the same bits alone as in any stack.
+    """
     A = np.asarray(A, dtype=complex)
-    if A.shape != (4, 4):
+    if A.shape[-2:] != (4, 4):
         raise DomainError(f"A must be 4x4, got shape {A.shape}")
     if not np.all(np.isfinite(A.view(np.float64))):
         raise DomainError("A must have finite entries")
     H = a_to_h(A)
+    HH = np.sum(H.conj()[..., :, :, None] * H[..., :, None, :], axis=-3)
     return {
-        "first_row": float(np.max(np.abs(A[0] - 0.5))),
-        "kernel": float(np.max(np.abs((A[:, 0] + A[:, 2]) - (A[:, 1] + A[:, 3])))),
-        "unitarity": float(np.max(np.abs(H.conj().T @ H - np.eye(4)))),
+        "first_row": np.max(np.abs(A[..., 0, :] - 0.5), axis=-1),
+        "kernel": np.max(
+            np.abs((A[..., :, 0] + A[..., :, 2]) - (A[..., :, 1] + A[..., :, 3])), axis=-1
+        ),
+        "unitarity": np.max(np.abs(HH - np.eye(4)), axis=(-2, -1)),
     }
 
 
@@ -226,11 +236,18 @@ def verify_nogo_mu3() -> Check:
 def verify_unitarity(samples: int, tol: float, A=None) -> Check:
     """max |H*H - I| <= tol over the banks at the samples points
     rho = e^{2 pi i m / samples} of the unit circle; given a matrix A, its
-    three admissibility conditions instead, each within tol."""
+    three admissibility conditions instead, each within tol.
+
+    The banks are measured _SWEEP_PASS at a time, one deviations call on
+    their stack, which gives each bank the bits it gets alone. Each rho is
+    np.exp of 1j times the real quotient 2 pi m / samples: bit for bit the
+    scalar np.exp(2j * np.pi * m / samples). Dividing a complex array by
+    samples would round some phases differently.
+    """
     if tol <= 0:
         raise DomainError("tol must be positive")
     if A is not None:
-        dev = deviations(A)
+        dev = {name: float(d) for name, d in deviations(A).items()}
         metrics = {
             "max_dev": dev["unitarity"],
             "first_row_max_dev": dev["first_row"],
@@ -242,9 +259,10 @@ def verify_unitarity(samples: int, tol: float, A=None) -> Check:
     if samples > MAX_SAMPLES:
         raise CapacityError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
     max_dev = 0.0
-    for m in range(samples):
-        rho = complex(np.exp(2j * np.pi * m / samples))
-        max_dev = max(max_dev, deviations(hadamard_rho(rho))["unitarity"])
+    for lo in range(0, samples, _SWEEP_PASS):
+        m = np.arange(lo, min(lo + _SWEEP_PASS, samples))
+        rho = np.exp(1j * (2 * np.pi * m / samples))
+        max_dev = max(max_dev, float(np.max(deviations(hadamard_rho(rho))["unitarity"])))
     return Check(max_dev <= tol, {"max_dev": max_dev}, {"unitarity": tol})
 
 

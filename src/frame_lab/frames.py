@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,8 +35,8 @@ TRACE_COLUMNS = ("N", "partial_sum", "target")
 SHAPE_TOL = 1e-10  # largest spread of the y-integrals that project_V accepts
 INCOMPLETE_THRESHOLD = 1e-6  # deficiency above which a frequency is flagged
 SPECIALIZATION_TOL = 1e-12  # largest gap verify_ruelle allows between reduced and general sums
-_CSV_BLOCK = 4**8  # weight table rows turned into Python objects at a time
-# Digit j adds 1 to l_j; the counts (<= 11) are packed 4 bits each while a listing is built.
+_CSV_BLOCK = 4**6  # weight table rows built and written at a time
+# Digit j adds 1 to l_j; the counts (<= 11) are summed packed 4 bits each in one int16.
 _PACKED_COUNT = np.array([0, 1, 16, 256], dtype=np.int16)
 
 
@@ -56,8 +56,21 @@ def _listing(digits: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         packed = np.add.outer(_PACKED_COUNT[lead], packed).ravel()
         place *= 4
     keep = n <= n_max
-    packed = packed[keep]
-    return n[keep], np.stack([packed & 15, packed >> 4 & 15, packed >> 8], axis=1)
+    return n[keep], _unpack(packed[keep])
+
+
+def _digit_counts(n: np.ndarray) -> np.ndarray:
+    """The counts (l1, l2, l3) of the digits 1, 2, 3 of every n, one base-4
+    place at a time."""
+    packed = np.zeros(len(n), dtype=np.int16)
+    while np.any(n):
+        packed += _PACKED_COUNT[n & 3]
+        n = n >> 2
+    return _unpack(packed)
+
+
+def _unpack(packed: np.ndarray) -> np.ndarray:
+    return np.stack([packed & 15, packed >> 4 & 15, packed >> 8], axis=1)
 
 
 def weight_table(
@@ -157,8 +170,13 @@ def verify_projection(bank: FilterBank, max_len: int, tol: float) -> Check:
 
 @dataclass(frozen=True)
 class PartialSumTrace:
+    """Partial sums at the checkpoints, the target ||f||^2, and the terms
+    on the support of the frame weights: terms[i] belongs to index n[i],
+    and every n <= n_max that n omits has the term 0.0."""
+
     checkpoints: tuple[tuple[int, float], ...]
     target: float
+    n: np.ndarray = field(repr=False)
     terms: np.ndarray = field(repr=False)
 
     @property
@@ -181,12 +199,14 @@ def _checkpoint_grid(n_max: int) -> list[int]:
     return grid
 
 
-def _weighted_terms(f, bank: FilterBank, n_max: int) -> np.ndarray:
-    """terms[..., n] = |d_n|^2 |sum_g c_g mu4_hat(g - n)|^2 for n = 0 .. n_max,
-    d_n the frame weights of the bank.
+def _weighted_terms(f, bank: FilterBank, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, terms): the ascending support n <= n_max of the bank's frame
+    weights d_n, as weight_table lists it, and terms[..., i] =
+    |d_n|^2 |sum_g c_g mu4_hat(g - n)|^2 at n = n[i].
 
-    The one kernel behind traces, incompleteness and the energy function; it
-    evaluates only the support of the weights, every other term is 0.0. A
+    The one kernel behind traces, incompleteness and the energy function.
+    Off the support every term is 0.0 and none is stored, so the memory
+    grows with the support (at most 3^L below 4^L), not with n_max. A
     frequency g may be an array ending in an axis of length 1: the terms
     then get its leading axes.
     """
@@ -194,9 +214,7 @@ def _weighted_terms(f, bank: FilterBank, n_max: int) -> np.ndarray:
     if any(np.max(np.abs(g)) + n_max >= 2**53 for g, _ in f):
         raise DomainError("frequencies must stay below 2^53 to be exact in float64")
     inner = sum(c * mu4_hat_array(g - n) for g, c in f)
-    terms = np.zeros(inner.shape[:-1] + (n_max + 1,))
-    terms[..., n] = np.abs(d) ** 2 * np.abs(inner) ** 2
-    return terms
+    return n, np.abs(d) ** 2 * np.abs(inner) ** 2
 
 
 def parseval_trace(
@@ -211,7 +229,9 @@ def parseval_trace(
     exponential frequencies; <e_g, e_n> = mu4_hat(g - n) gives the inner
     products. The terms come from the weighted-transform kernel, the target
     ||f||^2 from one mu4_hat_array call over every difference g1 - g2, its
-    terms added pair after pair.
+    terms added pair after pair. The sums run over the support of the
+    weights, and S_N is read at the last index n <= N: np.cumsum adds in
+    order and an exact 0.0 off the support changes no bit.
     """
     if n_max < 1:
         raise ContractError("n_max must be >= 1")
@@ -220,10 +240,11 @@ def parseval_trace(
     target = 0.0
     for (_, c), mu in zip(pairs, mu4_hat_array([d for d, _ in pairs]).tolist()):
         target += (c * mu).real
-    terms = _weighted_terms(f, bank, n_max)
-    running = np.cumsum(terms)
-    checkpoints = tuple((N, float(running[N])) for N in _checkpoint_grid(n_max))
-    return PartialSumTrace(checkpoints=checkpoints, target=target, terms=terms)
+    n, terms = _weighted_terms(f, bank, n_max)
+    grid = _checkpoint_grid(n_max)
+    running = np.cumsum(terms)[np.searchsorted(n, grid, "right") - 1]  # n[0] = 0 is on the support
+    checkpoints = tuple(zip(grid, running.tolist()))
+    return PartialSumTrace(checkpoints=checkpoints, target=target, n=n, terms=terms)
 
 
 def verify_parseval(trace: PartialSumTrace, tol: float) -> Check:
@@ -244,13 +265,18 @@ def h_partial(t, bank: FilterBank, max_len: int):
     By the projection formula P S_omega 1 = d_omega e_{c(omega)} this is the
     Parseval partial sum over n < 4^max_len for e_t with the bank's digit
     weights, computed by the weighted-transform kernel: each t's terms are
-    one row, summed along it. The refinement identity check stays two-sided:
-    the symbols little_m are independent.
+    scattered into one dense row of 4^max_len, zeros off the support, and
+    summed along it (np.sum groups pairwise, so the zeros fix its bits).
+    The refinement identity check stays two-sided: the symbols little_m are
+    independent.
     """
     if max_len < 1:
         raise ContractError("max_len must be >= 1")
     t = np.asarray(t, dtype=np.float64)
-    return _weighted_terms([(t[..., None], 1.0)], bank, 4**max_len - 1).sum(axis=-1)
+    n, terms = _weighted_terms([(t[..., None], 1.0)], bank, 4**max_len - 1)
+    row = np.zeros(terms.shape[:-1] + (4**max_len,))
+    row[..., n] = terms
+    return row.sum(axis=-1)
 
 
 def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], L: int, tol: float) -> Check:
@@ -319,20 +345,28 @@ def verify_incomplete(bank: FilterBank, gammas: Sequence[int], n_max: int, tol: 
     return Check(bessel and flagged, metrics, tolerances)
 
 
+def _weight_blocks(support: np.ndarray, d: np.ndarray, n_max: int) -> Iterator[tuple]:
+    """The frame weights d on their support, spread over n = 0 .. n_max
+    _CSV_BLOCK indices at a time: (n, counts, weights) per block, the
+    weights scattered into zeros, so no array spans all n."""
+    for start in range(0, n_max + 1, _CSV_BLOCK):
+        n = np.arange(start, min(start + _CSV_BLOCK, n_max + 1))
+        lo, hi = np.searchsorted(support, [start, start + len(n)])
+        weights = np.zeros(len(n), dtype=complex)
+        weights[support[lo:hi] - start] = d[lo:hi]
+        yield n, _digit_counts(n), weights
+
+
 def write_weight_table(path, bank: FilterBank, n_max: int) -> int:
     """CSV columns n, l1, l2, l3, weight_re, weight_im, weight_abs2 of the
-    bank's frame weights for n = 0 .. n_max; returns the number of nonzero
-    weights."""
+    bank's frame weights for n = 0 .. n_max, written one block of
+    _weight_blocks at a time; returns the number of nonzero weights."""
     support, _, d = weight_table(bank.digit_weights, n_max)
-    weights = np.zeros(n_max + 1, dtype=complex)
-    weights[support] = d
-    _, counts = _listing(np.arange(4), n_max)  # every n
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEIGHT_TABLE_COLUMNS)
-        for start in range(0, n_max + 1, _CSV_BLOCK):
-            block = slice(start, start + _CSV_BLOCK)
-            rows = zip(range(start, n_max + 1), counts[block].tolist(), weights[block].tolist())
+        for n, counts, weights in _weight_blocks(support, d, n_max):
+            rows = zip(n.tolist(), counts.tolist(), weights.tolist())
             writer.writerows(
                 [n, l1, l2, l3, repr(w.real), repr(w.imag), repr(abs(w) ** 2)]
                 for n, (l1, l2, l3), w in rows

@@ -22,6 +22,10 @@ vector, one word, one frequency group at a time) are the reference for the
 library's batched verify_cuntz, generated_family and project_V; they apply
 one isometry S_j or S_j* to one sum with S_j and S_j_star, where the
 library applies all four at once and numbers S_j F_v as vector 4v + j.
+The dense trace and dense weight writer hold every n <= n_max in one
+array, where the library keeps only the support of the weights or writes
+one block at a time; they pin its bits. matmul_deviations forms H*H by a
+matrix product, which the library avoids because it starts BLAS.
 """
 
 import cmath
@@ -47,7 +51,7 @@ from frame_lab.atoms import (
 )
 from frame_lab.cuntz import apply_S, apply_S_star, random_function_sum
 from frame_lab.errors import CapacityError, ContractError, DomainError, UnsupportedShape
-from frame_lab.filters import little_m
+from frame_lab.filters import a_to_h, little_m
 from frame_lab.frames import MAX_ENUM_LEN, SHAPE_TOL, WEIGHT_TABLE_COLUMNS, weight_table
 from frame_lab.report import Check
 from frame_lab.transform import mu4_hat, mu4_hat_array
@@ -169,6 +173,54 @@ def oracle_write_weight_table(path, p: complex, q: complex, n_max: int) -> int:
             nonzero += abs(w) > 0
             writer.writerow([n, l1, l2, l3, repr(w.real), repr(w.imag), repr(abs(w) ** 2)])
     return nonzero
+
+
+def dense_write_weight_table(path, bank, n_max: int) -> int:
+    """The weight CSV from dense arrays of n = 0 .. n_max, written at once:
+    the support's weights scattered into zeros, the digit counts per n;
+    returns the number of nonzero weights."""
+    support, _, d = weight_table(bank.digit_weights, n_max)
+    weights = np.zeros(n_max + 1, dtype=complex)
+    weights[support] = d
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(WEIGHT_TABLE_COLUMNS)
+        writer.writerows(
+            [n, *digit_counts(n), repr(w.real), repr(w.imag), repr(abs(w) ** 2)]
+            for n, w in enumerate(weights.tolist())
+        )
+    return int(np.count_nonzero(d))
+
+
+def dense_parseval_trace(f, bank, n_max: int) -> tuple:
+    """(checkpoints, target, terms) of the Parseval trace with the terms of
+    every n = 0 .. n_max in one array, 0.0 off the support, summed by one
+    np.cumsum over all of them."""
+    f = [(int(g), complex(c)) for g, c in f]
+    pairs = [(g1 - g2, c1 * c2.conjugate()) for g1, c1 in f for g2, c2 in f]
+    target = 0.0
+    for (_, c), mu in zip(pairs, mu4_hat_array([d for d, _ in pairs]).tolist()):
+        target += (c * mu).real
+    n, _, d = weight_table(bank.digit_weights, n_max)
+    inner = sum(c * mu4_hat_array(g - n) for g, c in f)
+    terms = np.zeros(n_max + 1)
+    terms[n] = np.abs(d) ** 2 * np.abs(inner) ** 2
+    running = np.cumsum(terms)
+    grid = [4**k for k in range(1, MAX_ENUM_LEN + 1) if 4**k <= n_max]
+    if not grid or grid[-1] != n_max:
+        grid.append(n_max)
+    return tuple((N, float(running[N])) for N in grid), target, terms
+
+
+def matmul_deviations(A) -> dict[str, float]:
+    """The three admissibility deviations of one 4x4 matrix, H*H by @."""
+    A = np.asarray(A, dtype=complex)
+    H = a_to_h(A)
+    return {
+        "first_row": float(np.max(np.abs(A[0] - 0.5))),
+        "kernel": float(np.max(np.abs((A[:, 0] + A[:, 2]) - (A[:, 1] + A[:, 3])))),
+        "unitarity": float(np.max(np.abs(H.conj().T @ H - np.eye(4)))),
+    }
 
 
 def mu4_hat_recursive(t, _memo={}):

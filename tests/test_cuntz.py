@@ -14,12 +14,16 @@ from frame_lab import (
     little_m,
     norm,
     normalize,
+    parseval_trace,
     pq_bank,
     rho_bank,
     solve_alpha,
     verify_cuntz,
     verify_gram,
+    verify_incomplete,
     verify_projection,
+    verify_unitarity,
+    weight_table,
 )
 from frame_lab import cuntz
 from frame_lab.atoms import ONE, fs_add, fs_scale, fs_sub, refine
@@ -27,9 +31,12 @@ from frame_lab.cuntz import (
     FAMILY_MAX_LEN,
     MAX_TRIALS,
     _gram_rows,
+    _pair_sums,
     generated_family,
     random_function_sum,
 )
+from frame_lab.filters import MAX_SAMPLES
+from frame_lab.frames import MAX_ENUM_LEN, _weight_blocks
 from oracles import (
     S_j,
     S_j_star,
@@ -269,6 +276,34 @@ def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
     assert projection.passed and cuntz.passed
 
 
+def test_spectral_checks_at_their_caps_hold_only_the_support(bank_i, bank_minus_one):
+    # traces and incompleteness keep the support of the weights (3^10 and
+    # 2^10 indices at 4^10), the weight table one block at a time, and the
+    # unitarity sweep one pass of banks; arrays over every n <= 4^10 would
+    # take 16-24 MiB. The CSV formatting of the weight blocks is left out:
+    # traced, it takes seconds.
+    limit = 8 * 2**20
+    cap = 4**MAX_ENUM_LEN
+    support, _, d = weight_table(pq_bank(0.6, 0.8).digit_weights, 4**9)
+    runs = {
+        "trace_rho_i": lambda: parseval_trace([(3, 1.0)], bank_i, cap),
+        "trace_pq": lambda: parseval_trace([(3, 1.0)], pq_bank(0.6, 0.8), cap),
+        "incomplete": lambda: verify_incomplete(bank_minus_one, [0, 1, 3], cap, 1e-8),
+        "weight_blocks": lambda: sum(len(n) for n, _, _ in _weight_blocks(support, d, 4**9)),
+        "unitarity": lambda: verify_unitarity(MAX_SAMPLES, 1e-12),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, run in runs.items():
+            tracemalloc.reset_peak()
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(peaks.values()) <= limit, peaks
+
+
 def test_verify_cuntz_report(bank_one):
     check = verify_cuntz(bank_one, level=2, trials=5, seed=3, tol=1e-10)
     assert check.passed
@@ -314,6 +349,15 @@ def test_gram_rows_match_dense_oracle(bank_one, bank_i, bank_pq):
             assert len(row) == len(words) - f
             for g in range(f, len(words)):
                 assert abs(row[g - f] - dense_inner(*vecs[f], *vecs[g])) <= 1e-12
+
+
+def test_pair_sums_match_the_matmul_oracle(bank_one, bank_i, bank_pq):
+    dense = solve_alpha(0.6, 0.8, 0.48, 0.64, 0.8, -0.6)  # no zero entry
+    for bank in (bank_one, bank_i, bank_pq, pq_bank(0.6, 0.8), dense):
+        R = np.vstack([bank.A, np.full(4, 0.5)])
+        E, O = _pair_sums(R)
+        assert np.max(np.abs(E - R[:, 0::2] @ R[:, 0::2].conj().T)) <= 4 * 2**-52
+        assert np.max(np.abs(O - R[:, 1::2] @ R[:, 1::2].conj().T)) <= 4 * 2**-52
 
 
 def test_gram_length_five(bank_i, bank_pq):

@@ -18,16 +18,24 @@ from frame_lab import (
     verify_nogo_mu3,
     verify_unitarity,
 )
-from frame_lab.filters import U1, U2, U3, a_to_h, matrix_from_json, matrix_to_json
-from oracles import little_m_reduced
+from frame_lab.filters import (
+    _SWEEP_PASS,
+    U1,
+    U2,
+    U3,
+    a_to_h,
+    deviations,
+    matrix_from_json,
+    matrix_to_json,
+)
+from oracles import little_m_reduced, matmul_deviations
 
 S2 = 2**-0.5
 
 
 def _unitarity_dev(bank):
     """The oracle: the full unitarity product of the bank's H."""
-    H = a_to_h(bank.A)
-    return np.max(np.abs(H.conj().T @ H - np.eye(4)))
+    return matmul_deviations(bank.A)["unitarity"]
 
 
 unit_st = st.floats(0, 1, exclude_max=True).map(lambda x: cmath.exp(2j * cmath.pi * x))
@@ -92,6 +100,48 @@ def test_first_row_violation_reported_not_raised():
     check = verify_unitarity(16, 1e-12, A)
     assert not check.passed
     assert check.metrics["first_row_max_dev"] == 0.5
+
+
+def _test_matrices(count: int, seed: int = 0) -> np.ndarray:
+    """Banks of the rho family, solver banks, and matrices with entries of
+    modulus below 1/2, admissible or not."""
+    rng = np.random.default_rng(seed)
+    rho = np.exp(2j * np.pi * rng.random(count))
+    a10 = np.exp(2j * np.pi * rng.random(count)) * rng.random(count)
+    a30 = np.sqrt(1 - np.abs(a10) ** 2)
+    solver = [
+        solve_alpha(p, q, math.sqrt(1 - abs(p) ** 2), 0.0, 0.0, 1.0).A for p, q in zip(a10, a30)
+    ]
+    re, im = rng.random((2, count, 4, 4)) - 0.5
+    return np.concatenate([hadamard_rho(rho), solver, (re + 1j * im) / math.sqrt(2)])
+
+
+def test_deviations_match_the_matmul_oracle():
+    # H*H summed over the rows in order against the matrix product, within
+    # four rounding units; first_row and kernel are the same formula
+    for A in _test_matrices(300):
+        got, expected = deviations(A), matmul_deviations(A)
+        assert got.keys() == expected.keys()
+        assert abs(got["unitarity"] - expected["unitarity"]) <= 4 * 2**-52
+        assert got["first_row"] == expected["first_row"]
+        assert got["kernel"] == expected["kernel"]
+
+
+def test_deviations_of_a_stack_give_each_matrix_its_own_bits():
+    stack = _test_matrices(300, seed=1)
+    got = deviations(stack)
+    for k, A in enumerate(stack):
+        for name, dev in deviations(A).items():
+            assert got[name][k] == dev
+
+
+@pytest.mark.parametrize("samples", [1, 16, _SWEEP_PASS + 1])
+def test_batched_unitarity_sweep_matches_the_per_bank_loop(samples):
+    rhos = [complex(np.exp(2j * np.pi * m / samples)) for m in range(samples)]
+    stack = hadamard_rho(rhos)
+    assert all(np.array_equal(stack[m], hadamard_rho(rho)) for m, rho in enumerate(rhos))
+    loop = max(float(deviations(hadamard_rho(rho))["unitarity"]) for rho in rhos)
+    assert verify_unitarity(samples, 1e-12).metrics["max_dev"] == loop
 
 
 def test_sign_pattern_positions():

@@ -23,12 +23,19 @@ from frame_lab import (
 )
 from frame_lab.atoms import ONE, concat, renumber
 from frame_lab.cli import main
-from frame_lab.frames import SPECIALIZATION_TOL, write_trace_csv, write_weight_table
+from frame_lab.frames import (
+    _CSV_BLOCK,
+    SPECIALIZATION_TOL,
+    write_trace_csv,
+    write_weight_table,
+)
 from oracles import (
     Atom,
     Word4,
     apply_word,
     c_of_word,
+    dense_parseval_trace,
+    dense_write_weight_table,
     digit_counts,
     enumerate_X4,
     frame_weight,
@@ -43,6 +50,15 @@ from oracles import (
 )
 
 S2 = 2**-0.5
+
+# the five banks of the certification menu, each with its parseval gamma
+MENU = {
+    "rho_one": (rho_bank(1.0), 0),
+    "rho_i": (rho_bank(1j), 0),
+    "rho_minus_one": (rho_bank(-1.0), 1),
+    "pq_balanced": (pq_bank(S2, S2), 0),
+    "pq_lopsided": (pq_bank(0.6, 0.8), 0),
+}
 
 GAMMA4_UP_TO_21 = [0, 1, 4, 5, 16, 17, 20, 21]
 GAMMA3_UP_TO_15 = [0, 3, 12, 15]
@@ -236,7 +252,9 @@ def test_trace_monotone_and_bessel():
     values = [v for _, v in trace.checkpoints]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert all(v <= trace.target * (1 + 1e-8) for v in values)
-    assert np.all(trace.terms >= 0)
+    terms = np.zeros(1024 + 1)  # the dense terms, 0.0 off the support
+    terms[trace.n] = trace.terms
+    assert np.all(terms >= 0)
 
 
 def test_parseval_target_adds_the_scalar_terms_in_order():
@@ -351,6 +369,32 @@ def test_verify_incomplete(bank_minus_one):
     trace = parseval_trace([(1, 1.0)], bank_minus_one, 256)
     assert trace.deficiency == m["deficiency_1"]
     assert all(v < 1.0 for _, v in trace.checkpoints)
+
+
+@pytest.mark.parametrize("n_max", [1, 3, 5, 1000, 4**6, 4**6 + 1])
+@pytest.mark.parametrize("name", MENU)
+def test_trace_on_the_support_matches_the_dense_trace(name, n_max):
+    # every checkpoint and the target bit for bit; the stored terms are the
+    # dense terms on the support, and the dense terms vanish off it
+    bank, gamma = MENU[name]
+    for f in ([(gamma, 1.0)], [(0, 0.5 + 0.1j), (5, -0.25), (17, 0.3j)]):
+        trace = parseval_trace(f, bank, n_max)
+        checkpoints, target, terms = dense_parseval_trace(f, bank, n_max)
+        assert trace.checkpoints == checkpoints
+        assert trace.target == target
+        assert np.array_equal(trace.terms, terms[trace.n])
+        assert not np.any(np.delete(terms, trace.n))
+
+
+@pytest.mark.parametrize("n_max", [_CSV_BLOCK - 1, _CSV_BLOCK, 3 * _CSV_BLOCK + 5])
+def test_streamed_weight_table_matches_the_dense_writer(tmp_path, n_max):
+    # complex weights, a p = 0 bank and real weights
+    got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+    for name in ("rho_i", "rho_minus_one", "pq_lopsided"):
+        bank = MENU[name][0]
+        nonzero = write_weight_table(got, bank, n_max)
+        assert nonzero == dense_write_weight_table(expected, bank, n_max)
+        assert got.read_bytes() == expected.read_bytes()
 
 
 def test_weight_table_csv(tmp_path, bank_one):
