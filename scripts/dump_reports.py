@@ -14,7 +14,10 @@ meet, runs on malformed input files, on well-formed matrices and banks
 that are not admissible, with both matrix options of `verify unitarity` at
 once, and bank flags of each kind on subcommands that took only some kinds
 before (among them a p != 0 bank for `verify incomplete`, which it
-refuses). Each call runs in process in one temporary working directory, so
+refuses), and one small call of every subcommand under each FRAME_LAB_TOL
+value of ENV_TOLS (a subcommand with a tolerance reads it, the others must
+not). Each line records the environment its call ran under, set for that
+call alone. Each call runs in process in one temporary working directory, so
 file arguments are the same relative paths on every run. A CSV named in
 the argv is removed before the call, so a hash is printed only for a file
 the call wrote. The report is printed without `duration_ms`, the one field
@@ -30,6 +33,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -120,7 +124,8 @@ def _cap_argvs() -> list[list[str]]:
     # level 0, where the identity sum is one level deeper than the trial vector
     out += [["verify", "cuntz", "--rho-re", "1", "--level", "0", "--trials", "3", "--seed", str(s)]
             for s in SEEDS]
-    return out + [["mu4hat", "--t", t] for t in ("0", "2", "-7.25", "1e6", "1e24", "1e30")]
+    out += [["mu4hat", "--t", t] for t in ("0", "2", "-7.25", "1e6", "1e24", "1e30")]
+    return out + [["mu4hat", "--t", "1e30", "--tol", "1e-3"]]
 
 
 def _other_argvs() -> list[list[str]]:
@@ -138,6 +143,7 @@ def _other_argvs() -> list[list[str]]:
         ["verify", "unitarity", "--matrix-json", "m.json", *strict],
         ["verify", "unitarity", "--matrix-json", "missing.json"],
         ["verify", "incomplete", "--gamma", "0", "3", "--n-max", "256"],
+        ["verify", "incomplete", "--gamma", "1", "--n-max", "256", *strict],
         ["verify", "nogo-mu3", "--out", "nogo.json"],
         ["verify", "nogo-mu3", "--out", "missing_dir/nogo.json"],
         ["verify", "nogo-mu3", "--out", "."],
@@ -164,14 +170,36 @@ def _other_argvs() -> list[list[str]]:
     return out + [["verify", "unitarity", "--matrix-json", name] for name in files]
 
 
-def run(argv: list[str]) -> dict:
-    """One in-process call; an uncaught exception is recorded as the exit 1
-    and last traceback line a separate process would give."""
+# One small call of every subcommand, each run once under every FRAME_LAB_TOL
+# value of ENV_TOLS: a valid tolerance, and one that is no number.
+SMALL_ARGVS = [
+    ["mu4hat", "--t", "0.3"],
+    ["weights", *RHO_I, "--n-max", "64", "--out", "out/weights_env.csv"],
+    ["verify", "unitarity", "--samples", "4"],
+    ["verify", "cuntz", *RHO_I, "--level", "1", "--trials", "2"],
+    ["verify", "gram", *RHO_I, "--max-word-len", "2"],
+    ["verify", "projection", *RHO_I, "--max-word-len", "2"],
+    ["verify", "parseval", *RHO_I, "--gamma", "3", "--n-max", "64"],
+    ["verify", "ruelle", *RHO_I, "--grid=-1:0:5", "--level", "2"],
+    ["verify", "nogo-mu3"],
+    ["verify", "incomplete", "--gamma", "1", "--n-max", "64"],
+]
+ENV_TOLS = ("1e-3", "abc")
+
+
+def run(argv: list[str], env: dict) -> dict:
+    """One in-process call with the variables of env set for it alone; an
+    uncaught exception is recorded as the exit 1 and last traceback line a
+    separate process would give."""
     csvs = [Path(a) for a in argv if a.endswith(".csv")]
     for path in csvs:
         path.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, env),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
         try:
             code = cli.main(argv)
         except Exception as exc:  # noqa: BLE001
@@ -183,7 +211,7 @@ def run(argv: list[str]) -> dict:
         report.pop("duration_ms")
     hashes = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in csvs if p.is_file()}
     return {
-        "argv": argv, "exit": code, "report": report, "stderr": err.getvalue(),
+        "argv": argv, "env": env, "exit": code, "report": report, "stderr": err.getvalue(),
         "csv_sha256": hashes,
     }
 
@@ -191,13 +219,15 @@ def run(argv: list[str]) -> dict:
 def main() -> int:
     os.environ.pop("FRAME_LAB_TOL", None)
     argvs = _workload_argvs() + _ladder_argvs() + _cap_argvs() + _other_argvs()
+    calls = [(argv, {}) for argv in argvs]
+    calls += [(argv, {"FRAME_LAB_TOL": tol}) for tol in ENV_TOLS for argv in SMALL_ARGVS]
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         Path("out").mkdir()
         for name, data in {**BAD_MATRICES, **INADMISSIBLE_MATRICES}.items():
             Path(name).write_bytes(data)
-        for argv in argvs:
-            print(json.dumps(run(argv), sort_keys=True), flush=True)
+        for argv, env in calls:
+            print(json.dumps(run(argv, env), sort_keys=True), flush=True)
         os.chdir(ROOT)
     return 0
 

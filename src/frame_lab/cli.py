@@ -1,15 +1,16 @@
 """Command-line front end: construction plus verification suites.
 
-Each verify subcommand is one library function that returns a report.Check;
-this module parses the flags, resolves the tolerance, names the params,
-and turns the check into a report and an exit code: 0 pass, 1 check
-failed, 2 bad input or infeasible parameters, 3 capacity guard. Reports go
-to stdout as JSON with sorted keys; complex flags are passed as separate
---*-re/--*-im real pairs. Every subcommand that takes a filter bank takes
-the same bank flags: a rho bank, the solver bank of (p, q), or the solver
-bank of the six alpha parameters. The environment variable FRAME_LAB_TOL
-overrides the default tolerance of any subcommand whose --tol flag is not
-given.
+Each subcommand is declared once, in build_parser, with its runner, its
+report's command string, its default tolerance and the rho of its default
+bank. Each verify runner calls one library function that returns a
+report.Check; main turns the check into a report and an exit code: 0 pass,
+1 check failed, 2 bad input or infeasible parameters, 3 capacity guard.
+Reports go to stdout as JSON with sorted keys; complex flags are passed as
+separate --*-re/--*-im real pairs. Every subcommand that takes a filter
+bank takes the same bank flags: a rho bank, the solver bank of (p, q), or
+the solver bank of the six alpha parameters. A subcommand with a tolerance
+takes --tol, and without it reads the environment variable FRAME_LAB_TOL
+before its declared default.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (
-    CapacityError,
-    ContractError,
-    DomainError,
-    InfeasibleParameters,
-    UnsupportedShape,
-)
+from .errors import CapacityError, DomainError, FrameLabError
 from .filters import (
     DEFAULT_UNITARITY_TOL,
     FilterBank,
@@ -64,24 +59,14 @@ EXIT_CAPACITY = 3
 
 MAX_GRID_POINTS = 1000  # verify ruelle --grid steps; the largest run takes seconds
 
-_DEFAULT_TOLS = {
-    "mu4hat": TOL,
-    "unitarity": DEFAULT_UNITARITY_TOL,
-    "cuntz": 1e-10,
-    "gram": 1e-8,
-    "projection": 1e-10,
-    "parseval": 1e-8,
-    "ruelle": 1e-9,
-    "incomplete": 1e-8,
-}
-
-
-def _resolve_tol(args, command: str) -> float:
-    tol = getattr(args, "tol", None)
+def _resolve_tol(args) -> float:
+    """The subcommand's tolerance: --tol, else FRAME_LAB_TOL, else the
+    default its parser declares; it must be positive and finite."""
+    tol = args.tol
     if tol is None:
         env = os.environ.get("FRAME_LAB_TOL")
         if env is None:
-            return _DEFAULT_TOLS[command]
+            return args.default_tol
         try:
             tol = float(env)
         except ValueError:
@@ -113,11 +98,12 @@ def _add_bank_flags(p: argparse.ArgumentParser) -> None:
                 p.add_argument(f"--{name.replace('_', '-')}-{part}", type=float, help=help_text)
 
 
-def _bank_from_args(args, rho: float = 1.0) -> tuple[FilterBank, dict]:
+def _bank_from_args(args) -> tuple[FilterBank, dict]:
     """The bank the flags name and its params <name>_re/<name>_im: a rho
     bank, the solver bank of --p-re/--q-re (filters.pq_bank) or of the six
-    --alpha-* parameters (filters.solve_alpha); the rho bank at rho when
-    none is named. Naming two kinds of bank is bad input."""
+    --alpha-* parameters (filters.solve_alpha); when none is named, the rho
+    bank at the default rho the subcommand's parser declares. Naming two
+    kinds of bank is bad input."""
     given = {}  # kind -> {name: (re, im)} for each kind with a flag given
     for kind, (_, names) in _BANK_PARAMS.items():
         pairs = {n: (getattr(args, f"{n}_re"), getattr(args, f"{n}_im")) for n in names}
@@ -125,7 +111,7 @@ def _bank_from_args(args, rho: float = 1.0) -> tuple[FilterBank, dict]:
             given[kind] = pairs
     if len(given) > 1:
         raise DomainError(f"the flags name two banks, {' and '.join(given)}; give one")
-    kind, pairs = next(iter(given.items()), ("rho", {"rho": (rho, 0.0)}))
+    kind, pairs = next(iter(given.items()), ("rho", {"rho": (args.default_rho, 0.0)}))
     missing = [f"--{n.replace('_', '-')}-re" for n, (re, _) in pairs.items() if re is None]
     if missing and kind != "rho":
         raise DomainError(f"the {kind} bank needs every -re flag; missing {', '.join(missing)}")
@@ -155,74 +141,81 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process and shared by every main call."""
+    """The CLI's parser, built once per process and shared by every main call.
+
+    Each subcommand is declared once, by one command() call that records
+    what main needs to run it: its runner, the report's command string, its
+    default tolerance (None: no --tol) and the rho of its default bank.
+    """
     parser = _Parser(
         prog="frame-lab",
         description="Construct and certify weighted Fourier frames for the Cantor-4 measure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mu = sub.add_parser("mu4hat", help="evaluate the measure transform at t")
-    p_mu.add_argument("--t", type=float, required=True)
-    p_mu.add_argument("--tol", type=float, default=None)
+    def command(subs, name, help_text, run, tol=None, bank=True, rho=1.0):
+        p = subs.add_parser(name.split()[-1], help=help_text)
+        if bank:
+            _add_bank_flags(p)
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=None)
+        if name.startswith("verify "):
+            p.add_argument(
+                "--out", dest="report_out", help="also write the JSON report to this file"
+            )
+        p.set_defaults(run=run, report_name=name, default_tol=tol, default_rho=rho, report_out=None)
+        return p
 
-    p_w = sub.add_parser("weights", help="write the weight table CSV for n = 0..n-max")
-    _add_bank_flags(p_w)
+    p_mu = command(sub, "mu4hat", "evaluate the measure transform at t", _run_mu4hat, TOL,
+                   bank=False)
+    p_mu.add_argument("--t", type=float, required=True)
+
+    p_w = command(sub, "weights", "write the weight table CSV for n = 0..n-max", _run_weights)
     p_w.add_argument("--n-max", type=int, required=True)
     p_w.add_argument("--out", default="weights.csv")
 
     p_v = sub.add_parser("verify", help="run a verification suite")
     vsub = p_v.add_subparsers(dest="check", required=True)
 
-    def _verify_parser(name: str, help_text: str) -> argparse.ArgumentParser:
-        vp = vsub.add_parser(name, help=help_text)
-        vp.add_argument("--out", default=None, help="also write the JSON report to this file")
-        return vp
-
-    v_unit = _verify_parser("unitarity", "max |H*H - I| over sampled banks")
+    v_unit = command(vsub, "verify unitarity", "max |H*H - I| over sampled banks",
+                     _run_verify_unitarity, DEFAULT_UNITARITY_TOL, bank=False)
     v_unit.add_argument("--samples", type=int, default=64, help="rho values on the unit circle")
     matrix = v_unit.add_mutually_exclusive_group()  # read one matrix, or export rho = 1
     matrix.add_argument("--matrix-json", default=None, help="check one matrix from a JSON file")
     matrix.add_argument("--matrix-out", default=None, help="export the constructed matrix as JSON")
-    v_unit.add_argument("--tol", type=float, default=None)
 
-    v_cuntz = _verify_parser("cuntz", "isometry relations on random vectors")
-    _add_bank_flags(v_cuntz)
+    v_cuntz = command(vsub, "verify cuntz", "isometry relations on random vectors",
+                      _run_verify_cuntz, 1e-10)
     v_cuntz.add_argument("--level", type=int, default=2)
     v_cuntz.add_argument("--trials", type=int, default=20)
     v_cuntz.add_argument("--seed", type=int, default=7)
-    v_cuntz.add_argument("--tol", type=float, default=None)
 
-    v_gram = _verify_parser("gram", "Gram matrix of the generated family")
-    _add_bank_flags(v_gram)
+    v_gram = command(vsub, "verify gram", "Gram matrix of the generated family",
+                     functools.partial(_run_verify_words, verify_gram), 1e-8)
     v_gram.add_argument("--max-word-len", type=int, default=3)
-    v_gram.add_argument("--tol", type=float, default=None)
 
-    v_proj = _verify_parser("projection", "projection weights vs closed form")
-    _add_bank_flags(v_proj)
+    v_proj = command(vsub, "verify projection", "projection weights vs closed form",
+                     functools.partial(_run_verify_words, verify_projection), 1e-10)
     v_proj.add_argument("--max-word-len", type=int, default=3)
-    v_proj.add_argument("--tol", type=float, default=None)
 
-    v_par = _verify_parser("parseval", "partial-sum trace for one exponential")
-    _add_bank_flags(v_par)
+    v_par = command(vsub, "verify parseval", "partial-sum trace for one exponential",
+                    _run_verify_parseval, 1e-8)
     v_par.add_argument("--gamma", type=int, default=0)
     v_par.add_argument("--n-max", type=int, default=256)
     v_par.add_argument("--trace-out", default=None, help="write the trace CSV here")
-    v_par.add_argument("--tol", type=float, default=None)
 
-    v_ru = _verify_parser("ruelle", "refinement identity of the energy function")
-    _add_bank_flags(v_ru)
+    v_ru = command(vsub, "verify ruelle", "refinement identity of the energy function",
+                   _run_verify_ruelle, 1e-9)
     v_ru.add_argument("--grid", default="-1:0:21", help="a:b:steps")
     v_ru.add_argument("--level", type=int, default=2)
-    v_ru.add_argument("--tol", type=float, default=None)
 
-    _verify_parser("nogo-mu3", "scale-3 obstruction certificate")
+    command(vsub, "verify nogo-mu3", "scale-3 obstruction certificate", _run_verify_nogo,
+            bank=False)
 
-    v_inc = _verify_parser("incomplete", "deficiency of a p = 0 family (default rho = -1)")
-    _add_bank_flags(v_inc)
+    v_inc = command(vsub, "verify incomplete", "deficiency of a p = 0 family (default rho = -1)",
+                    _run_verify_incomplete, 1e-8, rho=-1.0)
     v_inc.add_argument("--gamma", type=int, nargs="+", default=[1])
     v_inc.add_argument("--n-max", type=int, default=4096)
-    v_inc.add_argument("--tol", type=float, default=None)
 
     return parser
 
@@ -241,7 +234,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _run_mu4hat(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args, "mu4hat")
+    tol = _resolve_tol(args)
     value = mu4_hat(args.t, tol)
     metrics = {"re": value.real, "im": value.imag, "abs": abs(value)}
     return {"t": args.t}, Check(True, metrics, {"tolerance": tol})
@@ -260,7 +253,7 @@ def _run_weights(args) -> tuple[dict, Check]:
 
 
 def _run_verify_unitarity(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args, "unitarity")
+    tol = _resolve_tol(args)
     if args.matrix_json:
         with open(args.matrix_json, "rb") as fh:
             A = matrix_from_json(fh.read())
@@ -273,28 +266,23 @@ def _run_verify_unitarity(args) -> tuple[dict, Check]:
 
 
 def _run_verify_cuntz(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args, "cuntz")
+    tol = _resolve_tol(args)
     bank, params = _bank_from_args(args)
     params.update({"level": args.level, "trials": args.trials, "seed": args.seed})
     return params, verify_cuntz(bank, args.level, args.trials, args.seed, tol)
 
 
-def _run_verify_gram(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args, "gram")
+def _run_verify_words(verify, args) -> tuple[dict, Check]:
+    """verify gram and verify projection: one check of the words of length
+    <= --max-word-len."""
+    tol = _resolve_tol(args)
     bank, params = _bank_from_args(args)
     params.update({"max_word_len": args.max_word_len})
-    return params, verify_gram(bank, args.max_word_len, tol)
-
-
-def _run_verify_projection(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args, "projection")
-    bank, params = _bank_from_args(args)
-    params.update({"max_word_len": args.max_word_len})
-    return params, verify_projection(bank, args.max_word_len, tol)
+    return params, verify(bank, args.max_word_len, tol)
 
 
 def _run_verify_parseval(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args, "parseval")
+    tol = _resolve_tol(args)
     bank, params = _bank_from_args(args)
     trace = parseval_trace([(args.gamma, 1.0)], bank, args.n_max)
     if args.trace_out:
@@ -304,7 +292,7 @@ def _run_verify_parseval(args) -> tuple[dict, Check]:
 
 
 def _run_verify_ruelle(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args, "ruelle")
+    tol = _resolve_tol(args)
     bank, params = _bank_from_args(args)
     grid = _parse_grid(args.grid)
     params.update({"grid": args.grid, "level": args.level})
@@ -316,35 +304,19 @@ def _run_verify_nogo(args) -> tuple[dict, Check]:
 
 
 def _run_verify_incomplete(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args, "incomplete")
-    bank, params = _bank_from_args(args, rho=-1.0)
+    tol = _resolve_tol(args)
+    bank, params = _bank_from_args(args)
     params.update({"gamma": list(args.gamma), "n_max": args.n_max})
     return params, verify_incomplete(bank, args.gamma, args.n_max, tol)
-
-
-_RUNNERS = {
-    "mu4hat": _run_mu4hat,
-    "weights": _run_weights,
-    "unitarity": _run_verify_unitarity,
-    "cuntz": _run_verify_cuntz,
-    "gram": _run_verify_gram,
-    "projection": _run_verify_projection,
-    "parseval": _run_verify_parseval,
-    "ruelle": _run_verify_ruelle,
-    "nogo-mu3": _run_verify_nogo,
-    "incomplete": _run_verify_incomplete,
-}
 
 
 def main(argv=None) -> int:
     started = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
-        verify = args.command == "verify"
-        command = f"verify {args.check}" if verify else args.command
-        params, check = _RUNNERS[args.check if verify else args.command](args)
+        params, check = args.run(args)
         report = RunReport(
-            command=command,
+            command=args.report_name,
             params=params,
             metrics=check.metrics,
             passed=check.passed,
@@ -353,13 +325,13 @@ def main(argv=None) -> int:
             version=__version__,
         )
         text = report.to_json()
-        if verify and args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
+        if args.report_out:
+            with open(args.report_out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
     except CapacityError as exc:
         print(f"capacity guard: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (InfeasibleParameters, DomainError, ContractError, UnsupportedShape, OSError) as exc:
+    except (FrameLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     print(text)

@@ -40,23 +40,20 @@ _CSV_BLOCK = 4**6  # weight table rows built and written at a time
 _PACKED_COUNT = np.array([0, 1, 16, 256], dtype=np.int16)
 
 
-def _listing(digits: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _listing(digits: np.ndarray, n_max: int) -> np.ndarray:
     """Ascending n <= n_max whose base-4 digits all lie in digits (which
-    holds 0), built one place at a time as a Kronecker sum, and the counts
-    (l1, l2, l3) of the digits 1, 2, 3 of each.
+    holds 0), built one place at a time as a Kronecker sum.
 
     Below the leading place every block fits under n_max; at it, blocks
     start only at or below n_max and one filter trims the last.
     """
-    n, packed = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int16)
+    n = np.zeros(1, dtype=np.int64)
     place = 1
     while place <= n_max:
         lead = digits if 4 * place <= n_max else digits[digits * place <= n_max]
         n = np.add.outer(lead * place, n).ravel()
-        packed = np.add.outer(_PACKED_COUNT[lead], packed).ravel()
         place *= 4
-    keep = n <= n_max
-    return n[keep], _unpack(packed[keep])
+    return n[n <= n_max]
 
 
 def _digit_counts(n: np.ndarray) -> np.ndarray:
@@ -66,10 +63,6 @@ def _digit_counts(n: np.ndarray) -> np.ndarray:
     while np.any(n):
         packed += _PACKED_COUNT[n & 3]
         n = n >> 2
-    return _unpack(packed)
-
-
-def _unpack(packed: np.ndarray) -> np.ndarray:
     return np.stack([packed & 15, packed >> 4 & 15, packed >> 8], axis=1)
 
 
@@ -79,7 +72,8 @@ def weight_table(
     """The frame weights on their support: (n, counts, d).
 
     n lists the n <= n_max whose base-4 digits all have nonzero weight,
-    counts their digit counts (l1, l2, l3). digit_weights[0] is 1 (the first
+    counts their digit counts (l1, l2, l3) from _digit_counts, the counter
+    the CSV blocks use. digit_weights[0] is 1 (the first
     row of an admissible bank is 1/2), and d_n = w1^l1 * w3^l3 is read from
     a table of that closed form evaluated by Python's complex arithmetic,
     one entry per (l1, l3): bit for bit p^l1 0^l2 q^l3. w2 is 0 for every
@@ -91,7 +85,8 @@ def weight_table(
     if n_max > 4**MAX_ENUM_LEN:
         raise CapacityError(f"n_max {n_max} exceeds cap 4^{MAX_ENUM_LEN}")
     w1, w2, w3 = (complex(x) for x in digit_weights[1:])
-    n, counts = _listing(np.flatnonzero(digit_weights), n_max)
+    n = _listing(np.flatnonzero(digit_weights), n_max)
+    counts = _digit_counts(n)
     l1, l2, l3 = counts.T
     top = range(int(counts.max(initial=0)) + 1)
     p, q = [w1**k for k in top], [w3**k for k in top]
@@ -264,19 +259,18 @@ def h_partial(t, bank: FilterBank, max_len: int):
 
     By the projection formula P S_omega 1 = d_omega e_{c(omega)} this is the
     Parseval partial sum over n < 4^max_len for e_t with the bank's digit
-    weights, computed by the weighted-transform kernel: each t's terms are
-    scattered into one dense row of 4^max_len, zeros off the support, and
-    summed along it (np.sum groups pairwise, so the zeros fix its bits).
-    The refinement identity check stays two-sided: the symbols little_m are
+    weights, computed by the weighted-transform kernel and summed over the
+    support in order, as parseval_trace sums: at an integer t it is bit for
+    bit the trace's last partial sum at n_max = 4^max_len - 1. The
+    refinement identity check stays two-sided: the symbols little_m are
     independent.
     """
     if max_len < 1:
         raise ContractError("max_len must be >= 1")
     t = np.asarray(t, dtype=np.float64)
-    n, terms = _weighted_terms([(t[..., None], 1.0)], bank, 4**max_len - 1)
-    row = np.zeros(terms.shape[:-1] + (4**max_len,))
-    row[..., n] = terms
-    return row.sum(axis=-1)
+    _, terms = _weighted_terms([(t[..., None], 1.0)], bank, 4**max_len - 1)
+    # copied, so the result does not keep the whole cumsum alive
+    return np.cumsum(terms, axis=-1)[..., -1].copy()
 
 
 def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], L: int, tol: float) -> Check:

@@ -328,6 +328,18 @@ def test_h_partial_matches_both_oracles(bank_name, bank_one, bank_i, bank_minus_
             assert abs(got - oracle_h_partial_dense(t, bank, L)) <= 1e-12
 
 
+@pytest.mark.parametrize("bank_name", sorted(MENU))
+def test_h_partial_is_the_traces_last_partial_sum(bank_name):
+    # one partial-sum path: at an integer t the energy function sums the
+    # support in the trace's order, bit for bit
+    bank = MENU[bank_name][0]
+    gammas = range(-20, 40)
+    for L in range(1, 6):
+        got = h_partial(np.array(gammas, dtype=float), bank, L).tolist()
+        want = [parseval_trace([(g, 1.0)], bank, 4**L - 1).final_value for g in gammas]
+        assert got == want, L
+
+
 def test_h_partial_monotone_in_depth(bank_i):
     for t in np.linspace(-1, 0, 9):
         values = [h_partial(float(t), bank_i, L) for L in (1, 2, 3)]

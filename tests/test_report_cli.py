@@ -389,6 +389,41 @@ def test_every_bank_subcommand_takes_one_bank_grammar(command):
             assert np.array_equal(got.A, bank.A), flags  # the signs of zero parts may differ
 
 
+# A cheap run of each subcommand in _COMMANDS, in its order.
+_SMALL_FLAGS = [
+    ["--t", "0.3"], ["--n-max", "3", "--out", "w.csv"], ["--samples", "4"],
+    ["--level", "1", "--trials", "2"], ["--max-word-len", "1"], ["--max-word-len", "1"],
+    ["--n-max", "16"], ["--grid=-1:0:3", "--level", "1"], [], ["--n-max", "16"],
+]
+
+
+@pytest.mark.parametrize(
+    "command, flags", zip(_COMMANDS, _SMALL_FLAGS), ids=[" ".join(c) for c in _COMMANDS]
+)
+def test_every_subcommand_is_declared_once(capsys, monkeypatch, tmp_path, command, flags):
+    # the parser alone names the report's command and its default tolerance;
+    # a subcommand takes --tol, and reads FRAME_LAB_TOL, exactly when it has one
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FRAME_LAB_TOL", raising=False)
+    argv = [*command, *flags]
+    code, out, _ = run_cli(capsys, *argv)
+    report = last_json(out)
+    assert code == 0
+    assert report["command"] == " ".join(command)
+    default_tol = build_parser().parse_args(argv).default_tol
+    takes_tol = any("--tol" in a.option_strings for a in _subparser(command)._actions)
+    assert takes_tol == (default_tol is not None)
+    if takes_tol:
+        assert default_tol in report["tolerances"].values()
+    monkeypatch.setenv("FRAME_LAB_TOL", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    if takes_tol:
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "FRAME_LAB_TOL" in err
+    else:
+        assert code == 0 and last_json(out)["command"] == " ".join(command)
+
+
 def test_verify_incomplete_refuses_a_parseval_bank(capsys):
     # p != 0: the frame is Parseval, and a truncated trace's deficiency is
     # no evidence of incompleteness
@@ -785,7 +820,7 @@ def _argv(draw):
 def _names_a_parseval_bank(argv) -> bool:
     """Whether argv parses to a bank whose frame is Parseval (p != 0)."""
     try:
-        bank, _ = _bank_from_args(build_parser().parse_args(argv), rho=-1.0)
+        bank, _ = _bank_from_args(build_parser().parse_args(argv))
     except (frame_lab.DomainError, frame_lab.InfeasibleParameters):
         return False
     return is_parseval(bank)
