@@ -10,10 +10,12 @@ every value-gated command, the calls of the certification ladder (its
 directory), weight tables whose length straddles the 4^6-row blocks the
 CSV is written in, a trace whose last checkpoint is no power of 4, the
 runs at and just past each capacity cap, runs at a tolerance no check can
-meet, runs on malformed input files, on well-formed matrices and banks
-that are not admissible, with both matrix options of `verify unitarity` at
-once, and bank flags of each kind on subcommands that took only some kinds
-before (among them a p != 0 bank for `verify incomplete`, which it
+meet and at one so small that tol / 10 underflows, a grid whose span
+overflows, runs on malformed input files, on well-formed matrices (one
+with an entry so large that H*H overflows) and banks that are not
+admissible, with both matrix options of `verify unitarity` at once, and
+bank flags of each kind on subcommands that took only some kinds before
+(among them a p != 0 bank for `verify incomplete`, which it
 refuses), and one small call of every subcommand under each FRAME_LAB_TOL
 value of ENV_TOLS (a subcommand with a tolerance reads it, the others must
 not). Each line records the environment its call ran under, set for that
@@ -63,12 +65,14 @@ BAD_MATRICES = {
 
 def _inadmissible_matrices() -> dict[str, bytes]:
     """Well-formed matrix documents that fail one admissibility condition:
-    row 0, the kernel condition, and the rho = 1 matrix scaled off unitarity
-    (which moves row 0 too)."""
-    row0, kernel = hadamard_rho(1.0), hadamard_rho(1.0)
+    row 0, the kernel condition, the rho = 1 matrix scaled off unitarity
+    (which moves row 0 too), and an entry so large that H*H overflows."""
+    row0, kernel, huge = hadamard_rho(1.0), hadamard_rho(1.0), hadamard_rho(1.0)
     row0[0] = [1, 0, 0, 0]
     kernel[1, 0] = 3.0
-    matrices = {"row0.json": row0, "kernel.json": kernel, "scaled.json": 1.001 * hadamard_rho(1.0)}
+    huge[1, 1] = 1e200
+    matrices = {"row0.json": row0, "kernel.json": kernel, "scaled.json": 1.001 * hadamard_rho(1.0),
+                "huge.json": huge}
     return {name: matrix_to_json(A).encode() for name, A in matrices.items()}
 
 
@@ -125,7 +129,9 @@ def _cap_argvs() -> list[list[str]]:
     out += [["verify", "cuntz", "--rho-re", "1", "--level", "0", "--trials", "3", "--seed", str(s)]
             for s in SEEDS]
     out += [["mu4hat", "--t", t] for t in ("0", "2", "-7.25", "1e6", "1e24", "1e30")]
-    return out + [["mu4hat", "--t", "1e30", "--tol", "1e-3"]]
+    # the last: a tolerance whose tol / 10 underflows to 0
+    return out + [["mu4hat", "--t", "1e30", "--tol", "1e-3"],
+                  ["mu4hat", "--t", "1", "--tol", "5e-324"]]
 
 
 def _other_argvs() -> list[list[str]]:
@@ -138,6 +144,7 @@ def _other_argvs() -> list[list[str]]:
         ["verify", "cuntz", *RHO_I, "--level", "2", *strict],
         ["verify", "parseval", "--rho-re", "-1", "--gamma", "1", "--n-max", "64", *strict],
         ["verify", "ruelle", *RHO_I, "--grid=-1:0:21", "--level", "3", *strict],
+        ["verify", "ruelle", "--grid=-1e308:1e308:3"],  # b - a overflows
         ["verify", "unitarity", "--samples", "16", "--matrix-out", "m.json"],
         ["verify", "unitarity", "--matrix-json", "m.json"],
         ["verify", "unitarity", "--matrix-json", "m.json", *strict],

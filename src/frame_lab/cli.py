@@ -1,10 +1,12 @@
 """Command-line front end: construction plus verification suites.
 
 Each subcommand is declared once, in build_parser, with its runner, its
-report's command string, its default tolerance and the rho of its default
-bank. Each verify runner calls one library function that returns a
-report.Check; main turns the check into a report and an exit code: 0 pass,
-1 check failed, 2 bad input or infeasible parameters, 3 capacity guard.
+report's command string, its default tolerance, the rho of its default
+bank and the flags its report's params name. main resolves each of these
+inputs once, then calls the runner, which only computes a report.Check
+(most runners are one library call), and turns the check into a report
+and an exit code: 0 pass, 1 check failed, 2 bad input or infeasible
+parameters, 3 capacity guard.
 Reports go to stdout as JSON with sorted keys; complex flags are passed as
 separate --*-re/--*-im real pairs. Every subcommand that takes a filter
 bank takes the same bank flags: a rho bank, the solver bank of (p, q), or
@@ -145,7 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     Each subcommand is declared once, by one command() call that records
     what main needs to run it: its runner, the report's command string, its
-    default tolerance (None: no --tol) and the rho of its default bank.
+    default tolerance (None: no --tol), the rho of its default bank (None:
+    no bank flags) and the flags its report's params name. A runner reads
+    the tolerance main resolved as args.tol and the bank as args.bank, and
+    returns the Check.
     """
     parser = _Parser(
         prog="frame-lab",
@@ -153,9 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(subs, name, help_text, run, tol=None, bank=True, rho=1.0):
+    def command(subs, name, help_text, run, tol=None, rho=1.0, params=()):
         p = subs.add_parser(name.split()[-1], help=help_text)
-        if bank:
+        if rho is not None:
             _add_bank_flags(p)
         if tol is not None:
             p.add_argument("--tol", type=float, default=None)
@@ -163,14 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--out", dest="report_out", help="also write the JSON report to this file"
             )
-        p.set_defaults(run=run, report_name=name, default_tol=tol, default_rho=rho, report_out=None)
+        p.set_defaults(run=run, report_name=name, default_tol=tol, default_rho=rho,
+                       params=params, report_out=None)
         return p
 
     p_mu = command(sub, "mu4hat", "evaluate the measure transform at t", _run_mu4hat, TOL,
-                   bank=False)
+                   rho=None, params=("t",))
     p_mu.add_argument("--t", type=float, required=True)
 
-    p_w = command(sub, "weights", "write the weight table CSV for n = 0..n-max", _run_weights)
+    p_w = command(sub, "weights", "write the weight table CSV for n = 0..n-max", _run_weights,
+                  params=("n_max", "out"))
     p_w.add_argument("--n-max", type=int, required=True)
     p_w.add_argument("--out", default="weights.csv")
 
@@ -178,42 +185,48 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p_v.add_subparsers(dest="check", required=True)
 
     v_unit = command(vsub, "verify unitarity", "max |H*H - I| over sampled banks",
-                     _run_verify_unitarity, DEFAULT_UNITARITY_TOL, bank=False)
+                     _run_verify_unitarity, DEFAULT_UNITARITY_TOL, rho=None,
+                     params=lambda a: ("matrix_json",) if a.matrix_json else ("samples",))
     v_unit.add_argument("--samples", type=int, default=64, help="rho values on the unit circle")
     matrix = v_unit.add_mutually_exclusive_group()  # read one matrix, or export rho = 1
     matrix.add_argument("--matrix-json", default=None, help="check one matrix from a JSON file")
     matrix.add_argument("--matrix-out", default=None, help="export the constructed matrix as JSON")
 
     v_cuntz = command(vsub, "verify cuntz", "isometry relations on random vectors",
-                      _run_verify_cuntz, 1e-10)
+                      lambda a: verify_cuntz(a.bank, a.level, a.trials, a.seed, a.tol), 1e-10,
+                      params=("level", "trials", "seed"))
     v_cuntz.add_argument("--level", type=int, default=2)
     v_cuntz.add_argument("--trials", type=int, default=20)
     v_cuntz.add_argument("--seed", type=int, default=7)
 
     v_gram = command(vsub, "verify gram", "Gram matrix of the generated family",
-                     functools.partial(_run_verify_words, verify_gram), 1e-8)
+                     lambda a: verify_gram(a.bank, a.max_word_len, a.tol), 1e-8,
+                     params=("max_word_len",))
     v_gram.add_argument("--max-word-len", type=int, default=3)
 
     v_proj = command(vsub, "verify projection", "projection weights vs closed form",
-                     functools.partial(_run_verify_words, verify_projection), 1e-10)
+                     lambda a: verify_projection(a.bank, a.max_word_len, a.tol), 1e-10,
+                     params=("max_word_len",))
     v_proj.add_argument("--max-word-len", type=int, default=3)
 
     v_par = command(vsub, "verify parseval", "partial-sum trace for one exponential",
-                    _run_verify_parseval, 1e-8)
+                    _run_verify_parseval, 1e-8, params=("gamma", "n_max"))
     v_par.add_argument("--gamma", type=int, default=0)
     v_par.add_argument("--n-max", type=int, default=256)
     v_par.add_argument("--trace-out", default=None, help="write the trace CSV here")
 
     v_ru = command(vsub, "verify ruelle", "refinement identity of the energy function",
-                   _run_verify_ruelle, 1e-9)
+                   lambda a: verify_ruelle(a.bank, _parse_grid(a.grid), a.level, a.tol), 1e-9,
+                   params=("grid", "level"))
     v_ru.add_argument("--grid", default="-1:0:21", help="a:b:steps")
     v_ru.add_argument("--level", type=int, default=2)
 
-    command(vsub, "verify nogo-mu3", "scale-3 obstruction certificate", _run_verify_nogo,
-            bank=False)
+    command(vsub, "verify nogo-mu3", "scale-3 obstruction certificate",
+            lambda a: verify_nogo_mu3(), rho=None)
 
     v_inc = command(vsub, "verify incomplete", "deficiency of a p = 0 family (default rho = -1)",
-                    _run_verify_incomplete, 1e-8, rho=-1.0)
+                    lambda a: verify_incomplete(a.bank, a.gamma, a.n_max, a.tol), 1e-8,
+                    rho=-1.0, params=("gamma", "n_max"))
     v_inc.add_argument("--gamma", type=int, nargs="+", default=[1])
     v_inc.add_argument("--n-max", type=int, default=4096)
 
@@ -224,97 +237,61 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         a, b, steps = text.split(":")
         a, b, steps = float(a), float(b), int(steps)
-        if not (math.isfinite(a) and math.isfinite(b)):
+        if not math.isfinite(b - a):  # also a or b not finite
             raise ValueError
         if steps > MAX_GRID_POINTS:
             raise CapacityError(f"grid of {steps} points exceeds cap {MAX_GRID_POINTS}")
         return np.linspace(a, b, steps)
     except ValueError as exc:
-        raise DomainError(f"--grid must be a:b:steps with finite a, b, got {text!r}") from exc
+        raise DomainError(f"--grid must be a:b:steps with b - a finite, got {text!r}") from exc
 
 
-def _run_mu4hat(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args)
-    value = mu4_hat(args.t, tol)
+def _run_mu4hat(args) -> Check:
+    value = mu4_hat(args.t, args.tol)
     metrics = {"re": value.real, "im": value.imag, "abs": abs(value)}
-    return {"t": args.t}, Check(True, metrics, {"tolerance": tol})
+    return Check(True, metrics, {"tolerance": args.tol})
 
 
-def _run_weights(args) -> tuple[dict, Check]:
-    bank, params = _bank_from_args(args)
-    nonzero = write_weight_table(args.out, bank, args.n_max)
+def _run_weights(args) -> Check:
+    nonzero = write_weight_table(args.out, args.bank, args.n_max)
     metrics = {
         "rows": args.n_max + 1,
         "nonzero_weights": nonzero,
-        "parseval_certified": is_parseval(bank),
+        "parseval_certified": is_parseval(args.bank),
     }
-    params.update({"n_max": args.n_max, "out": args.out})
-    return params, Check(True, metrics, {})
+    return Check(True, metrics, {})
 
 
-def _run_verify_unitarity(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args)
+def _run_verify_unitarity(args) -> Check:
     if args.matrix_json:
         with open(args.matrix_json, "rb") as fh:
-            A = matrix_from_json(fh.read())
-        return {"matrix_json": args.matrix_json}, verify_unitarity(args.samples, tol, A)
-    check = verify_unitarity(args.samples, tol)
+            return verify_unitarity(args.samples, args.tol, matrix_from_json(fh.read()))
+    check = verify_unitarity(args.samples, args.tol)
     if args.matrix_out:
         with open(args.matrix_out, "w", encoding="utf-8") as fh:
             fh.write(matrix_to_json(hadamard_rho(1.0)) + "\n")
-    return {"samples": args.samples}, check
+    return check
 
 
-def _run_verify_cuntz(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args)
-    bank, params = _bank_from_args(args)
-    params.update({"level": args.level, "trials": args.trials, "seed": args.seed})
-    return params, verify_cuntz(bank, args.level, args.trials, args.seed, tol)
-
-
-def _run_verify_words(verify, args) -> tuple[dict, Check]:
-    """verify gram and verify projection: one check of the words of length
-    <= --max-word-len."""
-    tol = _resolve_tol(args)
-    bank, params = _bank_from_args(args)
-    params.update({"max_word_len": args.max_word_len})
-    return params, verify(bank, args.max_word_len, tol)
-
-
-def _run_verify_parseval(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args)
-    bank, params = _bank_from_args(args)
-    trace = parseval_trace([(args.gamma, 1.0)], bank, args.n_max)
+def _run_verify_parseval(args) -> Check:
+    trace = parseval_trace([(args.gamma, 1.0)], args.bank, args.n_max)
     if args.trace_out:
         write_trace_csv(args.trace_out, trace)
-    params.update({"gamma": args.gamma, "n_max": args.n_max})
-    return params, verify_parseval(trace, tol)
-
-
-def _run_verify_ruelle(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args)
-    bank, params = _bank_from_args(args)
-    grid = _parse_grid(args.grid)
-    params.update({"grid": args.grid, "level": args.level})
-    return params, verify_ruelle(bank, grid, args.level, tol)
-
-
-def _run_verify_nogo(args) -> tuple[dict, Check]:
-    return {}, verify_nogo_mu3()
-
-
-def _run_verify_incomplete(args) -> tuple[dict, Check]:
-    tol = _resolve_tol(args)
-    bank, params = _bank_from_args(args)
-    params.update({"gamma": list(args.gamma), "n_max": args.n_max})
-    return params, verify_incomplete(bank, args.gamma, args.n_max, tol)
+    return verify_parseval(trace, args.tol)
 
 
 def main(argv=None) -> int:
     started = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
-        params, check = args.run(args)
+        params = {}
+        if args.default_tol is not None:
+            args.tol = _resolve_tol(args)
+        if args.default_rho is not None:
+            args.bank, params = _bank_from_args(args)
+        check = args.run(args)
+        names = args.params(args) if callable(args.params) else args.params
+        params.update({name: getattr(args, name) for name in names})
         report = RunReport(
             command=args.report_name,
             params=params,

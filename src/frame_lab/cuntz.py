@@ -36,6 +36,7 @@ FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matr
 MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes well under a second
 TRIALS_PER_PASS = 64  # trial vectors verify_cuntz stacks at once; bounds its working memory
 FAMILY_BATCH_ATOMS = 4**6  # most atoms in one batch of generated_family (while FAMILY_MAX_LEN <= 5)
+ATOMS_PER_VECTOR = 3  # atoms in each random test vector of random_function_sum
 _PAD = 4  # row index of the padding row in the Gram kernel's tables
 _PAIRS = np.arange(4)
 _X_DIGITS = 2 * (_PAIRS & X_BITS)  # x digit of each pair index: 0, 2, 0, 2
@@ -126,9 +127,7 @@ def generated_family(bank: FilterBank, max_len: int) -> Iterator[FunctionSum]:
             prefixes = concat(*batches)
 
 
-def random_function_sum(
-    rng: random.Random, level: int, vectors: int = 1, n_atoms: int = 3
-) -> FunctionSum:
+def random_function_sum(rng: random.Random, level: int, vectors: int = 1) -> FunctionSum:
     """Random test vectors 0 .. vectors - 1 of one batch, drawn one vector
     after another, so one draw of T vectors equals T single draws.
 
@@ -140,7 +139,7 @@ def random_function_sum(
     """
     atoms = []
     for v in range(vectors):
-        for _ in range(n_atoms):
+        for _ in range(ATOMS_PER_VECTOR):
             freq = rng.getrandbits(5)
             while freq > 16:
                 freq = rng.getrandbits(5)

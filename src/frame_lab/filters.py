@@ -44,7 +44,7 @@ NOGO_MIN_PHASE_FACTOR = 1e-9
 NOGO_MIN_NORM_GAP = 0.41
 
 
-def hadamard_rho(rho, tol: float = 1e-12) -> np.ndarray:
+def hadamard_rho(rho) -> np.ndarray:
     """The one-parameter coefficient matrix family, |rho| = 1: one 4x4
     matrix per element of rho, stacked in rho's shape.
 
@@ -52,10 +52,10 @@ def hadamard_rho(rho, tol: float = 1e-12) -> np.ndarray:
     the matching H is a complex Hadamard matrix.
     """
     rho = np.asarray(rho, dtype=complex)
-    size = np.abs(rho)
-    off = ~(np.abs(size - 1.0) <= tol)
+    off = ~(np.abs(np.abs(rho) - 1.0) <= DEFAULT_UNITARITY_TOL)
     if np.any(off):
-        raise DomainError(f"|rho| must be 1 within {tol}, got |rho| = {float(size[off][0])}")
+        size = float(np.abs(rho[off][0]))
+        raise DomainError(f"|rho| must be 1 within {DEFAULT_UNITARITY_TOL}, got |rho| = {size}")
     A = np.empty(rho.shape + (4, 4), dtype=complex)
     A[...] = [[1, 1, 1, 1], [1, 1, 0, 0], [1, 1, -1, -1], [1, 1, 0, 0]]
     A[..., 1, 2:] = rho[..., None]
@@ -84,14 +84,15 @@ def deviations(A) -> dict[str, np.ndarray]:
     if not np.all(np.isfinite(A.view(np.float64))):
         raise DomainError("A must have finite entries")
     H = a_to_h(A)
-    HH = np.sum(H.conj()[..., :, :, None] * H[..., :, None, :], axis=-3)
-    return {
-        "first_row": np.max(np.abs(A[..., 0, :] - 0.5), axis=-1),
-        "kernel": np.max(
-            np.abs((A[..., :, 0] + A[..., :, 2]) - (A[..., :, 1] + A[..., :, 3])), axis=-1
-        ),
-        "unitarity": np.max(np.abs(HH - np.eye(4)), axis=(-2, -1)),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan fail every dev <= tol
+        HH = np.sum(H.conj()[..., :, :, None] * H[..., :, None, :], axis=-3)
+        return {
+            "first_row": np.max(np.abs(A[..., 0, :] - 0.5), axis=-1),
+            "kernel": np.max(
+                np.abs((A[..., :, 0] + A[..., :, 2]) - (A[..., :, 1] + A[..., :, 3])), axis=-1
+            ),
+            "unitarity": np.max(np.abs(HH - np.eye(4)), axis=(-2, -1)),
+        }
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,7 +50,10 @@ def factor_count(t_abs, tol: float) -> np.ndarray:
     """
     if not 0 < tol < math.inf:  # also rejects nan
         raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
-    log4 = (np.log(np.maximum(t_abs, 1.0)) - math.log(tol / 10.0)) / math.log(4.0)
+    # tol / 10 underflows to 0 for the least subnormal tolerances; the least
+    # subnormal in its place still needs far more than MAX_FACTORS
+    eps = max(tol / 10.0, math.ulp(0.0))
+    log4 = (np.log(np.maximum(t_abs, 1.0)) - math.log(eps)) / math.log(4.0)
     counts = np.maximum(2, np.ceil(log4).astype(np.int64) + 2)
     if np.any(counts > MAX_FACTORS):
         raise CapacityError(f"|t| = {np.max(t_abs):.3g} needs over {MAX_FACTORS} factors")

@@ -226,6 +226,17 @@ def test_verify_unitarity_failure_exit_1(tmp_path, capsys):
     assert last_json(out)["pass"] is False
 
 
+def test_a_huge_matrix_entry_fails_without_a_warning(tmp_path, capsys):
+    # H*H overflows to inf, which fails the unitarity bound like any deviation
+    huge = hadamard_rho(1.0).copy()
+    huge[1, 1] = 1e200
+    path = tmp_path / "huge.json"
+    path.write_text(matrix_to_json(huge))
+    code, out, err = run_cli(capsys, "verify", "unitarity", "--matrix-json", str(path))
+    assert (code, err) == (1, "")
+    assert last_json(out)["metrics"]["max_dev"] == float("inf")
+
+
 def test_verify_gram_cli(capsys):
     code, out, _ = run_cli(capsys, "verify", "gram", "--rho-im", "1", "--max-word-len", "2")
     assert code == 0
@@ -424,6 +435,51 @@ def test_every_subcommand_is_declared_once(capsys, monkeypatch, tmp_path, comman
         assert code == 0 and last_json(out)["command"] == " ".join(command)
 
 
+# The flags each subcommand's report names besides its bank's parameters.
+_DECLARED_PARAMS = [
+    {"t"}, {"n_max", "out"}, {"samples"}, {"level", "trials", "seed"}, {"max_word_len"},
+    {"max_word_len"}, {"gamma", "n_max"}, {"grid", "level"}, set(), {"gamma", "n_max"},
+]
+
+
+_NO_BANK = ("mu4hat", "unitarity", "nogo-mu3")
+# Each subcommand at its default bank, and each bank subcommand at a p/q bank.
+_PARAMS_CASES = [
+    (command, bank, flags, declared)
+    for bank in ([], ["--p-re", "0", "--q-re", "1"])
+    for command, flags, declared in zip(_COMMANDS, _SMALL_FLAGS, _DECLARED_PARAMS)
+    if not (bank and command[-1] in _NO_BANK)
+]
+
+
+@pytest.mark.parametrize(
+    "command, bank, flags, declared", _PARAMS_CASES,
+    ids=[" ".join([*c, *b]) for c, b, _, _ in _PARAMS_CASES],
+)
+def test_report_params_are_the_banks_and_the_declared_flags(
+    capsys, monkeypatch, tmp_path, command, bank, flags, declared
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [*command, *bank, *flags]
+    args = build_parser().parse_args(argv)
+    want = {} if command[-1] in _NO_BANK else _bank_from_args(args)[1]
+    code, out, _ = run_cli(capsys, *argv)
+    params = last_json(out)["params"]
+    assert code == 0
+    assert set(params) == set(want) | declared
+    assert {k: params[k] for k in want} == want
+    assert {k: params[k] for k in declared} == {k: getattr(args, k) for k in declared}
+
+
+def test_unitarity_reads_a_matrix_and_names_only_its_file(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(matrix_to_json(hadamard_rho(1.0)))
+    code, out, _ = run_cli(capsys, "verify", "unitarity", "--samples", "5",
+                           "--matrix-json", str(path))
+    assert code == 0
+    assert last_json(out)["params"] == {"matrix_json": str(path)}
+
+
 def test_verify_incomplete_refuses_a_parseval_bank(capsys):
     # p != 0: the frame is Parseval, and a truncated trace's deficiency is
     # no evidence of incompleteness
@@ -460,6 +516,8 @@ def test_verify_capacity_exit_3(capsys):
     [
         ["mu4hat", "--t", "1e300"],
         ["mu4hat", "--t", "1e30"],
+        # tol / 10 underflows to 0
+        ["mu4hat", "--t", "1", "--tol", "5e-324"],
         ["verify", "parseval", "--gamma", "1", "--n-max", str(4**10 + 1)],
         ["verify", "incomplete", "--gamma", "1", "--n-max", str(4**10 + 1)],
         ["verify", "incomplete", "--gamma", *map(str, range(MAX_GAMMAS + 1))],
@@ -498,6 +556,8 @@ def test_uncertifiable_input_exits_3_with_one_line(capsys, monkeypatch, tmp_path
          "--alpha-a10-re", "1e300", "--alpha-a30-re", "nan", "--alpha-a11-re", "0",
          "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1"],
         ["verify", "ruelle", "--rho-im", "1", "--grid=0:1:0"],
+        # a and b finite, b - a not: refused before linspace warns
+        ["verify", "ruelle", "--grid=-1e308:1e308:3"],
         ["verify", "incomplete", "--gamma", "1", "1", "--n-max", "16"],
         ["weights", "--rho-re", "1", "--n-max", "-5", "--out", "w.csv"],
         ["verify", "gram", "--rho-im", "1", "--tol", "inf"],
@@ -585,6 +645,13 @@ def test_help_exits_0(capsys):
         main(["verify", "gram", "-h"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage:")
+
+
+def test_subnormal_env_tolerance_exits_3(capsys, monkeypatch):
+    monkeypatch.setenv("FRAME_LAB_TOL", "5e-324")
+    code, out, err = run_cli(capsys, "mu4hat", "--t", "1")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1 and "capacity" in err
 
 
 def test_bad_env_tolerance_exits_2(capsys, monkeypatch):
