@@ -177,6 +177,33 @@ def _other_argvs() -> list[list[str]]:
     return out + [["verify", "unitarity", "--matrix-json", name] for name in files]
 
 
+def _guard_argvs() -> list[list[str]]:
+    """One call per input guard that no other call reaches: a capacity guard
+    (exit 3), then the bad-input guards (exit 2), then a tolerance that needs
+    more factors than the cap at any t."""
+    return [
+        ["verify", "ruelle", "--level", "5"],
+        ["verify", "ruelle", "--grid=-1:0:0"],
+        ["verify", "incomplete", "--gamma", "1", "1"],
+        ["verify", "parseval", "--n-max", "0"],
+        ["verify", "parseval", "--gamma", "9007199254740992"],
+        ["weights", "--n-max", "-1", "--out", "out/weights_bad.csv"],
+        ["verify", "cuntz", "--trials", "0"],
+        ["verify", "cuntz", "--level", "-1"],
+        ["verify", "cuntz", "--seed", "-1"],
+        ["verify", "unitarity", "--samples", "0"],
+        ["verify", "gram", "--max-word-len", "0"],
+        ["verify", "projection", "--max-word-len", "0"],
+        ["mu4hat", "--t", "nan"],
+        ["mu4hat", "--t", "inf"],
+        ["mu4hat", "--t", "1", "--tol", "0"],
+        ["mu4hat", "--t", "1", "--tol", "-1"],
+        ["verify", "gram", "--rho-re", "1", "--p-re", "0.6", "--q-re", "0.8"],
+        ["verify", "gram", "--p-im", "0.1"],
+        ["mu4hat", "--t", "1", "--tol", "4e-37"],
+    ]
+
+
 # One small call of every subcommand, each run once under every FRAME_LAB_TOL
 # value of ENV_TOLS: a valid tolerance, and one that is no number.
 SMALL_ARGVS = [
@@ -225,7 +252,7 @@ def run(argv: list[str], env: dict) -> dict:
 
 def main() -> int:
     os.environ.pop("FRAME_LAB_TOL", None)
-    argvs = _workload_argvs() + _ladder_argvs() + _cap_argvs() + _other_argvs()
+    argvs = _workload_argvs() + _ladder_argvs() + _cap_argvs() + _other_argvs() + _guard_argvs()
     calls = [(argv, {}) for argv in argvs]
     calls += [(argv, {"FRAME_LAB_TOL": tol}) for tol in ENV_TOLS for argv in SMALL_ARGVS]
     with tempfile.TemporaryDirectory() as work:

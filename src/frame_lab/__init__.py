@@ -43,7 +43,7 @@ from .frames import (
     verify_ruelle,
     weight_table,
 )
-from .report import Check, RunReport
+from .report import Check, report_json
 from .transform import cis, mu4_hat
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "FunctionSum",
     "InfeasibleParameters",
     "PartialSumTrace",
-    "RunReport",
     "UnsupportedShape",
     "apply_S",
     "apply_S_star",
@@ -74,6 +73,7 @@ __all__ = [
     "pq_bank",
     "project_V",
     "refine",
+    "report_json",
     "rho_bank",
     "solve_alpha",
     "verify_cuntz",

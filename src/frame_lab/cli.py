@@ -4,11 +4,12 @@ Each subcommand is declared once, in build_parser, with its runner, its
 report's command string, its default tolerance, the rho of its default
 bank and the flags its report's params name. main resolves each of these
 inputs once, then calls the runner, which only computes a report.Check
-(most runners are one library call), and turns the check into a report
-and an exit code: 0 pass, 1 check failed, 2 bad input or infeasible
-parameters, 3 capacity guard.
-Reports go to stdout as JSON with sorted keys; complex flags are passed as
-separate --*-re/--*-im real pairs. Every subcommand that takes a filter
+(most runners are one library call), and turns the check into its report
+(report.report_json) and an exit code: 0 pass, 1 check failed, 2 bad input
+or infeasible parameters, 3 capacity guard.
+Reports go to stdout as strict JSON with sorted keys; a reader that closes
+stdout early leaves the exit code to the verdict. Complex flags are passed
+as separate --*-re/--*-im real pairs. Every subcommand that takes a filter
 bank takes the same bank flags: a rho bank, the solver bank of (p, q), or
 the solver bank of the six alpha parameters. A subcommand with a tolerance
 takes --tol, and without it reads the environment variable FRAME_LAB_TOL
@@ -26,7 +27,6 @@ import time
 
 import numpy as np
 
-from . import __version__
 from .errors import CapacityError, DomainError, FrameLabError
 from .filters import (
     DEFAULT_UNITARITY_TOL,
@@ -51,7 +51,7 @@ from .frames import (
     write_trace_csv,
     write_weight_table,
 )
-from .report import Check, RunReport
+from .report import Check, report_json
 from .transform import TOL, mu4_hat
 
 EXIT_PASS = 0
@@ -292,16 +292,8 @@ def main(argv=None) -> int:
         check = args.run(args)
         names = args.params(args) if callable(args.params) else args.params
         params.update({name: getattr(args, name) for name in names})
-        report = RunReport(
-            command=args.report_name,
-            params=params,
-            metrics=check.metrics,
-            passed=check.passed,
-            tolerances=check.tolerances,
-            duration_ms=int((time.monotonic() - started) * 1000),
-            version=__version__,
-        )
-        text = report.to_json()
+        text = report_json(args.report_name, params, check,
+                           int((time.monotonic() - started) * 1000))
         if args.report_out:
             with open(args.report_out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
@@ -311,7 +303,10 @@ def main(argv=None) -> int:
     except (FrameLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader closed stdout: silence the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_PASS if check.passed else EXIT_CHECK_FAILED
 
 

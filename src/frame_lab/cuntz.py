@@ -241,7 +241,7 @@ def _gram_rows(bank: FilterBank, max_len: int) -> Iterator[np.ndarray]:
     n = rows.shape[1]
     k = np.arange(n)
     mu = mu4_hat_array(-k / 4.0**max_len)
-    phases = [np.exp(-2j * np.pi * ((2 * k) % 4**i) / 4**i) for i in range(1, max_len + 1)]
+    phases = [cis(-2.0 * k / 4**i) for i in range(1, max_len + 1)]  # exact at quarter turns
     tables = [(E[:, level], O[:, level]) for level in rows]  # E[r, s] of every word at level i
     for f in range(n):
         entries = mu[: n - f].copy()

@@ -1,17 +1,19 @@
 """Check results and the machine-readable run reports of the CLI.
 
-Every verification returns a Check; the CLI copies it into a RunReport,
-serialized as JSON with lexicographically sorted keys. Every field except
-duration_ms is a pure function of the flags and the package version.
+Every verification returns a Check; report_json turns it into the run's
+report, one strict JSON object with lexicographically sorted keys. A
+non-finite metric is written as its string ("inf", "-inf", "nan"). Every
+field except duration_ms is a pure function of the flags and the package
+version.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
 from typing import NamedTuple
 
-import numpy as np
+from . import __version__
 
 
 class Check(NamedTuple):
@@ -24,40 +26,26 @@ class Check(NamedTuple):
     tolerances: dict
 
 
-def _jsonable(value):
-    """Convert numpy scalars and containers to plain JSON-ready values."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+def _plain(value):
+    """value with numpy values as Python ones and each non-finite float as its string."""
+    value = value.tolist() if hasattr(value, "tolist") else value
     if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        return [_plain(v) for v in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
-@dataclass
-class RunReport:
-    command: str
-    params: dict
-    metrics: dict
-    passed: bool
-    tolerances: dict
-    duration_ms: int
-    version: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": _jsonable(self.params),
-            "metrics": _jsonable(self.metrics),
-            "pass": bool(self.passed),
-            "tolerances": _jsonable(self.tolerances),
-            "duration_ms": int(self.duration_ms),
-            "version": self.version,
-            "schema_version": "1",
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+def report_json(command: str, params: dict, check: Check, duration_ms: int) -> str:
+    """The run report of check, computed by command on params."""
+    report = {
+        "command": command,
+        "params": params,
+        "metrics": check.metrics,
+        "pass": check.passed,
+        "tolerances": check.tolerances,
+        "duration_ms": duration_ms,
+        "version": __version__,
+        "schema_version": "1",
+    }
+    return json.dumps(_plain(report), sort_keys=True, allow_nan=False)

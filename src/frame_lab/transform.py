@@ -56,7 +56,10 @@ def factor_count(t_abs, tol: float) -> np.ndarray:
     log4 = (np.log(np.maximum(t_abs, 1.0)) - math.log(eps)) / math.log(4.0)
     counts = np.maximum(2, np.ceil(log4).astype(np.int64) + 2)
     if np.any(counts > MAX_FACTORS):
-        raise CapacityError(f"|t| = {np.max(t_abs):.3g} needs over {MAX_FACTORS} factors")
+        # the tolerance is to blame when it alone, at |t| <= 1, needs more factors
+        at_one = math.ceil(-math.log(eps) / math.log(4.0)) + 2
+        culprit = f"tolerance {tol:.3g}" if at_one > MAX_FACTORS else f"|t| = {np.max(t_abs):.3g}"
+        raise CapacityError(f"{culprit} needs over {MAX_FACTORS} factors")
     return counts
 
 

@@ -368,6 +368,16 @@ def test_gram_length_five(bank_i, bank_pq):
         assert check.passed
 
 
+@pytest.mark.parametrize("max_len", range(1, FAMILY_MAX_LEN + 1))
+@pytest.mark.parametrize("rho", [1.0, -1.0, 1j, -1j], ids=["1", "-1", "i", "-i"])
+def test_gram_of_the_quarter_turn_banks_is_exact(rho, max_len):
+    # dyadic entries and quarter-turn phases: each off-diagonal entry has an
+    # exact zero factor, so the check holds at any tolerance
+    check = verify_gram(rho_bank(rho), max_len, 1e-300)
+    assert (check.metrics["max_offdiag"], check.metrics["max_diag_dev"]) == (0.0, 0.0)
+    assert check.passed
+
+
 def test_dense_inner_matches_generic(bank_i):
     words = [Word4((1,)), Word4((2, 1)), Word4((1, 3, 2)), Word4((3, 0))]
     for wa in words:

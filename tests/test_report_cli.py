@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import frame_lab
 from frame_lab import (
-    RunReport,
+    Check,
     parseval_trace,
     pq_bank,
+    report_json,
     rho_bank,
     solve_alpha,
     verify_cuntz,
@@ -69,16 +70,8 @@ def last_json(out: str) -> dict:
 
 
 def test_report_round_trip():
-    report = RunReport(
-        command="verify gram",
-        params={"rho_re": 0.0, "rho_im": 1.0},
-        metrics={"max_offdiag": 1.2e-15},
-        passed=True,
-        tolerances={"max_entry_dev": 1e-8},
-        duration_ms=12,
-        version="0.1.0",
-    )
-    text = report.to_json()
+    check = Check(True, {"max_offdiag": 1.2e-15}, {"max_entry_dev": 1e-8})
+    text = report_json("verify gram", {"rho_re": 0.0, "rho_im": 1.0}, check, 12)
     assert json.loads(text) == {
         "command": "verify gram",
         "params": {"rho_re": 0.0, "rho_im": 1.0},
@@ -86,7 +79,7 @@ def test_report_round_trip():
         "pass": True,
         "tolerances": {"max_entry_dev": 1e-8},
         "duration_ms": 12,
-        "version": "0.1.0",
+        "version": frame_lab.__version__,
         "schema_version": "1",
     }
     # keys sorted lexicographically
@@ -95,17 +88,14 @@ def test_report_round_trip():
 
 
 def test_report_sanitizes_numpy_scalars():
-    report = RunReport(
-        command="x",
-        params={},
-        metrics={"v": np.float64(1.5), "flag": np.bool_(True)},
-        passed=np.bool_(True),
-        tolerances={},
-        duration_ms=0,
-        version="0",
-    )
-    data = json.loads(report.to_json())
-    assert data["metrics"] == {"v": 1.5, "flag": True}
+    # numpy values become Python ones, and a non-finite float its string
+    metrics = {"v": np.float64(1.5), "flag": np.bool_(True), "rows": np.arange(2),
+               "worst": [np.inf, -np.inf], "dev": np.float64(np.nan)}
+    text = report_json("x", {}, Check(np.bool_(False), metrics, {}), 0)
+    data = json.loads(text, parse_constant=_reject_constant)
+    assert data["pass"] is False
+    assert data["metrics"] == {"v": 1.5, "flag": True, "rows": [0, 1], "worst": ["inf", "-inf"],
+                               "dev": "nan"}
 
 
 def test_mu4hat_zero(capsys):
@@ -234,7 +224,7 @@ def test_a_huge_matrix_entry_fails_without_a_warning(tmp_path, capsys):
     path.write_text(matrix_to_json(huge))
     code, out, err = run_cli(capsys, "verify", "unitarity", "--matrix-json", str(path))
     assert (code, err) == (1, "")
-    assert last_json(out)["metrics"]["max_dev"] == float("inf")
+    assert last_json(out)["metrics"]["max_dev"] == "inf"  # strict JSON has no Infinity
 
 
 def test_verify_gram_cli(capsys):
@@ -633,11 +623,28 @@ def test_verify_report_is_the_library_check(capsys, name):
     code, out, _ = run_cli(capsys, "verify", name, *flags)
     report = last_json(out)
     check = library_check()
-    want = json.loads(RunReport("", {}, check.metrics, check.passed, check.tolerances, 0, "").to_json())
+    want = json.loads(report_json("", {}, check, 0))
     assert {k: report[k] for k in ("pass", "metrics", "tolerances")} == {
         k: want[k] for k in ("pass", "metrics", "tolerances")
     }
     assert code == (0 if check.passed else 1)
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["verify", "nogo-mu3"], 0), (["verify", "incomplete", "--gamma", "0"], 1)]
+)
+def test_a_closed_stdout_exits_by_the_verdict(argv, code):
+    # a reader that leaves before the report (`| head -c 0`) costs no traceback
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(frame_lab.__file__).resolve().parents[1])}
+    env.pop("FRAME_LAB_TOL", None)
+    try:
+        result = subprocess.run([sys.executable, "-m", "frame_lab", *argv], stdout=write,
+                                stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (code, b"")
 
 
 def test_help_exits_0(capsys):
@@ -799,6 +806,10 @@ _FLOAT = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 _TOL = st.one_of(st.sampled_from(["1e-8", "1e-12"]), _FLOAT)
+_HUGE_ENTRY = hadamard_rho(1.0)
+_HUGE_ENTRY[1, 1] = 1e200  # H*H overflows: the report's max_dev is not finite
+# Matrices for --matrix-json: an admissible one, and one with a huge entry.
+_MATRIX_FILES = {"rho_one.json": hadamard_rho(1.0), "huge.json": _HUGE_ENTRY}
 _HUGE = 10**30
 
 
@@ -854,7 +865,8 @@ def _argv(draw):
         return ["weights", *draw(_bank()), *n_max]
     if command == "unitarity":
         samples = draw(_optional("samples", _ints(1, 4, cap=MAX_SAMPLES)))
-        return ["verify", "unitarity", *samples, *tol]
+        matrix = draw(st.sampled_from([[], *(["--matrix-json", name] for name in _MATRIX_FILES)]))
+        return ["verify", "unitarity", *samples, *matrix, *tol]
     if command == "cuntz":
         sizes = [
             draw(_optional("level", _ints(0, 1, 2, cap=4))),
@@ -898,20 +910,55 @@ def _reject_constant(name):
 
 
 @pytest.fixture(scope="module")
-def weights_out(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("cli_property") / "w.csv")
+def property_dir(tmp_path_factory):
+    """The property test's working files: its matrices, and the weights CSV it writes."""
+    path = tmp_path_factory.mktemp("cli_property")
+    for name, A in _MATRIX_FILES.items():
+        (path / name).write_text(matrix_to_json(A))
+    return path
 
 
+# A guard of each kind that a drawn argv may miss: exit 3, then exit 2.
+GUARD_ARGVS = [
+    ["verify", "ruelle", "--level", "5"],
+    ["verify", "ruelle", "--grid=-1:0:0"],
+    ["verify", "incomplete", "--gamma", "1", "1"],
+    ["verify", "parseval", "--n-max", "0"],
+    ["verify", "parseval", "--gamma", "9007199254740992"],
+    ["weights", "--n-max", "-1"],
+    ["verify", "cuntz", "--trials", "0"],
+    ["verify", "cuntz", "--level", "-1"],
+    ["verify", "cuntz", "--seed", "-1"],
+    ["verify", "unitarity", "--samples", "0"],
+    ["verify", "gram", "--max-word-len", "0"],
+    ["verify", "projection", "--max-word-len", "0"],
+    ["mu4hat", "--t", "nan"],
+    ["mu4hat", "--t", "inf"],
+    ["mu4hat", "--t", "1", "--tol", "0"],
+    ["mu4hat", "--t", "1", "--tol", "-1"],
+    ["verify", "gram", "--rho-re", "1", "--p-re", "0.6", "--q-re", "0.8"],
+    ["verify", "gram", "--p-im", "0.1"],
+]
+
+
+def _with_guard_examples(test):
+    for argv in GUARD_ARGVS:
+        test = example(argv=argv)(test)
+    return test
+
+
+@_with_guard_examples
 @given(argv=_argv())
 @settings(
     max_examples=150, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_every_argv_keeps_the_exit_contract(weights_out, argv):
-    # exit 0/1 with one JSON report line, or exit 2/3 with nothing on stdout
-    # and one line on stderr
+def test_every_argv_keeps_the_exit_contract(property_dir, argv):
+    # exit 0/1 with one strict JSON report line, or exit 2/3 with nothing on
+    # stdout and one line on stderr
+    argv = [str(property_dir / a) if a in _MATRIX_FILES else a for a in argv]
     if argv[0] == "weights":
-        argv = [*argv, "--out", weights_out]
+        argv = [*argv, "--out", str(property_dir / "w.csv")]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:

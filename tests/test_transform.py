@@ -84,6 +84,22 @@ def test_uncertifiable_factor_count_is_refused():
     assert abs(mu4_hat(1e24)) <= 1.0
 
 
+@pytest.mark.parametrize(
+    "t, tol, culprit",
+    [
+        (1e30, TOL, "|t| = 1e+30"),
+        (4.0, 5e-37, "|t| = 4"),  # 5e-37 alone needs 64 factors, |t| = 4 one more
+        (1.0, 4e-37, "tolerance 4e-37"),  # 65 factors at any t
+        (1e30, 4e-37, "tolerance 4e-37"),
+        (0.0, 5e-324, "tolerance 4.94e-324"),
+    ],
+)
+def test_capacity_message_names_the_input_that_needs_the_factors(t, tol, culprit):
+    with pytest.raises(CapacityError) as exc:
+        mu4_hat(t, tol)
+    assert str(exc.value) == f"{culprit} needs over 64 factors"
+
+
 def test_mu4_hat_at_two_matches_recursion_oracle():
     assert abs(mu4_hat(2) - mu4_hat_recursive(2.0)) < 1e-12
     assert abs(mu4_hat(2)) > 0.1
