@@ -10,6 +10,7 @@ line is the verdict; exit 0 only if every call exits 0.
 """
 
 import argparse
+import gc
 import os
 from pathlib import Path
 
@@ -64,4 +65,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()  # as in frame_lab.__main__: the collector passes over the import-time objects
     raise SystemExit(main())

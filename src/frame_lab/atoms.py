@@ -53,29 +53,26 @@ class FunctionSum:
 
     def __post_init__(self):
         rows = self.atoms
-        if not (isinstance(rows, np.ndarray) and rows.dtype == ATOM):
+        if isinstance(rows, np.ndarray) and rows.dtype == ATOM:
+            atoms = _copy(rows)
+        else:
             try:
                 single = np.array(rows, dtype=_ROW, ndmin=1)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise DomainError(f"atoms must be (coeff, freq, code, level) rows: {exc}") from None
-            rows = np.zeros(single.shape, dtype=ATOM)
+            atoms = np.zeros(single.shape, dtype=ATOM)
             for name in _ROW.names:
-                rows[name] = single[name]
-        atoms = _copy(rows)
-        level, code = atoms["level"], atoms["code"]
-        if atoms.ndim != 1:
-            raise DomainError(f"atoms must form one row per atom, got shape {atoms.shape}")
-        if len(atoms):  # reductions, not elementwise masks: construction is on every hot path
-            if level.min() < 0 or level.max() > MAX_LEVEL:
-                raise DomainError(f"levels must lie in [0, {MAX_LEVEL}]")
-            if code.min() < 0 or (code >> 2 * level).any():
-                raise DomainError("codes must lie in [0, 4^level)")
-            if not np.isfinite(atoms["freq"]).all():
-                raise DomainError("frequencies must be finite")
-            if atoms["vec"].min() < 0:
-                raise DomainError("vector indices must be >= 0")
-        atoms.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
+                atoms[name] = single[name]
+        object.__setattr__(self, "atoms", _checked(atoms))
+
+    @classmethod
+    def _adopt(cls, atoms: np.ndarray) -> FunctionSum:
+        """The sum over an ATOM array that no one else writes to, such as
+        one the library has just built: checked like any input and made
+        read-only, but not copied."""
+        F = object.__new__(cls)
+        object.__setattr__(F, "atoms", _checked(atoms))
+        return F
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -87,6 +84,24 @@ class FunctionSum:
 
 def _copy(atoms: np.ndarray) -> np.ndarray:
     return np.array(atoms.view(_RAW), ndmin=1).view(ATOM)
+
+
+def _checked(atoms: np.ndarray) -> np.ndarray:
+    """atoms, made read-only, once its rows pass every range check."""
+    level, code = atoms["level"], atoms["code"]
+    if atoms.ndim != 1:
+        raise DomainError(f"atoms must form one row per atom, got shape {atoms.shape}")
+    if len(atoms):  # reductions, not elementwise masks: construction is on every hot path
+        if level.min() < 0 or level.max() > MAX_LEVEL:
+            raise DomainError(f"levels must lie in [0, {MAX_LEVEL}]")
+        if code.min() < 0 or (code >> 2 * level).any():
+            raise DomainError("codes must lie in [0, 4^level)")
+        if not np.isfinite(atoms["freq"]).all():
+            raise DomainError("frequencies must be finite")
+        if atoms["vec"].min() < 0:
+            raise DomainError("vector indices must be >= 0")
+    atoms.setflags(write=False)
+    return atoms
 
 
 def exponential(t) -> FunctionSum:
@@ -108,23 +123,27 @@ def _key_order(atoms: np.ndarray) -> np.ndarray:
 def normalize(F: FunctionSum) -> FunctionSum:
     """Merge identical-key atoms, drop coefficients of size <= MERGE_TOL, sort keys.
 
-    Merged coefficients are added in input order.
+    Merged coefficients are added in input order. The merge runs on the
+    sort order and one key field at a time; the kept rows are gathered once.
     """
-    a = np.take(F.atoms, _key_order(F.atoms))
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a["vec"][1:] != a["vec"][:-1]
-    for f in ("freq", "code", "level"):
-        first[1:] |= a[f][1:] != a[f][:-1]
+    atoms = F.atoms
+    order = _key_order(atoms)
+    first = np.zeros(len(order), dtype=bool)  # the first atom of each key, in key order
+    first[:1] = True
+    for name in ("vec", "freq", "code", "level"):
+        key = atoms[name][order]
+        first[1:] |= key[1:] != key[:-1]
     coeff = np.zeros(np.count_nonzero(first), dtype=complex)
-    np.add.at(coeff, np.cumsum(first) - 1, a["coeff"])
-    out = np.compress(first, a)
-    out["coeff"] = coeff
-    return FunctionSum(np.compress(np.abs(coeff) > MERGE_TOL, out))
+    np.add.at(coeff, np.cumsum(first) - 1, atoms["coeff"][order])
+    kept = np.abs(coeff) > MERGE_TOL
+    out = np.take(atoms, order[first][kept])
+    out["coeff"] = coeff[kept]
+    return FunctionSum._adopt(out)
 
 
 def concat(*sums: FunctionSum) -> FunctionSum:
     """The atoms of every sum, in order, each keeping its vector index."""
-    return FunctionSum(np.concatenate([F.atoms.view(_RAW) for F in sums]).view(ATOM))
+    return FunctionSum._adopt(np.concatenate([F.atoms.view(_RAW) for F in sums]).view(ATOM))
 
 
 def fs_add(*sums: FunctionSum) -> FunctionSum:
@@ -134,7 +153,7 @@ def fs_add(*sums: FunctionSum) -> FunctionSum:
 def fs_scale(F: FunctionSum, scalar: complex) -> FunctionSum:
     atoms = _copy(F.atoms)
     atoms["coeff"] = scalar * atoms["coeff"]
-    return FunctionSum(atoms)
+    return FunctionSum._adopt(atoms)
 
 
 def fs_sub(F: FunctionSum, G: FunctionSum) -> FunctionSum:
@@ -145,7 +164,7 @@ def renumber(F: FunctionSum, scale: int, offset: int) -> FunctionSum:
     """The same batch with vector v renamed scale * v + offset."""
     atoms = _copy(F.atoms)
     atoms["vec"] = scale * atoms["vec"] + offset
-    return FunctionSum(atoms)
+    return FunctionSum._adopt(atoms)
 
 
 def refine(F: FunctionSum, K: int) -> FunctionSum:
@@ -160,7 +179,7 @@ def refine(F: FunctionSum, K: int) -> FunctionSum:
     i = np.arange(len(out)) - np.repeat(np.cumsum(copies) - copies, copies)
     out["code"] = out["code"] << 2 * (K - out["level"]) | i
     out["level"] = K
-    return normalize(FunctionSum(out))
+    return normalize(FunctionSum._adopt(out))
 
 
 def inner_products(F: FunctionSum, G: FunctionSum, count: int) -> np.ndarray:

@@ -49,42 +49,59 @@ def apply_S(bank: FilterBank, F: FunctionSum) -> FunctionSum:
     Under S_j an atom (c,t,u) maps to its four children; child k carries
     coefficient 2*a_jk*c*e^{-2 pi i t xd(k)}, frequency 4t + j, and k
     prepended to the word, xd(k) being the x digit of k. The children of
-    every atom are one (atoms, 4 j, 4 k) broadcast.
+    every atom are one (atoms, 4 j, 4 k) broadcast, merged once its
+    temporaries are freed.
     """
-    a = F.atoms[:, None, None]
-    children = np.empty((len(F), 4, 4), dtype=ATOM)
-    children["coeff"] = 2.0 * bank.A * a["coeff"] * cis(-a["freq"] * _X_DIGITS)
+    return normalize(FunctionSum._adopt(_children(bank, F.atoms)))
+
+
+def _children(bank: FilterBank, atoms: np.ndarray) -> np.ndarray:
+    """The unmerged images of apply_S: (atoms, 4 j, 4 k) rows, flattened."""
+    a = atoms[:, None, None]
+    coeff = 2.0 * bank.A * a["coeff"]
+    coeff *= cis(-a["freq"] * _X_DIGITS)
+    children = np.empty((len(atoms), 4, 4), dtype=ATOM)
+    children["coeff"] = coeff
     children["freq"] = 4 * a["freq"] + _PAIRS[:, None]
     children["code"] = _PAIRS << 2 * a["level"] | a["code"]
     children["level"] = a["level"] + 1
     children["vec"] = 4 * a["vec"] + _PAIRS[:, None]
-    return normalize(FunctionSum(children.ravel()))
+    return children.ravel()
 
 
 def apply_S_star(bank: FilterBank, F: FunctionSum) -> FunctionSum:
     """The adjoints, all four at once: vector v of F becomes the vectors
     4v + j, each holding S_j* F_v. S_j* strips the leading digit pair.
 
-    Pair k of an atom (c,t,u) carries conj(a_jk) e^{2 pi i (t - j) xd(k)/4} / 2.
-    On a level-0 atom all four pairs contribute and the result is the symbol
-    value little_m(j, t) times the exponential at (t - j)/4; on a deeper atom
-    only its leading pair k = u >> 2(level - 1) survives. The images of every
-    atom are one (atoms, 4 j) broadcast.
+    Pair k of an atom (c,t,u) carries conj(a_jk) e^{2 pi i (t - j) xd(k)/4} / 2,
+    whose phase is exactly 1 on an even pair (xd = 0). On a deeper atom
+    only its leading pair k = u >> 2(level - 1) survives; on a level-0 atom
+    all four pairs contribute and the result is the symbol value
+    little_m(j, t), summed (k0 + k1) + (k2 + k3), times the exponential at
+    (t - j)/4. The images of every atom are one (atoms, 4 j) broadcast,
+    merged once its temporaries are freed.
     """
-    a = F.atoms
+    return normalize(FunctionSum._adopt(_adjoint_images(bank, F.atoms)))
+
+
+def _adjoint_images(bank: FilterBank, a: np.ndarray) -> np.ndarray:
+    """The unmerged images of apply_S_star: (atoms, 4 j) rows, flattened."""
     t = a["freq"][:, None]
-    per_pair = bank.A.conj() * cis((t[:, :, None] - _PAIRS[:, None]) * _X_DIGITS / 4)
+    odd = cis((t - _PAIRS) * 2 / 4)  # the phase of an odd pair (x digit 2) at (atom, j)
+    conj = np.ascontiguousarray(bank.A.conj().T)  # conj[k, j] = conj(a_jk)
     shift = np.maximum(2 * (a["level"] - 1), 0)
     lead = a["code"] >> shift
-    leading = per_pair[np.arange(len(a))[:, None], _PAIRS, lead[:, None]]
-    factor = np.where(a["level"][:, None] > 0, leading, per_pair.sum(axis=2))
+    factor = conj[lead] * np.where((lead & 1)[:, None] == 1, odd, 1.0)
+    top = a["level"] == 0  # all four pairs: the symbol
+    k0, k1, k2, k3 = (conj[k] * (odd[top] if k & 1 else 1.0) for k in _PAIRS)
+    factor[top] = (k0 + k1) + (k2 + k3)
     out = np.empty((len(a), 4), dtype=ATOM)
     out["coeff"] = 0.5 * factor * a["coeff"][:, None]
     out["freq"] = (t - _PAIRS) / 4
     out["code"] = (a["code"] - (lead << shift))[:, None]
     out["level"] = np.maximum(a["level"] - 1, 0)[:, None]
     out["vec"] = 4 * a["vec"][:, None] + _PAIRS
-    return normalize(FunctionSum(out.ravel()))
+    return out.ravel()
 
 
 def family_size(max_len: int) -> int:
@@ -119,7 +136,7 @@ def generated_family(bank: FilterBank, max_len: int) -> Iterator[FunctionSum]:
         cuts = np.searchsorted(prefixes.atoms["vec"], [*range(lo, hi, step), hi])
         batches = []
         for i, k in zip(cuts[:-1], cuts[1:]):
-            batch = apply_S(bank, FunctionSum(prefixes.atoms[i:k]))
+            batch = apply_S(bank, FunctionSum._adopt(prefixes.atoms[i:k]))
             if K < max_len:
                 batches.append(batch)
             yield batch
@@ -148,7 +165,7 @@ def random_function_sum(rng: random.Random, level: int, vectors: int = 1) -> Fun
             angle = 2.0 * math.pi * rng.random()
             coeff = complex(radius * math.cos(angle), radius * math.sin(angle))
             atoms.append((coeff, freq - 8, code, level, v))
-    return normalize(FunctionSum(np.array(atoms, dtype=ATOM)))
+    return normalize(FunctionSum._adopt(np.array(atoms, dtype=ATOM)))
 
 
 def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: float) -> Check:
@@ -184,7 +201,7 @@ def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: floa
         vec = terms["vec"]
         terms = np.compress((vec >> 2 & 3) == (vec & 3), terms)
         terms["vec"] = 16 * T + (terms["vec"] >> 4)
-        total = normalize(FunctionSum(terms))  # sum_k S_k S_k* F_v at vector 16 T + v
+        total = normalize(FunctionSum._adopt(terms))  # sum_k S_k S_k* F_v at vector 16 T + v
         # At level 0 the sum is one level deeper than F; refined to it, F cancels
         # atom by atom instead of leaving a difference of ~1e-16 per atom pair.
         refined = renumber(refine(F, total.level), 1, 16 * T)

@@ -36,6 +36,7 @@ SHAPE_TOL = 1e-10  # largest spread of the y-integrals that project_V accepts
 INCOMPLETE_THRESHOLD = 1e-6  # deficiency above which a frequency is flagged
 SPECIALIZATION_TOL = 1e-12  # largest gap verify_ruelle allows between reduced and general sums
 _CSV_BLOCK = 4**6  # weight table rows built and written at a time
+_ENERGY_BLOCK = 4**7  # h_partial's grid x support terms at a time (at least one grid point)
 # Digit j adds 1 to l_j; the counts (<= 11) are summed packed 4 bits each in one int16.
 _PACKED_COUNT = np.array([0, 1, 16, 256], dtype=np.int16)
 
@@ -194,22 +195,30 @@ def _checkpoint_grid(n_max: int) -> list[int]:
     return grid
 
 
-def _weighted_terms(f, bank: FilterBank, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n, terms): the ascending support n <= n_max of the bank's frame
-    weights d_n, as weight_table lists it, and terms[..., i] =
-    |d_n|^2 |sum_g c_g mu4_hat(g - n)|^2 at n = n[i].
+def _frame_support(f, bank: FilterBank, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, weights): the ascending support n <= n_max of the bank's frame
+    weights d_n, as weight_table lists it, and |d_n|^2 on it.
 
-    The one kernel behind traces, incompleteness and the energy function.
-    Off the support every term is 0.0 and none is stored, so the memory
-    grows with the support (at most 3^L below 4^L), not with n_max. A
-    frequency g may be an array ending in an axis of length 1: the terms
-    then get its leading axes.
+    Off the support every term of a trace or energy sum is 0.0 and none is
+    stored, so their memory grows with the support (at most 3^L below
+    4^L), not with n_max. The frequencies g of f must keep every g - n
+    exact in float64.
     """
     n, _, d = weight_table(bank.digit_weights, n_max)
     if any(np.max(np.abs(g)) + n_max >= 2**53 for g, _ in f):
         raise DomainError("frequencies must stay below 2^53 to be exact in float64")
+    return n, np.abs(d) ** 2
+
+
+def _weighted_terms(f, n: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """terms[..., i] = weights[i] |sum_g c_g mu4_hat(g - n[i])|^2.
+
+    The one kernel behind traces, incompleteness and the energy function.
+    A frequency g may be an array ending in an axis of length 1: the terms
+    then get its leading axes.
+    """
     inner = sum(c * mu4_hat_array(g - n) for g, c in f)
-    return n, np.abs(d) ** 2 * np.abs(inner) ** 2
+    return weights * np.abs(inner) ** 2
 
 
 def parseval_trace(
@@ -235,7 +244,8 @@ def parseval_trace(
     target = 0.0
     for (_, c), mu in zip(pairs, mu4_hat_array([d for d, _ in pairs]).tolist()):
         target += (c * mu).real
-    n, terms = _weighted_terms(f, bank, n_max)
+    n, weights = _frame_support(f, bank, n_max)
+    terms = _weighted_terms(f, n, weights)
     grid = _checkpoint_grid(n_max)
     running = np.cumsum(terms)[np.searchsorted(n, grid, "right") - 1]  # n[0] = 0 is on the support
     checkpoints = tuple(zip(grid, running.tolist()))
@@ -261,16 +271,22 @@ def h_partial(t, bank: FilterBank, max_len: int):
     Parseval partial sum over n < 4^max_len for e_t with the bank's digit
     weights, computed by the weighted-transform kernel and summed over the
     support in order, as parseval_trace sums: at an integer t it is bit for
-    bit the trace's last partial sum at n_max = 4^max_len - 1. The
-    refinement identity check stays two-sided: the symbols little_m are
-    independent.
+    bit the trace's last partial sum at n_max = 4^max_len - 1. The grid is
+    taken _ENERGY_BLOCK terms at a time (at least one point), so no array
+    spans the grid times the support. The refinement identity check stays
+    two-sided: the symbols little_m are independent.
     """
     if max_len < 1:
         raise ContractError("max_len must be >= 1")
     t = np.asarray(t, dtype=np.float64)
-    _, terms = _weighted_terms([(t[..., None], 1.0)], bank, 4**max_len - 1)
-    # copied, so the result does not keep the whole cumsum alive
-    return np.cumsum(terms, axis=-1)[..., -1].copy()
+    n, weights = _frame_support([(t, 1.0)], bank, 4**max_len - 1)
+    points = t.reshape(-1, 1)
+    step = max(1, _ENERGY_BLOCK // len(n))  # grid points per block
+    out = np.empty(len(points))
+    for lo in range(0, len(points), step):
+        terms = _weighted_terms([(points[lo : lo + step], 1.0)], n, weights)
+        out[lo : lo + step] = np.cumsum(terms, axis=-1)[:, -1]
+    return out.reshape(t.shape)[()]
 
 
 def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], L: int, tol: float) -> Check:

@@ -21,7 +21,7 @@ from .errors import CapacityError, DomainError
 
 # e^{2 pi i m/4}, m = 0..3 (a negative m indexes from the end: m = -1 is -i)
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
-_BLOCK = 256  # elements per pass of mu4_hat_array; bounds its (factor x element) arrays
+_BLOCK = 4096  # elements per block of mu4_hat_array, and (factor x element) entries per pass
 TOL = 1e-12  # default bound on the deviation of the truncated product from the infinite one
 MAX_FACTORS = 64  # largest factor count a certified evaluation may use
 
@@ -68,28 +68,35 @@ def mu4_hat_array(t, tol: float = TOL) -> np.ndarray:
 
     Factor k is (1 + cis(2t/4^k))/2: the turns come from a power-of-two
     scaling and cis reduces them by an exact fmod, so whole quarter turns
-    take exact phases. Each element gets its own certified factor count;
-    every element runs through the largest count, its factors past its own
-    being exactly 1. The elements are taken _BLOCK at a time, each block's
-    factors at once, and the product is formed from real multiplies and
-    adds, one rounding each, so an element's bits do not depend on the
-    array it is evaluated in.
+    take exact phases. Each element gets its own certified factor count.
+    The elements are taken _BLOCK at a time. A block runs through its own
+    largest count, an element's factors past its own being exactly 1, and
+    takes as many factors per pass as keep a pass within _BLOCK (factor x
+    element) entries: one at a time over a full block, all of them for a
+    short array. The product is formed from real multiplies and adds, one
+    rounding each, so an element's bits do not depend on the array it is
+    evaluated in.
     """
     t = np.array(t, dtype=np.float64, ndmin=1)
     if not np.all(np.isfinite(t)):
         raise DomainError("t must be finite")
     counts = factor_count(np.abs(t), tol).ravel()
-    k = np.arange(1, np.max(counts, initial=0) + 1)[:, None]
     out = np.empty(t.shape, dtype=complex)
     flat_t, flat_out = t.ravel(), out.reshape(-1)
     for lo in range(0, t.size, _BLOCK):
         part = slice(lo, lo + _BLOCK)
-        turns = np.ldexp(flat_t[part], 1 - 2 * k)  # row k - 1: 2t/4^k
-        turns[counts[part] < k] = 0.0  # past this element's certified count: factor 1
-        phase = cis(turns)
-        re, im = np.ones(turns.shape[1]), np.zeros(turns.shape[1])
-        for f_re, f_im in zip((1.0 + phase.real) * 0.5, phase.imag * 0.5):
-            re, im = re * f_re - im * f_im, re * f_im + im * f_re
+        block, block_counts = flat_t[part], counts[part]
+        re, im = np.ones(len(block)), np.zeros(len(block))
+        fewest, last = int(block_counts.min()), int(block_counts.max())
+        per_pass = _BLOCK // len(block)
+        for first in range(1, last + 1, per_pass):
+            k = np.arange(first, min(first + per_pass, last + 1))[:, None]
+            turns = np.ldexp(block, 1 - 2 * k)  # row k - first: 2t/4^k
+            if k[-1, 0] > fewest:  # past an element's certified count its factor is 1
+                turns[block_counts < k] = 0.0
+            phase = cis(turns)
+            for f_re, f_im in zip((1.0 + phase.real) * 0.5, phase.imag * 0.5):
+                re, im = re * f_re - im * f_im, re * f_im + im * f_re
         flat_out[part].real, flat_out[part].imag = re, im
     return out
 

@@ -15,7 +15,17 @@ from frame_lab import (
     normalize,
     refine,
 )
-from frame_lab.atoms import ONE, concat, fs_add, fs_scale, fs_sub, inner_products, renumber
+from frame_lab.atoms import (
+    ATOM,
+    MAX_LEVEL,
+    ONE,
+    concat,
+    fs_add,
+    fs_scale,
+    fs_sub,
+    inner_products,
+    renumber,
+)
 from frame_lab.cuntz import apply_S, apply_S_star
 from frame_lab.filters import rho_bank
 from oracles import (
@@ -101,6 +111,35 @@ def test_function_sum_coerces_its_input():
     assert F.atoms["coeff"].dtype == complex and F.atoms["freq"].tolist() == [2.0, -0.25]
     assert not F.atoms.flags.writeable
     assert len(FunctionSum([])) == 0 and FunctionSum([]).level == 0
+
+
+def test_function_sum_copies_a_callers_array_and_its_results_are_read_only(bank_i):
+    rows = np.array([(1.0, 0.0, 0, 0, 0), (2j, 1.0, 3, 1, 0)], dtype=ATOM)
+    F = FunctionSum(rows)
+    rows["coeff"] = 5.0
+    assert F.atoms["coeff"].tolist() == [1.0, 2j]  # the caller's later write changes nothing
+    assert rows.flags.writeable and not F.atoms.flags.writeable
+    results = [
+        normalize(F), concat(F, F), fs_add(F, F), fs_scale(F, 2.0), fs_sub(F, F),
+        renumber(F, 2, 1), refine(F, 2), apply_S(bank_i, F), apply_S_star(bank_i, F),
+    ]
+    for G in results:
+        assert not G.atoms.flags.writeable
+        assert not np.shares_memory(G.atoms, rows) and not np.shares_memory(G.atoms, F.atoms)
+        with pytest.raises(ValueError):
+            G.atoms["coeff"] = 0.0
+
+
+def test_operators_keep_the_level_cap(bank_i):
+    # S_j adds a level: the children of a level-MAX_LEVEL atom would have
+    # level MAX_LEVEL + 1 and codes past int64
+    top = FunctionSum([(1.0, 0.5, 4**MAX_LEVEL - 1, MAX_LEVEL)])
+    with pytest.raises(DomainError, match="levels must lie"):
+        apply_S(bank_i, top)
+    below = apply_S(bank_i, FunctionSum([(1.0, 0.5, 4 ** (MAX_LEVEL - 1) - 1, MAX_LEVEL - 1)]))
+    assert below.level == MAX_LEVEL and np.all(below.atoms["code"] >= 0)
+    assert np.all(below.atoms["code"] >> 2 * MAX_LEVEL == 0)
+    assert apply_S_star(bank_i, top).level == MAX_LEVEL - 1
 
 
 def test_refine_constant():

@@ -22,6 +22,7 @@ from frame_lab import (
     verify_gram,
     verify_incomplete,
     verify_projection,
+    verify_ruelle,
     verify_unitarity,
     weight_table,
 )
@@ -260,8 +261,8 @@ def test_generated_family_batches_hold_at_most_the_atom_bound(bank_pq, max_len):
 
 def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
     # generated_family keeps one length and batches of FAMILY_BATCH_ATOMS
-    # atoms; all words of length 5 at once would take ~38 MB
-    limit = 16 * 2**20
+    # atoms, and the operators keep one copy of their output; all words of
+    # length 5 at once would take ~38 MB
     tracemalloc.start()
     try:
         projection = verify_projection(bank_i, FAMILY_MAX_LEN, 1e-10)
@@ -271,8 +272,8 @@ def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
         _, cuntz_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert projection_peak <= limit
-    assert cuntz_peak <= limit
+    assert projection_peak <= 7 * 2**20, projection_peak
+    assert cuntz_peak <= 3 * 2**20, cuntz_peak
     assert projection.passed and cuntz.passed
 
 
@@ -302,6 +303,19 @@ def test_spectral_checks_at_their_caps_hold_only_the_support(bank_i, bank_minus_
     finally:
         tracemalloc.stop()
     assert max(peaks.values()) <= limit, peaks
+
+
+def test_energy_function_at_the_ruelle_cap_streams_its_grid(bank_i):
+    # h_partial takes the grid _ENERGY_BLOCK terms at a time; at once, the
+    # 4 x 1000 points x 81 support frequencies of the cap take 12.4 MiB
+    tracemalloc.start()
+    try:
+        check = verify_ruelle(bank_i, np.linspace(-1, 0, 1000), 4, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
+    assert check.passed
 
 
 def test_verify_cuntz_report(bank_one):

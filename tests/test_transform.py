@@ -11,7 +11,7 @@ from frame_lab import (
     cis,
     mu4_hat,
 )
-from frame_lab.transform import TOL, mu4_hat_array
+from frame_lab.transform import _BLOCK, TOL, mu4_hat_array
 from oracles import (
     XCylinder,
     cylinder_exp_integral,
@@ -73,6 +73,37 @@ def test_mu4_hat_bits_do_not_depend_on_the_batch():
     assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
     part = np.ascontiguousarray(batch[::-7])
     assert np.array_equal(mu4_hat_array(ts[::-7]).view(np.uint64), part.view(np.uint64))
+
+
+@pytest.fixture(scope="module")
+def block_pool():
+    """t values with |t| from 0 to 4^10, so that factor counts (24 to 34)
+    differ within a block, each with its single-element transform and
+    whether it is a structural zero 4^m * odd."""
+    rng = np.random.default_rng(20261019)
+    m = np.arange(11)
+    zeros = np.concatenate([4.0**m, 3 * 4.0**m, 7 * 4.0 ** m[:-1], 45 * 4.0 ** m[:-2]])
+    others = np.concatenate(
+        [
+            [0.0, 2.0, 8.0, 2.0 * 4**9, 4.0**10 - 2],
+            rng.integers(-64, 64, 40) / 16.0 + 1 / 32,
+            rng.uniform(-(4**10), 4**10, 60),
+            rng.uniform(-1, 1, 20),
+        ]
+    )
+    pool = np.concatenate([zeros, -zeros, others, -others])
+    alone = np.concatenate([mu4_hat_array(t) for t in pool])
+    return pool, alone, np.arange(len(pool)) < 2 * len(zeros)
+
+
+@pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_mu4_hat_bits_do_not_depend_on_the_block(block_pool, size):
+    pool, alone, is_zero = block_pool
+    pick = np.random.default_rng(size).integers(0, len(pool), size)
+    batch = mu4_hat_array(pool[pick])
+    assert np.array_equal(batch.view(np.uint64), alone[pick].view(np.uint64))
+    assert np.array_equal(batch == 0, is_zero[pick])
+    assert not batch[is_zero[pick]].view(np.uint64).any()  # +0.0 in both parts
 
 
 def test_uncertifiable_factor_count_is_refused():
