@@ -9,7 +9,8 @@ every value-gated command, the calls of the certification ladder (its
 `weights` calls and trace exports write their CSVs into the temporary
 directory), weight tables whose length straddles the 4^6-row blocks the
 CSV is written in, a trace whose last checkpoint is no power of 4, the
-runs at and just past each capacity cap, runs at a tolerance no check can
+runs at and just past each capacity cap, `verify cuntz` at levels 0 and 1
+on banks whose entries are not dyadic, runs at a tolerance no check can
 meet and at one so small that tol / 10 underflows, a grid whose span
 overflows, runs on malformed input files, on well-formed matrices (one
 with an entry so large that H*H overflows) and banks that are not
@@ -48,6 +49,7 @@ from frame_lab.filters import hadamard_rho, matrix_to_json  # noqa: E402
 
 SEEDS = (0, 1, 2)
 RHO_I = ("--rho-im", "1")
+RHO_PI_3 = ("--rho-re", "0.5", "--rho-im", "0.8660254037844386")  # rho = e^{i pi/3}
 S2 = "0.7071067811865476"  # 1/sqrt(2)
 ENTRY = {"re": 0.5, "im": 0}
 
@@ -108,7 +110,8 @@ def _ladder_argvs() -> list[list[str]]:
 
 def _cap_argvs() -> list[list[str]]:
     """The largest run each cap in the README allows, one step past it, and
-    the smallest verify cuntz level."""
+    the smallest verify cuntz levels, on rho = 1 and on three banks whose
+    entries are not dyadic."""
     gammas = [str(g) for g in range(100)]
     out = []
     for past in (0, 1):
@@ -128,6 +131,12 @@ def _cap_argvs() -> list[list[str]]:
     # level 0, where the identity sum is one level deeper than the trial vector
     out += [["verify", "cuntz", "--rho-re", "1", "--level", "0", "--trials", "3", "--seed", str(s)]
             for s in SEEDS]
+    # levels 0 and 1 on banks whose entries are not dyadic, so the level-0
+    # symbol and the identity terms round; on the p = q = 1/sqrt(2) solver
+    # bank the residuals are not 0
+    for bank in (("--p-re", "0.6", "--q-re", "0.8"), RHO_PI_3, PQ_ALPHA):
+        out += [["verify", "cuntz", *bank, "--level", level, "--trials", "5"]
+                for level in ("0", "1")]
     out += [["mu4hat", "--t", t] for t in ("0", "2", "-7.25", "1e6", "1e24", "1e30")]
     # the last: a tolerance whose tol / 10 underflows to 0
     return out + [["mu4hat", "--t", "1e30", "--tol", "1e-3"],

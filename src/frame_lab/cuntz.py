@@ -28,7 +28,7 @@ from .atoms import (
     renumber,
 )
 from .errors import CapacityError, ContractError
-from .filters import FilterBank
+from .filters import FilterBank, little_m
 from .report import Check
 from .transform import cis, mu4_hat_array
 
@@ -52,20 +52,23 @@ def apply_S(bank: FilterBank, F: FunctionSum) -> FunctionSum:
     every atom are one (atoms, 4 j, 4 k) broadcast, merged once its
     temporaries are freed.
     """
-    return normalize(FunctionSum._adopt(_children(bank, F.atoms)))
+    return normalize(FunctionSum._adopt(_children(bank, F.atoms, _PAIRS[:, None])))
 
 
-def _children(bank: FilterBank, atoms: np.ndarray) -> np.ndarray:
-    """The unmerged images of apply_S: (atoms, 4 j, 4 k) rows, flattened."""
+def _children(bank: FilterBank, atoms: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The unmerged images under S_j, the letters j broadcast against the
+    (atoms, letters, 1) axes: (4, 1) applies every letter to every atom,
+    (atoms, 1, 1) one letter per atom. The (atoms, letters, 4 k) rows come
+    flattened; vector v goes to 4v + j."""
     a = atoms[:, None, None]
-    coeff = 2.0 * bank.A * a["coeff"]
+    coeff = 2.0 * bank.A[j, _PAIRS] * a["coeff"]
     coeff *= cis(-a["freq"] * _X_DIGITS)
-    children = np.empty((len(atoms), 4, 4), dtype=ATOM)
+    children = np.empty(coeff.shape, dtype=ATOM)
     children["coeff"] = coeff
-    children["freq"] = 4 * a["freq"] + _PAIRS[:, None]
+    children["freq"] = 4 * a["freq"] + j
     children["code"] = _PAIRS << 2 * a["level"] | a["code"]
     children["level"] = a["level"] + 1
-    children["vec"] = 4 * a["vec"] + _PAIRS[:, None]
+    children["vec"] = 4 * a["vec"] + j
     return children.ravel()
 
 
@@ -76,27 +79,28 @@ def apply_S_star(bank: FilterBank, F: FunctionSum) -> FunctionSum:
     Pair k of an atom (c,t,u) carries conj(a_jk) e^{2 pi i (t - j) xd(k)/4} / 2,
     whose phase is exactly 1 on an even pair (xd = 0). On a deeper atom
     only its leading pair k = u >> 2(level - 1) survives; on a level-0 atom
-    all four pairs contribute and the result is the symbol value
-    little_m(j, t), summed (k0 + k1) + (k2 + k3), times the exponential at
-    (t - j)/4. The images of every atom are one (atoms, 4 j) broadcast,
-    merged once its temporaries are freed.
+    all four pairs contribute, and their sum is the symbol: the image is
+    little_m(j, t) c times the exponential at (t - j)/4. The images of every
+    atom are one (atoms, 4 j) broadcast, merged once its temporaries are
+    freed.
     """
     return normalize(FunctionSum._adopt(_adjoint_images(bank, F.atoms)))
 
 
 def _adjoint_images(bank: FilterBank, a: np.ndarray) -> np.ndarray:
-    """The unmerged images of apply_S_star: (atoms, 4 j) rows, flattened."""
+    """The unmerged images of apply_S_star: (atoms, 4 j) rows, flattened.
+    A level-0 atom's factor is little_m, a deeper atom's its leading pair's
+    term."""
     t = a["freq"][:, None]
     odd = cis((t - _PAIRS) * 2 / 4)  # the phase of an odd pair (x digit 2) at (atom, j)
-    conj = np.ascontiguousarray(bank.A.conj().T)  # conj[k, j] = conj(a_jk)
+    half = np.ascontiguousarray(0.5 * bank.A.conj().T)  # half[k, j] = conj(a_jk) / 2
     shift = np.maximum(2 * (a["level"] - 1), 0)
     lead = a["code"] >> shift
-    factor = conj[lead] * np.where((lead & 1)[:, None] == 1, odd, 1.0)
-    top = a["level"] == 0  # all four pairs: the symbol
-    k0, k1, k2, k3 = (conj[k] * (odd[top] if k & 1 else 1.0) for k in _PAIRS)
-    factor[top] = (k0 + k1) + (k2 + k3)
+    factor = half[lead] * np.where((lead & 1)[:, None] == 1, odd, 1.0)
+    top = a["level"] == 0
+    factor[top] = little_m(bank, _PAIRS, t[top])
     out = np.empty((len(a), 4), dtype=ATOM)
-    out["coeff"] = 0.5 * factor * a["coeff"][:, None]
+    out["coeff"] = factor * a["coeff"][:, None]
     out["freq"] = (t - _PAIRS) / 4
     out["code"] = (a["code"] - (lead << shift))[:, None]
     out["level"] = np.maximum(a["level"] - 1, 0)[:, None]
@@ -175,10 +179,11 @@ def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: floa
 
     The trials run in passes of TRIALS_PER_PASS vectors. In a pass of T
     vectors, apply_S_star(apply_S(F)) holds S_j* S_k F_v at vector
-    16v + 4k + j, and apply_S(apply_S_star(F)) holds S_j S_k* F_v there, of
-    which the terms j = k of the identity sum are kept. One subtraction
-    forms the 16 T orthogonality residuals and the T identity residuals,
-    and one norms call measures them with F: 4 operator calls per pass.
+    16v + 4k + j. The identity sum forms only its 4 T terms: each image
+    S_k* F_v of apply_S_star(F) goes through _children with its own letter
+    k, and each term S_k S_k* F_v is merged on its own before the four are
+    added. One subtraction forms the 16 T orthogonality residuals and the
+    T identity residuals, and one norms call measures them with F.
     """
     if trials < 1:
         raise ContractError("trials must be >= 1")
@@ -197,9 +202,10 @@ def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: floa
         F = random_function_sum(rng, level, T)
         G = apply_S_star(bank, apply_S(bank, F))
         diagonal = concat(*[renumber(F, 16, 5 * k) for k in range(4)])  # F_v at the j = k slots
-        terms = apply_S(bank, apply_S_star(bank, F)).atoms
-        vec = terms["vec"]
-        terms = np.compress((vec >> 2 & 3) == (vec & 3), terms)
+        star = apply_S_star(bank, F).atoms  # S_k* F_v at vector 4v + k
+        # S_k S_k* F_v at vector 16v + 5k, each merged on its own before the sum over k
+        terms = normalize(FunctionSum._adopt(_children(bank, star, star["vec"][:, None, None] & 3)))
+        terms = terms.atoms.copy()
         terms["vec"] = 16 * T + (terms["vec"] >> 4)
         total = normalize(FunctionSum._adopt(terms))  # sum_k S_k S_k* F_v at vector 16 T + v
         # At level 0 the sum is one level deeper than F; refined to it, F cancels

@@ -133,7 +133,6 @@ def solve_alpha(
     a12: complex,
     a21: complex,
     a22: complex,
-    tol: float = DEFAULT_UNITARITY_TOL,
 ) -> FilterBank:
     """Assemble an admissible bank from the free parameters of the solver.
 
@@ -144,25 +143,26 @@ def solve_alpha(
     case |a10| = 1 row 3 is the orthogonal complement of row 2 instead.
     """
     a10, a30, a11, a12, a21, a22 = (complex(z) for z in (a10, a30, a11, a12, a21, a22))
-    # Each guard reads `not dev <= tol` so that a nan deviation fails it, and
-    # squares by multiplying, which gives inf where ** 2 raises OverflowError.
+    # Each guard holds to DEFAULT_UNITARITY_TOL, as FilterBank does. It reads
+    # `not dev <= ...` so that a nan deviation fails it, and squares by
+    # multiplying, which gives inf where ** 2 raises OverflowError.
     n10, n30, n11, n12, n21, n22 = (abs(z) * abs(z) for z in (a10, a30, a11, a12, a21, a22))
     dev = abs(n10 + n30 - 1.0)
-    if not dev <= tol:
+    if not dev <= DEFAULT_UNITARITY_TOL:
         raise InfeasibleParameters("duality", f"|a10|^2 + |a30|^2 = 1 off by {dev:.3g}")
     dev = abs(n10 + n11 + n12 - 1.0)
-    if not dev <= tol:
+    if not dev <= DEFAULT_UNITARITY_TOL:
         raise InfeasibleParameters("row1_norm", f"|a10|^2+|a11|^2+|a12|^2 = 1 off by {dev:.3g}")
     dev = abs(n21 + n22 - 1.0)
-    if not dev <= tol:
+    if not dev <= DEFAULT_UNITARITY_TOL:
         raise InfeasibleParameters("row2_norm", f"|a21|^2+|a22|^2 = 1 off by {dev:.3g}")
     dev = abs(a11 * a21.conjugate() + a12 * a22.conjugate())
-    if not dev <= tol:
+    if not dev <= DEFAULT_UNITARITY_TOL:
         raise InfeasibleParameters(
             "row12_orthogonality", f"a11*conj(a21)+a12*conj(a22) = 0 off by {dev:.3g}"
         )
 
-    if 1.0 - abs(a10) ** 2 <= tol:  # the degenerate case |a10| = 1
+    if 1.0 - abs(a10) ** 2 <= DEFAULT_UNITARITY_TOL:  # the degenerate case |a10| = 1
         row3 = -a22.conjugate() * U2 + a21.conjugate() * U3
     else:
         lam = -a10.conjugate() * a30 / (1.0 - abs(a10) ** 2)
@@ -175,8 +175,8 @@ def solve_alpha(
             row3,
         ]
     )
-    # Each constraint above holds within tol, but their errors can add up:
-    # the bank's own unitarity check refuses what they let through.
+    # Each constraint above holds within the tolerance, but their errors can
+    # add up: the bank's own unitarity check refuses what they let through.
     return FilterBank(a_to_h(H))  # the sign flip is its own inverse
 
 
@@ -189,10 +189,11 @@ def pq_bank(p: complex, q: complex) -> FilterBank:
     return solve_alpha(p, q, fill, 0.0, 0.0, 1.0)
 
 
-def little_m(bank: FilterBank, j: int, t) -> complex:
+def little_m(bank: FilterBank, j, t) -> complex:
     """Symbol of the adjoint on exponentials: S_j* e_t = little_m(j,t) e_{(t-j)/4},
-    at every element of t."""
-    if j not in (0, 1, 2, 3):
+    at every element of the filter indices j and of t, broadcast together."""
+    j = np.asarray(j)
+    if j.dtype.kind not in "iu" or np.any((j < 0) | (j > 3)):
         raise ContractError(f"filter index must be in 0..3, got {j}")
     A = bank.A
     even_part = 0.5 * (A[j, 0].conjugate() + A[j, 2].conjugate())

@@ -29,11 +29,14 @@ MAX_FACTORS = 64  # largest factor count a certified evaluation may use
 def cis(turns) -> np.ndarray:
     """e^{2 pi i * turns} at every element of float64 turns, exact at quarter turns.
 
-    The turns are reduced by fmod, which is exact and keeps their sign. Where
-    four times the reduced value is whole the result is that exact quarter
-    turn; elsewhere it is e^{i theta} with theta = 2 pi times the reduced value.
+    The turns are reduced to x - trunc(x), which is exact and keeps the sign
+    of a nonzero remainder: the bits of fmod(x, 1), but +0.0 at a negative
+    whole turn, where fmod gives -0.0. Where four times the reduced value is
+    whole the result is that exact quarter turn; elsewhere it is e^{i theta}
+    with theta = 2 pi times the reduced value.
     """
-    frac = np.fmod(np.array(turns, dtype=np.float64, copy=None, ndmin=1), 1.0)
+    x = np.array(turns, dtype=np.float64, copy=None, ndmin=1)
+    frac = x - np.trunc(x)
     out = np.exp((2j * math.pi) * frac)
     quarters = 4.0 * frac
     whole = quarters == np.floor(quarters)
@@ -67,8 +70,8 @@ def mu4_hat_array(t, tol: float = TOL) -> np.ndarray:
     """Truncated product at every element of a float64 array.
 
     Factor k is (1 + cis(2t/4^k))/2: the turns come from a power-of-two
-    scaling and cis reduces them by an exact fmod, so whole quarter turns
-    take exact phases. Each element gets its own certified factor count.
+    scaling and cis reduces them exactly, so whole quarter turns take exact
+    phases. Each element gets its own certified factor count.
     The elements are taken _BLOCK at a time. A block runs through its own
     largest count, an element's factors past its own being exactly 1, and
     takes as many factors per pass as keep a pass within _BLOCK (factor x

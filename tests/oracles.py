@@ -10,9 +10,10 @@ atom calculus (one Atom object per atom, Fraction frequencies, phases exact
 at quarter turns) is the reference the library's record-array operators are
 checked against; function_sum and atom_sum convert between the two forms.
 The word vectors on the constant function, the cylinder integrals, the
-reduced symbols and the Monte-Carlo integral over the dilated fractal (with
-pointwise evaluation located by the sampler's digits) are second paths to
-what the library computes through its operators and atom calculus. Words
+reduced symbols, cis reduced by fmod and the Monte-Carlo integral over the
+dilated fractal (with pointwise evaluation located by the sampler's digits)
+are second paths to what the library computes through its operators and
+atom calculus. Words
 are Word4 tuples of letters here, with the index map c, its inverse and the
 digit counts; the library names a word by its index alone. frame_weight
 (per n, from the digit counts and a pair (p, q)), projection_weight (per
@@ -544,6 +545,17 @@ def exact_cis(turns) -> complex:
         return complex(0.0, -1.0)
     theta = 2.0 * math.pi * float(frac)
     return complex(math.cos(theta), math.sin(theta))
+
+
+def fmod_cis(turns) -> np.ndarray:
+    """cis with its turns reduced by np.fmod(turns, 1.0), the reduction
+    whose bits the library's x - trunc(x) keeps."""
+    frac = np.fmod(np.array(turns, dtype=np.float64, ndmin=1), 1.0)
+    out = np.exp((2j * math.pi) * frac)
+    quarters = 4.0 * frac
+    whole = quarters == np.floor(quarters)
+    out[whole] = np.array([1.0, 1j, -1.0, -1j])[quarters[whole].astype(np.int64)]
+    return out
 
 
 def x_digit(k: int) -> int:

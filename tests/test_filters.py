@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frame_lab import (
+    ContractError,
     DomainError,
     FilterBank,
     InfeasibleParameters,
@@ -214,7 +215,7 @@ def _random_feasible_alpha(rng):
 def test_solve_alpha_randomized_feasible_parameters():
     rng = np.random.default_rng(20250810)
     for _ in range(100):
-        bank = solve_alpha(*_random_feasible_alpha(rng), tol=1e-9)
+        bank = solve_alpha(*_random_feasible_alpha(rng))
         assert _unitarity_dev(bank) <= 1e-12
 
 
@@ -222,6 +223,19 @@ def test_little_m_basics(bank_one, bank_i):
     assert abs(little_m(bank_one, 0, 0) - 1.0) < 1e-15
     assert abs(little_m(bank_one, 1, 0)) < 1e-15
     assert abs(little_m(bank_i, 2, 0)) < 1e-15
+
+
+def test_little_m_broadcasts_filter_indices_against_t(bank_i, bank_pq):
+    # an array of filter indices gives each index's scalar value bit for bit
+    t = np.random.default_rng(7).uniform(-9, 9, 50)
+    for bank in (bank_i, bank_pq):
+        got = little_m(bank, np.arange(4), t[:, None])
+        want = np.stack([little_m(bank, j, t) for j in range(4)], axis=1)
+        assert got.shape == (50, 4)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for j in (4, -1, 1.0, True, [0, 4]):
+        with pytest.raises(ContractError):
+            little_m(bank_i, j, 0.0)
 
 
 def test_little_m_forms_agree(bank_i, bank_pq):

@@ -16,6 +16,7 @@ from oracles import (
     XCylinder,
     cylinder_exp_integral,
     exact_cis,
+    fmod_cis,
     ifs_monte_carlo_integral,
     mu4_hat_recursive,
 )
@@ -33,6 +34,19 @@ def test_cis_matches_exact_oracle_off_quarter_turns():
     turns = np.concatenate([rng.uniform(-3, 3, 500), rng.integers(-4096, 4096, 500) / 64.0])
     want = np.array([exact_cis(Fraction(t)) for t in turns])
     assert np.max(np.abs(cis(turns) - want)) <= 1e-14
+
+
+def test_cis_keeps_the_bits_of_the_fmod_reduction():
+    # x - trunc(x) gives +0.0 at a negative whole turn where fmod gives -0.0;
+    # both are the exact quarter turn 1, so no output bit moves
+    edges = [0.0, -0.0, -1.0, -2.0, -7.0, -(2.0**40), -0.5, -1.5, -(2.0**40) - 0.5, -0.25, -0.75,
+             -1.25, -6.75, 2.0**52, -(2.0**52), 2.0**53 + 2, -(2.0**62), 5e-324, -5e-324,
+             2.0**-1022, -(2.0**-1022), 1e-310, -1e-310, 0.5 - 2.0**-54, -1 + 2.0**-53]
+    rng = np.random.default_rng(20261019)
+    turns = np.concatenate([edges, rng.uniform(-1e6, 1e6, 20000), rng.uniform(-1, 1, 2000),
+                            rng.integers(-(4**10), 4**10, 2000) / 4.0])
+    got, want = cis(turns), fmod_cis(turns)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_mu4_hat_at_zero():
