@@ -7,25 +7,26 @@ the sha256 of every CSV file the call writes.
 The calls are every CLI command of the benchmark's workloads for seeds 0-2,
 every value-gated command, the calls of the certification ladder (its
 `weights` calls and trace exports write their CSVs into the temporary
-directory), weight tables whose length straddles the 4^6-row blocks the
-CSV is written in, a trace whose last checkpoint is no power of 4, the
-runs at and just past each capacity cap, `verify cuntz` at levels 0 and 1
-on banks whose entries are not dyadic, runs at a tolerance no check can
-meet and at one so small that tol / 10 underflows, a grid whose span
-overflows, runs on malformed input files, on well-formed matrices (one
+directory), weight tables whose length straddles the 4^6-row blocks the CSV
+is written in, a trace whose last checkpoint is no power of 4, the runs at
+and just past each capacity cap, `verify cuntz` at levels 0 and 1 and
+`verify projection` at length 5, where a prefix's words are split over
+batches, on banks whose entries are not dyadic, runs at a tolerance no
+check can meet and at one so small that tol / 10 underflows, a grid whose
+span overflows, runs on malformed input files, on well-formed matrices (one
 with an entry so large that H*H overflows) and banks that are not
 admissible, with both matrix options of `verify unitarity` at once, and
 bank flags of each kind on subcommands that took only some kinds before
-(among them a p != 0 bank for `verify incomplete`, which it
-refuses), and one small call of every subcommand under each FRAME_LAB_TOL
-value of ENV_TOLS (a subcommand with a tolerance reads it, the others must
-not). Each line records the environment its call ran under, set for that
-call alone. Each call runs in process in one temporary working directory, so
-file arguments are the same relative paths on every run. A CSV named in
-the argv is removed before the call, so a hash is printed only for a file
-the call wrote. The report is printed without `duration_ms`, the one field
-that is not a pure function of the flags; two runs of this script on code
-that computes the same things print the same lines.
+(among them a p != 0 bank for `verify incomplete`, which it refuses), and
+one small call of every subcommand under each FRAME_LAB_TOL value of
+ENV_TOLS (a subcommand with a tolerance reads it, the others must not).
+Each line records the environment its call ran under, set for that call
+alone. Each call runs in process in one temporary working directory, so
+file arguments are the same relative paths on every run. A CSV named in the
+argv is removed before the call, so a hash is printed only for a file the
+call wrote. The report is printed without `duration_ms`, the one field that
+is not a pure function of the flags; two runs of this script on code that
+computes the same things print the same lines.
 """
 
 import contextlib
@@ -109,9 +110,9 @@ def _ladder_argvs() -> list[list[str]]:
 
 
 def _cap_argvs() -> list[list[str]]:
-    """The largest run each cap in the README allows, one step past it, and
-    the smallest verify cuntz levels, on rho = 1 and on three banks whose
-    entries are not dyadic."""
+    """The largest run each cap in the README allows, one step past it, the
+    smallest verify cuntz levels, on rho = 1 and on three banks whose
+    entries are not dyadic, and the longest projection on two of them."""
     gammas = [str(g) for g in range(100)]
     out = []
     for past in (0, 1):
@@ -137,6 +138,9 @@ def _cap_argvs() -> list[list[str]]:
     for bank in (("--p-re", "0.6", "--q-re", "0.8"), RHO_PI_3, PQ_ALPHA):
         out += [["verify", "cuntz", *bank, "--level", level, "--trials", "5"]
                 for level in ("0", "1")]
+    # length 5, where one prefix's four words exceed a batch and split by letter
+    out += [["verify", "projection", *bank, "--max-word-len", "5"]
+            for bank in (("--p-re", "0.6", "--q-re", "0.8"), RHO_PI_3)]
     out += [["mu4hat", "--t", t] for t in ("0", "2", "-7.25", "1e6", "1e24", "1e30")]
     # the last: a tolerance whose tol / 10 underflows to 0
     return out + [["mu4hat", "--t", "1e30", "--tol", "1e-3"],
@@ -192,6 +196,7 @@ def _guard_argvs() -> list[list[str]]:
     more factors than the cap at any t."""
     return [
         ["verify", "ruelle", "--level", "5"],
+        ["verify", "ruelle", "--level", "0"],
         ["verify", "ruelle", "--grid=-1:0:0"],
         ["verify", "incomplete", "--gamma", "1", "1"],
         ["verify", "parseval", "--n-max", "0"],

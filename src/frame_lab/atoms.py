@@ -66,12 +66,17 @@ class FunctionSum:
         object.__setattr__(self, "atoms", _checked(atoms))
 
     @classmethod
-    def _adopt(cls, atoms: np.ndarray) -> FunctionSum:
+    def _adopt(cls, atoms: np.ndarray, checked: bool = False) -> FunctionSum:
         """The sum over an ATOM array that no one else writes to, such as
-        one the library has just built: checked like any input and made
-        read-only, but not copied."""
+        one the library has just built: made read-only, but not copied, and
+        checked like any input unless its rows were gathered from a checked
+        array (checked=True)."""
+        if checked:
+            atoms.setflags(write=False)
+        else:
+            _checked(atoms)
         F = object.__new__(cls)
-        object.__setattr__(F, "atoms", _checked(atoms))
+        object.__setattr__(F, "atoms", atoms)
         return F
 
     def __len__(self) -> int:
@@ -124,7 +129,9 @@ def normalize(F: FunctionSum) -> FunctionSum:
     """Merge identical-key atoms, drop coefficients of size <= MERGE_TOL, sort keys.
 
     Merged coefficients are added in input order. The merge runs on the
-    sort order and one key field at a time; the kept rows are gathered once.
+    sort order and one key field at a time; the kept rows are gathered once,
+    after every index array but theirs is freed, and as rows of F they are
+    not checked again.
     """
     atoms = F.atoms
     order = _key_order(atoms)
@@ -133,12 +140,18 @@ def normalize(F: FunctionSum) -> FunctionSum:
     for name in ("vec", "freq", "code", "level"):
         key = atoms[name][order]
         first[1:] |= key[1:] != key[:-1]
+        del key
+    slot = np.cumsum(first)
+    slot -= 1  # the merged row of each atom, in key order
     coeff = np.zeros(np.count_nonzero(first), dtype=complex)
-    np.add.at(coeff, np.cumsum(first) - 1, atoms["coeff"][order])
+    np.add.at(coeff, slot, atoms["coeff"][order])
+    del slot
     kept = np.abs(coeff) > MERGE_TOL
-    out = np.take(atoms, order[first][kept])
-    out["coeff"] = coeff[kept]
-    return FunctionSum._adopt(out)
+    rows, coeff = order[first][kept], coeff[kept]
+    del order, first, kept
+    out = np.take(atoms, rows)
+    out["coeff"] = coeff
+    return FunctionSum._adopt(out, checked=True)
 
 
 def concat(*sums: FunctionSum) -> FunctionSum:

@@ -35,7 +35,7 @@ from .transform import cis, mu4_hat_array
 FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matrix
 MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes well under a second
 TRIALS_PER_PASS = 64  # trial vectors verify_cuntz stacks at once; bounds its working memory
-FAMILY_BATCH_ATOMS = 4**6  # most atoms in one batch of generated_family (while FAMILY_MAX_LEN <= 5)
+FAMILY_BATCH_ATOMS = 2 * 4**5  # most atoms in a generated_family batch, while a longest word fits
 ATOMS_PER_VECTOR = 3  # atoms in each random test vector of random_function_sum
 _PAD = 4  # row index of the padding row in the Gram kernel's tables
 _PAIRS = np.arange(4)
@@ -126,26 +126,37 @@ def generated_family(bank: FilterBank, max_len: int) -> Iterator[FunctionSum]:
     A word is its index: the base-4 digits of n, applied most significant
     first (word 0 is (0,)). Word n is word n // 4 followed by S_{n % 4}
     (words 0..3 extend the empty word), so each length is built from the
-    previous one: a batch is one apply_S on a run of prefixes, which puts
-    S_j of prefix m at vector 4m + j, and holds at most FAMILY_BATCH_ATOMS
-    atoms. Only the previous length is kept.
+    previous one: a batch is the images under _children of a run of
+    prefixes, merged once, which puts S_j of prefix m at vector 4m + j, with
+    the apply_S bits. A batch holds at most FAMILY_BATCH_ATOMS atoms: runs
+    of prefixes while a prefix's four words fit, one prefix's words split
+    by letter once they do not. Only the previous length is kept, as its
+    batches with their prefix ranges, and the generator drops each batch
+    it yields before it builds the next one.
     """
     family_size(max_len)
-    prefixes = ONE  # the words of the previous length; ONE is the empty word, vector 0
+    # the previous length: (lo, hi, atoms) with the prefixes lo <= m < hi
+    # sorted by vec; ONE is the empty word, vector 0
+    stored = [(0, 1, ONE.atoms)]
     for K in range(1, max_len + 1):
-        lo, hi = (4 ** (K - 2), 4 ** (K - 1)) if K > 1 else (0, 1)  # prefix indices
-        # prefixes per batch, each giving 4 words of 4^K atoms
-        step = max(1, FAMILY_BATCH_ATOMS // 4 ** (K + 1))
-        # each run's atom range: the batches are sorted by vec and come in vec order
-        cuts = np.searchsorted(prefixes.atoms["vec"], [*range(lo, hi, step), hi])
+        words = max(1, FAMILY_BATCH_ATOMS // 4**K)  # words per batch, each of 4^K atoms
+        step, letters = max(1, words // 4), min(4, words)  # prefixes and letters of a batch
         batches = []
-        for i, k in zip(cuts[:-1], cuts[1:]):
-            batch = apply_S(bank, FunctionSum._adopt(prefixes.atoms[i:k]))
-            if K < max_len:
-                batches.append(batch)
-            yield batch
-        if batches:
-            prefixes = concat(*batches)
+        for lo, hi, prefixes in stored:
+            starts = range(lo, hi, step)
+            cuts = np.searchsorted(prefixes["vec"], [*starts, hi])  # each run's atom range
+            for m, i, k in zip(starts, cuts[:-1], cuts[1:]):
+                end = min(m + step, hi)  # prefixes m .. end - 1
+                for j in range(0, 4, letters):
+                    last = min(j + letters, 4)  # letters j .. last - 1
+                    batch = normalize(
+                        FunctionSum._adopt(_children(bank, prefixes[i:k], _PAIRS[j:last, None]))
+                    )
+                    if K < max_len:  # words 4m + j .. 4(end - 1) + last - 1; 0 is not extended
+                        batches.append((max(4 * m + j, 1), 4 * (end - 1) + last, batch.atoms))
+                    yield batch
+                    del batch  # before the next one is built
+        stored = batches
 
 
 def random_function_sum(rng: random.Random, level: int, vectors: int = 1) -> FunctionSum:

@@ -147,14 +147,14 @@ def verify_projection(bank: FilterBank, max_len: int, tol: float) -> Check:
     """P S_omega 1 = d_n e_n, n = c(omega), for every word of length <= max_len:
     each projection is one exponential at frequency n whose weight is within
     tol of the bank's digit weight d_n. The words are projected one batch
-    of generated_family at a time."""
+    of generated_family at a time, and each batch is dropped once projected,
+    before the next one is built."""
     weights = np.zeros(family_size(max_len), dtype=complex)
     support, _, d = weight_table(bank.digit_weights, len(weights) - 1)
     weights[support] = d
     rows = np.zeros(len(weights), dtype=np.int64)  # projected exponentials per word
     dev = np.full(len(weights), np.inf)
-    for batch in generated_family(bank, max_len):
-        vec, freq, weight = project_V(batch)
+    for vec, freq, weight in map(project_V, generated_family(bank, max_len)):
         np.add.at(rows, vec, 1)
         own = freq == vec
         gap = weight[own] - weights[vec[own]]
@@ -289,8 +289,9 @@ def h_partial(t, bank: FilterBank, max_len: int):
     return out.reshape(t.shape)[()]
 
 
-def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], L: int, tol: float) -> Check:
-    """Check h_{L+1}(t) = sum_j |m_j(t)|^2 h_L((t-j)/4) on a grid, to tol.
+def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], level: int, tol: float) -> Check:
+    """Check h_{L+1}(t) = sum_j |m_j(t)|^2 h_L((t-j)/4) on a grid, to tol,
+    at L = level.
 
     The identity is exact at every finite truncation depth because the
     depth-(L+1) family is the disjoint union of the isometry images of the
@@ -300,13 +301,15 @@ def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], L: int, tol: float)
     must match the general one to SPECIALIZATION_TOL. The grid is checked at
     once: one energy kernel call per level.
     """
-    if L > 4:
-        raise CapacityError("L must be <= 4")
+    if level < 1:
+        raise ContractError("level must be >= 1")
+    if level > 4:
+        raise CapacityError("level must be <= 4")
     t = np.array(t_grid, dtype=np.float64, ndmin=1)
     if t.size == 0:
         raise ContractError("t_grid must not be empty")
-    lhs = h_partial(t, bank, L + 1)
-    h_vals = h_partial(np.array([g_map(j, t) for j in range(4)]), bank, L)
+    lhs = h_partial(t, bank, level + 1)
+    h_vals = h_partial(np.array([g_map(j, t) for j in range(4)]), bank, level)
     symbols = [np.abs(little_m(bank, j, t)) ** 2 for j in range(4)]
     rhs = sum(s * h for s, h in zip(symbols, h_vals))
     max_resid = float(np.max(np.abs(lhs - rhs)))

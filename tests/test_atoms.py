@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,27 @@ def test_normalize_merges_and_drops():
     F = normalize(function_sum([a, b, z]))
     assert len(F) == 1
     assert F.atoms["coeff"][0] == 1.0
+
+
+def test_normalize_frees_its_merge_temporaries_before_the_gather():
+    # 4^6 distinct keys: the gather sets the peak, the output with its row
+    # indices and merged coefficients, 1.5 times the output; a key gather,
+    # slot index, order, first mask or second coefficient array kept alive
+    # through the gather takes it past 1.6
+    n = 4**6
+    atoms = np.zeros(n, dtype=ATOM)
+    atoms["coeff"], atoms["code"], atoms["level"] = 1.0, np.arange(n)[::-1], 6
+    atoms["vec"] = np.arange(n) % 3
+    F = FunctionSum(atoms)
+    normalize(F)
+    tracemalloc.start()
+    try:
+        out = normalize(F)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n
+    assert peak <= 1.6 * out.atoms.nbytes, peak
 
 
 def test_normalize_keeps_inner_products():

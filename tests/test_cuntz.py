@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from frame_lab import (
     verify_unitarity,
     weight_table,
 )
-from frame_lab import cuntz
+from frame_lab import cuntz, frames
 from frame_lab.atoms import ATOM, ONE, FunctionSum, concat, fs_add, fs_scale, fs_sub, refine
 from frame_lab.cuntz import (
     FAMILY_MAX_LEN,
@@ -293,8 +294,9 @@ def test_verify_projection_matches_per_word_oracle(name, max_len):
 
 @pytest.mark.parametrize("max_len", range(1, FAMILY_MAX_LEN + 1))
 def test_generated_family_batches_hold_at_most_the_atom_bound(bank_pq, max_len):
-    # each prefix of a batch gives four words, so the prefixes per batch are
-    # FAMILY_BATCH_ATOMS / 4^(K + 1) at length K; every word is in one batch
+    # each prefix of a batch gives four words of 4^K atoms at length K, so a
+    # batch runs FAMILY_BATCH_ATOMS / 4^(K + 1) prefixes, or splits one
+    # prefix's words by letter once they do not fit; every word is in one batch
     batches = np.zeros(4**max_len, dtype=np.int64)
     for batch in generated_family(bank_pq, max_len):
         assert len(batch) <= cuntz.FAMILY_BATCH_ATOMS
@@ -302,11 +304,89 @@ def test_generated_family_batches_hold_at_most_the_atom_bound(bank_pq, max_len):
     assert np.all(batches == 1)
 
 
+def test_a_longest_word_fits_in_one_batch():
+    # a batch splits one prefix's words by letter, but never a word
+    assert 4**FAMILY_MAX_LEN <= cuntz.FAMILY_BATCH_ATOMS
+
+
+@pytest.mark.parametrize("name", ["i", "pi_over_3", "lopsided"])
+def test_letter_split_batches_are_the_apply_S_images_of_their_prefix(name):
+    # at length 5 one prefix's four words exceed a batch, so its letters are
+    # split over several batches; together they hold apply_S of the prefix,
+    # bit for bit, for the first and the last prefix of length 4
+    bank = SIX_BANKS[name]
+    prefixes = {4**3: None, 4**4 - 1: None}
+    groups = {m: [] for m in prefixes}
+    for batch in generated_family(bank, FAMILY_MAX_LEN):
+        vecs = batch.atoms["vec"]
+        for m in prefixes:
+            if vecs[0] <= m <= vecs[-1]:
+                prefixes[m] = FunctionSum(batch.atoms[vecs == m])
+            if vecs[0] // 4 == m:
+                groups[m].append(batch.atoms)
+    for m, prefix in prefixes.items():
+        assert len(groups[m]) > 1
+        assert all(np.all(atoms["vec"] // 4 == m) for atoms in groups[m])
+        assert np.concatenate(groups[m]).tobytes() == apply_S(bank, prefix).atoms.tobytes()
+
+
+@pytest.mark.parametrize("budget", [4**2, 3 * 4**2, 4**3])
+def test_generated_family_keeps_letter_split_batches_as_prefixes(monkeypatch, bank_pq, budget):
+    # budgets below a length's four words split its prefixes by letter, and
+    # the next length extends those batches by their word ranges; the batch
+    # bound itself needs a longest word to fit, which these budgets break
+    monkeypatch.setattr(cuntz, "FAMILY_BATCH_ATOMS", budget)
+    words = []
+    for batch in generated_family(bank_pq, 3):
+        assert len(batch) > 0
+        for n in np.unique(batch.atoms["vec"]).tolist():
+            words.append(n)
+            want = apply_word(bank_pq, word_of_index(n), ONE).atoms
+            assert np.array_equal(unstack(batch, n).atoms, want)
+    assert words == list(range(4**3))
+
+
+def test_projection_drops_each_batch_before_the_next_is_built(monkeypatch, bank_pq):
+    # neither the generator nor verify_projection's loop keeps a projected
+    # batch while the next one is merged
+    projected, project_V = [], frames.project_V
+
+    def project(batch):
+        projected.append(weakref.ref(batch))
+        return project_V(batch)
+
+    def merge(F):
+        assert all(ref() is None for ref in projected)
+        return normalize(F)
+
+    monkeypatch.setattr(frames, "project_V", project)
+    monkeypatch.setattr(cuntz, "normalize", merge)
+    assert verify_projection(bank_pq, 3, 1e-10).passed
+    assert len(projected) > 1
+
+
+def test_projection_holds_its_prefixes_and_one_batch(bank_i):
+    # at length 4 the stored length 3 takes 0.14 MiB and a batch of 2 * 4^5
+    # atoms 0.09 MiB; batches of 4^6 atoms take the peak to ~0.7 MiB, and
+    # with the prefixes copied and each batch held while the next is built
+    # as well, to ~0.95 MiB
+    verify_projection(bank_i, 1, 1e-10)
+    tracemalloc.start()
+    try:
+        check = verify_projection(bank_i, 4, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * 2**20, peak
+    assert check.passed
+
+
 def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
-    # generated_family keeps one length and batches of FAMILY_BATCH_ATOMS
-    # atoms, and the operators keep one copy of their output; all words of
-    # length 5 at once would take ~38 MB. verify_cuntz forms only the four
-    # terms S_k S_k* F_v of the identity sum, not all sixteen S_j S_k* F_v
+    # generated_family keeps one length, as its batches, and batches of
+    # FAMILY_BATCH_ATOMS atoms, and the operators keep one copy of their
+    # output; all words of length 5 at once would take ~38 MB. verify_cuntz
+    # forms only the four terms S_k S_k* F_v of the identity sum, not all
+    # sixteen S_j S_k* F_v
     tracemalloc.start()
     try:
         projection = verify_projection(bank_i, FAMILY_MAX_LEN, 1e-10)
@@ -316,7 +396,7 @@ def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
         _, cuntz_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert projection_peak <= 7 * 2**20, projection_peak
+    assert projection_peak <= 3.5 * 2**20, projection_peak
     assert cuntz_peak <= 2.25 * 2**20, cuntz_peak
     assert projection.passed and cuntz.passed
 

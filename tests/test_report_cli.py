@@ -514,6 +514,7 @@ def test_verify_capacity_exit_3(capsys):
         ["verify", "projection", "--max-word-len", str(FAMILY_MAX_LEN + 1)],
         ["verify", "ruelle", "--grid=0:1:99999999999999999"],
         ["verify", "ruelle", f"--grid=0:1:{MAX_GRID_POINTS + 1}"],
+        ["verify", "ruelle", "--level", "5"],
         ["weights", "--n-max", str(4**MAX_ENUM_LEN + 1), "--out", "w.csv"],
         ["verify", "cuntz", "--trials", str(MAX_TRIALS + 1)],
         ["verify", "unitarity", "--samples", str(MAX_SAMPLES + 1)],
@@ -546,6 +547,7 @@ def test_uncertifiable_input_exits_3_with_one_line(capsys, monkeypatch, tmp_path
          "--alpha-a10-re", "1e300", "--alpha-a30-re", "nan", "--alpha-a11-re", "0",
          "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1"],
         ["verify", "ruelle", "--rho-im", "1", "--grid=0:1:0"],
+        ["verify", "ruelle", "--level", "0"],
         # a and b finite, b - a not: refused before linspace warns
         ["verify", "ruelle", "--grid=-1e308:1e308:3"],
         ["verify", "incomplete", "--gamma", "1", "1", "--n-max", "16"],
