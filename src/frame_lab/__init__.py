@@ -19,7 +19,6 @@ from .errors import (
     DomainError,
     FrameLabError,
     InfeasibleParameters,
-    UnsupportedShape,
 )
 from .filters import (
     FilterBank,
@@ -56,7 +55,6 @@ __all__ = [
     "FunctionSum",
     "InfeasibleParameters",
     "PartialSumTrace",
-    "UnsupportedShape",
     "apply_S",
     "apply_S_star",
     "cis",

@@ -28,7 +28,7 @@ from .atoms import (
     renumber,
 )
 from .errors import CapacityError, ContractError
-from .filters import FilterBank, little_m
+from .filters import FilterBank, g_map, little_m
 from .report import Check
 from .transform import cis, mu4_hat_array
 
@@ -92,7 +92,8 @@ def _adjoint_images(bank: FilterBank, a: np.ndarray) -> np.ndarray:
     A level-0 atom's factor is little_m, a deeper atom's its leading pair's
     term."""
     t = a["freq"][:, None]
-    odd = cis((t - _PAIRS) * 2 / 4)  # the phase of an odd pair (x digit 2) at (atom, j)
+    down = g_map(_PAIRS, t)  # (t - j) / 4 at (atom, j)
+    odd = cis(2 * down)  # the phase of an odd pair (x digit 2)
     half = np.ascontiguousarray(0.5 * bank.A.conj().T)  # half[k, j] = conj(a_jk) / 2
     shift = np.maximum(2 * (a["level"] - 1), 0)
     lead = a["code"] >> shift
@@ -101,7 +102,7 @@ def _adjoint_images(bank: FilterBank, a: np.ndarray) -> np.ndarray:
     factor[top] = little_m(bank, _PAIRS, t[top])
     out = np.empty((len(a), 4), dtype=ATOM)
     out["coeff"] = factor * a["coeff"][:, None]
-    out["freq"] = (t - _PAIRS) / 4
+    out["freq"] = down
     out["code"] = (a["code"] - (lead << shift))[:, None]
     out["level"] = np.maximum(a["level"] - 1, 0)[:, None]
     out["vec"] = 4 * a["vec"][:, None] + _PAIRS

@@ -21,10 +21,6 @@ class CapacityError(FrameLabError, RuntimeError):
     """A size guard was exceeded (the computation would be desk-scale infeasible)."""
 
 
-class UnsupportedShape(FrameLabError, ValueError):
-    """The input does not have the structural form the operation requires."""
-
-
 class InfeasibleParameters(FrameLabError, ValueError):
     """Solver parameters violate a named feasibility constraint."""
 

@@ -201,8 +201,9 @@ def little_m(bank: FilterBank, j, t) -> complex:
     return even_part + (-1.0) ** j * odd_part * cis(0.5 * np.asarray(t, dtype=np.float64))
 
 
-def g_map(j: int, t) -> float:
-    """Frequency descent map (t - j) / 4, at every element of t."""
+def g_map(j, t) -> np.ndarray:
+    """Frequency descent map (t - j) / 4, at every element of j and t,
+    broadcast together."""
     return (np.asarray(t, dtype=np.float64) - j) / 4.0
 
 

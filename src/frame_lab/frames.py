@@ -2,7 +2,10 @@
 
 Projecting the generated orthonormal family onto functions of x alone turns
 the word vector for omega into the single weighted exponential
-(d_omega, c(omega)) with d_omega = prod_k (a_{j_k 0} + a_{j_k 2}). Indexed
+(d_omega, c(omega)) with d_omega = prod_k (a_{j_k 0} + a_{j_k 2}).
+project_V is the general x-projection, the y-integral on every x cylinder
+of any batch, and verify_projection measures one residual from it against
+d_n e_n on every cylinder, so a defect is a failed check. Indexed
 by integers, the weights take the closed multiplicative form
 p^{l1(n)} * 0^{l2(n)} * q^{l3(n)} over the base-4 digit counts of n;
 weight_table is the one function that computes them. The trace machinery
@@ -22,7 +25,7 @@ import numpy as np
 
 from .atoms import X_BITS, FunctionSum, refine
 from .cuntz import family_size, generated_family
-from .errors import CapacityError, ContractError, DomainError, UnsupportedShape
+from .errors import CapacityError, ContractError, DomainError
 from .filters import FilterBank, g_map, little_m
 from .report import Check
 from .transform import mu4_hat_array
@@ -32,7 +35,6 @@ MAX_GAMMAS = 100  # frequencies per verify_incomplete call, one trace each
 
 WEIGHT_TABLE_COLUMNS = ("n", "l1", "l2", "l3", "weight_re", "weight_im", "weight_abs2")
 TRACE_COLUMNS = ("N", "partial_sum", "target")
-SHAPE_TOL = 1e-10  # largest spread of the y-integrals that project_V accepts
 INCOMPLETE_THRESHOLD = 1e-6  # deficiency above which a frequency is flagged
 SPECIALIZATION_TOL = 1e-12  # largest gap verify_ruelle allows between reduced and general sums
 _CSV_BLOCK = 4**6  # weight table rows built and written at a time
@@ -97,70 +99,52 @@ def weight_table(
     return n, counts, d
 
 
-def project_V(F: FunctionSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def project_V(F: FunctionSum) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Integrate out the y coordinate of every vector of a batch: arrays
-    (vec, freq, weight), one row per vector and frequency in ascending order;
-    valid when each row is a pure weighted exponential.
+    (vec, freq, x, total), one row per vector, frequency and x cylinder that
+    holds atoms, in ascending (vec, freq, x) order.
 
     The atoms are taken at the deepest level K (word vectors already sit
-    there), where each y cylinder contributes 2^-K. Per vector and
-    frequency, the totals over the x cylinders must agree within SHAPE_TOL,
-    an absent x cylinder counting as 0 (that is what the kernel condition
-    guarantees for word vectors); otherwise the input is not of
-    weighted-exponential shape. The weight reported is the total of the x
-    cylinder met first in atom order, and every frequency must be an integer.
+    there), x is the x part of their level-K code, and total is the sum of
+    a cylinder's coefficients times 2^-K, the measure of each y cylinder,
+    added in atom order. No shape is assumed: a weighted exponential d e_n
+    is the one frequency n with the total d on all 2^K x cylinders.
     """
     K = F.level
     a = F.atoms if np.all(F.atoms["level"] == K) else refine(F, K).atoms
     x = a["code"] & X_BITS
     order = np.lexsort((x, a["freq"], a["vec"]))  # stable: atom order within a cylinder
     vec, freq, x = a["vec"][order], a["freq"][order], x[order]
-    new_group = np.ones(len(a), dtype=bool)
-    new_group[1:] = (vec[1:] != vec[:-1]) | (freq[1:] != freq[:-1])
-    new_cyl = new_group.copy()
-    new_cyl[1:] |= x[1:] != x[:-1]
-    cyl = np.cumsum(new_cyl) - 1  # x cylinder of each sorted atom
-    totals = np.zeros(np.count_nonzero(new_cyl), dtype=complex)
-    np.add.at(totals, cyl, a["coeff"][order] * 2.0 ** (-K))
-    group = (np.cumsum(new_group) - 1)[new_cyl]  # group of each cylinder
-    starts = np.flatnonzero(new_group)
-    cyl_of_atom = np.empty(len(a), dtype=np.int64)
-    cyl_of_atom[order] = cyl
-    w = totals[cyl_of_atom[np.minimum.reduceat(order, starts)]]
-    spread = np.zeros(len(starts))
-    np.maximum.at(spread, group, np.abs(totals - w[group]))
-    absent = np.bincount(group, minlength=len(starts)) < 2**K
-    spread[absent] = np.maximum(spread[absent], np.abs(w[absent]))
-    freq = freq[starts]
-    bad = np.flatnonzero((spread > SHAPE_TOL) | (freq != np.floor(freq)))
-    if len(bad):
-        g = bad[0]
-        if spread[g] > SHAPE_TOL:
-            raise UnsupportedShape(
-                f"y-integral is not constant in x at frequency {freq[g]} (spread {spread[g]:.3g})"
-            )
-        raise UnsupportedShape(f"non-integer frequency {freq[g]} has no frame index")
-    return vec[starts], freq, w
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = (vec[1:] != vec[:-1]) | (freq[1:] != freq[:-1]) | (x[1:] != x[:-1])
+    total = np.zeros(np.count_nonzero(new), dtype=complex)
+    np.add.at(total, np.cumsum(new) - 1, a["coeff"][order] * 2.0 ** (-K))
+    return vec[new], freq[new], x[new], total
 
 
 def verify_projection(bank: FilterBank, max_len: int, tol: float) -> Check:
-    """P S_omega 1 = d_n e_n, n = c(omega), for every word of length <= max_len:
-    each projection is one exponential at frequency n whose weight is within
-    tol of the bank's digit weight d_n. The words are projected one batch
-    of generated_family at a time, and each batch is dropped once projected,
-    before the next one is built."""
-    weights = np.zeros(family_size(max_len), dtype=complex)
-    support, _, d = weight_table(bank.digit_weights, len(weights) - 1)
+    """P S_omega 1 = d_n e_n, n = c(omega), for every word of length <= max_len,
+    as one residual: max_weight_dev is the largest |total - d_n [freq = n]|
+    over every word, frequency and x cylinder of project_V, and a word with
+    fewer than 2^|omega| cylinders at its own frequency n also counts |d_n|.
+    So a wrong shape, frequency or weight fails the check at tol alike. The
+    words are projected one batch of generated_family at a time, and each
+    batch is dropped once projected, before the next one is built."""
+    size = family_size(max_len)
+    weights = np.zeros(size, dtype=complex)
+    support, _, d = weight_table(bank.digit_weights, size - 1)
     weights[support] = d
-    rows = np.zeros(len(weights), dtype=np.int64)  # projected exponentials per word
-    dev = np.full(len(weights), np.inf)
-    for vec, freq, weight in map(project_V, generated_family(bank, max_len)):
-        np.add.at(rows, vec, 1)
+    lengths = np.diff([0, *4 ** np.arange(1, max_len + 1)])  # words of each length
+    cylinders = np.repeat(2 ** np.arange(1, max_len + 1), lengths)  # x cylinders of a word
+    max_dev = 0.0
+    for vec, freq, _, total in map(project_V, generated_family(bank, max_len)):
         own = freq == vec
-        gap = weight[own] - weights[vec[own]]
-        dev[vec[own]] = np.hypot(gap.real, gap.imag)  # bit for bit Python's abs, unlike np.abs
-    dev[rows != 1] = np.inf  # a word must project to one exponential, at its own index
-    max_dev = float(np.max(dev))
+        gap = total - np.where(own, weights[vec], 0.0)
+        dev = np.hypot(gap.real, gap.imag)  # bit for bit Python's abs, unlike np.abs
+        max_dev = max(max_dev, float(np.max(dev)))
+        np.subtract.at(cylinders, vec[own], 1)
+    absent = np.where(cylinders > 0, weights, 0.0)  # own-frequency cylinders without atoms
+    max_dev = max(max_dev, float(np.max(np.hypot(absent.real, absent.imag))))
     return Check(max_dev <= tol, {"max_weight_dev": max_dev}, {"weight_dev": tol})
 
 

@@ -19,8 +19,9 @@ digit counts; the library names a word by its index alone. frame_weight
 (per n, from the digit counts and a pair (p, q)), projection_weight (per
 word, a product over its letters) and the CSV writer driven by them are
 the second paths to the library's one digit-weight table. The per-vector checks (one random trial
-vector, one word, one frequency group at a time) are the reference for the
-library's batched verify_cuntz, generated_family and project_V; they apply
+vector or one word at a time, the x-cylinder totals as one dict per vector)
+are the reference for the library's batched verify_cuntz, generated_family,
+project_V and verify_projection; they apply
 one isometry S_j or S_j* to one sum with S_j and S_j_star, where the
 library applies all four at once and numbers S_j F_v as vector 4v + j.
 The dense trace and dense weight writer hold every n <= n_max in one
@@ -51,9 +52,9 @@ from frame_lab.atoms import (
     refine,
 )
 from frame_lab.cuntz import apply_S, apply_S_star, random_function_sum
-from frame_lab.errors import CapacityError, ContractError, DomainError, UnsupportedShape
+from frame_lab.errors import CapacityError, ContractError, DomainError
 from frame_lab.filters import a_to_h, little_m
-from frame_lab.frames import MAX_ENUM_LEN, SHAPE_TOL, WEIGHT_TABLE_COLUMNS, weight_table
+from frame_lab.frames import MAX_ENUM_LEN, WEIGHT_TABLE_COLUMNS, weight_table
 from frame_lab.report import Check
 from frame_lab.transform import mu4_hat, mu4_hat_array
 
@@ -381,45 +382,37 @@ def oracle_generated_family(bank, max_len: int) -> Iterator[tuple[int, FunctionS
         yield n, F
 
 
-def oracle_project_V(F: FunctionSum) -> list[tuple[complex, int]]:
-    """(weight, frequency) per frequency of one sum, each frequency's atoms
-    refined to their own deepest level; the weight is the y-integral over
-    the x cylinder met first in key order, all others within SHAPE_TOL of it
-    (an absent one counting as 0)."""
-    out = []
-    freqs, group_of = np.unique(F.atoms["freq"], return_inverse=True)
-    for g, freq in enumerate(freqs):
-        group = FunctionSum(F.atoms[group_of == g])
-        K = group.level
-        flat = refine(group, K).atoms
-        x_words, where = np.unique(flat["code"] & X_BITS, return_inverse=True)
-        totals = np.zeros(len(x_words), dtype=complex)
-        np.add.at(totals, where, flat["coeff"] * 2.0 ** (-K))
-        w = totals[where[0]] if len(flat) else 0j
-        values = totals if len(x_words) == 2**K else np.append(totals, 0.0)
-        spread = np.max(np.abs(values - w))
-        if spread > SHAPE_TOL:
-            raise UnsupportedShape(
-                f"y-integral is not constant in x at frequency {freq} (spread {spread:.3g})"
-            )
-        if not freq.is_integer():
-            raise UnsupportedShape(f"non-integer frequency {freq} has no frame index")
-        out.append((complex(w), int(freq)))
+def oracle_project_V(F: FunctionSum) -> dict[int, dict[tuple[float, tuple[int, ...]], complex]]:
+    """{vec: {(frequency, x word): total}} of a batch refined to its deepest
+    level K, one atom at a time in atom order. An atom's x word lists the x
+    digit 2 (k & 1) of each of the K pairs k of its code, most significant
+    first; a total adds c 2^-K over the atoms of one vector, frequency and x
+    word, so every x word that holds an atom has a key and no other does."""
+    K = F.level
+    out: dict[int, dict] = {}
+    for c, freq, code, _, vec in refine(F, K).atoms.tolist():
+        x_word = tuple(2 * (code >> 2 * (K - 1 - i) & 1) for i in range(K))
+        totals = out.setdefault(vec, {})
+        totals[freq, x_word] = totals.get((freq, x_word), 0j) + c * 2.0 ** (-K)
     return out
 
 
 def oracle_verify_projection(bank, max_len: int, tol: float) -> Check:
-    """verify_projection one word at a time, against the same weight table."""
-    projected = [(n, oracle_project_V(vec)) for n, vec in oracle_generated_family(bank, max_len)]
-    support, _, d = weight_table(bank.digit_weights, len(projected) - 1)
-    weights = np.zeros(len(projected), dtype=complex)
+    """verify_projection one word at a time, against the same weight table:
+    word n of length K must total d_n on each of its 2^K x words at
+    frequency n and 0 on every other key, and each x word it lacks at
+    frequency n counts |d_n|."""
+    support, _, d = weight_table(bank.digit_weights, 4**max_len - 1)
+    weights = np.zeros(4**max_len, dtype=complex)
     weights[support] = d
     max_dev = 0.0
-    for (n, got), expect in zip(projected, weights.tolist()):
-        if len(got) != 1 or got[0][1] != n:
-            max_dev = float("inf")
-            continue
-        max_dev = max(max_dev, abs(got[0][0] - expect))
+    for (n, F), expect in zip(oracle_generated_family(bank, max_len), weights.tolist()):
+        own = 0
+        for (freq, _), total in oracle_project_V(F).get(0, {}).items():
+            own += freq == n
+            max_dev = max(max_dev, abs(total - (expect if freq == n else 0j)))
+        if own < 2 ** len(word_of_index(n)):
+            max_dev = max(max_dev, abs(expect))
     return Check(max_dev <= tol, {"max_weight_dev": max_dev}, {"weight_dev": tol})
 
 

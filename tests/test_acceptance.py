@@ -109,10 +109,11 @@ def test_c04_projection_formula(bank_i, bank_pq):
     max_dev = 0.0
     for bank in (bank_i, bank_pq):
         for word in _all_words_up_to(4):
-            _, freq, weight = project_V(apply_word(bank, word, ONE))
-            assert len(freq) == 1
-            assert freq[0] == c_of_word(word)
-            max_dev = max(max_dev, abs(weight[0] - projection_weight(bank, word)))
+            # every x cylinder totals d_omega at c(omega), and no other frequency appears
+            _, freq, x, total = project_V(apply_word(bank, word, ONE))
+            assert np.all(freq == c_of_word(word))
+            assert len(x) == 2 ** len(word.letters)
+            max_dev = max(max_dev, float(np.max(np.abs(total - projection_weight(bank, word)))))
     assert max_dev <= 1e-10
     elapsed = _elapsed_guard(4, "projection formula", started, 30.0)
     _report(4, "projection formula", f"682 words, max weight dev = {max_dev:.2e}, {elapsed:.1f}s")

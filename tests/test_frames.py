@@ -1,5 +1,6 @@
 import cmath
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from frame_lab import (
     ContractError,
     DomainError,
+    FunctionSum,
     InfeasibleParameters,
-    UnsupportedShape,
+    apply_S,
+    apply_S_star,
     cis,
     h_partial,
     mu4_hat,
@@ -18,11 +21,14 @@ from frame_lab import (
     project_V,
     rho_bank,
     verify_incomplete,
+    verify_projection,
     verify_ruelle,
     weight_table,
 )
+from frame_lab import frames
 from frame_lab.atoms import ONE, concat, renumber
 from frame_lab.cli import main
+from frame_lab.cuntz import generated_family, random_function_sum
 from frame_lab.frames import (
     _CSV_BLOCK,
     SPECIALIZATION_TOL,
@@ -42,6 +48,7 @@ from oracles import (
     function_sum,
     oracle_h_partial,
     oracle_h_partial_dense,
+    oracle_project_V,
     oracle_trace_checkpoints,
     oracle_write_weight_table,
     projection_weight,
@@ -134,49 +141,102 @@ def test_weight_modulus_bounded(angle, n):
     assert abs(frame_weight((1 + rho) / 2, (1 - rho) / 2, n)) <= 1 + 1e-12
 
 
+def _x_words(vec, freq, x, total, K: int) -> dict:
+    """project_V's rows as oracle_project_V's dicts: each x code spelled as
+    its K x digits, most significant first."""
+    out: dict[int, dict] = {}
+    for v, f, code, c in zip(vec.tolist(), freq.tolist(), x.tolist(), total.tolist()):
+        out.setdefault(v, {})[f, tuple(2 * (code >> 2 * (K - 1 - i) & 1) for i in range(K))] = c
+    return out
+
+
+def _scaled(bank, j: int, k: int, factor: float):
+    """The bank with a_jk times factor, set after construction, so the
+    admissibility check does not see it: a stand-in for an operator defect."""
+    A = bank.A.copy()
+    A[j, k] *= factor
+    defective = object.__new__(type(bank))
+    object.__setattr__(defective, "A", A)
+    return defective
+
+
 def test_project_constant():
-    vec, freq, weight = project_V(ONE)
-    assert len(freq) == 1
-    assert vec[0] == 0
-    assert freq[0] == 0
-    assert weight[0] == 1
+    vec, freq, x, total = project_V(ONE)
+    assert (vec.tolist(), freq.tolist(), x.tolist(), total.tolist()) == ([0], [0], [0], [1])
 
 
 def test_projection_formula_word_vectors(bank_i):
+    # every one of the 2^K x cylinders totals d_omega at c(omega), and no
+    # other frequency appears
     for w in enumerate_X4(3):
-        _, freq, weight = project_V(s_word_one(bank_i, w))
-        assert len(freq) == 1
-        assert freq[0] == c_of_word(w)
-        assert abs(weight[0] - projection_weight(bank_i, w)) < 1e-12
+        _, freq, x, total = project_V(s_word_one(bank_i, w))
+        assert np.all(freq == c_of_word(w))
+        assert len(x) == 2 ** len(w)
+        assert np.max(np.abs(total - projection_weight(bank_i, w))) < 1e-12
 
 
 def test_project_batch_of_mixed_levels(bank_i):
-    # words of lengths 0..3 in one batch: every vector is refined to level 3
+    # words of lengths 0..3 in one batch: every vector is refined to level 3,
+    # so each has 2^3 x cylinders
     words = [Word4(()), Word4((2,)), Word4((1, 3)), Word4((3, 0, 1))]
     batch = concat(*(renumber(apply_word(bank_i, w, ONE), 1, v) for v, w in enumerate(words)))
-    vec, freq, weight = project_V(batch)
-    assert vec.tolist() == [0, 1, 2, 3]
-    assert freq.tolist() == [c_of_word(w) for w in words]
-    for w, got in zip(words, weight):
-        assert abs(got - projection_weight(bank_i, w)) < 1e-12
+    vec, freq, _, total = project_V(batch)
+    assert vec.tolist() == np.repeat(np.arange(4), 8).tolist()
+    for v, w in enumerate(words):
+        assert np.all(freq[vec == v] == c_of_word(w))
+        assert np.max(np.abs(total[vec == v] - projection_weight(bank_i, w))) < 1e-12
 
 
 def test_projection_weight_vanishes_on_digit_two(bank_i):
-    _, _, weight = project_V(s_word_one(bank_i, Word4((2,))))
-    assert weight[0] == 0
+    _, freq, _, total = project_V(s_word_one(bank_i, Word4((2,))))
+    assert freq.tolist() == [2, 2]
+    assert total.tolist() == [0, 0]
     assert abs(bank_i.digit_weights[2]) == 0
 
 
-def test_project_rejects_unbalanced_shape():
-    lopsided = function_sum([Atom(1.0, 0, (0,))])
-    with pytest.raises(UnsupportedShape):
-        project_V(lopsided)
+@pytest.mark.parametrize("level", range(4))
+def test_project_V_matches_the_per_vector_oracle(bank_i, bank_pq, level):
+    # any shape: random vectors cover only some x cylinders of a frequency,
+    # their adjoint images sit at fractional frequencies (t - j)/4, and the
+    # word vectors of generated_family cover every x cylinder
+    rng = random.Random(level)
+    F = random_function_sum(rng, level, vectors=6)
+    batches = [F, apply_S_star(bank_pq, F), apply_S(bank_i, F)]
+    batches += list(generated_family(bank_pq, level + 1))
+    for batch in batches:
+        assert _x_words(*project_V(batch), batch.level) == oracle_project_V(batch)
 
 
-def test_project_rejects_fractional_frequency():
-    frac = function_sum([Atom(1.0, 0.5, ())])
-    with pytest.raises(UnsupportedShape):
-        project_V(frac)
+@pytest.mark.parametrize(
+    "defect",
+    [Atom(1.0, 0, (0,)), Atom(1.0, 0.5, ())],
+    ids=["one_of_two_x_cylinders", "fractional_frequency"],
+)
+def test_projection_residual_reads_a_wrong_shape_or_frequency(monkeypatch, bank_i, defect):
+    # word 0 replaced by an atom on one of its two x cylinders, or by an
+    # exponential at frequency 1/2, which no frame index names: either is a
+    # residual of the check (an own x cylinder without atoms counts
+    # |d_0| = 1), not an error
+    words = apply_S(bank_i, ONE)
+    batch = concat(function_sum([defect]), FunctionSum(words.atoms[words.atoms["vec"] > 0]))
+    monkeypatch.setattr(frames, "generated_family", lambda bank, max_len: iter([batch]))
+    check = verify_projection(bank_i, 1, 1e-10)
+    assert not check.passed
+    assert check.metrics["max_weight_dev"] == 1.0
+
+
+@pytest.mark.parametrize("entry", [(1, 0), (1, 1), (3, 2)], ids=["a10", "a11", "a32"])
+@pytest.mark.parametrize("name", ["rho_i", "pq_lopsided"])
+def test_projection_fails_on_a_defect_of_one_entry(name, entry):
+    # an entry scaled by 1 + eps moves the x cylinder it feeds, in every word
+    # that reads it, by about eps |a_jk| against the others (0.5 eps for every
+    # entry of rho = i; a_11 of the (0.6, 0.8) bank is -0.1)
+    bank = MENU[name][0]
+    assert verify_projection(bank, 4, 1e-13).passed
+    for eps, tol in ((1e-12, 1e-13), (1e-9, 1e-10)):
+        check = verify_projection(_scaled(bank, *entry, 1 + eps), 4, tol)
+        assert not check.passed
+        assert check.metrics["max_weight_dev"] >= eps * abs(bank.A[entry])
 
 
 def test_weight_consistency_between_modes():
