@@ -10,8 +10,8 @@ every value-gated command, the calls of the certification ladder (its
 directory), weight tables whose length straddles the 4^6-row blocks the CSV
 is written in, a trace whose last checkpoint is no power of 4, the runs at
 and just past each capacity cap, `verify cuntz` at levels 0 and 1 and
-`verify projection` at length 5, where a prefix's words are split over
-batches, on banks whose entries are not dyadic, `verify projection` at
+`verify projection` at length 5, where a batch holds two words, on banks
+whose entries are not dyadic, `verify projection` at
 length 4 on the (p, q) = (0.6, 0.8) bank, whose x-cylinder totals all
 round, runs at a tolerance no check can meet and at one so small that
 tol / 10 underflows, a grid whose span overflows, runs on malformed input files, on well-formed matrices (one
@@ -139,7 +139,8 @@ def _cap_argvs() -> list[list[str]]:
     for bank in (("--p-re", "0.6", "--q-re", "0.8"), RHO_PI_3, PQ_ALPHA):
         out += [["verify", "cuntz", *bank, "--level", level, "--trials", "5"]
                 for level in ("0", "1")]
-    # length 5, where one prefix's four words exceed a batch and split by letter
+    # length 5, where a batch holds two words of 4^5 atoms, each product of
+    # filter rows rounding on these banks
     out += [["verify", "projection", *bank, "--max-word-len", "5"]
             for bank in (("--p-re", "0.6", "--q-re", "0.8"), RHO_PI_3)]
     # length 4 on the same (p, q) bank, whose residual rounds on every x cylinder

@@ -17,7 +17,7 @@ import numpy as np
 
 from .atoms import (
     ATOM,
-    ONE,
+    MERGE_TOL,
     X_BITS,
     FunctionSum,
     concat,
@@ -125,39 +125,41 @@ def generated_family(bank: FilterBank, max_len: int) -> Iterator[FunctionSum]:
     exactly one batch, the lengths in ascending order.
 
     A word is its index: the base-4 digits of n, applied most significant
-    first (word 0 is (0,)). Word n is word n // 4 followed by S_{n % 4}
-    (words 0..3 extend the empty word), so each length is built from the
-    previous one: a batch is the images under _children of a run of
-    prefixes, merged once, which puts S_j of prefix m at vector 4m + j, with
-    the apply_S bits. A batch holds at most FAMILY_BATCH_ATOMS atoms: runs
-    of prefixes while a prefix's four words fit, one prefix's words split
-    by letter once they do not. Only the previous length is kept, as its
-    batches with their prefix ranges, and the generator drops each batch
-    it yields before it builds the next one.
+    first (word 0 is (0,)). A batch is a run of consecutive words of one
+    length K, FAMILY_BATCH_ATOMS // 4^K of them (at least one), each of
+    4^K atoms, built in closed form by _family_batch from the letters that
+    _level_rows lists. The generator holds no batch but the one it yields.
     """
     family_size(max_len)
-    # the previous length: (lo, hi, atoms) with the prefixes lo <= m < hi
-    # sorted by vec; ONE is the empty word, vector 0
-    stored = [(0, 1, ONE.atoms)]
+    R = 2.0 * bank.A
+    rows = _level_rows(max_len)
     for K in range(1, max_len + 1):
         words = max(1, FAMILY_BATCH_ATOMS // 4**K)  # words per batch, each of 4^K atoms
-        step, letters = max(1, words // 4), min(4, words)  # prefixes and letters of a batch
-        batches = []
-        for lo, hi, prefixes in stored:
-            starts = range(lo, hi, step)
-            cuts = np.searchsorted(prefixes["vec"], [*starts, hi])  # each run's atom range
-            for m, i, k in zip(starts, cuts[:-1], cuts[1:]):
-                end = min(m + step, hi)  # prefixes m .. end - 1
-                for j in range(0, 4, letters):
-                    last = min(j + letters, 4)  # letters j .. last - 1
-                    batch = normalize(
-                        FunctionSum._adopt(_children(bank, prefixes[i:k], _PAIRS[j:last, None]))
-                    )
-                    if K < max_len:  # words 4m + j .. 4(end - 1) + last - 1; 0 is not extended
-                        batches.append((max(4 * m + j, 1), 4 * (end - 1) + last, batch.atoms))
-                    yield batch
-                    del batch  # before the next one is built
-        stored = batches
+        for lo in range(4 ** (K - 1) if K > 1 else 0, 4**K, words):
+            yield _family_batch(R, rows[:K], np.arange(lo, min(lo + words, 4**K)))
+
+
+def _family_batch(R: np.ndarray, rows: np.ndarray, n: np.ndarray) -> FunctionSum:
+    """S_omega 1 for the words n, all of length K = len(rows), in closed
+    form: e_n times the Kronecker product of the rows R[rows[i - 1, n]]
+    (R = 2A) of levels i = 1 .. K, the leading pair most significant in
+    the code. The levels are multiplied in as apply_S multiplies them, the
+    deepest first (its phase is exactly 1 at integer frequencies), and the
+    coefficients of size <= MERGE_TOL are zeroed after each level, as
+    normalize drops them. The atoms are the nonzero entries in (n, code)
+    order: the values of the operator recursion, one apply_S per letter.
+    """
+    coeff = np.ones((len(n), 1), dtype=complex)
+    for r in rows[::-1]:
+        coeff = (R[r[n]][:, :, None] * coeff[:, None, :]).reshape(len(n), -1)
+        coeff[np.abs(coeff) <= MERGE_TOL] = 0.0
+    word, code = np.nonzero(coeff)
+    atoms = np.empty(len(word), dtype=ATOM)
+    atoms["coeff"] = coeff[word, code]
+    atoms["freq"] = atoms["vec"] = n[word]
+    atoms["code"] = code
+    atoms["level"] = len(rows)
+    return FunctionSum._adopt(atoms)
 
 
 def random_function_sum(rng: random.Random, level: int, vectors: int = 1) -> FunctionSum:
@@ -239,7 +241,8 @@ def _level_rows(max_len: int) -> np.ndarray:
     Word n has the base-4 digits of n as letters (word 0 is (0,)), and its
     leading pair couples to its last letter, so level i carries digit i - 1
     of n counted from the least significant; a word shorter than i is
-    padded there.
+    padded there. The one table of a word's letters, level by level: the
+    generated family and the Gram kernel both read S_omega 1 from it.
     """
     n = np.arange(4**max_len)
     return np.array(
@@ -260,7 +263,8 @@ def _gram_rows(bank: FilterBank, max_len: int) -> Iterator[np.ndarray]:
     diagonal on: G[f, f:] for f = 0 .. 4^max_len - 1.
 
     S_omega 1 is e_{c(omega)} times the Kronecker product of the rows 2A[j]
-    of its letters, one per level. With every word lifted to level
+    of its letters, one per level, as _level_rows lists them and as
+    generated_family builds it. With every word lifted to level
     L = max_len by rows of ones (a padded level's factor is the next factor
     of mu4_hat), the entry for words f <= g with k = g - f is
 

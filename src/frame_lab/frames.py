@@ -69,14 +69,12 @@ def _digit_counts(n: np.ndarray) -> np.ndarray:
     return np.stack([packed & 15, packed >> 4 & 15, packed >> 8], axis=1)
 
 
-def weight_table(
-    digit_weights: Sequence[complex], n_max: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The frame weights on their support: (n, counts, d).
+def weight_table(digit_weights: Sequence[complex], n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frame weights on their support: (n, d).
 
-    n lists the n <= n_max whose base-4 digits all have nonzero weight,
-    counts their digit counts (l1, l2, l3) from _digit_counts, the counter
-    the CSV blocks use. digit_weights[0] is 1 (the first
+    n lists the n <= n_max whose base-4 digits all have nonzero weight, and
+    d their weights, from the digit counts (l1, l2, l3) of _digit_counts,
+    the counter the CSV blocks use. digit_weights[0] is 1 (the first
     row of an admissible bank is 1/2), and d_n = w1^l1 * w3^l3 is read from
     a table of that closed form evaluated by Python's complex arithmetic,
     one entry per (l1, l3): bit for bit p^l1 0^l2 q^l3. w2 is 0 for every
@@ -96,7 +94,7 @@ def weight_table(
     d = np.array([[a * b for b in q] for a in p])[l1, l3]
     if w2:
         d = d * np.array([w2**k for k in top])[l2]
-    return n, counts, d
+    return n, d
 
 
 def project_V(F: FunctionSum) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -132,7 +130,7 @@ def verify_projection(bank: FilterBank, max_len: int, tol: float) -> Check:
     batch is dropped once projected, before the next one is built."""
     size = family_size(max_len)
     weights = np.zeros(size, dtype=complex)
-    support, _, d = weight_table(bank.digit_weights, size - 1)
+    support, d = weight_table(bank.digit_weights, size - 1)
     weights[support] = d
     lengths = np.diff([0, *4 ** np.arange(1, max_len + 1)])  # words of each length
     cylinders = np.repeat(2 ** np.arange(1, max_len + 1), lengths)  # x cylinders of a word
@@ -188,7 +186,7 @@ def _frame_support(f, bank: FilterBank, n_max: int) -> tuple[np.ndarray, np.ndar
     4^L), not with n_max. The frequencies g of f must keep every g - n
     exact in float64.
     """
-    n, _, d = weight_table(bank.digit_weights, n_max)
+    n, d = weight_table(bank.digit_weights, n_max)
     if any(np.max(np.abs(g)) + n_max >= 2**53 for g, _ in f):
         raise DomainError("frequencies must stay below 2^53 to be exact in float64")
     return n, np.abs(d) ** 2
@@ -358,7 +356,7 @@ def write_weight_table(path, bank: FilterBank, n_max: int) -> int:
     """CSV columns n, l1, l2, l3, weight_re, weight_im, weight_abs2 of the
     bank's frame weights for n = 0 .. n_max, written one block of
     _weight_blocks at a time; returns the number of nonzero weights."""
-    support, _, d = weight_table(bank.digit_weights, n_max)
+    support, d = weight_table(bank.digit_weights, n_max)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEIGHT_TABLE_COLUMNS)

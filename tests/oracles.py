@@ -20,10 +20,13 @@ digit counts; the library names a word by its index alone. frame_weight
 word, a product over its letters) and the CSV writer driven by them are
 the second paths to the library's one digit-weight table. The per-vector checks (one random trial
 vector or one word at a time, the x-cylinder totals as one dict per vector)
-are the reference for the library's batched verify_cuntz, generated_family,
-project_V and verify_projection; they apply
+are the reference for the library's batched verify_cuntz, project_V and
+verify_projection; they apply
 one isometry S_j or S_j* to one sum with S_j and S_j_star, where the
 library applies all four at once and numbers S_j F_v as vector 4v + j.
+oracle_generated_family builds each word by that operator recursion, one
+apply_S per letter, the second path to the library's generated_family,
+which reads every word in closed form from its letters.
 The dense trace and dense weight writer hold every n <= n_max in one
 array, where the library keeps only the support of the weights or writes
 one block at a time; they pin its bits. matmul_deviations forms H*H by a
@@ -181,7 +184,7 @@ def dense_write_weight_table(path, bank, n_max: int) -> int:
     """The weight CSV from dense arrays of n = 0 .. n_max, written at once:
     the support's weights scattered into zeros, the digit counts per n;
     returns the number of nonzero weights."""
-    support, _, d = weight_table(bank.digit_weights, n_max)
+    support, d = weight_table(bank.digit_weights, n_max)
     weights = np.zeros(n_max + 1, dtype=complex)
     weights[support] = d
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -203,7 +206,7 @@ def dense_parseval_trace(f, bank, n_max: int) -> tuple:
     target = 0.0
     for (_, c), mu in zip(pairs, mu4_hat_array([d for d, _ in pairs]).tolist()):
         target += (c * mu).real
-    n, _, d = weight_table(bank.digit_weights, n_max)
+    n, d = weight_table(bank.digit_weights, n_max)
     inner = sum(c * mu4_hat_array(g - n) for g, c in f)
     terms = np.zeros(n_max + 1)
     terms[n] = np.abs(d) ** 2 * np.abs(inner) ** 2
@@ -402,7 +405,7 @@ def oracle_verify_projection(bank, max_len: int, tol: float) -> Check:
     word n of length K must total d_n on each of its 2^K x words at
     frequency n and 0 on every other key, and each x word it lacks at
     frequency n counts |d_n|."""
-    support, _, d = weight_table(bank.digit_weights, 4**max_len - 1)
+    support, d = weight_table(bank.digit_weights, 4**max_len - 1)
     weights = np.zeros(4**max_len, dtype=complex)
     weights[support] = d
     max_dev = 0.0

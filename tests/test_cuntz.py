@@ -28,7 +28,17 @@ from frame_lab import (
     weight_table,
 )
 from frame_lab import cuntz, frames
-from frame_lab.atoms import ATOM, ONE, FunctionSum, concat, fs_add, fs_scale, fs_sub, refine
+from frame_lab.atoms import (
+    ATOM,
+    ONE,
+    FunctionSum,
+    concat,
+    fs_add,
+    fs_scale,
+    fs_sub,
+    refine,
+    renumber,
+)
 from frame_lab.cuntz import (
     FAMILY_MAX_LEN,
     MAX_TRIALS,
@@ -53,11 +63,11 @@ from oracles import (
     dense_inner,
     enumerate_X4,
     max_coeff_gap,
+    oracle_generated_family,
     oracle_verify_cuntz,
     oracle_verify_projection,
     s_word_one,
     unstack,
-    word_of_index,
 )
 
 # Banks of the batched-vs-per-vector parity cases. Only the balanced solver
@@ -195,14 +205,30 @@ def test_closed_form_agrees_with_chain(bank_i):
         assert max_coeff_gap(chained, atom_sum(closed)) < 1e-12
 
 
-def test_generated_family_matches_apply_word(bank_i, bank_pq):
-    for bank in (bank_i, bank_pq):
-        family = [(np.unique(batch.atoms["vec"]).tolist(), batch) for batch in generated_family(bank, 3)]
-        assert sorted(n for words, _ in family for n in words) == list(range(4**3))
-        for words, batch in family:
-            for n in words:
-                want = apply_word(bank, word_of_index(n), ONE).atoms
-                assert np.array_equal(unstack(batch, n).atoms, want)
+def test_generated_family_matches_apply_word():
+    # the closed form against the operator recursion, word by word and atom
+    # by atom: each batch is a run of consecutive words in atom order, at
+    # most FAMILY_BATCH_ATOMS atoms, equal field by field under == (the
+    # recursion's exact phase 1 + 0j can flip the sign of a zero part); at
+    # length 5 on two banks whose entries are not dyadic, so every product
+    # rounds, and whose batches hold two words each
+    cases = [(bank, 4) for bank in SIX_BANKS.values()]
+    cases += [(SIX_BANKS[name], FAMILY_MAX_LEN) for name in ("pi_over_3", "lopsided")]
+    for bank, max_len in cases:
+        words = oracle_generated_family(bank, max_len)
+        for batch in generated_family(bank, max_len):
+            assert 0 < len(batch) <= cuntz.FAMILY_BATCH_ATOMS
+            vecs = batch.atoms["vec"]
+            want = []
+            for n in range(vecs[0], vecs[-1] + 1):
+                m, F = next(words)
+                assert m == n
+                want.append(renumber(F, 1, n).atoms)
+            want = np.concatenate(want)
+            assert len(batch) == len(want)
+            for name in ATOM.names:
+                assert np.array_equal(batch.atoms[name], want[name]), name
+        assert next(words, None) is None
 
 
 def test_s_word_one_zero_word_is_constant(bank_i):
@@ -294,9 +320,8 @@ def test_verify_projection_matches_per_word_oracle(name, max_len):
 
 @pytest.mark.parametrize("max_len", range(1, FAMILY_MAX_LEN + 1))
 def test_generated_family_batches_hold_at_most_the_atom_bound(bank_pq, max_len):
-    # each prefix of a batch gives four words of 4^K atoms at length K, so a
-    # batch runs FAMILY_BATCH_ATOMS / 4^(K + 1) prefixes, or splits one
-    # prefix's words by letter once they do not fit; every word is in one batch
+    # a batch at length K runs FAMILY_BATCH_ATOMS // 4^K words of 4^K atoms
+    # each, and at least one; every word is in exactly one batch
     batches = np.zeros(4**max_len, dtype=np.int64)
     for batch in generated_family(bank_pq, max_len):
         assert len(batch) <= cuntz.FAMILY_BATCH_ATOMS
@@ -305,71 +330,35 @@ def test_generated_family_batches_hold_at_most_the_atom_bound(bank_pq, max_len):
 
 
 def test_a_longest_word_fits_in_one_batch():
-    # a batch splits one prefix's words by letter, but never a word
+    # a batch holds at least one whole word, so the atom bound needs a
+    # longest word to fit
     assert 4**FAMILY_MAX_LEN <= cuntz.FAMILY_BATCH_ATOMS
-
-
-@pytest.mark.parametrize("name", ["i", "pi_over_3", "lopsided"])
-def test_letter_split_batches_are_the_apply_S_images_of_their_prefix(name):
-    # at length 5 one prefix's four words exceed a batch, so its letters are
-    # split over several batches; together they hold apply_S of the prefix,
-    # bit for bit, for the first and the last prefix of length 4
-    bank = SIX_BANKS[name]
-    prefixes = {4**3: None, 4**4 - 1: None}
-    groups = {m: [] for m in prefixes}
-    for batch in generated_family(bank, FAMILY_MAX_LEN):
-        vecs = batch.atoms["vec"]
-        for m in prefixes:
-            if vecs[0] <= m <= vecs[-1]:
-                prefixes[m] = FunctionSum(batch.atoms[vecs == m])
-            if vecs[0] // 4 == m:
-                groups[m].append(batch.atoms)
-    for m, prefix in prefixes.items():
-        assert len(groups[m]) > 1
-        assert all(np.all(atoms["vec"] // 4 == m) for atoms in groups[m])
-        assert np.concatenate(groups[m]).tobytes() == apply_S(bank, prefix).atoms.tobytes()
-
-
-@pytest.mark.parametrize("budget", [4**2, 3 * 4**2, 4**3])
-def test_generated_family_keeps_letter_split_batches_as_prefixes(monkeypatch, bank_pq, budget):
-    # budgets below a length's four words split its prefixes by letter, and
-    # the next length extends those batches by their word ranges; the batch
-    # bound itself needs a longest word to fit, which these budgets break
-    monkeypatch.setattr(cuntz, "FAMILY_BATCH_ATOMS", budget)
-    words = []
-    for batch in generated_family(bank_pq, 3):
-        assert len(batch) > 0
-        for n in np.unique(batch.atoms["vec"]).tolist():
-            words.append(n)
-            want = apply_word(bank_pq, word_of_index(n), ONE).atoms
-            assert np.array_equal(unstack(batch, n).atoms, want)
-    assert words == list(range(4**3))
 
 
 def test_projection_drops_each_batch_before_the_next_is_built(monkeypatch, bank_pq):
     # neither the generator nor verify_projection's loop keeps a projected
-    # batch while the next one is merged
-    projected, project_V = [], frames.project_V
+    # batch while the next one is built: _family_batch builds each batch
+    projected, built, project_V, family_batch = [], [], frames.project_V, cuntz._family_batch
 
     def project(batch):
         projected.append(weakref.ref(batch))
         return project_V(batch)
 
-    def merge(F):
+    def build(*args):
         assert all(ref() is None for ref in projected)
-        return normalize(F)
+        built.append(len(projected))
+        return family_batch(*args)
 
     monkeypatch.setattr(frames, "project_V", project)
-    monkeypatch.setattr(cuntz, "normalize", merge)
+    monkeypatch.setattr(cuntz, "_family_batch", build)
     assert verify_projection(bank_pq, 3, 1e-10).passed
-    assert len(projected) > 1
+    assert built == list(range(len(projected))) and len(built) > 1
 
 
-def test_projection_holds_its_prefixes_and_one_batch(bank_i):
-    # at length 4 the stored length 3 takes 0.14 MiB and a batch of 2 * 4^5
-    # atoms 0.09 MiB; batches of 4^6 atoms take the peak to ~0.7 MiB, and
-    # with the prefixes copied and each batch held while the next is built
-    # as well, to ~0.95 MiB
+def test_projection_holds_one_batch(bank_i):
+    # at length 4, with batches of 2 * 4^5 atoms, the check peaks at ~0.27
+    # MiB; batches of 4^6 atoms take the peak to ~0.52 MiB, and every batch
+    # kept to ~2.6 MiB
     verify_projection(bank_i, 1, 1e-10)
     tracemalloc.start()
     try:
@@ -377,14 +366,15 @@ def test_projection_holds_its_prefixes_and_one_batch(bank_i):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.6 * 2**20, peak
+    assert peak <= 0.4 * 2**20, peak
     assert check.passed
 
 
 def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
-    # generated_family keeps one length, as its batches, and batches of
-    # FAMILY_BATCH_ATOMS atoms, and the operators keep one copy of their
-    # output; all words of length 5 at once would take ~38 MB. verify_cuntz
+    # generated_family holds one batch of at most FAMILY_BATCH_ATOMS atoms
+    # (~0.32 MiB at length 5, ~1.8 MiB with batches of 4^7 atoms), and the
+    # operators keep one copy of their output; all words of length 5 at
+    # once would take ~38 MB. verify_cuntz
     # forms only the four terms S_k S_k* F_v of the identity sum, not all
     # sixteen S_j S_k* F_v
     tracemalloc.start()
@@ -396,7 +386,7 @@ def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
         _, cuntz_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert projection_peak <= 3.5 * 2**20, projection_peak
+    assert projection_peak <= 2**20, projection_peak
     assert cuntz_peak <= 2.25 * 2**20, cuntz_peak
     assert projection.passed and cuntz.passed
 
@@ -409,7 +399,7 @@ def test_spectral_checks_at_their_caps_hold_only_the_support(bank_i, bank_minus_
     # traced, it takes seconds.
     limit = 8 * 2**20
     cap = 4**MAX_ENUM_LEN
-    support, _, d = weight_table(pq_bank(0.6, 0.8).digit_weights, 4**9)
+    support, d = weight_table(pq_bank(0.6, 0.8).digit_weights, 4**9)
     runs = {
         "trace_rho_i": lambda: parseval_trace([(3, 1.0)], bank_i, cap),
         "trace_pq": lambda: parseval_trace([(3, 1.0)], pq_bank(0.6, 0.8), cap),

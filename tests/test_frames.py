@@ -32,6 +32,7 @@ from frame_lab.cuntz import generated_family, random_function_sum
 from frame_lab.frames import (
     _CSV_BLOCK,
     SPECIALIZATION_TOL,
+    _digit_counts,
     write_trace_csv,
     write_weight_table,
 )
@@ -280,11 +281,11 @@ def test_weight_table_lists_the_support_with_its_counts(n_max):
     # (1, 0.5, 0.25j, -0.5) has a nonzero digit-2 weight; (1, 0, 0, 1) is p = 0
     specs = [(1.0, 0.5, 0.25j, -0.5), (1.0, 0.0, 0.0, 1.0), pq_bank(-0.6, 0.8).digit_weights]
     for w in specs:
-        n, counts, d = weight_table(w, n_max)
+        n, d = weight_table(w, n_max)
         words = [word_of_index(k) for k in range(n_max + 1)]
         support = [k for k, word in enumerate(words) if all(w[j] != 0 for j in word)]
         assert n.tolist() == support
-        assert [tuple(c) for c in counts.tolist()] == [digit_counts(k) for k in support]
+        assert [tuple(c) for c in _digit_counts(n).tolist()] == [digit_counts(k) for k in support]
         expected = [np.prod([complex(w[j]) for j in words[k]]) for k in support]
         assert np.max(np.abs(d - expected), initial=0.0) <= 1e-15
 

@@ -720,14 +720,54 @@ def test_env_tolerance_override(capsys, monkeypatch):
     assert last_json(out)["tolerances"]["max_entry_dev"] == 1e-9
 
 
-CERTIFY_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "certify_all.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+CERTIFY_SCRIPT = SCRIPTS / "certify_all.py"
 
 
-def _certify_script():
-    spec = importlib.util.spec_from_file_location("certify_all", CERTIFY_SCRIPT)
+def _script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _certify_script():
+    return _script(CERTIFY_SCRIPT)
+
+
+CODE_SAMPLE = '''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # a comment after code
+
+
+class Words:
+    """Class docstring."""
+
+    def join(self):
+        """Function docstring,
+        over two lines."""
+        return os.path.join(
+            "a",  # a comment inside the call
+            "b",
+        )
+
+
+TEXT = """a string that is no docstring
+spans two lines"""
+'''
+
+
+def test_code_size_counts_only_lines_of_code(tmp_path, capsys):
+    # code lines: import, class, def, the four lines of the call and both
+    # lines of TEXT; the docstrings, the comment and the blank lines do not count
+    path = tmp_path / "sample.py"
+    path.write_text(CODE_SAMPLE)
+    code_size = _script(SCRIPTS / "code_size.py")
+    assert code_size.code_lines(path) == 9
+    assert code_size.main([str(path), str(path)]) == 0
+    assert capsys.readouterr().out == f"     9  {path}\n     9  {path}\n    18  total\n"
 
 
 def _certify(capsys, out_dir):
