@@ -41,7 +41,6 @@ _ROW = np.dtype(ATOM.descr[:4])  # a row of a single sum: (coeff, freq, code, le
 _RAW = np.dtype((np.void, ATOM.itemsize))
 MAX_LEVEL = 31  # the 4^31 codes of a level still fit in int64
 X_BITS = 0x5555_5555_5555_5555  # the x bit (k & 1) of every pair k of a code
-MERGE_TOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +125,13 @@ def _key_order(atoms: np.ndarray) -> np.ndarray:
 
 
 def normalize(F: FunctionSum) -> FunctionSum:
-    """Merge identical-key atoms, drop coefficients of size <= MERGE_TOL, sort keys.
+    """Merge identical-key atoms, drop the exact zeros, sort keys.
 
-    Merged coefficients are added in input order. The merge runs on the
-    sort order and one key field at a time; the kept rows are gathered once,
-    after every index array but theirs is freed, and as rows of F they are
-    not checked again.
+    Merged coefficients are added in input order, and every nonzero sum is
+    kept, however small: a residual of rounding alone stays measurable. The
+    merge runs on the sort order and one key field at a time; the kept rows
+    are gathered once, after every index array but theirs is freed, and as
+    rows of F they are not checked again.
     """
     atoms = F.atoms
     order = _key_order(atoms)
@@ -146,7 +146,7 @@ def normalize(F: FunctionSum) -> FunctionSum:
     coeff = np.zeros(np.count_nonzero(first), dtype=complex)
     np.add.at(coeff, slot, atoms["coeff"][order])
     del slot
-    kept = np.abs(coeff) > MERGE_TOL
+    kept = coeff != 0
     rows, coeff = order[first][kept], coeff[kept]
     del order, first, kept
     out = np.take(atoms, rows)

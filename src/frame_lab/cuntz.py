@@ -17,7 +17,6 @@ import numpy as np
 
 from .atoms import (
     ATOM,
-    MERGE_TOL,
     X_BITS,
     FunctionSum,
     concat,
@@ -145,14 +144,12 @@ def _family_batch(R: np.ndarray, rows: np.ndarray, n: np.ndarray) -> FunctionSum
     (R = 2A) of levels i = 1 .. K, the leading pair most significant in
     the code. The levels are multiplied in as apply_S multiplies them, the
     deepest first (its phase is exactly 1 at integer frequencies), and the
-    coefficients of size <= MERGE_TOL are zeroed after each level, as
-    normalize drops them. The atoms are the nonzero entries in (n, code)
-    order: the values of the operator recursion, one apply_S per letter.
+    atoms are the nonzero entries in (n, code) order: the values of the
+    operator recursion, one apply_S per letter.
     """
     coeff = np.ones((len(n), 1), dtype=complex)
     for r in rows[::-1]:
         coeff = (R[r[n]][:, :, None] * coeff[:, None, :]).reshape(len(n), -1)
-        coeff[np.abs(coeff) <= MERGE_TOL] = 0.0
     word, code = np.nonzero(coeff)
     atoms = np.empty(len(word), dtype=ATOM)
     atoms["coeff"] = coeff[word, code]
@@ -193,11 +190,12 @@ def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: floa
 
     The trials run in passes of TRIALS_PER_PASS vectors. In a pass of T
     vectors, apply_S_star(apply_S(F)) holds S_j* S_k F_v at vector
-    16v + 4k + j. The identity sum forms only its 4 T terms: each image
-    S_k* F_v of apply_S_star(F) goes through _children with its own letter
-    k, and each term S_k S_k* F_v is merged on its own before the four are
-    added. One subtraction forms the 16 T orthogonality residuals and the
-    T identity residuals, and one norms call measures them with F.
+    16v + 4k + j, and one subtraction of F_v at the slots j = k forms the
+    16 T orthogonality residuals. The identity sum forms only its 4 T
+    terms: each image S_k* F_v of apply_S_star(F) goes through _children
+    with its own letter k, and each term S_k S_k* F_v is merged on its own
+    before the four are added at vector v, where F less it is the identity
+    residual. One norms call measures each kind, and one more the norms of F.
     """
     if trials < 1:
         raise ContractError("trials must be >= 1")
@@ -214,20 +212,18 @@ def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: floa
     for done in range(0, trials, TRIALS_PER_PASS):
         T = min(TRIALS_PER_PASS, trials - done)
         F = random_function_sum(rng, level, T)
-        G = apply_S_star(bank, apply_S(bank, F))
         diagonal = concat(*[renumber(F, 16, 5 * k) for k in range(4)])  # F_v at the j = k slots
+        orth = norms(fs_sub(apply_S_star(bank, apply_S(bank, F)), diagonal), 16 * T).reshape(T, 16)
         star = apply_S_star(bank, F).atoms  # S_k* F_v at vector 4v + k
         # S_k S_k* F_v at vector 16v + 5k, each merged on its own before the sum over k
         terms = normalize(FunctionSum._adopt(_children(bank, star, star["vec"][:, None, None] & 3)))
         terms = terms.atoms.copy()
-        terms["vec"] = 16 * T + (terms["vec"] >> 4)
-        total = normalize(FunctionSum._adopt(terms))  # sum_k S_k S_k* F_v at vector 16 T + v
+        terms["vec"] >>= 4
+        total = normalize(FunctionSum._adopt(terms))  # sum_k S_k S_k* F_v at vector v
         # At level 0 the sum is one level deeper than F; refined to it, F cancels
         # atom by atom instead of leaving a difference of ~1e-16 per atom pair.
-        refined = renumber(refine(F, total.level), 1, 16 * T)
-        residuals = fs_sub(concat(G, total), concat(diagonal, refined))
-        r = norms(concat(residuals, renumber(F, 1, 17 * T)), 18 * T)
-        orth, ident, nf = r[: 16 * T].reshape(T, 16), r[16 * T : 17 * T], r[17 * T :]
+        ident = norms(fs_sub(total, refine(F, total.level)), T)
+        nf = norms(F, T)
         kept = nf != 0.0
         max_orth = max(max_orth, float(np.max(orth[kept] / nf[kept, None], initial=0.0)))
         max_ident = max(max_ident, float(np.max(ident[kept] / nf[kept], initial=0.0)))

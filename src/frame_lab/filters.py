@@ -38,8 +38,8 @@ U3 = 0.5 * np.array([1, -1, -1, 1], dtype=complex)
 DEFAULT_UNITARITY_TOL = 1e-12
 MAX_SAMPLES = 100_000  # banks per verify_unitarity sweep; the largest run takes under a second
 _SWEEP_PASS = 2048  # banks per deviations call of the sweep; bounds its working memory
-# Pass thresholds of the scale-3 obstruction: every |1 + e^{4 pi i j/3}| must
-# exceed the first, and the norm gap sqrt(2) - 1 the second.
+# Pass thresholds of the scale-3 obstruction: a phase factor |1 + e^{4 pi i j/R}|
+# above the first forces row j, and the norm gap sqrt(2) - 1 must exceed the second.
 NOGO_MIN_PHASE_FACTOR = 1e-9
 NOGO_MIN_NORM_GAP = 0.41
 
@@ -207,33 +207,47 @@ def g_map(j, t) -> np.ndarray:
     return (np.asarray(t, dtype=np.float64) - j) / 4.0
 
 
-def verify_nogo_mu3() -> Check:
-    """Replay of the obstruction for the middle-third analogue.
-
-    With scale 3 the cylinder phases at the odd columns become
-    e^{4 pi i j / 3}; orthogonality of row 0 against the other rows then
-    forces a_j0 + a_j2 = 0 for j = 1,2,3, so the matrix maps (1,0,1,0) to
-    (1,0,0,0) and cannot be unitary (norm sqrt(2) in, norm 1 out). Passes
-    when every phase factor 1 + e^{4 pi i j / 3} is nonvanishing (that is
-    what forces the row sums to zero) and the norm gap is visible.
-    """
-    factors = [1.0 + complex(cis(2 * j % 3 / 3)) for j in (1, 2, 3)]
-    # Row 0 sums to a_00 + a_02 = 1; the forced rows sum to 0.
-    output_vector = [1, 0, 0, 0]
-    input_norm = math.sqrt(2.0)  # of (1, 0, 1, 0)
-    output_norm = 1.0
-    gap = input_norm - output_norm
-    min_factor = min(abs(f) for f in factors)
-    metrics = {
-        "norm_gap": gap,
-        "input_norm": input_norm,
+def _scale_replay(R: int, d: tuple[complex, ...]) -> dict:
+    """The scale-R replay on v = (1, 0, 1, 0), which H maps to the digit
+    weights (d_0, ..., d_3). Row 0's orthogonality to row j, with the
+    kernel condition, reads (1 + e^{4 pi i j / R}) d_j = 0, so a phase
+    factor above NOGO_MIN_PHASE_FACTOR forces d_j = 0; every other d_j is
+    taken from d, a real bank's. Returns the smallest factor, H v, its norm
+    and the norm H v lost."""
+    factors = [abs(1.0 + complex(cis(2 * j % R / R))) for j in (1, 2, 3)]
+    forced = [f > NOGO_MIN_PHASE_FACTOR for f in factors]
+    image = [d[0].real] + [0.0 if f else d[j].real for j, f in enumerate(forced, 1)]
+    output_norm = math.hypot(*image)
+    return {
+        "min_phase_factor_abs": min(factors),
+        "output_vector": image,
         "output_norm": output_norm,
-        "output_vector": output_vector,
-        "min_phase_factor_abs": min_factor,
+        "norm_gap": math.hypot(1, 0, 1, 0) - output_norm,
     }
-    passed = min_factor > NOGO_MIN_PHASE_FACTOR and gap > NOGO_MIN_NORM_GAP
+
+
+def verify_nogo_mu3() -> Check:
+    """Replay of the obstruction for the middle-third analogue, for this
+    construction only, with scale 4 as its control.
+
+    With scale 3 every phase factor 1 + e^{4 pi i j / 3} is nonvanishing,
+    so rows 1 to 3 are forced: H maps (1,0,1,0), of norm sqrt(2), to
+    (1,0,0,0), of norm 1, and cannot be unitary. With scale 4 the factors
+    are 0, 2, 0, so only d_2 = 0 is forced, which the rho = 1 bank meets:
+    its H v = (1,1,0,0) keeps the norm. Passes when scale 3 is obstructed
+    (every factor above the first threshold, the norm gap above the
+    second) and scale 4 is not.
+    """
+    d = rho_bank(1.0).digit_weights
+    scale3, scale4 = _scale_replay(3, d), _scale_replay(4, d)
+    obstructed = [
+        m["min_phase_factor_abs"] > NOGO_MIN_PHASE_FACTOR and m["norm_gap"] > NOGO_MIN_NORM_GAP
+        for m in (scale3, scale4)
+    ]
+    metrics = {"input_norm": math.hypot(1, 0, 1, 0), **scale3}
+    metrics.update({f"control_{key}": value for key, value in scale4.items()})
     tolerances = {"min_phase_factor_abs": NOGO_MIN_PHASE_FACTOR, "norm_gap": NOGO_MIN_NORM_GAP}
-    return Check(passed, metrics, tolerances)
+    return Check(obstructed == [True, False], metrics, tolerances)
 
 
 def verify_unitarity(samples: int, tol: float, A=None) -> Check:

@@ -44,7 +44,6 @@ from typing import Iterator
 import numpy as np
 
 from frame_lab.atoms import (
-    MERGE_TOL,
     ONE,
     X_BITS,
     FunctionSum,
@@ -614,24 +613,25 @@ def atom_sum(F: FunctionSum) -> AtomSum:
 
 
 def max_coeff_gap(F: FunctionSum, ref: AtomSum) -> float:
-    """Largest coefficient difference between a library sum and an oracle sum
-    with the same keys in the same order; inf if the keys differ."""
+    """Largest coefficient difference between a library sum and an oracle
+    sum over the union of their keys, a key missing on one side reading 0;
+    inf unless the library's keys ascend in key order."""
     got = atom_sum(F).atoms
-    if [a.key() for a in got] != [a.key() for a in ref.atoms]:
+    keys = [a.key() for a in got]
+    if keys != sorted(set(keys)):
         return math.inf
-    return max((abs(a.coeff - b.coeff) for a, b in zip(got, ref.atoms)), default=0.0)
+    mine = {a.key(): a.coeff for a in got}
+    theirs = {a.key(): a.coeff for a in ref.atoms}
+    return max((abs(mine.get(k, 0) - theirs.get(k, 0)) for k in mine.keys() | theirs.keys()),
+               default=0.0)
 
 
 def atom_normalize(F: AtomSum) -> AtomSum:
-    """Merge identical-key atoms, drop coefficients of size <= MERGE_TOL, sort keys."""
+    """Merge identical-key atoms, drop the exact zeros, sort keys."""
     merged: dict = {}
     for a in F.atoms:
         merged[a.key()] = merged.get(a.key(), 0.0) + a.coeff
-    kept = [
-        Atom(coeff, freq, word)
-        for (freq, word), coeff in merged.items()
-        if abs(coeff) > MERGE_TOL
-    ]
+    kept = [Atom(coeff, freq, word) for (freq, word), coeff in merged.items() if coeff != 0]
     kept.sort(key=lambda a: a.key())
     return AtomSum(tuple(kept))
 

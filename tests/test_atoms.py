@@ -171,12 +171,15 @@ def test_refine_contract_error():
 
 
 def test_normalize_merges_and_drops():
+    # only exact zeros go: a zero atom and a sum that cancels; a sum of
+    # rounding size stays
     a = Atom(0.5, 1, (2,))
     b = Atom(0.5, 1, (2,))
     z = Atom(0.0, 2, ())
-    F = normalize(function_sum([a, b, z]))
-    assert len(F) == 1
-    assert F.atoms["coeff"][0] == 1.0
+    tiny = Atom(1e-17, 3, ())
+    F = normalize(function_sum([a, b, z, tiny, Atom(0.25, 4, ()), Atom(-0.25, 4, ())]))
+    assert F.atoms["freq"].tolist() == [1, 3]
+    assert F.atoms["coeff"].tolist() == [1.0, 1e-17]
 
 
 def test_normalize_frees_its_merge_temporaries_before_the_gather():

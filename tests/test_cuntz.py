@@ -269,14 +269,15 @@ def test_verify_cuntz_matches_per_trial_oracle(name, level):
 def test_verify_cuntz_passes_match_the_per_trial_oracle(monkeypatch):
     # trials that span several passes, the last one short, draw the vectors
     # the per-trial oracle draws and keep its metrics bit for bit; on this
-    # seed every residual of the first pass is 0, so a pass that drew the
-    # first pass's vectors again would read 0
+    # seed both of the first pass's largest residuals are below the run's,
+    # so passes that drew the first pass's vectors again would read less
     monkeypatch.setattr(cuntz, "TRIALS_PER_PASS", 3)
     bank = PARITY_BANKS["pq"]
-    got = verify_cuntz(bank, 1, trials=8, seed=1, tol=1e-10)
-    assert repr(got) == repr(oracle_verify_cuntz(bank, 1, 8, 1, 1e-10))
-    assert got.metrics["max_orthogonality_residual"] > 0
-    assert oracle_verify_cuntz(bank, 1, 3, 1, 1e-10).metrics["max_orthogonality_residual"] == 0
+    got = verify_cuntz(bank, 1, trials=8, seed=2, tol=1e-10)
+    assert repr(got) == repr(oracle_verify_cuntz(bank, 1, 8, 2, 1e-10))
+    first = oracle_verify_cuntz(bank, 1, 3, 2, 1e-10).metrics
+    for name, value in first.items():
+        assert value < got.metrics[name], name
 
 
 @pytest.mark.parametrize("level", [0, 2, 4])
@@ -310,11 +311,13 @@ def test_random_function_sum_covers_its_ranges(level):
 @pytest.mark.parametrize("max_len", range(1, 5))
 @pytest.mark.parametrize("name", ["pi_over_3", "pq"])
 def test_verify_projection_matches_per_word_oracle(name, max_len):
+    # the pq bank's length-1 words project exactly; from length 2 on they
+    # leave a residual of rounding, which both paths must read alike
     bank = PARITY_BANKS[name]
     got = verify_projection(bank, max_len, 1e-10)
     assert repr(got) == repr(oracle_verify_projection(bank, max_len, 1e-10))
     assert got.passed
-    if name == "pq":
+    if name == "pq" and max_len > 1:
         assert got.metrics["max_weight_dev"] > 0
 
 
@@ -370,13 +373,14 @@ def test_projection_holds_one_batch(bank_i):
     assert check.passed
 
 
-def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
+def test_checks_at_their_caps_stay_in_bounded_memory(bank_i, bank_pq):
     # generated_family holds one batch of at most FAMILY_BATCH_ATOMS atoms
     # (~0.32 MiB at length 5, ~1.8 MiB with batches of 4^7 atoms), and the
     # operators keep one copy of their output; all words of length 5 at
     # once would take ~38 MB. verify_cuntz
     # forms only the four terms S_k S_k* F_v of the identity sum, not all
-    # sixteen S_j S_k* F_v
+    # sixteen S_j S_k* F_v; on the pq bank every residual keeps its rounding
+    # (~1.6 MiB)
     tracemalloc.start()
     try:
         projection = verify_projection(bank_i, FAMILY_MAX_LEN, 1e-10)
@@ -384,11 +388,15 @@ def test_checks_at_their_caps_stay_in_bounded_memory(bank_i):
         tracemalloc.reset_peak()
         cuntz = verify_cuntz(bank_i, level=4, trials=MAX_TRIALS, seed=0, tol=1e-10)
         _, cuntz_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cuntz_pq = verify_cuntz(bank_pq, level=4, trials=MAX_TRIALS, seed=0, tol=1e-10)
+        _, cuntz_pq_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert projection_peak <= 2**20, projection_peak
     assert cuntz_peak <= 2.25 * 2**20, cuntz_peak
-    assert projection.passed and cuntz.passed
+    assert cuntz_pq_peak <= 2 * 2**20, cuntz_pq_peak
+    assert projection.passed and cuntz.passed and cuntz_pq.passed
 
 
 def test_spectral_checks_at_their_caps_hold_only_the_support(bank_i, bank_minus_one):

@@ -19,6 +19,7 @@ from frame_lab import (
     verify_nogo_mu3,
     verify_unitarity,
 )
+from frame_lab import filters
 from frame_lab.filters import (
     _SWEEP_PASS,
     U1,
@@ -285,6 +286,21 @@ def test_verify_nogo_mu3():
     assert factors[2] == 2.0
     assert all(abs(f) > 0.9 for f in factors)
     assert m["min_phase_factor_abs"] == min(abs(f) for f in factors) > 0.9
+    # the scale-4 control: factors 0, 2, 0 force d_2 = 0 alone, and the
+    # rho = 1 bank keeps (1, 1, 0, 0) with its norm
+    assert m["control_min_phase_factor_abs"] == 0.0
+    assert m["control_output_vector"] == [1, 1, 0, 0]
+    assert m["control_output_norm"] == m["input_norm"]
+    assert m["control_norm_gap"] == 0.0
+
+
+def test_verify_nogo_mu3_fails_when_every_row_is_forced(monkeypatch):
+    # a threshold below every phase factor forces rows 1 to 3 at scale 4 as
+    # well, so the control reads an obstruction too
+    monkeypatch.setattr(filters, "NOGO_MIN_PHASE_FACTOR", -1.0)
+    check = verify_nogo_mu3()
+    assert check.metrics["control_output_vector"] == [1, 0, 0, 0]
+    assert not check.passed
 
 
 def test_matrix_json_round_trip(bank_i):

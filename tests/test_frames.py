@@ -20,6 +20,8 @@ from frame_lab import (
     pq_bank,
     project_V,
     rho_bank,
+    verify_cuntz,
+    verify_gram,
     verify_incomplete,
     verify_projection,
     verify_ruelle,
@@ -226,18 +228,31 @@ def test_projection_residual_reads_a_wrong_shape_or_frequency(monkeypatch, bank_
     assert check.metrics["max_weight_dev"] == 1.0
 
 
+# each check at a size that reads every entry of the bank
+_DEFECT_CHECKS = {
+    "projection": lambda bank, tol: verify_projection(bank, 4, tol),
+    "cuntz": lambda bank, tol: verify_cuntz(bank, 2, 20, 0, tol),
+    "gram": lambda bank, tol: verify_gram(bank, 3, tol),
+}
+
+
 @pytest.mark.parametrize("entry", [(1, 0), (1, 1), (3, 2)], ids=["a10", "a11", "a32"])
 @pytest.mark.parametrize("name", ["rho_i", "pq_lopsided"])
 def test_projection_fails_on_a_defect_of_one_entry(name, entry):
     # an entry scaled by 1 + eps moves the x cylinder it feeds, in every word
     # that reads it, by about eps |a_jk| against the others (0.5 eps for every
-    # entry of rho = i; a_11 of the (0.6, 0.8) bank is -0.1)
+    # entry of rho = i; a_11 of the (0.6, 0.8) bank is -0.1), and the Cuntz
+    # and Gram residuals by more than a quarter of that; the clean bank passes
+    # at a tenth of the smaller tolerance
     bank = MENU[name][0]
-    assert verify_projection(bank, 4, 1e-13).passed
-    for eps, tol in ((1e-12, 1e-13), (1e-9, 1e-10)):
-        check = verify_projection(_scaled(bank, *entry, 1 + eps), 4, tol)
-        assert not check.passed
-        assert check.metrics["max_weight_dev"] >= eps * abs(bank.A[entry])
+    a = abs(bank.A[entry])
+    for kind, check in _DEFECT_CHECKS.items():
+        assert check(bank, 1e-12 * a / 40).passed, kind
+        for eps in (1e-12, 1e-9):
+            got = check(_scaled(bank, *entry, 1 + eps), eps * a / 4)
+            assert not got.passed, (kind, eps)
+            if kind == "projection":
+                assert got.metrics["max_weight_dev"] >= eps * a
 
 
 def test_weight_consistency_between_modes():
