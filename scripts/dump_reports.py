@@ -195,11 +195,13 @@ def _other_argvs() -> list[list[str]]:
 
 
 def _guard_argvs() -> list[list[str]]:
-    """One call per input guard that no other call reaches: a capacity guard
-    (exit 3), then the bad-input guards (exit 2), then a tolerance that needs
-    more factors than the cap at any t."""
+    """One call per input guard that no other call reaches: the capacity
+    guards (exit 3), then the bad-input guards (exit 2), then a tolerance that
+    needs more factors than the cap at any t."""
     return [
         ["verify", "ruelle", "--level", "5"],
+        # two bad inputs: each is checked in full before the next, so the level cap wins
+        ["verify", "cuntz", "--level", "5", "--seed", "-1"],
         ["verify", "ruelle", "--level", "0"],
         ["verify", "ruelle", "--grid=-1:0:0"],
         ["verify", "incomplete", "--gamma", "1", "1"],

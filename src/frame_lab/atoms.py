@@ -35,8 +35,9 @@ ATOM = np.dtype(
     ]
 )
 _ROW = np.dtype(ATOM.descr[:4])  # a row of a single sum: (coeff, freq, code, level), vec 0
-# numpy copies and concatenates a record array field by field; viewed as raw
-# rows of bytes it moves each row at once, several times faster (np.take and
+# numpy copies and concatenates a record array field by field, and repeats a
+# read-only one (as every FunctionSum holds) at half speed; _copy, concat and
+# refine view it as raw rows of bytes, which move whole (np.take and
 # np.compress already do)
 _RAW = np.dtype((np.void, ATOM.itemsize))
 MAX_LEVEL = 31  # the 4^31 codes of a level still fit in int64

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, FrameLabError
+from .errors import CapacityError, DomainError, FrameLabError, in_range
 from .filters import (
     DEFAULT_UNITARITY_TOL,
     FilterBank,
@@ -239,11 +239,10 @@ def _parse_grid(text: str) -> np.ndarray:
         a, b, steps = float(a), float(b), int(steps)
         if not math.isfinite(b - a):  # also a or b not finite
             raise ValueError
-        if steps > MAX_GRID_POINTS:
-            raise CapacityError(f"grid of {steps} points exceeds cap {MAX_GRID_POINTS}")
-        return np.linspace(a, b, steps)
     except ValueError as exc:
         raise DomainError(f"--grid must be a:b:steps with b - a finite, got {text!r}") from exc
+    # capped before linspace allocates; verify_ruelle refuses an empty grid
+    return np.linspace(a, b, in_range("grid points", steps, 0, MAX_GRID_POINTS))
 
 
 def _run_mu4hat(args) -> Check:

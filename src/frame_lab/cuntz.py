@@ -26,13 +26,14 @@ from .atoms import (
     refine,
     renumber,
 )
-from .errors import CapacityError, ContractError
+from .errors import in_range
 from .filters import FilterBank, g_map, little_m
 from .report import Check
 from .transform import cis, mu4_hat_array
 
 FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matrix
 MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes well under a second
+MAX_CUNTZ_LEVEL = 4  # deepest level of verify_cuntz's random vectors
 TRIALS_PER_PASS = 64  # trial vectors verify_cuntz stacks at once; bounds its working memory
 FAMILY_BATCH_ATOMS = 2 * 4**5  # most atoms in a generated_family batch, while a longest word fits
 ATOMS_PER_VECTOR = 3  # atoms in each random test vector of random_function_sum
@@ -111,11 +112,7 @@ def _adjoint_images(bank: FilterBank, a: np.ndarray) -> np.ndarray:
 def family_size(max_len: int) -> int:
     """4^max_len, the number of words of length <= max_len, for a length the
     generated family allows."""
-    if max_len < 1:
-        raise ContractError("max_len must be >= 1")
-    if max_len > FAMILY_MAX_LEN:
-        raise CapacityError(f"max_len {max_len} exceeds family cap {FAMILY_MAX_LEN}")
-    return 4**max_len
+    return 4 ** in_range("max_len", max_len, 1, FAMILY_MAX_LEN)
 
 
 def generated_family(bank: FilterBank, max_len: int) -> Iterator[FunctionSum]:
@@ -197,17 +194,9 @@ def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: floa
     before the four are added at vector v, where F less it is the identity
     residual. One norms call measures each kind, and one more the norms of F.
     """
-    if trials < 1:
-        raise ContractError("trials must be >= 1")
-    if trials > MAX_TRIALS:
-        raise CapacityError(f"trials {trials} exceeds cap {MAX_TRIALS}")
-    if level < 0:
-        raise ContractError("level must be >= 0")
-    if seed < 0:
-        raise ContractError("seed must be >= 0")
-    if level > 4:
-        raise CapacityError("level must be <= 4")
-    rng = random.Random(seed)
+    in_range("trials", trials, 1, MAX_TRIALS)
+    in_range("level", level, 0, MAX_CUNTZ_LEVEL)
+    rng = random.Random(in_range("seed", seed, 0))
     max_orth = max_ident = 0.0
     for done in range(0, trials, TRIALS_PER_PASS):
         T = min(TRIALS_PER_PASS, trials - done)

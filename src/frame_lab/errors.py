@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and in_range, the one guard
+of every integer floor and cap.
 
 The CLI maps these onto its exit-code contract: bad input or infeasible
 parameters exit 2, capacity guards exit 3, failed checks exit 1.
@@ -30,3 +31,14 @@ class InfeasibleParameters(FrameLabError, ValueError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+def in_range(name: str, value: int, low: int, cap: int | None = None) -> int:
+    """value, once it lies in [low, cap]: below low is bad input
+    (ContractError, exit 2), above cap a capacity guard (CapacityError,
+    exit 3), and each message names the input."""
+    if value < low:
+        raise ContractError(f"{name} must be >= {low}")
+    if cap is not None and value > cap:
+        raise CapacityError(f"{name} {value} exceeds cap {cap}")
+    return value

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, DomainError, InfeasibleParameters
+from .errors import ContractError, DomainError, InfeasibleParameters, in_range
 from .report import Check
 from .transform import cis
 
@@ -261,8 +261,8 @@ def verify_unitarity(samples: int, tol: float, A=None) -> Check:
     scalar np.exp(2j * np.pi * m / samples). Dividing a complex array by
     samples would round some phases differently.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
     if A is not None:
         dev = {name: float(d) for name, d in deviations(A).items()}
         metrics = {
@@ -271,10 +271,7 @@ def verify_unitarity(samples: int, tol: float, A=None) -> Check:
             "kernel_max_dev": dev["kernel"],
         }
         return Check(all(d <= tol for d in dev.values()), metrics, {"unitarity": tol})
-    if samples < 1:
-        raise ContractError("samples must be >= 1")
-    if samples > MAX_SAMPLES:
-        raise CapacityError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
+    in_range("samples", samples, 1, MAX_SAMPLES)
     max_dev = 0.0
     for lo in range(0, samples, _SWEEP_PASS):
         m = np.arange(lo, min(lo + _SWEEP_PASS, samples))

@@ -25,13 +25,14 @@ import numpy as np
 
 from .atoms import X_BITS, FunctionSum, refine
 from .cuntz import family_size, generated_family
-from .errors import CapacityError, ContractError, DomainError
+from .errors import DomainError, in_range
 from .filters import FilterBank, g_map, little_m
 from .report import Check
 from .transform import mu4_hat_array
 
 MAX_ENUM_LEN = 10  # n_max <= 4**MAX_ENUM_LEN for the weight table and every trace
 MAX_GAMMAS = 100  # frequencies per verify_incomplete call, one trace each
+MAX_RUELLE_LEVEL = 4  # deepest level L of verify_ruelle, whose energy sums reach 4^(L + 1)
 
 WEIGHT_TABLE_COLUMNS = ("n", "l1", "l2", "l3", "weight_re", "weight_im", "weight_abs2")
 TRACE_COLUMNS = ("N", "partial_sum", "target")
@@ -81,12 +82,8 @@ def weight_table(digit_weights: Sequence[complex], n_max: int) -> tuple[np.ndarr
     admissible bank (its row sums to 0 and meets the kernel condition); a
     nonzero w2 multiplies in as w2^l2.
     """
-    if n_max < 0:
-        raise ContractError("n_max must be >= 0")
-    if n_max > 4**MAX_ENUM_LEN:
-        raise CapacityError(f"n_max {n_max} exceeds cap 4^{MAX_ENUM_LEN}")
     w1, w2, w3 = (complex(x) for x in digit_weights[1:])
-    n = _listing(np.flatnonzero(digit_weights), n_max)
+    n = _listing(np.flatnonzero(digit_weights), in_range("n_max", n_max, 0, 4**MAX_ENUM_LEN))
     counts = _digit_counts(n)
     l1, l2, l3 = counts.T
     top = range(int(counts.max(initial=0)) + 1)
@@ -219,8 +216,7 @@ def parseval_trace(
     weights, and S_N is read at the last index n <= N: np.cumsum adds in
     order and an exact 0.0 off the support changes no bit.
     """
-    if n_max < 1:
-        raise ContractError("n_max must be >= 1")
+    in_range("n_max", n_max, 1)
     f = [(int(g), complex(c)) for g, c in f]
     pairs = [(g1 - g2, c1 * c2.conjugate()) for g1, c1 in f for g2, c2 in f]
     target = 0.0
@@ -258,10 +254,8 @@ def h_partial(t, bank: FilterBank, max_len: int):
     spans the grid times the support. The refinement identity check stays
     two-sided: the symbols little_m are independent.
     """
-    if max_len < 1:
-        raise ContractError("max_len must be >= 1")
     t = np.asarray(t, dtype=np.float64)
-    n, weights = _frame_support([(t, 1.0)], bank, 4**max_len - 1)
+    n, weights = _frame_support([(t, 1.0)], bank, 4 ** in_range("max_len", max_len, 1) - 1)
     points = t.reshape(-1, 1)
     step = max(1, _ENERGY_BLOCK // len(n))  # grid points per block
     out = np.empty(len(points))
@@ -283,13 +277,9 @@ def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], level: int, tol: fl
     must match the general one to SPECIALIZATION_TOL. The grid is checked at
     once: one energy kernel call per level.
     """
-    if level < 1:
-        raise ContractError("level must be >= 1")
-    if level > 4:
-        raise CapacityError("level must be <= 4")
+    in_range("level", level, 1, MAX_RUELLE_LEVEL)
     t = np.array(t_grid, dtype=np.float64, ndmin=1)
-    if t.size == 0:
-        raise ContractError("t_grid must not be empty")
+    in_range("grid points", t.size, 1)
     lhs = h_partial(t, bank, level + 1)
     h_vals = h_partial(np.array([g_map(j, t) for j in range(4)]), bank, level)
     symbols = [np.abs(little_m(bank, j, t)) ** 2 for j in range(4)]
@@ -324,8 +314,7 @@ def verify_incomplete(bank: FilterBank, gammas: Sequence[int], n_max: int, tol: 
     """
     if is_parseval(bank):
         raise DomainError(f"incompleteness needs a p = 0 bank, got p = {bank.digit_weights[1]:.6g}")
-    if len(gammas) > MAX_GAMMAS:
-        raise CapacityError(f"{len(gammas)} frequencies exceed cap {MAX_GAMMAS}")
+    in_range("gamma count", len(gammas), 1, MAX_GAMMAS)
     if len(set(gammas)) < len(gammas):
         raise DomainError(f"frequencies must be distinct, got {list(gammas)}")
     metrics = {}

@@ -41,15 +41,18 @@ from frame_lab.atoms import (
 )
 from frame_lab.cuntz import (
     FAMILY_MAX_LEN,
+    MAX_CUNTZ_LEVEL,
     MAX_TRIALS,
     _children,
     _gram_rows,
     _pair_sums,
     apply_S,
     apply_S_star,
+    family_size,
     generated_family,
     random_function_sum,
 )
+from frame_lab.errors import in_range
 from frame_lab.filters import MAX_SAMPLES
 from frame_lab.frames import MAX_ENUM_LEN, _weight_blocks
 from oracles import (
@@ -468,10 +471,19 @@ def test_gram_capacity_guard(bank_i):
 
 
 def test_family_and_trial_capacity_guards(bank_i):
-    with pytest.raises(CapacityError):
+    past = f"^max_len {FAMILY_MAX_LEN + 1} exceeds cap {FAMILY_MAX_LEN}$"
+    with pytest.raises(CapacityError, match=past):
         next(generated_family(bank_i, FAMILY_MAX_LEN + 1))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=f"^trials {MAX_TRIALS + 1} exceeds cap {MAX_TRIALS}$"):
         verify_cuntz(bank_i, level=1, trials=MAX_TRIALS + 1, seed=0, tol=1e-10)
+    past = f"^level {MAX_CUNTZ_LEVEL + 1} exceeds cap {MAX_CUNTZ_LEVEL}$"
+    with pytest.raises(CapacityError, match=past):  # checked before the bad seed
+        verify_cuntz(bank_i, level=MAX_CUNTZ_LEVEL + 1, trials=1, seed=-1, tol=1e-10)
+    # the one guard: a value in range comes back, and no cap bounds it from above
+    assert family_size(FAMILY_MAX_LEN) == 4**FAMILY_MAX_LEN
+    assert in_range("seed", 2**80, 0) == 2**80
+    with pytest.raises(ContractError, match="^seed must be >= 0$"):
+        in_range("seed", -1, 0)
 
 
 def test_gram_rows_match_dense_oracle(bank_one, bank_i, bank_pq):

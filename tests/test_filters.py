@@ -144,6 +144,9 @@ def test_batched_unitarity_sweep_matches_the_per_bank_loop(samples):
     assert all(np.array_equal(stack[m], hadamard_rho(rho)) for m, rho in enumerate(rhos))
     loop = max(float(deviations(hadamard_rho(rho))["unitarity"]) for rho in rhos)
     assert verify_unitarity(samples, 1e-12).metrics["max_dev"] == loop
+    for tol in (0.0, math.nan, math.inf):  # a nan or infinite bound would pass vacuously
+        with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+            verify_unitarity(samples, tol)
 
 
 def test_sign_pattern_positions():

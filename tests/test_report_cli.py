@@ -30,8 +30,14 @@ from frame_lab import (
     verify_unitarity,
 )
 from frame_lab.cli import _BANK_PARAMS, MAX_GRID_POINTS, _bank_from_args, build_parser, main
-from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_TRIALS
-from frame_lab.frames import MAX_ENUM_LEN, MAX_GAMMAS, SPECIALIZATION_TOL, is_parseval
+from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_CUNTZ_LEVEL, MAX_TRIALS
+from frame_lab.frames import (
+    MAX_ENUM_LEN,
+    MAX_GAMMAS,
+    MAX_RUELLE_LEVEL,
+    SPECIALIZATION_TOL,
+    is_parseval,
+)
 from frame_lab.filters import (
     MAX_SAMPLES,
     NOGO_MIN_NORM_GAP,
@@ -501,43 +507,69 @@ def test_verify_capacity_exit_3(capsys):
     assert "capacity" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["mu4hat", "--t", "1e300"],
-        ["mu4hat", "--t", "1e30"],
-        # tol / 10 underflows to 0
-        ["mu4hat", "--t", "1", "--tol", "5e-324"],
-        ["verify", "parseval", "--gamma", "1", "--n-max", str(4**10 + 1)],
-        ["verify", "incomplete", "--gamma", "1", "--n-max", str(4**10 + 1)],
-        ["verify", "incomplete", "--gamma", *map(str, range(MAX_GAMMAS + 1))],
-        ["verify", "projection", "--max-word-len", str(FAMILY_MAX_LEN + 1)],
-        ["verify", "ruelle", "--grid=0:1:99999999999999999"],
-        ["verify", "ruelle", f"--grid=0:1:{MAX_GRID_POINTS + 1}"],
-        ["verify", "ruelle", "--level", "5"],
-        ["weights", "--n-max", str(4**MAX_ENUM_LEN + 1), "--out", "w.csv"],
-        ["verify", "cuntz", "--trials", str(MAX_TRIALS + 1)],
-        ["verify", "unitarity", "--samples", str(MAX_SAMPLES + 1)],
-    ],
-)
+# Each argv past a cap, and the capacity message it prints: an integer cap
+# names its input, value and cap, a transform cap the input that needs the factors.
+_PAST_CAPS = {
+    ("mu4hat", "--t", "1e300"): "|t| = 1e+300 needs over 64 factors",
+    ("mu4hat", "--t", "1e30"): "|t| = 1e+30 needs over 64 factors",
+    # tol / 10 underflows to 0
+    ("mu4hat", "--t", "1", "--tol", "5e-324"): "tolerance 4.94e-324 needs over 64 factors",
+    ("verify", "parseval", "--gamma", "1", "--n-max", str(4**10 + 1)):
+        f"n_max {4**10 + 1} exceeds cap {4**MAX_ENUM_LEN}",
+    ("verify", "incomplete", "--gamma", "1", "--n-max", str(4**10 + 1)):
+        f"n_max {4**10 + 1} exceeds cap {4**MAX_ENUM_LEN}",
+    ("verify", "incomplete", "--gamma", *map(str, range(MAX_GAMMAS + 1))):
+        f"gamma count {MAX_GAMMAS + 1} exceeds cap {MAX_GAMMAS}",
+    ("verify", "projection", "--max-word-len", str(FAMILY_MAX_LEN + 1)):
+        f"max_len {FAMILY_MAX_LEN + 1} exceeds cap {FAMILY_MAX_LEN}",
+    ("verify", "ruelle", "--grid=0:1:99999999999999999"):
+        f"grid points 99999999999999999 exceeds cap {MAX_GRID_POINTS}",
+    ("verify", "ruelle", f"--grid=0:1:{MAX_GRID_POINTS + 1}"):
+        f"grid points {MAX_GRID_POINTS + 1} exceeds cap {MAX_GRID_POINTS}",
+    ("verify", "ruelle", "--level", str(MAX_RUELLE_LEVEL + 1)):
+        f"level {MAX_RUELLE_LEVEL + 1} exceeds cap {MAX_RUELLE_LEVEL}",
+    ("weights", "--n-max", str(4**MAX_ENUM_LEN + 1), "--out", "w.csv"):
+        f"n_max {4**MAX_ENUM_LEN + 1} exceeds cap {4**MAX_ENUM_LEN}",
+    ("verify", "cuntz", "--trials", str(MAX_TRIALS + 1)):
+        f"trials {MAX_TRIALS + 1} exceeds cap {MAX_TRIALS}",
+    ("verify", "unitarity", "--samples", str(MAX_SAMPLES + 1)):
+        f"samples {MAX_SAMPLES + 1} exceeds cap {MAX_SAMPLES}",
+    ("verify", "cuntz", "--level", str(MAX_CUNTZ_LEVEL + 1)):
+        f"level {MAX_CUNTZ_LEVEL + 1} exceeds cap {MAX_CUNTZ_LEVEL}",
+    # each input is checked in full before the next: the level cap comes first
+    ("verify", "cuntz", "--level", str(MAX_CUNTZ_LEVEL + 1), "--seed", "-1"):
+        f"level {MAX_CUNTZ_LEVEL + 1} exceeds cap {MAX_CUNTZ_LEVEL}",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in _PAST_CAPS])
 def test_uncertifiable_input_exits_3_with_one_line(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert len(err.splitlines()) == 1 and "capacity" in err
+    assert err == f"capacity guard: {_PAST_CAPS[tuple(argv)]}\n"
     assert not (tmp_path / "w.csv").exists()
+
+
+# Each argv below an integer floor, and the input and floor its error names.
+_BELOW_FLOORS = {
+    ("verify", "gram", "--rho-im", "1", "--max-word-len", "0"): "max_len must be >= 1",
+    ("verify", "projection", "--rho-im", "1", "--max-word-len", "0"): "max_len must be >= 1",
+    ("verify", "cuntz", "--rho-re", "1", "--level", "-1"): "level must be >= 0",
+    ("verify", "unitarity", "--samples", "0"): "samples must be >= 1",
+    ("verify", "cuntz", "--rho-re", "1", "--level", "1", "--seed", "-1"): "seed must be >= 0",
+    ("verify", "ruelle", "--rho-im", "1", "--grid=0:1:0"): "grid points must be >= 1",
+    ("verify", "ruelle", "--level", "0"): "level must be >= 1",
+    ("weights", "--rho-re", "1", "--n-max", "-5", "--out", "w.csv"): "n_max must be >= 0",
+}
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "gram", "--rho-im", "1", "--max-word-len", "0"],
-        ["verify", "projection", "--rho-im", "1", "--max-word-len", "0"],
-        ["verify", "cuntz", "--rho-re", "1", "--level", "-1"],
-        ["verify", "unitarity", "--samples", "0"],
+        *[list(argv) for argv in _BELOW_FLOORS],
         ["verify", "unitarity", "--rho-im", "1"],
-        ["verify", "cuntz", "--rho-re", "1", "--level", "1", "--seed", "-1"],
         # nan fails every `dev <= tol` guard; 1e300 squares to inf, not OverflowError
         ["verify", "parseval", "--rho-re", "nan", "--n-max", "16"],
         ["weights", "--rho-re", "nan", "--n-max", "3", "--out", "w.csv"],
@@ -546,12 +578,9 @@ def test_uncertifiable_input_exits_3_with_one_line(capsys, monkeypatch, tmp_path
         ["verify", "gram", "--max-word-len", "1",
          "--alpha-a10-re", "1e300", "--alpha-a30-re", "nan", "--alpha-a11-re", "0",
          "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1"],
-        ["verify", "ruelle", "--rho-im", "1", "--grid=0:1:0"],
-        ["verify", "ruelle", "--level", "0"],
         # a and b finite, b - a not: refused before linspace warns
         ["verify", "ruelle", "--grid=-1e308:1e308:3"],
         ["verify", "incomplete", "--gamma", "1", "1", "--n-max", "16"],
-        ["weights", "--rho-re", "1", "--n-max", "-5", "--out", "w.csv"],
         ["verify", "gram", "--rho-im", "1", "--tol", "inf"],
         # each solver constraint holds within tol, the assembled bank does not
         ["verify", "gram", "--max-word-len", "2",
@@ -580,6 +609,8 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    if tuple(argv) in _BELOW_FLOORS:
+        assert err == f"error: {_BELOW_FLOORS[tuple(argv)]}\n"
     assert not (tmp_path / "w.csv").exists()
 
 
@@ -915,7 +946,7 @@ def _argv(draw):
         return ["verify", "unitarity", *samples, *matrix, *tol]
     if command == "cuntz":
         sizes = [
-            draw(_optional("level", _ints(0, 1, 2, cap=4))),
+            draw(_optional("level", _ints(0, 1, 2, cap=MAX_CUNTZ_LEVEL))),
             draw(_flag("trials", _ints(1, cap=MAX_TRIALS))),
             draw(_optional("seed", _ints(7))),
         ]
@@ -930,7 +961,7 @@ def _argv(draw):
     if command == "ruelle":
         a, b = (draw(st.one_of(st.sampled_from(["-1", "0", "0.5"]), _FLOAT)) for _ in "ab")
         steps = draw(st.one_of(st.sampled_from(["0", "1", "3", "x"]), _ints(3, cap=MAX_GRID_POINTS)))
-        level = draw(_optional("level", _ints(1, 2, cap=4)))
+        level = draw(_optional("level", _ints(1, 2, cap=MAX_RUELLE_LEVEL)))
         return ["verify", "ruelle", *draw(_bank()), f"--grid={a}:{b}:{steps}", *level, *tol]
     if command == "incomplete":
         gammas = draw(st.one_of(
@@ -966,7 +997,7 @@ def property_dir(tmp_path_factory):
 
 # A guard of each kind that a drawn argv may miss: exit 3, then exit 2.
 GUARD_ARGVS = [
-    ["verify", "ruelle", "--level", "5"],
+    ["verify", "ruelle", "--level", str(MAX_RUELLE_LEVEL + 1)],
     ["verify", "ruelle", "--grid=-1:0:0"],
     ["verify", "incomplete", "--gamma", "1", "1"],
     ["verify", "parseval", "--n-max", "0"],
