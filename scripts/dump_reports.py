@@ -11,9 +11,10 @@ directory), weight tables whose length straddles the 4^6-row blocks the CSV
 is written in, a trace whose last checkpoint is no power of 4, the runs at
 and just past each capacity cap, `verify cuntz` at levels 0 and 1 and
 `verify projection` at length 5, where a batch holds two words, on banks
-whose entries are not dyadic, `verify projection` at
-length 4 on the (p, q) = (0.6, 0.8) bank, whose x-cylinder totals all
-round, runs at a tolerance no check can meet and at one so small that
+whose entries are not dyadic, on the p = 0 bank rho = -1, whose zero
+weights leave many x-cylinder totals at exact zeros, and on rho = 1,
+`verify projection` at length 4 on the (p, q) = (0.6, 0.8) bank, whose
+x-cylinder totals all round, runs at a tolerance no check can meet and at one so small that
 tol / 10 underflows, a grid whose span overflows, runs on malformed input files, on well-formed matrices (one
 with an entry so large that H*H overflows) and banks that are not
 admissible, with both matrix options of `verify unitarity` at once, and
@@ -145,6 +146,9 @@ def _cap_argvs() -> list[list[str]]:
             for bank in (("--p-re", "0.6", "--q-re", "0.8"), RHO_PI_3)]
     # length 4 on the same (p, q) bank, whose residual rounds on every x cylinder
     out.append(["verify", "projection", "--p-re", "0.6", "--q-re", "0.8", "--max-word-len", "4"])
+    # length 5 on the p = 0 bank rho = -1, whose zero weights leave many x
+    # cylinder totals at exact zeros, and on rho = 1
+    out += [["verify", "projection", "--rho-re", rho, "--max-word-len", "5"] for rho in ("-1", "1")]
     out += [["mu4hat", "--t", t] for t in ("0", "2", "-7.25", "1e6", "1e24", "1e30")]
     # the last: a tolerance whose tol / 10 underflows to 0
     return out + [["mu4hat", "--t", "1e30", "--tol", "1e-3"],

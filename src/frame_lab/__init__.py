@@ -11,7 +11,7 @@ the scale-3 obstruction.
 
 __version__ = "0.1.0"
 
-from .atoms import FunctionSum, exponential, inner_product, norm, normalize, refine
+from .atoms import FunctionSum, normalize, refine
 from .cuntz import apply_S, apply_S_star, verify_cuntz, verify_gram
 from .errors import (
     CapacityError,
@@ -35,7 +35,6 @@ from .frames import (
     PartialSumTrace,
     h_partial,
     parseval_trace,
-    project_V,
     verify_incomplete,
     verify_parseval,
     verify_projection,
@@ -58,18 +57,14 @@ __all__ = [
     "apply_S",
     "apply_S_star",
     "cis",
-    "exponential",
     "g_map",
     "h_partial",
     "hadamard_rho",
-    "inner_product",
     "little_m",
     "mu4_hat",
-    "norm",
     "normalize",
     "parseval_trace",
     "pq_bank",
-    "project_V",
     "refine",
     "report_json",
     "rho_bank",

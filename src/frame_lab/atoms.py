@@ -109,14 +109,6 @@ def _checked(atoms: np.ndarray) -> np.ndarray:
     return atoms
 
 
-def exponential(t) -> FunctionSum:
-    """The global exponential e^{2 pi i t x} as a single level-0 atom."""
-    return FunctionSum([(1.0, t, 0, 0)])
-
-
-ONE = exponential(0)
-
-
 def _key_order(atoms: np.ndarray) -> np.ndarray:
     """Stable sort by (vec, freq, word), a word before its extensions: by vec,
     then freq, then code shifted left to the deepest level, then level."""
@@ -160,18 +152,12 @@ def concat(*sums: FunctionSum) -> FunctionSum:
     return FunctionSum._adopt(np.concatenate([F.atoms.view(_RAW) for F in sums]).view(ATOM))
 
 
-def fs_add(*sums: FunctionSum) -> FunctionSum:
-    return normalize(concat(*sums))
-
-
-def fs_scale(F: FunctionSum, scalar: complex) -> FunctionSum:
-    atoms = _copy(F.atoms)
-    atoms["coeff"] = scalar * atoms["coeff"]
-    return FunctionSum._adopt(atoms)
-
-
 def fs_sub(F: FunctionSum, G: FunctionSum) -> FunctionSum:
-    return fs_add(F, fs_scale(G, -1.0))
+    """F - G, each vector apart: G's coefficients times -1.0, merged once
+    with F's atoms."""
+    atoms = np.concatenate([F.atoms.view(_RAW), G.atoms.view(_RAW)]).view(ATOM)
+    atoms["coeff"][len(F):] *= -1.0
+    return normalize(FunctionSum._adopt(atoms, checked=True))
 
 
 def renumber(F: FunctionSum, scale: int, offset: int) -> FunctionSum:
@@ -234,15 +220,6 @@ def inner_products(F: FunctionSum, G: FunctionSum, count: int) -> np.ndarray:
     return out
 
 
-def inner_product(F: FunctionSum, G: FunctionSum) -> complex:
-    """<F, G> of two single sums."""
-    return complex(inner_products(F, G, 1)[0])
-
-
 def norms(F: FunctionSum, count: int) -> np.ndarray:
     """||F_v|| for v = 0 .. count - 1."""
     return np.sqrt(np.maximum(inner_products(F, F, count).real, 0.0))
-
-
-def norm(F: FunctionSum) -> float:
-    return float(norms(F, 1)[0])

@@ -35,7 +35,7 @@ FAMILY_MAX_LEN = 5  # longest words of the generated family and of its Gram matr
 MAX_TRIALS = 500  # random vectors per verify_cuntz call; the largest run takes well under a second
 MAX_CUNTZ_LEVEL = 4  # deepest level of verify_cuntz's random vectors
 TRIALS_PER_PASS = 64  # trial vectors verify_cuntz stacks at once; bounds its working memory
-FAMILY_BATCH_ATOMS = 2 * 4**5  # most atoms in a generated_family batch, while a longest word fits
+FAMILY_BATCH_ATOMS = 2 * 4**5  # most coefficients in a generated_family batch, while a longest word fits
 ATOMS_PER_VECTOR = 3  # atoms in each random test vector of random_function_sum
 _PAD = 4  # row index of the padding row in the Gram kernel's tables
 _PAIRS = np.arange(4)
@@ -115,45 +115,41 @@ def family_size(max_len: int) -> int:
     return 4 ** in_range("max_len", max_len, 1, FAMILY_MAX_LEN)
 
 
-def generated_family(bank: FilterBank, max_len: int) -> Iterator[FunctionSum]:
-    """S_omega 1 for the words omega of X4 up to max_len, in batches: vector
-    n of a batch is S_omega 1 for n = c(omega), and every n < 4^max_len is in
-    exactly one batch, the lengths in ascending order.
+def generated_family(bank: FilterBank, max_len: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """S_omega 1 for the words omega of X4 up to max_len, in batches (n, coeff):
+    row i of coeff holds S_omega 1 for the word n[i] = c(omega), and every
+    n < 4^max_len is in exactly one batch, the lengths in ascending order.
 
     A word is its index: the base-4 digits of n, applied most significant
     first (word 0 is (0,)). A batch is a run of consecutive words of one
-    length K, FAMILY_BATCH_ATOMS // 4^K of them (at least one), each of
-    4^K atoms, built in closed form by _family_batch from the letters that
-    _level_rows lists. The generator holds no batch but the one it yields.
+    length K, FAMILY_BATCH_ATOMS // 4^K of them (at least one), each a row
+    of 4^K coefficients, built in closed form by _family_batch from the
+    letters that _level_rows lists. The generator holds no batch but the
+    one it yields.
     """
     family_size(max_len)
     R = 2.0 * bank.A
     rows = _level_rows(max_len)
     for K in range(1, max_len + 1):
-        words = max(1, FAMILY_BATCH_ATOMS // 4**K)  # words per batch, each of 4^K atoms
+        words = max(1, FAMILY_BATCH_ATOMS // 4**K)  # words per batch, each of 4^K coefficients
         for lo in range(4 ** (K - 1) if K > 1 else 0, 4**K, words):
-            yield _family_batch(R, rows[:K], np.arange(lo, min(lo + words, 4**K)))
+            n = np.arange(lo, min(lo + words, 4**K))
+            yield n, _family_batch(R, rows[:K], n)
 
 
-def _family_batch(R: np.ndarray, rows: np.ndarray, n: np.ndarray) -> FunctionSum:
+def _family_batch(R: np.ndarray, rows: np.ndarray, n: np.ndarray) -> np.ndarray:
     """S_omega 1 for the words n, all of length K = len(rows), in closed
-    form: e_n times the Kronecker product of the rows R[rows[i - 1, n]]
+    form: row w is e_{n[w]}'s step function, its coefficient on each
+    level-K code, the Kronecker product of the rows R[rows[i - 1, n[w]]]
     (R = 2A) of levels i = 1 .. K, the leading pair most significant in
     the code. The levels are multiplied in as apply_S multiplies them, the
-    deepest first (its phase is exactly 1 at integer frequencies), and the
-    atoms are the nonzero entries in (n, code) order: the values of the
-    operator recursion, one apply_S per letter.
+    deepest first (its phase is exactly 1 at integer frequencies): the
+    values of the operator recursion, one apply_S per letter.
     """
     coeff = np.ones((len(n), 1), dtype=complex)
     for r in rows[::-1]:
         coeff = (R[r[n]][:, :, None] * coeff[:, None, :]).reshape(len(n), -1)
-    word, code = np.nonzero(coeff)
-    atoms = np.empty(len(word), dtype=ATOM)
-    atoms["coeff"] = coeff[word, code]
-    atoms["freq"] = atoms["vec"] = n[word]
-    atoms["code"] = code
-    atoms["level"] = len(rows)
-    return FunctionSum._adopt(atoms)
+    return coeff
 
 
 def random_function_sum(rng: random.Random, level: int, vectors: int = 1) -> FunctionSum:

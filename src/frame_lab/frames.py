@@ -3,9 +3,9 @@
 Projecting the generated orthonormal family onto functions of x alone turns
 the word vector for omega into the single weighted exponential
 (d_omega, c(omega)) with d_omega = prod_k (a_{j_k 0} + a_{j_k 2}).
-project_V is the general x-projection, the y-integral on every x cylinder
-of any batch, and verify_projection measures one residual from it against
-d_n e_n on every cylinder, so a defect is a failed check. Indexed
+verify_projection integrates out y on every x cylinder of the closed-form
+family, a sum over the y axes of its coefficient rows, and measures one
+residual against d_n on every cylinder, so a defect is a failed check. Indexed
 by integers, the weights take the closed multiplicative form
 p^{l1(n)} * 0^{l2(n)} * q^{l3(n)} over the base-4 digit counts of n;
 weight_table is the one function that computes them. The trace machinery
@@ -23,14 +23,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .atoms import X_BITS, FunctionSum, refine
 from .cuntz import family_size, generated_family
 from .errors import DomainError, in_range
 from .filters import FilterBank, g_map, little_m
 from .report import Check
 from .transform import mu4_hat_array
 
-MAX_ENUM_LEN = 10  # n_max <= 4**MAX_ENUM_LEN for the weight table and every trace
+MAX_ENUM_LEN = 10  # n_max <= 4**MAX_ENUM_LEN for the weight table and every trace, max_len <= it for h_partial
 MAX_GAMMAS = 100  # frequencies per verify_incomplete call, one trace each
 MAX_RUELLE_LEVEL = 4  # deepest level L of verify_ruelle, whose energy sums reach 4^(L + 1)
 
@@ -94,52 +93,30 @@ def weight_table(digit_weights: Sequence[complex], n_max: int) -> tuple[np.ndarr
     return n, d
 
 
-def project_V(F: FunctionSum) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate out the y coordinate of every vector of a batch: arrays
-    (vec, freq, x, total), one row per vector, frequency and x cylinder that
-    holds atoms, in ascending (vec, freq, x) order.
-
-    The atoms are taken at the deepest level K (word vectors already sit
-    there), x is the x part of their level-K code, and total is the sum of
-    a cylinder's coefficients times 2^-K, the measure of each y cylinder,
-    added in atom order. No shape is assumed: a weighted exponential d e_n
-    is the one frequency n with the total d on all 2^K x cylinders.
-    """
-    K = F.level
-    a = F.atoms if np.all(F.atoms["level"] == K) else refine(F, K).atoms
-    x = a["code"] & X_BITS
-    order = np.lexsort((x, a["freq"], a["vec"]))  # stable: atom order within a cylinder
-    vec, freq, x = a["vec"][order], a["freq"][order], x[order]
-    new = np.ones(len(a), dtype=bool)
-    new[1:] = (vec[1:] != vec[:-1]) | (freq[1:] != freq[:-1]) | (x[1:] != x[:-1])
-    total = np.zeros(np.count_nonzero(new), dtype=complex)
-    np.add.at(total, np.cumsum(new) - 1, a["coeff"][order] * 2.0 ** (-K))
-    return vec[new], freq[new], x[new], total
-
-
 def verify_projection(bank: FilterBank, max_len: int, tol: float) -> Check:
     """P S_omega 1 = d_n e_n, n = c(omega), for every word of length <= max_len,
-    as one residual: max_weight_dev is the largest |total - d_n [freq = n]|
-    over every word, frequency and x cylinder of project_V, and a word with
-    fewer than 2^|omega| cylinders at its own frequency n also counts |d_n|.
-    So a wrong shape, frequency or weight fails the check at tol alike. The
-    words are projected one batch of generated_family at a time, and each
-    batch is dropped once projected, before the next one is built."""
+    as one residual: max_weight_dev is the largest |total - d_n| over every
+    word and each of its 2^|omega| x cylinders.
+
+    A batch of generated_family holds words of one length K as rows of 4^K
+    coefficients, one per level-K code, at frequency n by construction.
+    Pair k = xd/2 + 2 yd of each level puts its y bit above its x bit, so a
+    row reshaped to (y, x, y, x, ..) axes, summed over its y axes and scaled
+    by 2^-K, the measure of each y cylinder, gives every x cylinder's total;
+    a cylinder with no mass totals 0 and counts |d_n|. So a wrong shape or
+    weight fails the check at tol alike."""
     size = family_size(max_len)
     weights = np.zeros(size, dtype=complex)
     support, d = weight_table(bank.digit_weights, size - 1)
     weights[support] = d
-    lengths = np.diff([0, *4 ** np.arange(1, max_len + 1)])  # words of each length
-    cylinders = np.repeat(2 ** np.arange(1, max_len + 1), lengths)  # x cylinders of a word
     max_dev = 0.0
-    for vec, freq, _, total in map(project_V, generated_family(bank, max_len)):
-        own = freq == vec
-        gap = total - np.where(own, weights[vec], 0.0)
+    for n, coeff in generated_family(bank, max_len):
+        bits = coeff.shape[1].bit_length() - 1  # 2K: a (y, x) pair of axes per level
+        total = coeff.reshape(len(n), *[2] * bits).sum(axis=tuple(range(1, bits, 2)))
+        gap = total.reshape(len(n), -1) * 2.0 ** -(bits // 2) - weights[n, None]
+        del coeff  # dropped before the next batch is built
         dev = np.hypot(gap.real, gap.imag)  # bit for bit Python's abs, unlike np.abs
         max_dev = max(max_dev, float(np.max(dev)))
-        np.subtract.at(cylinders, vec[own], 1)
-    absent = np.where(cylinders > 0, weights, 0.0)  # own-frequency cylinders without atoms
-    max_dev = max(max_dev, float(np.max(np.hypot(absent.real, absent.imag))))
     return Check(max_dev <= tol, {"max_weight_dev": max_dev}, {"weight_dev": tol})
 
 
@@ -255,7 +232,8 @@ def h_partial(t, bank: FilterBank, max_len: int):
     two-sided: the symbols little_m are independent.
     """
     t = np.asarray(t, dtype=np.float64)
-    n, weights = _frame_support([(t, 1.0)], bank, 4 ** in_range("max_len", max_len, 1) - 1)
+    max_len = in_range("max_len", max_len, 1, MAX_ENUM_LEN)
+    n, weights = _frame_support([(t, 1.0)], bank, 4**max_len - 1)
     points = t.reshape(-1, 1)
     step = max(1, _ENERGY_BLOCK // len(n))  # grid points per block
     out = np.empty(len(points))

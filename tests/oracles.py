@@ -18,15 +18,20 @@ are Word4 tuples of letters here, with the index map c, its inverse and the
 digit counts; the library names a word by its index alone. frame_weight
 (per n, from the digit counts and a pair (p, q)), projection_weight (per
 word, a product over its letters) and the CSV writer driven by them are
-the second paths to the library's one digit-weight table. The per-vector checks (one random trial
-vector or one word at a time, the x-cylinder totals as one dict per vector)
-are the reference for the library's batched verify_cuntz, project_V and
-verify_projection; they apply
+the second paths to the library's one digit-weight table. The per-vector
+checks (one random trial vector or one word at a time) are the reference
+for the library's batched verify_cuntz and verify_projection; they apply
 one isometry S_j or S_j* to one sum with S_j and S_j_star, where the
 library applies all four at once and numbers S_j F_v as vector 4v + j.
 oracle_generated_family builds each word by that operator recursion, one
 apply_S per letter, the second path to the library's generated_family,
-which reads every word in closed form from its letters.
+which reads every word's coefficient row in closed form from its letters.
+oracle_project_V is the one general x-projection, of any batch of atoms,
+one dict of x-cylinder totals per vector; the library's verify_projection
+sums the y axes of the closed-form rows instead. exponential, ONE,
+inner_product, norm, fs_add and fs_scale are the single-sum forms the
+tests write, thin over the library's batched inner_products, norms,
+concat and normalize.
 The dense trace and dense weight writer hold every n <= n_max in one
 array, where the library keeps only the support of the weights or writes
 one block at a time; they pin its bits. matmul_deviations forms H*H by a
@@ -44,12 +49,12 @@ from typing import Iterator
 import numpy as np
 
 from frame_lab.atoms import (
-    ONE,
     X_BITS,
     FunctionSum,
-    fs_add,
+    concat,
     fs_sub,
-    norm,
+    inner_products,
+    norms,
     normalize,
     refine,
 )
@@ -61,6 +66,36 @@ from frame_lab.report import Check
 from frame_lab.transform import mu4_hat, mu4_hat_array
 
 _ALPHABET = (0, 1, 2, 3)
+
+
+# ---- Single-sum helpers over the library's batched calculus.
+
+
+def exponential(t) -> FunctionSum:
+    """The global exponential e^{2 pi i t x} as a single level-0 atom."""
+    return FunctionSum([(1.0, t, 0, 0)])
+
+
+ONE = exponential(0)
+
+
+def inner_product(F: FunctionSum, G: FunctionSum) -> complex:
+    """<F, G> of two single sums."""
+    return complex(inner_products(F, G, 1)[0])
+
+
+def norm(F: FunctionSum) -> float:
+    return float(norms(F, 1)[0])
+
+
+def fs_add(*sums: FunctionSum) -> FunctionSum:
+    return normalize(concat(*sums))
+
+
+def fs_scale(F: FunctionSum, scalar: complex) -> FunctionSum:
+    atoms = F.atoms.copy()
+    atoms["coeff"] = scalar * atoms["coeff"]
+    return FunctionSum(atoms)
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,14 @@ from frame_lab import (
     ContractError,
     DomainError,
     FunctionSum,
-    exponential,
-    inner_product,
     mu4_hat,
-    norm,
     normalize,
     refine,
 )
 from frame_lab.atoms import (
     ATOM,
     MAX_LEVEL,
-    ONE,
     concat,
-    fs_add,
-    fs_scale,
     fs_sub,
     inner_products,
     renumber,
@@ -30,6 +24,7 @@ from frame_lab.atoms import (
 from frame_lab.cuntz import apply_S, apply_S_star
 from frame_lab.filters import rho_bank
 from oracles import (
+    ONE,
     Atom,
     AtomSum,
     S_j,
@@ -41,9 +36,14 @@ from oracles import (
     atom_refine,
     atom_sum,
     evaluate,
+    exponential,
+    fs_add,
+    fs_scale,
     function_sum,
     ifs_monte_carlo_integral,
+    inner_product,
     max_coeff_gap,
+    norm,
     unstack,
 )
 

@@ -9,11 +9,8 @@ from frame_lab import (
     CapacityError,
     ContractError,
     cis,
-    exponential,
     g_map,
-    inner_product,
     little_m,
-    norm,
     normalize,
     parseval_trace,
     pq_bank,
@@ -27,18 +24,8 @@ from frame_lab import (
     verify_unitarity,
     weight_table,
 )
-from frame_lab import cuntz, frames
-from frame_lab.atoms import (
-    ATOM,
-    ONE,
-    FunctionSum,
-    concat,
-    fs_add,
-    fs_scale,
-    fs_sub,
-    refine,
-    renumber,
-)
+from frame_lab import cuntz
+from frame_lab.atoms import ATOM, FunctionSum, concat, fs_sub, refine
 from frame_lab.cuntz import (
     FAMILY_MAX_LEN,
     MAX_CUNTZ_LEVEL,
@@ -56,6 +43,7 @@ from frame_lab.errors import in_range
 from frame_lab.filters import MAX_SAMPLES
 from frame_lab.frames import MAX_ENUM_LEN, _weight_blocks
 from oracles import (
+    ONE,
     S_j,
     S_j_star,
     Word4,
@@ -65,7 +53,12 @@ from oracles import (
     c_of_word,
     dense_inner,
     enumerate_X4,
+    exponential,
+    fs_add,
+    fs_scale,
+    inner_product,
     max_coeff_gap,
+    norm,
     oracle_generated_family,
     oracle_verify_cuntz,
     oracle_verify_projection,
@@ -209,28 +202,27 @@ def test_closed_form_agrees_with_chain(bank_i):
 
 
 def test_generated_family_matches_apply_word():
-    # the closed form against the operator recursion, word by word and atom
-    # by atom: each batch is a run of consecutive words in atom order, at
-    # most FAMILY_BATCH_ATOMS atoms, equal field by field under == (the
-    # recursion's exact phase 1 + 0j can flip the sign of a zero part); at
-    # length 5 on two banks whose entries are not dyadic, so every product
-    # rounds, and whose batches hold two words each
+    # the closed form against the operator recursion, word by word: each
+    # batch is a run of consecutive words, at most FAMILY_BATCH_ATOMS
+    # coefficients, and every atom of a word's recursion sits at the word's
+    # own frequency n and level, its coefficient the entry of its code under
+    # == (the recursion's exact phase 1 + 0j can flip the sign of a zero
+    # part); every other entry of the row is an exact 0. At length 5 on two
+    # banks whose entries are not dyadic, so every product rounds, and whose
+    # batches hold two words each
     cases = [(bank, 4) for bank in SIX_BANKS.values()]
     cases += [(SIX_BANKS[name], FAMILY_MAX_LEN) for name in ("pi_over_3", "lopsided")]
     for bank, max_len in cases:
         words = oracle_generated_family(bank, max_len)
-        for batch in generated_family(bank, max_len):
-            assert 0 < len(batch) <= cuntz.FAMILY_BATCH_ATOMS
-            vecs = batch.atoms["vec"]
-            want = []
-            for n in range(vecs[0], vecs[-1] + 1):
+        for n, coeff in generated_family(bank, max_len):
+            assert 0 < coeff.size <= cuntz.FAMILY_BATCH_ATOMS and len(coeff) == len(n)
+            for want, row in zip(n.tolist(), coeff):
                 m, F = next(words)
-                assert m == n
-                want.append(renumber(F, 1, n).atoms)
-            want = np.concatenate(want)
-            assert len(batch) == len(want)
-            for name in ATOM.names:
-                assert np.array_equal(batch.atoms[name], want[name]), name
+                assert m == want
+                atoms = F.atoms
+                assert np.all(atoms["freq"] == m) and np.all(4 ** atoms["level"] == len(row))
+                assert np.array_equal(row[atoms["code"]], atoms["coeff"])
+                assert not np.any(np.delete(row, atoms["code"]))
         assert next(words, None) is None
 
 
@@ -326,12 +318,12 @@ def test_verify_projection_matches_per_word_oracle(name, max_len):
 
 @pytest.mark.parametrize("max_len", range(1, FAMILY_MAX_LEN + 1))
 def test_generated_family_batches_hold_at_most_the_atom_bound(bank_pq, max_len):
-    # a batch at length K runs FAMILY_BATCH_ATOMS // 4^K words of 4^K atoms
-    # each, and at least one; every word is in exactly one batch
+    # a batch at length K runs FAMILY_BATCH_ATOMS // 4^K words of 4^K
+    # coefficients each, and at least one; every word is in exactly one batch
     batches = np.zeros(4**max_len, dtype=np.int64)
-    for batch in generated_family(bank_pq, max_len):
-        assert len(batch) <= cuntz.FAMILY_BATCH_ATOMS
-        np.add.at(batches, np.unique(batch.atoms["vec"]), 1)
+    for n, coeff in generated_family(bank_pq, max_len):
+        assert coeff.size <= cuntz.FAMILY_BATCH_ATOMS
+        np.add.at(batches, n, 1)
     assert np.all(batches == 1)
 
 
@@ -342,29 +334,25 @@ def test_a_longest_word_fits_in_one_batch():
 
 
 def test_projection_drops_each_batch_before_the_next_is_built(monkeypatch, bank_pq):
-    # neither the generator nor verify_projection's loop keeps a projected
-    # batch while the next one is built: _family_batch builds each batch
-    projected, built, project_V, family_batch = [], [], frames.project_V, cuntz._family_batch
-
-    def project(batch):
-        projected.append(weakref.ref(batch))
-        return project_V(batch)
+    # neither the generator nor verify_projection's loop keeps a yielded
+    # coefficient batch while _family_batch builds the next one
+    yielded, family_batch = [], cuntz._family_batch
 
     def build(*args):
-        assert all(ref() is None for ref in projected)
-        built.append(len(projected))
-        return family_batch(*args)
+        assert all(ref() is None for ref in yielded)
+        coeff = family_batch(*args)
+        yielded.append(weakref.ref(coeff))
+        return coeff
 
-    monkeypatch.setattr(frames, "project_V", project)
     monkeypatch.setattr(cuntz, "_family_batch", build)
     assert verify_projection(bank_pq, 3, 1e-10).passed
-    assert built == list(range(len(projected))) and len(built) > 1
+    assert len(yielded) > 1
 
 
 def test_projection_holds_one_batch(bank_i):
-    # at length 4, with batches of 2 * 4^5 atoms, the check peaks at ~0.27
-    # MiB; batches of 4^6 atoms take the peak to ~0.52 MiB, and every batch
-    # kept to ~2.6 MiB
+    # at length 4, with batches of 2 * 4^5 coefficients, the check peaks at
+    # ~0.13 MiB; batches of 4^7 coefficients take the peak to ~0.62 MiB, and
+    # every batch kept to ~0.9 MiB
     verify_projection(bank_i, 1, 1e-10)
     tracemalloc.start()
     try:
@@ -372,15 +360,15 @@ def test_projection_holds_one_batch(bank_i):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.4 * 2**20, peak
+    assert peak <= 0.25 * 2**20, peak
     assert check.passed
 
 
 def test_checks_at_their_caps_stay_in_bounded_memory(bank_i, bank_pq):
-    # generated_family holds one batch of at most FAMILY_BATCH_ATOMS atoms
-    # (~0.32 MiB at length 5, ~1.8 MiB with batches of 4^7 atoms), and the
-    # operators keep one copy of their output; all words of length 5 at
-    # once would take ~38 MB. verify_cuntz
+    # generated_family holds one batch of at most FAMILY_BATCH_ATOMS
+    # coefficients (~0.17 MiB at length 5, ~0.67 MiB with batches of 4^7,
+    # ~13 MiB with every batch kept), and the operators keep one copy of
+    # their output. verify_cuntz
     # forms only the four terms S_k S_k* F_v of the identity sum, not all
     # sixteen S_j S_k* F_v; on the pq bank every residual keeps its rounding
     # (~1.6 MiB)
@@ -396,7 +384,7 @@ def test_checks_at_their_caps_stay_in_bounded_memory(bank_i, bank_pq):
         _, cuntz_pq_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert projection_peak <= 2**20, projection_peak
+    assert projection_peak <= 0.4 * 2**20, projection_peak
     assert cuntz_peak <= 2.25 * 2**20, cuntz_peak
     assert cuntz_pq_peak <= 2 * 2**20, cuntz_pq_peak
     assert projection.passed and cuntz.passed and cuntz_pq.passed
@@ -463,6 +451,32 @@ def test_gram_level_one_identity(bank_i, bank_pq):
         assert check.metrics["size"] == 4
         assert check.metrics["max_offdiag"] <= 1e-10
         assert check.metrics["max_diag_dev"] <= 1e-10
+
+
+@pytest.mark.parametrize("defect", [None, 0, -1], ids=["none", "diagonal", "last_offdiagonal"])
+def test_gram_reads_every_entry_of_every_row(monkeypatch, bank_i, defect):
+    # identity rows, one of them off by 1e-6 on its diagonal or in its last
+    # entry, past its first off-diagonal one: the defect fails the check and
+    # is its metric, and without it the check passes
+    size = 16
+
+    def rows(bank, max_len):
+        for f in range(size):
+            entries = np.zeros(size - f, dtype=complex)
+            entries[0] = 1.0
+            if f == 1 and defect is not None:
+                entries[defect] += 1e-6
+            yield entries
+
+    monkeypatch.setattr(cuntz, "_gram_rows", rows)
+    check = verify_gram(bank_i, 2, 1e-8)
+    assert check.metrics["size"] == size
+    metrics = (check.metrics["max_diag_dev"], check.metrics["max_offdiag"])
+    if defect is None:
+        assert check.passed and metrics == (0.0, 0.0)
+    else:
+        assert not check.passed
+        assert metrics == ((abs((1.0 + 1e-6) - 1.0), 0.0) if defect == 0 else (0.0, 1e-6))
 
 
 def test_gram_capacity_guard(bank_i):

@@ -1,24 +1,22 @@
 import cmath
 import json
-import random
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frame_lab import (
+    CapacityError,
     ContractError,
     DomainError,
     FunctionSum,
     InfeasibleParameters,
-    apply_S,
-    apply_S_star,
     cis,
     h_partial,
     mu4_hat,
     parseval_trace,
     pq_bank,
-    project_V,
     rho_bank,
     verify_cuntz,
     verify_gram,
@@ -28,18 +26,19 @@ from frame_lab import (
     weight_table,
 )
 from frame_lab import frames
-from frame_lab.atoms import ONE, concat, renumber
+from frame_lab.atoms import concat, renumber
 from frame_lab.cli import main
-from frame_lab.cuntz import generated_family, random_function_sum
+from frame_lab.cuntz import generated_family
 from frame_lab.frames import (
     _CSV_BLOCK,
+    MAX_ENUM_LEN,
     SPECIALIZATION_TOL,
     _digit_counts,
     write_trace_csv,
     write_weight_table,
 )
 from oracles import (
-    Atom,
+    ONE,
     Word4,
     apply_word,
     c_of_word,
@@ -48,7 +47,6 @@ from oracles import (
     digit_counts,
     enumerate_X4,
     frame_weight,
-    function_sum,
     oracle_h_partial,
     oracle_h_partial_dense,
     oracle_project_V,
@@ -144,15 +142,6 @@ def test_weight_modulus_bounded(angle, n):
     assert abs(frame_weight((1 + rho) / 2, (1 - rho) / 2, n)) <= 1 + 1e-12
 
 
-def _x_words(vec, freq, x, total, K: int) -> dict:
-    """project_V's rows as oracle_project_V's dicts: each x code spelled as
-    its K x digits, most significant first."""
-    out: dict[int, dict] = {}
-    for v, f, code, c in zip(vec.tolist(), freq.tolist(), x.tolist(), total.tolist()):
-        out.setdefault(v, {})[f, tuple(2 * (code >> 2 * (K - 1 - i) & 1) for i in range(K))] = c
-    return out
-
-
 def _scaled(bank, j: int, k: int, factor: float):
     """The bank with a_jk times factor, set after construction, so the
     admissibility check does not see it: a stand-in for an operator defect."""
@@ -164,18 +153,18 @@ def _scaled(bank, j: int, k: int, factor: float):
 
 
 def test_project_constant():
-    vec, freq, x, total = project_V(ONE)
-    assert (vec.tolist(), freq.tolist(), x.tolist(), total.tolist()) == ([0], [0], [0], [1])
+    assert oracle_project_V(ONE) == {0: {(0.0, ()): 1}}
 
 
 def test_projection_formula_word_vectors(bank_i):
     # every one of the 2^K x cylinders totals d_omega at c(omega), and no
     # other frequency appears
     for w in enumerate_X4(3):
-        _, freq, x, total = project_V(s_word_one(bank_i, w))
-        assert np.all(freq == c_of_word(w))
-        assert len(x) == 2 ** len(w)
-        assert np.max(np.abs(total - projection_weight(bank_i, w))) < 1e-12
+        totals = oracle_project_V(s_word_one(bank_i, w))[0]
+        assert {freq for freq, _ in totals} == {c_of_word(w)}
+        assert len(totals) == 2 ** len(w)
+        d = projection_weight(bank_i, w)
+        assert max(abs(total - d) for total in totals.values()) < 1e-12
 
 
 def test_project_batch_of_mixed_levels(bank_i):
@@ -183,46 +172,66 @@ def test_project_batch_of_mixed_levels(bank_i):
     # so each has 2^3 x cylinders
     words = [Word4(()), Word4((2,)), Word4((1, 3)), Word4((3, 0, 1))]
     batch = concat(*(renumber(apply_word(bank_i, w, ONE), 1, v) for v, w in enumerate(words)))
-    vec, freq, _, total = project_V(batch)
-    assert vec.tolist() == np.repeat(np.arange(4), 8).tolist()
+    totals = oracle_project_V(batch)
+    assert sorted(totals) == [0, 1, 2, 3]
     for v, w in enumerate(words):
-        assert np.all(freq[vec == v] == c_of_word(w))
-        assert np.max(np.abs(total[vec == v] - projection_weight(bank_i, w))) < 1e-12
+        assert {freq for freq, _ in totals[v]} == {c_of_word(w)}
+        assert len(totals[v]) == 8
+        d = projection_weight(bank_i, w)
+        assert max(abs(total - d) for total in totals[v].values()) < 1e-12
 
 
 def test_projection_weight_vanishes_on_digit_two(bank_i):
-    _, freq, _, total = project_V(s_word_one(bank_i, Word4((2,))))
-    assert freq.tolist() == [2, 2]
-    assert total.tolist() == [0, 0]
+    totals = oracle_project_V(s_word_one(bank_i, Word4((2,))))[0]
+    assert totals == {(2.0, (0,)): 0, (2.0, (2,)): 0}
     assert abs(bank_i.digit_weights[2]) == 0
 
 
+def _oracle_residual(n: int, row: np.ndarray, weights: np.ndarray) -> float:
+    """verify_projection's residual on one word's coefficient row, from the
+    x-cylinder totals of oracle_project_V: a cylinder without a total reads 0."""
+    K = (len(row).bit_length() - 1) // 2
+    F = FunctionSum([(row[u], n, u, K) for u in np.flatnonzero(row).tolist()])
+    totals = oracle_project_V(F).get(0, {})
+    return max(abs(totals.get((n, x), 0j) - weights[n]) for x in product((0, 2), repeat=K))
+
+
 @pytest.mark.parametrize("level", range(4))
-def test_project_V_matches_the_per_vector_oracle(bank_i, bank_pq, level):
-    # any shape: random vectors cover only some x cylinders of a frequency,
-    # their adjoint images sit at fractional frequencies (t - j)/4, and the
-    # word vectors of generated_family cover every x cylinder
-    rng = random.Random(level)
-    F = random_function_sum(rng, level, vectors=6)
-    batches = [F, apply_S_star(bank_pq, F), apply_S(bank_i, F)]
-    batches += list(generated_family(bank_pq, level + 1))
-    for batch in batches:
-        assert _x_words(*project_V(batch), batch.level) == oracle_project_V(batch)
+def test_project_V_matches_the_per_vector_oracle(monkeypatch, bank_pq, level):
+    # verify_projection's y sums against the oracle's per-atom totals, one
+    # word at a time, on random rows of length-K words (K = level + 1) with
+    # half their entries zero, so that some x cylinders hold nothing, and on
+    # every row of generated_family up to length K
+    K = level + 1
+    support, d = weight_table(bank_pq.digit_weights, 4**K - 1)
+    weights = np.zeros(4**K, dtype=complex)
+    weights[support] = d
+    rng = np.random.default_rng(level)
+    lo = 4**level if level else 0
+    n = np.arange(lo, min(lo + 8, 4**K))
+    coeff = rng.standard_normal((len(n), 4**K)) + 1j * rng.standard_normal((len(n), 4**K))
+    coeff[rng.random(coeff.shape) < 0.5] = 0
+    batches = [(n, coeff), *generated_family(bank_pq, K)]
+    for n, coeff in batches:
+        for i in range(len(n)):
+            word = (n[i : i + 1], coeff[i : i + 1])
+            monkeypatch.setattr(frames, "generated_family", lambda bank, max_len: iter([word]))
+            got = verify_projection(bank_pq, K, 1.0).metrics["max_weight_dev"]
+            assert got == _oracle_residual(int(n[i]), coeff[i], weights)
 
 
 @pytest.mark.parametrize(
-    "defect",
-    [Atom(1.0, 0, (0,)), Atom(1.0, 0.5, ())],
-    ids=["one_of_two_x_cylinders", "fractional_frequency"],
+    "pairs", [(0, 2), (1, 3)], ids=["one_of_two_x_cylinders", "the_other_x_cylinder"]
 )
-def test_projection_residual_reads_a_wrong_shape_or_frequency(monkeypatch, bank_i, defect):
-    # word 0 replaced by an atom on one of its two x cylinders, or by an
-    # exponential at frequency 1/2, which no frame index names: either is a
-    # residual of the check (an own x cylinder without atoms counts
-    # |d_0| = 1), not an error
-    words = apply_S(bank_i, ONE)
-    batch = concat(function_sum([defect]), FunctionSum(words.atoms[words.atoms["vec"] > 0]))
-    monkeypatch.setattr(frames, "generated_family", lambda bank, max_len: iter([batch]))
+def test_projection_residual_reads_a_wrong_shape_or_frequency(monkeypatch, bank_i, pairs):
+    """Word 0 with one of its two x cylinders emptied (its pairs k, of x
+    digit 2 (k & 1), set to 0) totals 0 there: a residual of |d_0| = 1 of
+    the check, not an error. A wrong frequency cannot be fed: a row of a
+    batch is at its word's frequency n by construction, and every atom of
+    the operator recursion sits at n (test_generated_family_matches_apply_word)."""
+    n, coeff = next(generated_family(bank_i, 1))
+    coeff[0, list(pairs)] = 0
+    monkeypatch.setattr(frames, "generated_family", lambda bank, max_len: iter([(n, coeff)]))
     check = verify_projection(bank_i, 1, 1e-10)
     assert not check.passed
     assert check.metrics["max_weight_dev"] == 1.0
@@ -310,6 +319,9 @@ def test_kernel_input_guards(bank_one):
         parseval_trace([(2**53, 1.0)], bank_one, 4)
     with pytest.raises(ContractError):
         h_partial(0.0, bank_one, 0)
+    # its own cap: the message names max_len, not the n_max it implies
+    with pytest.raises(CapacityError, match=f"^max_len {MAX_ENUM_LEN + 1} exceeds cap {MAX_ENUM_LEN}$"):
+        h_partial(0.0, bank_one, MAX_ENUM_LEN + 1)
 
 
 def test_trace_rho_one_at_basis_frequency(bank_one):
