@@ -13,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from oracles import mu4_hat_recursive, oracle_h_partial, oracle_trace_checkpoints  # noqa: E402
 
-from frame_lab import rho_bank  # noqa: E402
+from frame_lab.filters import rho_bank  # noqa: E402
 
 S2 = 2**-0.5
 

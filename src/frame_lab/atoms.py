@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import DomainError
 from .transform import cis, mu4_hat_array
 
 ATOM = np.dtype(
@@ -170,7 +170,7 @@ def renumber(F: FunctionSum, scale: int, offset: int) -> FunctionSum:
 def refine(F: FunctionSum, K: int) -> FunctionSum:
     """Split every atom into its level-K descendants (equal as a function)."""
     if F.level > K:
-        raise ContractError(f"cannot refine a level-{F.level} atom to level {K}")
+        raise DomainError(f"cannot refine a level-{F.level} atom to level {K}")
     if K > MAX_LEVEL:
         raise DomainError(f"levels must lie in [0, {MAX_LEVEL}], got {K}")
     copies = 4 ** (K - F.atoms["level"])
@@ -199,7 +199,7 @@ def inner_products(F: FunctionSum, G: FunctionSum, count: int) -> np.ndarray:
     na = np.bincount(a["vec"], minlength=count)
     nb = np.bincount(b["vec"], minlength=count)
     if len(na) > count or len(nb) > count:
-        raise ContractError(f"vector indices must lie in [0, {count})")
+        raise DomainError(f"vector indices must lie in [0, {count})")
     # pair p of vector v is its (p // nb[v])-th atom of F with its (p % nb[v])-th of G
     pairs = na * nb
     v = np.repeat(np.arange(count), pairs)

@@ -11,11 +11,7 @@ class FrameLabError(Exception):
 
 
 class DomainError(FrameLabError, ValueError):
-    """An argument is outside the mathematical domain of the operation."""
-
-
-class ContractError(FrameLabError, ValueError):
-    """An operation was called in a way its contract forbids."""
+    """An argument is outside the domain of the operation: bad input."""
 
 
 class CapacityError(FrameLabError, RuntimeError):
@@ -35,10 +31,10 @@ class InfeasibleParameters(FrameLabError, ValueError):
 
 def in_range(name: str, value: int, low: int, cap: int | None = None) -> int:
     """value, once it lies in [low, cap]: below low is bad input
-    (ContractError, exit 2), above cap a capacity guard (CapacityError,
+    (DomainError, exit 2), above cap a capacity guard (CapacityError,
     exit 3), and each message names the input."""
     if value < low:
-        raise ContractError(f"{name} must be >= {low}")
+        raise DomainError(f"{name} must be >= {low}")
     if cap is not None and value > cap:
         raise CapacityError(f"{name} {value} exceeds cap {cap}")
     return value

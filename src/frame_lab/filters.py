@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, InfeasibleParameters, in_range
+from .errors import DomainError, InfeasibleParameters, in_range
 from .report import Check
 from .transform import cis
 
@@ -194,7 +194,7 @@ def little_m(bank: FilterBank, j, t) -> complex:
     at every element of the filter indices j and of t, broadcast together."""
     j = np.asarray(j)
     if j.dtype.kind not in "iu" or np.any((j < 0) | (j > 3)):
-        raise ContractError(f"filter index must be in 0..3, got {j}")
+        raise DomainError(f"filter index must be in 0..3, got {j}")
     A = bank.A
     even_part = 0.5 * (A[j, 0].conjugate() + A[j, 2].conjugate())
     odd_part = 0.5 * (A[j, 1].conjugate() + A[j, 3].conjugate())

@@ -1,6 +1,6 @@
 import pytest
 
-from frame_lab import rho_bank, solve_alpha
+from frame_lab.filters import rho_bank, solve_alpha
 
 S2 = 2**-0.5
 

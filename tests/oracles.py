@@ -59,7 +59,7 @@ from frame_lab.atoms import (
     refine,
 )
 from frame_lab.cuntz import apply_S, apply_S_star, random_function_sum
-from frame_lab.errors import CapacityError, ContractError, DomainError
+from frame_lab.errors import CapacityError, DomainError
 from frame_lab.filters import a_to_h, little_m
 from frame_lab.frames import MAX_ENUM_LEN, WEIGHT_TABLE_COLUMNS, weight_table
 from frame_lab.report import Check
@@ -158,7 +158,7 @@ def enumerate_X4(max_len: int) -> list[Word4]:
     word_of_index(n) for n = 0 .. 4**max_len - 1.
     """
     if max_len < 1:
-        raise ContractError("max_len must be >= 1")
+        raise DomainError("max_len must be >= 1")
     if max_len > MAX_ENUM_LEN:
         raise CapacityError(f"max_len {max_len} exceeds enumeration cap {MAX_ENUM_LEN}")
     return [word_of_index(n) for n in range(4**max_len)]
@@ -184,7 +184,7 @@ def apply_word(bank, word: Word4, F: FunctionSum) -> FunctionSum:
 def frame_weight(p: complex, q: complex, n: int) -> complex:
     """p^{l1(n)} * 0^{l2(n)} * q^{l3(n)}, with the convention 0^0 = 1."""
     if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ContractError(f"frequency index must be a nonnegative integer, got {n!r}")
+        raise DomainError(f"frequency index must be a nonnegative integer, got {n!r}")
     l1, l2, l3 = digit_counts(int(n))
     if l2 > 0:
         return 0j
@@ -371,7 +371,7 @@ def s_word_one(bank, word) -> FunctionSum:
     """
     K = len(word)
     if K < 1:
-        raise ContractError("s_word_one requires a nonempty word")
+        raise DomainError("s_word_one requires a nonempty word")
     coeffs = _dense_word_vector(bank, word)
     return normalize(FunctionSum([(c, c_of_word(word), m, K) for m, c in enumerate(coeffs)]))
 
@@ -513,9 +513,9 @@ def ifs_monte_carlo_integral(f, depth: int, samples: int, seed: int) -> complex:
     Deterministic for a fixed seed.
     """
     if depth < 8:
-        raise ContractError("depth must be >= 8 for point-location error below 4^-8")
+        raise DomainError("depth must be >= 8 for point-location error below 4^-8")
     if samples < 1:
-        raise ContractError("samples must be positive")
+        raise DomainError("samples must be positive")
     rng = np.random.default_rng(seed)
     ks = rng.integers(0, 4, size=(samples, depth), dtype=np.uint8)
     # The codes and the coordinates read as integers stay below 2^53 for
@@ -676,7 +676,7 @@ def atom_refine(F: AtomSum, K: int) -> AtomSum:
     out: list[Atom] = []
     for a in F.atoms:
         if a.level > K:
-            raise ContractError(f"cannot refine level-{a.level} atom to level {K}")
+            raise DomainError(f"cannot refine level-{a.level} atom to level {K}")
         frontier = [a]
         while frontier and frontier[0].level < K:
             nxt = []

@@ -11,18 +11,10 @@ import time
 
 import numpy as np
 
-from frame_lab import (
-    cis,
-    h_partial,
-    parseval_trace,
-    pq_bank,
-    rho_bank,
-    verify_cuntz,
-    verify_gram,
-    verify_nogo_mu3,
-    verify_ruelle,
-)
-from frame_lab.filters import a_to_h
+from frame_lab.cuntz import verify_cuntz, verify_gram
+from frame_lab.filters import a_to_h, pq_bank, rho_bank, verify_nogo_mu3
+from frame_lab.frames import h_partial, parseval_trace, verify_ruelle
+from frame_lab.transform import cis
 from oracles import (
     ONE,
     Atom,

@@ -5,24 +5,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frame_lab import (
-    ContractError,
-    DomainError,
-    FunctionSum,
-    mu4_hat,
-    normalize,
-    refine,
-)
 from frame_lab.atoms import (
     ATOM,
     MAX_LEVEL,
+    FunctionSum,
     concat,
     fs_sub,
     inner_products,
+    normalize,
+    refine,
     renumber,
 )
 from frame_lab.cuntz import apply_S, apply_S_star
+from frame_lab.errors import DomainError
 from frame_lab.filters import rho_bank
+from frame_lab.transform import mu4_hat
 from oracles import (
     ONE,
     Atom,
@@ -164,7 +161,7 @@ def test_refine_preserves_norm_and_composes():
 
 def test_refine_contract_error():
     deep = function_sum([Atom(1.0, 0, (2, 1))])
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         refine(deep, 1)
     with pytest.raises(DomainError):
         refine(ONE, 40)  # 4^40 descendants: the count would wrap in int64
@@ -337,7 +334,7 @@ def test_batch_vectors_get_the_bits_of_their_single_sums():
         assert np.array_equal(unstack(normalized, v).atoms, F[v].atoms)
         assert np.array_equal(unstack(refined, v).atoms, refine(F[v], 3).atoms)
         assert repr(complex(got[v])) == repr(inner_product(F[v], G[v]))
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         inner_products(batch_F, batch_G, 3)  # vector 3 has no slot
     with pytest.raises(DomainError):
         renumber(ONE, 1, -1)

@@ -5,27 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from frame_lab import (
-    CapacityError,
-    ContractError,
-    cis,
-    g_map,
-    little_m,
-    normalize,
-    parseval_trace,
-    pq_bank,
-    rho_bank,
-    solve_alpha,
-    verify_cuntz,
-    verify_gram,
-    verify_incomplete,
-    verify_projection,
-    verify_ruelle,
-    verify_unitarity,
-    weight_table,
-)
 from frame_lab import cuntz
-from frame_lab.atoms import ATOM, FunctionSum, concat, fs_sub, refine
+from frame_lab.atoms import ATOM, FunctionSum, concat, fs_sub, normalize, refine
 from frame_lab.cuntz import (
     FAMILY_MAX_LEN,
     MAX_CUNTZ_LEVEL,
@@ -38,10 +19,29 @@ from frame_lab.cuntz import (
     family_size,
     generated_family,
     random_function_sum,
+    verify_cuntz,
+    verify_gram,
 )
-from frame_lab.errors import in_range
-from frame_lab.filters import MAX_SAMPLES
-from frame_lab.frames import MAX_ENUM_LEN, _weight_blocks
+from frame_lab.errors import CapacityError, DomainError, in_range
+from frame_lab.filters import (
+    MAX_SAMPLES,
+    g_map,
+    little_m,
+    pq_bank,
+    rho_bank,
+    solve_alpha,
+    verify_unitarity,
+)
+from frame_lab.frames import (
+    MAX_ENUM_LEN,
+    _weight_blocks,
+    parseval_trace,
+    verify_incomplete,
+    verify_projection,
+    verify_ruelle,
+    weight_table,
+)
+from frame_lab.transform import cis
 from oracles import (
     ONE,
     S_j,
@@ -243,7 +243,7 @@ def test_s_word_one_unit_norm(bank_i):
 
 
 def test_s_word_one_rejects_empty(bank_i):
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         s_word_one(bank_i, Word4(()))
 
 
@@ -479,6 +479,24 @@ def test_gram_reads_every_entry_of_every_row(monkeypatch, bank_i, defect):
         assert metrics == ((abs((1.0 + 1e-6) - 1.0), 0.0) if defect == 0 else (0.0, 1e-6))
 
 
+def test_cuntz_fails_on_a_defect_of_the_identity_residual_alone(monkeypatch, bank_i):
+    # refine feeds only the identity residual: its first coefficient off by
+    # 1e-6 leaves every orthogonality residual at 0, and the identity
+    # residual alone fails the check
+    original = cuntz.refine
+
+    def refine(F, K):
+        atoms = original(F, K).atoms.copy()
+        atoms["coeff"][0] *= 1 + 1e-6
+        return FunctionSum._adopt(atoms)
+
+    monkeypatch.setattr(cuntz, "refine", refine)
+    check = verify_cuntz(bank_i, 2, 10, 99, 1e-10)
+    assert check.metrics["max_orthogonality_residual"] == 0.0
+    assert check.metrics["max_identity_residual"] > 1e-7
+    assert not check.passed
+
+
 def test_gram_capacity_guard(bank_i):
     with pytest.raises(CapacityError):
         verify_gram(bank_i, FAMILY_MAX_LEN + 1, 1e-8)
@@ -496,7 +514,7 @@ def test_family_and_trial_capacity_guards(bank_i):
     # the one guard: a value in range comes back, and no cap bounds it from above
     assert family_size(FAMILY_MAX_LEN) == 4**FAMILY_MAX_LEN
     assert in_range("seed", 2**80, 0) == 2**80
-    with pytest.raises(ContractError, match="^seed must be >= 0$"):
+    with pytest.raises(DomainError, match="^seed must be >= 0$"):
         in_range("seed", -1, 0)
 
 

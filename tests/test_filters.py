@@ -5,31 +5,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frame_lab import (
-    ContractError,
-    DomainError,
-    FilterBank,
-    InfeasibleParameters,
-    cis,
-    g_map,
-    hadamard_rho,
-    little_m,
-    rho_bank,
-    solve_alpha,
-    verify_nogo_mu3,
-    verify_unitarity,
-)
 from frame_lab import filters
+from frame_lab.errors import DomainError, InfeasibleParameters
 from frame_lab.filters import (
     _SWEEP_PASS,
     U1,
     U2,
     U3,
+    FilterBank,
     a_to_h,
     deviations,
+    g_map,
+    hadamard_rho,
+    little_m,
     matrix_from_json,
     matrix_to_json,
+    rho_bank,
+    solve_alpha,
+    verify_nogo_mu3,
+    verify_unitarity,
 )
+from frame_lab.transform import cis
 from oracles import little_m_reduced, matmul_deviations
 
 S2 = 2**-0.5
@@ -149,6 +145,23 @@ def test_batched_unitarity_sweep_matches_the_per_bank_loop(samples):
             verify_unitarity(samples, tol)
 
 
+def test_unitarity_sweeps_every_pass(monkeypatch):
+    # the bank at m = 2053 of 4096, in the second pass of the sweep, scaled
+    # by 1.001: its H*H is 1.002001 I, and the check fails on it alone
+    original = filters.hadamard_rho
+    defective = np.exp(1j * (2 * np.pi * 2053 / 4096))
+
+    def hadamard_rho(rho):
+        A = original(rho)
+        A[np.asarray(rho) == defective] *= 1.001
+        return A
+
+    monkeypatch.setattr(filters, "hadamard_rho", hadamard_rho)
+    check = verify_unitarity(4096, 1e-12)
+    assert not check.passed
+    assert check.metrics["max_dev"] == pytest.approx(1.001**2 - 1.0, rel=1e-9)
+
+
 def test_sign_pattern_positions():
     A = np.arange(16, dtype=complex).reshape(4, 4) + 1
     H = a_to_h(A)
@@ -238,7 +251,7 @@ def test_little_m_broadcasts_filter_indices_against_t(bank_i, bank_pq):
         assert got.shape == (50, 4)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     for j in (4, -1, 1.0, True, [0, 4]):
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError):
             little_m(bank_i, j, 0.0)
 
 

@@ -6,37 +6,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frame_lab import (
-    CapacityError,
-    ContractError,
-    DomainError,
-    FunctionSum,
-    InfeasibleParameters,
-    cis,
-    h_partial,
-    mu4_hat,
-    parseval_trace,
-    pq_bank,
-    rho_bank,
-    verify_cuntz,
-    verify_gram,
-    verify_incomplete,
-    verify_projection,
-    verify_ruelle,
-    weight_table,
-)
 from frame_lab import frames
-from frame_lab.atoms import concat, renumber
+from frame_lab.atoms import FunctionSum, concat, renumber
 from frame_lab.cli import main
-from frame_lab.cuntz import generated_family
+from frame_lab.cuntz import generated_family, verify_cuntz, verify_gram
+from frame_lab.errors import CapacityError, DomainError, InfeasibleParameters
+from frame_lab.filters import FilterBank, pq_bank, rho_bank
 from frame_lab.frames import (
     _CSV_BLOCK,
     MAX_ENUM_LEN,
     SPECIALIZATION_TOL,
+    PartialSumTrace,
     _digit_counts,
+    h_partial,
+    parseval_trace,
+    verify_incomplete,
+    verify_parseval,
+    verify_projection,
+    verify_ruelle,
+    weight_table,
     write_trace_csv,
     write_weight_table,
 )
+from frame_lab.report import Check
+from frame_lab.transform import cis, mu4_hat
 from oracles import (
     ONE,
     Word4,
@@ -122,7 +115,7 @@ def test_frame_weight_pq_value():
 
 
 def test_frame_weight_rejects_negative():
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         frame_weight(1.0, 0.0, -1)
 
 
@@ -142,14 +135,19 @@ def test_weight_modulus_bounded(angle, n):
     assert abs(frame_weight((1 + rho) / 2, (1 - rho) / 2, n)) <= 1 + 1e-12
 
 
+def _unchecked(A):
+    """A bank holding A, set after construction, so the admissibility check
+    does not see it: a stand-in for an operator defect."""
+    bank = object.__new__(FilterBank)
+    object.__setattr__(bank, "A", A)
+    return bank
+
+
 def _scaled(bank, j: int, k: int, factor: float):
-    """The bank with a_jk times factor, set after construction, so the
-    admissibility check does not see it: a stand-in for an operator defect."""
+    """The bank with a_jk times factor, unchecked."""
     A = bank.A.copy()
     A[j, k] *= factor
-    defective = object.__new__(type(bank))
-    object.__setattr__(defective, "A", A)
-    return defective
+    return _unchecked(A)
 
 
 def test_project_constant():
@@ -317,7 +315,7 @@ def test_weight_table_lists_the_support_with_its_counts(n_max):
 def test_kernel_input_guards(bank_one):
     with pytest.raises(DomainError):
         parseval_trace([(2**53, 1.0)], bank_one, 4)
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         h_partial(0.0, bank_one, 0)
     # its own cap: the message names max_len, not the n_max it implies
     with pytest.raises(CapacityError, match=f"^max_len {MAX_ENUM_LEN + 1} exceeds cap {MAX_ENUM_LEN}$"):
@@ -343,6 +341,12 @@ def test_trace_monotone_and_bessel():
     terms = np.zeros(1024 + 1)  # the dense terms, 0.0 off the support
     terms[trace.n] = trace.terms
     assert np.all(terms >= 0)
+
+
+def test_parseval_fails_above_the_bessel_cap():
+    # nondecreasing partial sums that pass the target break the Bessel bound
+    trace = PartialSumTrace(((4, 0.5), (16, 1.5)), 1.0, np.arange(2), np.array([0.5, 1.0]))
+    assert not verify_parseval(trace, 1e-8).passed
 
 
 def test_parseval_target_adds_the_scalar_terms_in_order():
@@ -456,6 +460,18 @@ def test_ruelle_identity_pq_bank(bank_pq):
         assert check.metrics["max_specialization_gap"] <= SPECIALIZATION_TOL
 
 
+def test_ruelle_fails_on_a_specialization_gap(bank_i):
+    # a_20 and a_21 moved by 0.05 keep the kernel condition and make
+    # d_2 = 0.05, which the reduced form leaves out: the refinement identity
+    # still holds to rounding, and the specialization gap alone fails
+    A = bank_i.A.copy()
+    A[2] += 0.05 * np.array([1, 1, 0, 0])
+    check = verify_ruelle(_unchecked(A), np.linspace(-1, 0, 21), 3, 1e-9)
+    assert check.metrics["max_refinement_residual"] <= 1e-14
+    assert check.metrics["max_specialization_gap"] > 1e-3
+    assert not check.passed
+
+
 def test_verify_incomplete(bank_minus_one):
     check = verify_incomplete(bank_minus_one, [0, 1, 3], 256, 1e-8)
     assert check.passed
@@ -469,6 +485,15 @@ def test_verify_incomplete(bank_minus_one):
     trace = parseval_trace([(1, 1.0)], bank_minus_one, 256)
     assert trace.deficiency == m["deficiency_1"]
     assert all(v < 1.0 for _, v in trace.checkpoints)
+
+
+def test_incomplete_fails_when_a_trace_breaks_the_bessel_bound(monkeypatch, bank_minus_one):
+    # both frequencies are flagged, so only the Bessel verdict of their
+    # traces can fail the check
+    monkeypatch.setattr(frames, "verify_parseval", lambda trace, tol: Check(False, {}, {}))
+    check = verify_incomplete(bank_minus_one, [1, 2], 256, 1e-8)
+    assert check.metrics["flagged_1"] and check.metrics["flagged_2"]
+    assert not check.passed
 
 
 @pytest.mark.parametrize("n_max", [1, 3, 5, 1000, 4**6, 4**6 + 1])

@@ -13,38 +13,33 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import frame_lab
-from frame_lab import (
-    Check,
-    parseval_trace,
-    pq_bank,
-    report_json,
-    rho_bank,
-    solve_alpha,
-    verify_cuntz,
-    verify_gram,
-    verify_incomplete,
-    verify_nogo_mu3,
-    verify_parseval,
-    verify_projection,
-    verify_ruelle,
-    verify_unitarity,
-)
 from frame_lab.cli import _BANK_PARAMS, MAX_GRID_POINTS, _bank_from_args, build_parser, main
-from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_CUNTZ_LEVEL, MAX_TRIALS
-from frame_lab.frames import (
-    MAX_ENUM_LEN,
-    MAX_GAMMAS,
-    MAX_RUELLE_LEVEL,
-    SPECIALIZATION_TOL,
-    is_parseval,
-)
+from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_CUNTZ_LEVEL, MAX_TRIALS, verify_cuntz, verify_gram
 from frame_lab.filters import (
     MAX_SAMPLES,
     NOGO_MIN_NORM_GAP,
     NOGO_MIN_PHASE_FACTOR,
     hadamard_rho,
     matrix_to_json,
+    pq_bank,
+    rho_bank,
+    solve_alpha,
+    verify_nogo_mu3,
+    verify_unitarity,
 )
+from frame_lab.frames import (
+    MAX_ENUM_LEN,
+    MAX_GAMMAS,
+    MAX_RUELLE_LEVEL,
+    SPECIALIZATION_TOL,
+    is_parseval,
+    parseval_trace,
+    verify_incomplete,
+    verify_parseval,
+    verify_projection,
+    verify_ruelle,
+)
+from frame_lab.report import Check, report_json
 from oracles import oracle_trace_checkpoints
 
 S2 = "0.7071067811865476"
@@ -977,7 +972,7 @@ def _names_a_parseval_bank(argv) -> bool:
     """Whether argv parses to a bank whose frame is Parseval (p != 0)."""
     try:
         bank, _ = _bank_from_args(build_parser().parse_args(argv))
-    except (frame_lab.DomainError, frame_lab.InfeasibleParameters):
+    except (frame_lab.errors.DomainError, frame_lab.errors.InfeasibleParameters):
         return False
     return is_parseval(bank)
 

@@ -4,14 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from frame_lab import (
-    CapacityError,
-    ContractError,
-    DomainError,
-    cis,
-    mu4_hat,
-)
-from frame_lab.transform import _BLOCK, TOL, mu4_hat_array
+from frame_lab.errors import CapacityError, DomainError
+from frame_lab.transform import _BLOCK, TOL, cis, mu4_hat, mu4_hat_array
 from oracles import (
     XCylinder,
     cylinder_exp_integral,
@@ -232,7 +226,7 @@ def test_monte_carlo_matches_transform():
 
 
 def test_monte_carlo_depth_guard():
-    with pytest.raises(ContractError):
+    with pytest.raises(DomainError):
         ifs_monte_carlo_integral(lambda x, y, _: x, depth=4, samples=10, seed=0)
 
 

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from frame_lab import CapacityError
+from frame_lab.errors import CapacityError
 from oracles import Word4, c_of_word, digit_counts, enumerate_X4, in_X4, word_of_index
 
 letters_st = st.lists(st.integers(0, 3), min_size=0, max_size=6)
