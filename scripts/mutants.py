@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Mutation census of the checks' pass conditions: does some Tier-1 test
-fail when a pass condition is weakened?
+"""Mutation census of the checks' pass conditions and the CSV writers'
+bytes: does some Tier-1 test fail when a pass condition is weakened or a
+writer writes other bytes?
 
     python scripts/mutants.py
 
@@ -139,6 +140,24 @@ MUTANTS = [
         "* 2.0 ** -(bits // 2) - weights[n, None]",
         "* 2.0 ** -(bits // 2 + 1) - weights[n, None]",
         "verify_projection: the totals are scaled by 2^-(K+1)",
+    ),
+    Mutant(
+        "minus-zero", FRAMES,
+        '_OFF_SUPPORT = ",0.0,0.0,0.0\\r\\n"',
+        '_OFF_SUPPORT = ",0.0,0.0,-0.0\\r\\n"',
+        "write_weight_table: a row off the support ends in 0.0,0.0,-0.0",
+    ),
+    Mutant(
+        "lf-weights", FRAMES,
+        'ends[i] = f",{w.real!r},{w.imag!r},{abs(w) ** 2!r}\\r\\n"',
+        'ends[i] = f",{w.real!r},{w.imag!r},{abs(w) ** 2!r}\\n"',
+        "write_weight_table: a row on the support ends in \\n, not \\r\\n",
+    ),
+    Mutant(
+        "lf-trace", FRAMES,
+        'rows = [f"{N},{value!r},{target}\\r\\n"',
+        'rows = [f"{N},{value!r},{target}\\n"',
+        "write_trace_csv: its rows end in \\n, not \\r\\n",
     ),
     Mutant(
         "kept-batch", FRAMES,

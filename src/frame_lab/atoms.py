@@ -18,8 +18,6 @@ vector of a batch gets the bits its single sum would get.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -44,20 +42,19 @@ MAX_LEVEL = 31  # the 4^31 codes of a level still fit in int64
 X_BITS = 0x5555_5555_5555_5555  # the x bit (k & 1) of every pair k of a code
 
 
-@dataclass(frozen=True, eq=False)
 class FunctionSum:
     """Atoms as a read-only ATOM array: an ATOM array is copied, any other
-    input is read as rows (coeff, freq, code, level) of one sum, vec 0."""
+    input is read as rows (coeff, freq, code, level) of one sum, vec 0.
+    Setting or deleting an attribute raises AttributeError."""
 
-    atoms: np.ndarray
+    __slots__ = ("atoms",)
 
-    def __post_init__(self):
-        rows = self.atoms
-        if isinstance(rows, np.ndarray) and rows.dtype == ATOM:
-            atoms = _copy(rows)
+    def __init__(self, atoms):
+        if isinstance(atoms, np.ndarray) and atoms.dtype == ATOM:
+            atoms = _copy(atoms)
         else:
             try:
-                single = np.array(rows, dtype=_ROW, ndmin=1)
+                single = np.array(atoms, dtype=_ROW, ndmin=1)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise DomainError(f"atoms must be (coeff, freq, code, level) rows: {exc}") from None
             atoms = np.zeros(single.shape, dtype=ATOM)
@@ -78,6 +75,14 @@ class FunctionSum:
         F = object.__new__(cls)
         object.__setattr__(F, "atoms", atoms)
         return F
+
+    def __setattr__(self, name, value=None):  # value=None: also serves as __delattr__
+        raise AttributeError(f"a FunctionSum is read-only: {name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle build the copy through __init__, not setattr
+        return FunctionSum, (self.atoms,)
 
     def __len__(self) -> int:
         return len(self.atoms)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,24 +94,33 @@ def deviations(A) -> dict[str, np.ndarray]:
         }
 
 
-@dataclass(frozen=True, eq=False)
 class FilterBank:
     """An admissible coefficient matrix A, held read-only.
 
     Building one checks every admissibility condition at
     DEFAULT_UNITARITY_TOL and raises InfeasibleParameters naming the first
-    that fails, so every bank in existence defines a representation.
+    that fails, so every bank in existence defines a representation. A is
+    a read-only copy, and setting or deleting an attribute raises
+    AttributeError.
     """
 
-    A: np.ndarray
+    __slots__ = ("A",)
 
-    def __post_init__(self):
-        A = np.array(self.A, dtype=complex)
+    def __init__(self, A):
+        A = np.array(A, dtype=complex)
         for condition, dev in deviations(A).items():
             if not dev <= DEFAULT_UNITARITY_TOL:
                 raise InfeasibleParameters(condition, f"off by {dev:.3g}")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
+
+    def __setattr__(self, name, value=None):  # value=None: also serves as __delattr__
+        raise AttributeError(f"a FilterBank is read-only: {name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle build the copy through __init__, not setattr
+        return FilterBank, (self.A,)
 
     @property
     def digit_weights(self) -> tuple[complex, ...]:

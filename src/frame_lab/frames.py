@@ -16,10 +16,8 @@ the p = 0 family.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +35,8 @@ WEIGHT_TABLE_COLUMNS = ("n", "l1", "l2", "l3", "weight_re", "weight_im", "weight
 TRACE_COLUMNS = ("N", "partial_sum", "target")
 INCOMPLETE_THRESHOLD = 1e-6  # deficiency above which a frequency is flagged
 SPECIALIZATION_TOL = 1e-12  # largest gap verify_ruelle allows between reduced and general sums
-_CSV_BLOCK = 4**6  # weight table rows built and written at a time
+_CSV_BLOCK = 4**6  # weight table rows formatted and written at a time
+_OFF_SUPPORT = ",0.0,0.0,0.0\r\n"  # weight_re, weight_im, weight_abs2 of a row with no weight: 0j
 _ENERGY_BLOCK = 4**7  # h_partial's grid x support terms at a time (at least one grid point)
 # Digit j adds 1 to l_j; the counts (<= 11) are summed packed 4 bits each in one int16.
 _PACKED_COUNT = np.array([0, 1, 16, 256], dtype=np.int16)
@@ -120,16 +119,15 @@ def verify_projection(bank: FilterBank, max_len: int, tol: float) -> Check:
     return Check(max_dev <= tol, {"max_weight_dev": max_dev}, {"weight_dev": tol})
 
 
-@dataclass(frozen=True)
-class PartialSumTrace:
+class PartialSumTrace(NamedTuple):
     """Partial sums at the checkpoints, the target ||f||^2, and the terms
     on the support of the frame weights: terms[i] belongs to index n[i],
     and every n <= n_max that n omits has the term 0.0."""
 
     checkpoints: tuple[tuple[int, float], ...]
     target: float
-    n: np.ndarray = field(repr=False)
-    terms: np.ndarray = field(repr=False)
+    n: np.ndarray
+    terms: np.ndarray
 
     @property
     def final_value(self) -> float:
@@ -307,39 +305,35 @@ def verify_incomplete(bank: FilterBank, gammas: Sequence[int], n_max: int, tol: 
     return Check(bessel and flagged, metrics, tolerances)
 
 
-def _weight_blocks(support: np.ndarray, d: np.ndarray, n_max: int) -> Iterator[tuple]:
-    """The frame weights d on their support, spread over n = 0 .. n_max
-    _CSV_BLOCK indices at a time: (n, counts, weights) per block, the
-    weights scattered into zeros, so no array spans all n."""
-    for start in range(0, n_max + 1, _CSV_BLOCK):
-        n = np.arange(start, min(start + _CSV_BLOCK, n_max + 1))
-        lo, hi = np.searchsorted(support, [start, start + len(n)])
-        weights = np.zeros(len(n), dtype=complex)
-        weights[support[lo:hi] - start] = d[lo:hi]
-        yield n, _digit_counts(n), weights
-
-
 def write_weight_table(path, bank: FilterBank, n_max: int) -> int:
     """CSV columns n, l1, l2, l3, weight_re, weight_im, weight_abs2 of the
-    bank's frame weights for n = 0 .. n_max, written one block of
-    _weight_blocks at a time; returns the number of nonzero weights."""
+    bank's frame weights for n = 0 .. n_max, _CSV_BLOCK rows formatted as
+    one string at a time, so no array spans all n; returns the number of
+    nonzero weights.
+
+    A row on the support of weight_table ends in the repr of its weight's
+    parts and of |d_n|^2, which keeps the sign of a weight that underflows to
+    0.0; every other row ends in _OFF_SUPPORT. Lines end in CRLF, as the csv
+    module writes them.
+    """
     support, d = weight_table(bank.digit_weights, n_max)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(WEIGHT_TABLE_COLUMNS)
-        for n, counts, weights in _weight_blocks(support, d, n_max):
-            rows = zip(n.tolist(), counts.tolist(), weights.tolist())
-            writer.writerows(
-                [n, l1, l2, l3, repr(w.real), repr(w.imag), repr(abs(w) ** 2)]
-                for n, (l1, l2, l3), w in rows
-            )
+        fh.write(",".join(WEIGHT_TABLE_COLUMNS) + "\r\n")
+        for start in range(0, n_max + 1, _CSV_BLOCK):
+            n = np.arange(start, min(start + _CSV_BLOCK, n_max + 1))
+            lo, hi = np.searchsorted(support, [start, start + len(n)])
+            ends = [_OFF_SUPPORT] * len(n)
+            for i, w in zip((support[lo:hi] - start).tolist(), d[lo:hi].tolist()):
+                ends[i] = f",{w.real!r},{w.imag!r},{abs(w) ** 2!r}\r\n"
+            l1, l2, l3 = _digit_counts(n).T.tolist()
+            rows = zip(n.tolist(), l1, l2, l3, ends)
+            fh.write("".join([f"{k},{a},{b},{c}{end}" for k, a, b, c, end in rows]))
     return int(np.count_nonzero(d))
 
 
 def write_trace_csv(path, trace: PartialSumTrace) -> None:
-    """CSV columns N, partial_sum, target."""
+    """CSV columns N, partial_sum, target, lines ending in CRLF."""
+    target = repr(trace.target)
+    rows = [f"{N},{value!r},{target}\r\n" for N, value in trace.checkpoints]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for N, value in trace.checkpoints:
-            writer.writerow([N, repr(value), repr(trace.target)])
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n" + "".join(rows))

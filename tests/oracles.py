@@ -34,8 +34,10 @@ tests write, thin over the library's batched inner_products, norms,
 concat and normalize.
 The dense trace and dense weight writer hold every n <= n_max in one
 array, where the library keeps only the support of the weights or writes
-one block at a time; they pin its bits. matmul_deviations forms H*H by a
-matrix product, which the library avoids because it starts BLAS.
+one block at a time; they pin its bits. The CSV writers here go row by row
+through csv.writer, where the library writes text blocks; they pin its
+bytes. matmul_deviations forms H*H by a matrix product, which the library
+avoids because it starts BLAS.
 """
 
 import cmath
@@ -61,7 +63,7 @@ from frame_lab.atoms import (
 from frame_lab.cuntz import apply_S, apply_S_star, random_function_sum
 from frame_lab.errors import CapacityError, DomainError
 from frame_lab.filters import a_to_h, little_m
-from frame_lab.frames import MAX_ENUM_LEN, WEIGHT_TABLE_COLUMNS, weight_table
+from frame_lab.frames import MAX_ENUM_LEN, TRACE_COLUMNS, WEIGHT_TABLE_COLUMNS, weight_table
 from frame_lab.report import Check
 from frame_lab.transform import mu4_hat, mu4_hat_array
 
@@ -229,6 +231,16 @@ def dense_write_weight_table(path, bank, n_max: int) -> int:
             for n, w in enumerate(weights.tolist())
         )
     return int(np.count_nonzero(d))
+
+
+def oracle_write_trace_csv(path, trace) -> None:
+    """The trace CSV, columns N, partial_sum, target, row by row through
+    csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        for N, value in trace.checkpoints:
+            writer.writerow([N, repr(value), repr(trace.target)])
 
 
 def dense_parseval_trace(f, bank, n_max: int) -> tuple:

@@ -117,6 +117,10 @@ def test_function_sum_copies_a_callers_array_and_its_results_are_read_only(bank_
     rows["coeff"] = 5.0
     assert F.atoms["coeff"].tolist() == [1.0, 2j]  # the caller's later write changes nothing
     assert rows.flags.writeable and not F.atoms.flags.writeable
+    with pytest.raises(AttributeError):
+        F.atoms = rows
+    with pytest.raises(AttributeError):
+        del F.atoms
     results = [
         normalize(F), concat(F, F), fs_add(F, F), fs_scale(F, 2.0), fs_sub(F, F),
         renumber(F, 2, 1), refine(F, 2), apply_S(bank_i, F), apply_S_star(bank_i, F),

@@ -34,12 +34,11 @@ from frame_lab.filters import (
 )
 from frame_lab.frames import (
     MAX_ENUM_LEN,
-    _weight_blocks,
     parseval_trace,
     verify_incomplete,
     verify_projection,
     verify_ruelle,
-    weight_table,
+    write_weight_table,
 )
 from frame_lab.transform import cis
 from oracles import (
@@ -390,20 +389,18 @@ def test_checks_at_their_caps_stay_in_bounded_memory(bank_i, bank_pq):
     assert projection.passed and cuntz.passed and cuntz_pq.passed
 
 
-def test_spectral_checks_at_their_caps_hold_only_the_support(bank_i, bank_minus_one):
+def test_spectral_checks_at_their_caps_hold_only_the_support(tmp_path, bank_i, bank_minus_one):
     # traces and incompleteness keep the support of the weights (3^10 and
-    # 2^10 indices at 4^10), the weight table one block at a time, and the
-    # unitarity sweep one pass of banks; arrays over every n <= 4^10 would
-    # take 16-24 MiB. The CSV formatting of the weight blocks is left out:
-    # traced, it takes seconds.
+    # 2^10 indices at 4^10), the weight table and its text one block at a
+    # time, and the unitarity sweep one pass of banks; arrays over every
+    # n <= 4^10 would take 16-24 MiB
     limit = 8 * 2**20
     cap = 4**MAX_ENUM_LEN
-    support, d = weight_table(pq_bank(0.6, 0.8).digit_weights, 4**9)
     runs = {
         "trace_rho_i": lambda: parseval_trace([(3, 1.0)], bank_i, cap),
         "trace_pq": lambda: parseval_trace([(3, 1.0)], pq_bank(0.6, 0.8), cap),
         "incomplete": lambda: verify_incomplete(bank_minus_one, [0, 1, 3], cap, 1e-8),
-        "weight_blocks": lambda: sum(len(n) for n, _, _ in _weight_blocks(support, d, 4**9)),
+        "weight_table": lambda: write_weight_table(tmp_path / "w.csv", pq_bank(0.6, 0.8), 4**9),
         "unitarity": lambda: verify_unitarity(MAX_SAMPLES, 1e-12),
     }
     peaks = {}

@@ -280,6 +280,8 @@ def test_little_m_requires_admissible(bank_one):
         bank_one.A[0] = [1, 0, 0, 0]
     with pytest.raises(AttributeError):
         bank_one.A = A
+    with pytest.raises(AttributeError):
+        del bank_one.A
     assert little_m(bank_one, 0, 0.0) == 1
 
 

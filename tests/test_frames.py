@@ -44,6 +44,7 @@ from oracles import (
     oracle_h_partial_dense,
     oracle_project_V,
     oracle_trace_checkpoints,
+    oracle_write_trace_csv,
     oracle_write_weight_table,
     projection_weight,
     s_word_one,
@@ -513,10 +514,12 @@ def test_trace_on_the_support_matches_the_dense_trace(name, n_max):
 
 @pytest.mark.parametrize("n_max", [_CSV_BLOCK - 1, _CSV_BLOCK, 3 * _CSV_BLOCK + 5])
 def test_streamed_weight_table_matches_the_dense_writer(tmp_path, n_max):
-    # complex weights, a p = 0 bank and real weights
+    # complex weights, a p = 0 bank, real weights, and d_1 = 5e-161j, whose
+    # products underflow to signed zeros on the support (35 rows of -0.0 at
+    # 3 * 4^6 + 5), which a row off the support never writes
     got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
-    for name in ("rho_i", "rho_minus_one", "pq_lopsided"):
-        bank = MENU[name][0]
+    banks = [MENU[name][0] for name in ("rho_i", "rho_minus_one", "pq_lopsided")]
+    for bank in banks + [rho_bank(complex(-1.0, 1e-160))]:
         nonzero = write_weight_table(got, bank, n_max)
         assert nonzero == dense_write_weight_table(expected, bank, n_max)
         assert got.read_bytes() == expected.read_bytes()
@@ -536,9 +539,12 @@ def test_weight_table_csv(tmp_path, bank_one):
 
 
 def test_trace_csv(tmp_path):
-    trace = parseval_trace([(2, 1.0)], pq_bank(S2, S2), 64)
-    path = tmp_path / "trace.csv"
+    # the last checkpoint, 1000, is no power of 4
+    trace = parseval_trace([(2, 1.0)], pq_bank(S2, S2), 1000)
+    path, expected = tmp_path / "trace.csv", tmp_path / "expected.csv"
     write_trace_csv(path, trace)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "N,partial_sum,target"
     assert len(lines) == 1 + len(trace.checkpoints)
+    oracle_write_trace_csv(expected, trace)
+    assert path.read_bytes() == expected.read_bytes()
