@@ -21,7 +21,10 @@ admissible, with both matrix options of `verify unitarity` at once, and
 bank flags of each kind on subcommands that took only some kinds before
 (among them a p != 0 bank for `verify incomplete`, which it refuses), and
 one small call of every subcommand under each FRAME_LAB_TOL value of
-ENV_TOLS (a subcommand with a tolerance reads it, the others must not).
+ENV_TOLS (a subcommand with a tolerance reads it, the others must not), and
+the `-h` help of the top level, of `verify` and of every subcommand, whose
+line holds the help text as `stdout` (and no report), wrapped at the width
+COLUMNS=80 gives.
 Each line records the environment its call ran under, set for that call
 alone. Each call runs in process in one temporary working directory, so
 file arguments are the same relative paths on every run. A CSV named in the
@@ -244,15 +247,26 @@ SMALL_ARGVS = [
 ]
 ENV_TOLS = ("1e-3", "abc")
 
+# The help of the top level, of `verify` and of each subcommand of
+# SMALL_ARGVS, printed at a fixed width: argparse wraps help at the terminal
+# width COLUMNS gives.
+HELP_ARGVS = [["-h"], ["verify", "-h"]] + [
+    [*argv[: 2 if argv[0] == "verify" else 1], "-h"] for argv in SMALL_ARGVS
+]
+HELP_ENV = {"COLUMNS": "80"}
+
 
 def run(argv: list[str], env: dict) -> dict:
     """One in-process call with the variables of env set for it alone; an
     uncaught exception is recorded as the exit 1 and last traceback line a
-    separate process would give."""
+    separate process would give. A call that exits, as -h does after
+    printing the help, is recorded with its exit code and its stdout text
+    and no report."""
     csvs = [Path(a) for a in argv if a.endswith(".csv")]
     for path in csvs:
         path.unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
+    help_text = None
     with (
         mock.patch.dict(os.environ, env),
         contextlib.redirect_stdout(out),
@@ -260,18 +274,23 @@ def run(argv: list[str], env: dict) -> dict:
     ):
         try:
             code = cli.main(argv)
+        except SystemExit as exc:
+            code, help_text = exc.code, out.getvalue()
         except Exception as exc:  # noqa: BLE001
             code = 1
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    lines = out.getvalue().splitlines()
+    lines = out.getvalue().splitlines() if help_text is None else []
     report = json.loads(lines[-1]) if lines else None
     if report is not None:
         report.pop("duration_ms")
     hashes = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in csvs if p.is_file()}
-    return {
+    line = {
         "argv": argv, "env": env, "exit": code, "report": report, "stderr": err.getvalue(),
         "csv_sha256": hashes,
     }
+    if help_text is not None:
+        line["stdout"] = help_text
+    return line
 
 
 def main() -> int:
@@ -279,6 +298,7 @@ def main() -> int:
     argvs = _workload_argvs() + _ladder_argvs() + _cap_argvs() + _other_argvs() + _guard_argvs()
     calls = [(argv, {}) for argv in argvs]
     calls += [(argv, {"FRAME_LAB_TOL": tol}) for tol in ENV_TOLS for argv in SMALL_ARGVS]
+    calls += [(argv, HELP_ENV) for argv in HELP_ARGVS]
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         Path("out").mkdir()

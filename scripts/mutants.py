@@ -94,6 +94,12 @@ MUTANTS = [
         "FilterBank: the kernel condition is skipped",
     ),
     Mutant(
+        "row2-guard", FILTERS,
+        '        ("row2_norm", "|a21|^2+|a22|^2 = 1", lambda: n21 + n22 - 1.0),\n',
+        "",
+        "solve_alpha: the row2_norm guard is left out of the table",
+    ),
+    Mutant(
         "7", CUNTZ,
         "for done in range(0, trials, TRIALS_PER_PASS):",
         "for done in range(0, min(trials, TRIALS_PER_PASS), TRIALS_PER_PASS):",
@@ -155,9 +161,15 @@ MUTANTS = [
     ),
     Mutant(
         "lf-trace", FRAMES,
-        'rows = [f"{N},{value!r},{target}\\r\\n"',
-        'rows = [f"{N},{value!r},{target}\\n"',
+        'rows = [f"{N},{float(value)!r},{target}\\r\\n"',
+        'rows = [f"{N},{float(value)!r},{target}\\n"',
         "write_trace_csv: its rows end in \\n, not \\r\\n",
+    ),
+    Mutant(
+        "trace-float", FRAMES,
+        "{float(value)!r}",
+        "{value!r}",
+        "write_trace_csv: a row's partial sum is written from the raw value",
     ),
     Mutant(
         "kept-batch", FRAMES,

@@ -87,17 +87,10 @@ _BANK_PARAMS = {
     "alpha": (solve_alpha, tuple(f"alpha_a{jk}" for jk in ("10", "30", "11", "12", "21", "22"))),
 }
 _RHO_HELP = {
-    "re": "Re(rho), |rho| = 1; given only --rho-im, the value >= 0 that puts rho on the circle",
-    "im": "Im(rho), default 0",
+    "--rho-re": "Re(rho), |rho| = 1; given only --rho-im, the value >= 0 that puts rho "
+                "on the circle",
+    "--rho-im": "Im(rho), default 0",
 }
-
-
-def _add_bank_flags(p: argparse.ArgumentParser) -> None:
-    for kind, (_, names) in _BANK_PARAMS.items():
-        for name in names:
-            for part in ("re", "im"):
-                help_text = _RHO_HELP[part] if kind == "rho" else None
-                p.add_argument(f"--{name.replace('_', '-')}-{part}", type=float, help=help_text)
 
 
 def _bank_from_args(args) -> tuple[FilterBank, dict]:
@@ -150,8 +143,19 @@ def build_parser() -> argparse.ArgumentParser:
     default tolerance (None: no --tol), the rho of its default bank (None:
     no bank flags) and the flags its report's params name. A runner reads
     the tolerance main resolved as args.tol and the bank as args.bank, and
-    returns the Check.
+    returns the Check. The flags several subcommands share (the bank's,
+    --tol and verify's --out) are declared once, on three parent parsers,
+    and command() passes each subcommand the ones it takes.
     """
+    bank = _Parser(add_help=False)
+    for _, names in _BANK_PARAMS.values():
+        for flag in (f"--{n.replace('_', '-')}-{part}" for n in names for part in ("re", "im")):
+            bank.add_argument(flag, type=float, help=_RHO_HELP.get(flag))
+    tolerance = _Parser(add_help=False)
+    tolerance.add_argument("--tol", type=float)
+    report = _Parser(add_help=False)
+    report.add_argument("--out", dest="report_out", help="also write the JSON report to this file")
+
     parser = _Parser(
         prog="frame-lab",
         description="Construct and certify weighted Fourier frames for the Cantor-4 measure.",
@@ -159,15 +163,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(subs, name, help_text, run, tol=None, rho=1.0, params=()):
-        p = subs.add_parser(name.split()[-1], help=help_text)
+        parents = []
         if rho is not None:
-            _add_bank_flags(p)
+            parents.append(bank)
         if tol is not None:
-            p.add_argument("--tol", type=float, default=None)
+            parents.append(tolerance)
         if name.startswith("verify "):
-            p.add_argument(
-                "--out", dest="report_out", help="also write the JSON report to this file"
-            )
+            parents.append(report)
+        p = subs.add_parser(name.split()[-1], help=help_text, parents=parents)
         p.set_defaults(run=run, report_name=name, default_tol=tol, default_rho=rho,
                        params=params, report_out=None)
         return p

@@ -153,22 +153,21 @@ def solve_alpha(
     a10, a30, a11, a12, a21, a22 = (complex(z) for z in (a10, a30, a11, a12, a21, a22))
     # Each guard holds to DEFAULT_UNITARITY_TOL, as FilterBank does. It reads
     # `not dev <= ...` so that a nan deviation fails it, and squares by
-    # multiplying, which gives inf where ** 2 raises OverflowError.
+    # multiplying, which gives inf where ** 2 raises OverflowError. A
+    # deviation is computed only once the guards before it hold: abs of the
+    # orthogonality sum overflows on parameters a norm guard refuses.
     n10, n30, n11, n12, n21, n22 = (abs(z) * abs(z) for z in (a10, a30, a11, a12, a21, a22))
-    dev = abs(n10 + n30 - 1.0)
-    if not dev <= DEFAULT_UNITARITY_TOL:
-        raise InfeasibleParameters("duality", f"|a10|^2 + |a30|^2 = 1 off by {dev:.3g}")
-    dev = abs(n10 + n11 + n12 - 1.0)
-    if not dev <= DEFAULT_UNITARITY_TOL:
-        raise InfeasibleParameters("row1_norm", f"|a10|^2+|a11|^2+|a12|^2 = 1 off by {dev:.3g}")
-    dev = abs(n21 + n22 - 1.0)
-    if not dev <= DEFAULT_UNITARITY_TOL:
-        raise InfeasibleParameters("row2_norm", f"|a21|^2+|a22|^2 = 1 off by {dev:.3g}")
-    dev = abs(a11 * a21.conjugate() + a12 * a22.conjugate())
-    if not dev <= DEFAULT_UNITARITY_TOL:
-        raise InfeasibleParameters(
-            "row12_orthogonality", f"a11*conj(a21)+a12*conj(a22) = 0 off by {dev:.3g}"
-        )
+    guards = (
+        ("duality", "|a10|^2 + |a30|^2 = 1", lambda: n10 + n30 - 1.0),
+        ("row1_norm", "|a10|^2+|a11|^2+|a12|^2 = 1", lambda: n10 + n11 + n12 - 1.0),
+        ("row2_norm", "|a21|^2+|a22|^2 = 1", lambda: n21 + n22 - 1.0),
+        ("row12_orthogonality", "a11*conj(a21)+a12*conj(a22) = 0",
+         lambda: a11 * a21.conjugate() + a12 * a22.conjugate()),
+    )
+    for constraint, identity, deviation in guards:
+        dev = abs(deviation())
+        if not dev <= DEFAULT_UNITARITY_TOL:
+            raise InfeasibleParameters(constraint, f"{identity} off by {dev:.3g}")
 
     if 1.0 - abs(a10) ** 2 <= DEFAULT_UNITARITY_TOL:  # the degenerate case |a10| = 1
         row3 = -a22.conjugate() * U2 + a21.conjugate() * U3

@@ -332,8 +332,9 @@ def write_weight_table(path, bank: FilterBank, n_max: int) -> int:
 
 
 def write_trace_csv(path, trace: PartialSumTrace) -> None:
-    """CSV columns N, partial_sum, target, lines ending in CRLF."""
-    target = repr(trace.target)
-    rows = [f"{N},{value!r},{target}\r\n" for N, value in trace.checkpoints]
+    """CSV columns N, partial_sum, target, lines ending in CRLF; each value
+    is written as the repr of its float, whatever float type the trace holds."""
+    target = repr(float(trace.target))
+    rows = [f"{N},{float(value)!r},{target}\r\n" for N, value in trace.checkpoints]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n" + "".join(rows))

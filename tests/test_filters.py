@@ -194,22 +194,26 @@ def test_solve_alpha_example_bank():
     assert _unitarity_dev(bank) < 1e-12
 
 
-def test_solve_alpha_duality_violation():
+@pytest.mark.parametrize(
+    "alpha, constraint, message",
+    [
+        ((0.5, 0.5, 0.5, 0.0, 0.0, 1.0), "duality", "|a10|^2 + |a30|^2 = 1 off by 0.5"),
+        ((S2, S2, 1.0, 0.0, 0.0, 1.0), "row1_norm", "|a10|^2+|a11|^2+|a12|^2 = 1 off by 0.5"),
+        ((S2, S2, S2, 0.0, 0.5, 0.5), "row2_norm", "|a21|^2+|a22|^2 = 1 off by 0.5"),
+        ((S2, S2, S2, 0.0, 1.0, 0.0), "row12_orthogonality",
+         "a11*conj(a21)+a12*conj(a22) = 0 off by 0.707"),
+        # abs of the orthogonality sum overflows here: the norm guard refuses first
+        ((1.0, 0.0, 1.7e308, 0.0, 1 + 1j, 0.0), "row1_norm",
+         "|a10|^2+|a11|^2+|a12|^2 = 1 off by inf"),
+    ],
+    ids=["duality", "row1_norm", "row2_norm", "row12_orthogonality", "row1_norm_before_overflow"],
+)
+def test_solve_alpha_guards(alpha, constraint, message):
+    # the guards run in order, each names its constraint and the identity it measures
     with pytest.raises(InfeasibleParameters) as err:
-        solve_alpha(0.5, 0.5, 0.5, 0.0, 0.0, 1.0)
-    assert err.value.constraint == "duality"
-
-
-def test_solve_alpha_row_norm_violation():
-    with pytest.raises(InfeasibleParameters) as err:
-        solve_alpha(S2, S2, 1.0, 0.0, 0.0, 1.0)
-    assert err.value.constraint == "row1_norm"
-
-
-def test_solve_alpha_orthogonality_violation():
-    with pytest.raises(InfeasibleParameters) as err:
-        solve_alpha(S2, S2, S2, 0.0, 1.0, 0.0)
-    assert err.value.constraint == "row12_orthogonality"
+        solve_alpha(*alpha)
+    assert err.value.constraint == constraint
+    assert str(err.value) == f"infeasible parameters: {constraint} violated ({message})"
 
 
 def _random_feasible_alpha(rng):

@@ -548,3 +548,11 @@ def test_trace_csv(tmp_path):
     assert len(lines) == 1 + len(trace.checkpoints)
     oracle_write_trace_csv(expected, trace)
     assert path.read_bytes() == expected.read_bytes()
+
+
+def test_trace_csv_writes_numpy_floats_as_floats(tmp_path):
+    # a library caller's trace may hold numpy floats, whose repr is np.float64(...)
+    trace = PartialSumTrace(((4, np.float64(0.5)),), np.float64(1.0), np.arange(1), np.ones(1))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    assert path.read_bytes() == b"N,partial_sum,target\r\n4,0.5,1.0\r\n"
