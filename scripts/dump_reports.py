@@ -17,7 +17,8 @@ weights leave many x-cylinder totals at exact zeros, and on rho = 1,
 x-cylinder totals all round, runs at a tolerance no check can meet and at one so small that
 tol / 10 underflows, a grid whose span overflows, runs on malformed input files, on well-formed matrices (one
 with an entry so large that H*H overflows) and banks that are not
-admissible, with both matrix options of `verify unitarity` at once, and
+admissible (two by a solver parameter whose modulus overflows), with
+both matrix options of `verify unitarity` at once, and
 bank flags of each kind on subcommands that took only some kinds before
 (among them a p != 0 bank for `verify incomplete`, which it refuses), and
 one small call of every subcommand under each FRAME_LAB_TOL value of
@@ -227,6 +228,11 @@ def _guard_argvs() -> list[list[str]]:
         ["mu4hat", "--t", "1", "--tol", "-1"],
         ["verify", "gram", "--rho-re", "1", "--p-re", "0.6", "--q-re", "0.8"],
         ["verify", "gram", "--p-im", "0.1"],
+        # a solver parameter whose parts are finite and whose modulus overflows
+        ["verify", "gram", "--p-re", "1.7e308", "--p-im", "1.7e308", "--q-re", "0"],
+        ["verify", "gram", "--alpha-a10-re", "1", "--alpha-a30-re", "0", "--alpha-a11-re", "1.7e308",
+         "--alpha-a11-im", "1.7e308", "--alpha-a12-re", "0", "--alpha-a21-re", "1",
+         "--alpha-a22-re", "0"],
         ["mu4hat", "--t", "1", "--tol", "4e-37"],
     ]
 

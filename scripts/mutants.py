@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
-"""Mutation census of the checks' pass conditions and the CSV writers'
-bytes: does some Tier-1 test fail when a pass condition is weakened or a
-writer writes other bytes?
+"""Mutation census of the checks' pass conditions, the CSV writers' bytes
+and the transform's bits: does some Tier-1 test fail when a pass condition
+is weakened, a writer writes other bytes or the transform rounds otherwise?
 
     python scripts/mutants.py
 
 Each mutant is one text edit to a file of src/. For each, the script copies
-src/, tests/, scripts/ and pyproject.toml to a temporary directory, applies
-the edit there, runs Tier-1 with -x and prints `killed` with the first
-failing test, or `survived`. An equivalent mutant changes no result the
-library can produce; the reason is printed with it. Before the mutants, the
+src/, tests/, scripts/, perfbench/ (whose tracer a test runs) and
+pyproject.toml to a temporary directory, applies the edit there, runs
+Tier-1 with -x and prints `killed` with the first failing test, or
+`survived`. An equivalent mutant changes no result the library can
+produce; the reason is printed with it. Before the mutants, the
 unedited copy must pass. Exit 1 if a mutant that is not equivalent
 survives, 2 if an edit's old text does not occur exactly once or the
 unedited copy fails.
@@ -31,7 +32,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "scripts", "pyproject.toml")
+COPIED = ("src", "tests", "scripts", "perfbench", "pyproject.toml")
 TEXT_TEST = "tests/test_package.py::test_every_mutant_edits_one_place"
 
 
@@ -47,6 +48,7 @@ class Mutant(NamedTuple):
 FRAMES = "src/frame_lab/frames.py"
 CUNTZ = "src/frame_lab/cuntz.py"
 FILTERS = "src/frame_lab/filters.py"
+TRANSFORM = "src/frame_lab/transform.py"
 
 MUTANTS = [
     Mutant(
@@ -98,6 +100,13 @@ MUTANTS = [
         '        ("row2_norm", "|a21|^2+|a22|^2 = 1", lambda: n21 + n22 - 1.0),\n',
         "",
         "solve_alpha: the row2_norm guard is left out of the table",
+    ),
+    Mutant(
+        "squared", FILTERS,
+        "    try:\n        return abs(z) * abs(z)\n"
+        "    except OverflowError:\n        return math.inf\n",
+        "    return abs(z) * abs(z)\n",
+        "solve_alpha, pq_bank: a modulus that overflows raises OverflowError again",
     ),
     Mutant(
         "7", CUNTZ,
@@ -170,6 +179,18 @@ MUTANTS = [
         "{float(value)!r}",
         "{value!r}",
         "write_trace_csv: a row's partial sum is written from the raw value",
+    ),
+    Mutant(
+        "phase-fmod", TRANSFORM,
+        "np.fmod(block, 3.0)",
+        "block",
+        "mu4_hat_array: the phase rounds t/3 with its whole turns",
+    ),
+    Mutant(
+        "signed-zero", TRANSFORM,
+        "product * phase + 0.0",
+        "product * phase",
+        "mu4_hat_array: an exact zero keeps the signs of its parts",
     ),
     Mutant(
         "kept-batch", FRAMES,

@@ -134,6 +134,14 @@ def rho_bank(rho: complex) -> FilterBank:
     return FilterBank(hadamard_rho(rho))
 
 
+def _squared(z: complex) -> float:
+    """|z|^2, and inf where |z| overflows though both parts of z are finite."""
+    try:
+        return abs(z) * abs(z)
+    except OverflowError:
+        return math.inf
+
+
 def solve_alpha(
     a10: complex,
     a30: complex,
@@ -152,11 +160,11 @@ def solve_alpha(
     """
     a10, a30, a11, a12, a21, a22 = (complex(z) for z in (a10, a30, a11, a12, a21, a22))
     # Each guard holds to DEFAULT_UNITARITY_TOL, as FilterBank does. It reads
-    # `not dev <= ...` so that a nan deviation fails it, and squares by
-    # multiplying, which gives inf where ** 2 raises OverflowError. A
+    # `not dev <= ...` so that a nan deviation fails it, and squares through
+    # _squared, which gives inf where |z| or ** 2 would raise OverflowError. A
     # deviation is computed only once the guards before it hold: abs of the
     # orthogonality sum overflows on parameters a norm guard refuses.
-    n10, n30, n11, n12, n21, n22 = (abs(z) * abs(z) for z in (a10, a30, a11, a12, a21, a22))
+    n10, n30, n11, n12, n21, n22 = (_squared(z) for z in (a10, a30, a11, a12, a21, a22))
     guards = (
         ("duality", "|a10|^2 + |a30|^2 = 1", lambda: n10 + n30 - 1.0),
         ("row1_norm", "|a10|^2+|a11|^2+|a12|^2 = 1", lambda: n10 + n11 + n12 - 1.0),
@@ -192,7 +200,7 @@ def pq_bank(p: complex, q: complex) -> FilterBank:
     a11 = sqrt(1 - |p|^2), a12 = a21 = 0, a22 = 1. Its digit weights are
     (1, p, 0, q) up to the rounding of assembling A."""
     p = complex(p)
-    fill = math.sqrt(max(0.0, 1.0 - abs(p) * abs(p)))  # 0 for |p| >= 1 and for nan
+    fill = math.sqrt(max(0.0, 1.0 - _squared(p)))  # 0 for |p| >= 1 and for nan
     return solve_alpha(p, q, fill, 0.0, 0.0, 1.0)
 
 

@@ -6,9 +6,11 @@ e^{2 pi i t x} gives the infinite product
 
     mu4_hat(t) = prod_{k>=1} (1 + e^{4 pi i t / 4^k}) / 2,
 
-truncated here with a certified tail rule. Unit-circle exponentials are
-evaluated exactly at quarter turns so the structural zeros of mu4_hat at
-4^m * (odd integer) come out as exact 0.0.
+truncated here with a certified tail rule. Since (1 + e^{i theta})/2 =
+e^{i theta/2} cos(theta/2), K factors are the real product
+prod_{k<=K} cos(2 pi t/4^k) times the one phase e^{2 pi i t (1 - 4^-K)/3}.
+The cosines are read from exact quarter turns, so the structural zeros of
+mu4_hat at 4^m * (odd integer) come out as exact 0.0.
 """
 
 from __future__ import annotations
@@ -69,47 +71,40 @@ def factor_count(t_abs, tol: float) -> np.ndarray:
 def mu4_hat_array(t, tol: float = TOL) -> np.ndarray:
     """Truncated product at every element of a float64 array.
 
-    Factor k is (1 + cis(2t/4^k))/2: the turns come from a power-of-two
-    scaling and cis reduces them exactly, so whole quarter turns take exact
-    phases. Each element gets its own certified factor count.
+    Factor k contributes cos(2 pi t/4^k), the real part of cis(t/4^k): the
+    turns come from a power-of-two scaling and cis reduces them exactly, so
+    a factor at a quarter turn is exactly 0.0. Each element gets its own
+    certified factor count K, and its phase t (1 - 4^-K)/3 turns is taken
+    once, from fmod(t, 3), which is exact, so that no whole turns of t/3
+    are rounded into it.
     The elements are taken _BLOCK at a time. A block runs through its own
     largest count, an element's factors past its own being exactly 1, and
     takes as many factors per pass as keep a pass within _BLOCK (factor x
     element) entries: one at a time over a full block, all of them for a
-    short array. The product is formed from real multiplies and adds, one
-    rounding each, so an element's bits do not depend on the array it is
-    evaluated in.
+    short array. Each pass multiplies its rows into the running product in
+    order, one rounding each, so an element's bits do not depend on the
+    array it is evaluated in; adding 0.0 leaves an exact zero +0.0 in both
+    parts. An array with a value that is not finite is refused, and the
+    first such value is named.
     """
     t = np.array(t, dtype=np.float64, ndmin=1)
     if not np.all(np.isfinite(t)):
-        raise DomainError("t must be finite")
+        raise DomainError(f"t must be a finite real number, got {float(t[~np.isfinite(t)][0])!r}")
     counts = factor_count(np.abs(t), tol).ravel()
     out = np.empty(t.shape, dtype=complex)
     flat_t, flat_out = t.ravel(), out.reshape(-1)
     for lo in range(0, t.size, _BLOCK):
         part = slice(lo, lo + _BLOCK)
         block, block_counts = flat_t[part], counts[part]
-        re, im = np.ones(len(block)), np.zeros(len(block))
+        product = np.ones(len(block))
         fewest, last = int(block_counts.min()), int(block_counts.max())
         per_pass = _BLOCK // len(block)
         for first in range(1, last + 1, per_pass):
             k = np.arange(first, min(first + per_pass, last + 1))[:, None]
-            turns = np.ldexp(block, 1 - 2 * k)  # row k - first: 2t/4^k
+            turns = np.ldexp(block, -2 * k)  # row k - first: t/4^k
             if k[-1, 0] > fewest:  # past an element's certified count its factor is 1
                 turns[block_counts < k] = 0.0
-            phase = cis(turns)
-            for f_re, f_im in zip((1.0 + phase.real) * 0.5, phase.imag * 0.5):
-                re, im = re * f_re - im * f_im, re * f_im + im * f_re
-        flat_out[part].real, flat_out[part].imag = re, im
+            product = np.multiply.reduce([product, *cis(turns).real])
+        phase = cis((np.fmod(block, 3.0) - np.ldexp(block, -2 * block_counts)) / 3.0)
+        flat_out[part] = product * phase + 0.0
     return out
-
-
-def mu4_hat(t: float, tol: float = TOL) -> complex:
-    """mu4_hat_array at one real t; |result| <= 1.
-
-    t is read as float64, exact for integers and dyadic rationals below 2^53.
-    """
-    x = float(t)
-    if isinstance(t, bool) or not math.isfinite(x):
-        raise DomainError(f"t must be a finite real number, got {t!r}")
-    return complex(mu4_hat_array(x, tol)[0])

@@ -31,7 +31,9 @@ one dict of x-cylinder totals per vector; the library's verify_projection
 sums the y axes of the closed-form rows instead. exponential, ONE,
 inner_product, norm, fs_add and fs_scale are the single-sum forms the
 tests write, thin over the library's batched inner_products, norms,
-concat and normalize.
+concat and normalize, and mu4_hat is the one-value form of mu4_hat_array.
+ascending_mu4_hat multiplies the complex factors one by one in ascending
+order, where the library multiplies their cosines and takes one phase.
 The dense trace and dense weight writer hold every n <= n_max in one
 array, where the library keeps only the support of the weights or writes
 one block at a time; they pin its bits. The CSV writers here go row by row
@@ -65,7 +67,7 @@ from frame_lab.errors import CapacityError, DomainError
 from frame_lab.filters import a_to_h, little_m
 from frame_lab.frames import MAX_ENUM_LEN, TRACE_COLUMNS, WEIGHT_TABLE_COLUMNS, weight_table
 from frame_lab.report import Check
-from frame_lab.transform import mu4_hat, mu4_hat_array
+from frame_lab.transform import TOL, cis, factor_count, mu4_hat_array
 
 _ALPHABET = (0, 1, 2, 3)
 
@@ -88,6 +90,10 @@ def inner_product(F: FunctionSum, G: FunctionSum) -> complex:
 
 def norm(F: FunctionSum) -> float:
     return float(norms(F, 1)[0])
+
+
+def mu4_hat(t, tol: float = TOL) -> complex:
+    return complex(mu4_hat_array(float(t), tol)[0])
 
 
 def fs_add(*sums: FunctionSum) -> FunctionSum:
@@ -272,6 +278,18 @@ def matmul_deviations(A) -> dict[str, float]:
         "kernel": float(np.max(np.abs((A[:, 0] + A[:, 2]) - (A[:, 1] + A[:, 3])))),
         "unitarity": float(np.max(np.abs(H.conj().T @ H - np.eye(4)))),
     }
+
+
+def ascending_mu4_hat(t, tol: float = TOL) -> np.ndarray:
+    """The truncated product as complex factors (1 + cis(2t/4^k))/2 taken in
+    ascending k, through each element's own certified count: the second
+    path to the library's cosine product and single phase."""
+    t = np.array(t, dtype=np.float64, ndmin=1)
+    counts = factor_count(np.abs(t), tol)
+    out = np.ones(t.shape, dtype=complex)
+    for k in range(1, int(counts.max()) + 1):
+        out = np.where(counts >= k, out * ((1.0 + cis(np.ldexp(t, 1 - 2 * k))) / 2.0), out)
+    return out
 
 
 def mu4_hat_recursive(t, _memo={}):

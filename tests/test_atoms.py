@@ -19,7 +19,6 @@ from frame_lab.atoms import (
 from frame_lab.cuntz import apply_S, apply_S_star
 from frame_lab.errors import DomainError
 from frame_lab.filters import rho_bank
-from frame_lab.transform import mu4_hat
 from oracles import (
     ONE,
     Atom,
@@ -40,6 +39,7 @@ from oracles import (
     ifs_monte_carlo_integral,
     inner_product,
     max_coeff_gap,
+    mu4_hat,
     norm,
     unstack,
 )

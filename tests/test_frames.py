@@ -29,7 +29,7 @@ from frame_lab.frames import (
     write_weight_table,
 )
 from frame_lab.report import Check
-from frame_lab.transform import cis, mu4_hat
+from frame_lab.transform import cis
 from oracles import (
     ONE,
     Word4,
@@ -40,6 +40,7 @@ from oracles import (
     digit_counts,
     enumerate_X4,
     frame_weight,
+    mu4_hat,
     oracle_h_partial,
     oracle_h_partial_dense,
     oracle_project_V,

@@ -1,8 +1,9 @@
-"""The package's shape, the modules a run imports, copies of its records
-and the text edits of the mutation census."""
+"""The package's shape, the modules a run imports, copies of its records,
+the text edits of the mutation census and the benchmark's traced run."""
 
 import copy
 import importlib.util
+import json
 import os
 import pickle
 import subprocess
@@ -11,6 +12,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import frame_lab
 from frame_lab.atoms import FunctionSum
@@ -73,3 +75,24 @@ def test_the_records_copy_and_pickle(bank_i):
         assert not bank.A.flags.writeable and not G.atoms.flags.writeable
         assert type(T) is PartialSumTrace and T.checkpoints == trace.checkpoints
         assert np.array_equal(T.n, trace.n) and np.array_equal(T.terms, trace.terms)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cuntz", "--rho-re", "1", "--level", "2", "--trials", "3"],
+        ["verify", "projection", "--rho-im", "1", "--max-word-len", "2"],
+        ["verify", "parseval", "--rho-im", "1", "--gamma", "3", "--n-max", "64"],
+    ],
+)
+def test_the_benchmarks_traced_run_passes(tmp_path, argv):
+    # perfbench/tracer.py wraps the layers' functions and reads its work
+    # counts from their arguments and results, so a library change that a
+    # counter no longer fits fails the benchmark's traced run
+    tracer = ROOT / "perfbench" / "tracer.py"
+    command = [sys.executable, str(tracer), str(tmp_path / "s.json"), str(tmp_path / "s.npz"), "--"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("FRAME_LAB_TOL", None)
+    done = subprocess.run([*command, *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1])["pass"] is True

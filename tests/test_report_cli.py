@@ -560,6 +560,18 @@ _BELOW_FLOORS = {
 }
 
 
+# Parameters whose parts are finite but whose modulus overflows: each squares
+# to inf, and the first guard that reads it refuses the bank.
+_OVERFLOWING_MODULUS = {
+    ("verify", "gram", "--p-re", "1.7e308", "--p-im", "1.7e308", "--q-re", "0"):
+        "duality violated (|a10|^2 + |a30|^2 = 1 off by inf)",
+    ("verify", "gram", "--alpha-a10-re", "1", "--alpha-a30-re", "0", "--alpha-a11-re", "1.7e308",
+     "--alpha-a11-im", "1.7e308", "--alpha-a12-re", "0", "--alpha-a21-re", "1",
+     "--alpha-a22-re", "0"):
+        "row1_norm violated (|a10|^2+|a11|^2+|a12|^2 = 1 off by inf)",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -593,6 +605,7 @@ _BELOW_FLOORS = {
         ["verify", "nogo-mu3", "--out", "."],
         # a matrix to read and one to write: the export is not dropped in silence
         ["verify", "unitarity", "--matrix-json", "ok.json", "--matrix-out", "m.json"],
+        *[list(argv) for argv in _OVERFLOWING_MODULUS],
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
@@ -606,6 +619,8 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     if tuple(argv) in _BELOW_FLOORS:
         assert err == f"error: {_BELOW_FLOORS[tuple(argv)]}\n"
+    if tuple(argv) in _OVERFLOWING_MODULUS:
+        assert err == f"error: infeasible parameters: {_OVERFLOWING_MODULUS[tuple(argv)]}\n"
     assert not (tmp_path / "w.csv").exists()
 
 
@@ -869,12 +884,12 @@ def test_certify_reports_a_failed_call(capsys, monkeypatch, tmp_path):
 
 
 # The CLI argument space: every subcommand, with flag values that include 0,
-# negative, nan, inf and huge ones. Sizes that drive work stay cheap, and every
-# one of them also takes values past its capacity guard, which must be refused
-# before any work.
+# negative, nan, inf, subnormal and huge ones, and pairs of parts whose modulus
+# overflows. Sizes that drive work stay cheap, and every one of them also takes
+# values past its capacity guard, which must be refused before any work.
 _FLOAT = st.one_of(
     st.sampled_from(["0", "1", "-1", "0.5", S2, "0.6", "0.8", "1e-300"]),
-    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300"]),
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "1.7e308", "-1.7e308", "5e-324"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 _TOL = st.one_of(st.sampled_from(["1e-8", "1e-12"]), _FLOAT)
@@ -918,8 +933,9 @@ def _bank(draw):
     if kind == "alpha":
         if known:
             return list(PQ_ALPHA)
-        return [a for n in ("a10", "a30", "a11", "a12", "a21", "a22")
-                for a in draw(_flag(f"alpha-{n}-re", _FLOAT))]
+        parts = [draw(_flag(f"alpha-{n}-re", _FLOAT)) + draw(_optional(f"alpha-{n}-im", _FLOAT))
+                 for n in ("a10", "a30", "a11", "a12", "a21", "a22")]
+        return [a for part in parts for a in part]
     return []
 
 
@@ -1010,6 +1026,7 @@ GUARD_ARGVS = [
     ["mu4hat", "--t", "1", "--tol", "-1"],
     ["verify", "gram", "--rho-re", "1", "--p-re", "0.6", "--q-re", "0.8"],
     ["verify", "gram", "--p-im", "0.1"],
+    *[list(argv) for argv in _OVERFLOWING_MODULUS],
 ]
 
 

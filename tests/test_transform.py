@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from frame_lab.errors import CapacityError, DomainError
-from frame_lab.transform import _BLOCK, TOL, cis, mu4_hat, mu4_hat_array
+from frame_lab.transform import _BLOCK, TOL, cis, mu4_hat_array
 from oracles import (
     XCylinder,
+    ascending_mu4_hat,
     cylinder_exp_integral,
     exact_cis,
     fmod_cis,
     ifs_monte_carlo_integral,
+    mu4_hat,
     mu4_hat_recursive,
 )
 
@@ -71,6 +73,27 @@ def test_mu4_hat_array_matches_recursion_oracle():
     assert np.max(np.abs(got - want)) <= 1e-12
     for t, value in zip(ts[::50], got[::50]):
         assert abs(mu4_hat(float(t)) - value) <= 1e-14
+
+
+def _oracle_inputs(kind):
+    rng = np.random.default_rng(20261020)
+    if kind == "integers":
+        edges = 4.0 ** np.arange(10)
+        return np.concatenate([edges, -edges, 3 * edges, rng.integers(-(4**9), 4**9 + 1, 2**16)])
+    if kind == "sixty-fourths":
+        return rng.integers(-(4**9) * 64, 4**9 * 64 + 1, 2**16) / 64.0
+    return rng.uniform(-1e6, 1e6, 2**16)
+
+
+@pytest.mark.parametrize("kind", ["integers", "sixty-fourths", "uniform"])
+def test_mu4_hat_array_matches_the_ascending_complex_product(kind):
+    # one cosine product and one phase against the factors multiplied one
+    # by one: the same zeros, each +0.0 in both parts, and only roundings apart
+    ts = _oracle_inputs(kind)
+    got, want = mu4_hat_array(ts), ascending_mu4_hat(ts)
+    assert np.max(np.abs(got - want)) <= 4e-15
+    assert np.array_equal(got == 0, want == 0)
+    assert not got[got == 0].view(np.uint64).any()
 
 
 def test_mu4_hat_bits_do_not_depend_on_the_batch():
