@@ -22,10 +22,11 @@ both matrix options of `verify unitarity` at once, and
 bank flags of each kind on subcommands that took only some kinds before
 (among them a p != 0 bank for `verify incomplete`, which it refuses), and
 one small call of every subcommand under each FRAME_LAB_TOL value of
-ENV_TOLS (a subcommand with a tolerance reads it, the others must not), and
+ENV_TOLS (a subcommand with a tolerance reads it, the others must not),
 the `-h` help of the top level, of `verify` and of every subcommand, whose
 line holds the help text as `stdout` (and no report), wrapped at the width
-COLUMNS=80 gives.
+COLUMNS=80 gives, and last the calls of LAST_ARGVS: the solver's degenerate
+branch |a10| = 1, and a matrix whose entry parses as inf.
 Each line records the environment its call ran under, set for that call
 alone. Each call runs in process in one temporary working directory, so
 file arguments are the same relative paths on every run. A CSV named in the
@@ -261,6 +262,13 @@ HELP_ARGVS = [["-h"], ["verify", "-h"]] + [
 ]
 HELP_ENV = {"COLUMNS": "80"}
 
+# Printed after every other call, so the lines before them keep their places.
+INF_ENTRY = {"inf_entry.json": json.dumps({"rows": [[ENTRY] * 4] * 4}).replace("0.5", "1e999", 1).encode()}
+LAST_ARGVS = [
+    ["verify", "gram", "--p-re", "1", "--q-re", "0", "--max-word-len", "3"],
+    ["verify", "unitarity", "--matrix-json", "inf_entry.json"],
+]
+
 
 def run(argv: list[str], env: dict) -> dict:
     """One in-process call with the variables of env set for it alone; an
@@ -305,10 +313,11 @@ def main() -> int:
     calls = [(argv, {}) for argv in argvs]
     calls += [(argv, {"FRAME_LAB_TOL": tol}) for tol in ENV_TOLS for argv in SMALL_ARGVS]
     calls += [(argv, HELP_ENV) for argv in HELP_ARGVS]
+    calls += [(argv, {}) for argv in LAST_ARGVS]
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         Path("out").mkdir()
-        for name, data in {**BAD_MATRICES, **INADMISSIBLE_MATRICES}.items():
+        for name, data in {**BAD_MATRICES, **INADMISSIBLE_MATRICES, **INF_ENTRY}.items():
             Path(name).write_bytes(data)
         for argv, env in calls:
             print(json.dumps(run(argv, env), sort_keys=True), flush=True)

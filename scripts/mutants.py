@@ -49,6 +49,7 @@ FRAMES = "src/frame_lab/frames.py"
 CUNTZ = "src/frame_lab/cuntz.py"
 FILTERS = "src/frame_lab/filters.py"
 TRANSFORM = "src/frame_lab/transform.py"
+ATOMS = "src/frame_lab/atoms.py"
 
 MUTANTS = [
     Mutant(
@@ -191,6 +192,18 @@ MUTANTS = [
         "product * phase + 0.0",
         "product * phase",
         "mu4_hat_array: an exact zero keeps the signs of its parts",
+    ),
+    Mutant(
+        "checked-default", ATOMS,
+        "def __init__(self, atoms: np.ndarray, checked: bool = False):",
+        "def __init__(self, atoms: np.ndarray, checked: bool = True):",
+        "FunctionSum: an array is adopted without its range checks unless asked",
+    ),
+    Mutant(
+        "gram-tol", CUNTZ,
+        "    positive_tol(tol)\n    size = family_size(max_len)\n",
+        "    size = family_size(max_len)\n",
+        "verify_gram: a tolerance that is not positive and finite is accepted",
     ),
     Mutant(
         "kept-batch", FRAMES,

@@ -14,6 +14,11 @@ vec numbers the vector an atom belongs to, so one record array can hold a
 batch of sums that every operation treats separately: atoms of different
 vectors never merge or pair. A single sum has vec 0 everywhere, and each
 vector of a batch gets the bits its single sum would get.
+
+No input of the CLI becomes a FunctionSum: the operators build each one
+from an array they have just made, and the record adopts that array as it
+is. The tests write their sums as rows, which their own builder turns into
+an ATOM array.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ ATOM = np.dtype(
         ("vec", np.int64),
     ]
 )
-_ROW = np.dtype(ATOM.descr[:4])  # a row of a single sum: (coeff, freq, code, level), vec 0
 # numpy copies and concatenates a record array field by field, and repeats a
 # read-only one (as every FunctionSum holds) at half speed; _copy, concat and
 # refine view it as raw rows of bytes, which move whole (np.take and
@@ -43,46 +47,20 @@ X_BITS = 0x5555_5555_5555_5555  # the x bit (k & 1) of every pair k of a code
 
 
 class FunctionSum:
-    """Atoms as a read-only ATOM array: an ATOM array is copied, any other
-    input is read as rows (coeff, freq, code, level) of one sum, vec 0.
-    Setting or deleting an attribute raises AttributeError."""
+    """A sum of atoms, held as a read-only ATOM array: a bare record.
+
+    The constructor adopts an ATOM array that no one else writes to, such
+    as one the library has just built: it makes it read-only but does not
+    copy it, and checks every row unless the rows were gathered from a
+    checked array (checked=True). Nothing guards the attribute, and a deep
+    copy holds a writeable copy of the array.
+    """
 
     __slots__ = ("atoms",)
 
-    def __init__(self, atoms):
-        if isinstance(atoms, np.ndarray) and atoms.dtype == ATOM:
-            atoms = _copy(atoms)
-        else:
-            try:
-                single = np.array(atoms, dtype=_ROW, ndmin=1)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise DomainError(f"atoms must be (coeff, freq, code, level) rows: {exc}") from None
-            atoms = np.zeros(single.shape, dtype=ATOM)
-            for name in _ROW.names:
-                atoms[name] = single[name]
-        object.__setattr__(self, "atoms", _checked(atoms))
-
-    @classmethod
-    def _adopt(cls, atoms: np.ndarray, checked: bool = False) -> FunctionSum:
-        """The sum over an ATOM array that no one else writes to, such as
-        one the library has just built: made read-only, but not copied, and
-        checked like any input unless its rows were gathered from a checked
-        array (checked=True)."""
-        if checked:
-            atoms.setflags(write=False)
-        else:
-            _checked(atoms)
-        F = object.__new__(cls)
-        object.__setattr__(F, "atoms", atoms)
-        return F
-
-    def __setattr__(self, name, value=None):  # value=None: also serves as __delattr__
-        raise AttributeError(f"a FunctionSum is read-only: {name} cannot change")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):  # copy and pickle build the copy through __init__, not setattr
-        return FunctionSum, (self.atoms,)
+    def __init__(self, atoms: np.ndarray, checked: bool = False):
+        self.atoms = atoms if checked else _checked(atoms)
+        atoms.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -97,7 +75,7 @@ def _copy(atoms: np.ndarray) -> np.ndarray:
 
 
 def _checked(atoms: np.ndarray) -> np.ndarray:
-    """atoms, made read-only, once its rows pass every range check."""
+    """atoms, once its rows pass every range check."""
     level, code = atoms["level"], atoms["code"]
     if atoms.ndim != 1:
         raise DomainError(f"atoms must form one row per atom, got shape {atoms.shape}")
@@ -110,7 +88,6 @@ def _checked(atoms: np.ndarray) -> np.ndarray:
             raise DomainError("frequencies must be finite")
         if atoms["vec"].min() < 0:
             raise DomainError("vector indices must be >= 0")
-    atoms.setflags(write=False)
     return atoms
 
 
@@ -149,12 +126,12 @@ def normalize(F: FunctionSum) -> FunctionSum:
     del order, first, kept
     out = np.take(atoms, rows)
     out["coeff"] = coeff
-    return FunctionSum._adopt(out, checked=True)
+    return FunctionSum(out, checked=True)
 
 
 def concat(*sums: FunctionSum) -> FunctionSum:
     """The atoms of every sum, in order, each keeping its vector index."""
-    return FunctionSum._adopt(np.concatenate([F.atoms.view(_RAW) for F in sums]).view(ATOM))
+    return FunctionSum(np.concatenate([F.atoms.view(_RAW) for F in sums]).view(ATOM))
 
 
 def fs_sub(F: FunctionSum, G: FunctionSum) -> FunctionSum:
@@ -162,14 +139,14 @@ def fs_sub(F: FunctionSum, G: FunctionSum) -> FunctionSum:
     with F's atoms."""
     atoms = np.concatenate([F.atoms.view(_RAW), G.atoms.view(_RAW)]).view(ATOM)
     atoms["coeff"][len(F):] *= -1.0
-    return normalize(FunctionSum._adopt(atoms, checked=True))
+    return normalize(FunctionSum(atoms, checked=True))
 
 
 def renumber(F: FunctionSum, scale: int, offset: int) -> FunctionSum:
     """The same batch with vector v renamed scale * v + offset."""
     atoms = _copy(F.atoms)
     atoms["vec"] = scale * atoms["vec"] + offset
-    return FunctionSum._adopt(atoms)
+    return FunctionSum(atoms)
 
 
 def refine(F: FunctionSum, K: int) -> FunctionSum:
@@ -184,7 +161,7 @@ def refine(F: FunctionSum, K: int) -> FunctionSum:
     i = np.arange(len(out)) - np.repeat(np.cumsum(copies) - copies, copies)
     out["code"] = out["code"] << 2 * (K - out["level"]) | i
     out["level"] = K
-    return normalize(FunctionSum._adopt(out))
+    return normalize(FunctionSum(out))
 
 
 def inner_products(F: FunctionSum, G: FunctionSum, count: int) -> np.ndarray:

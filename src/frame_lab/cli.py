@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, FrameLabError, in_range
+from .errors import CapacityError, DomainError, FrameLabError, in_range, positive_tol
 from .filters import (
     DEFAULT_UNITARITY_TOL,
     FilterBank,
@@ -73,9 +73,7 @@ def _resolve_tol(args) -> float:
             tol = float(env)
         except ValueError:
             raise DomainError(f"FRAME_LAB_TOL must be a number, got {env!r}") from None
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
-    return tol
+    return positive_tol(tol)
 
 
 # Each kind of bank: its builder and its complex parameters in the builder's

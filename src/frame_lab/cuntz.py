@@ -26,7 +26,7 @@ from .atoms import (
     refine,
     renumber,
 )
-from .errors import in_range
+from .errors import in_range, positive_tol
 from .filters import FilterBank, g_map, little_m
 from .report import Check
 from .transform import cis, mu4_hat_array
@@ -52,7 +52,7 @@ def apply_S(bank: FilterBank, F: FunctionSum) -> FunctionSum:
     every atom are one (atoms, 4 j, 4 k) broadcast, merged once its
     temporaries are freed.
     """
-    return normalize(FunctionSum._adopt(_children(bank, F.atoms, _PAIRS[:, None])))
+    return normalize(FunctionSum(_children(bank, F.atoms, _PAIRS[:, None])))
 
 
 def _children(bank: FilterBank, atoms: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -84,7 +84,7 @@ def apply_S_star(bank: FilterBank, F: FunctionSum) -> FunctionSum:
     atom are one (atoms, 4 j) broadcast, merged once its temporaries are
     freed.
     """
-    return normalize(FunctionSum._adopt(_adjoint_images(bank, F.atoms)))
+    return normalize(FunctionSum(_adjoint_images(bank, F.atoms)))
 
 
 def _adjoint_images(bank: FilterBank, a: np.ndarray) -> np.ndarray:
@@ -173,7 +173,7 @@ def random_function_sum(rng: random.Random, level: int, vectors: int = 1) -> Fun
             angle = 2.0 * math.pi * rng.random()
             coeff = complex(radius * math.cos(angle), radius * math.sin(angle))
             atoms.append((coeff, freq - 8, code, level, v))
-    return normalize(FunctionSum._adopt(np.array(atoms, dtype=ATOM)))
+    return normalize(FunctionSum(np.array(atoms, dtype=ATOM)))
 
 
 def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: float) -> Check:
@@ -190,6 +190,7 @@ def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: floa
     before the four are added at vector v, where F less it is the identity
     residual. One norms call measures each kind, and one more the norms of F.
     """
+    positive_tol(tol)
     in_range("trials", trials, 1, MAX_TRIALS)
     in_range("level", level, 0, MAX_CUNTZ_LEVEL)
     rng = random.Random(in_range("seed", seed, 0))
@@ -201,10 +202,10 @@ def verify_cuntz(bank: FilterBank, level: int, trials: int, seed: int, tol: floa
         orth = norms(fs_sub(apply_S_star(bank, apply_S(bank, F)), diagonal), 16 * T).reshape(T, 16)
         star = apply_S_star(bank, F).atoms  # S_k* F_v at vector 4v + k
         # S_k S_k* F_v at vector 16v + 5k, each merged on its own before the sum over k
-        terms = normalize(FunctionSum._adopt(_children(bank, star, star["vec"][:, None, None] & 3)))
+        terms = normalize(FunctionSum(_children(bank, star, star["vec"][:, None, None] & 3)))
         terms = terms.atoms.copy()
         terms["vec"] >>= 4
-        total = normalize(FunctionSum._adopt(terms))  # sum_k S_k S_k* F_v at vector v
+        total = normalize(FunctionSum(terms))  # sum_k S_k S_k* F_v at vector v
         # At level 0 the sum is one level deeper than F; refined to it, F cancels
         # atom by atom instead of leaving a difference of ~1e-16 per atom pair.
         ident = norms(fs_sub(total, refine(F, total.level)), T)
@@ -276,6 +277,7 @@ def verify_gram(bank: FilterBank, max_len: int, tol: float) -> Check:
     Hermitian, so only its upper triangle is formed, one row at a time, and
     none is stored.
     """
+    positive_tol(tol)
     size = family_size(max_len)
     max_offdiag = max_diag_dev = 0.0
     for entries in _gram_rows(bank, max_len):

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and in_range, the one guard
-of every integer floor and cap.
+"""Exception types shared across the package; in_range, the one guard of
+every integer floor and cap; and positive_tol, the one guard of every
+tolerance.
 
 The CLI maps these onto its exit-code contract: bad input or infeasible
 parameters exit 2, capacity guards exit 3, failed checks exit 1.
@@ -38,3 +39,12 @@ def in_range(name: str, value: int, low: int, cap: int | None = None) -> int:
     if cap is not None and value > cap:
         raise CapacityError(f"{name} {value} exceeds cap {cap}")
     return value
+
+
+def positive_tol(tol: float) -> float:
+    """tol, once it is positive and finite (DomainError, exit 2): no result
+    meets a bound <= 0, and every result would meet a nan or infinite one,
+    so a check would pass vacuously."""
+    if not 0 < tol < float("inf"):  # also refuses nan
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    return tol

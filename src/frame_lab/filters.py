@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleParameters, in_range
+from .errors import DomainError, InfeasibleParameters, in_range, positive_tol
 from .report import Check
 from .transform import cis
 
@@ -276,8 +276,7 @@ def verify_unitarity(samples: int, tol: float, A=None) -> Check:
     scalar np.exp(2j * np.pi * m / samples). Dividing a complex array by
     samples would round some phases differently.
     """
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    positive_tol(tol)
     if A is not None:
         dev = {name: float(d) for name, d in deviations(A).items()}
         metrics = {

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cuntz import family_size, generated_family
-from .errors import DomainError, in_range
+from .errors import DomainError, in_range, positive_tol
 from .filters import FilterBank, g_map, little_m
 from .report import Check
 from .transform import mu4_hat_array
@@ -104,6 +104,7 @@ def verify_projection(bank: FilterBank, max_len: int, tol: float) -> Check:
     by 2^-K, the measure of each y cylinder, gives every x cylinder's total;
     a cylinder with no mass totals 0 and counts |d_n|. So a wrong shape or
     weight fails the check at tol alike."""
+    positive_tol(tol)
     size = family_size(max_len)
     weights = np.zeros(size, dtype=complex)
     support, d = weight_table(bank.digit_weights, size - 1)
@@ -208,6 +209,7 @@ def parseval_trace(
 def verify_parseval(trace: PartialSumTrace, tol: float) -> Check:
     """The partial sums never decrease and stay below the Bessel cap
     target * (1 + tol)."""
+    positive_tol(tol)
     values = [v for _, v in trace.checkpoints]
     monotone = all(b >= a for a, b in zip(values, values[1:]))
     passed = monotone and all(v <= trace.target * (1.0 + tol) for v in values)
@@ -253,6 +255,7 @@ def verify_ruelle(bank: FilterBank, t_grid: Sequence[float], level: int, tol: fl
     must match the general one to SPECIALIZATION_TOL. The grid is checked at
     once: one energy kernel call per level.
     """
+    positive_tol(tol)
     in_range("level", level, 1, MAX_RUELLE_LEVEL)
     t = np.array(t_grid, dtype=np.float64, ndmin=1)
     in_range("grid points", t.size, 1)
@@ -288,6 +291,7 @@ def verify_incomplete(bank: FilterBank, gammas: Sequence[int], n_max: int, tol: 
     check passes when every trace passes verify_parseval at tol and at
     least one frequency is flagged.
     """
+    positive_tol(tol)
     if is_parseval(bank):
         raise DomainError(f"incompleteness needs a p = 0 bank, got p = {bank.digit_weights[1]:.6g}")
     in_range("gamma count", len(gammas), 1, MAX_GAMMAS)

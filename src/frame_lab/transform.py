@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, positive_tol
 
 # e^{2 pi i m/4}, m = 0..3 (a negative m indexes from the end: m = -1 is -i)
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
@@ -53,8 +53,7 @@ def factor_count(t_abs, tol: float) -> np.ndarray:
     max(2, ceil(log4(max(|t|,1)/eps)) + 2) with eps = tol/10 keeps the
     tail's total deviation below tol.
     """
-    if not 0 < tol < math.inf:  # also rejects nan
-        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    positive_tol(tol)
     # tol / 10 underflows to 0 for the least subnormal tolerances; the least
     # subnormal in its place still needs far more than MAX_FACTORS
     eps = max(tol / 10.0, math.ulp(0.0))

@@ -9,6 +9,8 @@ level by level; the dense-atom energy oracle goes through it. The exact
 atom calculus (one Atom object per atom, Fraction frequencies, phases exact
 at quarter turns) is the reference the library's record-array operators are
 checked against; function_sum and atom_sum convert between the two forms.
+build_sum is how the tests write a library sum as rows, a form the
+library itself never reads.
 The word vectors on the constant function, the cylinder integrals, the
 reduced symbols, cis reduced by fmod and the Monte-Carlo integral over the
 dilated fractal (with pointwise evaluation located by the sampler's digits)
@@ -53,6 +55,7 @@ from typing import Iterator
 import numpy as np
 
 from frame_lab.atoms import (
+    ATOM,
     X_BITS,
     FunctionSum,
     concat,
@@ -74,10 +77,28 @@ _ALPHABET = (0, 1, 2, 3)
 
 # ---- Single-sum helpers over the library's batched calculus.
 
+_ROW = np.dtype(ATOM.descr[:4])  # a row of a single sum: (coeff, freq, code, level), vec 0
+
+
+def build_sum(rows) -> FunctionSum:
+    """The tests' way to write a sum: a copy of an ATOM array, or rows
+    (coeff, freq, code, level) of one sum, vec 0. The library's constructor
+    then checks every row."""
+    if isinstance(rows, np.ndarray) and rows.dtype == ATOM:
+        return FunctionSum(rows.copy())
+    try:
+        single = np.array(rows, dtype=_ROW, ndmin=1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"atoms must be (coeff, freq, code, level) rows: {exc}") from None
+    atoms = np.zeros(single.shape, dtype=ATOM)
+    for name in _ROW.names:
+        atoms[name] = single[name]
+    return FunctionSum(atoms)
+
 
 def exponential(t) -> FunctionSum:
     """The global exponential e^{2 pi i t x} as a single level-0 atom."""
-    return FunctionSum([(1.0, t, 0, 0)])
+    return build_sum([(1.0, t, 0, 0)])
 
 
 ONE = exponential(0)
@@ -403,7 +424,7 @@ def s_word_one(bank, word) -> FunctionSum:
     if K < 1:
         raise DomainError("s_word_one requires a nonempty word")
     coeffs = _dense_word_vector(bank, word)
-    return normalize(FunctionSum([(c, c_of_word(word), m, K) for m, c in enumerate(coeffs)]))
+    return normalize(build_sum([(c, c_of_word(word), m, K) for m, c in enumerate(coeffs)]))
 
 
 # ---- Per-vector checks: the loops the library's batched checks replaced.
@@ -663,7 +684,7 @@ class AtomSum:
 
 def function_sum(atoms) -> FunctionSum:
     """The library's record-array sum of oracle Atoms, in the same order."""
-    return FunctionSum(
+    return build_sum(
         [(a.coeff, float(a.freq), sum(k << 2 * (a.level - 1 - i) for i, k in enumerate(a.word)), a.level)
          for a in atoms]
     )

@@ -152,7 +152,7 @@ def test_children_with_one_letter_per_atom_are_the_diagonal_of_apply_S(name):
     rng = random.Random(31)
     F = normalize(concat(*[random_function_sum(rng, level, 9) for level in range(5)]))
     letters = F.atoms["vec"][:, None, None] & 3
-    got = normalize(FunctionSum._adopt(_children(bank, F.atoms, letters))).atoms
+    got = normalize(FunctionSum(_children(bank, F.atoms, letters))).atoms
     full = apply_S(bank, F).atoms
     want = full[(full["vec"] >> 2 & 3) == (full["vec"] & 3)]
     assert len(got) > 0 and len(set(got["level"].tolist())) == 5
@@ -485,7 +485,7 @@ def test_cuntz_fails_on_a_defect_of_the_identity_residual_alone(monkeypatch, ban
     def refine(F, K):
         atoms = original(F, K).atoms.copy()
         atoms["coeff"][0] *= 1 + 1e-6
-        return FunctionSum._adopt(atoms)
+        return FunctionSum(atoms)
 
     monkeypatch.setattr(cuntz, "refine", refine)
     check = verify_cuntz(bank_i, 2, 10, 99, 1e-10)

@@ -1,14 +1,17 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frame_lab import filters
-from frame_lab.errors import DomainError, InfeasibleParameters
+from frame_lab.cuntz import verify_cuntz, verify_gram
+from frame_lab.errors import DomainError, FrameLabError, InfeasibleParameters
 from frame_lab.filters import (
     _SWEEP_PASS,
+    DEFAULT_UNITARITY_TOL,
     U1,
     U2,
     U3,
@@ -20,12 +23,20 @@ from frame_lab.filters import (
     little_m,
     matrix_from_json,
     matrix_to_json,
+    pq_bank,
     rho_bank,
     solve_alpha,
     verify_nogo_mu3,
     verify_unitarity,
 )
-from frame_lab.transform import cis
+from frame_lab.frames import (
+    parseval_trace,
+    verify_incomplete,
+    verify_parseval,
+    verify_projection,
+    verify_ruelle,
+)
+from frame_lab.transform import cis, mu4_hat_array
 from oracles import little_m_reduced, matmul_deviations
 
 S2 = 2**-0.5
@@ -140,9 +151,29 @@ def test_batched_unitarity_sweep_matches_the_per_bank_loop(samples):
     assert all(np.array_equal(stack[m], hadamard_rho(rho)) for m, rho in enumerate(rhos))
     loop = max(float(deviations(hadamard_rho(rho))["unitarity"]) for rho in rhos)
     assert verify_unitarity(samples, 1e-12).metrics["max_dev"] == loop
-    for tol in (0.0, math.nan, math.inf):  # a nan or infinite bound would pass vacuously
-        with pytest.raises(DomainError, match="tolerance must be positive and finite"):
-            verify_unitarity(samples, tol)
+
+
+# Every library call that takes a tolerance, on small valid inputs otherwise.
+_TOL_CALLS = {
+    "unitarity": lambda tol: verify_unitarity(16, tol),
+    "unitarity_matrix": lambda tol: verify_unitarity(1, tol, A=hadamard_rho(1.0)),
+    "gram": lambda tol: verify_gram(rho_bank(1j), 1, tol),
+    "cuntz": lambda tol: verify_cuntz(rho_bank(1j), 1, 2, 0, tol),
+    "projection": lambda tol: verify_projection(rho_bank(1j), 1, tol),
+    "parseval": lambda tol: verify_parseval(parseval_trace([(3, 1.0)], rho_bank(1j), 16), tol),
+    "ruelle": lambda tol: verify_ruelle(rho_bank(1j), [-0.5], 1, tol),
+    "incomplete": lambda tol: verify_incomplete(rho_bank(-1.0), [1], 16, tol),
+    "transform": lambda tol: mu4_hat_array([0.5, 2.0], tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", _TOL_CALLS)
+def test_every_check_refuses_a_tolerance_that_is_not_positive_and_finite(call, tol):
+    # no result meets a bound <= 0, and every result meets a nan or infinite
+    # one: a check would pass vacuously
+    with pytest.raises(DomainError, match=f"^tolerance must be positive and finite, got {tol!r}$"):
+        _TOL_CALLS[call](tol)
 
 
 def test_unitarity_sweeps_every_pass(monkeypatch):
@@ -184,6 +215,8 @@ def test_solve_alpha_degenerate_concrete():
     want = -np.conj(a22) * U2 + np.conj(a21) * U3
     assert np.max(np.abs(a_to_h(bank.A)[3] - want)) < 1e-15
     assert _unitarity_dev(bank) < 1e-12
+    gram = verify_gram(pq_bank(1.0, 0.0), 3, 1e-8)  # the same branch from the (p, q) family
+    assert gram.passed and gram.metrics["max_offdiag"] == 0.0
 
 
 def test_solve_alpha_example_bank():
@@ -238,6 +271,50 @@ def test_solve_alpha_randomized_feasible_parameters():
     for _ in range(100):
         bank = solve_alpha(*_random_feasible_alpha(rng))
         assert _unitarity_dev(bank) <= 1e-12
+
+
+# Parts of a parameter: the extremes (non-finite, a modulus that overflows,
+# a square that underflows or only just fits) and the parts of known banks.
+_PART = st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 5e-324, 1e154, 0.0, 1.0, -1.0, 0.5, S2, 0.6, 0.8]
+)
+_Z = st.builds(complex, _PART, _PART)
+
+
+@st.composite
+def _bank_call(draw):
+    """A builder and its arguments: rho_bank and pq_bank on drawn values,
+    solve_alpha and FilterBank on a known bank with some values replaced."""
+    kind = draw(st.sampled_from(["rho", "pq", "alpha", "matrix"]))
+    if kind == "rho":
+        return rho_bank, (draw(_Z),)
+    if kind == "pq":
+        return pq_bank, (draw(_Z), draw(_Z))
+    if kind == "alpha":
+        alpha = [S2, S2, S2, 0.0, 0.0, 1.0]
+        for i in draw(st.lists(st.integers(0, 5), min_size=1, max_size=3)):
+            alpha[i] = draw(_Z)
+        return solve_alpha, tuple(alpha)
+    A = hadamard_rho(draw(st.sampled_from([1.0, 1j, -1.0])))
+    for j, k in draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3)):
+        A[j, k] = draw(_Z)
+    return FilterBank, (A,)
+
+
+@given(call=_bank_call())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_every_bank_builder_refuses_or_returns_an_admissible_bank(call):
+    # on extreme values a builder raises FrameLabError, which the CLI maps to
+    # exit 2, or returns a bank that passes the unitarity check on its
+    # matrix; no other exception, and no warning, escapes it
+    build, args = call
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            bank = build(*args)
+        except FrameLabError:
+            return
+    assert verify_unitarity(1, DEFAULT_UNITARITY_TOL, A=bank.A).passed
 
 
 def test_little_m_basics(bank_one, bank_i):

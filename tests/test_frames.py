@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frame_lab import frames
-from frame_lab.atoms import FunctionSum, concat, renumber
+from frame_lab.atoms import concat, renumber
 from frame_lab.cli import main
 from frame_lab.cuntz import generated_family, verify_cuntz, verify_gram
 from frame_lab.errors import CapacityError, DomainError, InfeasibleParameters
@@ -34,6 +34,7 @@ from oracles import (
     ONE,
     Word4,
     apply_word,
+    build_sum,
     c_of_word,
     dense_parseval_trace,
     dense_write_weight_table,
@@ -191,7 +192,7 @@ def _oracle_residual(n: int, row: np.ndarray, weights: np.ndarray) -> float:
     """verify_projection's residual on one word's coefficient row, from the
     x-cylinder totals of oracle_project_V: a cylinder without a total reads 0."""
     K = (len(row).bit_length() - 1) // 2
-    F = FunctionSum([(row[u], n, u, K) for u in np.flatnonzero(row).tolist()])
+    F = build_sum([(row[u], n, u, K) for u in np.flatnonzero(row).tolist()])
     totals = oracle_project_V(F).get(0, {})
     return max(abs(totals.get((n, x), 0j) - weights[n]) for x in product((0, 2), repeat=K))
 

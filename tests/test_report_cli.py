@@ -57,6 +57,8 @@ BAD_MATRIX_FILES = {
     "bare_numbers.json": json.dumps({"rows": [[0.5] * 4] * 4}).encode(),
     "string_entry.json": json.dumps({"rows": [[{"re": "x", "im": 0}] + [_ENTRY] * 3] * 4}).encode(),
     "bad_bytes.json": b"\xff\xfe",
+    # well-formed, but 1e999 parses as inf
+    "inf_entry.json": json.dumps({"rows": [[_ENTRY] * 4] * 4}).replace("0.5", "1e999", 1).encode(),
 }
 
 
@@ -621,6 +623,8 @@ def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
         assert err == f"error: {_BELOW_FLOORS[tuple(argv)]}\n"
     if tuple(argv) in _OVERFLOWING_MODULUS:
         assert err == f"error: infeasible parameters: {_OVERFLOWING_MODULUS[tuple(argv)]}\n"
+    if argv[-1:] == ["inf_entry.json"]:
+        assert err == "error: A must have finite entries\n"
     assert not (tmp_path / "w.csv").exists()
 
 
