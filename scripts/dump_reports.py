@@ -26,7 +26,9 @@ ENV_TOLS (a subcommand with a tolerance reads it, the others must not),
 the `-h` help of the top level, of `verify` and of every subcommand, whose
 line holds the help text as `stdout` (and no report), wrapped at the width
 COLUMNS=80 gives, and last the calls of LAST_ARGVS: the solver's degenerate
-branch |a10| = 1, and a matrix whose entry parses as inf.
+branch |a10| = 1, and a matrix whose entry parses as inf. The guard calls
+and the malformed and inadmissible matrices are tests/cli_probes.py's,
+which the CLI's exit-contract tests read too.
 Each line records the environment its call ran under, set for that call
 alone. Each call runs in process in one temporary working directory, so
 file arguments are the same relative paths on every run. A CSV named in the
@@ -47,46 +49,18 @@ from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT))
+sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
 
 import certify_all  # noqa: E402  (this script's directory is on sys.path)
+from cli_probes import GUARD_ARGVS, INADMISSIBLE_MATRICES, MALFORMED_MATRICES  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 from frame_lab import cli  # noqa: E402
-from frame_lab.filters import hadamard_rho, matrix_to_json  # noqa: E402
 
 SEEDS = (0, 1, 2)
 RHO_I = ("--rho-im", "1")
 RHO_PI_3 = ("--rho-re", "0.5", "--rho-im", "0.8660254037844386")  # rho = e^{i pi/3}
 S2 = "0.7071067811865476"  # 1/sqrt(2)
-ENTRY = {"re": 0.5, "im": 0}
-
-# Malformed matrix documents for `verify unitarity --matrix-json`.
-BAD_MATRICES = {
-    "not_json.json": b"not json",
-    "no_rows.json": b'{"foo": 1}',
-    "list.json": b"[1,2]",
-    "bare_numbers.json": json.dumps({"rows": [[0.5] * 4] * 4}).encode(),
-    "string_entry.json": json.dumps({"rows": [[{"re": "x", "im": 0}] + [ENTRY] * 3] * 4}).encode(),
-    "ragged.json": json.dumps({"rows": [[ENTRY] * 4] * 3 + [[ENTRY]]}).encode(),
-    "bad_bytes.json": b"\xff\xfe",
-}
-
-
-def _inadmissible_matrices() -> dict[str, bytes]:
-    """Well-formed matrix documents that fail one admissibility condition:
-    row 0, the kernel condition, the rho = 1 matrix scaled off unitarity
-    (which moves row 0 too), and an entry so large that H*H overflows."""
-    row0, kernel, huge = hadamard_rho(1.0), hadamard_rho(1.0), hadamard_rho(1.0)
-    row0[0] = [1, 0, 0, 0]
-    kernel[1, 0] = 3.0
-    huge[1, 1] = 1e200
-    matrices = {"row0.json": row0, "kernel.json": kernel, "scaled.json": 1.001 * hadamard_rho(1.0),
-                "huge.json": huge}
-    return {name: matrix_to_json(A).encode() for name, A in matrices.items()}
-
-
-INADMISSIBLE_MATRICES = _inadmissible_matrices()
 
 # The solver bank with p = q = 1/sqrt(2), by its six parameters.
 PQ_ALPHA = (
@@ -199,43 +173,8 @@ def _other_argvs() -> list[list[str]]:
     for n_max in (4**6 - 1, 4**6, 3 * 4**6 + 5):
         out += [["weights", *flags, "--n-max", str(n_max),
                  "--out", f"out/weights_{name}_{n_max}.csv"] for name, flags in banks.items()]
-    files = [*BAD_MATRICES, *INADMISSIBLE_MATRICES]
+    files = [name for name in [*MALFORMED_MATRICES, *INADMISSIBLE_MATRICES] if name != LAST_MATRIX]
     return out + [["verify", "unitarity", "--matrix-json", name] for name in files]
-
-
-def _guard_argvs() -> list[list[str]]:
-    """One call per input guard that no other call reaches: the capacity
-    guards (exit 3), then the bad-input guards (exit 2), then a tolerance that
-    needs more factors than the cap at any t."""
-    return [
-        ["verify", "ruelle", "--level", "5"],
-        # two bad inputs: each is checked in full before the next, so the level cap wins
-        ["verify", "cuntz", "--level", "5", "--seed", "-1"],
-        ["verify", "ruelle", "--level", "0"],
-        ["verify", "ruelle", "--grid=-1:0:0"],
-        ["verify", "incomplete", "--gamma", "1", "1"],
-        ["verify", "parseval", "--n-max", "0"],
-        ["verify", "parseval", "--gamma", "9007199254740992"],
-        ["weights", "--n-max", "-1", "--out", "out/weights_bad.csv"],
-        ["verify", "cuntz", "--trials", "0"],
-        ["verify", "cuntz", "--level", "-1"],
-        ["verify", "cuntz", "--seed", "-1"],
-        ["verify", "unitarity", "--samples", "0"],
-        ["verify", "gram", "--max-word-len", "0"],
-        ["verify", "projection", "--max-word-len", "0"],
-        ["mu4hat", "--t", "nan"],
-        ["mu4hat", "--t", "inf"],
-        ["mu4hat", "--t", "1", "--tol", "0"],
-        ["mu4hat", "--t", "1", "--tol", "-1"],
-        ["verify", "gram", "--rho-re", "1", "--p-re", "0.6", "--q-re", "0.8"],
-        ["verify", "gram", "--p-im", "0.1"],
-        # a solver parameter whose parts are finite and whose modulus overflows
-        ["verify", "gram", "--p-re", "1.7e308", "--p-im", "1.7e308", "--q-re", "0"],
-        ["verify", "gram", "--alpha-a10-re", "1", "--alpha-a30-re", "0", "--alpha-a11-re", "1.7e308",
-         "--alpha-a11-im", "1.7e308", "--alpha-a12-re", "0", "--alpha-a21-re", "1",
-         "--alpha-a22-re", "0"],
-        ["mu4hat", "--t", "1", "--tol", "4e-37"],
-    ]
 
 
 # One small call of every subcommand, each run once under every FRAME_LAB_TOL
@@ -262,11 +201,12 @@ HELP_ARGVS = [["-h"], ["verify", "-h"]] + [
 ]
 HELP_ENV = {"COLUMNS": "80"}
 
-# Printed after every other call, so the lines before them keep their places.
-INF_ENTRY = {"inf_entry.json": json.dumps({"rows": [[ENTRY] * 4] * 4}).replace("0.5", "1e999", 1).encode()}
+# Printed after every other call, so the lines before them keep their places;
+# the matrix whose entry parses as inf is left out of _other_argvs for it.
+LAST_MATRIX = "inf_entry.json"
 LAST_ARGVS = [
     ["verify", "gram", "--p-re", "1", "--q-re", "0", "--max-word-len", "3"],
-    ["verify", "unitarity", "--matrix-json", "inf_entry.json"],
+    ["verify", "unitarity", "--matrix-json", LAST_MATRIX],
 ]
 
 
@@ -309,7 +249,7 @@ def run(argv: list[str], env: dict) -> dict:
 
 def main() -> int:
     os.environ.pop("FRAME_LAB_TOL", None)
-    argvs = _workload_argvs() + _ladder_argvs() + _cap_argvs() + _other_argvs() + _guard_argvs()
+    argvs = _workload_argvs() + _ladder_argvs() + _cap_argvs() + _other_argvs() + GUARD_ARGVS
     calls = [(argv, {}) for argv in argvs]
     calls += [(argv, {"FRAME_LAB_TOL": tol}) for tol in ENV_TOLS for argv in SMALL_ARGVS]
     calls += [(argv, HELP_ENV) for argv in HELP_ARGVS]
@@ -317,7 +257,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         Path("out").mkdir()
-        for name, data in {**BAD_MATRICES, **INADMISSIBLE_MATRICES, **INF_ENTRY}.items():
+        for name, data in {**MALFORMED_MATRICES, **INADMISSIBLE_MATRICES}.items():
             Path(name).write_bytes(data)
         for argv, env in calls:
             print(json.dumps(run(argv, env), sort_keys=True), flush=True)

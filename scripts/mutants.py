@@ -50,6 +50,7 @@ CUNTZ = "src/frame_lab/cuntz.py"
 FILTERS = "src/frame_lab/filters.py"
 TRANSFORM = "src/frame_lab/transform.py"
 ATOMS = "src/frame_lab/atoms.py"
+CLI = "src/frame_lab/cli.py"
 
 MUTANTS = [
     Mutant(
@@ -204,6 +205,18 @@ MUTANTS = [
         "    positive_tol(tol)\n    size = family_size(max_len)\n",
         "    size = family_size(max_len)\n",
         "verify_gram: a tolerance that is not positive and finite is accepted",
+    ),
+    Mutant(
+        "matrix-out-first", CLI,
+        "    check = verify_unitarity(args.samples, args.tol)\n"
+        "    if args.matrix_out:\n"
+        '        with open(args.matrix_out, "w", encoding="utf-8") as fh:\n'
+        '            fh.write(matrix_to_json(hadamard_rho(1.0)) + "\\n")\n',
+        "    if args.matrix_out:\n"
+        '        with open(args.matrix_out, "w", encoding="utf-8") as fh:\n'
+        '            fh.write(matrix_to_json(hadamard_rho(1.0)) + "\\n")\n'
+        "    check = verify_unitarity(args.samples, args.tol)\n",
+        "verify unitarity: the --matrix-out export is written before the check refuses its input",
     ),
     Mutant(
         "kept-batch", FRAMES,

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, example, find, given, settings, strategies as st
+from hypothesis.errors import NoSuchExample
 
 import frame_lab
 from frame_lab.cli import _BANK_PARAMS, MAX_GRID_POINTS, _bank_from_args, build_parser, main
@@ -40,6 +43,7 @@ from frame_lab.frames import (
     verify_ruelle,
 )
 from frame_lab.report import Check, report_json
+from cli_probes import GUARD_ARGVS, INADMISSIBLE_MATRICES, MALFORMED_MATRICES, OVERFLOWING_MODULUS
 from oracles import oracle_trace_checkpoints
 
 S2 = "0.7071067811865476"
@@ -48,18 +52,6 @@ PQ_ALPHA = (
     "--alpha-a10-re", S2, "--alpha-a30-re", S2, "--alpha-a11-re", S2,
     "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1",
 )
-_ENTRY = {"re": 0.5, "im": 0}
-# Documents that are not a 4x4 matrix in the matrix_to_json schema.
-BAD_MATRIX_FILES = {
-    "not_json.json": b"not json",
-    "no_rows.json": b'{"foo": 1}',
-    "list.json": b"[1,2]",
-    "bare_numbers.json": json.dumps({"rows": [[0.5] * 4] * 4}).encode(),
-    "string_entry.json": json.dumps({"rows": [[{"re": "x", "im": 0}] + [_ENTRY] * 3] * 4}).encode(),
-    "bad_bytes.json": b"\xff\xfe",
-    # well-formed, but 1e999 parses as inf
-    "inf_entry.json": json.dumps({"rows": [[_ENTRY] * 4] * 4}).replace("0.5", "1e999", 1).encode(),
-}
 
 
 def run_cli(capsys, *argv):
@@ -210,10 +202,8 @@ def test_verify_unitarity_and_matrix_json(tmp_path, capsys):
 
 
 def test_verify_unitarity_failure_exit_1(tmp_path, capsys):
-    bad = hadamard_rho(1.0).copy()
-    bad[0] = [1, 0, 0, 0]
-    path = tmp_path / "bad.json"
-    path.write_text(matrix_to_json(bad))
+    path = tmp_path / "row0.json"
+    path.write_bytes(INADMISSIBLE_MATRICES["row0.json"])
     code, out, _ = run_cli(capsys, "verify", "unitarity", "--matrix-json", str(path))
     assert code == 1
     assert last_json(out)["pass"] is False
@@ -221,10 +211,8 @@ def test_verify_unitarity_failure_exit_1(tmp_path, capsys):
 
 def test_a_huge_matrix_entry_fails_without_a_warning(tmp_path, capsys):
     # H*H overflows to inf, which fails the unitarity bound like any deviation
-    huge = hadamard_rho(1.0).copy()
-    huge[1, 1] = 1e200
     path = tmp_path / "huge.json"
-    path.write_text(matrix_to_json(huge))
+    path.write_bytes(INADMISSIBLE_MATRICES["huge.json"])
     code, out, err = run_cli(capsys, "verify", "unitarity", "--matrix-json", str(path))
     assert (code, err) == (1, "")
     assert last_json(out)["metrics"]["max_dev"] == "inf"  # strict JSON has no Infinity
@@ -356,66 +344,70 @@ _PQ_LOPSIDED_ALPHA = (
 )
 
 
-def _subparser(command):
-    parser = build_parser()
-    for name in command:
-        parser = next(a for a in parser._actions if a.dest in ("command", "check")).choices[name]
-    return parser
+def _leaves(parser, words=()) -> dict:
+    """The parser of each subcommand under parser, keyed by its words ("verify gram")."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(words): parser}
+    return {key: leaf for name, sub in subs[0].choices.items()
+            for key, leaf in _leaves(sub, (*words, name)).items()}
 
 
-_COMMANDS = [("mu4hat",), ("weights",)] + [
-    ("verify", name)
-    for name in ("unitarity", "cuntz", "gram", "projection", "parseval", "ruelle", "nogo-mu3",
-                 "incomplete")
-]
+# Every subcommand, in the order build_parser declares it.
+_SUBPARSERS = _leaves(build_parser())
+_COMMANDS = list(_SUBPARSERS)
+_NO_BANK = ("mu4hat", "verify unitarity", "verify nogo-mu3")
 
 
-@pytest.mark.parametrize("command", _COMMANDS, ids=" ".join)
+def _options(command) -> list:
+    """The actions of the options a subcommand declares, less -h/--help."""
+    return [a for a in _SUBPARSERS[command]._actions if a.option_strings and a.dest != "help"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_every_bank_subcommand_takes_one_bank_grammar(command):
     # each bank subcommand defines exactly the bank flags, and each spelling
     # of a bank names the same matrix on every one of them
-    flags = {
-        s for a in _subparser(command)._actions for s in a.option_strings
-        if s.endswith(("-re", "-im"))
-    }
-    if command[-1] in ("mu4hat", "unitarity", "nogo-mu3"):
+    flags = {s for a in _options(command) for s in a.option_strings
+             if s.endswith(("-re", "-im"))}
+    if command in _NO_BANK:
         assert flags == set()
         return
     assert flags == _BANK_FLAGS
-    extra = ["--n-max", "1"] if command == ("weights",) else []
+    extra = ["--n-max", "1"] if command == "weights" else []
     spellings = [
         (rho_bank(-1.0), ["--rho-re", "-1"], _MINUS_ONE_ALPHA),
         (pq_bank(0.6, 0.8), ["--p-re", "0.6", "--q-re", "0.8"], _PQ_LOPSIDED_ALPHA),
     ]
     for bank, *argvs in spellings:
         for flags in argvs:
-            got, _ = _bank_from_args(build_parser().parse_args([*command, *flags, *extra]))
+            got, _ = _bank_from_args(build_parser().parse_args([*command.split(), *flags, *extra]))
             assert np.array_equal(got.A, bank.A), flags  # the signs of zero parts may differ
 
 
-# A cheap run of each subcommand in _COMMANDS, in its order.
-_SMALL_FLAGS = [
-    ["--t", "0.3"], ["--n-max", "3", "--out", "w.csv"], ["--samples", "4"],
-    ["--level", "1", "--trials", "2"], ["--max-word-len", "1"], ["--max-word-len", "1"],
-    ["--n-max", "16"], ["--grid=-1:0:3", "--level", "1"], [], ["--n-max", "16"],
-]
+# A cheap run of each subcommand.
+_SMALL_FLAGS = {
+    "mu4hat": "--t 0.3", "weights": "--n-max 3 --out w.csv", "verify unitarity": "--samples 4",
+    "verify cuntz": "--level 1 --trials 2", "verify gram": "--max-word-len 1",
+    "verify projection": "--max-word-len 1", "verify parseval": "--n-max 16",
+    "verify ruelle": "--grid=-1:0:3 --level 1", "verify nogo-mu3": "",
+    "verify incomplete": "--n-max 16",
+}
 
 
-@pytest.mark.parametrize(
-    "command, flags", zip(_COMMANDS, _SMALL_FLAGS), ids=[" ".join(c) for c in _COMMANDS]
-)
-def test_every_subcommand_is_declared_once(capsys, monkeypatch, tmp_path, command, flags):
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_every_subcommand_is_declared_once(capsys, monkeypatch, tmp_path, command):
     # the parser alone names the report's command and its default tolerance;
     # a subcommand takes --tol, and reads FRAME_LAB_TOL, exactly when it has one
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("FRAME_LAB_TOL", raising=False)
-    argv = [*command, *flags]
+    argv = [*command.split(), *_SMALL_FLAGS[command].split()]
     code, out, _ = run_cli(capsys, *argv)
     report = last_json(out)
     assert code == 0
-    assert report["command"] == " ".join(command)
+    assert report["command"] == command
     default_tol = build_parser().parse_args(argv).default_tol
-    takes_tol = any("--tol" in a.option_strings for a in _subparser(command)._actions)
+    takes_tol = any(a.dest == "tol" for a in _options(command))
     assert takes_tol == (default_tol is not None)
     if takes_tol:
         assert default_tol in report["tolerances"].values()
@@ -425,37 +417,34 @@ def test_every_subcommand_is_declared_once(capsys, monkeypatch, tmp_path, comman
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and "FRAME_LAB_TOL" in err
     else:
-        assert code == 0 and last_json(out)["command"] == " ".join(command)
+        assert code == 0 and last_json(out)["command"] == command
 
 
 # The flags each subcommand's report names besides its bank's parameters.
-_DECLARED_PARAMS = [
-    {"t"}, {"n_max", "out"}, {"samples"}, {"level", "trials", "seed"}, {"max_word_len"},
-    {"max_word_len"}, {"gamma", "n_max"}, {"grid", "level"}, set(), {"gamma", "n_max"},
-]
-
-
-_NO_BANK = ("mu4hat", "unitarity", "nogo-mu3")
+_DECLARED_PARAMS = {
+    "mu4hat": {"t"}, "weights": {"n_max", "out"}, "verify unitarity": {"samples"},
+    "verify cuntz": {"level", "trials", "seed"}, "verify gram": {"max_word_len"},
+    "verify projection": {"max_word_len"}, "verify parseval": {"gamma", "n_max"},
+    "verify ruelle": {"grid", "level"}, "verify nogo-mu3": set(),
+    "verify incomplete": {"gamma", "n_max"},
+}
 # Each subcommand at its default bank, and each bank subcommand at a p/q bank.
 _PARAMS_CASES = [
-    (command, bank, flags, declared)
-    for bank in ([], ["--p-re", "0", "--q-re", "1"])
-    for command, flags, declared in zip(_COMMANDS, _SMALL_FLAGS, _DECLARED_PARAMS)
-    if not (bank and command[-1] in _NO_BANK)
+    (command, bank) for bank in ([], ["--p-re", "0", "--q-re", "1"]) for command in _COMMANDS
+    if not (bank and command in _NO_BANK)
 ]
 
 
-@pytest.mark.parametrize(
-    "command, bank, flags, declared", _PARAMS_CASES,
-    ids=[" ".join([*c, *b]) for c, b, _, _ in _PARAMS_CASES],
-)
+@pytest.mark.parametrize("command, bank", _PARAMS_CASES,
+                         ids=[" ".join([c, *b]) for c, b in _PARAMS_CASES])
 def test_report_params_are_the_banks_and_the_declared_flags(
-    capsys, monkeypatch, tmp_path, command, bank, flags, declared
+    capsys, monkeypatch, tmp_path, command, bank
 ):
     monkeypatch.chdir(tmp_path)
-    argv = [*command, *bank, *flags]
+    argv = [*command.split(), *bank, *_SMALL_FLAGS[command].split()]
     args = build_parser().parse_args(argv)
-    want = {} if command[-1] in _NO_BANK else _bank_from_args(args)[1]
+    want = {} if command in _NO_BANK else _bank_from_args(args)[1]
+    declared = _DECLARED_PARAMS[command]
     code, out, _ = run_cli(capsys, *argv)
     params = last_json(out)["params"]
     assert code == 0
@@ -562,15 +551,13 @@ _BELOW_FLOORS = {
 }
 
 
-# Parameters whose parts are finite but whose modulus overflows: each squares
-# to inf, and the first guard that reads it refuses the bank.
-_OVERFLOWING_MODULUS = {
-    ("verify", "gram", "--p-re", "1.7e308", "--p-im", "1.7e308", "--q-re", "0"):
-        "duality violated (|a10|^2 + |a30|^2 = 1 off by inf)",
-    ("verify", "gram", "--alpha-a10-re", "1", "--alpha-a30-re", "0", "--alpha-a11-re", "1.7e308",
-     "--alpha-a11-im", "1.7e308", "--alpha-a12-re", "0", "--alpha-a21-re", "1",
-     "--alpha-a22-re", "0"):
-        "row1_norm violated (|a10|^2+|a11|^2+|a12|^2 = 1 off by inf)",
+# The exact line of each bad input whose error names its cause.
+_BAD_INPUT_LINES = {
+    **_BELOW_FLOORS,
+    **{argv: f"infeasible parameters: {why}" for argv, why in OVERFLOWING_MODULUS.items()},
+    ("verify", "unitarity", "--matrix-json", "ragged.json"):
+        "matrix JSON must contain 4 rows of 4 entries",
+    ("verify", "unitarity", "--matrix-json", "inf_entry.json"): "A must have finite entries",
 }
 
 
@@ -602,29 +589,25 @@ _OVERFLOWING_MODULUS = {
         [],
         ["verify"],
         # malformed files, and a report copy that cannot be written
-        *[["verify", "unitarity", "--matrix-json", name] for name in BAD_MATRIX_FILES],
+        *[["verify", "unitarity", "--matrix-json", name] for name in MALFORMED_MATRICES],
         ["verify", "nogo-mu3", "--out", "missing_dir/report.json"],
         ["verify", "nogo-mu3", "--out", "."],
         # a matrix to read and one to write: the export is not dropped in silence
         ["verify", "unitarity", "--matrix-json", "ok.json", "--matrix-out", "m.json"],
-        *[list(argv) for argv in _OVERFLOWING_MODULUS],
+        *map(list, OVERFLOWING_MODULUS),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
-    for name, data in BAD_MATRIX_FILES.items():
+    for name, data in MALFORMED_MATRICES.items():
         (tmp_path / name).write_bytes(data)
     (tmp_path / "ok.json").write_text(matrix_to_json(hadamard_rho(1.0)))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
-    if tuple(argv) in _BELOW_FLOORS:
-        assert err == f"error: {_BELOW_FLOORS[tuple(argv)]}\n"
-    if tuple(argv) in _OVERFLOWING_MODULUS:
-        assert err == f"error: infeasible parameters: {_OVERFLOWING_MODULUS[tuple(argv)]}\n"
-    if argv[-1:] == ["inf_entry.json"]:
-        assert err == "error: A must have finite entries\n"
+    if tuple(argv) in _BAD_INPUT_LINES:
+        assert err == f"error: {_BAD_INPUT_LINES[tuple(argv)]}\n"
     assert not (tmp_path / "w.csv").exists()
 
 
@@ -887,105 +870,138 @@ def test_certify_reports_a_failed_call(capsys, monkeypatch, tmp_path):
     assert lines[-1] == "[certify] FAILURES PRESENT"
 
 
-# The CLI argument space: every subcommand, with flag values that include 0,
-# negative, nan, inf, subnormal and huge ones, and pairs of parts whose modulus
-# overflows. Sizes that drive work stay cheap, and every one of them also takes
-# values past its capacity guard, which must be refused before any work.
+# The CLI argument space, read from build_parser(): every subcommand and
+# every option it declares but -h/--help, each given or not (a required one
+# always), its values drawn from _VALUES by the option's dest. The values
+# include 0, negative, nan, inf, subnormal and huge ones, and pairs of parts
+# whose modulus overflows. Sizes that drive work stay cheap, and every one of
+# them also takes values past its capacity guard, which must be refused before
+# any work. Every file a call writes lands in the test's working directory.
 _FLOAT = st.one_of(
     st.sampled_from(["0", "1", "-1", "0.5", S2, "0.6", "0.8", "1e-300"]),
     st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "1.7e308", "-1.7e308", "5e-324"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 _TOL = st.one_of(st.sampled_from(["1e-8", "1e-12"]), _FLOAT)
-_HUGE_ENTRY = hadamard_rho(1.0)
-_HUGE_ENTRY[1, 1] = 1e200  # H*H overflows: the report's max_dev is not finite
-# Matrices for --matrix-json: an admissible one, and one with a huge entry.
-_MATRIX_FILES = {"rho_one.json": hadamard_rho(1.0), "huge.json": _HUGE_ENTRY}
 _HUGE = 10**30
 
 
-def _ints(*cheap, cap=None):
-    """A cheap size, a bad one, or one past the cap (if given) or huge."""
-    past = [_HUGE] if cap is None else [cap + 1, _HUGE]
-    return st.one_of(st.sampled_from(cheap), st.sampled_from([-_HUGE, -1, 0, *past]))
+def _ints(*cheap, caps=()):
+    """A cheap size, a bad one, one past a cap given, or a huge one."""
+    bad = [-_HUGE, -1, 0, *(cap + 1 for cap in caps), _HUGE]
+    return st.one_of(st.sampled_from(cheap), st.sampled_from(bad)).map(str)
 
 
-def _flag(name, values):
-    return values.map(lambda v: [f"--{name}={v}"])
+def _one(values):
+    return values.map(lambda v: [v])
 
 
-def _optional(name, values):
-    return st.one_of(st.just([]), _flag(name, values))
+# What --matrix-json reads: an admissible matrix, then the probes.
+_MATRICES = {"rho_one.json": matrix_to_json(hadamard_rho(1.0)).encode(), **MALFORMED_MATRICES,
+             **INADMISSIBLE_MATRICES}
+_OUTPUTS = ("out", "report_out", "trace_out", "matrix_out")
+_GRID_END = st.one_of(st.sampled_from(["-1", "0", "0.5"]), _FLOAT)
+# The values of each option, keyed by its dest; a dest missing here fails at collection.
+_VALUES = {
+    "t": _one(_FLOAT),
+    "tol": _one(_TOL),
+    "n_max": _one(_ints(1, 16, 21, caps=[4**MAX_ENUM_LEN])),
+    "samples": _one(_ints(1, 4, caps=[MAX_SAMPLES])),
+    "matrix_json": _one(st.sampled_from(list(_MATRICES))),
+    "level": _one(_ints(0, 1, 2, caps=[MAX_CUNTZ_LEVEL, MAX_RUELLE_LEVEL])),
+    "trials": _one(_ints(1, caps=[MAX_TRIALS])),
+    "seed": _one(_ints(7)),
+    "max_word_len": _one(_ints(1, 2, caps=[FAMILY_MAX_LEN])),
+    # 2^53: a frequency that float64 does not hold exactly
+    "gamma": st.one_of(
+        st.lists(_ints(1, 3, 2**53), min_size=1, max_size=3),
+        st.integers(1, 3).map(lambda k: [str(g) for g in range(MAX_GAMMAS + k)]),
+    ),
+    "grid": _one(st.builds("{}:{}:{}".format, _GRID_END, _GRID_END, st.one_of(
+        st.sampled_from(["0", "1", "3", "x"]), _ints(3, caps=[MAX_GRID_POINTS])))),
+    **dict.fromkeys(_OUTPUTS, _one(st.sampled_from(["written", "out/written"]))),
+}
+# Admissible banks that reach the checks: rho = i, -1 and e^{-i pi/3}, the
+# (p, q) banks (0.6, 0.8) and (0, 1), and PQ_ALPHA.
+_KNOWN_BANKS = [
+    ["--rho-im=1"], ["--rho-re=-1"], ["--rho-re=0.5", "--rho-im=-0.8660254037844386"],
+    ["--p-re=0.6", "--q-re=0.8"], ["--p-re=0", "--q-re=1"], list(PQ_ALPHA),
+]
 
 
 @st.composite
-def _bank(draw):
-    """Flags of one bank in the CLI's one grammar: none (the default), rho,
-    p/q or the six alpha parameters, each a known bank or drawn values."""
-    kind = draw(st.sampled_from(["default", "rho", "p/q", "alpha"]))
-    known = draw(st.booleans())
-    if kind == "rho":
-        unit = [["--rho-im=1"], ["--rho-re=-1"], ["--rho-re=0.5", "--rho-im=-0.8660254037844386"]]
-        if known:
-            return draw(st.sampled_from(unit))
-        return draw(_optional("rho-re", _FLOAT)) + draw(_optional("rho-im", _FLOAT))
-    if kind == "p/q":
-        if known:
-            return draw(st.sampled_from([["--p-re=0.6", "--q-re=0.8"], ["--p-re=0", "--q-re=1"]]))
-        parts = [draw(_optional(name, _FLOAT)) for name in ("p-re", "p-im", "q-re", "q-im")]
-        return [a for part in parts for a in part]
-    if kind == "alpha":
-        if known:
-            return list(PQ_ALPHA)
-        parts = [draw(_flag(f"alpha-{n}-re", _FLOAT)) + draw(_optional(f"alpha-{n}-im", _FLOAT))
-                 for n in ("a10", "a30", "a11", "a12", "a21", "a22")]
-        return [a for part in parts for a in part]
-    return []
+def _drawn_bank(draw):
+    """Drawn parts of one kind of _BANK_PARAMS, each given or not, except
+    that every -re part is given when the draw completes the kind."""
+    kind, complete = draw(st.sampled_from(list(_BANK_PARAMS))), draw(st.booleans())
+    flags = []
+    for name in _BANK_PARAMS[kind][1]:
+        for part in ("re", "im"):
+            if (complete and part == "re") or draw(st.booleans()):
+                flags.append(f"--{name.replace('_', '-')}-{part}={draw(_FLOAT)}")
+    return flags
 
 
-@st.composite
-def _argv(draw):
-    tol = draw(_optional("tol", _TOL))
-    command = draw(st.sampled_from(
-        ["mu4hat", "weights", "unitarity", "cuntz", "gram", "projection",
-         "parseval", "ruelle", "nogo-mu3", "incomplete"]
-    ))
-    if command == "mu4hat":
-        return ["mu4hat", *draw(_flag("t", _FLOAT)), *tol]
-    if command == "weights":
-        n_max = draw(_flag("n-max", _ints(1, 21, cap=4**MAX_ENUM_LEN)))
-        return ["weights", *draw(_bank()), *n_max]
-    if command == "unitarity":
-        samples = draw(_optional("samples", _ints(1, 4, cap=MAX_SAMPLES)))
-        matrix = draw(st.sampled_from([[], *(["--matrix-json", name] for name in _MATRIX_FILES)]))
-        return ["verify", "unitarity", *samples, *matrix, *tol]
-    if command == "cuntz":
-        sizes = [
-            draw(_optional("level", _ints(0, 1, 2, cap=MAX_CUNTZ_LEVEL))),
-            draw(_flag("trials", _ints(1, cap=MAX_TRIALS))),
-            draw(_optional("seed", _ints(7))),
-        ]
-        return ["verify", "cuntz", *draw(_bank()), *[a for s in sizes for a in s], *tol]
-    if command in ("gram", "projection"):
-        length = draw(_flag("max-word-len", _ints(1, 2, cap=FAMILY_MAX_LEN)))
-        return ["verify", command, *draw(_bank()), *length, *tol]
-    if command == "parseval":
-        gamma = draw(_optional("gamma", _ints(3, 2**53)))
-        n_max = draw(_optional("n-max", _ints(16, cap=4**MAX_ENUM_LEN)))
-        return ["verify", "parseval", *draw(_bank()), *gamma, *n_max, *tol]
-    if command == "ruelle":
-        a, b = (draw(st.one_of(st.sampled_from(["-1", "0", "0.5"]), _FLOAT)) for _ in "ab")
-        steps = draw(st.one_of(st.sampled_from(["0", "1", "3", "x"]), _ints(3, cap=MAX_GRID_POINTS)))
-        level = draw(_optional("level", _ints(1, 2, cap=MAX_RUELLE_LEVEL)))
-        return ["verify", "ruelle", *draw(_bank()), f"--grid={a}:{b}:{steps}", *level, *tol]
-    if command == "incomplete":
-        gammas = draw(st.one_of(
-            st.lists(_ints(1, 3), min_size=1, max_size=3),
-            st.integers(1, 3).map(lambda k: list(range(MAX_GAMMAS + k))),
-        ))
-        n_max = draw(_optional("n-max", _ints(16, cap=4**MAX_ENUM_LEN)))
-        return ["verify", "incomplete", *draw(_bank()), "--gamma", *map(str, gammas), *n_max, *tol]
-    return ["verify", "nogo-mu3"]
+# The flags of one bank: none (the default), a known bank or a drawn one.
+_BANK = st.one_of(st.just([]), st.sampled_from(_KNOWN_BANKS), _drawn_bank())
+
+
+def _tokens(action):
+    """The tokens of one option: none, or its flag and drawn values. An option
+    of one value is given once per value drawn, and the last one counts."""
+    def spell(flag, values):
+        return [flag, *values] if action.nargs == "+" else [f"{flag}={v}" for v in values]
+
+    given = st.builds(spell, st.sampled_from(action.option_strings), _VALUES[action.dest])
+    return given if action.required else st.one_of(st.just([]), given)
+
+
+def _grammar(command):
+    """The argvs of one subcommand: its bank, if it takes one, and each other option."""
+    options = _options(command)
+    parts = [_BANK] if any(a.option_strings[0] in _BANK_FLAGS for a in options) else []
+    parts += [_tokens(a) for a in options if a.option_strings[0] not in _BANK_FLAGS]
+    return st.tuples(*parts).map(lambda drawn: [*command.split(), *itertools.chain(*drawn)])
+
+
+_ARGV = st.one_of([_grammar(command) for command in _COMMANDS])
+
+
+def _command_of(argv) -> str:
+    return next(c for c in _COMMANDS if argv[:len(c.split())] == c.split())
+
+
+def _drawn_options(argvs, done, draws=500) -> set:
+    """The option strings of derandomized draws of argvs, drawn until done(them)
+    holds or the draws run out."""
+    drawn = set()
+
+    def covers(argv):
+        drawn.update(a.split("=")[0] for a in argv if a.startswith("--"))
+        return done(drawn)
+
+    with contextlib.suppress(NoSuchExample):
+        find(argvs, covers, settings=settings(max_examples=draws, derandomize=True, database=None,
+                                              phases=[Phase.generate]))
+    return drawn
+
+
+def _bank_as_one(options) -> set:
+    """options with every bank flag read as one, "bank": _BANK draws them as one piece."""
+    return {"bank" if s in _BANK_FLAGS else s for s in options}
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_the_grammar_draws_every_option_the_parser_declares(command):
+    # a flag added to build_parser() is drawn, or no _VALUES entry holds its
+    # dest and collection fails: it cannot be left out of the grammar
+    declared = _bank_as_one(s for a in _options(command) for s in a.option_strings)
+    drawn = _drawn_options(_grammar(command), lambda drawn: _bank_as_one(drawn) >= declared)
+    assert _bank_as_one(drawn) == declared
+
+
+def test_the_bank_draws_every_bank_flag():
+    assert _drawn_options(_BANK, lambda drawn: drawn >= _BANK_FLAGS) == _BANK_FLAGS
 
 
 def _names_a_parseval_bank(argv) -> bool:
@@ -1003,60 +1019,49 @@ def _reject_constant(name):
 
 @pytest.fixture(scope="module")
 def property_dir(tmp_path_factory):
-    """The property test's working files: its matrices, and the weights CSV it writes."""
+    """The property test's working directory: the matrices it reads and an out/ directory."""
     path = tmp_path_factory.mktemp("cli_property")
-    for name, A in _MATRIX_FILES.items():
-        (path / name).write_text(matrix_to_json(A))
+    (path / "out").mkdir()
+    for name, data in _MATRICES.items():
+        (path / name).write_bytes(data)
     return path
 
 
-# A guard of each kind that a drawn argv may miss: exit 3, then exit 2.
-GUARD_ARGVS = [
-    ["verify", "ruelle", "--level", str(MAX_RUELLE_LEVEL + 1)],
-    ["verify", "ruelle", "--grid=-1:0:0"],
-    ["verify", "incomplete", "--gamma", "1", "1"],
-    ["verify", "parseval", "--n-max", "0"],
-    ["verify", "parseval", "--gamma", "9007199254740992"],
-    ["weights", "--n-max", "-1"],
-    ["verify", "cuntz", "--trials", "0"],
-    ["verify", "cuntz", "--level", "-1"],
-    ["verify", "cuntz", "--seed", "-1"],
-    ["verify", "unitarity", "--samples", "0"],
-    ["verify", "gram", "--max-word-len", "0"],
-    ["verify", "projection", "--max-word-len", "0"],
-    ["mu4hat", "--t", "nan"],
-    ["mu4hat", "--t", "inf"],
-    ["mu4hat", "--t", "1", "--tol", "0"],
-    ["mu4hat", "--t", "1", "--tol", "-1"],
-    ["verify", "gram", "--rho-re", "1", "--p-re", "0.6", "--q-re", "0.8"],
-    ["verify", "gram", "--p-im", "0.1"],
-    *[list(argv) for argv in _OVERFLOWING_MODULUS],
-]
+def _written(directory) -> list:
+    """Every file in directory but the matrices: what the calls wrote."""
+    return [p for p in directory.rglob("*") if p.is_file() and p.name not in _MATRICES]
 
 
 def _with_guard_examples(test):
+    """Each guard argv as an example, given every file output its subcommand declares."""
     for argv in GUARD_ARGVS:
-        test = example(argv=argv)(test)
+        outputs = [f"{a.option_strings[0]}=written" for a in _options(_command_of(argv))
+                   if a.dest in _OUTPUTS and a.option_strings[0] not in argv]
+        test = example(argv=[*argv, *outputs])(test)
     return test
 
 
 @_with_guard_examples
-@given(argv=_argv())
+@given(argv=_ARGV)
 @settings(
     max_examples=150, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_every_argv_keeps_the_exit_contract(property_dir, argv):
     # exit 0/1 with one strict JSON report line, or exit 2/3 with nothing on
-    # stdout and one line on stderr
-    argv = [str(property_dir / a) if a in _MATRIX_FILES else a for a in argv]
-    if argv[0] == "weights":
-        argv = [*argv, "--out", str(property_dir / "w.csv")]
+    # stdout, one line on stderr and no file written
+    for path in _written(property_dir):
+        path.unlink()
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(argv)
+    cwd = os.getcwd()
+    os.chdir(property_dir)  # where weights writes its default weights.csv
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+    finally:
+        os.chdir(cwd)
     assert not caught, "a warning is one more stderr line"
     lines = out.getvalue().splitlines()
     default_tol = not any(a.startswith("--tol") for a in argv) and "FRAME_LAB_TOL" not in os.environ
@@ -1071,3 +1076,4 @@ def test_every_argv_keeps_the_exit_contract(property_dir, argv):
         assert code in (2, 3)
         assert lines == []
         assert len(err.getvalue().splitlines()) == 1
+        assert not _written(property_dir), "a refused call writes no file"
