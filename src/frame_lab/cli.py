@@ -19,6 +19,7 @@ before its declared default.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -280,6 +281,21 @@ def _run_verify_parseval(args) -> Check:
     return verify_parseval(trace, args.tol)
 
 
+def _refuse_unwritable(path: str) -> None:
+    """Raise the OSError that open(path, "w") gives for a path that is a
+    directory or whose directory does not exist, before anything is computed
+    or written. A directory that exists but cannot be written is still found
+    only by open, after the runner has written its own outputs."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     started = time.monotonic()
     try:
@@ -289,6 +305,8 @@ def main(argv=None) -> int:
             args.tol = _resolve_tol(args)
         if args.default_rho is not None:
             args.bank, params = _bank_from_args(args)
+        if args.report_out:
+            _refuse_unwritable(args.report_out)
         check = args.run(args)
         names = args.params(args) if callable(args.params) else args.params
         params.update({name: getattr(args, name) for name in names})

@@ -28,21 +28,40 @@ TOL = 1e-12  # default bound on the deviation of the truncated product from the 
 MAX_FACTORS = 64  # largest factor count a certified evaluation may use
 
 
-def cis(turns) -> np.ndarray:
-    """e^{2 pi i * turns} at every element of float64 turns, exact at quarter turns.
+def _reduced(turns) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """float64 turns reduced to x - trunc(x), the mask of the reduced values
+    that are whole quarter turns, and those quarters (-3..3).
 
-    The turns are reduced to x - trunc(x), which is exact and keeps the sign
-    of a nonzero remainder: the bits of fmod(x, 1), but +0.0 at a negative
-    whole turn, where fmod gives -0.0. Where four times the reduced value is
-    whole the result is that exact quarter turn; elsewhere it is e^{i theta}
-    with theta = 2 pi times the reduced value.
+    x - trunc(x) is exact and keeps the sign of a nonzero remainder: the bits
+    of fmod(x, 1), but +0.0 at a negative whole turn, where fmod gives -0.0.
     """
     x = np.array(turns, dtype=np.float64, copy=None, ndmin=1)
     frac = x - np.trunc(x)
-    out = np.exp((2j * math.pi) * frac)
     quarters = 4.0 * frac
     whole = quarters == np.floor(quarters)
-    out[whole] = _QUARTER_TURNS[quarters[whole].astype(np.int64)]
+    return frac, whole, quarters[whole].astype(np.int64)
+
+
+def cis(turns) -> np.ndarray:
+    """e^{2 pi i * turns} at every element of float64 turns, exact at quarter turns.
+
+    Where four times the reduced turns (_reduced) is whole the result is that
+    exact quarter turn; elsewhere it is e^{i theta} with theta = 2 pi times
+    the reduced value.
+    """
+    frac, whole, quarters = _reduced(turns)
+    out = np.exp((2j * math.pi) * frac)
+    out[whole] = _QUARTER_TURNS[quarters]
+    return out.reshape(np.shape(turns))
+
+
+def cos_turns(turns) -> np.ndarray:
+    """cos(2 pi * turns) at every element of float64 turns: the real part of
+    cis(turns), read from the same reduction and the same exact quarter
+    turns, so a quarter turn is exactly 0.0 and a 3/4 turn -0.0."""
+    frac, whole, quarters = _reduced(turns)
+    out = np.cos((2 * math.pi) * frac)
+    out[whole] = _QUARTER_TURNS.real[quarters]
     return out.reshape(np.shape(turns))
 
 
@@ -70,9 +89,9 @@ def factor_count(t_abs, tol: float) -> np.ndarray:
 def mu4_hat_array(t, tol: float = TOL) -> np.ndarray:
     """Truncated product at every element of a float64 array.
 
-    Factor k contributes cos(2 pi t/4^k), the real part of cis(t/4^k): the
-    turns come from a power-of-two scaling and cis reduces them exactly, so
-    a factor at a quarter turn is exactly 0.0. Each element gets its own
+    Factor k contributes cos(2 pi t/4^k), cos_turns(t/4^k): the turns come
+    from a power-of-two scaling and cos_turns reduces them exactly, so a
+    factor at a quarter turn is exactly 0.0. Each element gets its own
     certified factor count K, and its phase t (1 - 4^-K)/3 turns is taken
     once, from fmod(t, 3), which is exact, so that no whole turns of t/3
     are rounded into it.
@@ -103,7 +122,7 @@ def mu4_hat_array(t, tol: float = TOL) -> np.ndarray:
             turns = np.ldexp(block, -2 * k)  # row k - first: t/4^k
             if k[-1, 0] > fewest:  # past an element's certified count its factor is 1
                 turns[block_counts < k] = 0.0
-            product = np.multiply.reduce([product, *cis(turns).real])
+            product = np.multiply.reduce([product, *cos_turns(turns)])
         phase = cis((np.fmod(block, 3.0) - np.ldexp(block, -2 * block_counts)) / 3.0)
         flat_out[part] = product * phase + 0.0
     return out

@@ -62,6 +62,26 @@ def test_no_process_loads_csv_or_dataclasses():
         assert not modules & {"csv", "_csv", "dataclasses"}, args
 
 
+def test_the_package_starts_no_blas_threads():
+    # the library makes no BLAS call: before numpy is imported it asks
+    # OpenBLAS for one thread, keeps a value the caller set, and sets nothing
+    # once numpy is imported. This process's own import set the variable.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+
+    def fresh(first="", **preset):
+        program = (f"import os; {first}import frame_lab.cli; "
+                   "print(os.environ.get('OPENBLAS_NUM_THREADS'), len(os.listdir('/proc/self/task')))")
+        done = subprocess.run([sys.executable, "-c", program], env={**env, **preset},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    assert fresh() == ["1", "1"]
+    assert fresh(OPENBLAS_NUM_THREADS="2")[0] == "2"
+    assert fresh("import numpy; ")[0] == "None"
+
+
 def test_the_records_copy_and_pickle(bank_i):
     # the read-only bank refuses setattr, so a copy is built through the
     # constructor, which checks it again

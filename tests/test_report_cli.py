@@ -43,7 +43,7 @@ from frame_lab.frames import (
     verify_ruelle,
 )
 from frame_lab.report import Check, report_json
-from cli_probes import GUARD_ARGVS, INADMISSIBLE_MATRICES, MALFORMED_MATRICES, OVERFLOWING_MODULUS
+from cli_probes import FILES, GUARDS, INADMISSIBLE_MATRICES
 from oracles import oracle_trace_checkpoints
 
 S2 = "0.7071067811865476"
@@ -487,128 +487,23 @@ def test_verify_incomplete_takes_any_p_zero_bank(capsys):
     assert pq["params"]["p_re"] == 0.0 and pq["params"]["q_re"] == 1.0
 
 
-def test_verify_capacity_exit_3(capsys):
-    code, _, err = run_cli(capsys, "verify", "gram", "--rho-im", "1", "--max-word-len", "7")
-    assert code == 3
-    assert "capacity" in err
+def _contents(directory) -> dict:
+    """Each path under directory and its bytes; None for a directory."""
+    return {str(p.relative_to(directory)): p.read_bytes() if p.is_file() else None
+            for p in directory.rglob("*")}
 
 
-# Each argv past a cap, and the capacity message it prints: an integer cap
-# names its input, value and cap, a transform cap the input that needs the factors.
-_PAST_CAPS = {
-    ("mu4hat", "--t", "1e300"): "|t| = 1e+300 needs over 64 factors",
-    ("mu4hat", "--t", "1e30"): "|t| = 1e+30 needs over 64 factors",
-    # tol / 10 underflows to 0
-    ("mu4hat", "--t", "1", "--tol", "5e-324"): "tolerance 4.94e-324 needs over 64 factors",
-    ("verify", "parseval", "--gamma", "1", "--n-max", str(4**10 + 1)):
-        f"n_max {4**10 + 1} exceeds cap {4**MAX_ENUM_LEN}",
-    ("verify", "incomplete", "--gamma", "1", "--n-max", str(4**10 + 1)):
-        f"n_max {4**10 + 1} exceeds cap {4**MAX_ENUM_LEN}",
-    ("verify", "incomplete", "--gamma", *map(str, range(MAX_GAMMAS + 1))):
-        f"gamma count {MAX_GAMMAS + 1} exceeds cap {MAX_GAMMAS}",
-    ("verify", "projection", "--max-word-len", str(FAMILY_MAX_LEN + 1)):
-        f"max_len {FAMILY_MAX_LEN + 1} exceeds cap {FAMILY_MAX_LEN}",
-    ("verify", "ruelle", "--grid=0:1:99999999999999999"):
-        f"grid points 99999999999999999 exceeds cap {MAX_GRID_POINTS}",
-    ("verify", "ruelle", f"--grid=0:1:{MAX_GRID_POINTS + 1}"):
-        f"grid points {MAX_GRID_POINTS + 1} exceeds cap {MAX_GRID_POINTS}",
-    ("verify", "ruelle", "--level", str(MAX_RUELLE_LEVEL + 1)):
-        f"level {MAX_RUELLE_LEVEL + 1} exceeds cap {MAX_RUELLE_LEVEL}",
-    ("weights", "--n-max", str(4**MAX_ENUM_LEN + 1), "--out", "w.csv"):
-        f"n_max {4**MAX_ENUM_LEN + 1} exceeds cap {4**MAX_ENUM_LEN}",
-    ("verify", "cuntz", "--trials", str(MAX_TRIALS + 1)):
-        f"trials {MAX_TRIALS + 1} exceeds cap {MAX_TRIALS}",
-    ("verify", "unitarity", "--samples", str(MAX_SAMPLES + 1)):
-        f"samples {MAX_SAMPLES + 1} exceeds cap {MAX_SAMPLES}",
-    ("verify", "cuntz", "--level", str(MAX_CUNTZ_LEVEL + 1)):
-        f"level {MAX_CUNTZ_LEVEL + 1} exceeds cap {MAX_CUNTZ_LEVEL}",
-    # each input is checked in full before the next: the level cap comes first
-    ("verify", "cuntz", "--level", str(MAX_CUNTZ_LEVEL + 1), "--seed", "-1"):
-        f"level {MAX_CUNTZ_LEVEL + 1} exceeds cap {MAX_CUNTZ_LEVEL}",
-}
-
-
-@pytest.mark.parametrize("argv", [list(argv) for argv in _PAST_CAPS])
-def test_uncertifiable_input_exits_3_with_one_line(capsys, monkeypatch, tmp_path, argv):
+@pytest.mark.parametrize("argv", GUARDS)
+def test_every_guard_exits_with_its_one_line(capsys, monkeypatch, tmp_path, argv):
+    # the row's exit code, nothing on stdout, the row's exact line on stderr,
+    # and every file of the working directory as it was, with none added
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 3
-    assert out == ""
-    assert err == f"capacity guard: {_PAST_CAPS[tuple(argv)]}\n"
-    assert not (tmp_path / "w.csv").exists()
-
-
-# Each argv below an integer floor, and the input and floor its error names.
-_BELOW_FLOORS = {
-    ("verify", "gram", "--rho-im", "1", "--max-word-len", "0"): "max_len must be >= 1",
-    ("verify", "projection", "--rho-im", "1", "--max-word-len", "0"): "max_len must be >= 1",
-    ("verify", "cuntz", "--rho-re", "1", "--level", "-1"): "level must be >= 0",
-    ("verify", "unitarity", "--samples", "0"): "samples must be >= 1",
-    ("verify", "cuntz", "--rho-re", "1", "--level", "1", "--seed", "-1"): "seed must be >= 0",
-    ("verify", "ruelle", "--rho-im", "1", "--grid=0:1:0"): "grid points must be >= 1",
-    ("verify", "ruelle", "--level", "0"): "level must be >= 1",
-    ("weights", "--rho-re", "1", "--n-max", "-5", "--out", "w.csv"): "n_max must be >= 0",
-}
-
-
-# The exact line of each bad input whose error names its cause.
-_BAD_INPUT_LINES = {
-    **_BELOW_FLOORS,
-    **{argv: f"infeasible parameters: {why}" for argv, why in OVERFLOWING_MODULUS.items()},
-    ("verify", "unitarity", "--matrix-json", "ragged.json"):
-        "matrix JSON must contain 4 rows of 4 entries",
-    ("verify", "unitarity", "--matrix-json", "inf_entry.json"): "A must have finite entries",
-}
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        *[list(argv) for argv in _BELOW_FLOORS],
-        ["verify", "unitarity", "--rho-im", "1"],
-        # nan fails every `dev <= tol` guard; 1e300 squares to inf, not OverflowError
-        ["verify", "parseval", "--rho-re", "nan", "--n-max", "16"],
-        ["weights", "--rho-re", "nan", "--n-max", "3", "--out", "w.csv"],
-        ["weights", "--p-re", "nan", "--q-re", "1", "--n-max", "3", "--out", "w.csv"],
-        ["verify", "parseval", "--p-re", "1e300", "--q-re", "1", "--n-max", "4"],
-        ["verify", "gram", "--max-word-len", "1",
-         "--alpha-a10-re", "1e300", "--alpha-a30-re", "nan", "--alpha-a11-re", "0",
-         "--alpha-a12-re", "0", "--alpha-a21-re", "0", "--alpha-a22-re", "1"],
-        # a and b finite, b - a not: refused before linspace warns
-        ["verify", "ruelle", "--grid=-1e308:1e308:3"],
-        ["verify", "incomplete", "--gamma", "1", "1", "--n-max", "16"],
-        ["verify", "gram", "--rho-im", "1", "--tol", "inf"],
-        # each solver constraint holds within tol, the assembled bank does not
-        ["verify", "gram", "--max-word-len", "2",
-         "--alpha-a10-re", "0.7071067811868476", "--alpha-a30-re", "0.7071067811868476",
-         "--alpha-a11-re", "0.7071067811865476", "--alpha-a12-re", "0",
-         "--alpha-a21-re", "0", "--alpha-a22-re", "1"],
-        # rejected by the parser itself
-        ["weights", "--rho-re", "1", "--n-max", "3", "--tol", "1e-3", "--out", "w.csv"],
-        ["weights", "--rho-re", "1", "--n-max", "three", "--out", "w.csv"],
-        [],
-        ["verify"],
-        # malformed files, and a report copy that cannot be written
-        *[["verify", "unitarity", "--matrix-json", name] for name in MALFORMED_MATRICES],
-        ["verify", "nogo-mu3", "--out", "missing_dir/report.json"],
-        ["verify", "nogo-mu3", "--out", "."],
-        # a matrix to read and one to write: the export is not dropped in silence
-        ["verify", "unitarity", "--matrix-json", "ok.json", "--matrix-out", "m.json"],
-        *map(list, OVERFLOWING_MODULUS),
-    ],
-)
-def test_bad_input_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.chdir(tmp_path)
-    for name, data in MALFORMED_MATRICES.items():
+    monkeypatch.delenv("FRAME_LAB_TOL", raising=False)
+    for name, data in FILES.items():
         (tmp_path / name).write_bytes(data)
-    (tmp_path / "ok.json").write_text(matrix_to_json(hadamard_rho(1.0)))
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    if tuple(argv) in _BAD_INPUT_LINES:
-        assert err == f"error: {_BAD_INPUT_LINES[tuple(argv)]}\n"
-    assert not (tmp_path / "w.csv").exists()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out, err) == (GUARDS[argv][0], "", GUARDS[argv][1] + "\n")
+    assert _contents(tmp_path) == FILES
 
 
 _REP_I = ("--rho-im", "1")
@@ -896,9 +791,6 @@ def _one(values):
     return values.map(lambda v: [v])
 
 
-# What --matrix-json reads: an admissible matrix, then the probes.
-_MATRICES = {"rho_one.json": matrix_to_json(hadamard_rho(1.0)).encode(), **MALFORMED_MATRICES,
-             **INADMISSIBLE_MATRICES}
 _OUTPUTS = ("out", "report_out", "trace_out", "matrix_out")
 _GRID_END = st.one_of(st.sampled_from(["-1", "0", "0.5"]), _FLOAT)
 # The values of each option, keyed by its dest; a dest missing here fails at collection.
@@ -907,7 +799,7 @@ _VALUES = {
     "tol": _one(_TOL),
     "n_max": _one(_ints(1, 16, 21, caps=[4**MAX_ENUM_LEN])),
     "samples": _one(_ints(1, 4, caps=[MAX_SAMPLES])),
-    "matrix_json": _one(st.sampled_from(list(_MATRICES))),
+    "matrix_json": _one(st.sampled_from(list(FILES))),  # ok.json, then the probes
     "level": _one(_ints(0, 1, 2, caps=[MAX_CUNTZ_LEVEL, MAX_RUELLE_LEVEL])),
     "trials": _one(_ints(1, caps=[MAX_TRIALS])),
     "seed": _one(_ints(7)),
@@ -967,10 +859,6 @@ def _grammar(command):
 _ARGV = st.one_of([_grammar(command) for command in _COMMANDS])
 
 
-def _command_of(argv) -> str:
-    return next(c for c in _COMMANDS if argv[:len(c.split())] == c.split())
-
-
 def _drawn_options(argvs, done, draws=500) -> set:
     """The option strings of derandomized draws of argvs, drawn until done(them)
     holds or the draws run out."""
@@ -1019,23 +907,25 @@ def _reject_constant(name):
 
 @pytest.fixture(scope="module")
 def property_dir(tmp_path_factory):
-    """The property test's working directory: the matrices it reads and an out/ directory."""
+    """The property test's working directory: the files it reads and an out/ directory."""
     path = tmp_path_factory.mktemp("cli_property")
     (path / "out").mkdir()
-    for name, data in _MATRICES.items():
+    for name, data in FILES.items():
         (path / name).write_bytes(data)
     return path
 
 
 def _written(directory) -> list:
-    """Every file in directory but the matrices: what the calls wrote."""
-    return [p for p in directory.rglob("*") if p.is_file() and p.name not in _MATRICES]
+    """Every file in directory but the ones it reads: what the calls wrote."""
+    return [p for p in directory.rglob("*") if p.is_file() and p.name not in FILES]
 
 
 def _with_guard_examples(test):
-    """Each guard argv as an example, given every file output its subcommand declares."""
-    for argv in GUARD_ARGVS:
-        outputs = [f"{a.option_strings[0]}=written" for a in _options(_command_of(argv))
+    """Each guard row's argv as an example, given every file output its
+    subcommand declares; an argv that names no subcommand as it is."""
+    for argv in map(str.split, GUARDS):
+        command = next((c for c in _COMMANDS if argv[:len(c.split())] == c.split()), None)
+        outputs = [f"{a.option_strings[0]}=written" for a in (_options(command) if command else [])
                    if a.dest in _OUTPUTS and a.option_strings[0] not in argv]
         test = example(argv=[*argv, *outputs])(test)
     return test
