@@ -47,7 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT), str(ROOT / "tests")]
 
 import certify_all  # noqa: E402  (this script's directory is on sys.path)
-from cli_probes import FILES, GUARDS, INADMISSIBLE_MATRICES  # noqa: E402
+from cli_probes import GUARDS, INADMISSIBLE_MATRICES, lay_out  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 from frame_lab import cli  # noqa: E402
@@ -220,9 +220,7 @@ def main() -> int:
     calls += [(argv, HELP_ENV) for argv in HELP_ARGVS]
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        Path("out").mkdir()
-        for name, data in FILES.items():
-            Path(name).write_bytes(data)
+        lay_out(Path(work))
         for argv, env in calls:
             print(json.dumps(run(argv, env), sort_keys=True), flush=True)
         os.chdir(ROOT)

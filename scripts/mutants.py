@@ -245,7 +245,7 @@ MUTANTS = [
         '            fh.write(matrix_to_json(hadamard_rho(1.0)) + "\\n")\n'
         "    check = verify_unitarity(args.samples, args.tol)\n",
         "verify unitarity: the --matrix-out export is written before the check refuses its input",
-        killer="tests/test_report_cli.py::test_every_argv_keeps_the_exit_contract",
+        killer="tests/test_report_cli.py::test_every_guard_exits_with_its_one_line[verify unitarity --samples 0 --matrix-out ok.json]",
     ),
     Mutant(
         "kept-batch", FRAMES,
@@ -255,11 +255,27 @@ MUTANTS = [
         killer="tests/test_cuntz.py::test_projection_drops_each_batch_before_the_next_is_built",
     ),
     Mutant(
-        "out-precheck", CLI,
-        "        if args.report_out:\n            _refuse_unwritable(args.report_out)\n",
+        "claim-skip", CLI,
+        "        for path in (getattr(args, name, None) for name in _OUTPUTS):\n"
+        "            if path and _claim(path):\n"
+        "                created.append(path)\n",
         "",
-        "main: a --out report copy that cannot be written is found only after the runner wrote",
+        "main: an output that cannot be written is found only after the runner wrote its own",
         killer="tests/test_report_cli.py::test_every_guard_exits_with_its_one_line[verify parseval --trace-out t.csv --out missing/r.json]",
+    ),
+    Mutant(
+        "keep-created", CLI,
+        "        for path in created:\n            os.remove(path)\n",
+        "        pass\n",
+        "main: a refused call leaves the outputs its claims created",
+        killer="tests/test_report_cli.py::test_every_guard_exits_with_its_one_line[weights --n-max 1048577 --out w.csv]",
+    ),
+    Mutant(
+        "claim-truncates", CLI,
+        "        os.close(os.open(path, os.O_WRONLY))\n",
+        "        os.close(os.open(path, os.O_WRONLY | os.O_TRUNC))\n",
+        "_claim: an output that existed is emptied even when the call is refused",
+        killer="tests/test_report_cli.py::test_every_guard_exits_with_its_one_line[weights --n-max 1048577 --out ok.json]",
     ),
     Mutant(
         "cos-quarter", TRANSFORM,

@@ -19,7 +19,6 @@ before its declared default.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import math
 import os
@@ -281,23 +280,36 @@ def _run_verify_parseval(args) -> Check:
     return verify_parseval(trace, args.tol)
 
 
-def _refuse_unwritable(path: str) -> None:
-    """Raise the OSError that open(path, "w") gives for a path that is a
-    directory or whose directory does not exist, before anything is computed
-    or written. A directory that exists but cannot be written is still found
-    only by open, after the runner has written its own outputs."""
-    directory = os.path.dirname(path) or "."
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(directory):
-        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
+# The args that name a file the run writes: weights' table, verify parseval's
+# trace, verify unitarity's matrix export and a verify report's copy.
+_OUTPUTS = ("out", "trace_out", "matrix_out", "report_out")
+
+
+def _claim(path: str) -> bool:
+    """Open path for writing, as the run will, but without truncating it, and
+    return whether this call created the file. The OS refuses, with the
+    OSError open gives, every path the run could not write: a missing or
+    unwritable directory, a directory, a name that is too long."""
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        return True
+    except FileExistsError:
+        os.close(os.open(path, os.O_WRONLY))
+        return False
 
 
 def main(argv=None) -> int:
+    """Run one CLI call and return its exit code.
+
+    Every output path is claimed (_claim) once the tolerance and the bank
+    are resolved and before the runner computes, so the OS refuses a path
+    the run cannot write before anything is written. A call refused after
+    that, with exit 2 or 3, removes the files its claims created, and a file
+    that existed before was never truncated: every runner refuses before its
+    first write, and nothing that main does after a runner can refuse.
+    """
     started = time.monotonic()
+    created = []  # the outputs this call created, removed if it is refused
     try:
         args = build_parser().parse_args(argv)
         params = {}
@@ -305,8 +317,9 @@ def main(argv=None) -> int:
             args.tol = _resolve_tol(args)
         if args.default_rho is not None:
             args.bank, params = _bank_from_args(args)
-        if args.report_out:
-            _refuse_unwritable(args.report_out)
+        for path in (getattr(args, name, None) for name in _OUTPUTS):
+            if path and _claim(path):
+                created.append(path)
         check = args.run(args)
         names = args.params(args) if callable(args.params) else args.params
         params.update({name: getattr(args, name) for name in names})
@@ -315,12 +328,16 @@ def main(argv=None) -> int:
         if args.report_out:
             with open(args.report_out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
+        created = []  # the call ran: what it wrote stays
     except CapacityError as exc:
         print(f"capacity guard: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (FrameLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    finally:
+        for path in created:
+            os.remove(path)
     try:
         print(text, flush=True)
     except BrokenPipeError:  # the reader closed stdout: silence the exit-time flush

@@ -1,13 +1,15 @@
 """The CLI's guards, listed once and read by tests/test_report_cli.py and
 scripts/dump_reports.py: GUARDS maps each guard argv, written as one string
 of space-separated words, to its exit code and the one line it prints on
-stderr, and FILES holds the files the rows read, in the working directory
-of each call: one admissible matrix, ok.json, the matrix documents for
-`verify unitarity --matrix-json` that are malformed, and the well-formed
-ones that are not admissible. A call of a row prints nothing on stdout and
-leaves every file as it was. A new guard is one more row."""
+stderr, and lay_out makes the working directory every row runs in: FILES,
+the files the rows read (one admissible matrix, ok.json, the matrix
+documents for `verify unitarity --matrix-json` that are malformed, and the
+well-formed ones that are not admissible), and an empty out/ directory for
+the outputs the rows name there. A call of a row prints nothing on stdout
+and leaves every path as it was. A new guard is one more row."""
 
 import json
+from pathlib import Path
 
 from frame_lab.filters import hadamard_rho, matrix_to_json
 
@@ -44,7 +46,16 @@ INADMISSIBLE_MATRICES = _inadmissible_matrices()
 FILES = {"ok.json": matrix_to_json(hadamard_rho(1.0)).encode(), **MALFORMED_MATRICES,
          **INADMISSIBLE_MATRICES}
 
+
+def lay_out(directory: Path) -> None:
+    """Write FILES and an empty out/ directory into directory."""
+    (directory / "out").mkdir()
+    for name, data in FILES.items():
+        (directory / name).write_bytes(data)
+
+
 _GAMMAS = " ".join(map(str, range(100)))
+_LONG = "x" * 300 + ".json"  # longer than a file name may be
 _SCHEMA = "error: matrix JSON is not in the rows/re/im schema"
 _OFF_UNITARY = (  # each solver constraint holds within tol, the assembled bank does not
     "--alpha-a10-re 0.7071067811868476 --alpha-a30-re 0.7071067811868476 "
@@ -162,8 +173,7 @@ GUARDS = {
         (2, "error: argument --matrix-out: not allowed with argument --matrix-json"),
     "verify unitarity --matrix-json m.json --matrix-out m_out.json":
         (2, "error: argument --matrix-out: not allowed with argument --matrix-json"),
-    # Files that cannot be read, and a report copy that cannot be written,
-    # refused before any other output is written.
+    # Files that cannot be read.
     "verify unitarity --matrix-json missing.json":
         (2, "error: [Errno 2] No such file or directory: 'missing.json'"),
     "verify unitarity --matrix-json not_json.json":
@@ -180,6 +190,8 @@ GUARDS = {
     "verify unitarity --matrix-json bad_bytes.json":
         (2, f"{_SCHEMA} (Expecting value: line 1 column 1 (char 0))"),
     "verify unitarity --matrix-json inf_entry.json": (2, "error: A must have finite entries"),
+    # Outputs the OS will not open for writing, refused before anything is
+    # computed or written: an unwritable output wins over a capacity guard.
     "verify nogo-mu3 --out .": (2, "error: [Errno 21] Is a directory: '.'"),
     "verify nogo-mu3 --out missing_dir/nogo.json":
         (2, "error: [Errno 2] No such file or directory: 'missing_dir/nogo.json'"),
@@ -189,4 +201,18 @@ GUARDS = {
         (2, "error: [Errno 2] No such file or directory: 'missing/r.json'"),
     "verify unitarity --matrix-out m.json --out missing/r.json":
         (2, "error: [Errno 2] No such file or directory: 'missing/r.json'"),
+    f"verify parseval --trace-out t.csv --out {_LONG}":
+        (2, f"error: [Errno 36] File name too long: '{_LONG}'"),
+    f"verify unitarity --matrix-out m.json --out {_LONG}":
+        (2, f"error: [Errno 36] File name too long: '{_LONG}'"),
+    "weights --n-max 1048577 --out missing/w.csv":
+        (2, "error: [Errno 2] No such file or directory: 'missing/w.csv'"),
+    # A refused call leaves an output that existed as it was, for each runner
+    # that writes one: it refuses before its first write. It removes an
+    # output it created, here weights' default weights.csv.
+    "weights --n-max 1048577 --out ok.json":
+        (3, "capacity guard: n_max 1048577 exceeds cap 1048576"),
+    "verify unitarity --samples 0 --matrix-out ok.json": (2, "error: samples must be >= 1"),
+    "verify parseval --n-max 0 --trace-out ok.json": (2, "error: n_max must be >= 1"),
+    "weights --n-max 1048577": (3, "capacity guard: n_max 1048577 exceeds cap 1048576"),
 }

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,9 @@ from hypothesis import HealthCheck, Phase, example, find, given, settings, strat
 from hypothesis.errors import NoSuchExample
 
 import frame_lab
-from frame_lab.cli import _BANK_PARAMS, MAX_GRID_POINTS, _bank_from_args, build_parser, main
+from frame_lab.cli import (
+    _BANK_PARAMS, _OUTPUTS, MAX_GRID_POINTS, _bank_from_args, build_parser, main,
+)
 from frame_lab.cuntz import FAMILY_MAX_LEN, MAX_CUNTZ_LEVEL, MAX_TRIALS, verify_cuntz, verify_gram
 from frame_lab.filters import (
     MAX_SAMPLES,
@@ -43,7 +46,7 @@ from frame_lab.frames import (
     verify_ruelle,
 )
 from frame_lab.report import Check, report_json
-from cli_probes import FILES, GUARDS, INADMISSIBLE_MATRICES
+from cli_probes import FILES, GUARDS, INADMISSIBLE_MATRICES, lay_out
 from oracles import oracle_trace_checkpoints
 
 S2 = "0.7071067811865476"
@@ -493,17 +496,19 @@ def _contents(directory) -> dict:
             for p in directory.rglob("*")}
 
 
+_LAID_OUT = {**FILES, "out": None}  # what lay_out leaves in a directory
+
+
 @pytest.mark.parametrize("argv", GUARDS)
 def test_every_guard_exits_with_its_one_line(capsys, monkeypatch, tmp_path, argv):
     # the row's exit code, nothing on stdout, the row's exact line on stderr,
-    # and every file of the working directory as it was, with none added
+    # and every path of the working directory as it was, with none added
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("FRAME_LAB_TOL", raising=False)
-    for name, data in FILES.items():
-        (tmp_path / name).write_bytes(data)
+    lay_out(tmp_path)
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out, err) == (GUARDS[argv][0], "", GUARDS[argv][1] + "\n")
-    assert _contents(tmp_path) == FILES
+    assert _contents(tmp_path) == _LAID_OUT
 
 
 _REP_I = ("--rho-im", "1")
@@ -791,7 +796,6 @@ def _one(values):
     return values.map(lambda v: [v])
 
 
-_OUTPUTS = ("out", "report_out", "trace_out", "matrix_out")
 _GRID_END = st.one_of(st.sampled_from(["-1", "0", "0.5"]), _FLOAT)
 # The values of each option, keyed by its dest; a dest missing here fails at collection.
 _VALUES = {
@@ -811,7 +815,10 @@ _VALUES = {
     ),
     "grid": _one(st.builds("{}:{}:{}".format, _GRID_END, _GRID_END, st.one_of(
         st.sampled_from(["0", "1", "3", "x"]), _ints(3, caps=[MAX_GRID_POINTS])))),
-    **dict.fromkeys(_OUTPUTS, _one(st.sampled_from(["written", "out/written"]))),
+    # a new file, in the working directory or in out/; one under a missing
+    # directory, a directory, a name too long to create, an existing file
+    **dict.fromkeys(_OUTPUTS, _one(st.sampled_from(
+        ["written", "out/written", "missing/written", "out", "x" * 300, "ok.json"]))),
 }
 # Admissible banks that reach the checks: rho = i, -1 and e^{-i pi/3}, the
 # (p, q) banks (0.6, 0.8) and (0, 1), and PQ_ALPHA.
@@ -907,17 +914,8 @@ def _reject_constant(name):
 
 @pytest.fixture(scope="module")
 def property_dir(tmp_path_factory):
-    """The property test's working directory: the files it reads and an out/ directory."""
-    path = tmp_path_factory.mktemp("cli_property")
-    (path / "out").mkdir()
-    for name, data in FILES.items():
-        (path / name).write_bytes(data)
-    return path
-
-
-def _written(directory) -> list:
-    """Every file in directory but the ones it reads: what the calls wrote."""
-    return [p for p in directory.rglob("*") if p.is_file() and p.name not in FILES]
+    """The property test's working directory, laid out anew before each example."""
+    return tmp_path_factory.mktemp("cli_property")
 
 
 def _with_guard_examples(test):
@@ -939,9 +937,10 @@ def _with_guard_examples(test):
 )
 def test_every_argv_keeps_the_exit_contract(property_dir, argv):
     # exit 0/1 with one strict JSON report line, or exit 2/3 with nothing on
-    # stdout, one line on stderr and no file written
-    for path in _written(property_dir):
-        path.unlink()
+    # stdout, one line on stderr and every path as it was, with none added
+    shutil.rmtree(property_dir)
+    property_dir.mkdir()
+    lay_out(property_dir)
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(property_dir)  # where weights writes its default weights.csv
@@ -966,4 +965,4 @@ def test_every_argv_keeps_the_exit_contract(property_dir, argv):
         assert code in (2, 3)
         assert lines == []
         assert len(err.getvalue().splitlines()) == 1
-        assert not _written(property_dir), "a refused call writes no file"
+        assert _contents(property_dir) == _LAID_OUT, "a refused call leaves every path as it was"
