@@ -6,7 +6,9 @@ bank and the flags its report's params name. main resolves each of these
 inputs once, then calls the runner, which only computes a report.Check
 (most runners are one library call), and turns the check into its report
 (report.report_json) and an exit code: 0 pass, 1 check failed, 2 bad input
-or infeasible parameters, 3 capacity guard.
+or infeasible parameters (a DomainError, or an OSError on an output path),
+3 capacity guard (a CapacityError); the type of a refusal alone gives its
+exit code.
 Reports go to stdout as strict JSON with sorted keys; a reader that closes
 stdout early leaves the exit code to the verdict. Complex flags are passed
 as separate --*-re/--*-im real pairs. Every subcommand that takes a filter
@@ -27,7 +29,7 @@ import time
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, FrameLabError, in_range, positive_tol
+from .errors import CapacityError, DomainError, in_range, positive_tol
 from .filters import (
     DEFAULT_UNITARITY_TOL,
     FilterBank,
@@ -332,7 +334,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity guard: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (FrameLabError, OSError) as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     finally:

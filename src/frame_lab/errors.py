@@ -1,33 +1,20 @@
-"""Exception types shared across the package; in_range, the one guard of
-every integer floor and cap; and positive_tol, the one guard of every
-tolerance.
+"""The package's two refusals: DomainError, bad input or infeasible
+parameters (exit 2), and CapacityError, a capacity guard (exit 3); in_range,
+the one guard of every integer floor and cap; and positive_tol, the one
+guard of every tolerance.
 
-The CLI maps these onto its exit-code contract: bad input or infeasible
-parameters exit 2, capacity guards exit 3, failed checks exit 1.
+The CLI maps the two types onto its exit-code contract, the type alone
+giving the exit code; failed checks exit 1.
 """
 
 
-class FrameLabError(Exception):
-    pass
+class DomainError(ValueError):
+    """An argument is outside the domain of the operation: bad input, or
+    parameters that violate a named feasibility constraint."""
 
 
-class DomainError(FrameLabError, ValueError):
-    """An argument is outside the domain of the operation: bad input."""
-
-
-class CapacityError(FrameLabError, RuntimeError):
+class CapacityError(RuntimeError):
     """A size guard was exceeded (the computation would be desk-scale infeasible)."""
-
-
-class InfeasibleParameters(FrameLabError, ValueError):
-    """Solver parameters violate a named feasibility constraint."""
-
-    def __init__(self, constraint: str, detail: str = ""):
-        self.constraint = constraint
-        msg = f"infeasible parameters: {constraint} violated"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
 
 
 def in_range(name: str, value: int, low: int, cap: int | None = None) -> int:

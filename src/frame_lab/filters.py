@@ -8,7 +8,7 @@ A is admissible when (i) row 0 of A is (1/2,1/2,1/2,1/2),
 Those are exactly the hypotheses under which the generated vector family
 is orthonormal and projects onto weighted exponentials. A FilterBank is
 admissible by construction: building one from any other matrix raises
-InfeasibleParameters, so the operators that take a bank check nothing.
+DomainError, so the operators that take a bank check nothing.
 verify_unitarity measures the same deviations on any matrix.
 """
 
@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleParameters, in_range, positive_tol
+from .errors import DomainError, in_range, positive_tol
 from .report import Check
 from .transform import cis
 
@@ -98,7 +98,7 @@ class FilterBank:
     """An admissible coefficient matrix A, held read-only.
 
     Building one checks every admissibility condition at
-    DEFAULT_UNITARITY_TOL and raises InfeasibleParameters naming the first
+    DEFAULT_UNITARITY_TOL and raises DomainError naming the first
     that fails, so every bank in existence defines a representation. A is
     a read-only copy, and setting or deleting an attribute raises
     AttributeError.
@@ -110,7 +110,7 @@ class FilterBank:
         A = np.array(A, dtype=complex)
         for condition, dev in deviations(A).items():
             if not dev <= DEFAULT_UNITARITY_TOL:
-                raise InfeasibleParameters(condition, f"off by {dev:.3g}")
+                raise DomainError(f"infeasible parameters: {condition} violated (off by {dev:.3g})")
         A.setflags(write=False)
         object.__setattr__(self, "A", A)
 
@@ -175,7 +175,7 @@ def solve_alpha(
     for constraint, identity, deviation in guards:
         dev = abs(deviation())
         if not dev <= DEFAULT_UNITARITY_TOL:
-            raise InfeasibleParameters(constraint, f"{identity} off by {dev:.3g}")
+            raise DomainError(f"infeasible parameters: {constraint} violated ({identity} off by {dev:.3g})")
 
     if 1.0 - abs(a10) ** 2 <= DEFAULT_UNITARITY_TOL:  # the degenerate case |a10| = 1
         row3 = -a22.conjugate() * U2 + a21.conjugate() * U3

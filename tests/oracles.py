@@ -20,11 +20,13 @@ are Word4 tuples of letters here, with the index map c, its inverse and the
 digit counts; the library names a word by its index alone. frame_weight
 (per n, from the digit counts and a pair (p, q)), projection_weight (per
 word, a product over its letters) and the CSV writer driven by them are
-the second paths to the library's one digit-weight table. The per-vector
-checks (one random trial vector or one word at a time) are the reference
-for the library's batched verify_cuntz and verify_projection; they apply
-one isometry S_j or S_j* to one sum with S_j and S_j_star, where the
-library applies all four at once and numbers S_j F_v as vector 4v + j.
+the second paths to the library's one digit-weight table. The frozen
+regression constants the tests pin traces and energy sums with are values
+of oracle_trace_checkpoints and oracle_h_partial, kept beside them. The
+per-vector checks (one random trial vector or one word at a time) are the
+reference for the library's batched verify_cuntz and verify_projection;
+they apply one isometry S_j or S_j* to one sum with S_j and S_j_star, where
+the library applies all four at once and numbers S_j F_v as vector 4v + j.
 oracle_generated_family builds each word by that operator recursion, one
 apply_S per letter, the second path to the library's generated_family,
 which reads every word's coefficient row in closed form from its letters.
@@ -354,6 +356,25 @@ def oracle_h_partial(t: float, bank, max_len: int) -> float:
             cur = (cur - j) / 4.0
         total += abs(value * mu4_hat_recursive(cur)) ** 2
     return total
+
+
+# ---- Frozen regression constants: values of the two oracles above, which
+# tests/test_frames.py::test_frozen_constants_match_their_oracle recomputes
+# bit for bit. The tests compare the library's traces and energy sums with
+# them.
+
+# e_2 (outside the weight support) on the p = q = 1/sqrt(2) bank, at 4^1..4^6
+PQ_E2_CHECKPOINTS = {
+    4: 0.7196022160608238,
+    16: 0.8002887969446346,
+    64: 0.8625777932362896,
+    256: 0.9028899665997758,
+    1024: 0.9306520287279643,
+    4096: 0.9503563861542516,
+}
+RHO_M1_E1_AT_256 = 0.49990188583068634  # e_1 trace checkpoint 4^4, rho = -1 (p = 0)
+S_E1_RHO_M1_AT_4POW8 = 0.4999999239571717  # e_1 trace checkpoint 4^8, rho = -1
+H4_AT_MINUS_HALF_RHO_M1 = 0.49998362943164754  # h_4(-1/2) for rho = -1; strictly below 1
 
 
 def _dense_word_vector(bank, word) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per certified claim, at its stated tolerance.
 
-Each test prints a single pass/fail line (visible with pytest -s). Frozen
-regression constants were produced by the independent recursion-path
-oracle in tests/oracles.py; scripts/compute_reference_values.py reproduces
-them.
+Each test prints a single pass/fail line (visible with pytest -s). The
+frozen regression constants are values of the independent recursion-path
+oracle, kept beside it in tests/oracles.py;
+tests/test_frames.py::test_frozen_constants_match_their_oracle recomputes
+them bit for bit.
 """
 
 import math
@@ -16,7 +17,9 @@ from frame_lab.filters import a_to_h, pq_bank, rho_bank, verify_nogo_mu3
 from frame_lab.frames import h_partial, parseval_trace, verify_ruelle
 from frame_lab.transform import cis
 from oracles import (
+    H4_AT_MINUS_HALF_RHO_M1,
     ONE,
+    S_E1_RHO_M1_AT_4POW8,
     Atom,
     Word4,
     apply_word,
@@ -32,10 +35,6 @@ from oracles import (
 
 S2 = 2**-0.5
 GAMMA4_64 = [0, 1, 4, 5, 16, 17, 20, 21, 64]
-
-# ---- frozen oracle values (recursion path; see scripts/compute_reference_values.py)
-H4_AT_MINUS_HALF_RHO_M1 = 0.49998362943164754  # h_4(-1/2) for rho = -1; strictly below 1
-S_E1_RHO_M1_AT_4POW8 = 0.4999999239571717  # e_1 trace checkpoint K = 8, rho = -1
 
 
 def _report(num: int, name: str, detail: str) -> None:

@@ -10,7 +10,7 @@ from frame_lab import frames
 from frame_lab.atoms import concat, renumber
 from frame_lab.cli import main
 from frame_lab.cuntz import generated_family, verify_cuntz, verify_gram
-from frame_lab.errors import CapacityError, DomainError, InfeasibleParameters
+from frame_lab.errors import CapacityError, DomainError
 from frame_lab.filters import FilterBank, pq_bank, rho_bank
 from frame_lab.frames import (
     _CSV_BLOCK,
@@ -31,7 +31,11 @@ from frame_lab.frames import (
 from frame_lab.report import Check
 from frame_lab.transform import cis
 from oracles import (
+    H4_AT_MINUS_HALF_RHO_M1,
     ONE,
+    PQ_E2_CHECKPOINTS,
+    RHO_M1_E1_AT_256,
+    S_E1_RHO_M1_AT_4POW8,
     Word4,
     apply_word,
     build_sum,
@@ -67,22 +71,11 @@ MENU = {
 GAMMA4_UP_TO_21 = [0, 1, 4, 5, 16, 17, 20, 21]
 GAMMA3_UP_TO_15 = [0, 3, 12, 15]
 
-# frozen from the recursion-path oracle (scripts/compute_reference_values.py)
-PQ_E2_CHECKPOINTS = {
-    4: 0.7196022160608238,
-    16: 0.8002887969446346,
-    64: 0.8625777932362896,
-    256: 0.9028899665997758,
-    1024: 0.9306520287279643,
-    4096: 0.9503563861542516,
-}
-RHO_M1_E1_AT_256 = 0.49990188583068634
-
 
 def test_family_banks_refuse_infeasible_parameters():
     with pytest.raises(DomainError):
         rho_bank(0.5)
-    with pytest.raises(InfeasibleParameters):
+    with pytest.raises(DomainError, match="^infeasible parameters: duality violated "):
         pq_bank(1.0, 1.0)
 
 
@@ -365,6 +358,15 @@ def test_parseval_target_adds_the_scalar_terms_in_order():
     got = parseval_trace(f, pq_bank(S2, S2), 64).target
     assert repr(got) == repr(want)
     assert got > 0
+
+
+def test_frozen_constants_match_their_oracle():
+    # every frozen constant is a value of the recursion-path oracle, to the bit
+    assert PQ_E2_CHECKPOINTS == oracle_trace_checkpoints(2, S2, S2, 4**6)
+    rho_minus_one = oracle_trace_checkpoints(1, 0.0, 1.0, 4**8)
+    assert RHO_M1_E1_AT_256 == rho_minus_one[256]
+    assert S_E1_RHO_M1_AT_4POW8 == rho_minus_one[4**8]
+    assert H4_AT_MINUS_HALF_RHO_M1 == oracle_h_partial(-0.5, rho_bank(-1.0), 4)
 
 
 def test_trace_regression_nonterminating():

@@ -1,4 +1,4 @@
-"""The package's shape, the modules a run imports, copies of its records,
+"""The package's shape, its two exception types, the modules a run imports, copies of its records,
 the text edits of the mutation census and the benchmark's traced run."""
 
 import copy
@@ -30,6 +30,18 @@ def test_the_package_binds_its_modules_and_nothing_else():
     assert {"atoms", "cuntz", "errors", "filters", "frames", "report", "transform"} <= set(public)
     assert isinstance(frame_lab.__version__, str)
     assert not hasattr(frame_lab, "__all__")
+
+
+def test_the_package_refuses_with_two_exception_types():
+    # the type of a refusal alone gives its exit code: DomainError exit 2,
+    # CapacityError exit 3
+    defined = {
+        name for name, value in vars(frame_lab.errors).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    assert defined == {"DomainError", "CapacityError"}
+    assert issubclass(frame_lab.errors.DomainError, ValueError)
+    assert issubclass(frame_lab.errors.CapacityError, RuntimeError)
 
 
 def test_every_mutant_edits_one_place():

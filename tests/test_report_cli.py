@@ -903,7 +903,7 @@ def _names_a_parseval_bank(argv) -> bool:
     """Whether argv parses to a bank whose frame is Parseval (p != 0)."""
     try:
         bank, _ = _bank_from_args(build_parser().parse_args(argv))
-    except (frame_lab.errors.DomainError, frame_lab.errors.InfeasibleParameters):
+    except frame_lab.errors.DomainError:
         return False
     return is_parseval(bank)
 
